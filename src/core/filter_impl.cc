@@ -1,6 +1,5 @@
 #include "core/filter_impl.h"
 
-#include <algorithm>
 #include <exception>
 #include <string>
 #include <utility>
@@ -62,7 +61,6 @@ Status MinDistancePerGraph(const FragmentIndex& index,
 Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
                         const PisOptions& options,
                         const FragmentDistFn& fragment_dists,
-                        const SketchPruneFn& sketch_prune,
                         FilterResult* resultp) {
   FilterResult& result = *resultp;
   const double sigma = options.sigma;
@@ -88,25 +86,6 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
     }
   }
   const int live_size = static_cast<int>(alive_count);
-
-  // Superimposed-sketch prefilter: discard graphs whose bit codes are
-  // missing an enumerated class. Placed after live_size is fixed (the
-  // selectivity denominator must count every live graph) and before pass 1.
-  // A sketch-failed graph lacks at least one enumerated class's fragments,
-  // so that class's range-query result cannot contain it and the pass-1
-  // intersection would kill it regardless — pruning here changes no result
-  // field and no shared counter, it only skips dead per-graph work.
-  if (options.sketch_enabled && sketch_prune != nullptr &&
-      !result.fragments.empty()) {
-    Timer sketch_timer;
-    sketch_prune(result.fragments, &alive, &alive_count, &result.stats);
-    result.stats.sketch_seconds = sketch_timer.Seconds();
-  }
-  // Sketch survivors at this point; everything pass 1 eliminates below was
-  // a false drop of the superimposed code (it passed the probe yet could
-  // not survive the exact intersection).
-  const size_t sketch_survivors =
-      result.stats.sketch_checks > 0 ? alive_count : 0;
 
   Timer pass1_timer;
   std::vector<double> selectivities(result.fragments.size(), 0.0);
@@ -143,9 +122,6 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
   result.stats.candidates_after_intersection = alive_count;
   result.stats.fragments_kept = kept.size();
   result.stats.pass1_seconds = pass1_timer.Seconds();
-  if (sketch_survivors > alive_count) {
-    result.stats.sketch_false_drops = sketch_survivors - alive_count;
-  }
   result.selectivities = std::move(selectivities);
 
   // Overlapping-relation graph and the partition (lines 19-20).
@@ -204,8 +180,7 @@ Result<FilterResult> RunPisFilter(const FragmentIndex& enum_index, int db_size,
                                   const std::unordered_set<int>* tombstones,
                                   const PisOptions& options, const Graph& query,
                                   const FragmentQueryFn& query_fn,
-                                  QueryEnumCache* enum_cache,
-                                  const SketchProbeFactory& sketch_factory) {
+                                  QueryEnumCache* enum_cache) {
   if (query.Empty()) {
     return Status::InvalidArgument("query graph is empty");
   }
@@ -234,35 +209,8 @@ Result<FilterResult> RunPisFilter(const FragmentIndex& enum_index, int db_size,
                             QueryStats* stats) -> Status {
     return query_fn(result.fragments[fi].prepared, sigma, dist, stats);
   };
-  SketchPruneFn sketch_prune;
-  if (sketch_factory != nullptr) {
-    sketch_prune = [&sketch_factory, db_size](
-                       const std::vector<QueryFragment>& fragments,
-                       std::vector<char>* alive, size_t* alive_count,
-                       QueryStats* stats) {
-      std::vector<int> class_ids;
-      class_ids.reserve(fragments.size());
-      for (const QueryFragment& qf : fragments) {
-        class_ids.push_back(qf.prepared.class_id);
-      }
-      std::sort(class_ids.begin(), class_ids.end());
-      class_ids.erase(std::unique(class_ids.begin(), class_ids.end()),
-                      class_ids.end());
-      SketchProbe probe = sketch_factory(class_ids);
-      if (probe == nullptr) return;
-      for (int gid = 0; gid < db_size; ++gid) {
-        if (!(*alive)[gid]) continue;
-        ++stats->sketch_checks;
-        if (!probe(gid)) {
-          (*alive)[gid] = 0;
-          --(*alive_count);
-          ++stats->sketch_pruned;
-        }
-      }
-    };
-  }
   PIS_RETURN_NOT_OK(RunPisFilterCore(db_size, tombstones, options,
-                                     fragment_dists, sketch_prune, &result));
+                                     fragment_dists, &result));
   result.stats.filter_seconds = timer.Seconds();
   return result;
 }

@@ -62,18 +62,6 @@ Status MinDistancePerGraph(const FragmentIndex& index,
                            const PreparedFragment& fragment, double sigma,
                            std::unordered_map<int, double>* out);
 
-/// Superimposed-sketch probe: true unless graph `gid` provably lacks a
-/// fragment in some enumerated class (see index/graph_sketch.h). A false
-/// return licenses pruning before any range query runs — soundness is the
-/// probe's contract.
-using SketchProbe = std::function<bool(int gid)>;
-/// Builds the probe for one query from its enumerated classes' superimposed
-/// mask. Engines bind their index's sketch here (per-shard rows for the
-/// sharded engine); returning a null probe skips the prefilter for this
-/// query (e.g. a shard without a sketch).
-using SketchProbeFactory =
-    std::function<SketchProbe(const std::vector<int>& class_ids)>;
-
 /// Answers the range query of the fragment at `fragment_pos` (a position
 /// into the pre-enumerated fragment list) during a RunPisFilterCore run.
 /// Engines wrap their FragmentQueryFn over the prepared fragment; the
@@ -83,17 +71,6 @@ using FragmentDistFn =
     std::function<Status(size_t fragment_pos, double sigma,
                          std::unordered_map<int, double>* min_dist,
                          QueryStats* stats)>;
-
-/// Applies the superimposed-sketch prefilter during a RunPisFilterCore run:
-/// clears alive[] slots whose graphs provably lack an enumerated class,
-/// decrementing `alive_count` and recording stats->sketch_checks /
-/// sketch_pruned. Invoked only under options.sketch_enabled with a
-/// non-empty fragment list, after the live selectivity denominator is fixed
-/// and before pass 1 — exactly the window where pruning is free of result
-/// drift.
-using SketchPruneFn = std::function<void(
-    const std::vector<QueryFragment>& fragments, std::vector<char>* alive,
-    size_t* alive_count, QueryStats* stats)>;
 
 /// The post-enumeration core of Algorithm 2: pass-1 ε-filter +
 /// intersection, overlap-graph partition, and pass-2 summed-lower-bound
@@ -108,7 +85,6 @@ using SketchPruneFn = std::function<void(
 Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
                         const PisOptions& options,
                         const FragmentDistFn& fragment_dists,
-                        const SketchPruneFn& sketch_prune,
                         FilterResult* result);
 
 /// Algorithm 2 over `db_size` graph-id slots. `enum_index` supplies the
@@ -131,21 +107,11 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
 /// fragment list (stats.enum_cache_hits = 1) instead of re-enumerating and
 /// re-preparing every connected edge subset. Results are identical either
 /// way; unkeyable queries (disconnected) simply bypass the cache.
-///
-/// `sketch_factory` (nullable; consulted only under options.sketch_enabled)
-/// supplies the superimposed-sketch probe. Sketch-failed graphs are pruned
-/// AFTER the live count (selectivity denominator) is fixed and BEFORE pass
-/// 1 — every range query still runs, and each pruned graph would have died
-/// in the pass-1 intersection anyway (it lacks a fragment in some
-/// enumerated class, so that class's result set cannot contain it), so
-/// every result field and shared counter is identical to a sketch-off run;
-/// only stats.sketch_checks/sketch_pruned record the prefilter's work.
 Result<FilterResult> RunPisFilter(const FragmentIndex& enum_index, int db_size,
                                   const std::unordered_set<int>* tombstones,
                                   const PisOptions& options, const Graph& query,
                                   const FragmentQueryFn& query_fn,
-                                  QueryEnumCache* enum_cache = nullptr,
-                                  const SketchProbeFactory& sketch_factory = {});
+                                  QueryEnumCache* enum_cache = nullptr);
 
 /// The SearchBatch driver: fans `run_query` over 0..num_queries-1 with
 /// ParallelFor, isolates per-query exceptions as Internal errors, and

@@ -51,14 +51,6 @@ struct PisOptions {
   /// Compact()/CompactShard() calls (`pis_cli compact`). Never affects
   /// query results, only when the dead postings are reclaimed.
   double compact_dead_ratio = 0.0;
-  /// Superimposed-sketch prefilter (index/graph_sketch.h): when on, graphs
-  /// whose bit codes are missing an enumerated class die before pass 1.
-  /// Sound by construction — only provably-impossible candidates are
-  /// pruned, so results and every shared counter are identical to a
-  /// sketch-off run; the QueryStats sketch_* counters record the work
-  /// saved. The sketch shape (bits, hashes) is a build-time option
-  /// (FragmentIndexOptions), not a query knob.
-  bool sketch_enabled = false;
 };
 
 }  // namespace pis

@@ -30,13 +30,7 @@ Result<FilterResult> PisEngine::FilterImpl(
         ++stats->range_queries;
         return internal::MinDistancePerGraph(*index_, fragment, sigma, min_dist);
       },
-      enum_cache,
-      [this](const std::vector<int>& class_ids) -> internal::SketchProbe {
-        const GraphSketch& sketch = index_->sketch();
-        return [&sketch, mask = sketch.MakeMask(class_ids)](int gid) {
-          return sketch.MightContainAll(gid, mask);
-        };
-      });
+      enum_cache);
 }
 
 Result<SearchResult> PisEngine::Search(const Graph& query) const {

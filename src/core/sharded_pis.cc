@@ -49,39 +49,13 @@ Result<FilterResult> ShardedPisEngine::FilterImpl(
     }
     return Status::OK();
   };
-  // The sketch probe routes each global id to its shard's sketch row. Class
-  // ids are shard-independent (every shard registers the identical
-  // feature-derived catalog), but the masks are built per shard anyway in
-  // case shards were built with different sketch shapes.
-  auto sketch_factory =
-      [this, num_shards](
-          const std::vector<int>& class_ids) -> internal::SketchProbe {
-    struct ShardMask {
-      const GraphSketch* sketch;
-      std::vector<uint64_t> mask;
-    };
-    auto masks = std::make_shared<std::vector<ShardMask>>();
-    masks->reserve(num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      const GraphSketch& sketch = index_->shard(s).sketch();
-      masks->push_back({&sketch, sketch.MakeMask(class_ids)});
-    }
-    return [this, masks](int gid) {
-      const int s = index_->shard_of(gid);
-      // Compacted-away ids are resident nowhere; they are already dead in
-      // the filter's alive[] and never probed, but stay permissive.
-      if (s < 0) return true;
-      const ShardMask& sm = (*masks)[s];
-      return sm.sketch->MightContainAll(index_->local_id(gid), sm.mask);
-    };
-  };
   // Any shard serves as the enumeration catalog (identical classes); use
   // shard 0. Per-shard range queries already exclude per-shard tombstones;
   // the global set seeds the dead slots for the no-pruning path and the
   // live selectivity denominator.
   return internal::RunPisFilter(index_->shard(0), db_->size(),
                                 &index_->tombstones(), options_, query,
-                                query_fn, enum_cache, sketch_factory);
+                                query_fn, enum_cache);
 }
 
 Result<SearchResult> ShardedPisEngine::Search(const Graph& query) const {

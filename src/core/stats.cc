@@ -13,13 +13,9 @@ void QueryStats::Accumulate(const QueryStats& other) {
   candidates_after_intersection += other.candidates_after_intersection;
   candidates_final += other.candidates_final;
   answers += other.answers;
-  sketch_checks += other.sketch_checks;
-  sketch_pruned += other.sketch_pruned;
-  sketch_false_drops += other.sketch_false_drops;
   enum_cache_hits += other.enum_cache_hits;
   filter_seconds += other.filter_seconds;
   verify_seconds += other.verify_seconds;
-  sketch_seconds += other.sketch_seconds;
   pass1_seconds += other.pass1_seconds;
   selectivity_seconds += other.selectivity_seconds;
   partition_seconds += other.partition_seconds;
@@ -29,13 +25,11 @@ void QueryStats::Accumulate(const QueryStats& other) {
 std::string QueryStats::ToString() const {
   return StrFormat(
       "fragments=%zu kept=%zu range_queries=%zu partition=%zu (w=%.3f) "
-      "cand_intersect=%zu cand_final=%zu answers=%zu sketch=%zu/%zu "
-      "sketch_false_drops=%zu enum_cache_hits=%zu filter=%.3fms "
-      "verify=%.3fms",
+      "cand_intersect=%zu cand_final=%zu answers=%zu enum_cache_hits=%zu "
+      "filter=%.3fms verify=%.3fms",
       fragments_enumerated, fragments_kept, range_queries, partition_size,
       partition_weight, candidates_after_intersection, candidates_final, answers,
-      sketch_pruned, sketch_checks, sketch_false_drops, enum_cache_hits,
-      filter_seconds * 1e3, verify_seconds * 1e3);
+      enum_cache_hits, filter_seconds * 1e3, verify_seconds * 1e3);
 }
 
 }  // namespace pis

@@ -26,21 +26,6 @@ struct QueryStats {
   size_t candidates_final = 0;
   /// Number of answers after verification.
   size_t answers = 0;
-  /// Graphs probed against the superimposed sketch (0 when the prefilter
-  /// is off or no fragments were enumerated).
-  size_t sketch_checks = 0;
-  /// Probed graphs discarded before any range-query result was consulted.
-  /// Every one of them was provably impossible, so these counters are the
-  /// only ones a sketch-on run changes.
-  size_t sketch_pruned = 0;
-  /// False drops of the superimposed code (Knuutila et al.): graphs that
-  /// PASSED the sketch probe but were then eliminated by the pass-1
-  /// intersection anyway — probes the sketch spent bits on without pruning
-  /// anything. false_drop_rate = sketch_false_drops / (sketch_checks -
-  /// sketch_pruned). Zero when the sketch is off; drifts with database
-  /// composition, which is why it is surfaced live and not just at bench
-  /// time.
-  size_t sketch_false_drops = 0;
   /// 1 when the query's fragment enumeration was served from a SearchBatch
   /// enumeration cache instead of recomputed (0 outside batches). Like the
   /// timing fields this is schedule-dependent — two duplicate queries
@@ -54,11 +39,12 @@ struct QueryStats {
   /// observability layer turns these into trace spans and latency
   /// histograms; stages are disjoint except selectivity_seconds, which is
   /// the portion of pass1_seconds spent in ComputeSelectivity.
-  double sketch_seconds = 0;       ///< superimposed-sketch probe
   double pass1_seconds = 0;        ///< range queries + ε-filter/intersection
   double selectivity_seconds = 0;  ///< ComputeSelectivity within pass 1
   double partition_seconds = 0;    ///< overlap graph + partition selection
   double pass2_seconds = 0;        ///< partition lower-bound pruning
+  /// Never written (always 0); kept because perfbench/src/ladder.cc reads it.
+  double sketch_seconds = 0;
 
   /// Adds every counter of `other` into this (batch aggregation).
   void Accumulate(const QueryStats& other);

@@ -64,19 +64,11 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
       options.max_fragment_edges < options.min_fragment_edges) {
     return Status::InvalidArgument("invalid fragment size bounds");
   }
-  if (!GraphSketch::ValidParams(options.sketch_bits, options.sketch_hashes)) {
-    return Status::InvalidArgument(
-        "invalid sketch parameters: bits must be a multiple of 64 in "
-        "[64, 2^20], hashes in [1, 64]");
-  }
   Timer timer;
   FragmentIndex index;
   index.options_ = options;
   index.spec_holder_ = std::make_shared<const DistanceSpec>(options.spec);
   index.db_size_ = db.size();
-  index.sketch_ =
-      std::make_unique<GraphSketch>(options.sketch_bits, options.sketch_hashes);
-  index.sketch_->AddGraphs(db.size());
   ClassBackend backend =
       options.backend.value_or(DefaultBackend(options.spec.type));
 
@@ -182,7 +174,6 @@ void FragmentIndex::ApplyExtraction(int gid,
                                     const ExtractStats& stats) {
   for (const PendingInsert& p : pending) {
     classes_[p.class_id]->Insert(p.labels, p.weights, gid);
-    sketch_->AddClass(gid, p.class_id);
   }
   stats_.num_subsets_enumerated += stats.subsets;
   stats_.num_subsets_skipped_by_signature += stats.skipped_by_signature;
@@ -203,7 +194,6 @@ Result<int> FragmentIndex::AddGraph(const Graph& g) {
   std::vector<PendingInsert> pending;
   ExtractStats stats;
   PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &pending, &stats));
-  sketch_->AddGraphs(1);  // row gid, filled by ApplyExtraction
   ApplyExtraction(gid, pending, stats);
   ++db_size_;
   // Re-finalize only the classes that received postings, so postings stay
@@ -245,7 +235,6 @@ std::vector<int> FragmentIndex::Compact() {
     cls->Compact(remap);
     sequences += cls->num_fragments();
   }
-  sketch_->Compact(remap);
   db_size_ = next;
   tombstones_.clear();
   ++compaction_epoch_;
@@ -303,12 +292,13 @@ constexpr uint32_t kIndexMagic = 0x50495358;  // "PISX"
 // v1: static index. v2 appends the tombstone list (incremental RemoveGraph)
 // as a trailing section; v1 files load as tombstone-free. v3 appends the
 // compaction epoch plus the live count (cross-checked against db_size minus
-// tombstones on load); v2 files load with epoch 0. v4 appends the
-// superimposed-sketch prefilter (parameters + per-graph code words); pre-v4
-// files rebuild the sketch from class postings at load. Each version is a
-// strict prefix of the next so old fixtures stay constructible from a
-// current Save().
-constexpr uint32_t kIndexVersion = 4;
+// tombstones on load); v2 files load with epoch 0. v4 appended a
+// per-graph superimposed bit-code section, since removed: v5 is exactly the
+// v3 layout, and a v4 file loads by validating and discarding that section.
+// v1-v3 are strict prefixes of v5, so their fixtures stay constructible from
+// a current Save().
+constexpr uint32_t kIndexVersion = 5;
+constexpr uint32_t kLegacySketchVersion = 4;
 
 void SerializeSpec(const DistanceSpec& spec, BinaryWriter* writer) {
   writer->U8(static_cast<uint8_t>(spec.type));
@@ -329,6 +319,37 @@ Result<DistanceSpec> DeserializeSpec(BinaryReader* reader) {
   spec.use_edge_weights = reader->U8() != 0;
   PIS_RETURN_NOT_OK(reader->Check("distance spec"));
   return spec;
+}
+
+// Reads past the v4 sketch section: bits and hashes (I32 each), a word
+// count, then the words, db_size blocks of bits / 64 words. The file
+// promised the section, so a short or malformed one is a structural
+// disagreement (InvalidArgument), like a truncated manifest.
+Status SkipLegacySketchSection(BinaryReader* reader, int db_size) {
+  const int32_t bits = reader->I32();
+  const int32_t hashes = reader->I32();
+  const uint64_t num_words = reader->ReadCount(8);
+  if (!reader->ok()) {
+    return Status::InvalidArgument("index v4 sketch section truncated");
+  }
+  if (bits < 64 || bits % 64 != 0 || bits > (1 << 20) || hashes < 1 ||
+      hashes > 64) {
+    return Status::InvalidArgument(
+        "implausible v4 sketch parameters (" + std::to_string(bits) +
+        " bits, " + std::to_string(hashes) + " hashes)");
+  }
+  const uint64_t expected = static_cast<uint64_t>(db_size) * (bits / 64);
+  if (num_words != expected) {
+    return Status::InvalidArgument(
+        "v4 sketch section holds " + std::to_string(num_words) +
+        " words but " + std::to_string(db_size) + " graphs need " +
+        std::to_string(expected));
+  }
+  for (uint64_t i = 0; i < num_words; ++i) reader->U64();
+  if (!reader->ok()) {
+    return Status::InvalidArgument("index v4 sketch payload truncated");
+  }
+  return Status::OK();
 }
 }  // namespace
 
@@ -369,9 +390,6 @@ Status FragmentIndex::Save(std::ostream& out) const {
   writer.VecInt(dead);
   writer.U32(compaction_epoch_);
   writer.I32(num_live());
-  // v4 trailing section: the superimposed-sketch prefilter. Words are
-  // written verbatim, so Save -> Load -> Save is byte-identical.
-  sketch_->Serialize(&writer);
   if (!writer.ok()) return Status::IOError("index write failed");
   return Status::OK();
 }
@@ -456,41 +474,10 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
           std::to_string(index.num_live()) + ")");
     }
   }
-  if (version >= 4) {
-    // A file that declared v4 promised a sketch section; a short or
-    // mangled one is a structural disagreement with that promise (mirrors
-    // the truncated-manifest contract), not unreadable garbage.
-    Result<GraphSketch> sketch = GraphSketch::Deserialize(&reader);
-    if (!sketch.ok()) {
-      return Status::InvalidArgument("index sketch section truncated or "
-                                     "invalid: " +
-                                     sketch.status().message());
-    }
-    if (sketch.value().num_graphs() != index.db_size_) {
-      return Status::InvalidArgument(
-          "sketch covers " + std::to_string(sketch.value().num_graphs()) +
-          " graphs but the index holds " + std::to_string(index.db_size_));
-    }
-    index.options_.sketch_bits = sketch.value().bits_per_graph();
-    index.options_.sketch_hashes = sketch.value().num_hashes();
-    index.sketch_ = std::make_unique<GraphSketch>(sketch.MoveValue());
-  } else {
-    // Pre-v4 file: derive the sketch the section would have carried.
-    index.RebuildSketch();
+  if (version == kLegacySketchVersion) {
+    PIS_RETURN_NOT_OK(SkipLegacySketchSection(&reader, index.db_size_));
   }
   return index;
-}
-
-void FragmentIndex::RebuildSketch() {
-  sketch_ =
-      std::make_unique<GraphSketch>(options_.sketch_bits, options_.sketch_hashes);
-  sketch_->AddGraphs(db_size_);
-  for (int class_id = 0; class_id < static_cast<int>(classes_.size());
-       ++class_id) {
-    for (int gid : classes_[class_id]->containing_graphs()) {
-      sketch_->AddClass(gid, class_id);
-    }
-  }
 }
 
 Result<FragmentIndex> FragmentIndex::LoadFile(const std::string& path) {

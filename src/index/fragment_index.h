@@ -17,7 +17,6 @@
 #include "graph/graph.h"
 #include "index/class_index.h"
 #include "index/fragment_enum.h"
-#include "index/graph_sketch.h"
 #include "util/status.h"
 
 namespace pis {
@@ -36,13 +35,6 @@ struct FragmentIndexOptions {
   /// use HardwareThreads() for full parallelism. Runtime-only (not
   /// persisted by Save).
   int num_threads = 1;
-  /// Shape of the superimposed-sketch prefilter (see index/graph_sketch.h):
-  /// bits per graph (a multiple of 64) and hash functions per class.
-  /// Persisted from format v4 on; pre-v4 files rebuild their sketch at load
-  /// with these defaults. Query-time use is opt-in (PisOptions::
-  /// sketch_enabled) — the sketch itself is always maintained.
-  int sketch_bits = GraphSketch::kDefaultBits;
-  int sketch_hashes = GraphSketch::kDefaultHashes;
 };
 
 /// Build-time statistics (reported by benches and the index explorer).
@@ -164,12 +156,6 @@ class FragmentIndex {
   const FragmentIndexOptions& options() const { return options_; }
   int db_size() const { return db_size_; }
 
-  /// The superimposed-code prefilter, maintained through Build / AddGraph /
-  /// RemoveGraph / Compact and persisted from format v4 (older files
-  /// rebuild it at load). Row gid covers graph gid; tombstoned rows keep
-  /// their bits, mirroring the postings they summarize.
-  const GraphSketch& sketch() const { return *sketch_; }
-
  private:
   FragmentIndex() = default;
 
@@ -206,11 +192,6 @@ class FragmentIndex {
   void ApplyExtraction(int gid, const std::vector<PendingInsert>& pending,
                        const ExtractStats& stats);
 
-  // Derives the sketch from the finalized class postings (used when loading
-  // pre-v4 files). Bit-identical to incremental maintenance: a bit is set
-  // iff the class holds at least one fragment of the graph.
-  void RebuildSketch();
-
   FragmentIndexOptions options_;
   /// Stable home for the spec: per-class indexes keep raw pointers to it,
   /// and FragmentIndex itself is movable.
@@ -223,9 +204,6 @@ class FragmentIndex {
   std::unordered_set<int> tombstones_;
   /// Count of Compact() rewrites (format v3 persists this).
   uint32_t compaction_epoch_ = 0;
-  /// Superimposed prefilter codes (format v4 persists these). Never null
-  /// after Build/Load.
-  std::unique_ptr<GraphSketch> sketch_;
   FragmentIndexStats stats_;
 };
 

@@ -69,10 +69,6 @@ class ShardedFragmentIndex {
   /// Global graph id of shard `s`'s local id `local` (the inverse of the
   /// routing: shard(s) emits local ids, queries report global ids).
   int global_id(int s, int local) const { return globals_[s][local]; }
-  /// Local id of global id `gid` inside its owning shard, or -1 when the
-  /// graph was compacted away (shard_of(gid) == -1). The sketch prefilter
-  /// probes per-shard rows through this.
-  int local_id(int gid) const { return local_of_[gid]; }
 
   /// Total graph-id slots ever assigned (monotone; tombstoned and
   /// compacted-away slots included — ids are never reused).

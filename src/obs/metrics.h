@@ -91,7 +91,7 @@ class Histogram {
   }
 
   /// Default latency bounds: 100us .. ~26s, x4 steps — wide enough for a
-  /// sketch probe and a cold cluster round trip on one scale.
+  /// selectivity fit and a cold cluster round trip on one scale.
   static std::vector<double> DefaultLatencyBounds();
 
  private:

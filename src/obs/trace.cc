@@ -97,9 +97,6 @@ TraceSpan BuildFilterSpan(const QueryStats& stats, double start_ms,
     offset += span.dur_ms;
     return span;
   };
-  if (stats.sketch_checks > 0 || stats.sketch_seconds > 0) {
-    filter.children.push_back(stage("sketch", stats.sketch_seconds));
-  }
   TraceSpan pass1 = stage("pass1", stats.pass1_seconds);
   // Pass-1 wall time includes the per-fragment selectivity fits, so the
   // selectivity child nests at the pass-1 start rather than after it.

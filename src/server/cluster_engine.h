@@ -92,9 +92,9 @@ struct ClusterEngineOptions {
   /// Health-probe cadence (StartHealthThread); the probe also drains
   /// catch-up queues of recovered replicas.
   int health_interval_ms = 100;
-  /// Engine knobs. sigma/sketch_enabled/epsilon/partition choices must
-  /// match the shard servers' cluster config; verify_threads affects only
-  /// replica-side scheduling. shard_threads fans round-1 endpoint groups.
+  /// Engine knobs. sigma/epsilon/partition choices must match the shard
+  /// servers' cluster config; verify_threads affects only replica-side
+  /// scheduling. shard_threads fans round-1 endpoint groups.
   PisOptions options;
   /// When non-null, the engine registers fabric metrics here (breaker
   /// state/transitions, catch-up queue depth, failover counts, and each

@@ -42,9 +42,6 @@ JsonValue EngineHost::HostStats::ToJsonValue() const {
   obj.Set("group_commit_ops", static_cast<uint64_t>(group_commit_ops));
   obj.Set("group_commit_batch_size",
           static_cast<uint64_t>(group_commit_max_batch));
-  obj.Set("sketch_checks", static_cast<uint64_t>(sketch_checks));
-  obj.Set("sketch_pruned", static_cast<uint64_t>(sketch_pruned));
-  obj.Set("sketch_false_drops", static_cast<uint64_t>(sketch_false_drops));
   JsonValue shard_list = JsonValue::Array();
   for (const ShardInfo& s : shards) {
     JsonValue entry = JsonValue::Object();
@@ -89,19 +86,11 @@ void EngineHost::EnableMetrics(MetricsRegistry* registry) {
       "pis_query_answers_total", "Verified answers returned");
   metrics_.candidates_total = registry->GetCounter(
       "pis_query_candidates_total", "Candidates surviving the PIS filter");
-  metrics_.sketch_checks = registry->GetCounter(
-      "pis_sketch_checks_total", "Graphs probed against the sketch");
-  metrics_.sketch_pruned = registry->GetCounter(
-      "pis_sketch_pruned_total", "Probed graphs pruned by the sketch");
-  metrics_.sketch_false_drops = registry->GetCounter(
-      "pis_sketch_false_drops_total",
-      "Probes that passed the sketch but died in pass-1");
   const std::string stage_help = "Per-stage query pipeline latency";
   auto stage = [&](const char* name) {
     return registry->GetHistogram("pis_query_stage_seconds", stage_help, {},
                                   {{"stage", name}});
   };
-  metrics_.stage_sketch = stage("sketch");
   metrics_.stage_pass1 = stage("pass1");
   metrics_.stage_selectivity = stage("selectivity");
   metrics_.stage_partition = stage("partition");
@@ -123,15 +112,11 @@ void EngineHost::EnableMetrics(MetricsRegistry* registry) {
   if (wal_ != nullptr) wal_->EnableMetrics(registry);
 }
 
-void EngineHost::RecordQueryMetrics(const QueryStats& stats) const {
+void EngineHost::AccountQuery(const QueryStats& stats) const {
   if (metrics_.queries_total == nullptr) return;
   metrics_.queries_total->Inc();
   metrics_.answers_total->Inc(stats.answers);
   metrics_.candidates_total->Inc(stats.candidates_final);
-  metrics_.sketch_checks->Inc(stats.sketch_checks);
-  metrics_.sketch_pruned->Inc(stats.sketch_pruned);
-  metrics_.sketch_false_drops->Inc(stats.sketch_false_drops);
-  metrics_.stage_sketch->Observe(stats.sketch_seconds);
   metrics_.stage_pass1->Observe(stats.pass1_seconds);
   metrics_.stage_selectivity->Observe(stats.selectivity_seconds);
   metrics_.stage_partition->Observe(stats.partition_seconds);
@@ -269,14 +254,6 @@ std::shared_ptr<const EngineHost::Snapshot> EngineHost::snapshot() const {
   return current_;
 }
 
-void EngineHost::AccountQuery(const QueryStats& stats) const {
-  sketch_checks_.fetch_add(stats.sketch_checks, std::memory_order_relaxed);
-  sketch_pruned_.fetch_add(stats.sketch_pruned, std::memory_order_relaxed);
-  sketch_false_drops_.fetch_add(stats.sketch_false_drops,
-                                std::memory_order_relaxed);
-  RecordQueryMetrics(stats);
-}
-
 Result<SearchResult> EngineHost::Search(const Graph& query) const {
   std::shared_ptr<const Snapshot> snap = snapshot();
   Result<SearchResult> result = snap->engine.Search(query);
@@ -295,16 +272,8 @@ BatchSearchResult EngineHost::SearchBatch(std::span<const Graph> queries,
                                           int num_threads) const {
   std::shared_ptr<const Snapshot> snap = snapshot();
   BatchSearchResult batch = snap->engine.SearchBatch(queries, num_threads);
-  sketch_checks_.fetch_add(batch.total_stats.sketch_checks,
-                           std::memory_order_relaxed);
-  sketch_pruned_.fetch_add(batch.total_stats.sketch_pruned,
-                           std::memory_order_relaxed);
-  sketch_false_drops_.fetch_add(batch.total_stats.sketch_false_drops,
-                                std::memory_order_relaxed);
-  // Not AccountQuery: the sketch counters fold once from total_stats, only
-  // the per-query metric families want per-result granularity.
   for (const Result<SearchResult>& r : batch.results) {
-    if (r.ok()) RecordQueryMetrics(r.value().stats);
+    if (r.ok()) AccountQuery(r.value().stats);
   }
   return batch;
 }
@@ -711,10 +680,6 @@ EngineHost::HostStats EngineHost::Stats() const {
   stats.group_commit_ops = group_commit_ops_.load(std::memory_order_relaxed);
   stats.group_commit_max_batch =
       group_commit_max_batch_.load(std::memory_order_relaxed);
-  stats.sketch_checks = sketch_checks_.load(std::memory_order_relaxed);
-  stats.sketch_pruned = sketch_pruned_.load(std::memory_order_relaxed);
-  stats.sketch_false_drops =
-      sketch_false_drops_.load(std::memory_order_relaxed);
   stats.shards.reserve(index.num_shards());
   for (int s = 0; s < index.num_shards(); ++s) {
     ShardInfo info;

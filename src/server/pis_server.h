@@ -27,7 +27,7 @@
 //   {"op":"meta"}                            -> {"ok":true,"db_slots":..,
 //                                                "routing":[..],"tombstones":[..],..}
 //   {"op":"shard_query","graph":"<record>",  -> {"ok":true,"fragments":[..],
-//     "shards":[0,2],"sigma":S?,"sketch":b?}     "dists":[[[gid,d],..],..],..}
+//     "shards":[0,2],"sigma":S?}                 "dists":[[[gid,d],..],..],..}
 //   {"op":"shard_verify","graph":"<record>", -> {"ok":true,"answers":[ids]}
 //     "ids":[..],"sigma":S}
 //   {"op":"shard_add","gid":N,"shard":s,     -> {"ok":true,"epoch":E}

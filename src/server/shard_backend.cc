@@ -110,13 +110,13 @@ Result<ShardMeta> LocalShardBackend::Meta() {
 
 Result<ShardQueryResult> LocalShardBackend::ShardQuery(
     const Graph& query, const std::vector<int>& shards, double sigma,
-    bool sketch, bool trace) {
+    bool trace) {
   Timer timer;
   std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
   PIS_RETURN_NOT_OK(
       CheckShardsOwned(shards, shards_owned_, snap->index->num_shards()));
   Result<ShardQueryResult> result = RunShardQuery(
-      *snap, shards, query, sigma, sketch, host_->options(), trace);
+      *snap, shards, query, sigma, host_->options(), trace);
   RecordRpc("shard_query", timer.Seconds(), false);
   return result;
 }
@@ -247,7 +247,7 @@ Result<ShardMeta> RemoteShardBackend::Meta() {
 
 Result<ShardQueryResult> RemoteShardBackend::ShardQuery(
     const Graph& query, const std::vector<int>& shards, double sigma,
-    bool sketch, bool trace) {
+    bool trace) {
   JsonValue request = JsonValue::Object();
   request.Set("op", "shard_query");
   request.Set("graph", FormatGraph(query, 0));
@@ -255,7 +255,6 @@ Result<ShardQueryResult> RemoteShardBackend::ShardQuery(
   for (int s : shards) shard_list.Push(s);
   request.Set("shards", std::move(shard_list));
   request.Set("sigma", sigma);
-  request.Set("sketch", sketch);
   if (trace) request.Set("trace", true);
   PIS_ASSIGN_OR_RETURN(JsonValue reply, RoundTrip(request));
   return ShardQueryResultFromJson(reply);

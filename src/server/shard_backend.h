@@ -62,7 +62,7 @@ class ShardBackend {
   /// (remote clock domain — see ShardQueryResult::spans).
   virtual Result<ShardQueryResult> ShardQuery(const Graph& query,
                                               const std::vector<int>& shards,
-                                              double sigma, bool sketch,
+                                              double sigma,
                                               bool trace = false) = 0;
   /// With `trace` and a non-null `spans_out`, appends the replica's verify
   /// spans on success (remote clock domain).
@@ -122,7 +122,7 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardMeta> Meta() override;
   Result<ShardQueryResult> ShardQuery(const Graph& query,
                                       const std::vector<int>& shards,
-                                      double sigma, bool sketch,
+                                      double sigma,
                                       bool trace = false) override;
   Result<std::vector<int>> ShardVerify(
       const Graph& query, const std::vector<int>& ids, double sigma,
@@ -155,7 +155,7 @@ class RemoteShardBackend : public ShardBackend {
   Result<ShardMeta> Meta() override;
   Result<ShardQueryResult> ShardQuery(const Graph& query,
                                       const std::vector<int>& shards,
-                                      double sigma, bool sketch,
+                                      double sigma,
                                       bool trace = false) override;
   Result<std::vector<int>> ShardVerify(
       const Graph& query, const std::vector<int>& ids, double sigma,

@@ -7,7 +7,6 @@
 
 #include "core/filter_impl.h"
 #include "core/verifier.h"
-#include "index/graph_sketch.h"
 
 namespace pis {
 
@@ -70,8 +69,7 @@ Status CheckShardsOwned(const std::vector<int>& requested,
 Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
                                        const std::vector<int>& shards,
                                        const Graph& query, double sigma,
-                                       bool sketch, const PisOptions& options,
-                                       bool trace) {
+                                       const PisOptions& options, bool trace) {
   if (query.Empty()) {
     // The same rejection RunPisFilter issues, so a router fanning this out
     // propagates an error identical to the single-process engine's.
@@ -109,34 +107,6 @@ Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
         result.dists[fi].emplace(index.global_id(s, local_gid), d);
       }
     }
-  }
-  if (sketch && !result.fragments.empty()) {
-    ScopedSpan span(tp, "sketch_probe");
-    std::vector<int> class_ids;
-    class_ids.reserve(result.fragments.size());
-    for (const QueryFragment& qf : result.fragments) {
-      class_ids.push_back(qf.prepared.class_id);
-    }
-    std::sort(class_ids.begin(), class_ids.end());
-    class_ids.erase(std::unique(class_ids.begin(), class_ids.end()),
-                    class_ids.end());
-    // Probe every live graph resident in the requested shards. A shard
-    // cover is a partition of the live gid space, so summing the checks
-    // across a cover reproduces the single-process probe count exactly.
-    for (int s : shards) {
-      const GraphSketch& shard_sketch = index.shard(s).sketch();
-      const std::vector<uint64_t> mask = shard_sketch.MakeMask(class_ids);
-      const int resident = index.shard_size(s);
-      for (int local_gid = 0; local_gid < resident; ++local_gid) {
-        const int gid = index.global_id(s, local_gid);
-        if (!index.IsLive(gid)) continue;
-        ++result.sketch_checks;
-        if (!shard_sketch.MightContainAll(local_gid, mask)) {
-          result.sketch_pruned.push_back(gid);
-        }
-      }
-    }
-    std::sort(result.sketch_pruned.begin(), result.sketch_pruned.end());
   }
   if (tp != nullptr) result.spans = tp->TakeSpans();
   return result;
@@ -269,8 +239,6 @@ void ShardQueryResultToJson(const ShardQueryResult& result, JsonValue* reply) {
     dists.Push(std::move(entries));
   }
   reply->Set("dists", std::move(dists));
-  reply->Set("sketch_checks", result.sketch_checks);
-  reply->Set("sketch_pruned", IntArrayToJson(result.sketch_pruned));
   // Omitted entirely when untraced, keeping untraced reply bytes identical
   // to the pre-tracing protocol.
   if (!result.spans.empty()) {
@@ -318,10 +286,6 @@ Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply) {
       result.dists[fi].emplace(gid, pair.at(1).AsNumber());
     }
   }
-  result.sketch_checks =
-      static_cast<uint64_t>(reply.GetNumberOr("sketch_checks", 0));
-  PIS_ASSIGN_OR_RETURN(result.sketch_pruned,
-                       ReadIntArray(reply, "sketch_pruned"));
   if (const JsonValue* spans = reply.Find("spans"); spans != nullptr) {
     PIS_ASSIGN_OR_RETURN(result.spans, TraceSpan::ListFromJson(*spans));
   }

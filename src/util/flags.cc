@@ -91,39 +91,29 @@ Status FlagSet::Parse(int argc, char** argv) const {
       return Status::InvalidArgument("unexpected positional argument: " + arg);
     }
     std::string body = arg.substr(2);
-    std::string name;
-    std::string value;
     size_t eq = body.find('=');
-    if (eq != std::string::npos) {
-      name = body.substr(0, eq);
-      value = body.substr(eq + 1);
-    } else {
-      name = body;
-      // Bool flags may appear bare ("--verbose"); others take the next token.
-      const Flag* f = nullptr;
-      for (const auto& fl : flags_) {
-        if (fl.name == name) f = &fl;
-      }
-      if (f != nullptr && f->type == Type::kBool) {
-        value = "true";
-      } else {
-        if (i + 1 >= argc) {
-          return Status::InvalidArgument("missing value for --" + name);
-        }
-        value = argv[++i];
-      }
+    const std::string name = body.substr(0, eq);
+    const Flag* flag = nullptr;
+    for (const auto& fl : flags_) {
+      if (fl.name == name) flag = &fl;
     }
-    bool found = false;
-    for (const auto& flag : flags_) {
-      if (flag.name == name) {
-        PIS_RETURN_NOT_OK(Apply(flag, value));
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    // Unknown flags are rejected before any value is consumed, so a bare
+    // unknown flag reads as unknown wherever it appears.
+    if (flag == nullptr) {
       return Status::InvalidArgument("unknown flag --" + name);
     }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = body.substr(eq + 1);
+    } else if (flag->type == Type::kBool) {
+      // Bool flags may appear bare ("--verbose"); others take the next token.
+      value = "true";
+    } else if (i + 1 >= argc) {
+      return Status::InvalidArgument("missing value for --" + name);
+    } else {
+      value = argv[++i];
+    }
+    PIS_RETURN_NOT_OK(Apply(*flag, value));
   }
   return Status::OK();
 }

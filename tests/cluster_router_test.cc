@@ -3,10 +3,9 @@
 // indistinguishable — answers, candidate lists, every shared QueryStats
 // counter — from a single-process EngineHost applying the same write
 // schedule. Covers shards {1,3,8} x replicas {1,2}, a randomized
-// add/remove/compact/query lifecycle per configuration, sketch-prefilter
-// parity, write-path placement parity, and a replica kill-and-restart
-// mid-stream with catch-up verified by failing reads over to the
-// recovered replica.
+// add/remove/compact/query lifecycle per configuration, write-path
+// placement parity, and a replica kill-and-restart mid-stream with catch-up
+// verified by failing reads over to the recovered replica.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -100,18 +99,6 @@ TEST(ClusterRouterTest, EightShardsTwoReplicas) {
   opt.replicas = 2;
   opt.num_groups = 2;
   opt.seed = 5;
-  ClusterHarness h(opt);
-  if (::testing::Test::HasFatalFailure()) return;
-  RunLifecycle(h, 8);
-}
-
-TEST(ClusterRouterTest, SketchPrefilterParity) {
-  ClusterHarness::Options opt;
-  opt.num_shards = 3;
-  opt.replicas = 1;
-  opt.num_groups = 2;
-  opt.seed = 6;
-  opt.sketch = true;
   ClusterHarness h(opt);
   if (::testing::Test::HasFatalFailure()) return;
   RunLifecycle(h, 8);

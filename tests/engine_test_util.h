@@ -88,10 +88,6 @@ inline std::vector<Graph> SampleQueries(const GraphDatabase& db, int count,
 }
 
 /// Timings legitimately differ between runs; every other field must match.
-/// The sketch_* counters are deliberately excluded: the sketch prefilter
-/// contract is "identical results, identical shared counters" — the
-/// sketch's own probe counts differ between sketch-on and sketch-off runs
-/// by construction.
 inline void ExpectSameCounters(const QueryStats& a, const QueryStats& b) {
   EXPECT_EQ(a.fragments_enumerated, b.fragments_enumerated);
   EXPECT_EQ(a.fragments_kept, b.fragments_kept);
@@ -364,57 +360,6 @@ class LifecycleHarness {
     }
   }
 
-  /// The sketch-soundness oracle: with the superimposed-sketch prefilter
-  /// enabled, both engines must return results bit-identical to their
-  /// sketch-off runs — same answers, candidates, and every shared counter
-  /// (the sketch prunes only graphs the pass-1 intersection would kill
-  /// anyway). Only the sketch_* probe counters may differ.
-  void CheckSketchEquivalence() {
-    PisOptions on_options = popt_;
-    on_options.sketch_enabled = true;
-    ShardedPisEngine sharded_off(&slots_, &sharded_.value(), popt_);
-    ShardedPisEngine sharded_on(&slots_, &sharded_.value(), on_options);
-    PisEngine flat_off(&flat_db_, &flat_.value(), popt_);
-    PisEngine flat_on(&flat_db_, &flat_.value(), on_options);
-
-    for (int trial = 0; trial < opt_.queries_per_check; ++trial) {
-      auto query = sampler_->Sample(5 + rng_.UniformInt(0, 3));
-      ASSERT_TRUE(query.ok());
-      auto sharded_want = sharded_off.Search(query.value());
-      auto sharded_got = sharded_on.Search(query.value());
-      auto flat_want = flat_off.Search(query.value());
-      auto flat_got = flat_on.Search(query.value());
-      ASSERT_TRUE(sharded_want.ok()) << sharded_want.status().ToString();
-      ASSERT_TRUE(sharded_got.ok()) << sharded_got.status().ToString();
-      ASSERT_TRUE(flat_want.ok()) << flat_want.status().ToString();
-      ASSERT_TRUE(flat_got.ok()) << flat_got.status().ToString();
-
-      EXPECT_EQ(sharded_want.value().answers, sharded_got.value().answers);
-      EXPECT_EQ(sharded_want.value().candidates,
-                sharded_got.value().candidates);
-      EXPECT_EQ(flat_want.value().answers, flat_got.value().answers);
-      EXPECT_EQ(flat_want.value().candidates, flat_got.value().candidates);
-      ExpectSameCounters(sharded_want.value().stats,
-                         sharded_got.value().stats);
-      ExpectSameCounters(flat_want.value().stats, flat_got.value().stats);
-
-      // The off runs must not probe; the on runs must probe every graph
-      // alive after tombstone seeding (when any fragment was enumerated).
-      EXPECT_EQ(sharded_want.value().stats.sketch_checks, 0u);
-      EXPECT_EQ(flat_want.value().stats.sketch_checks, 0u);
-      if (flat_got.value().stats.fragments_enumerated > 0) {
-        EXPECT_EQ(flat_got.value().stats.sketch_checks,
-                  static_cast<size_t>(live_count_));
-        EXPECT_EQ(sharded_got.value().stats.sketch_checks,
-                  static_cast<size_t>(live_count_));
-      }
-      EXPECT_LE(flat_got.value().stats.sketch_pruned,
-                flat_got.value().stats.sketch_checks);
-      EXPECT_LE(sharded_got.value().stats.sketch_pruned,
-                sharded_got.value().stats.sketch_checks);
-    }
-  }
-
   /// Maps ids of one aligned space back to global ids.
   static std::vector<int> ToGlobal(const std::vector<int>& compact,
                                    const std::vector<int>& id_map) {
@@ -476,7 +421,6 @@ class ClusterHarness {
     int pool_graphs = 26;
     int max_fragment_edges = 4;
     double sigma = 2.0;
-    bool sketch = false;
     int queries_per_check = 2;
   };
 
@@ -562,7 +506,6 @@ class ClusterHarness {
     FragmentIndexOptions iopt;
     iopt.max_fragment_edges = opt_.max_fragment_edges;
     popt_.sigma = opt_.sigma;
-    popt_.sketch_enabled = opt_.sketch;
 
     auto make_host = [&]() -> std::unique_ptr<EngineHost> {
       auto index = ShardedFragmentIndex::Build(initial, features_, iopt,
@@ -713,14 +656,6 @@ class ClusterHarness {
       EXPECT_EQ(want.value().answers, got.value().answers);
       EXPECT_EQ(want.value().candidates, got.value().candidates);
       ExpectSameCounters(want.value().stats, got.value().stats);
-      if (opt_.sketch) {
-        // Per-shard sketch probes partition the live set, so the summed
-        // cluster counters equal the oracle's global ones exactly.
-        EXPECT_EQ(want.value().stats.sketch_checks,
-                  got.value().stats.sketch_checks);
-        EXPECT_EQ(want.value().stats.sketch_pruned,
-                  got.value().stats.sketch_pruned);
-      }
     }
   }
 

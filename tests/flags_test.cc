@@ -71,6 +71,12 @@ TEST(FlagsTest, Errors) {
   Argv positional({"prog", "stray"});
   EXPECT_EQ(flags.Parse(positional.argc(), positional.argv()).code(),
             StatusCode::kInvalidArgument);
+  // A bare unknown flag in last place is unknown, not missing its value.
+  Argv bare_unknown({"prog", "--bogus"});
+  Status bare = flags.Parse(bare_unknown.argc(), bare_unknown.argv());
+  EXPECT_EQ(bare.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bare.message().find("unknown flag --bogus"), std::string::npos)
+      << bare.ToString();
 }
 
 TEST(FlagsTest, HelpReturnsAlreadyExists) {

@@ -3,9 +3,10 @@
 // v2 (explicit routing table); the compaction PR bumped both to v3 (index:
 // compaction epoch + live count trailer; manifest: epoch, -1-aware routing,
 // explicit local ids, per-shard live counts); the serving PR bumped the
-// manifest to v4 (trailing auto-compaction policy); the sketch-prefilter
-// PR bumped the index to v4 (trailing superimposed-sketch section, rebuilt
-// from class postings when absent). Old fixtures must still load
+// manifest to v4 (trailing auto-compaction policy); the index went to v4
+// with a trailing superimposed-sketch section, and back to the v3 layout as
+// v5 when that prefilter was removed (v4 files load by validating and
+// discarding the section). Old fixtures must still load
 // — including v2 files carrying tombstones, which must then compact
 // correctly — files from the future must fail with a clear Status instead
 // of garbage, and a manifest that disagrees with the files on disk (or is
@@ -40,28 +41,43 @@ void PatchU32(std::string* bytes, size_t offset, uint32_t value) {
   std::memcpy(bytes->data() + offset, &value, 4);
 }
 
-// Every index version is a strict prefix of the next, with only the
-// version word rewound — Save() keeps the newer sections trailing exactly
-// so these fixtures stay constructible. A v3 file is a v4 file minus the
-// trailing sketch section; a v2 file additionally drops the 8-byte
-// epoch+live trailer; a v1 file additionally drops the 8-byte empty
-// tombstone section. If this breaks after a format change, keep the new
-// section trailing or bump the version with its own compat fixture.
-
-// Size of the v4 sketch section a current Save() appends: bits (4) +
-// hashes (4) + word count (8) + db_size * words_per_graph code words.
-size_t SketchSectionBytes(const FragmentIndex& index) {
-  return 16 + static_cast<size_t>(index.db_size()) *
-                  static_cast<size_t>(index.sketch().words_per_graph()) * 8;
-}
+// Every older index version is a strict prefix of the current one, with
+// only the version word rewound — Save() keeps the newer sections trailing
+// exactly so these fixtures stay constructible. A v3 file is a v5 file
+// with the version word rewound (v5 is the v3 layout); a v2 file
+// additionally drops the 8-byte epoch+live trailer; a v1 file additionally
+// drops the 8-byte empty tombstone section. If this breaks after a format
+// change, keep the new section trailing or bump the version with its own
+// compat fixture. v4 is the one exception: it is a v5 file plus a trailing
+// sketch section (MakeV4IndexBytes).
 
 std::string MakeV3IndexBytes(const FragmentIndex& index) {
   std::stringstream out;
   EXPECT_TRUE(index.Save(out).ok());
   std::string bytes = out.str();
-  EXPECT_GT(bytes.size(), SketchSectionBytes(index));
-  bytes.resize(bytes.size() - SketchSectionBytes(index));
   PatchU32(&bytes, 4, 3);
+  return bytes;
+}
+
+// A v4 file: a v5 Save() with the version word rewound to 4 and a
+// well-formed sketch section appended — bits (I32), hashes (I32), word
+// count (U64), then `graphs` blocks of bits / 64 code words. The loader
+// validates and discards the section, so the word values are arbitrary.
+std::string MakeV4IndexBytes(const FragmentIndex& index, int graphs) {
+  constexpr int kSketchBits = 256;
+  std::stringstream out;
+  EXPECT_TRUE(index.Save(out).ok());
+  BinaryWriter writer(out);
+  writer.I32(kSketchBits);
+  writer.I32(4);
+  const uint64_t words = static_cast<uint64_t>(graphs) * (kSketchBits / 64);
+  writer.U64(words);
+  for (uint64_t i = 0; i < words; ++i) {
+    writer.U64(0x9e3779b97f4a7c15ULL * (i + 1));
+  }
+  EXPECT_TRUE(writer.ok());
+  std::string bytes = out.str();
+  PatchU32(&bytes, 4, 4);
   return bytes;
 }
 
@@ -184,36 +200,27 @@ TEST(FormatCompatTest, FragmentIndexV3BadLiveCountRejected) {
   EXPECT_NE(loaded.status().message().find("live count"), std::string::npos);
 }
 
-// A pre-v4 file carries no sketch section; Load must rebuild the sketch
-// from class postings, bit-for-bit identical to the incrementally
-// maintained one — proven by the resaved sketch section matching the
-// original Save() byte-for-byte, and by sketch-enabled queries answering
-// identically to the original index.
-TEST(FormatCompatTest, PreV4LoadRebuildsSketchBitIdentically) {
+// A v4 file loads by skipping its sketch section: the result is the v5
+// index exactly — it resaves byte-identically to the v5 Save() and answers
+// every query with the same answers and candidates.
+TEST(FormatCompatTest, FragmentIndexV4FixtureLoadsAndAnswersLikeV5) {
   EngineFixture fx(12, 53);
   ASSERT_TRUE(fx.index.ok());
-  std::stringstream v4;
-  ASSERT_TRUE(fx.index.value().Save(v4).ok());
-  std::stringstream in(MakeV3IndexBytes(fx.index.value()));
+  ASSERT_TRUE(fx.index.value().RemoveGraph(7).ok());
+  std::stringstream v5;
+  ASSERT_TRUE(fx.index.value().Save(v5).ok());
+  std::stringstream in(
+      MakeV4IndexBytes(fx.index.value(), fx.index.value().db_size()));
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().sketch().bits_per_graph(),
-            fx.index.value().sketch().bits_per_graph());
-  EXPECT_EQ(loaded.value().sketch().num_graphs(),
-            fx.index.value().sketch().num_graphs());
-
+  EXPECT_EQ(loaded.value().db_size(), fx.index.value().db_size());
+  EXPECT_EQ(loaded.value().num_live(), fx.index.value().num_live());
   std::stringstream resaved;
   ASSERT_TRUE(loaded.value().Save(resaved).ok());
-  const std::string original = v4.str();
-  const std::string rebuilt = resaved.str();
-  const size_t section = SketchSectionBytes(fx.index.value());
-  ASSERT_GE(rebuilt.size(), section);
-  EXPECT_EQ(rebuilt.substr(rebuilt.size() - section),
-            original.substr(original.size() - section));
+  EXPECT_EQ(resaved.str(), v5.str());
 
   PisOptions options;
   options.sigma = 2.0;
-  options.sketch_enabled = true;
   PisEngine before(&fx.db, &fx.index.value(), options);
   PisEngine after(&fx.db, &loaded.value(), options);
   for (const Graph& q : SampleQueries(fx.db, 3, 6, 29)) {
@@ -225,9 +232,8 @@ TEST(FormatCompatTest, PreV4LoadRebuildsSketchBitIdentically) {
   }
 }
 
-// v4 round trip: Save -> Load -> Save must be byte-identical — sketch code
-// words are persisted verbatim, never rehashed on load.
-TEST(FormatCompatTest, FragmentIndexV4SaveLoadSaveIsByteIdentical) {
+// v5 round trip: Save -> Load -> Save must be byte-identical.
+TEST(FormatCompatTest, FragmentIndexV5SaveLoadSaveIsByteIdentical) {
   EngineFixture fx(10, 59);
   ASSERT_TRUE(fx.index.ok());
   ASSERT_TRUE(fx.index.value().RemoveGraph(3).ok());
@@ -241,21 +247,31 @@ TEST(FormatCompatTest, FragmentIndexV4SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-// A file that declares v4 but is cut off inside the sketch section parsed
-// far enough to know what it promised: InvalidArgument naming the sketch,
-// never a crash or a silently sketchless index.
+// A file that declares v4 promised a sketch section. One cut off inside
+// that section, or whose word count covers the wrong number of graphs,
+// parsed far enough to know what it promised: InvalidArgument naming the
+// sketch, never a crash or a silent load.
 TEST(FormatCompatTest, TruncatedV4SketchSectionIsInvalidArgument) {
   EngineFixture fx(8, 67);
   ASSERT_TRUE(fx.index.ok());
-  std::stringstream out;
-  ASSERT_TRUE(fx.index.value().Save(out).ok());
-  std::string bytes = out.str();
-  bytes.resize(bytes.size() - 8);  // lose the last code word
-  std::stringstream in(bytes);
-  auto loaded = FragmentIndex::Load(in);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("sketch"), std::string::npos);
+  const FragmentIndex& index = fx.index.value();
+  const std::string v4 = MakeV4IndexBytes(index, index.db_size());
+  std::stringstream v5;
+  ASSERT_TRUE(index.Save(v5).ok());
+  std::vector<std::string> inputs;
+  inputs.push_back(v4.substr(0, v4.size() - 8));  // lose the last code word
+  inputs.push_back(v4.substr(0, v5.str().size() + 6));  // cut in the header
+  inputs.push_back(MakeV4IndexBytes(index, index.db_size() - 1));
+  inputs.push_back(MakeV4IndexBytes(index, index.db_size() + 1));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    std::stringstream in(inputs[i]);
+    auto loaded = FragmentIndex::Load(in);
+    ASSERT_FALSE(loaded.ok()) << "input " << i;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "input " << i;
+    EXPECT_NE(loaded.status().message().find("sketch"), std::string::npos)
+        << "input " << i;
+  }
 }
 
 TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
@@ -264,7 +280,7 @@ TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   std::stringstream out;
   ASSERT_TRUE(fx.index.value().Save(out).ok());
   std::string bytes = out.str();
-  PatchU32(&bytes, 4, 99);
+  PatchU32(&bytes, 4, 6);
   std::stringstream in(bytes);
   auto loaded = FragmentIndex::Load(in);
   ASSERT_FALSE(loaded.ok());

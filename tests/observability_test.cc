@@ -24,7 +24,7 @@ TEST(TraceSpanTest, JsonRoundTrip) {
   child.start_ms = 1.25;
   child.dur_ms = 8;
   TraceSpan grandchild;
-  grandchild.name = "sketch_probe";
+  grandchild.name = "range_queries:shard0";
   grandchild.start_ms = 0.5;
   grandchild.dur_ms = 2;
   child.children.push_back(grandchild);
@@ -143,8 +143,6 @@ TEST(TraceContextTest, NextIdIsUnique) {
 
 TEST(BuildFilterSpanTest, ReconstructsStageChildren) {
   QueryStats stats;
-  stats.sketch_checks = 10;
-  stats.sketch_seconds = 0.001;
   stats.pass1_seconds = 0.004;
   stats.selectivity_seconds = 0.002;
   stats.partition_seconds = 0.0005;
@@ -153,21 +151,20 @@ TEST(BuildFilterSpanTest, ReconstructsStageChildren) {
   EXPECT_EQ(filter.name, "filter");
   EXPECT_DOUBLE_EQ(filter.start_ms, 2.0);
   EXPECT_DOUBLE_EQ(filter.dur_ms, 7.5);
-  ASSERT_EQ(filter.children.size(), 4u);
-  EXPECT_EQ(filter.children[0].name, "sketch");
+  ASSERT_EQ(filter.children.size(), 3u);
+  EXPECT_EQ(filter.children[0].name, "pass1");
   EXPECT_DOUBLE_EQ(filter.children[0].start_ms, 2.0);
-  EXPECT_DOUBLE_EQ(filter.children[0].dur_ms, 1.0);
-  EXPECT_EQ(filter.children[1].name, "pass1");
-  EXPECT_DOUBLE_EQ(filter.children[1].start_ms, 3.0);  // after sketch
-  ASSERT_EQ(filter.children[1].children.size(), 1u);
+  EXPECT_DOUBLE_EQ(filter.children[0].dur_ms, 4.0);
+  ASSERT_EQ(filter.children[0].children.size(), 1u);
   // Selectivity nests INSIDE pass-1 (its wall time includes the fits).
-  EXPECT_EQ(filter.children[1].children[0].name, "selectivity");
-  EXPECT_DOUBLE_EQ(filter.children[1].children[0].start_ms, 3.0);
-  EXPECT_EQ(filter.children[2].name, "partition");
-  EXPECT_EQ(filter.children[3].name, "pass2");
+  EXPECT_EQ(filter.children[0].children[0].name, "selectivity");
+  EXPECT_DOUBLE_EQ(filter.children[0].children[0].start_ms, 2.0);
+  EXPECT_EQ(filter.children[1].name, "partition");
+  EXPECT_DOUBLE_EQ(filter.children[1].start_ms, 6.0);  // after pass1
+  EXPECT_EQ(filter.children[2].name, "pass2");
   // Stages lay out back to back.
-  EXPECT_DOUBLE_EQ(filter.children[3].start_ms,
-                   filter.children[2].start_ms + filter.children[2].dur_ms);
+  EXPECT_DOUBLE_EQ(filter.children[2].start_ms,
+                   filter.children[1].start_ms + filter.children[1].dur_ms);
 }
 
 TEST(BuildFilterSpanTest, OmitsSketchWhenProbeNeverRan) {
@@ -176,6 +173,9 @@ TEST(BuildFilterSpanTest, OmitsSketchWhenProbeNeverRan) {
   TraceSpan filter = BuildFilterSpan(stats, 0, 1.5);
   ASSERT_EQ(filter.children.size(), 3u);
   EXPECT_EQ(filter.children[0].name, "pass1");
+  for (const TraceSpan& child : filter.children) {
+    EXPECT_NE(child.name, "sketch");
+  }
 }
 
 TEST(SlowQueryLogTest, ThresholdGatesLogging) {

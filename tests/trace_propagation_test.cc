@@ -34,7 +34,6 @@ TEST(TracePropagationTest, RouterSpanTreeCarriesPerShardChildSpans) {
   ClusterHarness::Options opt;
   opt.num_shards = 3;
   opt.num_groups = 2;
-  opt.sketch = true;  // remote spans must include the sketch probe
   ClusterHarness h(opt);
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -59,20 +58,17 @@ TEST(TracePropagationTest, RouterSpanTreeCarriesPerShardChildSpans) {
       EXPECT_GT(span.dur_ms, 0) << span.name;
       // The replica's own spans came back over the wire and were grafted
       // as children of the round trip: fragment enumeration plus one
-      // range-query span per requested shard, plus the sketch probe.
+      // range-query span per requested shard.
       ASSERT_FALSE(span.children.empty()) << span.name;
       int enumerates = 0;
       int range_spans = 0;
-      int sketches = 0;
       for (const TraceSpan& child : span.children) {
         EXPECT_GT(child.dur_ms, 0) << child.name;
         if (child.name == "enumerate") ++enumerates;
         if (HasPrefix(child.name, "range_queries:shard")) ++range_spans;
-        if (child.name == "sketch_probe") ++sketches;
       }
       EXPECT_EQ(enumerates, 1) << span.name;
       EXPECT_GE(range_spans, 1) << span.name;
-      EXPECT_EQ(sketches, 1) << span.name;
       // Remote child time fits inside the round trip (network included).
       EXPECT_LE(SumDurations(span.children), span.dur_ms * 1.0001)
           << span.name;

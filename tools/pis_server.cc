@@ -1,7 +1,7 @@
 // pis_server: TCP serving front end over the sharded PIS engine.
 //
 //   pis_server --db db.txt --index sharded_dir [--port P] [--workers N]
-//              [--sigma S] [--sketch] [--compact_dead_ratio R]
+//              [--sigma S] [--compact_dead_ratio R]
 //              [--compact_interval_ms M] [--wal_dir DIR]
 //              [--checkpoint_interval_ms C] [--save_on_exit]
 //              [--shards_owned 0,2,5]
@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
   int compact_interval_ms = 2000;
   int checkpoint_interval_ms = 0;
   bool save_on_exit = false;
-  bool sketch = false;
   std::string shards_owned_flag;
   double slow_query_ms = 0;
   std::string slow_query_log_path;
@@ -182,9 +181,6 @@ int main(int argc, char** argv) {
   flags.AddBool("save_on_exit", &save_on_exit,
                 "save the mutated index (and db file) back on shutdown "
                 "(requires --index; implied by --wal_dir)");
-  flags.AddBool("sketch", &sketch,
-                "enable the superimposed-sketch prefilter for every query "
-                "(results are identical, only filter work changes)");
   flags.AddString("shards_owned", &shards_owned_flag,
                   "comma-separated shard ids this replica serves for the "
                   "cluster-fabric ops (empty = all; see pis_router)");
@@ -263,7 +259,6 @@ int main(int argc, char** argv) {
 
   PisOptions options;
   options.sigma = sigma;
-  options.sketch_enabled = sketch;
   options.compact_dead_ratio = compact_dead_ratio;
   EngineHost host(std::move(db.value()), index.MoveValue(), options);
   if (wal != nullptr) {
