@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -79,9 +80,9 @@ Result<std::vector<Graph>> MineFeatures(const GraphDatabase& db,
   return features;
 }
 
-Result<FragmentIndex> BuildIndex(const GraphDatabase& db,
-                                 const std::vector<Graph>& features,
-                                 const WorkloadConfig& config) {
+Result<ShardedFragmentIndex> BuildIndex(const GraphDatabase& db,
+                                        const std::vector<Graph>& features,
+                                        const WorkloadConfig& config) {
   FragmentIndexOptions options;
   options.min_fragment_edges = config.min_fragment_edges;
   options.max_fragment_edges = config.max_fragment_edges;
@@ -96,7 +97,7 @@ Result<FragmentIndex> BuildIndex(const GraphDatabase& db,
                   << s.num_sequences_inserted << " sequences, built in "
                   << s.build_seconds << "s";
   }
-  return index;
+  return ShardedFragmentIndex::FromFragmentIndex(std::move(index));
 }
 
 Result<std::vector<Graph>> SampleQueries(const GraphDatabase& db, int num_edges,
@@ -161,25 +162,26 @@ void PrintBucketTable(const std::string& title, const Buckets& buckets,
   }
 }
 
-Result<FilterExperiment> RunFilterExperiment(const GraphDatabase& db,
-                                             const FragmentIndex& default_index,
-                                             const std::vector<SeriesSpec>& series,
-                                             const std::vector<Graph>& queries,
-                                             bool sample_verify_cost) {
+Result<FilterExperiment> RunFilterExperiment(
+    const GraphDatabase& db, const ShardedFragmentIndex& default_index,
+    const std::vector<SeriesSpec>& series, const std::vector<Graph>& queries,
+    bool sample_verify_cost) {
   FilterExperiment out;
   out.yt_per_series.assign(series.size(), {});
   out.yp.assign(series.size(), {});
   out.filter_seconds.assign(series.size(), 0.0);
-  TopoPruneEngine topo(&db, &default_index);
+  TopoPruneEngine topo(&db, &default_index.shard(0));
 
   std::vector<std::unique_ptr<PisEngine>> engines;
   std::vector<std::unique_ptr<TopoPruneEngine>> series_topo;
   for (const SeriesSpec& spec : series) {
-    const FragmentIndex* index = spec.index != nullptr ? spec.index : &default_index;
+    const ShardedFragmentIndex* index =
+        spec.index != nullptr ? spec.index : &default_index;
     engines.push_back(std::make_unique<PisEngine>(&db, index, spec.options));
-    series_topo.push_back(index == &default_index
-                              ? nullptr
-                              : std::make_unique<TopoPruneEngine>(&db, index));
+    series_topo.push_back(
+        index == &default_index
+            ? nullptr
+            : std::make_unique<TopoPruneEngine>(&db, &index->shard(0)));
   }
 
   size_t verify_candidates = 0;

@@ -44,10 +44,10 @@ GraphDatabase MakeDatabase(const WorkloadConfig& config);
 Result<std::vector<Graph>> MineFeatures(const GraphDatabase& db,
                                         const WorkloadConfig& config);
 
-/// Builds the fragment index for the edge mutation distance.
-Result<FragmentIndex> BuildIndex(const GraphDatabase& db,
-                                 const std::vector<Graph>& features,
-                                 const WorkloadConfig& config);
+/// Builds the (one-shard) fragment index for the edge mutation distance.
+Result<ShardedFragmentIndex> BuildIndex(const GraphDatabase& db,
+                                        const std::vector<Graph>& features,
+                                        const WorkloadConfig& config);
 
 /// Samples the query set Q_m (vertex labels stripped, as in the paper).
 Result<std::vector<Graph>> SampleQueries(const GraphDatabase& db, int num_edges,
@@ -88,7 +88,7 @@ struct SeriesSpec {
   std::string name;
   PisOptions options;
   /// Index for this series (Figure 12 varies it); nullptr = shared default.
-  const FragmentIndex* index = nullptr;
+  const ShardedFragmentIndex* index = nullptr;
 };
 
 /// Per-query filtering outcomes for every series.
@@ -111,11 +111,11 @@ struct FilterExperiment {
 };
 
 /// Runs topoPrune and each PIS series over the query set.
-Result<FilterExperiment> RunFilterExperiment(const GraphDatabase& db,
-                                             const FragmentIndex& default_index,
-                                             const std::vector<SeriesSpec>& series,
-                                             const std::vector<Graph>& queries,
-                                             bool sample_verify_cost = false);
+/// topoPrune runs over each index's single shard.
+Result<FilterExperiment> RunFilterExperiment(
+    const GraphDatabase& db, const ShardedFragmentIndex& default_index,
+    const std::vector<SeriesSpec>& series, const std::vector<Graph>& queries,
+    bool sample_verify_cost = false);
 
 /// Buckets per-query values of all series by Yt and prints the table.
 /// `values[series][query]`; `yt` gives the bucket key.

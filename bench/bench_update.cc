@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/sharded_pis.h"
+#include "core/pis.h"
 #include "index/sharded_index.h"
 #include "util/fs_util.h"
 #include "util/random.h"
@@ -40,7 +40,7 @@ struct QueryCost {
 };
 
 // Mean per-query Search latency and final candidate count over the set.
-QueryCost MeasureQueries(const ShardedPisEngine& engine,
+QueryCost MeasureQueries(const PisEngine& engine,
                          const std::vector<Graph>& queries) {
   QueryCost cost;
   size_t candidates = 0;
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
 
   PisOptions options;
   options.sigma = sigma;
-  ShardedPisEngine engine(&db, &index.value(), options);
+  PisEngine engine(&db, &index.value(), options);
   const QueryCost cost_before = MeasureQueries(engine, queries);
 
   // Interleave adds (from the pool tail) and removes (random live id).
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", rebuilt.status().ToString().c_str());
     return 1;
   }
-  ShardedPisEngine rebuilt_engine(&densified, &rebuilt.value(), options);
+  PisEngine rebuilt_engine(&densified, &rebuilt.value(), options);
   const QueryCost cost_rebuilt = MeasureQueries(rebuilt_engine, queries);
 
   std::printf("bench_update: %d initial graphs, %d shards, %d queries/set\n",

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   // index (it has the tightest structure filter, matching the paper's
   // grouping by the gIndex-based topoPrune).
   std::vector<int> sizes = {4, 5, 6};
-  std::vector<FragmentIndex> indexes;
+  std::vector<ShardedFragmentIndex> indexes;
   for (int size : sizes) {
     WorkloadConfig sized = config;
     sized.max_fragment_edges = size;

@@ -40,7 +40,7 @@ int main() {
   }
   FragmentIndexOptions index_options;
   index_options.max_fragment_edges = 4;
-  auto index = FragmentIndex::Build(db, features, index_options);
+  auto index = ShardedFragmentIndex::Build(db, features, index_options, 1);
   if (!index.ok()) {
     std::fprintf(stderr, "index build failed: %s\n",
                  index.status().ToString().c_str());

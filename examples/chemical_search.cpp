@@ -103,14 +103,14 @@ int main(int argc, char** argv) {
   }
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);
-  auto index = FragmentIndex::Build(db, features, index_options);
+  auto index = ShardedFragmentIndex::Build(db, features, index_options, 1);
   if (!index.ok()) {
     std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
     return 1;
   }
   std::printf("index: %d classes over %zu fragment occurrences\n",
               index.value().num_classes(),
-              index.value().stats().num_fragment_occurrences);
+              index.value().shard(0).stats().num_fragment_occurrences);
 
   Graph query = IndeneScaffold(vocab);
   PisOptions options;

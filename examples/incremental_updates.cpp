@@ -2,11 +2,12 @@
 // "living database" workflow. Build an index over an initial compound
 // collection, persist it, append newly synthesized molecules with AddGraph
 // (no rebuild), retire withdrawn compounds with RemoveGraph (tombstones),
-// reclaim their postings with Compact (ids re-densify; the remap realigns
-// the database), and answer top-k similarity queries throughout.
+// reclaim their postings with Compact (ids stay stable, so the database is
+// untouched), and answer top-k similarity queries throughout.
 //
 //   ./build/examples/incremental_updates
 #include <cstdio>
+#include <filesystem>
 
 #include "core/topk.h"
 #include "pis.h"
@@ -36,22 +37,24 @@ int main() {
   FragmentIndexOptions iopt;
   iopt.max_fragment_edges = 5;
   iopt.num_threads = HardwareThreads();
-  auto built = FragmentIndex::Build(db, features, iopt);
+  auto built = ShardedFragmentIndex::Build(db, features, iopt, 1);
   if (!built.ok()) {
     std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return 1;
   }
-  FragmentIndex index = built.MoveValue();
+  ShardedFragmentIndex index = built.MoveValue();
   std::printf("index: %d classes, built with %d threads in %.2fs\n",
-              index.num_classes(), iopt.num_threads, index.stats().build_seconds);
+              index.num_classes(), iopt.num_threads, index.build_seconds());
 
   // Persist + reload (e.g. a daily snapshot served by another process).
-  std::string path = "/tmp/pis_incremental_demo.pisx";
-  if (!index.SaveFile(path).ok()) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pis_incremental_demo")
+          .string();
+  if (!index.SaveDir(path).ok()) {
     std::fprintf(stderr, "persist failed\n");
     return 1;
   }
-  auto reloaded = FragmentIndex::LoadFile(path);
+  auto reloaded = ShardedFragmentIndex::LoadDir(path);
   if (!reloaded.ok()) {
     std::fprintf(stderr, "%s\n", reloaded.status().ToString().c_str());
     return 1;
@@ -82,19 +85,17 @@ int main() {
     }
   }
   std::printf("retired 3 molecules (%d of %d live, dead ratio %.3f)\n",
-              index.num_live(), index.db_size(), index.dead_ratio());
+              index.num_live(), index.db_size(), index.shard_dead_ratio(0));
 
-  // Repay the deletion debt in place: Compact drops the dead postings and
-  // re-densifies ids; applying the remap to the database keeps the two
-  // aligned (sharded indexes skip this — their global ids never change).
-  const std::vector<int> remap = index.Compact();
-  GraphDatabase live_db;
-  for (int gid = 0; gid < static_cast<int>(remap.size()); ++gid) {
-    if (remap[gid] >= 0) live_db.Add(db.at(gid));
+  // Repay the deletion debt in place: Compact drops the dead postings.
+  // Graph ids never change, so the database stays aligned as it is.
+  auto compacted = index.Compact();
+  if (!compacted.ok()) {
+    std::fprintf(stderr, "%s\n", compacted.status().ToString().c_str());
+    return 1;
   }
-  db = std::move(live_db);
-  std::printf("compacted: %d molecules, epoch %u, queries unchanged\n",
-              index.db_size(), index.compaction_epoch());
+  std::printf("compacted: %d live molecules, epoch %d, queries unchanged\n",
+              index.num_live(), index.compaction_epoch());
 
   // Similarity query over the updated collection: 10 nearest neighbours of
   // a scaffold sampled from one of the *new* molecules.
@@ -113,11 +114,11 @@ int main() {
   }
   std::printf("top-%d neighbours (σ expanded %d rounds to %.1f):\n", topk.k,
               nearest.value().rounds, nearest.value().final_sigma);
-  // The three retirements were all initial-collection ids, so after the
-  // compaction remap the appended molecules start at 250 - 3 = 247.
+  // Ids are stable, so the appended molecules are exactly ids >= 250.
   for (const auto& [gid, d] : nearest.value().results) {
     std::printf("  molecule #%d at mutation distance %.0f%s\n", gid, d,
-                gid >= 247 ? "  (appended after the initial build)" : "");
+                gid >= 250 ? "  (appended after the initial build)" : "");
   }
+  std::filesystem::remove_all(path);
   return 0;
 }

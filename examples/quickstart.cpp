@@ -39,7 +39,7 @@ int main() {
   FragmentIndexOptions index_options;
   index_options.max_fragment_edges = 5;
   index_options.spec = DistanceSpec::EdgeMutation();
-  auto index = FragmentIndex::Build(db, features, index_options);
+  auto index = ShardedFragmentIndex::Build(db, features, index_options, 1);
   if (!index.ok()) {
     std::fprintf(stderr, "index build failed: %s\n",
                  index.status().ToString().c_str());
@@ -47,7 +47,7 @@ int main() {
   }
   std::printf("index: %d equivalence classes, %zu fragment sequences\n",
               index.value().num_classes(),
-              index.value().stats().num_sequences_inserted);
+              index.value().shard(0).stats().num_sequences_inserted);
 
   // 4. Sample a query from the database (the paper's protocol) and search
   //    for graphs within mutation distance 2.

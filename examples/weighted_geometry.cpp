@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   }
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);
-  auto index = FragmentIndex::Build(db, features, index_options);
+  auto index = ShardedFragmentIndex::Build(db, features, index_options, 1);
   if (!index.ok()) {
     std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
     return 1;

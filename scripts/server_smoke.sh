@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the serving subsystem: build a sample DB + sharded
 # index with pis_cli, start pis_server, drive every protocol op through
-# pis_client, and require a clean shutdown. CI runs this against the
-# freshly built binaries; locally:
+# pis_client, and require a clean shutdown; then serve what a plain
+# `pis_cli build` (no --shards) writes. CI runs this against the freshly
+# built binaries; locally:
 #
 #   scripts/server_smoke.sh ./build
 set -euo pipefail
@@ -35,17 +36,26 @@ cp -r sharded_dir policy_dir
 grep -q '"compact_dead_ratio":0.3' policy.json
 rm -rf policy_dir
 
+# start_server <log> <pis_server flags...>: starts pis_server on an
+# ephemeral port in the background and waits for readiness; sets
+# SERVER_PID and PORT.
+start_server() {
+  local log="$1"
+  shift
+  "$BIN/pis_server" --port 0 "$@" > "$log" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 100); do
+    grep -q "listening on port" "$log" && break
+    kill -0 "$SERVER_PID" 2>/dev/null || { cat "$log"; exit 1; }
+    sleep 0.1
+  done
+  PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log")"
+  echo "   port $PORT"
+}
+
 echo "== start pis_server (ephemeral port, background compaction on)"
-"$BIN/pis_server" --db db.txt --index sharded_dir --port 0 \
-  --compact_dead_ratio 0.2 --compact_interval_ms 200 > server.log 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on port" server.log && break
-  kill -0 "$SERVER_PID" 2>/dev/null || { cat server.log; exit 1; }
-  sleep 0.1
-done
-PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' server.log)"
-echo "   port $PORT"
+start_server server.log --db db.txt --index sharded_dir \
+  --compact_dead_ratio 0.2 --compact_interval_ms 200
 
 echo "== health"
 "$BIN/pis_client" health --port "$PORT" | tee health.json
@@ -108,5 +118,16 @@ echo "== shutdown must be clean"
 wait "$SERVER_PID"
 grep -q "shut down cleanly" server.log
 cat server.log
+
+echo "== the default build output (no --shards) is servable"
+"$BIN/pis_cli" build --db db.txt --out default_index --max_fragment_edges 4 \
+  --min_support 0.08
+"$BIN/pis_cli" stats --index default_index --json | grep -q '"num_shards":1'
+start_server default.log --db db.txt --index default_index
+"$BIN/pis_client" query --port "$PORT" --query probe.txt | tee default.json
+grep -q '"answers":\[0[],]' default.json
+"$BIN/pis_client" shutdown --port "$PORT" | grep -q '"ok":true'
+wait "$SERVER_PID"
+grep -q "shut down cleanly" default.log
 
 echo "server smoke: OK"

@@ -5,58 +5,12 @@
 #include <utility>
 #include <vector>
 
-#include "canonical/min_dfs.h"
 #include "core/partition.h"
-#include "core/query_fragments.h"
 #include "core/selectivity.h"
-#include "graph/io.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
 namespace pis::internal {
-
-namespace {
-
-/// Looks the query up in the batch enumeration cache. On a hit, copies the
-/// memoized fragment list into `result` (the copy happens outside the
-/// cache lock — only the shared_ptr is fetched under it) and returns true.
-/// On a miss, leaves the composite cache key in `key` so the caller can
-/// insert its enumeration; an unkeyable query (MinDfsCode rejects it, e.g.
-/// disconnected) leaves `key` empty and the caller skips the insert too.
-bool LookUpEnumCache(QueryEnumCache* cache, const Graph& query,
-                     FilterResult* result, std::string* key) {
-  CanonicalOptions canon_opts;
-  canon_opts.use_labels = true;
-  canon_opts.first_embedding_only = true;
-  Result<CanonicalForm> canon = MinDfsCode(query, canon_opts);
-  if (!canon.ok()) return false;
-  // Composite key: canonical code (the isomorphism class) plus the exact
-  // encoding (distinguishes renumbered twins — see QueryEnumCache docs).
-  // '\n' cannot appear in a code key, so the join is unambiguous.
-  *key = canon.value().Key() + '\n' + FormatGraph(query, 0);
-  std::shared_ptr<const std::vector<QueryFragment>> cached;
-  {
-    MutexLock lock(&cache->mu);
-    auto it = cache->by_key.find(*key);
-    if (it != cache->by_key.end()) cached = it->second;
-  }
-  if (cached == nullptr) return false;
-  result->fragments = *cached;
-  result->stats.enum_cache_hits = 1;
-  return true;
-}
-
-}  // namespace
-
-Status MinDistancePerGraph(const FragmentIndex& index,
-                           const PreparedFragment& fragment, double sigma,
-                           std::unordered_map<int, double>* out) {
-  out->clear();
-  return index.RangeQuery(fragment, sigma, [&](int gid, double d) {
-    auto [it, inserted] = out->try_emplace(gid, d);
-    if (!inserted && d < it->second) it->second = d;
-  });
-}
 
 Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
                         const PisOptions& options,
@@ -174,45 +128,6 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
   result.stats.candidates_final = result.candidates.size();
   result.stats.pass2_seconds = pass2_timer.Seconds();
   return Status::OK();
-}
-
-Result<FilterResult> RunPisFilter(const FragmentIndex& enum_index, int db_size,
-                                  const std::unordered_set<int>* tombstones,
-                                  const PisOptions& options, const Graph& query,
-                                  const FragmentQueryFn& query_fn,
-                                  QueryEnumCache* enum_cache) {
-  if (query.Empty()) {
-    return Status::InvalidArgument("query graph is empty");
-  }
-  Timer timer;
-  FilterResult result;
-
-  std::string cache_key;
-  const bool cached = enum_cache != nullptr &&
-                      LookUpEnumCache(enum_cache, query, &result, &cache_key);
-  if (!cached) {
-    PIS_ASSIGN_OR_RETURN(
-        result.fragments,
-        EnumerateIndexedQueryFragments(enum_index, query,
-                                       options.max_query_fragments));
-    if (enum_cache != nullptr && !cache_key.empty()) {
-      auto shared = std::make_shared<const std::vector<QueryFragment>>(
-          result.fragments);
-      MutexLock lock(&enum_cache->mu);
-      // First writer wins on a race; both enumerated the same thing.
-      enum_cache->by_key.emplace(std::move(cache_key), std::move(shared));
-    }
-  }
-
-  auto fragment_dists = [&](size_t fi, double sigma,
-                            std::unordered_map<int, double>* dist,
-                            QueryStats* stats) -> Status {
-    return query_fn(result.fragments[fi].prepared, sigma, dist, stats);
-  };
-  PIS_RETURN_NOT_OK(RunPisFilterCore(db_size, tombstones, options,
-                                     fragment_dists, &result));
-  result.stats.filter_seconds = timer.Seconds();
-  return result;
 }
 
 BatchSearchResult RunSearchBatch(

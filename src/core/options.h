@@ -38,9 +38,9 @@ struct PisOptions {
   size_t max_query_fragments = 0;
   /// Threads for candidate verification (1 = sequential).
   int verify_threads = 1;
-  /// Threads fanning one query's range queries across shards
-  /// (ShardedPisEngine only; PisEngine ignores it). Never affects results,
-  /// only scheduling.
+  /// Threads fanning one query's range queries across the shards of the
+  /// index (a one-shard index ignores it). Never affects results, only
+  /// scheduling.
   int shard_threads = 1;
   /// Auto-compaction threshold for sharded serving: when > 0, callers that
   /// own a mutable ShardedFragmentIndex forward this to

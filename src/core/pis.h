@@ -1,5 +1,7 @@
 // The PIS engine: partition-based graph index and search (paper Algorithm 2
-// plus candidate verification). This is the library's primary entry point.
+// plus candidate verification). This is the library's primary entry point
+// and its only in-process engine: it runs over a ShardedFragmentIndex, of
+// which a plain single index is the one-shard case.
 #ifndef PIS_CORE_PIS_H_
 #define PIS_CORE_PIS_H_
 
@@ -12,7 +14,7 @@
 #include "core/partition.h"
 #include "core/query_fragments.h"
 #include "core/stats.h"
-#include "index/fragment_index.h"
+#include "index/sharded_index.h"
 #include "util/status.h"
 
 namespace pis {
@@ -47,12 +49,18 @@ struct BatchSearchResult {
   double wall_seconds = 0;
 };
 
-/// \brief Partition-based search engine over a fragment index.
+/// \brief Partition-based search engine over a (sharded) fragment index.
 class PisEngine {
  public:
   /// `db` and `index` must outlive the engine; the index must have been
-  /// built over exactly this database.
-  PisEngine(const GraphDatabase* db, const FragmentIndex* index,
+  /// built over exactly this database. Each query fragment's range query
+  /// runs once per shard (`options.shard_threads` fans the shards out) and
+  /// the per-shard results — already in global ids — union before the
+  /// partition logic runs. So for any shard count and any thread count the
+  /// answers, candidates, and stats are those of a one-shard index over
+  /// the same database, except `range_queries`, which counts one physical
+  /// query per shard per fragment.
+  PisEngine(const GraphDatabase* db, const ShardedFragmentIndex* index,
             const PisOptions& options = {});
 
   /// Algorithm 2: returns the pruned candidate set and filtering stats.
@@ -67,13 +75,14 @@ class PisEngine {
   /// query's failure is isolated in its `Result` slot. Thread-safe: the
   /// engine is read-only during search. When more than one batch worker
   /// actually runs (`min(num_threads, queries.size()) > 1`),
-  /// `options().verify_threads` is ignored (treated as 1) so the two
-  /// fan-outs don't multiply into oversubscription; this never changes
-  /// results, only scheduling.
+  /// `options().verify_threads` and `options().shard_threads` are ignored
+  /// (treated as 1) so the fan-outs don't multiply into oversubscription;
+  /// this never changes results, only scheduling.
   BatchSearchResult SearchBatch(std::span<const Graph> queries,
                                 int num_threads = 0) const;
 
   const PisOptions& options() const { return options_; }
+  const ShardedFragmentIndex& index() const { return *index_; }
 
  private:
   /// Filter/Search with an optional batch-scoped enumeration cache:
@@ -86,7 +95,7 @@ class PisEngine {
                                   internal::QueryEnumCache* enum_cache) const;
 
   const GraphDatabase* db_;
-  const FragmentIndex* index_;
+  const ShardedFragmentIndex* index_;
   PisOptions options_;
 };
 

@@ -7,7 +7,8 @@
 
 namespace pis {
 
-Result<TopKResult> TopKSearch(const GraphDatabase& db, const FragmentIndex& index,
+Result<TopKResult> TopKSearch(const GraphDatabase& db,
+                              const ShardedFragmentIndex& index,
                               const Graph& query, const TopKOptions& options) {
   if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
   if (options.growth <= 1.0) {

@@ -43,10 +43,13 @@ struct TopKResult {
   size_t verifications = 0;
 };
 
-/// Finds the k nearest graphs under the index's distance spec. Ties at the
-/// k-th distance are broken by graph id (deterministic).
-Result<TopKResult> TopKSearch(const GraphDatabase& db, const FragmentIndex& index,
-                              const Graph& query, const TopKOptions& options = {});
+/// Finds the k nearest graphs under the index's distance spec, for any
+/// shard count (ids are global). Ties at the k-th distance are broken by
+/// graph id (deterministic).
+Result<TopKResult> TopKSearch(const GraphDatabase& db,
+                              const ShardedFragmentIndex& index,
+                              const Graph& query,
+                              const TopKOptions& options = {});
 
 }  // namespace pis
 

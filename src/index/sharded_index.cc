@@ -7,6 +7,7 @@
 #include <fstream>
 #include <utility>
 
+#include "util/fs_util.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/serde.h"
@@ -143,6 +144,29 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::Build(
   sharded.DeriveRouting();
   sharded.build_seconds_ = timer.Seconds();
   return sharded;
+}
+
+ShardedFragmentIndex ShardedFragmentIndex::FromFragmentIndex(
+    FragmentIndex index) {
+  ShardedFragmentIndex sharded;
+  sharded.options_ = index.options();
+  sharded.build_seconds_ = index.stats().build_seconds;
+  sharded.compaction_epoch_ = static_cast<int>(index.compaction_epoch());
+  sharded.tombstones_ = index.tombstones();
+  sharded.shard_of_.assign(index.db_size(), 0);
+  sharded.shards_.push_back(std::make_shared<FragmentIndex>(std::move(index)));
+  sharded.DeriveRouting();
+  return sharded;
+}
+
+Status ShardedFragmentIndex::MinDistances(
+    int s, const PreparedFragment& fragment, double sigma,
+    std::unordered_map<int, double>* min_dist) const {
+  const std::vector<int>& globals = globals_[s];
+  return shards_[s]->RangeQuery(fragment, sigma, [&](int local, double d) {
+    auto [it, inserted] = min_dist->try_emplace(globals[local], d);
+    if (!inserted && d < it->second) it->second = d;
+  });
 }
 
 Result<FragmentIndex*> ShardedFragmentIndex::MutableShard(int s) {
@@ -357,8 +381,22 @@ Result<int> ShardedFragmentIndex::Rebalance(const GraphDatabase& db) {
   return migrated;
 }
 
+bool ShardedFragmentIndex::identity_routing() const {
+  if (num_shards() != 1 || shard_size(0) != db_size()) return false;
+  for (int gid = 0; gid < db_size(); ++gid) {
+    if (globals_[0][gid] != gid) return false;
+  }
+  return true;
+}
+
 Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
   std::error_code ec;
+  if (std::filesystem::exists(dir, ec) &&
+      !std::filesystem::is_directory(dir, ec)) {
+    // A legacy single-file index: write the directory beside it, then swap.
+    return StageAndReplace(
+        dir, [this](const std::string& staged) { return SaveDir(staged); });
+  }
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Status::IOError("cannot create directory " + dir + ": " +
@@ -397,6 +435,12 @@ Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
 
 Result<ShardedFragmentIndex> ShardedFragmentIndex::LoadDir(
     const std::string& dir) {
+  std::error_code ec;
+  if (std::filesystem::exists(dir, ec) &&
+      !std::filesystem::is_directory(dir, ec)) {
+    PIS_ASSIGN_OR_RETURN(FragmentIndex legacy, FragmentIndex::LoadFile(dir));
+    return FromFragmentIndex(std::move(legacy));
+  }
   const std::filesystem::path root(dir);
   std::ifstream in(root / kManifestName, std::ios::binary);
   if (!in) return Status::IOError("cannot open manifest in " + dir);

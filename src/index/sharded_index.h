@@ -8,11 +8,14 @@
 // Persistence writes a directory holding a binary manifest (shard count +
 // routing table) plus one index file per shard, so shards can later be
 // loaded (or, eventually, served) independently, and a mutated index
-// round-trips exactly. Deletion debt is repaid locally: CompactShard
-// rewrites one shard without its tombstoned postings (global ids stay
-// stable; dead ids simply stop being resident anywhere) and Rebalance
-// migrates graphs off overloaded shards through the routing table, so the
-// index can serve a mutating workload indefinitely without a full rebuild.
+// round-trips exactly. A plain FragmentIndex — built in memory or read from
+// a legacy single-file index — is the one-shard case with identity routing
+// (FromFragmentIndex), so every caller holds this one index type.
+// Deletion debt is repaid locally: CompactShard rewrites one shard without
+// its tombstoned postings (global ids stay stable; dead ids simply stop
+// being resident anywhere) and Rebalance migrates graphs off overloaded
+// shards through the routing table, so the index can serve a mutating
+// workload indefinitely without a full rebuild.
 //
 // Shards are held behind shared_ptr handles with copy-on-write mutation:
 // copying a ShardedFragmentIndex is cheap (the copies share the per-shard
@@ -28,6 +31,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -51,6 +55,11 @@ class ShardedFragmentIndex {
                                             const FragmentIndexOptions& options,
                                             int num_shards);
 
+  /// Wraps `index` as a one-shard index with identity routing (global id ==
+  /// local id). Its tombstones become the global ones and its compaction
+  /// epoch carries over, so the wrap answers exactly like `index`.
+  static ShardedFragmentIndex FromFragmentIndex(FragmentIndex index);
+
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const FragmentIndex& shard(int s) const { return *shards_[s]; }
   /// Snapshot handle: keeps shard `s`'s current index alive independently of
@@ -69,6 +78,20 @@ class ShardedFragmentIndex {
   /// Global graph id of shard `s`'s local id `local` (the inverse of the
   /// routing: shard(s) emits local ids, queries report global ids).
   int global_id(int s, int local) const { return globals_[s][local]; }
+  /// True when every global id is shard 0's local id of the same value: one
+  /// shard that never compacted a removed graph away. Only then may a
+  /// consumer of a bare FragmentIndex (TopoPruneEngine) read shard(0) in
+  /// place of this index.
+  bool identity_routing() const;
+
+  /// One fragment's range query over shard `s`, aggregated per graph to the
+  /// minimum distance within `sigma` (Algorithm 2 lines 10-16, Eq. 3) and
+  /// keyed by GLOBAL graph id — the one place shard-local ids are
+  /// translated. Tombstoned graphs never appear. Entries min-merge into
+  /// `min_dist`, so sweeping several shards into one map yields their
+  /// union (shards own disjoint ids).
+  Status MinDistances(int s, const PreparedFragment& fragment, double sigma,
+                      std::unordered_map<int, double>* min_dist) const;
 
   /// Total graph-id slots ever assigned (monotone; tombstoned and
   /// compacted-away slots included — ids are never reused).
@@ -154,13 +177,18 @@ class ShardedFragmentIndex {
   /// and local ids, per-shard live counts) plus one file per shard under
   /// `dir`, creating the directory if needed. Tombstones travel inside the
   /// per-shard files, so a mutated index round-trips — including one that
-  /// was compacted or rebalanced.
+  /// was compacted or rebalanced. When `dir` names an existing legacy
+  /// single-file index, the directory is written beside it and swapped in
+  /// by renames (StageAndReplace), so a failure never loses the old index.
   Status SaveDir(const std::string& dir) const;
   /// Loads a directory written by SaveDir (current, v2 routing-table, or v1
   /// contiguous-range manifests). Returns InvalidArgument when a
   /// structurally readable manifest disagrees with the files on disk
   /// (missing/surplus shard files, shard sizes, routing, or live counts out
-  /// of step) or is truncated mid-section, ParseError on garbage.
+  /// of step) or is truncated mid-section, ParseError on garbage. A path
+  /// naming a regular file is a legacy single-file index (any
+  /// FragmentIndex format version): it loads as one shard through
+  /// FromFragmentIndex.
   static Result<ShardedFragmentIndex> LoadDir(const std::string& dir);
 
  private:

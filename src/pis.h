@@ -10,11 +10,18 @@
 //   auto selected = pis::SelectDiscriminativeFeatures(...);
 //
 //   pis::FragmentIndexOptions idx_opts;             // edge mutation distance
-//   auto index = pis::FragmentIndex::Build(db, features, idx_opts);
+//   auto index = pis::ShardedFragmentIndex::Build(db, features, idx_opts,
+//                                                 /*num_shards=*/1);
+//   index.value().SaveDir("index_dir");             // LoadDir reads it back
 //
 //   pis::PisOptions opts;  opts.sigma = 2;
 //   pis::PisEngine engine(&db, &index.value(), opts);
 //   auto result = engine.Search(query);             // exact SSSD answers
+//
+// More shards change only how the index is stored and how many physical
+// range queries run; answers and candidates stay the same. A FragmentIndex
+// built or loaded on its own joins in through
+// ShardedFragmentIndex::FromFragmentIndex.
 #ifndef PIS_PIS_H_
 #define PIS_PIS_H_
 
@@ -26,7 +33,6 @@
 #include "core/pis.h"                // IWYU pragma: export
 #include "core/query_fragments.h"    // IWYU pragma: export
 #include "core/selectivity.h"        // IWYU pragma: export
-#include "core/sharded_pis.h"        // IWYU pragma: export
 #include "core/stats.h"              // IWYU pragma: export
 #include "core/topk.h"               // IWYU pragma: export
 #include "core/topo_prune.h"         // IWYU pragma: export

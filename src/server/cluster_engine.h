@@ -2,7 +2,7 @@
 // ShardBackend replicas, a cluster manifest mapping every shard to the
 // replicas that serve it, and a query/write engine whose externally
 // observable behaviour — answers, candidate lists, and every shared
-// QueryStats counter — is identical to a single-process ShardedPisEngine
+// QueryStats counter — is identical to a single-process PisEngine
 // over the same logical database.
 //
 // How the equivalence is engineered (and why the merge happens where it
@@ -163,7 +163,7 @@ class ClusterEngine {
   Result<SearchResult> Search(const Graph& query, double sigma,
                               TraceContext* trace)
       PIS_EXCLUDES(writer_mu_, state_mu_);
-  /// Same contract as ShardedPisEngine::SearchBatch (0 = all hardware
+  /// Same contract as PisEngine::SearchBatch (0 = all hardware
   /// threads); per-query rounds run concurrently.
   BatchSearchResult SearchBatch(std::span<const Graph> queries,
                                 int num_threads = 0)

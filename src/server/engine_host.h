@@ -53,7 +53,7 @@
 #include <vector>
 
 #include "core/options.h"
-#include "core/sharded_pis.h"
+#include "core/pis.h"
 #include "graph/graph.h"
 #include "index/sharded_index.h"
 #include "obs/metrics.h"
@@ -74,7 +74,7 @@ class EngineHost {
   struct Snapshot {
     std::shared_ptr<const GraphDatabase> db;
     std::shared_ptr<const ShardedFragmentIndex> index;
-    ShardedPisEngine engine;  // views into *db / *index
+    PisEngine engine;  // views into *db / *index
     /// Number of commits applied before this snapshot; bumps by exactly one
     /// per published commit — a group-committed batch of N writer calls
     /// shares one epoch (background compactor passes that compacted at
@@ -138,7 +138,7 @@ class EngineHost {
   };
 
   /// Takes ownership of an id-aligned database/index pair (the same
-  /// alignment contract as ShardedPisEngine). The auto-compaction policy is
+  /// alignment contract as PisEngine). The auto-compaction policy is
   /// `options.compact_dead_ratio` when set, else the ratio persisted in the
   /// index (manifest v4); either way it runs only on the background
   /// maintenance thread here — RemoveGraph never compacts inline.

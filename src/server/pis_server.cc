@@ -244,7 +244,7 @@ JsonValue PisServer::HandleQuery(const JsonValue& request) {
     PisOptions per_request = host_->options();
     per_request.sigma = sigma->AsNumber();
     if (per_request.sigma < 0) return ErrorReply("sigma must be >= 0");
-    ShardedPisEngine engine(snap->db.get(), snap->index.get(), per_request);
+    PisEngine engine(snap->db.get(), snap->index.get(), per_request);
     result = engine.Search(query.value());
   } else {
     result = snap->engine.Search(query.value());

@@ -1,7 +1,6 @@
 #include "server/shard_backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -9,18 +8,6 @@
 #include "util/timer.h"
 
 namespace pis {
-
-namespace {
-
-Result<uint64_t> ReplyEpoch(const JsonValue& reply) {
-  const JsonValue* v = reply.Find("epoch");
-  if (v == nullptr || !v->is_number() || v->AsNumber() < 0) {
-    return Status::InvalidArgument("reply is missing \"epoch\"");
-  }
-  return static_cast<uint64_t>(v->AsNumber());
-}
-
-}  // namespace
 
 bool IsTransportError(const Status& status) {
   switch (status.code()) {
@@ -235,7 +222,7 @@ Result<uint64_t> RemoteShardBackend::Health() {
   JsonValue request = JsonValue::Object();
   request.Set("op", "health");
   PIS_ASSIGN_OR_RETURN(JsonValue reply, RoundTrip(request));
-  return ReplyEpoch(reply);
+  return EpochFromJson(reply);
 }
 
 Result<ShardMeta> RemoteShardBackend::Meta() {
@@ -281,19 +268,7 @@ Result<std::vector<int>> RemoteShardBackend::ShardVerify(
                         std::make_move_iterator(decoded.end()));
     }
   }
-  const JsonValue* answers = reply.Find("answers");
-  if (answers == nullptr || !answers->is_array()) {
-    return Status::InvalidArgument("shard_verify reply has no \"answers\"");
-  }
-  std::vector<int> out;
-  out.reserve(answers->size());
-  for (const JsonValue& item : answers->items()) {
-    if (!item.is_number()) {
-      return Status::InvalidArgument("shard_verify answer is not a number");
-    }
-    out.push_back(static_cast<int>(item.AsNumber()));
-  }
-  return out;
+  return ShardVerifyAnswersFromJson(reply);
 }
 
 Result<uint64_t> RemoteShardBackend::ShardAdd(int gid, int shard,
@@ -304,7 +279,7 @@ Result<uint64_t> RemoteShardBackend::ShardAdd(int gid, int shard,
   request.Set("shard", shard);
   request.Set("graph", FormatGraph(g, gid));
   PIS_ASSIGN_OR_RETURN(JsonValue reply, RoundTrip(request));
-  return ReplyEpoch(reply);
+  return EpochFromJson(reply);
 }
 
 Result<ShardBackend::RemoveOutcome> RemoteShardBackend::ShardRemove(int gid) {
@@ -312,7 +287,7 @@ Result<ShardBackend::RemoveOutcome> RemoteShardBackend::ShardRemove(int gid) {
   request.Set("op", "shard_remove");
   request.Set("id", gid);
   PIS_ASSIGN_OR_RETURN(JsonValue reply, RoundTrip(request));
-  PIS_ASSIGN_OR_RETURN(uint64_t epoch, ReplyEpoch(reply));
+  PIS_ASSIGN_OR_RETURN(uint64_t epoch, EpochFromJson(reply));
   return RemoveOutcome{epoch, reply.GetBoolOr("applied", true)};
 }
 

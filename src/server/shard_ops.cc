@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/filter_impl.h"
 #include "core/verifier.h"
 
 namespace pis {
@@ -24,6 +23,14 @@ Result<int> AsStrictInt(const JsonValue& v, const char* what) {
                                    " must be an exact 32-bit integer");
   }
   return static_cast<int>(raw);
+}
+
+/// The member `key` of `reply`, or a null value when absent (which every
+/// strict decoder rejects as "must be a number").
+const JsonValue& Member(const JsonValue& reply, const char* key) {
+  static const JsonValue kMissing;
+  const JsonValue* v = reply.Find(key);
+  return v != nullptr ? *v : kMissing;
 }
 
 Result<std::vector<int>> ReadIntArray(const JsonValue& reply, const char* key) {
@@ -49,6 +56,21 @@ JsonValue IntArrayToJson(const std::vector<int>& values) {
 
 }  // namespace
 
+Result<uint64_t> EpochFromJson(const JsonValue& reply) {
+  const JsonValue& v = Member(reply, "epoch");
+  if (!v.is_number()) {
+    return Status::InvalidArgument("reply is missing a numeric \"epoch\"");
+  }
+  // 2^64 is exactly representable; anything at or above it (or negative, or
+  // fractional) has no uint64_t value and must not reach the cast.
+  const double raw = v.AsNumber();
+  if (raw != std::floor(raw) || raw < 0 || raw >= 18446744073709551616.0) {
+    return Status::InvalidArgument(
+        "reply \"epoch\" must be an exact unsigned 64-bit integer");
+  }
+  return static_cast<uint64_t>(raw);
+}
+
 Status CheckShardsOwned(const std::vector<int>& requested,
                         const std::vector<int>& owned, int num_shards) {
   for (int s : requested) {
@@ -71,7 +93,7 @@ Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
                                        const Graph& query, double sigma,
                                        const PisOptions& options, bool trace) {
   if (query.Empty()) {
-    // The same rejection RunPisFilter issues, so a router fanning this out
+    // The same rejection PisEngine issues, so a router fanning this out
     // propagates an error identical to the single-process engine's.
     return Status::InvalidArgument("query graph is empty");
   }
@@ -94,18 +116,14 @@ Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
                              options.max_query_fragments));
   }
   result.dists.resize(result.fragments.size());
-  std::unordered_map<int, double> local;
   // Shard-outer so each requested shard's sweep is one contiguous trace
   // span; the per-fragment maps come out identical either way (shards own
   // disjoint gid spaces, so the merge is a plain union).
   for (int s : shards) {
     ScopedSpan span(tp, "range_queries:shard" + std::to_string(s));
     for (size_t fi = 0; fi < result.fragments.size(); ++fi) {
-      PIS_RETURN_NOT_OK(internal::MinDistancePerGraph(
-          index.shard(s), result.fragments[fi].prepared, sigma, &local));
-      for (const auto& [local_gid, d] : local) {
-        result.dists[fi].emplace(index.global_id(s, local_gid), d);
-      }
+      PIS_RETURN_NOT_OK(index.MinDistances(s, result.fragments[fi].prepared,
+                                           sigma, &result.dists[fi]));
     }
   }
   if (tp != nullptr) result.spans = tp->TakeSpans();
@@ -182,19 +200,11 @@ void ShardMetaToJson(const ShardMeta& meta, JsonValue* reply) {
 
 Result<ShardMeta> ShardMetaFromJson(const JsonValue& reply) {
   ShardMeta meta;
-  meta.epoch = static_cast<uint64_t>(reply.GetNumberOr("epoch", 0));
-  PIS_ASSIGN_OR_RETURN(int db_slots,
-                       AsStrictInt(reply.Find("db_slots") != nullptr
-                                       ? *reply.Find("db_slots")
-                                       : JsonValue(),
-                                   "db_slots"));
-  PIS_ASSIGN_OR_RETURN(int num_shards,
-                       AsStrictInt(reply.Find("num_shards") != nullptr
-                                       ? *reply.Find("num_shards")
-                                       : JsonValue(),
-                                   "num_shards"));
-  meta.db_slots = db_slots;
-  meta.num_shards = num_shards;
+  PIS_ASSIGN_OR_RETURN(meta.epoch, EpochFromJson(reply));
+  PIS_ASSIGN_OR_RETURN(meta.db_slots,
+                       AsStrictInt(Member(reply, "db_slots"), "db_slots"));
+  PIS_ASSIGN_OR_RETURN(meta.num_shards,
+                       AsStrictInt(Member(reply, "num_shards"), "num_shards"));
   PIS_ASSIGN_OR_RETURN(meta.shards_owned,
                        ReadIntArray(reply, "shards_owned"));
   PIS_ASSIGN_OR_RETURN(meta.routing, ReadIntArray(reply, "routing"));
@@ -248,7 +258,7 @@ void ShardQueryResultToJson(const ShardQueryResult& result, JsonValue* reply) {
 
 Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply) {
   ShardQueryResult result;
-  result.epoch = static_cast<uint64_t>(reply.GetNumberOr("epoch", 0));
+  PIS_ASSIGN_OR_RETURN(result.epoch, EpochFromJson(reply));
   const JsonValue* fragments = reply.Find("fragments");
   const JsonValue* dists = reply.Find("dists");
   if (fragments == nullptr || !fragments->is_array() || dists == nullptr ||
@@ -263,10 +273,7 @@ Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply) {
     }
     QueryFragment qf;
     PIS_ASSIGN_OR_RETURN(qf.prepared.class_id,
-                         AsStrictInt(item.Find("class_id") != nullptr
-                                         ? *item.Find("class_id")
-                                         : JsonValue(),
-                                     "class_id"));
+                         AsStrictInt(Member(item, "class_id"), "class_id"));
     PIS_ASSIGN_OR_RETURN(std::vector<int> vertices,
                          ReadIntArray(item, "vertices"));
     qf.vertices.assign(vertices.begin(), vertices.end());
@@ -290,6 +297,19 @@ Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply) {
     PIS_ASSIGN_OR_RETURN(result.spans, TraceSpan::ListFromJson(*spans));
   }
   return result;
+}
+
+Result<std::vector<int>> ShardVerifyAnswersFromJson(const JsonValue& reply) {
+  PIS_ASSIGN_OR_RETURN(std::vector<int> answers,
+                       ReadIntArray(reply, "answers"));
+  for (int gid : answers) {
+    if (gid < 0) {
+      return Status::InvalidArgument("shard_verify answer " +
+                                     std::to_string(gid) +
+                                     " is not a graph id");
+    }
+  }
+  return answers;
 }
 
 }  // namespace pis

@@ -9,7 +9,7 @@
 // partition is chosen once over the merged selectivities — running the full
 // filter per shard and unioning candidates would answer a different
 // (wrong) algorithm. So a shard server's job is exactly what
-// ShardedPisEngine's per-shard fan-out does in-process:
+// PisEngine's per-shard fan-out does in-process:
 //
 //   shard_query : enumerate the query's fragments against the (identical,
 //                 frozen) class catalog, run each fragment's range query
@@ -113,11 +113,18 @@ ShardMeta CollectShardMeta(const EngineHost::Snapshot& snap,
 
 /// Wire codecs (newline-delimited JSON protocol payloads). Encoders fill
 /// the payload fields of a reply object; decoders validate shape and
-/// return InvalidArgument on structural problems.
+/// return InvalidArgument on structural problems. Decoders are strict:
+/// every id or count must be an exact 32-bit integer and every epoch an
+/// exact unsigned 64-bit integer — a fractional, negative, or out-of-range
+/// number is rejected, never cast.
 void ShardMetaToJson(const ShardMeta& meta, JsonValue* reply);
 Result<ShardMeta> ShardMetaFromJson(const JsonValue& reply);
 void ShardQueryResultToJson(const ShardQueryResult& result, JsonValue* reply);
 Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply);
+/// The "epoch" member every replica reply carries.
+Result<uint64_t> EpochFromJson(const JsonValue& reply);
+/// The "answers" array of a `shard_verify` reply.
+Result<std::vector<int>> ShardVerifyAnswersFromJson(const JsonValue& reply);
 
 }  // namespace pis
 

@@ -45,6 +45,26 @@ uintmax_t PathBytes(const std::string& path) {
   return ec ? 0 : size;
 }
 
+Status StageAndReplace(const std::string& target,
+                       const std::function<Status(const std::string&)>& write) {
+  const std::string staged = target + ".tmp";
+  const std::string retired = target + ".old";
+  std::error_code ec;
+  std::filesystem::remove_all(staged, ec);
+  PIS_RETURN_NOT_OK(write(staged));
+  std::filesystem::remove_all(retired, ec);
+  if (std::filesystem::exists(target, ec)) {
+    std::filesystem::rename(target, retired, ec);
+  }
+  if (!ec) std::filesystem::rename(staged, target, ec);
+  if (ec) {
+    return Status::IOError("cannot swap " + staged + " into " + target + ": " +
+                           ec.message());
+  }
+  std::filesystem::remove_all(retired, ec);
+  return Status::OK();
+}
+
 Status SyncFile(const std::string& path) { return SyncFd(path, O_RDONLY); }
 
 Status SyncDir(const std::string& dir) {

@@ -6,6 +6,7 @@
 #define PIS_UTIL_FS_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/status.h"
@@ -19,6 +20,15 @@ uintmax_t DirectoryBytes(const std::string& dir);
 
 /// DirectoryBytes for a directory, the file size otherwise; 0 on error.
 uintmax_t PathBytes(const std::string& path);
+
+/// Replaces `target` (a file, a directory, or nothing) without ever
+/// exposing a half-written one: `write` fills the staging path
+/// `<target>.tmp` (cleared first), then renames swap it in — the old entry
+/// moves aside to `<target>.old`, the staged one takes its name, and the
+/// old one is deleted. A failure before the second rename leaves the old
+/// entry in place or at `<target>.old`.
+Status StageAndReplace(const std::string& target,
+                       const std::function<Status(const std::string&)>& write);
 
 /// fsync(2)s a regular file by path (open / fsync / close). Buffered data
 /// an ofstream already flushed can still sit in the page cache; this forces

@@ -1,7 +1,7 @@
 // Long-horizon randomized index-lifecycle differential suite (the
 // nightly-style `ctest -L slow` gate). Same oracle as compaction_test.cc —
-// after every add / remove / compact / rebalance / save-load step, both
-// incremental engines must answer exactly like a from-scratch rebuild over
+// after every add / remove / compact / rebalance / save-load step, the
+// incremental engine must answer exactly like a from-scratch rebuild over
 // the live graphs — but run over more seeds, more steps, and a larger graph
 // pool, so rare interleavings (compact-after-rebalance-after-reload,
 // multiple compactions of the same shard, remove-to-empty then regrow) get
@@ -40,7 +40,6 @@ TEST_P(CompactionLifecycleSlowTest, LongRandomScheduleMatchesRebuild) {
       h.RemoveOne();
     } else if (roll == 6) {
       h.CompactShard(h.rng().UniformInt(0, h.sharded().num_shards() - 1));
-      h.CompactFlat();
     } else if (roll == 7) {
       h.CompactAll();
     } else if (roll == 8) {

@@ -1,8 +1,8 @@
 // The compaction/rebalancing differential suite: seeded random
 // interleavings of add / remove / compact-shard / compact-all / rebalance /
 // save-load / search over shard counts {1, 3, 8}, asserting after EVERY
-// step that both incrementally maintained engines (sharded and flat) answer
-// exactly like an index rebuilt from scratch over only the live graphs.
+// step that the incrementally maintained engine answers exactly like an
+// index rebuilt from scratch over only the live graphs.
 // This is the checkable form of the compaction subsystem's contract:
 // reclaiming dead postings never changes query semantics — not mid-
 // sequence, not after rebalancing, and not across a persistence round trip.
@@ -15,6 +15,8 @@
 #include <string>
 #include <tuple>
 
+#include "core/naive_search.h"
+#include "core/topo_prune.h"
 #include "engine_test_util.h"
 #include "index/fragment_index.h"
 #include "index/sharded_index.h"
@@ -22,7 +24,9 @@
 namespace pis {
 namespace {
 
+using ::pis::testing::ExpectSameAnswers;
 using ::pis::testing::LifecycleHarness;
+using ::pis::testing::SampleQueries;
 
 // One randomized lifecycle step; `step` seeds the save/load tag.
 void RandomStep(LifecycleHarness& h, int step) {
@@ -38,7 +42,6 @@ void RandomStep(LifecycleHarness& h, int step) {
     h.RemoveOne();
   } else if (roll == 6) {
     h.CompactShard(h.rng().UniformInt(0, h.sharded().num_shards() - 1));
-    h.CompactFlat();
   } else if (roll == 7) {
     h.CompactAll();
   } else if (roll == 8) {
@@ -95,7 +98,6 @@ TEST(CompactionTest, CompactShardEvictsDeadSlotsAndKeepsGlobalIds) {
   ASSERT_EQ(removed, 4u);
 
   ASSERT_TRUE(h.sharded().Compact().ok());
-  h.CompactFlat();
   if (::testing::Test::HasFatalFailure()) return;
 
   // Live count and the global tombstone record survive compaction; the
@@ -121,6 +123,46 @@ TEST(CompactionTest, CompactShardEvictsDeadSlotsAndKeepsGlobalIds) {
   h.CheckAgainstRebuild();
 }
 
+// TopoPruneEngine reads shard(0)'s local ids as global ids, which is only
+// sound while routing is the identity: removals keep it, but compacting a
+// removed graph away re-densifies the local ids and ends it.
+TEST(CompactionTest, CompactionEndsIdentityRoutingForTopoPrune) {
+  LifecycleHarness::Options opt;
+  opt.num_shards = 1;
+  opt.seed = 9;
+  LifecycleHarness h(opt);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_TRUE(h.sharded().identity_routing());
+  for (int i = 0; i < 4; ++i) h.RemoveOne();
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(h.sharded().identity_routing());
+
+  // Tombstoned but uncompacted: topoPrune over shard(0) answers exactly
+  // the live part of a naive scan.
+  TopoPruneEngine topo(&h.slots(), &h.sharded().shard(0));
+  for (const Graph& q : SampleQueries(h.slots(), 3, 4, 61)) {
+    auto got = topo.Search(q, 2.0);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<int> want;
+    for (int gid :
+         NaiveSearch(h.slots(), q, h.sharded().options().spec, 2.0).answers) {
+      if (h.sharded().IsLive(gid)) want.push_back(gid);
+    }
+    EXPECT_EQ(got.value().answers, want);
+  }
+
+  ASSERT_TRUE(h.sharded().Compact().ok());
+  EXPECT_LT(h.sharded().shard_size(0), h.sharded().db_size());
+  EXPECT_FALSE(h.sharded().identity_routing());
+  h.AddOne();
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_FALSE(h.sharded().identity_routing());
+
+  auto three = ShardedFragmentIndex::Build(h.slots(), {}, {}, 3);
+  ASSERT_TRUE(three.ok());
+  EXPECT_FALSE(three.value().identity_routing());
+}
+
 TEST(CompactionTest, AutoCompactionPolicyTriggersOnThreshold) {
   LifecycleHarness::Options opt;
   opt.num_shards = 2;
@@ -138,7 +180,6 @@ TEST(CompactionTest, AutoCompactionPolicyTriggersOnThreshold) {
     for (int s = 0; s < h.sharded().num_shards(); ++s) {
       EXPECT_LT(h.sharded().shard_dead_ratio(s), 0.5);
     }
-    h.CompactFlat();  // keep the flat twin aligned for the oracle
     h.CheckAgainstRebuild();
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -227,7 +268,7 @@ TEST(CompactionTest, EveryBackendCompactsEquivalently) {
     }
     index.value().Compact();
     ASSERT_EQ(index.value().db_size(), live_db.size());
-    auto rebuilt = FragmentIndex::Build(live_db, features, iopt);
+    auto rebuilt = ShardedFragmentIndex::Build(live_db, features, iopt, 1);
     ASSERT_TRUE(rebuilt.ok());
 
     // The compacted index must answer like the rebuild — before and after
@@ -236,27 +277,13 @@ TEST(CompactionTest, EveryBackendCompactsEquivalently) {
     ASSERT_TRUE(index.value().Save(buffer).ok());
     auto reloaded = FragmentIndex::Load(buffer);
     ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-
-    PisOptions popt;
-    popt.sigma = 2.0;
-    PisEngine compacted_engine(&live_db, &index.value(), popt);
-    PisEngine reloaded_engine(&live_db, &reloaded.value(), popt);
-    PisEngine rebuilt_engine(&live_db, &rebuilt.value(), popt);
-    QuerySampler sampler(&db, {.seed = 51, .strip_vertex_labels = true});
-    for (int trial = 0; trial < 4; ++trial) {
-      auto q = sampler.Sample(3);
-      ASSERT_TRUE(q.ok());
-      auto want = rebuilt_engine.Search(q.value());
-      auto got = compacted_engine.Search(q.value());
-      auto got_reloaded = reloaded_engine.Search(q.value());
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_TRUE(got_reloaded.ok()) << got_reloaded.status().ToString();
-      EXPECT_EQ(want.value().answers, got.value().answers);
-      EXPECT_EQ(want.value().candidates, got.value().candidates);
-      EXPECT_EQ(want.value().answers, got_reloaded.value().answers);
-      EXPECT_EQ(want.value().candidates, got_reloaded.value().candidates);
-    }
+    const std::vector<Graph> queries = SampleQueries(db, 4, 3, 51);
+    ExpectSameAnswers(live_db, rebuilt.value(),
+                      ShardedFragmentIndex::FromFragmentIndex(index.MoveValue()),
+                      queries);
+    ExpectSameAnswers(
+        live_db, rebuilt.value(),
+        ShardedFragmentIndex::FromFragmentIndex(reloaded.MoveValue()), queries);
   }
 }
 

@@ -51,7 +51,7 @@ TEST(ConcurrentEngineTest, ReadersMatchTheExactSnapshotStateTheyPinned) {
   // expected[k][p]: oracle answers of probe p after k schedule steps.
   std::vector<std::vector<std::vector<int>>> expected;
   auto record_oracle = [&] {
-    ShardedPisEngine oracle(&harness.slots(), &harness.sharded(), popt);
+    PisEngine oracle(&harness.slots(), &harness.sharded(), popt);
     std::vector<std::vector<int>> per_probe;
     for (const Graph& q : probes) {
       auto r = oracle.Search(q);
@@ -119,7 +119,7 @@ TEST(ConcurrentEngineTest, ReadersMatchTheExactSnapshotStateTheyPinned) {
         break;
       }
       case 4: {  // compact every dirty shard
-        harness.CompactSharded(0.0);
+        harness.CompactAll(0.0);
         if (::testing::Test::HasFatalFailure()) break;
         auto compacted = host.Compact(0.0);
         ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();

@@ -10,7 +10,6 @@
 
 #include "core/naive_search.h"
 #include "core/pis.h"
-#include "core/sharded_pis.h"
 #include "core/topk.h"
 #include "core/topo_prune.h"
 #include "graph/generator.h"
@@ -36,7 +35,7 @@ TEST(EdgeCasesTest, EmptyFeatureSetDegradesToNoPruning) {
   gopt.max_vertices = 25;
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(10);
-  auto index = FragmentIndex::Build(db, {}, {});
+  auto index = ShardedFragmentIndex::Build(db, {}, {}, 1);
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index.value().num_classes(), 0);
 
@@ -54,7 +53,7 @@ TEST(EdgeCasesTest, EmptyFeatureSetDegradesToNoPruning) {
       NaiveSearch(db, query.value(), index.value().options().spec, 1);
   EXPECT_EQ(result.value().answers, naive.answers);
 
-  TopoPruneEngine topo(&db, &index.value());
+  TopoPruneEngine topo(&db, &index.value().shard(0));
   auto topo_result = topo.Search(query.value(), 1);
   ASSERT_TRUE(topo_result.ok());
   EXPECT_EQ(topo_result.value().answers, naive.answers);
@@ -62,7 +61,7 @@ TEST(EdgeCasesTest, EmptyFeatureSetDegradesToNoPruning) {
 
 TEST(EdgeCasesTest, EmptyDatabase) {
   GraphDatabase db;
-  auto index = FragmentIndex::Build(db, {SingleEdgeFeature()}, {});
+  auto index = ShardedFragmentIndex::Build(db, {SingleEdgeFeature()}, {}, 1);
   ASSERT_TRUE(index.ok());
   Graph query = SingleEdgeFeature();
   PisEngine engine(&db, &index.value(), {});
@@ -78,7 +77,7 @@ TEST(EdgeCasesTest, SingleEdgeQuery) {
   gopt.max_vertices = 20;
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(8);
-  auto index = FragmentIndex::Build(db, {SingleEdgeFeature()}, {});
+  auto index = ShardedFragmentIndex::Build(db, {SingleEdgeFeature()}, {}, 1);
   ASSERT_TRUE(index.ok());
   Graph query = SingleEdgeFeature();
   query.SetEdgeLabel(0, 1);  // "single" bond label from the generator vocab
@@ -99,7 +98,7 @@ TEST(EdgeCasesTest, QueryLargerThanEveryGraph) {
   gopt.max_vertices = 16;
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(6);
-  auto index = FragmentIndex::Build(db, {SingleEdgeFeature()}, {});
+  auto index = ShardedFragmentIndex::Build(db, {SingleEdgeFeature()}, {}, 1);
   ASSERT_TRUE(index.ok());
   // A long path no 16-vertex molecule can contain.
   Graph query;
@@ -119,7 +118,7 @@ TEST(EdgeCasesTest, QueryLargerThanEveryGraph) {
 TEST(EdgeCasesTest, MismatchedIndexAndDatabaseIsFatalInDebug) {
   MoleculeGenerator gen;
   GraphDatabase db = gen.Generate(4);
-  auto index = FragmentIndex::Build(db, {SingleEdgeFeature()}, {});
+  auto index = ShardedFragmentIndex::Build(db, {SingleEdgeFeature()}, {}, 1);
   ASSERT_TRUE(index.ok());
   GraphDatabase other = gen.Generate(7);
   EXPECT_DEATH({ PisEngine engine(&other, &index.value(), {}); },
@@ -167,7 +166,7 @@ TEST(UpdateEdgeCasesTest, AddingTheSameGraphTwiceGetsDistinctIds) {
   gopt.seed = 31;
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(6);
-  auto index = FragmentIndex::Build(db, {SingleEdgeFeature()}, {});
+  auto index = ShardedFragmentIndex::Build(db, {SingleEdgeFeature()}, {}, 1);
   ASSERT_TRUE(index.ok());
   // There is no "duplicate id" to reject: ids are assigned by the index, so
   // re-adding identical content simply creates a second live graph.
@@ -200,7 +199,7 @@ TEST(UpdateEdgeCasesTest, RemovingEveryGraphYieldsEmptyResults) {
   gopt.seed = 13;
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(6);
-  auto index = FragmentIndex::Build(db, {SingleEdgeFeature()}, {});
+  auto index = ShardedFragmentIndex::Build(db, {SingleEdgeFeature()}, {}, 1);
   ASSERT_TRUE(index.ok());
   FragmentIndexOptions iopt;
   iopt.max_fragment_edges = 2;
@@ -211,8 +210,6 @@ TEST(UpdateEdgeCasesTest, RemovingEveryGraphYieldsEmptyResults) {
     ASSERT_TRUE(index.value().RemoveGraph(gid).ok());
     ASSERT_TRUE(sharded.value().RemoveGraph(gid).ok());
   }
-  EXPECT_EQ(index.value().num_live(), 0);
-  EXPECT_EQ(sharded.value().num_live(), 0);
 
   QuerySampler sampler(&db, {.seed = 8, .strip_vertex_labels = true});
   auto query = sampler.Sample(4);
@@ -220,22 +217,19 @@ TEST(UpdateEdgeCasesTest, RemovingEveryGraphYieldsEmptyResults) {
   PisOptions options;
   options.sigma = 3;
 
-  // PIS, sharded PIS, topoPrune, and top-k must all come back empty (no
-  // candidates leak through the no-pruning path) without touching a
-  // tombstoned graph.
-  PisEngine engine(&db, &index.value(), options);
-  auto result = engine.Search(query.value());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result.value().candidates.empty());
-  EXPECT_TRUE(result.value().answers.empty());
+  // PIS over one and three shards, topoPrune, and top-k must all come back
+  // empty (no candidates leak through the no-pruning path) without
+  // touching a tombstoned graph.
+  for (const ShardedFragmentIndex* idx : {&index.value(), &sharded.value()}) {
+    EXPECT_EQ(idx->num_live(), 0);
+    PisEngine engine(&db, idx, options);
+    auto result = engine.Search(query.value());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result.value().candidates.empty());
+    EXPECT_TRUE(result.value().answers.empty());
+  }
 
-  ShardedPisEngine sharded_engine(&db, &sharded.value(), options);
-  auto sharded_result = sharded_engine.Search(query.value());
-  ASSERT_TRUE(sharded_result.ok());
-  EXPECT_TRUE(sharded_result.value().candidates.empty());
-  EXPECT_TRUE(sharded_result.value().answers.empty());
-
-  TopoPruneEngine topo(&db, &index.value());
+  TopoPruneEngine topo(&db, &index.value().shard(0));
   auto topo_result = topo.Search(query.value(), options.sigma);
   ASSERT_TRUE(topo_result.ok());
   EXPECT_TRUE(topo_result.value().answers.empty());
@@ -319,25 +313,28 @@ TEST(CompactionEdgeCasesTest, CompactAfterRemovingEveryGraph) {
   EXPECT_EQ(sharded.value().tombstones().size(), 6u);
   for (int s = 0; s < 3; ++s) EXPECT_EQ(sharded.value().shard_size(s), 0);
 
-  // Both engines still answer (with nothing) over their aligned databases.
+  // Both indexes still answer (with nothing) over their aligned databases;
+  // the re-densified FragmentIndex joins an engine as a one-shard index.
   GraphDatabase empty_db;
   QuerySampler sampler(&db, {.seed = 8, .strip_vertex_labels = true});
   auto query = sampler.Sample(4);
   ASSERT_TRUE(query.ok());
   PisOptions options;
   options.sigma = 3;
-  PisEngine engine(&empty_db, &index.value(), options);
+  ShardedFragmentIndex flat =
+      ShardedFragmentIndex::FromFragmentIndex(index.MoveValue());
+  PisEngine engine(&empty_db, &flat, options);
   auto result = engine.Search(query.value());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().answers.empty());
-  ShardedPisEngine sharded_engine(&db, &sharded.value(), options);
+  PisEngine sharded_engine(&db, &sharded.value(), options);
   auto sharded_result = sharded_engine.Search(query.value());
   ASSERT_TRUE(sharded_result.ok());
   EXPECT_TRUE(sharded_result.value().answers.empty());
 
   // And the id space regrows cleanly: fresh adds pick up where ids left
   // off (sharded — slots are immortal) / from zero (flat — re-densified).
-  auto fresh_flat = index.value().AddGraph(db.at(0));
+  auto fresh_flat = flat.AddGraph(db.at(0));
   ASSERT_TRUE(fresh_flat.ok());
   EXPECT_EQ(fresh_flat.value(), 0);
   auto fresh_sharded = sharded.value().AddGraph(db.at(0));

@@ -53,7 +53,7 @@ struct HostFixture {
 TEST(EngineHostTest, ServesIdenticalResultsToDirectEngine) {
   HostFixture hf(30, 77);
   EngineHost host = hf.MakeHost();
-  ShardedPisEngine direct(&hf.fx.db, &hf.sharded.value(), hf.options);
+  PisEngine direct(&hf.fx.db, &hf.sharded.value(), hf.options);
   for (const Graph& q : hf.queries) {
     auto want = direct.Search(q);
     auto got = host.Search(q);

@@ -11,13 +11,11 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pis.h"
-#include "core/sharded_pis.h"
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/sharded_index.h"
@@ -32,11 +30,13 @@ namespace pis::testing {
 
 /// Builds the full search stack (database, features, fragment index) as a
 /// pure function of its arguments — two instances with equal arguments are
-/// equal, which the determinism suite relies on.
+/// equal, which the determinism suite relies on. The index is one
+/// FragmentIndex wrapped as a one-shard index; suites that need the bare
+/// FragmentIndex reach it through shard(0).
 struct EngineFixture {
   GraphDatabase db;
   std::vector<Graph> features;
-  Result<FragmentIndex> index = Status::Internal("unbuilt");
+  Result<ShardedFragmentIndex> index = Status::Internal("unbuilt");
 
   explicit EngineFixture(int db_size, uint64_t seed,
                          int max_fragment_edges = 4,
@@ -69,8 +69,11 @@ struct EngineFixture {
     FragmentIndexOptions iopt;
     iopt.max_fragment_edges = max_fragment_edges;
     iopt.spec = spec;
-    index = FragmentIndex::Build(db, features, iopt);
-    EXPECT_TRUE(index.ok());
+    auto built = FragmentIndex::Build(db, features, iopt);
+    EXPECT_TRUE(built.ok());
+    if (built.ok()) {
+      index = ShardedFragmentIndex::FromFragmentIndex(built.MoveValue());
+    }
   }
 };
 
@@ -87,6 +90,26 @@ inline std::vector<Graph> SampleQueries(const GraphDatabase& db, int count,
   return queries;
 }
 
+/// Searches every query through both indexes over the same id-aligned `db`
+/// (σ = 2) and requires identical answers and candidates.
+inline void ExpectSameAnswers(const GraphDatabase& db,
+                              const ShardedFragmentIndex& want,
+                              const ShardedFragmentIndex& got,
+                              const std::vector<Graph>& queries) {
+  PisOptions options;
+  options.sigma = 2.0;
+  PisEngine want_engine(&db, &want, options);
+  PisEngine got_engine(&db, &got, options);
+  for (const Graph& q : queries) {
+    auto a = want_engine.Search(q);
+    auto b = got_engine.Search(q);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(a.value().answers, b.value().answers);
+    EXPECT_EQ(a.value().candidates, b.value().candidates);
+  }
+}
+
 /// Timings legitimately differ between runs; every other field must match.
 inline void ExpectSameCounters(const QueryStats& a, const QueryStats& b) {
   EXPECT_EQ(a.fragments_enumerated, b.fragments_enumerated);
@@ -101,16 +124,15 @@ inline void ExpectSameCounters(const QueryStats& a, const QueryStats& b) {
 
 /// Differential index-lifecycle driver shared by the update-equivalence and
 /// compaction suites. It maintains, under one randomized schedule of
-/// add / remove / compact / rebalance / save-load steps:
-///   - a mutable ShardedFragmentIndex over the id-aligned `slots()` database
-///     (removed graphs keep their slot — global ids are stable for life),
-///   - a mutable flat FragmentIndex whose ids re-densify on CompactFlat(),
-///     mirrored by its own aligned database exactly the way `pis_cli
-///     compact` rewrites the db file,
-/// and CheckAgainstRebuild() asserts that both engines answer any query
+/// add / remove / compact / rebalance / save-load steps, a mutable
+/// ShardedFragmentIndex over the id-aligned `slots()` database (removed
+/// graphs keep their slot — global ids are stable for life), and
+/// CheckAgainstRebuild() asserts that its engine answers any query
 /// identically — answers, candidates, and partition-derived counters — to a
-/// from-scratch rebuild over only the live graphs. Every method is void so
-/// ASSERT_* works inside; callers bail on HasFatalFailure() between steps.
+/// from-scratch rebuild over only the live graphs. The one-shard
+/// instantiations cover what a single unsharded index does. Every method is
+/// void so ASSERT_* works inside; callers bail on HasFatalFailure() between
+/// steps.
 class LifecycleHarness {
  public:
   struct Options {
@@ -156,18 +178,9 @@ class LifecycleHarness {
     sharded_ =
         ShardedFragmentIndex::Build(slots_, features_, iopt_, opt_.num_shards);
     ASSERT_TRUE(sharded_.ok()) << sharded_.status().ToString();
-    flat_ = FragmentIndex::Build(slots_, features_, iopt_);
-    ASSERT_TRUE(flat_.ok());
 
-    flat_db_ = slots_;
     live_.assign(opt_.initial_graphs, 1);
     live_count_ = opt_.initial_graphs;
-    flat_globals_.resize(opt_.initial_graphs);
-    flat_id_of_.resize(opt_.initial_graphs);
-    for (int gid = 0; gid < opt_.initial_graphs; ++gid) {
-      flat_globals_[gid] = gid;
-      flat_id_of_[gid] = gid;
-    }
     popt_.sigma = opt_.sigma;
     sampler_.emplace(&pool_, QuerySamplerOptions{.seed = 40u + opt_.seed,
                                                  .strip_vertex_labels = true});
@@ -179,28 +192,21 @@ class LifecycleHarness {
   int num_slots() const { return slots_.size(); }
   const GraphDatabase& slots() const { return slots_; }
   ShardedFragmentIndex& sharded() { return sharded_.value(); }
-  FragmentIndex& flat() { return flat_.value(); }
   Rng& rng() { return rng_; }
 
-  /// Indexes the next pool graph in both indexes.
+  /// Indexes the next pool graph.
   void AddOne() {
     ASSERT_TRUE(CanAdd());
     const Graph& g = pool_.at(next_pool_++);
     auto gid = sharded_.value().AddGraph(g);
     ASSERT_TRUE(gid.ok()) << gid.status().ToString();
     ASSERT_EQ(gid.value(), slots_.size());
-    auto fid = flat_.value().AddGraph(g);
-    ASSERT_TRUE(fid.ok());
-    ASSERT_EQ(fid.value(), flat_db_.size());
     slots_.Add(g);
-    flat_db_.Add(g);
-    flat_globals_.push_back(gid.value());
-    flat_id_of_.push_back(fid.value());
     live_.push_back(1);
     ++live_count_;
   }
 
-  /// Removes a uniformly random live graph from both indexes.
+  /// Removes a uniformly random live graph.
   void RemoveOne() {
     ASSERT_GT(live_count_, 0);
     int victim = rng_.UniformInt(0, live_count_ - 1);
@@ -214,52 +220,24 @@ class LifecycleHarness {
     RemoveGid(gid);
   }
 
-  /// Removes a specific live global id from both indexes (directed tests).
+  /// Removes a specific live global id (directed tests).
   void RemoveGid(int gid) {
     ASSERT_GE(gid, 0);
     ASSERT_LT(gid, slots_.size());
     ASSERT_TRUE(live_[gid]);
     ASSERT_TRUE(sharded_.value().RemoveGraph(gid).ok());
-    ASSERT_TRUE(flat_.value().RemoveGraph(flat_id_of_[gid]).ok());
     live_[gid] = 0;
     --live_count_;
   }
 
-  /// Compacts the flat index, re-densifying its ids and its aligned
-  /// database through the returned remap (the pis_cli compact flow).
-  void CompactFlat() {
-    const std::vector<int> remap = flat_.value().Compact();
-    GraphDatabase compacted;
-    std::vector<int> globals;
-    for (size_t fid = 0; fid < remap.size(); ++fid) {
-      if (remap[fid] < 0) continue;
-      ASSERT_EQ(remap[fid], compacted.size());
-      compacted.Add(flat_db_.at(static_cast<int>(fid)));
-      globals.push_back(flat_globals_[fid]);
-    }
-    flat_db_ = std::move(compacted);
-    flat_globals_ = std::move(globals);
-    for (int fid = 0; fid < static_cast<int>(flat_globals_.size()); ++fid) {
-      flat_id_of_[flat_globals_[fid]] = fid;
-    }
-    ASSERT_EQ(flat_.value().db_size(), flat_db_.size());
-    ASSERT_EQ(flat_.value().num_live(), live_count_);
-  }
-
-  /// Compacts sharded shards at/above the dead-ratio floor (0 = all dirty).
-  void CompactSharded(double min_dead_ratio = 0.0) {
+  /// Compacts shards at/above the dead-ratio floor (0 = all dirty).
+  void CompactAll(double min_dead_ratio = 0.0) {
     auto compacted = sharded_.value().Compact(min_dead_ratio);
     ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   }
 
   void CompactShard(int s) {
     ASSERT_TRUE(sharded_.value().CompactShard(s).ok());
-  }
-
-  void CompactAll() {
-    CompactSharded();
-    if (::testing::Test::HasFatalFailure()) return;
-    CompactFlat();
   }
 
   /// Rebalances the sharded index over the slot-aligned database.
@@ -275,8 +253,8 @@ class LifecycleHarness {
     EXPECT_LE(hi - lo, 1) << "rebalance left shards unbalanced";
   }
 
-  /// Round-trips both indexes through persistence (directory manifest for
-  /// the sharded one, stream for the flat one) and swaps in the reloads.
+  /// Round-trips the index through its directory manifest and swaps in
+  /// the reload.
   void SaveLoadRoundTrip(const std::string& tag) {
     const std::string dir =
         (std::filesystem::path(::testing::TempDir()) /
@@ -292,19 +270,12 @@ class LifecycleHarness {
     EXPECT_EQ(reloaded.value().compaction_epoch(),
               sharded_.value().compaction_epoch());
     sharded_ = std::move(reloaded);
-
-    std::stringstream buffer;
-    ASSERT_TRUE(flat_.value().Save(buffer).ok());
-    auto reloaded_flat = FragmentIndex::Load(buffer);
-    ASSERT_TRUE(reloaded_flat.ok()) << reloaded_flat.status().ToString();
-    flat_ = std::move(reloaded_flat);
   }
 
-  /// The differential oracle: rebuilds a reference index from scratch over
-  /// only the live graphs and requires both incremental engines to agree
-  /// with it query for query. The flat engine must also match the
-  /// reference's physical range-query count; the sharded engine issues one
-  /// per shard per fragment.
+  /// The differential oracle: rebuilds a one-shard reference index from
+  /// scratch over only the live graphs and requires the incremental engine
+  /// to agree with it query for query. The engine issues one physical range
+  /// query per shard per fragment.
   void CheckAgainstRebuild() {
     std::vector<int> live_ids;
     GraphDatabase ref_db;
@@ -315,48 +286,27 @@ class LifecycleHarness {
     }
     ASSERT_EQ(static_cast<int>(live_ids.size()), live_count_);
     ASSERT_EQ(sharded_.value().num_live(), live_count_);
-    ASSERT_EQ(flat_.value().num_live(), live_count_);
-    auto ref_index = FragmentIndex::Build(ref_db, features_, iopt_);
+    auto ref_index = ShardedFragmentIndex::Build(ref_db, features_, iopt_, 1);
     ASSERT_TRUE(ref_index.ok());
     PisEngine ref_engine(&ref_db, &ref_index.value(), popt_);
-    ShardedPisEngine sharded_engine(&slots_, &sharded_.value(), popt_);
-    PisEngine flat_engine(&flat_db_, &flat_.value(), popt_);
+    PisEngine sharded_engine(&slots_, &sharded_.value(), popt_);
 
     for (int trial = 0; trial < opt_.queries_per_check; ++trial) {
       auto query = sampler_->Sample(5 + rng_.UniformInt(0, 3));
       ASSERT_TRUE(query.ok());
       auto want = ref_engine.Search(query.value());
       auto got_sharded = sharded_engine.Search(query.value());
-      auto got_flat = flat_engine.Search(query.value());
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ASSERT_TRUE(got_sharded.ok()) << got_sharded.status().ToString();
-      ASSERT_TRUE(got_flat.ok()) << got_flat.status().ToString();
 
       EXPECT_EQ(ToGlobal(want.value().answers, live_ids),
                 got_sharded.value().answers);
       EXPECT_EQ(ToGlobal(want.value().candidates, live_ids),
                 got_sharded.value().candidates);
-      EXPECT_EQ(ToGlobal(want.value().answers, live_ids),
-                ToGlobal(got_flat.value().answers, flat_globals_));
-      EXPECT_EQ(ToGlobal(want.value().candidates, live_ids),
-                ToGlobal(got_flat.value().candidates, flat_globals_));
 
-      const QueryStats& w = want.value().stats;
-      for (const QueryStats* g :
-           {&got_sharded.value().stats, &got_flat.value().stats}) {
-        EXPECT_EQ(w.fragments_enumerated, g->fragments_enumerated);
-        EXPECT_EQ(w.fragments_kept, g->fragments_kept);
-        EXPECT_EQ(w.partition_size, g->partition_size);
-        EXPECT_DOUBLE_EQ(w.partition_weight, g->partition_weight);
-        EXPECT_EQ(w.candidates_after_intersection,
-                  g->candidates_after_intersection);
-        EXPECT_EQ(w.candidates_final, g->candidates_final);
-        EXPECT_EQ(w.answers, g->answers);
-      }
-      EXPECT_EQ(w.range_queries, got_flat.value().stats.range_queries);
-      EXPECT_EQ(w.range_queries *
-                    static_cast<size_t>(sharded_.value().num_shards()),
-                got_sharded.value().stats.range_queries);
+      QueryStats scaled = want.value().stats;
+      scaled.range_queries *= sharded_.value().num_shards();
+      ExpectSameCounters(scaled, got_sharded.value().stats);
     }
   }
 
@@ -374,18 +324,13 @@ class LifecycleHarness {
   Rng rng_;
   GraphDatabase pool_;
   GraphDatabase slots_;
-  GraphDatabase flat_db_;
   std::vector<Graph> features_;
   FragmentIndexOptions iopt_;
   Result<ShardedFragmentIndex> sharded_ = Status::Internal("unbuilt");
-  Result<FragmentIndex> flat_ = Status::Internal("unbuilt");
   /// Global liveness by gid; live_count_ is its popcount.
   std::vector<char> live_;
   int live_count_ = 0;
   int next_pool_ = 0;
-  /// Flat-index id -> global gid and its inverse (stale for dead globals).
-  std::vector<int> flat_globals_;
-  std::vector<int> flat_id_of_;
   PisOptions popt_;
   std::optional<QuerySampler> sampler_;
 };

@@ -11,7 +11,9 @@
 // correctly — files from the future must fail with a clear Status instead
 // of garbage, and a manifest that disagrees with the files on disk (or is
 // truncated mid-section) must come back as InvalidArgument — never a crash
-// or DCHECK.
+// or DCHECK. A legacy single-file index (what `pis_cli build` wrote before
+// every index became a manifest directory) loads through LoadDir as one
+// shard and filters exactly as the single-index engine did.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +34,7 @@ namespace pis {
 namespace {
 
 using ::pis::testing::EngineFixture;
+using ::pis::testing::ExpectSameAnswers;
 using ::pis::testing::SampleQueries;
 
 constexpr uint32_t kManifestMagic = 0x5049534D;  // mirrors sharded_index.cc
@@ -101,7 +104,7 @@ std::string MakeV1IndexBytes(const FragmentIndex& index) {
 TEST(FormatCompatTest, FragmentIndexV1FixtureLoads) {
   EngineFixture fx(12, 77);
   ASSERT_TRUE(fx.index.ok());
-  std::stringstream in(MakeV1IndexBytes(fx.index.value()));
+  std::stringstream in(MakeV1IndexBytes(fx.index.value().shard(0)));
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().db_size(), fx.index.value().db_size());
@@ -110,17 +113,9 @@ TEST(FormatCompatTest, FragmentIndexV1FixtureLoads) {
   EXPECT_TRUE(loaded.value().tombstones().empty());
 
   // The reloaded v1 index answers queries identically to the original.
-  PisOptions options;
-  options.sigma = 2.0;
-  PisEngine before(&fx.db, &fx.index.value(), options);
-  PisEngine after(&fx.db, &loaded.value(), options);
-  for (const Graph& q : SampleQueries(fx.db, 3, 6, 19)) {
-    auto a = before.Search(q);
-    auto b = after.Search(q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().answers, b.value().answers);
-    EXPECT_EQ(a.value().candidates, b.value().candidates);
-  }
+  ExpectSameAnswers(fx.db, fx.index.value(),
+                    ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue()),
+                    SampleQueries(fx.db, 3, 6, 19));
 }
 
 // A v2 file that carries tombstones (written before the v3 trailer
@@ -132,7 +127,7 @@ TEST(FormatCompatTest, FragmentIndexV2WithTombstonesLoadsAndCompacts) {
   ASSERT_TRUE(fx.index.ok());
   const std::vector<int> dead = {1, 4, 9};
   for (int gid : dead) ASSERT_TRUE(fx.index.value().RemoveGraph(gid).ok());
-  std::stringstream in(MakeV2IndexBytes(fx.index.value()));
+  std::stringstream in(MakeV2IndexBytes(fx.index.value().shard(0)));
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().compaction_epoch(), 0u);
@@ -152,32 +147,26 @@ TEST(FormatCompatTest, FragmentIndexV2WithTombstonesLoadsAndCompacts) {
     live_db.Add(fx.db.at(gid));
     live_ids.push_back(gid);
   }
-  auto rebuilt = FragmentIndex::Build(live_db, fx.features,
-                                      fx.index.value().options());
+  auto rebuilt = ShardedFragmentIndex::Build(live_db, fx.features,
+                                             fx.index.value().options(), 1);
   ASSERT_TRUE(rebuilt.ok());
-  PisOptions options;
-  options.sigma = 2.0;
-  PisEngine compacted_engine(&live_db, &loaded.value(), options);
-  PisEngine rebuilt_engine(&live_db, &rebuilt.value(), options);
-  for (const Graph& q : SampleQueries(fx.db, 3, 6, 23)) {
-    auto a = compacted_engine.Search(q);
-    auto b = rebuilt_engine.Search(q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().answers, b.value().answers);
-    EXPECT_EQ(a.value().candidates, b.value().candidates);
-  }
+  ExpectSameAnswers(live_db, rebuilt.value(),
+                    ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue()),
+                    SampleQueries(fx.db, 3, 6, 23));
 }
 
 // v3 round trip: tombstones AND the compaction trailer survive Save/Load.
 TEST(FormatCompatTest, FragmentIndexV3RoundTripsEpochAndTombstones) {
   EngineFixture fx(10, 31);
   ASSERT_TRUE(fx.index.ok());
-  ASSERT_TRUE(fx.index.value().RemoveGraph(2).ok());
-  fx.index.value().Compact();  // epoch 1, no tombstones
-  ASSERT_TRUE(fx.index.value().RemoveGraph(5).ok());
+  auto index = fx.index.value().shard(0).Clone();
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(index.value().RemoveGraph(2).ok());
+  index.value().Compact();  // epoch 1, no tombstones
+  ASSERT_TRUE(index.value().RemoveGraph(5).ok());
 
   std::stringstream buffer;
-  ASSERT_TRUE(fx.index.value().Save(buffer).ok());
+  ASSERT_TRUE(index.value().Save(buffer).ok());
   auto loaded = FragmentIndex::Load(buffer);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().compaction_epoch(), 1u);
@@ -191,7 +180,7 @@ TEST(FormatCompatTest, FragmentIndexV3RoundTripsEpochAndTombstones) {
 TEST(FormatCompatTest, FragmentIndexV3BadLiveCountRejected) {
   EngineFixture fx(8, 41);
   ASSERT_TRUE(fx.index.ok());
-  std::string bytes = MakeV3IndexBytes(fx.index.value());
+  std::string bytes = MakeV3IndexBytes(fx.index.value().shard(0));
   PatchU32(&bytes, bytes.size() - 4, 3);  // claim 3 live of 8, all live
   std::stringstream in(bytes);
   auto loaded = FragmentIndex::Load(in);
@@ -207,29 +196,21 @@ TEST(FormatCompatTest, FragmentIndexV4FixtureLoadsAndAnswersLikeV5) {
   EngineFixture fx(12, 53);
   ASSERT_TRUE(fx.index.ok());
   ASSERT_TRUE(fx.index.value().RemoveGraph(7).ok());
+  const FragmentIndex& index = fx.index.value().shard(0);
   std::stringstream v5;
-  ASSERT_TRUE(fx.index.value().Save(v5).ok());
-  std::stringstream in(
-      MakeV4IndexBytes(fx.index.value(), fx.index.value().db_size()));
+  ASSERT_TRUE(index.Save(v5).ok());
+  std::stringstream in(MakeV4IndexBytes(index, index.db_size()));
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().db_size(), fx.index.value().db_size());
-  EXPECT_EQ(loaded.value().num_live(), fx.index.value().num_live());
+  EXPECT_EQ(loaded.value().db_size(), index.db_size());
+  EXPECT_EQ(loaded.value().num_live(), index.num_live());
   std::stringstream resaved;
   ASSERT_TRUE(loaded.value().Save(resaved).ok());
   EXPECT_EQ(resaved.str(), v5.str());
 
-  PisOptions options;
-  options.sigma = 2.0;
-  PisEngine before(&fx.db, &fx.index.value(), options);
-  PisEngine after(&fx.db, &loaded.value(), options);
-  for (const Graph& q : SampleQueries(fx.db, 3, 6, 29)) {
-    auto a = before.Search(q);
-    auto b = after.Search(q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().answers, b.value().answers);
-    EXPECT_EQ(a.value().candidates, b.value().candidates);
-  }
+  ExpectSameAnswers(fx.db, fx.index.value(),
+                    ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue()),
+                    SampleQueries(fx.db, 3, 6, 29));
 }
 
 // v5 round trip: Save -> Load -> Save must be byte-identical.
@@ -238,7 +219,7 @@ TEST(FormatCompatTest, FragmentIndexV5SaveLoadSaveIsByteIdentical) {
   ASSERT_TRUE(fx.index.ok());
   ASSERT_TRUE(fx.index.value().RemoveGraph(3).ok());
   std::stringstream first;
-  ASSERT_TRUE(fx.index.value().Save(first).ok());
+  ASSERT_TRUE(fx.index.value().shard(0).Save(first).ok());
   std::stringstream in(first.str());
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -254,7 +235,7 @@ TEST(FormatCompatTest, FragmentIndexV5SaveLoadSaveIsByteIdentical) {
 TEST(FormatCompatTest, TruncatedV4SketchSectionIsInvalidArgument) {
   EngineFixture fx(8, 67);
   ASSERT_TRUE(fx.index.ok());
-  const FragmentIndex& index = fx.index.value();
+  const FragmentIndex& index = fx.index.value().shard(0);
   const std::string v4 = MakeV4IndexBytes(index, index.db_size());
   std::stringstream v5;
   ASSERT_TRUE(index.Save(v5).ok());
@@ -278,7 +259,7 @@ TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   EngineFixture fx(6, 3);
   ASSERT_TRUE(fx.index.ok());
   std::stringstream out;
-  ASSERT_TRUE(fx.index.value().Save(out).ok());
+  ASSERT_TRUE(fx.index.value().shard(0).Save(out).ok());
   std::string bytes = out.str();
   PatchU32(&bytes, 4, 6);
   std::stringstream in(bytes);
@@ -286,6 +267,128 @@ TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+}
+
+// ---- Legacy single-file indexes --------------------------------------
+
+std::string ReadBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// EngineFixture(24, 77) with graph 5 removed, saved by
+// FragmentIndex::SaveFile: the single file `pis_cli build` wrote before
+// indexes became manifest directories.
+class LegacyIndexFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(fx_.index.ok());
+    ASSERT_TRUE(fx_.index.value().RemoveGraph(5).ok());
+    root_ = std::filesystem::path(::testing::TempDir()) /
+            ("pis_legacy_" + std::string(::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name()));
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_);
+    ASSERT_TRUE(fx_.index.value().shard(0).SaveFile(legacy()).ok());
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+  std::string legacy() const { return (root_ / "index.bin").string(); }
+
+  EngineFixture fx_{24, 77};
+  std::filesystem::path root_;
+};
+
+TEST_F(LegacyIndexFileTest, LoadsAsOneShardWithIdentityRouting) {
+  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_shards(), 1);
+  EXPECT_EQ(loaded.value().num_live(), 23);
+  EXPECT_FALSE(loaded.value().IsLive(5));
+  ASSERT_EQ(loaded.value().db_size(), 24);
+  for (int gid = 0; gid < 24; ++gid) {
+    EXPECT_EQ(loaded.value().shard_of(gid), 0);
+    EXPECT_EQ(loaded.value().global_id(0, gid), gid);
+  }
+}
+
+// The candidates, answers, and QueryStats counters below were recorded from
+// the single-index engine (one FragmentIndex, no shards) over this fixture:
+// the legacy file must filter exactly as it did — one range query per
+// fragment — through Filter and Search alike.
+TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
+  const std::vector<int> all = {0,  1,  2,  3,  4,  6,  7,  8,  9,  10, 11, 12,
+                                13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23};
+  const std::vector<int> pruned = {0,  1,  3,  4,  6,  8, 12,
+                                   14, 15, 17, 19, 20, 22};
+  struct Expected {
+    const std::vector<int>& candidates;
+    std::vector<int> answers;
+    QueryStats stats;  // counters only
+  };
+  auto stats = [](size_t kept, size_t partition, double weight,
+                  size_t final_count) {
+    QueryStats s;
+    s.fragments_enumerated = s.range_queries = 9;
+    s.fragments_kept = kept;
+    s.partition_size = partition;
+    s.partition_weight = weight;
+    s.candidates_after_intersection = 23;
+    s.candidates_final = final_count;
+    return s;
+  };
+  const Expected expected[] = {
+      {all, {3, 16}, stats(1, 1, 0.30434782608695654, 23)},
+      {pruned,
+       {0, 1, 8, 15, 17, 19, 20, 22},
+       stats(5, 3, 1.3043478260869565, 13)},
+      {pruned, {0, 8, 19, 20}, stats(5, 3, 1.3043478260869565, 13)},
+      {all,
+       {1, 3, 6, 7, 9, 10, 11, 13, 15, 16, 18, 19, 22},
+       stats(0, 0, 0, 23)},
+  };
+  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  PisOptions options;
+  options.sigma = 2.0;
+  PisEngine engine(&fx_.db, &loaded.value(), options);
+  const std::vector<Graph> queries = SampleQueries(fx_.db, 4, 9, 17);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    SCOPED_TRACE("query " + std::to_string(qi));
+    auto filtered = engine.Filter(queries[qi]);
+    auto searched = engine.Search(queries[qi]);
+    ASSERT_TRUE(filtered.ok() && searched.ok());
+    QueryStats want = expected[qi].stats;
+    EXPECT_EQ(filtered.value().candidates, expected[qi].candidates);
+    pis::testing::ExpectSameCounters(want, filtered.value().stats);
+    EXPECT_EQ(searched.value().candidates, expected[qi].candidates);
+    EXPECT_EQ(searched.value().answers, expected[qi].answers);
+    want.answers = expected[qi].answers.size();
+    pis::testing::ExpectSameCounters(want, searched.value().stats);
+  }
+}
+
+// SaveDir of a loaded legacy index writes a one-shard directory whose shard
+// file is the legacy file byte for byte; SaveDir -> LoadDir -> SaveDir is
+// byte-stable; saving over the legacy file itself swaps a directory in.
+TEST_F(LegacyIndexFileTest, SaveDirRoundTripIsByteStable) {
+  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::filesystem::path first = root_ / "first";
+  const std::filesystem::path second = root_ / "second";
+  ASSERT_TRUE(loaded.value().SaveDir(first.string()).ok());
+  EXPECT_EQ(ReadBytes(first / "shard_0000.idx"), ReadBytes(legacy()));
+  auto reloaded = ShardedFragmentIndex::LoadDir(first.string());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_TRUE(reloaded.value().SaveDir(second.string()).ok());
+  for (const char* file : {"MANIFEST", "shard_0000.idx"}) {
+    EXPECT_EQ(ReadBytes(first / file), ReadBytes(second / file)) << file;
+  }
+  ASSERT_TRUE(loaded.value().SaveDir(legacy()).ok());
+  EXPECT_EQ(ReadBytes(std::filesystem::path(legacy()) / "MANIFEST"),
+            ReadBytes(first / "MANIFEST"));
 }
 
 class ManifestCompatTest : public ::testing::Test {

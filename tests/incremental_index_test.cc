@@ -82,7 +82,9 @@ TEST_P(IncrementalIndexTest, AddGraphEqualsRebuild) {
   // End-to-end: the incrementally maintained index answers SSSD correctly.
   PisOptions pis_options;
   pis_options.sigma = 2;
-  PisEngine engine(&full, &incremental.value(), pis_options);
+  const ShardedFragmentIndex wrapped =
+      ShardedFragmentIndex::FromFragmentIndex(incremental.MoveValue());
+  PisEngine engine(&full, &wrapped, pis_options);
   auto query = sampler.Sample(8);
   ASSERT_TRUE(query.ok());
   auto pis = engine.Search(query.value());

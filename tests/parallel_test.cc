@@ -92,14 +92,18 @@ TEST(ParallelBuildTest, MatchesSequentialBuild) {
             par.value().stats().num_fragment_occurrences);
 
   // Identical query behaviour end to end.
+  const ShardedFragmentIndex seq_index =
+      ShardedFragmentIndex::FromFragmentIndex(seq.MoveValue());
+  const ShardedFragmentIndex par_index =
+      ShardedFragmentIndex::FromFragmentIndex(par.MoveValue());
   QuerySampler sampler(&db, {.seed = 5, .strip_vertex_labels = true});
   for (int trial = 0; trial < 4; ++trial) {
     auto query = sampler.Sample(8);
     ASSERT_TRUE(query.ok());
     PisOptions options;
     options.sigma = 2;
-    PisEngine seq_engine(&db, &seq.value(), options);
-    PisEngine par_engine(&db, &par.value(), options);
+    PisEngine seq_engine(&db, &seq_index, options);
+    PisEngine par_engine(&db, &par_index, options);
     auto a = seq_engine.Search(query.value());
     auto b = par_engine.Search(query.value());
     ASSERT_TRUE(a.ok() && b.ok());
@@ -122,7 +126,7 @@ TEST(ParallelEngineTest, VerifyThreadsOptionIsSound) {
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);
   FragmentIndexOptions iopt;
   iopt.max_fragment_edges = 4;
-  auto index = FragmentIndex::Build(db, features, iopt);
+  auto index = ShardedFragmentIndex::Build(db, features, iopt, 1);
   ASSERT_TRUE(index.ok());
 
   QuerySampler sampler(&db, {.seed = 7, .strip_vertex_labels = true});

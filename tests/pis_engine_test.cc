@@ -10,51 +10,14 @@
 #include "core/naive_search.h"
 #include "core/topo_prune.h"
 #include "distance/superimposed.h"
-#include "graph/generator.h"
+#include "engine_test_util.h"
 #include "graph/query_sampler.h"
-#include "mining/feature_selector.h"
-#include "mining/gspan.h"
 
 namespace pis {
 namespace {
 
-struct Fixture {
-  GraphDatabase db;
-  std::vector<Graph> features;
-  Result<FragmentIndex> index = Status::Internal("unbuilt");
-
-  explicit Fixture(int db_size, uint64_t seed, int max_fragment_edges = 4,
-                   DistanceSpec spec = DistanceSpec::EdgeMutation()) {
-    MoleculeGeneratorOptions gopt;
-    gopt.seed = seed;
-    gopt.mean_vertices = 16;
-    gopt.max_vertices = 60;
-    MoleculeGenerator gen(gopt);
-    db = gen.Generate(db_size);
-
-    GraphDatabase skeletons;
-    for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
-    GspanOptions mine;
-    mine.min_support = std::max(2, db_size / 10);
-    mine.max_edges = max_fragment_edges;
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
-    EXPECT_TRUE(patterns.ok());
-    FeatureSelectorOptions select;
-    select.gamma = 1.2;
-    auto selected =
-        SelectDiscriminativeFeatures(patterns.value(), db_size, select);
-    EXPECT_TRUE(selected.ok());
-    for (size_t idx : selected.value()) {
-      features.push_back(patterns.value()[idx].graph);
-    }
-
-    FragmentIndexOptions iopt;
-    iopt.max_fragment_edges = max_fragment_edges;
-    iopt.spec = spec;
-    index = FragmentIndex::Build(db, features, iopt);
-    EXPECT_TRUE(index.ok());
-  }
-};
+// The shared engine fixture: a one-shard index over a generated database.
+using Fixture = ::pis::testing::EngineFixture;
 
 TEST(PisEngineTest, AnswersMatchNaiveScan) {
   Fixture fx(40, 11);
@@ -105,7 +68,7 @@ TEST(PisEngineTest, CandidatesContainAnswersAndSubsetTopoPrune) {
   PisOptions options;
   options.sigma = 1;
   PisEngine engine(&fx.db, &fx.index.value(), options);
-  TopoPruneEngine topo(&fx.db, &fx.index.value());
+  TopoPruneEngine topo(&fx.db, &fx.index.value().shard(0));
   QuerySampler sampler(&fx.db, {.seed = 9, .strip_vertex_labels = true});
   for (int trial = 0; trial < 8; ++trial) {
     auto query = sampler.Sample(10);
@@ -171,6 +134,7 @@ TEST(PisEngineTest, LowerBoundHolds) {
         // Use the index directly: minimum distance for this fragment/graph.
         double min_d = kInfiniteDistance;
         ASSERT_TRUE(fx.index.value()
+                        .shard(0)
                         .RangeQuery(filtered.value().fragments[fi].prepared,
                                     options.sigma,
                                     [&](int g2, double d) {
@@ -243,7 +207,7 @@ TEST(PisEngineTest, LinearDistanceEndToEnd) {
 
 TEST(PisEngineTest, TopoPruneMatchesNaiveAnswersToo) {
   Fixture fx(30, 83);
-  TopoPruneEngine topo(&fx.db, &fx.index.value());
+  TopoPruneEngine topo(&fx.db, &fx.index.value().shard(0));
   QuerySampler sampler(&fx.db, {.seed = 19, .strip_vertex_labels = true});
   for (int trial = 0; trial < 5; ++trial) {
     auto query = sampler.Sample(8);

@@ -214,7 +214,7 @@ TEST(SearchBatchTest, ShardedBatchUsesTheEnumerationCacheToo) {
   ASSERT_TRUE(sharded.ok());
   PisOptions options;
   options.sigma = 2;
-  ShardedPisEngine engine(&fx.db, &sharded.value(), options);
+  PisEngine engine(&fx.db, &sharded.value(), options);
   std::vector<Graph> distinct = SampleQueries(fx.db, 2, 8, 37);
   std::vector<Graph> queries(4, distinct[0]);
   queries.push_back(distinct[1]);
@@ -222,16 +222,7 @@ TEST(SearchBatchTest, ShardedBatchUsesTheEnumerationCacheToo) {
   BatchSearchResult batch =
       engine.SearchBatch(std::span<const Graph>(queries), /*num_threads=*/1);
   EXPECT_EQ(batch.total_stats.enum_cache_hits, 3u);
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    Result<SearchResult> sequential = engine.Search(queries[qi]);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_TRUE(batch.results[qi].ok());
-    EXPECT_EQ(sequential.value().answers, batch.results[qi].value().answers);
-    EXPECT_EQ(sequential.value().candidates,
-              batch.results[qi].value().candidates);
-    ExpectSameCounters(sequential.value().stats,
-                       batch.results[qi].value().stats);
-  }
+  ExpectBatchMatchesSequential(engine, queries, 1);
 }
 
 }  // namespace

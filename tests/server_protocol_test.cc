@@ -170,7 +170,7 @@ TEST_F(ServerProtocolTest, PerRequestSigmaOverride) {
   PisOptions zero = host_->options();
   zero.sigma = 0.0;
   auto snap = host_->snapshot();
-  ShardedPisEngine engine(snap->db.get(), snap->index.get(), zero);
+  PisEngine engine(snap->db.get(), snap->index.get(), zero);
   auto want = engine.Search(query);
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(AnswerIds(reply), want.value().answers);

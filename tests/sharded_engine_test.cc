@@ -1,8 +1,9 @@
-// Equivalence and persistence of the sharded engine: for any shard count
-// and any thread count, ShardedPisEngine must reproduce PisEngine's
-// answers, candidates, and partition-derived stats exactly, and a sharded
-// index must survive a manifest-directory save/load round trip.
-#include "core/sharded_pis.h"
+// Equivalence and persistence of sharding: for any shard count and any
+// thread count, PisEngine over a sharded index must reproduce its answers,
+// candidates, and partition-derived stats over a one-shard index exactly,
+// and a sharded index must survive a manifest-directory save/load round
+// trip.
+#include "core/pis.h"
 
 #include <gtest/gtest.h>
 
@@ -20,26 +21,19 @@ namespace {
 using ::pis::testing::EngineFixture;
 using ::pis::testing::SampleQueries;
 
-// Everything except range_queries (the sharded engine counts per-shard
-// physical queries) and timings must match the unsharded engine.
+// Everything except range_queries (the engine counts per-shard physical
+// queries) and timings must match the one-shard engine. Pass 2 replays
+// cached pass-1 maps, so the physical query count is exactly one per
+// fragment per shard.
 void ExpectEquivalent(const SearchResult& unsharded, const SearchResult& sharded,
                       int num_shards) {
   EXPECT_EQ(unsharded.answers, sharded.answers);
   EXPECT_EQ(unsharded.candidates, sharded.candidates);
-  const QueryStats& a = unsharded.stats;
-  const QueryStats& b = sharded.stats;
-  EXPECT_EQ(a.fragments_enumerated, b.fragments_enumerated);
-  EXPECT_EQ(a.fragments_kept, b.fragments_kept);
-  EXPECT_EQ(a.partition_size, b.partition_size);
-  EXPECT_DOUBLE_EQ(a.partition_weight, b.partition_weight);
-  EXPECT_EQ(a.candidates_after_intersection, b.candidates_after_intersection);
-  EXPECT_EQ(a.candidates_final, b.candidates_final);
-  EXPECT_EQ(a.answers, b.answers);
-  // Pass 2 replays cached pass-1 maps in both engines, so the physical
-  // query count is exactly one per fragment per (shard) index.
-  EXPECT_EQ(a.range_queries, a.fragments_enumerated);
-  EXPECT_EQ(b.range_queries,
-            a.fragments_enumerated * static_cast<size_t>(num_shards));
+  EXPECT_EQ(unsharded.stats.range_queries,
+            unsharded.stats.fragments_enumerated);
+  QueryStats scaled = unsharded.stats;
+  scaled.range_queries *= num_shards;
+  pis::testing::ExpectSameCounters(scaled, sharded.stats);
 }
 
 Result<ShardedFragmentIndex> BuildSharded(const EngineFixture& fx,
@@ -69,7 +63,7 @@ TEST_P(ShardedEquivalenceTest, MatchesUnshardedEngine) {
   options.sigma = 2.0;
   options.shard_threads = rng.UniformInt(1, 4);
   PisEngine unsharded(&fx.db, &fx.index.value(), options);
-  ShardedPisEngine engine(&fx.db, &sharded.value(), options);
+  PisEngine engine(&fx.db, &sharded.value(), options);
 
   std::vector<Graph> queries = SampleQueries(fx.db, 6, 8, 77 + seed);
   for (const Graph& q : queries) {
@@ -140,7 +134,7 @@ TEST(ShardedIndexTest, MoreShardsThanGraphsStillExact) {
   PisOptions options;
   options.sigma = 2.0;
   PisEngine unsharded(&fx.db, &fx.index.value(), options);
-  ShardedPisEngine engine(&fx.db, &sharded.value(), options);
+  PisEngine engine(&fx.db, &sharded.value(), options);
   for (const Graph& q : SampleQueries(fx.db, 3, 6, 31)) {
     auto want = unsharded.Search(q);
     auto got = engine.Search(q);
@@ -153,7 +147,7 @@ TEST(ShardedEngineTest, EmptyQueryIsInvalidArgument) {
   EngineFixture fx(20, 4);
   auto sharded = BuildSharded(fx, 3, 1);
   ASSERT_TRUE(sharded.ok());
-  ShardedPisEngine engine(&fx.db, &sharded.value(), {});
+  PisEngine engine(&fx.db, &sharded.value(), {});
   EXPECT_EQ(engine.Search(Graph()).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -181,8 +175,8 @@ TEST(ShardedIndexIoTest, SaveLoadRoundTrip) {
 
   PisOptions options;
   options.sigma = 2.0;
-  ShardedPisEngine before(&fx.db, &sharded.value(), options);
-  ShardedPisEngine after(&fx.db, &loaded.value(), options);
+  PisEngine before(&fx.db, &sharded.value(), options);
+  PisEngine after(&fx.db, &loaded.value(), options);
   for (const Graph& q : SampleQueries(fx.db, 4, 8, 55)) {
     auto a = before.Search(q);
     auto b = after.Search(q);
@@ -194,8 +188,8 @@ TEST(ShardedIndexIoTest, SaveLoadRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-// Satellite: the per-shard counters of a sharded SearchBatch must aggregate
-// exactly to the unsharded engine's counts on identical inputs — counter
+// The per-shard counters of a sharded SearchBatch must aggregate exactly to
+// the one-shard engine's counts on identical inputs — counter
 // drift would silently invalidate every figure the bench harness produces.
 // range_queries is the one documented exception: each fragment costs one
 // physical query per shard.
@@ -208,7 +202,7 @@ TEST(ShardedStatsTest, BatchCountersAggregateExactly) {
   PisOptions options;
   options.sigma = 2.0;
   PisEngine unsharded(&fx.db, &fx.index.value(), options);
-  ShardedPisEngine engine(&fx.db, &sharded.value(), options);
+  PisEngine engine(&fx.db, &sharded.value(), options);
 
   std::vector<Graph> queries = SampleQueries(fx.db, 8, 8, 63);
   BatchSearchResult want = unsharded.SearchBatch(queries, 3);
@@ -216,16 +210,10 @@ TEST(ShardedStatsTest, BatchCountersAggregateExactly) {
   ASSERT_EQ(want.failed, 0u);
   ASSERT_EQ(got.failed, 0u);
 
-  const QueryStats& a = want.total_stats;
   const QueryStats& b = got.total_stats;
-  EXPECT_EQ(a.fragments_enumerated, b.fragments_enumerated);
-  EXPECT_EQ(a.fragments_kept, b.fragments_kept);
-  EXPECT_EQ(a.partition_size, b.partition_size);
-  EXPECT_DOUBLE_EQ(a.partition_weight, b.partition_weight);
-  EXPECT_EQ(a.candidates_after_intersection, b.candidates_after_intersection);
-  EXPECT_EQ(a.candidates_final, b.candidates_final);
-  EXPECT_EQ(a.answers, b.answers);
-  EXPECT_EQ(b.range_queries, a.range_queries * static_cast<size_t>(kShards));
+  QueryStats scaled = want.total_stats;
+  scaled.range_queries *= kShards;
+  pis::testing::ExpectSameCounters(scaled, b);
 
   // The batch totals are exactly the sum of the per-query stats — nothing
   // counted twice, nothing dropped by the fan-out.

@@ -14,9 +14,9 @@ namespace {
 
 struct Fixture {
   GraphDatabase db;
-  Result<FragmentIndex> index = Status::Internal("unbuilt");
+  Result<ShardedFragmentIndex> index = Status::Internal("unbuilt");
 
-  explicit Fixture(uint64_t seed, int db_size = 30) {
+  explicit Fixture(uint64_t seed, int db_size = 30, int num_shards = 1) {
     MoleculeGeneratorOptions gopt;
     gopt.seed = seed;
     gopt.mean_vertices = 14;
@@ -34,7 +34,7 @@ struct Fixture {
     for (const Pattern& p : patterns.value()) features.push_back(p.graph);
     FragmentIndexOptions opts;
     opts.max_fragment_edges = 4;
-    index = FragmentIndex::Build(db, features, opts);
+    index = ShardedFragmentIndex::Build(db, features, opts, num_shards);
     EXPECT_TRUE(index.ok());
   }
 
@@ -144,6 +144,31 @@ TEST(TopKTest, MaxSigmaBoundsResults) {
     EXPECT_LE(d, 1.0);
   }
   EXPECT_LE(result.value().final_sigma, 1.0);
+}
+
+// Sharding changes only how the index is stored: every round filters to the
+// same global candidates, so the results, the σ schedule, and even the
+// verification count match the one-shard index.
+TEST(TopKTest, ThreeShardsMatchOneShard) {
+  Fixture one(7);
+  Fixture three(7, 30, 3);
+  ASSERT_TRUE(one.index.ok() && three.index.ok());
+  ASSERT_EQ(three.index.value().num_shards(), 3);
+  QuerySampler sampler(&one.db, {.seed = 11, .strip_vertex_labels = true});
+  auto query = sampler.Sample(8);
+  ASSERT_TRUE(query.ok());
+  for (int k : {1, 5, 12}) {
+    TopKOptions options;
+    options.k = k;
+    auto want = TopKSearch(one.db, one.index.value(), query.value(), options);
+    auto got = TopKSearch(three.db, three.index.value(), query.value(), options);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().results, want.value().results) << "k=" << k;
+    EXPECT_EQ(got.value().rounds, want.value().rounds);
+    EXPECT_EQ(got.value().final_sigma, want.value().final_sigma);
+    EXPECT_EQ(got.value().verifications, want.value().verifications);
+  }
 }
 
 TEST(TopKTest, ZeroInitialSigmaFindsExactMatchesFirst) {

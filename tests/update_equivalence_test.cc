@@ -1,6 +1,6 @@
 // The differential update harness: any seeded interleaving of AddGraph /
-// RemoveGraph / Search against the incrementally maintained indexes —
-// sharded ({1, 3, 8} shards) and unsharded — must produce answers,
+// RemoveGraph / Search against the incrementally maintained index over
+// {1, 3, 8} shards must produce answers,
 // candidates, and filter counters identical to an index rebuilt from
 // scratch over the live graphs after every single step, and again after a
 // persistence round trip. This is the checkable form of the incremental
@@ -51,9 +51,9 @@ TEST_P(UpdateEquivalenceTest, EveryStepMatchesFromScratchRebuild) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  // The mutated indexes must survive persistence: directory round trip for
-  // the sharded index (manifest routing + per-shard tombstones), stream
-  // round trip for the flat one — then pass the same differential check.
+  // The mutated index must survive persistence: a directory round trip
+  // (manifest routing + per-shard tombstones), then the same differential
+  // check.
   h.SaveLoadRoundTrip("update_eq");
   if (::testing::Test::HasFatalFailure()) return;
   h.CheckAgainstRebuild();

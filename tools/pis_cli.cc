@@ -2,35 +2,34 @@
 //
 //   pis_cli generate  --out db.txt [--count N] [--seed S]
 //   pis_cli convert   --sdf file.sdf --out db.txt [--max N]
-//   pis_cli build     --db db.txt --out index.bin [--max_fragment_edges K]
+//   pis_cli build     --db db.txt --out index_dir [--max_fragment_edges K]
 //                     [--min_support F] [--gamma G] [--distance mutation|linear]
 //                     [--shards S] [--threads N]
-//   pis_cli stats     --index index.bin [--json]
-//   pis_cli query     --db db.txt --index index.bin --query query.txt
+//   pis_cli stats     --index index_dir [--json]
+//   pis_cli query     --db db.txt --index index_dir --query query.txt
 //                     [--sigma S] [--engine pis|topo|naive]
 //                     [--batch] [--threads N]
-//   pis_cli topk      --db db.txt --index index.bin --query query.txt [--k K]
-//   pis_cli add       --db db.txt --index index.bin --graphs new.txt
-//   pis_cli remove    --index index.bin --ids 3,17,42
+//   pis_cli topk      --db db.txt --index index_dir --query query.txt [--k K]
+//   pis_cli add       --db db.txt --index index_dir --graphs new.txt
+//   pis_cli remove    --index index_dir --ids 3,17,42
 //                     [--compact_dead_ratio R]
-//   pis_cli compact   --index index.bin [--db db.txt]
+//   pis_cli compact   --index index_dir [--db db.txt]
 //                     [--min_dead_ratio R] [--rebalance]
 //
-// With --shards > 1, build writes a sharded index directory (manifest plus
-// one file per shard) instead of a single file; stats, query, add, remove,
-// and compact detect the directory and use the sharded index transparently.
+// build writes an index directory (a manifest plus one file per shard;
+// --shards defaults to 1). Every other subcommand also accepts a legacy
+// single-file index, which loads as one shard; a subcommand that saves the
+// index replaces such a file with a directory.
 //
 // `add` indexes every graph in --graphs incrementally (no rebuild), appends
 // them to the --db file so ids stay aligned, and saves the index in place.
 // `remove` tombstones the given ids in the index (the db file keeps its
 // records; removed ids simply stop matching queries); with
-// --compact_dead_ratio, any sharded shard whose dead fraction crosses the
-// threshold is compacted in the same run. `compact` reclaims tombstoned
-// postings: on a sharded directory it rewrites the affected shards in place
-// (global ids stay stable, the db file is untouched; --rebalance
-// additionally migrates graphs off overloaded shards and needs --db); on a
-// single-file index it re-densifies ids, so --db is required and the db
-// file is rewritten without the removed graphs.
+// --compact_dead_ratio, any shard whose dead fraction crosses the threshold
+// is compacted in the same run. `compact` reclaims tombstoned postings by
+// rewriting the affected shards; global ids stay stable and the db file is
+// untouched. --rebalance additionally migrates graphs off overloaded shards
+// and needs --db.
 //
 // Graph files use the native text format (see src/graph/io.h); the query
 // file holds a single record, or any number of records with --batch.
@@ -131,13 +130,12 @@ int CmdBuild(int argc, char** argv) {
   int threads = 1;
   FlagSet flags;
   flags.AddString("db", &db_path, "database path");
-  flags.AddString("out", &out, "output index path");
+  flags.AddString("out", &out, "output index directory");
   flags.AddInt("max_fragment_edges", &max_fragment_edges, "max indexed size");
   flags.AddDouble("min_support", &min_support, "relative feature min support");
   flags.AddDouble("gamma", &gamma, "gIndex discriminative ratio");
   flags.AddString("distance", &distance, "mutation | linear");
-  flags.AddInt("shards", &shards,
-               "shard count; > 1 writes a sharded index directory");
+  flags.AddInt("shards", &shards, "shard count");
   flags.AddInt("threads", &threads, "index build threads (0 = all hardware)");
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
@@ -156,31 +154,19 @@ int CmdBuild(int argc, char** argv) {
   auto spec = DistanceSpecFromName(distance);
   if (!spec.ok()) return Fail(spec.status());
   options.spec = spec.value();
-  if (shards > 1) {
-    auto index =
-        ShardedFragmentIndex::Build(db.value(), features.value(), options, shards);
-    if (!index.ok()) return Fail(index.status());
-    Status saved = index.value().SaveDir(out);
-    if (!saved.ok()) return Fail(saved);
-    size_t occurrences = 0;
-    for (int s = 0; s < index.value().num_shards(); ++s) {
-      occurrences += index.value().shard(s).stats().num_fragment_occurrences;
-    }
-    std::printf(
-        "built sharded index: %d shards, %d classes, %zu fragments in "
-        "%.2fs -> %s/\n",
-        index.value().num_shards(), index.value().num_classes(), occurrences,
-        index.value().build_seconds(), out.c_str());
-    return 0;
-  }
-  auto index = FragmentIndex::Build(db.value(), features.value(), options);
+  auto index =
+      ShardedFragmentIndex::Build(db.value(), features.value(), options, shards);
   if (!index.ok()) return Fail(index.status());
-  Status saved = index.value().SaveFile(out);
+  Status saved = index.value().SaveDir(out);
   if (!saved.ok()) return Fail(saved);
-  std::printf("built index: %d classes over %zu fragments in %.2fs -> %s\n",
-              index.value().num_classes(),
-              index.value().stats().num_fragment_occurrences,
-              index.value().stats().build_seconds, out.c_str());
+  size_t occurrences = 0;
+  for (int s = 0; s < index.value().num_shards(); ++s) {
+    occurrences += index.value().shard(s).stats().num_fragment_occurrences;
+  }
+  std::printf(
+      "built index: %d shard(s), %d classes, %zu fragments in %.2fs -> %s/\n",
+      index.value().num_shards(), index.value().num_classes(), occurrences,
+      index.value().build_seconds(), out.c_str());
   return 0;
 }
 
@@ -194,98 +180,60 @@ int CmdStats(int argc, char** argv) {
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
   if (!st.ok()) return Fail(st);
-  if (std::filesystem::is_directory(index_path)) {
-    auto sharded = ShardedFragmentIndex::LoadDir(index_path);
-    if (!sharded.ok()) return Fail(sharded.status());
-    const ShardedFragmentIndex& idx = sharded.value();
-    if (json) {
-      // Same shape as the server's `stats` reply payload (minus the
-      // host-only epoch/background counters), so operators and
-      // bench_server scrape one format instead of text.
-      JsonValue obj = JsonValue::Object();
-      obj.Set("type", "sharded");
-      obj.Set("db_slots", idx.db_size());
-      obj.Set("live", idx.num_live());
-      obj.Set("removed", static_cast<uint64_t>(idx.tombstones().size()));
-      obj.Set("num_shards", idx.num_shards());
-      obj.Set("classes", idx.num_classes());
-      obj.Set("compaction_epoch", idx.compaction_epoch());
-      obj.Set("compact_dead_ratio", idx.compact_dead_ratio());
-      JsonValue shard_list = JsonValue::Array();
-      for (int s = 0; s < idx.num_shards(); ++s) {
-        const FragmentIndex& shard = idx.shard(s);
-        JsonValue entry = JsonValue::Object();
-        entry.Set("resident", idx.shard_size(s));
-        entry.Set("live", shard.num_live());
-        entry.Set("dead", static_cast<uint64_t>(shard.tombstones().size()));
-        entry.Set("dead_ratio", shard.dead_ratio());
-        entry.Set("fragment_occurrences",
-                  static_cast<uint64_t>(
-                      shard.stats().num_fragment_occurrences));
-        shard_list.Push(std::move(entry));
-      }
-      obj.Set("shards", std::move(shard_list));
-      std::printf("%s\n", obj.Serialize().c_str());
-      return 0;
-    }
-    std::printf("sharded index over %d id slots (%d live, %zu removed)\n",
-                idx.db_size(), idx.num_live(), idx.tombstones().size());
-    std::printf("shards: %d, classes: %d, compaction epoch: %d\n",
-                idx.num_shards(), idx.num_classes(), idx.compaction_epoch());
-    if (idx.compact_dead_ratio() > 0) {
-      std::printf("auto-compaction dead ratio: %.2f\n",
-                  idx.compact_dead_ratio());
-    }
-    for (int s = 0; s < idx.num_shards(); ++s) {
-      const FragmentIndex& shard = idx.shard(s);
-      // Per-shard tombstone pressure is the signal operators compact on.
-      std::printf(
-          "  shard %d: %d resident (%d live, %zu dead, dead ratio %.2f), "
-          "%zu fragment occurrences\n",
-          s, idx.shard_size(s), shard.num_live(), shard.tombstones().size(),
-          shard.dead_ratio(), shard.stats().num_fragment_occurrences);
-    }
-    return 0;
-  }
-  auto index = FragmentIndex::LoadFile(index_path);
+  auto index = ShardedFragmentIndex::LoadDir(index_path);
   if (!index.ok()) return Fail(index.status());
-  const FragmentIndex& idx = index.value();
+  const ShardedFragmentIndex& idx = index.value();
+  const char* distance =
+      idx.options().spec.type == DistanceType::kMutation ? "mutation" : "linear";
   if (json) {
+    // Same shape as the server's `stats` reply payload (minus the
+    // host-only epoch/background counters), so operators and
+    // bench_server scrape one format instead of text.
     JsonValue obj = JsonValue::Object();
-    obj.Set("type", "flat");
+    obj.Set("type", "sharded");
     obj.Set("db_slots", idx.db_size());
     obj.Set("live", idx.num_live());
     obj.Set("removed", static_cast<uint64_t>(idx.tombstones().size()));
-    obj.Set("dead_ratio", idx.dead_ratio());
+    obj.Set("num_shards", idx.num_shards());
     obj.Set("classes", idx.num_classes());
-    obj.Set("compaction_epoch", static_cast<int>(idx.compaction_epoch()));
-    obj.Set("distance", idx.options().spec.type == DistanceType::kMutation
-                            ? "mutation"
-                            : "linear");
-    obj.Set("fragment_occurrences",
-            static_cast<uint64_t>(idx.stats().num_fragment_occurrences));
+    obj.Set("distance", distance);
+    obj.Set("compaction_epoch", idx.compaction_epoch());
+    obj.Set("compact_dead_ratio", idx.compact_dead_ratio());
+    JsonValue shard_list = JsonValue::Array();
+    for (int s = 0; s < idx.num_shards(); ++s) {
+      const FragmentIndex& shard = idx.shard(s);
+      JsonValue entry = JsonValue::Object();
+      entry.Set("resident", idx.shard_size(s));
+      entry.Set("live", shard.num_live());
+      entry.Set("dead", static_cast<uint64_t>(shard.tombstones().size()));
+      entry.Set("dead_ratio", shard.dead_ratio());
+      entry.Set("fragment_occurrences",
+                static_cast<uint64_t>(shard.stats().num_fragment_occurrences));
+      shard_list.Push(std::move(entry));
+    }
+    obj.Set("shards", std::move(shard_list));
     std::printf("%s\n", obj.Serialize().c_str());
     return 0;
   }
-  std::printf(
-      "index over a %d-graph database (%d live, %zu dead, dead ratio %.2f, "
-      "compaction epoch %u)\n",
-      idx.db_size(), idx.num_live(), idx.tombstones().size(), idx.dead_ratio(),
-      idx.compaction_epoch());
-  std::printf("distance: %s\n",
-              idx.options().spec.type == DistanceType::kMutation ? "mutation"
-                                                                 : "linear");
-  std::printf("fragment sizes: %d..%d edges\n", idx.options().min_fragment_edges,
+  std::printf("index over %d id slots (%d live, %zu removed)\n",
+              idx.db_size(), idx.num_live(), idx.tombstones().size());
+  std::printf("shards: %d, classes: %d, compaction epoch: %d\n",
+              idx.num_shards(), idx.num_classes(), idx.compaction_epoch());
+  std::printf("distance: %s, fragment sizes: %d..%d edges\n", distance,
+              idx.options().min_fragment_edges,
               idx.options().max_fragment_edges);
-  std::printf("classes: %d\n", idx.num_classes());
-  std::printf("fragment occurrences: %zu\n",
-              idx.stats().num_fragment_occurrences);
-  std::printf("sequences: %zu\n", idx.stats().num_sequences_inserted);
-  size_t max_fragments = 0;
-  for (int c = 0; c < idx.num_classes(); ++c) {
-    max_fragments = std::max(max_fragments, idx.class_at(c).num_fragments());
+  if (idx.compact_dead_ratio() > 0) {
+    std::printf("auto-compaction dead ratio: %.2f\n", idx.compact_dead_ratio());
   }
-  std::printf("largest class: %zu fragments\n", max_fragments);
+  for (int s = 0; s < idx.num_shards(); ++s) {
+    const FragmentIndex& shard = idx.shard(s);
+    // Per-shard tombstone pressure is the signal operators compact on.
+    std::printf(
+        "  shard %d: %d resident (%d live, %zu dead, dead ratio %.2f), "
+        "%zu fragment occurrences\n",
+        s, idx.shard_size(s), shard.num_live(), shard.tombstones().size(),
+        shard.dead_ratio(), shard.stats().num_fragment_occurrences);
+  }
   return 0;
 }
 
@@ -299,10 +247,8 @@ Result<Graph> LoadQuery(const std::string& path) {
 }
 
 // Runs a whole query file as one SearchBatch and prints per-query answer
-// lines plus aggregate stats. Returns a process exit code. `Engine` is
-// PisEngine or ShardedPisEngine (same SearchBatch contract).
-template <typename Engine>
-int RunBatchQuery(const Engine& engine, const std::string& query_path,
+// lines plus aggregate stats. Returns a process exit code.
+int RunBatchQuery(const PisEngine& engine, const std::string& query_path,
                   int threads) {
   if (query_path.empty()) {
     return Fail(Status::InvalidArgument("--query is required"));
@@ -361,39 +307,29 @@ int CmdQuery(int argc, char** argv) {
   }
   auto db = LoadDb(db_path);
   if (!db.ok()) return Fail(db.status());
-  // A directory index is a sharded index (build --shards > 1); only the
-  // PIS engine understands it.
-  const bool sharded =
-      engine != "naive" && std::filesystem::is_directory(index_path);
-  if (sharded && engine != "pis") {
-    return Fail(Status::InvalidArgument(
-        "sharded index directories require --engine pis"));
-  }
-  Result<FragmentIndex> index = Status::Internal("index not loaded");
-  Result<ShardedFragmentIndex> sharded_index =
-      Status::Internal("index not loaded");
-  if (sharded) {
-    sharded_index = ShardedFragmentIndex::LoadDir(index_path);
-    if (!sharded_index.ok()) return Fail(sharded_index.status());
-    if (sharded_index.value().db_size() != db.value().size()) {
-      return Fail(Status::InvalidArgument(
-          "index was built over a different database size"));
-    }
-  } else if (engine != "naive") {
-    index = FragmentIndex::LoadFile(index_path);
+  Result<ShardedFragmentIndex> index = Status::Internal("index not loaded");
+  if (engine != "naive") {
+    index = ShardedFragmentIndex::LoadDir(index_path);
     if (!index.ok()) return Fail(index.status());
     if (index.value().db_size() != db.value().size()) {
       return Fail(Status::InvalidArgument(
           "index was built over a different database size"));
     }
+    // The topology-pruning baseline runs over one FragmentIndex and reads
+    // its local ids as global ones.
+    if (engine == "topo" && index.value().num_shards() > 1) {
+      return Fail(Status::InvalidArgument(
+          "multi-shard indexes require --engine pis"));
+    }
+    if (engine == "topo" && !index.value().identity_routing()) {
+      return Fail(Status::InvalidArgument(
+          "--engine topo cannot run on an index compacted after removals; "
+          "use --engine pis"));
+    }
   }
   PisOptions options;
   options.sigma = sigma;
   if (batch) {
-    if (sharded) {
-      ShardedPisEngine pis_engine(&db.value(), &sharded_index.value(), options);
-      return RunBatchQuery(pis_engine, query_path, threads);
-    }
     PisEngine pis_engine(&db.value(), &index.value(), options);
     return RunBatchQuery(pis_engine, query_path, threads);
   }
@@ -404,14 +340,11 @@ int CmdQuery(int argc, char** argv) {
   if (engine == "naive") {
     result = NaiveSearch(db.value(), query.value(), DistanceSpec::EdgeMutation(),
                          sigma);
-  } else if (engine == "pis" && sharded) {
-    ShardedPisEngine pis_engine(&db.value(), &sharded_index.value(), options);
-    result = pis_engine.Search(query.value());
   } else if (engine == "pis") {
     PisEngine pis_engine(&db.value(), &index.value(), options);
     result = pis_engine.Search(query.value());
   } else {
-    TopoPruneEngine topo(&db.value(), &index.value());
+    TopoPruneEngine topo(&db.value(), &index.value().shard(0));
     result = topo.Search(query.value(), sigma);
   }
   if (!result.ok()) return Fail(result.status());
@@ -438,13 +371,12 @@ int CmdTopK(int argc, char** argv) {
   if (!st.ok()) return Fail(st);
   auto db = LoadDb(db_path);
   if (!db.ok()) return Fail(db.status());
-  if (std::filesystem::is_directory(index_path)) {
-    return Fail(Status::InvalidArgument(
-        "topk does not support sharded index directories yet; build a "
-        "single-file index (--shards 1)"));
-  }
-  auto index = FragmentIndex::LoadFile(index_path);
+  auto index = ShardedFragmentIndex::LoadDir(index_path);
   if (!index.ok()) return Fail(index.status());
+  if (index.value().db_size() != db.value().size()) {
+    return Fail(Status::InvalidArgument(
+        "index was built over a different database size"));
+  }
   auto query = LoadQuery(query_path);
   if (!query.ok()) return Fail(query.status());
   TopKOptions options;
@@ -466,7 +398,7 @@ int CmdAdd(int argc, char** argv) {
   std::string graphs_path;
   FlagSet flags;
   flags.AddString("db", &db_path, "database path (rewritten with appends)");
-  flags.AddString("index", &index_path, "index path (file or sharded dir)");
+  flags.AddString("index", &index_path, "index path");
   flags.AddString("graphs", &graphs_path, "graphs to add (native text format)");
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
@@ -479,34 +411,20 @@ int CmdAdd(int argc, char** argv) {
   auto fresh = ReadGraphDatabaseFile(graphs_path);
   if (!fresh.ok()) return Fail(fresh.status());
 
-  const bool sharded = std::filesystem::is_directory(index_path);
-  Result<FragmentIndex> index = Status::Internal("index not loaded");
-  Result<ShardedFragmentIndex> sharded_index =
-      Status::Internal("index not loaded");
-  int before = 0;
-  if (sharded) {
-    sharded_index = ShardedFragmentIndex::LoadDir(index_path);
-    if (!sharded_index.ok()) return Fail(sharded_index.status());
-    before = sharded_index.value().db_size();
-  } else {
-    index = FragmentIndex::LoadFile(index_path);
-    if (!index.ok()) return Fail(index.status());
-    before = index.value().db_size();
-  }
-  if (before != db.value().size()) {
+  auto index = ShardedFragmentIndex::LoadDir(index_path);
+  if (!index.ok()) return Fail(index.status());
+  if (index.value().db_size() != db.value().size()) {
     return Fail(Status::InvalidArgument(
-        "index covers " + std::to_string(before) + " graphs but --db holds " +
-        std::to_string(db.value().size())));
+        "index covers " + std::to_string(index.value().db_size()) +
+        " graphs but --db holds " + std::to_string(db.value().size())));
   }
   for (const Graph& g : fresh.value().graphs()) {
-    Result<int> gid = sharded ? sharded_index.value().AddGraph(g)
-                              : index.value().AddGraph(g);
+    Result<int> gid = index.value().AddGraph(g);
     if (!gid.ok()) return Fail(gid.status());
     db.value().Add(g);
     std::printf("added graph %d\n", gid.value());
   }
-  Status saved = sharded ? sharded_index.value().SaveDir(index_path)
-                         : index.value().SaveFile(index_path);
+  Status saved = index.value().SaveDir(index_path);
   if (!saved.ok()) return Fail(saved);
   Status written = WriteGraphDatabaseFile(db.value(), db_path);
   if (!written.ok()) return Fail(written);
@@ -522,12 +440,11 @@ int CmdRemove(int argc, char** argv) {
   // An explicit 0 clears the persisted policy; > 0 (re)arms it.
   double compact_dead_ratio = -1;
   FlagSet flags;
-  flags.AddString("index", &index_path, "index path (file or sharded dir)");
+  flags.AddString("index", &index_path, "index path");
   flags.AddString("ids", &ids, "comma-separated graph ids to remove");
   flags.AddDouble("compact_dead_ratio", &compact_dead_ratio,
                   "auto-compact a shard once its dead fraction reaches this "
-                  "(sharded dirs only; 0 = clear the persisted policy, "
-                  "-1 = keep it)");
+                  "(0 = clear the persisted policy, -1 = keep it)");
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
   if (!st.ok()) return Fail(st);
@@ -545,33 +462,22 @@ int CmdRemove(int argc, char** argv) {
     }
   }
 
-  const bool sharded = std::filesystem::is_directory(index_path);
-  Result<FragmentIndex> index = Status::Internal("index not loaded");
-  Result<ShardedFragmentIndex> sharded_index =
-      Status::Internal("index not loaded");
   if (compact_dead_ratio > 1) {
     return Fail(
         Status::InvalidArgument("--compact_dead_ratio must be <= 1"));
   }
-  if (sharded) {
-    sharded_index = ShardedFragmentIndex::LoadDir(index_path);
-    if (!sharded_index.ok()) return Fail(sharded_index.status());
-    // Only an explicit flag overrides the policy the manifest persisted
-    // (v4); the unset default must not erase a server's configured ratio
-    // on the next save.
-    if (compact_dead_ratio >= 0) {
-      sharded_index.value().set_compact_dead_ratio(compact_dead_ratio);
-    }
-  } else {
-    index = FragmentIndex::LoadFile(index_path);
-    if (!index.ok()) return Fail(index.status());
+  auto index = ShardedFragmentIndex::LoadDir(index_path);
+  if (!index.ok()) return Fail(index.status());
+  // Only an explicit flag overrides the policy the manifest persisted (v4);
+  // the unset default must not erase a server's configured ratio on the
+  // next save.
+  if (compact_dead_ratio >= 0) {
+    index.value().set_compact_dead_ratio(compact_dead_ratio);
   }
-  const int epoch_before =
-      sharded ? sharded_index.value().compaction_epoch() : 0;
+  const int epoch_before = index.value().compaction_epoch();
   int removed = 0;
   for (int id : parsed) {
-    Status status = sharded ? sharded_index.value().RemoveGraph(id)
-                            : index.value().RemoveGraph(id);
+    Status status = index.value().RemoveGraph(id);
     if (!status.ok()) {
       std::fprintf(stderr, "skip %d: %s\n", id, status.ToString().c_str());
       continue;
@@ -581,21 +487,18 @@ int CmdRemove(int argc, char** argv) {
   }
   if (removed > 0) {
     // Nothing changed when every id was skipped; don't rewrite the index.
-    Status saved = sharded ? sharded_index.value().SaveDir(index_path)
-                           : index.value().SaveFile(index_path);
+    Status saved = index.value().SaveDir(index_path);
     if (!saved.ok()) return Fail(saved);
   }
-  const int live = sharded ? sharded_index.value().num_live()
-                           : index.value().num_live();
   std::printf("removed %d of %zu ids (%d live graphs remain)\n", removed,
-              parsed.size(), live);
-  if (sharded && sharded_index.value().compaction_epoch() > epoch_before) {
+              parsed.size(), index.value().num_live());
+  if (index.value().compaction_epoch() > epoch_before) {
     // Epoch delta counts compaction runs, not distinct shards — one shard
     // can cross the threshold more than once in a single invocation.
     // The effective ratio may come from the flag or the persisted policy.
     std::printf("ran %d auto-compaction(s) past dead ratio %.2f\n",
-                sharded_index.value().compaction_epoch() - epoch_before,
-                sharded_index.value().compact_dead_ratio());
+                index.value().compaction_epoch() - epoch_before,
+                index.value().compact_dead_ratio());
   }
   return removed == static_cast<int>(parsed.size()) ? 0 : 1;
 }
@@ -606,15 +509,13 @@ int CmdCompact(int argc, char** argv) {
   double min_dead_ratio = 0.0;
   bool rebalance = false;
   FlagSet flags;
-  flags.AddString("index", &index_path, "index path (file or sharded dir)");
-  flags.AddString("db", &db_path,
-                  "database path (required for single-file indexes, which "
-                  "re-densify ids, and for --rebalance)");
+  flags.AddString("index", &index_path, "index path");
+  flags.AddString("db", &db_path, "database path (required for --rebalance)");
   flags.AddDouble("min_dead_ratio", &min_dead_ratio,
                   "only compact shards at or above this dead fraction "
-                  "(sharded dirs; 0 = every shard with tombstones)");
+                  "(0 = every shard with tombstones)");
   flags.AddBool("rebalance", &rebalance,
-                "also migrate graphs off overloaded shards (sharded dirs)");
+                "also migrate graphs off overloaded shards");
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
   if (!st.ok()) return Fail(st);
@@ -623,99 +524,37 @@ int CmdCompact(int argc, char** argv) {
   }
   const uintmax_t bytes_before = PathBytes(index_path);
 
-  if (std::filesystem::is_directory(index_path)) {
-    auto sharded = ShardedFragmentIndex::LoadDir(index_path);
-    if (!sharded.ok()) return Fail(sharded.status());
-    auto compacted = sharded.value().Compact(min_dead_ratio);
-    if (!compacted.ok()) return Fail(compacted.status());
-    int migrated = 0;
-    if (rebalance) {
-      auto db = LoadDb(db_path);
-      if (!db.ok()) return Fail(db.status());
-      // Rebalance itself validates the db/index alignment.
-      auto moved = sharded.value().Rebalance(db.value());
-      if (!moved.ok()) return Fail(moved.status());
-      migrated = moved.value();
-    }
-    if (compacted.value() == 0 && migrated == 0) {
-      // Nothing changed; don't rewrite a healthy on-disk index in place.
-      std::printf("nothing to compact (%d live of %d slots)\n",
-                  sharded.value().num_live(), sharded.value().db_size());
-      return 0;
-    }
-    // Stage the rewrite beside the live directory and swap via renames, so
-    // a crash or full disk mid-write can't strand a manifest that
-    // disagrees with its shard files (LoadDir would reject the directory).
-    const std::string staged = index_path + ".compact.tmp";
-    const std::string retired = index_path + ".compact.old";
-    std::error_code ec;
-    std::filesystem::remove_all(staged, ec);
-    std::filesystem::remove_all(retired, ec);
-    Status saved = sharded.value().SaveDir(staged);
-    if (!saved.ok()) return Fail(saved);
-    std::filesystem::rename(index_path, retired, ec);
-    if (!ec) std::filesystem::rename(staged, index_path, ec);
-    if (ec) {
-      return Fail(Status::IOError("compaction staged but rename failed: " +
-                                  ec.message()));
-    }
-    std::filesystem::remove_all(retired, ec);
-    std::printf(
-        "compacted %d shard(s), migrated %d graph(s); %d live of %d slots; "
-        "%ju -> %ju bytes on disk\n",
-        compacted.value(), migrated, sharded.value().num_live(),
-        sharded.value().db_size(), static_cast<uintmax_t>(bytes_before),
-        static_cast<uintmax_t>(PathBytes(index_path)));
-    return 0;
-  }
-
-  if (rebalance) {
-    return Fail(Status::InvalidArgument(
-        "--rebalance requires a sharded index directory"));
-  }
-  auto index = FragmentIndex::LoadFile(index_path);
+  auto index = ShardedFragmentIndex::LoadDir(index_path);
   if (!index.ok()) return Fail(index.status());
-  if (index.value().tombstones().empty()) {
-    std::printf("nothing to compact (0 dead of %d slots)\n",
-                index.value().db_size());
+  auto compacted = index.value().Compact(min_dead_ratio);
+  if (!compacted.ok()) return Fail(compacted.status());
+  int migrated = 0;
+  if (rebalance) {
+    auto db = LoadDb(db_path);
+    if (!db.ok()) return Fail(db.status());
+    // Rebalance itself validates the db/index alignment.
+    auto moved = index.value().Rebalance(db.value());
+    if (!moved.ok()) return Fail(moved.status());
+    migrated = moved.value();
+  }
+  if (compacted.value() == 0 && migrated == 0) {
+    // Nothing changed; don't rewrite a healthy on-disk index in place.
+    std::printf("nothing to compact (%d live of %d slots)\n",
+                index.value().num_live(), index.value().db_size());
     return 0;
   }
-  // Single-file compaction re-densifies graph ids, so the aligned database
-  // must shed its removed records in the same pass or every later query
-  // would mis-map ids.
-  auto db = LoadDb(db_path);
-  if (!db.ok()) return Fail(db.status());
-  if (db.value().size() != index.value().db_size()) {
-    return Fail(Status::InvalidArgument(
-        "index covers " + std::to_string(index.value().db_size()) +
-        " graphs but --db holds " + std::to_string(db.value().size())));
-  }
-  const std::vector<int> remap = index.value().Compact();
-  GraphDatabase compacted;
-  for (int gid = 0; gid < static_cast<int>(remap.size()); ++gid) {
-    if (remap[gid] >= 0) compacted.Add(db.value().at(gid));
-  }
-  // The index and db must move together or their ids misalign forever (the
-  // remap lives only in this process). Stage both next to their targets and
-  // rename at the end, so any single failure leaves the old aligned pair —
-  // or at worst a fully written new db with the old index, which the next
-  // run's size check rejects loudly instead of serving wrong ids.
-  const std::string index_tmp = index_path + ".compact.tmp";
-  const std::string db_tmp = db_path + ".compact.tmp";
-  Status saved = index.value().SaveFile(index_tmp);
+  // Stage the rewrite beside the live index and swap via renames, so a
+  // crash or full disk mid-write can't strand a manifest that disagrees
+  // with its shard files (LoadDir would reject the directory).
+  Status saved =
+      StageAndReplace(index_path, [&](const std::string& staged) {
+        return index.value().SaveDir(staged);
+      });
   if (!saved.ok()) return Fail(saved);
-  Status written = WriteGraphDatabaseFile(compacted, db_tmp);
-  if (!written.ok()) return Fail(written);
-  std::error_code rename_ec;
-  std::filesystem::rename(db_tmp, db_path, rename_ec);
-  if (!rename_ec) std::filesystem::rename(index_tmp, index_path, rename_ec);
-  if (rename_ec) {
-    return Fail(Status::IOError("compaction staged but rename failed: " +
-                                rename_ec.message()));
-  }
   std::printf(
-      "compacted index: %d live graphs re-densified (ids changed!), db file "
-      "rewritten; %ju -> %ju bytes on disk\n",
+      "compacted %d shard(s), migrated %d graph(s); %d live of %d slots; "
+      "%ju -> %ju bytes on disk\n",
+      compacted.value(), migrated, index.value().num_live(),
       index.value().db_size(), static_cast<uintmax_t>(bytes_before),
       static_cast<uintmax_t>(PathBytes(index_path)));
   return 0;

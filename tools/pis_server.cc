@@ -1,6 +1,6 @@
-// pis_server: TCP serving front end over the sharded PIS engine.
+// pis_server: TCP serving front end over the PIS engine.
 //
-//   pis_server --db db.txt --index sharded_dir [--port P] [--workers N]
+//   pis_server --db db.txt --index index_dir [--port P] [--workers N]
 //              [--sigma S] [--compact_dead_ratio R]
 //              [--compact_interval_ms M] [--wal_dir DIR]
 //              [--checkpoint_interval_ms C] [--save_on_exit]
@@ -9,8 +9,9 @@
 //   pis_server --db db.txt --shards 4 [--max_fragment_edges K]
 //              [--min_support F] [--gamma G] [--distance mutation|linear] ...
 //
-// With --index, a sharded index directory (pis_cli build --shards > 1) is
-// loaded and served; the db file must be the id-aligned database. Without
+// With --index, an index directory (pis_cli build) — or a legacy
+// single-file index, loaded as one shard — is served; the db file must be
+// the id-aligned database. Without
 // it, the index is mined and built in memory at startup (the pis_cli build
 // pipeline) — convenient for demos and the CI smoke test.
 //
@@ -20,8 +21,8 @@
 // was acked. --checkpoint_interval_ms > 0 additionally persists a fresh
 // snapshot (and truncates the log) on that cadence from the maintenance
 // thread; either way a checkpoint runs on clean shutdown. If a previous
-// run crashed mid-checkpoint-swap, the `<index>.stale` fallback directory
-// is restored automatically before replay. Requires --index.
+// run crashed mid-checkpoint-swap, the `<index>.stale` fallback is
+// restored automatically before replay. Requires --index.
 //
 // The server speaks the newline-delimited JSON protocol documented in
 // src/server/pis_server.h on the bound port (loopback only; --port 0 picks
@@ -106,13 +107,13 @@ Result<std::vector<int>> ParseShardList(const std::string& text) {
   return shards;
 }
 
-/// A crash between a checkpoint's two directory renames can leave the index
-/// as `<dir>.stale` (the previous generation, still fully covered by the
+/// A crash between a checkpoint's two renames can leave the index as
+/// `<index>.stale` (the previous generation, still fully covered by the
 /// un-truncated WAL). Restore it so LoadDir + replay see a complete state.
 Status RestoreStaleIndexIfNeeded(const std::string& index_path) {
   const std::string stale = index_path + ".stale";
-  if (std::filesystem::is_directory(index_path) ||
-      !std::filesystem::is_directory(stale)) {
+  if (std::filesystem::exists(index_path) ||
+      !std::filesystem::exists(stale)) {
     return Status::OK();
   }
   std::fprintf(stderr,
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
   FlagSet flags;
   flags.AddString("db", &db_path, "database path (native text format)");
   flags.AddString("index", &index_path,
-                  "sharded index directory (omit to build at startup)");
+                  "index directory (omit to build at startup)");
   flags.AddString("wal_dir", &wal_dir,
                   "write-ahead log directory: fsync every acked write and "
                   "replay it on startup (requires --index)");
@@ -227,11 +228,6 @@ int main(int argc, char** argv) {
   if (!index_path.empty()) {
     Status restored = RestoreStaleIndexIfNeeded(index_path);
     if (!restored.ok()) return Fail(restored);
-    if (!std::filesystem::is_directory(index_path)) {
-      return Fail(Status::InvalidArgument(
-          "--index must name a sharded index directory (pis_cli build "
-          "--shards > 1)"));
-    }
     index = ShardedFragmentIndex::LoadDir(index_path);
   } else {
     index = BuildIndex(db.value(), shards, max_fragment_edges, min_support,
