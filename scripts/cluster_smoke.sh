@@ -149,15 +149,16 @@ echo "== traced query through the router carries per-shard child spans"
 grep -q '"ok":true' traced.json
 grep -q '"trace_id"' traced.json
 # The router-level "query" root span must contain the two-round fan-out:
-# shard_query round trips (with the replicas' own child spans grafted in)
-# and per-shard shard_verify round trips.
+# shard_filter round trips (with the replicas' own child spans grafted in),
+# the router's plan, and per-shard shard_refine round trips.
 grep -q '"name":"query"' traced.json
-grep -q '"name":"shard_query:' traced.json
-grep -q '"name":"shard_verify:' traced.json
-grep -q '"name":"merge"' traced.json
+grep -q '"name":"shard_filter:' traced.json
+grep -q '"name":"plan"' traced.json
+grep -q '"name":"shard_refine:' traced.json
 grep -q '"name":"enumerate"' traced.json
+grep -q '"name":"refine"' traced.json
 grep -q "ms total" trace.txt
-grep -q "shard_query" trace.txt
+grep -q "shard_filter" trace.txt
 
 echo "== router metrics exposition reflects the load just driven"
 "$BIN/pis_client" metrics --port "$ROUTER_PORT" | tee router_metrics.txt
@@ -170,11 +171,22 @@ grep -E '^pis_router_requests_total\{op="query"\} [1-9]' router_metrics.txt \
   > /dev/null
 grep -E '^pis_router_requests_total\{op="add"\} [1-9]' router_metrics.txt \
   > /dev/null
-grep -E '^pis_cluster_rpc_seconds_count\{.*op="shard_query".*\} [1-9]' \
+grep -E '^pis_cluster_rpc_seconds_count\{.*op="shard_filter".*\} [1-9]' \
+  router_metrics.txt > /dev/null
+grep -E '^pis_cluster_rpc_seconds_count\{.*op="shard_refine".*\} [1-9]' \
   router_metrics.txt > /dev/null
 # The stats reply mirrors the registry as JSON.
 "$BIN/pis_client" stats --port "$ROUTER_PORT" \
   | grep -q '"pis_router_requests_total"'
+
+echo "== a replica answers the retired shard_query op with an error"
+exec 3<>"/dev/tcp/127.0.0.1/${PORTS[2]}"
+printf '%s\n' '{"op":"shard_query","graph":"t # 0\nv 0 1","shards":[1]}' >&3
+read -r -t 10 retired <&3
+exec 3<&-
+echo "$retired"
+grep -q '"ok":false' <<< "$retired"
+grep -q 'unknown op' <<< "$retired"
 
 echo "== a failed write reports an application error, exit code intact"
 if "$BIN/pis_client" remove --port "$ROUTER_PORT" --ids 99999 > bad.json; then

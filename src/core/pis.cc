@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "canonical/min_dfs.h"
 #include "core/filter_impl.h"
+#include "core/shard_filter.h"
 #include "core/verifier.h"
 #include "graph/io.h"
 #include "util/logging.h"
@@ -90,41 +90,40 @@ Result<FilterResult> PisEngine::FilterImpl(
     }
   }
 
-  // One fragment's range query = one physical query per shard, each
-  // reporting global ids. Shards own disjoint ids, so the merge is a plain
-  // union: run inline (one shard or one thread), every shard min-merges
-  // straight into `min_dist`; fanned out, each shard fills its own fixed
-  // slot first, keeping any thread schedule deterministic.
+  // Filter -> plan -> refine (core/shard_filter.h). The per-shard steps
+  // write fixed slots, so any shard_threads schedule gives one result.
   const int num_shards = index_->num_shards();
-  const bool fan_out = num_shards > 1 && options_.shard_threads > 1;
-  std::vector<std::unordered_map<int, double>> per_shard(fan_out ? num_shards
-                                                                  : 0);
+  const double sigma = options_.sigma;
   std::vector<Status> failures(num_shards);
-  auto fragment_dists = [&](size_t fi, double sigma,
-                            std::unordered_map<int, double>* min_dist,
-                            QueryStats* stats) -> Status {
-    const PreparedFragment& fragment = result.fragments[fi].prepared;
-    stats->range_queries += num_shards;
-    ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
-      std::unordered_map<int, double>* out = min_dist;
-      if (fan_out) {
-        out = &per_shard[s];
-        out->clear();
-      }
-      failures[s] =
-          index_->MinDistances(static_cast<int>(s), fragment, sigma, out);
-    });
-    for (int s = 0; s < num_shards; ++s) {
-      PIS_RETURN_NOT_OK(failures[s]);
-      if (fan_out) min_dist->insert(per_shard[s].begin(), per_shard[s].end());
-    }
-    return Status::OK();
-  };
-  // Per-shard range queries already exclude per-shard tombstones; the
-  // global set seeds the dead slots for the no-pruning path and the live
-  // selectivity denominator.
-  PIS_RETURN_NOT_OK(internal::RunPisFilterCore(
-      db_->size(), &index_->tombstones(), options_, fragment_dists, &result));
+  Timer pass1_timer;
+  std::vector<ShardFilterResult> shards(num_shards);
+  ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
+    failures[s] = ShardFilter(*index_, static_cast<int>(s), result.fragments,
+                              sigma, &shards[s]);
+  });
+  for (const Status& failure : failures) PIS_RETURN_NOT_OK(failure);
+  const double pass1_seconds = pass1_timer.Seconds();
+
+  PlanFilter(shards, options_, &result);
+
+  Timer pass2_timer;
+  std::vector<std::vector<int>> refined(num_shards);
+  ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
+    failures[s] = ShardRefine(*index_, static_cast<int>(s), result.fragments,
+                              result.partition, shards[s].survivors, sigma,
+                              &refined[s]);
+  });
+  for (int s = 0; s < num_shards; ++s) {
+    PIS_RETURN_NOT_OK(failures[s]);
+    result.candidates.insert(result.candidates.end(), refined[s].begin(),
+                             refined[s].end());
+  }
+  std::sort(result.candidates.begin(), result.candidates.end());
+  result.stats.candidates_final = result.candidates.size();
+  // The selectivity fits are Algorithm 2's pass-1 work (line 18), so they
+  // count toward pass 1 as well as toward selectivity_seconds.
+  result.stats.pass1_seconds = pass1_seconds + result.stats.selectivity_seconds;
+  result.stats.pass2_seconds = pass2_timer.Seconds();
   result.stats.filter_seconds = timer.Seconds();
   return result;
 }

@@ -53,13 +53,13 @@ struct BatchSearchResult {
 class PisEngine {
  public:
   /// `db` and `index` must outlive the engine; the index must have been
-  /// built over exactly this database. Each query fragment's range query
-  /// runs once per shard (`options.shard_threads` fans the shards out) and
-  /// the per-shard results — already in global ids — union before the
-  /// partition logic runs. So for any shard count and any thread count the
-  /// answers, candidates, and stats are those of a one-shard index over
-  /// the same database, except `range_queries`, which counts one physical
-  /// query per shard per fragment.
+  /// built over exactly this database. A query runs core/shard_filter.h's
+  /// filter on every shard (`options.shard_threads` fans the shards out),
+  /// plans once over their summed histograms, then refines every shard. So
+  /// for any shard count and any thread count the answers, candidates, and
+  /// stats are those of a one-shard index over the same database, except
+  /// `range_queries`, which is (fragments_enumerated + partition_size) x
+  /// num_shards: the filter's and the refine step's queries on every shard.
   PisEngine(const GraphDatabase* db, const ShardedFragmentIndex* index,
             const PisOptions& options = {});
 

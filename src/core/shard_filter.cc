@@ -1,0 +1,159 @@
+#include "core/shard_filter.h"
+
+#include <algorithm>
+#include <unordered_map>
+#include <utility>
+
+#include "core/partition.h"
+#include "core/selectivity.h"
+#include "util/timer.h"
+
+namespace pis {
+
+DistanceHistogram HistogramOf(std::vector<double> distances) {
+  std::sort(distances.begin(), distances.end());
+  DistanceHistogram histogram;
+  for (double d : distances) {
+    if (!histogram.empty() && histogram.back().first == d) {
+      ++histogram.back().second;
+    } else {
+      histogram.emplace_back(d, 1);
+    }
+  }
+  return histogram;
+}
+
+void MergeHistogram(const DistanceHistogram& from, DistanceHistogram* into) {
+  DistanceHistogram merged;
+  merged.reserve(from.size() + into->size());
+  auto a = from.begin();
+  auto b = into->begin();
+  while (a != from.end() || b != into->end()) {
+    if (b == into->end() || (a != from.end() && a->first < b->first)) {
+      merged.push_back(*a++);
+    } else if (a == from.end() || b->first < a->first) {
+      merged.push_back(*b++);
+    } else {
+      merged.emplace_back(a->first, a->second + b->second);
+      ++a;
+      ++b;
+    }
+  }
+  *into = std::move(merged);
+}
+
+double HistogramSelectivity(const DistanceHistogram& histogram, int live,
+                            double sigma, double lambda) {
+  std::vector<double> found;
+  for (const auto& [d, count] : histogram) found.insert(found.end(), count, d);
+  return ComputeSelectivity(found, live, sigma, lambda);
+}
+
+Status ShardFilter(const ShardedFragmentIndex& index, int shard,
+                   const std::vector<QueryFragment>& fragments, double sigma,
+                   ShardFilterResult* out) {
+  const FragmentIndex& local = index.shard(shard);
+  out->live = local.num_live();
+  // CQ starts as every live graph of the shard (line 17 intersects it down).
+  out->survivors.clear();
+  for (int l = 0; l < index.shard_size(shard); ++l) {
+    if (local.IsLive(l)) out->survivors.push_back(index.global_id(shard, l));
+  }
+  std::sort(out->survivors.begin(), out->survivors.end());
+  out->histograms.clear();
+  out->histograms.reserve(fragments.size());
+  std::unordered_map<int, double> dist;
+  std::vector<double> found;
+  for (const QueryFragment& fragment : fragments) {
+    dist.clear();
+    PIS_RETURN_NOT_OK(
+        index.MinDistances(shard, fragment.prepared, sigma, &dist));
+    found.clear();
+    for (const auto& [gid, d] : dist) found.push_back(d);
+    out->histograms.push_back(HistogramOf(std::move(found)));
+    std::erase_if(out->survivors,
+                  [&dist](int gid) { return dist.count(gid) == 0; });
+  }
+  return Status::OK();
+}
+
+void PlanFilter(std::span<const ShardFilterResult> shards,
+                const PisOptions& options, FilterResult* result) {
+  const size_t num_fragments = result->fragments.size();
+  QueryStats& stats = result->stats;
+  stats.fragments_enumerated = num_fragments;
+
+  // Selectivities (line 18) over the cluster-wide live count.
+  Timer selectivity_timer;
+  int live = 0;
+  size_t survivors = 0;
+  std::vector<DistanceHistogram> merged(num_fragments);
+  for (const ShardFilterResult& shard : shards) {
+    live += shard.live;
+    survivors += shard.survivors.size();
+    for (size_t fi = 0; fi < num_fragments; ++fi) {
+      MergeHistogram(shard.histograms[fi], &merged[fi]);
+    }
+  }
+  stats.candidates_after_intersection = survivors;
+  result->selectivities.assign(num_fragments, 0.0);
+  for (size_t fi = 0; fi < num_fragments; ++fi) {
+    result->selectivities[fi] = HistogramSelectivity(
+        merged[fi], live, options.sigma, options.lambda);
+  }
+  stats.selectivity_seconds = selectivity_timer.Seconds();
+
+  // ε-filter (line 5), overlapping-relation graph and partition (19-20).
+  Timer partition_timer;
+  std::vector<int> kept;  // positions into result->fragments
+  std::vector<WeightedFragment> weighted;
+  for (size_t fi = 0; fi < num_fragments; ++fi) {
+    if (result->selectivities[fi] <= options.epsilon) continue;
+    kept.push_back(static_cast<int>(fi));
+    weighted.push_back(
+        {result->selectivities[fi], result->fragments[fi].vertices});
+  }
+  OverlapGraph overlap(weighted);
+  std::vector<int> partition_local = SelectPartition(
+      overlap, options.partition_algorithm, options.enhanced_k);
+  result->partition.clear();
+  for (int pi : partition_local) result->partition.push_back(kept[pi]);
+  stats.fragments_kept = kept.size();
+  stats.partition_size = result->partition.size();
+  stats.partition_weight = overlap.TotalWeight(partition_local);
+  stats.range_queries =
+      (num_fragments + result->partition.size()) * shards.size();
+  stats.partition_seconds = partition_timer.Seconds();
+}
+
+Status ShardRefine(const ShardedFragmentIndex& index, int shard,
+                   const std::vector<QueryFragment>& fragments,
+                   const std::vector<int>& partition,
+                   const std::vector<int>& survivors, double sigma,
+                   std::vector<int>* candidates) {
+  *candidates = survivors;
+  std::vector<double> lower_bound(candidates->size(), 0.0);
+  std::unordered_map<int, double> dist;
+  for (int fi : partition) {
+    dist.clear();
+    PIS_RETURN_NOT_OK(
+        index.MinDistances(shard, fragments[fi].prepared, sigma, &dist));
+    size_t kept = 0;
+    for (size_t i = 0; i < candidates->size(); ++i) {
+      auto it = dist.find((*candidates)[i]);
+      // A survivor every fragment hit is always found; a miss would mean
+      // an unbounded distance, so it is pruned either way.
+      if (it == dist.end()) continue;
+      const double bound = lower_bound[i] + it->second;
+      if (bound > sigma) continue;
+      (*candidates)[kept] = (*candidates)[i];
+      lower_bound[kept] = bound;
+      ++kept;
+    }
+    candidates->resize(kept);
+    lower_bound.resize(kept);
+  }
+  return Status::OK();
+}
+
+}  // namespace pis

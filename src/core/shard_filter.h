@@ -1,0 +1,92 @@
+// The PIS filtering phase (Algorithm 2) written once, as three steps that
+// both query engines call. Shards own disjoint graph-id spaces, so the
+// pass-1 intersection (line 17) and the pass-2 summed lower bound (lines
+// 21-23) are shard-local; only the selectivities and the partition need
+// global input, and per fragment that input is the multiset of found
+// distances plus the live count. So:
+//
+//   ShardFilter  per shard: every fragment's range query over the shard,
+//                returning the shard's intersection survivors, one
+//                (distance, count) histogram per fragment and its live
+//                count.
+//   PlanFilter   global: sums the histograms and live counts, computes the
+//                selectivities, applies the ε-filter and picks the
+//                partition.
+//   ShardRefine  per shard: re-issues the partition's range queries over
+//                the shard and prunes the survivors by their summed lower
+//                bound.
+//
+// PisEngine runs the three over its in-process shards; ClusterEngine runs
+// ShardFilter and ShardRefine on the replicas (the shard_filter and
+// shard_refine ops, server/shard_ops.h) and PlanFilter on the router.
+#ifndef PIS_CORE_SHARD_FILTER_H_
+#define PIS_CORE_SHARD_FILTER_H_
+
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "core/options.h"
+#include "core/pis.h"
+#include "core/query_fragments.h"
+#include "index/sharded_index.h"
+#include "util/status.h"
+
+namespace pis {
+
+/// The found distances of one fragment's range query as (distance, count)
+/// pairs: distances strictly ascending, counts >= 1.
+using DistanceHistogram = std::vector<std::pair<double, int>>;
+
+/// Histogram of `distances` (any order).
+DistanceHistogram HistogramOf(std::vector<double> distances);
+/// Adds `from`'s counts into `into`; the result does not depend on the
+/// order in which several histograms are merged.
+void MergeHistogram(const DistanceHistogram& from, DistanceHistogram* into);
+/// ComputeSelectivity over the ascending expansion of `histogram`:
+/// bit-identical to ComputeSelectivity over the distances it counts.
+double HistogramSelectivity(const DistanceHistogram& histogram, int live,
+                            double sigma, double lambda);
+
+/// One shard's pass-1 output.
+struct ShardFilterResult {
+  /// Live graphs resident in the shard (its share of the selectivity
+  /// denominator).
+  int live = 0;
+  /// Ascending global ids of the live graphs every fragment hit (CQ).
+  std::vector<int> survivors;
+  /// One histogram per fragment, in fragment order.
+  std::vector<DistanceHistogram> histograms;
+};
+
+/// Pass 1 over shard `shard`: one range query per fragment. Tombstoned
+/// graphs are never survivors, even when `fragments` is empty.
+Status ShardFilter(const ShardedFragmentIndex& index, int shard,
+                   const std::vector<QueryFragment>& fragments, double sigma,
+                   ShardFilterResult* out);
+
+/// Plans the filter from every shard's pass-1 output (`shards`, one entry
+/// per shard of the index; their histograms align with
+/// `result->fragments`): fills `result->selectivities`,
+/// `result->partition` and every stats counter except candidates_final,
+/// answers and enum_cache_hits. range_queries counts the range queries of
+/// ShardFilter and ShardRefine on every shard:
+/// (fragments + partition) x shards. Of the timings it fills
+/// selectivity_seconds (histogram merge and selectivities) and
+/// partition_seconds (ε-filter and partition selection).
+void PlanFilter(std::span<const ShardFilterResult> shards,
+                const PisOptions& options, FilterResult* result);
+
+/// Pass 2 over shard `shard`: sums each survivor's distances over the
+/// partition fragments (positions into `fragments`, in partition order) and
+/// keeps, ascending, the survivors whose bound stays within `sigma`.
+/// `survivors` must be this shard's ascending ShardFilter survivors.
+Status ShardRefine(const ShardedFragmentIndex& index, int shard,
+                   const std::vector<QueryFragment>& fragments,
+                   const std::vector<int>& partition,
+                   const std::vector<int>& survivors, double sigma,
+                   std::vector<int>* candidates);
+
+}  // namespace pis
+
+#endif  // PIS_CORE_SHARD_FILTER_H_

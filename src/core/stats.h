@@ -13,7 +13,10 @@ struct QueryStats {
   size_t fragments_enumerated = 0;
   /// Fragments surviving the ε selectivity filter (line 5).
   size_t fragments_kept = 0;
-  /// Range queries issued against the index.
+  /// Physical range queries issued against the index: one per (fragment,
+  /// shard) in pass 1 plus one per (partition fragment, shard) in pass 2,
+  /// i.e. (fragments_enumerated + partition_size) x shards for the PIS
+  /// engines.
   size_t range_queries = 0;
   /// Fragments in the selected partition P (line 20).
   size_t partition_size = 0;
@@ -38,11 +41,12 @@ struct QueryStats {
   /// filter_seconds — determinism checks must not compare them). The
   /// observability layer turns these into trace spans and latency
   /// histograms; stages are disjoint except selectivity_seconds, which is
-  /// the portion of pass1_seconds spent in ComputeSelectivity.
-  double pass1_seconds = 0;        ///< range queries + ε-filter/intersection
-  double selectivity_seconds = 0;  ///< ComputeSelectivity within pass 1
-  double partition_seconds = 0;    ///< overlap graph + partition selection
-  double pass2_seconds = 0;        ///< partition lower-bound pruning
+  /// the portion of pass1_seconds spent merging the per-shard distance
+  /// histograms and computing the selectivities.
+  double pass1_seconds = 0;        ///< range queries, intersection, fits
+  double selectivity_seconds = 0;  ///< histogram merge + selectivities
+  double partition_seconds = 0;    ///< ε-filter + partition selection
+  double pass2_seconds = 0;        ///< partition range queries + pruning
   /// Never written (always 0); kept because perfbench/src/ladder.cc reads it.
   double sketch_seconds = 0;
 

@@ -1,13 +1,13 @@
 // Per-query pipeline tracing: a TraceContext allocated at the front end
 // (pis_server / pis_router request handler) collects a tree of wall-time
-// spans — pass-1, selectivity, pass-2, verify, merge, WAL append,
+// spans — pass-1, selectivity, pass-2, verify, plan, WAL append,
 // group-commit wait, snapshot publish — and renders it as a
 // single-line JSON document for the `"trace": true` query reply and the
 // slow-query log.
 //
 // Clock domains: every duration is measured on the local steady clock
 // (util/timer.h MonotonicNowNs). Spans that cross the wire (a shard
-// replica's internal timings returned in a shard_query/shard_verify reply)
+// replica's internal timings returned in a shard_filter/shard_refine reply)
 // carry only start OFFSETS relative to their own root and durations —
 // never raw timestamps — so a router can graft a remote subtree under its
 // round-trip span without any cross-host clock agreement. A child's

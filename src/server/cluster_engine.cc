@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "core/filter_impl.h"
+#include "core/shard_filter.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -137,6 +139,10 @@ ClusterEngine::ClusterEngine(
           "pis_cluster_catchup_pending",
           "Queued catch-up ops awaiting ordered replay on the endpoint.",
           {{"endpoint", name}});
+      ep->quarantined_gauge = reg->GetGauge(
+          "pis_cluster_replica_quarantined",
+          "1 once the replica rejected a write and was taken out of reads.",
+          {{"endpoint", name}});
       ep->backend->EnableMetrics(reg);
     }
   }
@@ -181,8 +187,17 @@ bool ClusterEngine::Readable(Endpoint& ep) {
   }
   MutexLock lock(&ep.send_mu);
   // Queued catch-up ops mean this replica is behind acked state: reading
-  // from it could miss an acknowledged write.
-  return ep.pending.empty();
+  // from it could miss an acknowledged write. A quarantined one misses a
+  // write for good.
+  return ep.pending.empty() && !ep.quarantined;
+}
+
+void ClusterEngine::Quarantine(Endpoint& ep, int gid,
+                               const Status& rejection) {
+  PIS_LOG(Error) << ep.backend->name() << " rejected write (gid " << gid
+                 << "), quarantining it: " << rejection.ToString();
+  ep.quarantined = true;
+  if (ep.quarantined_gauge != nullptr) ep.quarantined_gauge->Set(1);
 }
 
 void ClusterEngine::NoteTransportFailure(Endpoint& ep) {
@@ -230,10 +245,9 @@ void ClusterEngine::DrainPending(Endpoint& ep) {
         return;  // still down; keep the queue, retry next probe
       }
       // An application error will repeat on every retry — dropping it is
-      // the only way the queue ever drains. Loud, because it means this
-      // replica has permanently diverged (misconfigured ownership).
-      PIS_LOG(Error) << "dropping catch-up op (gid " << op.gid << ") for "
-                     << ep.backend->name() << ": " << applied.ToString();
+      // the only way the queue ever drains. The replica has permanently
+      // diverged (e.g. misconfigured ownership), so it leaves the reads.
+      Quarantine(ep, op.gid, applied);
       if (metrics_.catchup_dropped != nullptr) metrics_.catchup_dropped->Inc();
     }
     ep.pending.pop_front();
@@ -343,15 +357,6 @@ Status ClusterEngine::Bootstrap() {
 // ---------------------------------------------------------------------------
 // Query path
 
-ClusterEngine::StatePin ClusterEngine::PinState() {
-  MutexLock lock(&state_mu_);
-  StatePin pin;
-  pin.db_slots = db_slots_;
-  pin.routing = routing_;
-  pin.tombstones = tombstones_;
-  return pin;
-}
-
 Status ClusterEngine::PickCover(const std::unordered_set<int>& exclude,
                                 std::vector<int>* cover) {
   cover->assign(num_shards(), -1);
@@ -371,63 +376,53 @@ Status ClusterEngine::PickCover(const std::unordered_set<int>& exclude,
 }
 
 Result<SearchResult> ClusterEngine::Search(const Graph& query) {
-  return Search(query, options_.options.sigma);
+  return Search(query, options_.options.sigma, nullptr);
 }
 
 Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma) {
-  QueryStats unused;
-  return SearchInternal(query, sigma, &unused, nullptr);
+  return Search(query, sigma, nullptr);
 }
 
 Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
                                            TraceContext* trace) {
-  QueryStats unused;
-  return SearchInternal(query, sigma, &unused, trace);
-}
-
-Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
-                                                   double sigma,
-                                                   QueryStats* stats_out,
-                                                   TraceContext* trace) {
   Timer filter_timer;
-  const StatePin pin = PinState();
+  const int fan = std::max(1, options_.options.shard_threads);
 
-  // ---- Round 1: fan shard_query over a healthy cover, with failover ----
-  std::vector<QueryFragment> fragments;
-  std::vector<std::unordered_map<int, double>> merged;
+  // ---- Round 1: shard_filter over a healthy cover, with failover ----
+  FilterResult filter;
+  std::vector<ShardFilterResult> shards(num_shards());
+  int64_t live = 0;
   std::unordered_set<int> exclude;
-  bool round1_done = false;
-  while (!round1_done) {
+  for (;;) {
     std::vector<int> cover;
     PIS_RETURN_NOT_OK(PickCover(exclude, &cover));
-    // Group the cover's shards per endpoint: one shard_query round trip
+    // Group the cover's shards per endpoint: one shard_filter round trip
     // asks an endpoint for every shard it covers.
-    std::vector<std::pair<int, std::vector<int>>> groups;  // endpoint, shards
+    std::vector<std::pair<int, ShardFilterRequest>> groups;  // endpoint, req
     for (int s = 0; s < num_shards(); ++s) {
       const int e = cover[s];
       auto it = std::find_if(groups.begin(), groups.end(),
                              [e](const auto& g) { return g.first == e; });
       if (it == groups.end()) {
-        groups.emplace_back(e, std::vector<int>{s});
+        groups.emplace_back(e, ShardFilterRequest{query, {s}, sigma,
+                                                  trace != nullptr});
       } else {
-        it->second.push_back(s);
+        it->second.shards.push_back(s);
       }
     }
-    std::vector<Result<ShardQueryResult>> replies(
-        groups.size(), Status::Internal("shard_query not run"));
-    const int fan = std::max(1, options_.options.shard_threads);
+    std::vector<Result<ShardFilterReply>> replies(
+        groups.size(), Status::Internal("shard_filter not run"));
     ParallelFor(groups.size(), fan, [&](size_t g) {
       const double start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
-      replies[g] = endpoints_[groups[g].first]->backend->ShardQuery(
-          query, groups[g].second, sigma, trace != nullptr);
+      ShardBackend& backend = *endpoints_[groups[g].first]->backend;
+      replies[g] = backend.ShardFilter(groups[g].second);
       if (trace != nullptr) {
         // The replica's own stage spans (remote clock domain) graft under
         // this round-trip span; a failed attempt records with no children.
         std::vector<TraceSpan> children;
         if (replies[g].ok()) children = std::move(replies[g].value().spans);
-        trace->RecordSince(
-            "shard_query:" + endpoints_[groups[g].first]->backend->name(),
-            start_ms, std::move(children));
+        trace->RecordSince("shard_filter:" + backend.name(), start_ms,
+                           std::move(children));
       }
     });
     bool retry = false;
@@ -446,87 +441,59 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
     }
     if (retry) continue;
 
-    // ---- Merge: positional union of the per-fragment maps ----
-    // The first reply's catalog is the reference; it is only moved into
-    // `fragments` after the loop (which still reads it for comparison).
-    ScopedSpan merge_span(trace, "merge");
-    const auto& catalog = replies[0].value().fragments;
-    merged.assign(catalog.size(), {});
+    // Every reply must enumerate the same catalog and answer for exactly
+    // the shards it was asked about.
+    filter.fragments = std::move(replies[0].value().fragments);
     for (size_t g = 0; g < groups.size(); ++g) {
-      ShardQueryResult& r = replies[g].value();
-      if (r.fragments.size() != catalog.size()) {
-        return Status::Internal(
-            "fragment catalogs diverge across replicas (" +
-            endpoints_[groups[g].first]->backend->name() + " enumerated " +
-            std::to_string(r.fragments.size()) + " fragments, expected " +
-            std::to_string(catalog.size()) + ")");
+      ShardFilterReply& reply = replies[g].value();
+      const std::string& name = endpoints_[groups[g].first]->backend->name();
+      if (g > 0) {
+        PIS_RETURN_NOT_OK(
+            CheckSameCatalog(filter.fragments, reply.fragments, name));
       }
-      for (size_t fi = 0; fi < catalog.size(); ++fi) {
-        if (r.fragments[fi].prepared.class_id !=
-            catalog[fi].prepared.class_id) {
-          return Status::Internal(
-              "fragment catalogs diverge across replicas (class mismatch)");
-        }
-        // Shards own disjoint global-id spaces: plain union.
-        for (const auto& [gid, d] : r.dists[fi]) merged[fi].emplace(gid, d);
+      if (reply.shards != groups[g].second.shards) {
+        return Status::Internal(name + " answered shard_filter for shards " +
+                                "it was not asked about");
+      }
+      for (size_t i = 0; i < reply.shards.size(); ++i) {
+        live += reply.results[i].live;
+        shards[reply.shards[i]] = std::move(reply.results[i]);
       }
     }
-    fragments = std::move(replies[0].value().fragments);
-    round1_done = true;
+    break;
   }
+  if (live > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("replicas report more live graphs than "
+                                   "graph ids can number");
+  }
+  const double round1_seconds = filter_timer.Seconds();
 
-  // ---- Global filter: the exact Algorithm 2 core both engines share ----
-  FilterResult filter;
-  filter.fragments = std::move(fragments);
-  const size_t total_shards = static_cast<size_t>(num_shards());
-  internal::FragmentDistFn fragment_dists =
-      [&merged, total_shards](size_t fi, double /*sigma*/,
-                              std::unordered_map<int, double>* dist,
-                              QueryStats* stats) {
-        *dist = std::move(merged[fi]);
-        // The cover issued one physical range query per (fragment, shard),
-        // exactly like the in-process fan-out.
-        stats->range_queries += total_shards;
-        return Status::OK();
-      };
-  PisOptions filter_options = options_.options;
-  filter_options.sigma = sigma;
-  const double core_start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
-  PIS_RETURN_NOT_OK(internal::RunPisFilterCore(
-      pin.db_slots, &pin.tombstones, filter_options, fragment_dists,
-      &filter));
+  // ---- Plan: the global step of the filter both engines share ----
+  {
+    ScopedSpan plan_span(trace, "plan");
+    PisOptions plan_options = options_.options;
+    plan_options.sigma = sigma;
+    PlanFilter(shards, plan_options, &filter);
+  }
+  filter.stats.pass1_seconds =
+      round1_seconds + filter.stats.selectivity_seconds;
   filter.stats.filter_seconds = filter_timer.Seconds();
-  if (trace != nullptr) {
-    trace->Record(BuildFilterSpan(filter.stats, core_start_ms,
-                                  trace->ElapsedMs() - core_start_ms));
-  }
 
-  // ---- Round 2: verify candidates on their owning shard's replica ----
+  // ---- Round 2: shard_refine on every shard, each on its first readable
+  // replica (failover is per shard: a replica death mid-round only re-sends
+  // that shard's request) ----
   Timer verify_timer;
-  SearchResult result;
-  result.candidates = filter.candidates;
-  result.stats = filter.stats;
-  // Candidates grouped by owning shard; each shard verifies independently
-  // (failover is per shard — a replica death mid-round only re-sends that
-  // shard's candidate list).
-  std::vector<std::vector<int>> by_shard(num_shards());
-  for (int gid : filter.candidates) {
-    const int s = pin.routing[gid];
-    if (s < 0) {
-      return Status::Internal("candidate " + std::to_string(gid) +
-                              " has no routing entry");
-    }
-    by_shard[s].push_back(gid);
+  std::vector<int> classes;
+  for (int fi : filter.partition) {
+    classes.push_back(filter.fragments[fi].prepared.class_id);
   }
-  std::vector<int> shards_with_work;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (!by_shard[s].empty()) shards_with_work.push_back(s);
-  }
-  std::vector<Result<std::vector<int>>> verified(
-      shards_with_work.size(), Status::Internal("shard_verify not run"));
-  const int fan = std::max(1, options_.options.shard_threads);
-  ParallelFor(shards_with_work.size(), fan, [&](size_t i) {
-    const int s = shards_with_work[i];
+  std::vector<Result<ShardRefineReply>> refined(
+      num_shards(), Status::Internal("shard_refine not run"));
+  ParallelFor(num_shards(), fan, [&](size_t i) {
+    const int s = static_cast<int>(i);
+    const ShardRefineRequest request{
+        query, s, filter.partition, classes, std::move(shards[s].survivors),
+        sigma, trace != nullptr};
     std::unordered_set<int> tried;
     Status last = Status::Unavailable("no endpoint tried");
     for (;;) {
@@ -538,65 +505,59 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
         break;
       }
       if (chosen < 0) {
-        verified[i] = Status::Unavailable(
-            "no healthy replica can verify shard " + std::to_string(s) +
+        refined[i] = Status::Unavailable(
+            "no healthy replica can refine shard " + std::to_string(s) +
             ": " + last.ToString());
         return;
       }
       const double start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
-      std::vector<TraceSpan> child_spans;
-      Result<std::vector<int>> answers =
-          endpoints_[chosen]->backend->ShardVerify(
-              query, by_shard[s], sigma, trace != nullptr,
-              trace != nullptr ? &child_spans : nullptr);
-      if (answers.ok()) {
+      ShardBackend& backend = *endpoints_[chosen]->backend;
+      Result<ShardRefineReply> reply = backend.ShardRefine(request);
+      if (reply.ok()) {
         NoteTransportSuccess(*endpoints_[chosen]);
         if (trace != nullptr) {
           trace->RecordSince(
-              "shard_verify:shard" + std::to_string(s) + "@" +
-                  endpoints_[chosen]->backend->name(),
-              start_ms, std::move(child_spans));
+              "shard_refine:shard" + std::to_string(s) + "@" + backend.name(),
+              start_ms, std::move(reply.value().spans));
         }
-        verified[i] = std::move(answers);
+        refined[i] = std::move(reply);
         return;
       }
-      last = answers.status();
+      last = reply.status();
       if (IsTransportError(last)) {
         NoteTransportFailure(*endpoints_[chosen]);
-        tried.insert(chosen);
-        if (metrics_.failovers != nullptr) metrics_.failovers->Inc();
-        continue;
+      } else if (last.code() != StatusCode::kNotFound) {
+        refined[i] = last;  // real application error: surface it
+        return;
       }
-      if (last.code() == StatusCode::kNotFound) {
-        // The replica is behind on this gid (e.g. restarted from an older
-        // checkpoint): fail over rather than answer from stale state.
-        tried.insert(chosen);
-        if (metrics_.failovers != nullptr) metrics_.failovers->Inc();
-        continue;
-      }
-      verified[i] = last;  // real application error: surface it
-      return;
+      // Unreachable, or behind on a survivor (e.g. restarted from an older
+      // checkpoint): fail over rather than answer from stale state.
+      tried.insert(chosen);
+      if (metrics_.failovers != nullptr) metrics_.failovers->Inc();
     }
   });
-  for (Result<std::vector<int>>& v : verified) {
-    if (!v.ok()) return v.status();
-    result.answers.insert(result.answers.end(), v.value().begin(),
-                          v.value().end());
+  SearchResult result;
+  result.stats = filter.stats;
+  for (Result<ShardRefineReply>& r : refined) {
+    if (!r.ok()) return r.status();
+    result.candidates.insert(result.candidates.end(),
+                             r.value().candidates.begin(),
+                             r.value().candidates.end());
+    result.answers.insert(result.answers.end(), r.value().answers.begin(),
+                          r.value().answers.end());
   }
+  std::sort(result.candidates.begin(), result.candidates.end());
   std::sort(result.answers.begin(), result.answers.end());
+  result.stats.candidates_final = result.candidates.size();
   result.stats.answers = result.answers.size();
   result.stats.verify_seconds = verify_timer.Seconds();
-  *stats_out = result.stats;
   return result;
 }
 
 BatchSearchResult ClusterEngine::SearchBatch(std::span<const Graph> queries,
                                              int num_threads) {
-  const int workers =
-      std::min<int>(num_threads > 0 ? num_threads : HardwareThreads(),
-                    std::max<size_t>(queries.size(), 1));
   return internal::RunSearchBatch(
-      queries.size(), workers,
+      queries.size(), num_threads > 0 ? num_threads : HardwareThreads(),
       [this, queries](size_t i) { return Search(queries[i]); });
 }
 
@@ -649,8 +610,7 @@ int ClusterEngine::ReplicateOp(const PendingOp& op, uint64_t* max_epoch) {
     } else {
       // Application rejection: retrying is pointless (it would fail the
       // same way forever and wedge the queue). This replica misses the op.
-      PIS_LOG(Error) << ep.backend->name() << " rejected write (gid "
-                     << op.gid << "): " << applied.ToString();
+      Quarantine(ep, op.gid, applied);
     }
   }
   return acks;
@@ -749,6 +709,7 @@ ClusterEngine::ClusterStats ClusterEngine::Stats() {
     {
       MutexLock lock(&ep->send_mu);
       status.pending_ops = ep->pending.size();
+      status.quarantined = ep->quarantined;
     }
     stats.endpoints.push_back(std::move(status));
   }
@@ -770,6 +731,7 @@ JsonValue ClusterEngine::StatsJson() {
     for (int s : ep.shards) shards.Push(s);
     entry.Set("shards", std::move(shards));
     entry.Set("breaker_open", ep.breaker_open);
+    entry.Set("quarantined", ep.quarantined);
     entry.Set("consecutive_failures", ep.consecutive_failures);
     entry.Set("pending_ops", static_cast<uint64_t>(ep.pending_ops));
     endpoints.Push(std::move(entry));

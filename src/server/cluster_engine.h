@@ -5,20 +5,22 @@
 // QueryStats counter — is identical to a single-process PisEngine
 // over the same logical database.
 //
-// How the equivalence is engineered (and why the merge happens where it
-// does): the PIS filter is global — its selectivity denominator is the
-// cluster-wide live count, the ε-filter keeps fragments globally, and the
-// overlap partition is chosen once over merged selectivities. So a query
-// runs in two rounds:
+// How the equivalence is engineered: the router and the replicas run the
+// three steps of core/shard_filter.h that PisEngine runs in-process. The
+// intersection and the pass-2 lower bounds are shard-local; only the
+// selectivities and the partition need global input. So a query runs in
+// two rounds around one local step:
 //
-//   round 1  shard_query to a COVER (one healthy replica per shard, shards
-//            grouped per endpoint), returning per-fragment
-//            {gid -> min distance} maps. Shards own disjoint gid spaces,
-//            so the router unions the maps positionally and then runs
-//            RunPisFilterCore — the exact post-enumeration Algorithm 2
-//            core both engines share — over the merged maps.
-//   round 2  shard_verify of the surviving candidates, grouped to the
-//            owning shard's chosen replica; answers union ascending.
+//   round 1  shard_filter to a COVER (one healthy replica per shard, shards
+//            grouped per endpoint), returning the fragment catalog and,
+//            per shard, the intersection survivors, one (distance, count)
+//            histogram per fragment and the live count.
+//   plan     PlanFilter over the per-shard outputs: selectivities from the
+//            summed histograms and live counts, ε-filter, partition.
+//   round 2  shard_refine on every shard (one readable replica each): the
+//            partition's range queries prune the shard's survivors, the
+//            replica verifies what remains and returns the candidates and
+//            answers, which union ascending.
 //
 // Writes are serialized by the router (the sole writer and global-metadata
 // authority): placement mirrors ShardedFragmentIndex::AddGraph (least
@@ -36,7 +38,8 @@
 // applying; reserving the gid keeps a later retry from colliding).
 //
 // Reads never touch a replica with queued catch-up ops (it is behind acked
-// state) or an open circuit breaker; transport failures during a query
+// state), a quarantined replica (one that rejected a write it can never
+// apply, so it silently diverged) or an open circuit breaker; transport failures during a query
 // trip the breaker and the round retries on the next healthy cover, so a
 // replica kill mid-stream degrades to failover, not wrong answers.
 #ifndef PIS_SERVER_CLUSTER_ENGINE_H_
@@ -92,9 +95,10 @@ struct ClusterEngineOptions {
   /// Health-probe cadence (StartHealthThread); the probe also drains
   /// catch-up queues of recovered replicas.
   int health_interval_ms = 100;
-  /// Engine knobs. sigma/epsilon/partition choices must match the shard
-  /// servers' cluster config; verify_threads affects only replica-side
-  /// scheduling. shard_threads fans round-1 endpoint groups.
+  /// Engine knobs. The router plans with its own sigma/lambda/epsilon/
+  /// partition choices; max_query_fragments must match the replicas'
+  /// config (they enumerate). verify_threads affects only replica-side
+  /// scheduling; shard_threads fans out both rounds.
   PisOptions options;
   /// When non-null, the engine registers fabric metrics here (breaker
   /// state/transitions, catch-up queue depth, failover counts, and each
@@ -106,7 +110,7 @@ struct ClusterEngineOptions {
 /// \brief Fan-out/merge engine over a set of shard-replica backends.
 ///
 /// Thread-safe: queries run concurrently with each other and with writes
-/// (each round reads a pinned copy of the routing state); writes are
+/// (they read no router state beyond endpoint health); writes are
 /// serialized internally.
 class ClusterEngine {
  public:
@@ -154,12 +158,14 @@ class ClusterEngine {
   Result<SearchResult> Search(const Graph& query, double sigma)
       PIS_EXCLUDES(writer_mu_, state_mu_);
   /// Traced variant: with a non-null `trace`, records the two-round span
-  /// tree — one `shard_query:<endpoint>` round-trip span per cover group
-  /// (remote stage spans grafted as children), `merge`, `filter` with the
-  /// shared-core stage children, and one `shard_verify:...` span per shard
-  /// with work. With shard_threads == 1 (the default) the fan-outs are
-  /// sequential, so sibling spans do not overlap and their durations sum to
-  /// at most the trace total.
+  /// tree — one `shard_filter:<endpoint>` round-trip span per cover group
+  /// (remote stage spans grafted as children), `plan`, and one
+  /// `shard_refine:shardN@<endpoint>` span per shard. With shard_threads ==
+  /// 1 (the default) the fan-outs are sequential, so sibling spans do not
+  /// overlap and their durations sum to at most the trace total. Stats
+  /// report round 1 plus the selectivities as pass1_seconds, the rest of
+  /// the plan as partition_seconds, and round 2 (refine and verify run
+  /// together on the replicas) as verify_seconds.
   Result<SearchResult> Search(const Graph& query, double sigma,
                               TraceContext* trace)
       PIS_EXCLUDES(writer_mu_, state_mu_);
@@ -185,6 +191,7 @@ class ClusterEngine {
     std::string name;
     std::vector<int> shards;
     bool breaker_open = false;
+    bool quarantined = false;
     int consecutive_failures = 0;
     size_t pending_ops = 0;
   };
@@ -220,6 +227,10 @@ class ClusterEngine {
 
     Mutex send_mu;
     std::deque<PendingOp> pending PIS_GUARDED_BY(send_mu);
+    /// Sticky: set when the replica rejected a write (directly or during
+    /// catch-up), so it silently misses acked state and never serves reads
+    /// again. Cleared only by a router restart.
+    bool quarantined PIS_GUARDED_BY(send_mu) = false;
 
     Mutex health_mu;
     int consecutive_failures PIS_GUARDED_BY(health_mu) = 0;
@@ -233,35 +244,30 @@ class ClusterEngine {
     Counter* breaker_opened = nullptr;
     Counter* breaker_closed = nullptr;
     Gauge* catchup_depth = nullptr;
+    Gauge* quarantined_gauge = nullptr;
   };
 
-  /// Immutable pin of the routing state one query round runs against.
-  struct StatePin {
-    int db_slots = 0;
-    std::vector<int> routing;
-    std::unordered_set<int> tombstones;
-  };
-
-  StatePin PinState() PIS_EXCLUDES(state_mu_);
-  /// Endpoint is currently eligible to serve reads: breaker closed and no
-  /// queued catch-up ops (a replica with pending ops is behind acked
-  /// state).
+  /// Endpoint is currently eligible to serve reads: breaker closed, not
+  /// quarantined, and no queued catch-up ops (a replica with pending ops is
+  /// behind acked state).
   bool Readable(Endpoint& ep);
+  /// Takes `ep` out of reads for good after it rejected the write for
+  /// `gid`.
+  void Quarantine(Endpoint& ep, int gid, const Status& rejection)
+      PIS_REQUIRES(ep.send_mu);
   void NoteTransportFailure(Endpoint& ep);
   void NoteTransportSuccess(Endpoint& ep);
   /// Picks one readable endpoint per shard, excluding `exclude`; fills
   /// cover[s] with an endpoint index. Unavailable when a shard has none.
   Status PickCover(const std::unordered_set<int>& exclude,
                    std::vector<int>* cover);
-  Result<SearchResult> SearchInternal(const Graph& query, double sigma,
-                                      QueryStats* stats_out,
-                                      TraceContext* trace);
   /// Applies one committed write to every replica of its shard: direct
   /// sends where possible, catch-up queue otherwise. Returns the ack count
   /// and the max acked epoch.
   int ReplicateOp(const PendingOp& op, uint64_t* max_epoch);
   /// Drains one endpoint's catch-up queue in order; stops (and re-trips
-  /// the breaker) on the first transport failure.
+  /// the breaker) on the first transport failure. An op the replica
+  /// rejects is dropped and quarantines the replica.
   void DrainPending(Endpoint& ep);
   void HealthLoop();
 

@@ -11,8 +11,6 @@
 
 namespace pis {
 
-namespace {
-
 JsonValue ErrorReply(const Status& status) {
   JsonValue reply = JsonValue::Object();
   reply.Set("ok", false);
@@ -21,7 +19,9 @@ JsonValue ErrorReply(const Status& status) {
   return reply;
 }
 
-}  // namespace
+JsonValue ErrorReply(const std::string& message) {
+  return ErrorReply(Status::InvalidArgument(message));
+}
 
 LineServer::LineServer(Handler handler, const LineServerOptions& options)
     : handler_(std::move(handler)), options_(options) {

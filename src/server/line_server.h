@@ -24,6 +24,14 @@
 
 namespace pis {
 
+/// The protocol's failure reply: {"ok":false,"code":"<StatusCode>",
+/// "error":"..."}. The code travels separately from the rendered message so
+/// a remote caller can reconstruct a typed Status — distinguishing e.g. a
+/// NotFound it can fail over from an InvalidArgument it must surface.
+JsonValue ErrorReply(const Status& status);
+/// An InvalidArgument failure reply.
+JsonValue ErrorReply(const std::string& message);
+
 struct LineServerOptions {
   /// 0 binds a kernel-assigned ephemeral port (read back via port()).
   int port = 0;

@@ -13,22 +13,6 @@ namespace pis {
 
 namespace {
 
-JsonValue ErrorReply(const Status& status) {
-  JsonValue reply = JsonValue::Object();
-  reply.Set("ok", false);
-  // The code travels separately from the rendered message so a remote
-  // caller (pis_router, pis_client) can reconstruct a typed Status —
-  // distinguishing e.g. a NotFound it can fail over from an
-  // InvalidArgument it must surface.
-  reply.Set("code", StatusCodeName(status.code()));
-  reply.Set("error", status.ToString());
-  return reply;
-}
-
-JsonValue ErrorReply(const std::string& message) {
-  return ErrorReply(Status::InvalidArgument(message));
-}
-
 /// Strict int32 or bust: truncating 3.9 would address a different graph
 /// than requested, and casting 1e300 to int is undefined behavior.
 bool StrictInt(const JsonValue* v, int* out) {
@@ -38,18 +22,6 @@ bool StrictInt(const JsonValue* v, int* out) {
     return false;
   }
   *out = static_cast<int>(raw);
-  return true;
-}
-
-bool StrictIntArray(const JsonValue* v, std::vector<int>* out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out->clear();
-  out->reserve(v->size());
-  for (const JsonValue& item : v->items()) {
-    int value = 0;
-    if (!StrictInt(&item, &value)) return false;
-    out->push_back(value);
-  }
   return true;
 }
 
@@ -76,8 +48,8 @@ PisServer::PisServer(EngineHost* host, const PisServerOptions& options)
     // atomics — never the registry mutex.
     static constexpr const char* kOps[] = {
         "health",      "stats",     "meta",      "metrics",      "query",
-        "add",         "remove",    "compact",   "shutdown",     "shard_query",
-        "shard_verify", "shard_add", "shard_remove", "other"};
+        "add",         "remove",    "compact",   "shutdown",     "shard_filter",
+        "shard_refine", "shard_add", "shard_remove", "other"};
     for (const char* op : kOps) {
       OpMetrics m;
       m.requests = metrics_registry_->GetCounter(
@@ -118,13 +90,9 @@ JsonValue PisServer::Dispatch(const JsonValue& request, const std::string& op,
                               bool* shutdown) {
   JsonValue reply = JsonValue::Object();
 
-  if (op == "health") {
-    EngineHost::HostStats stats = host_->Stats();
-    reply.Set("ok", true);
-    reply.Set("status", "serving");
-    reply.Set("epoch", stats.epoch);
-    reply.Set("live", stats.live);
-    return reply;
+  if (op == "health" || op == "meta" || op == "shard_filter" ||
+      op == "shard_refine" || op == "shard_add" || op == "shard_remove") {
+    return ServeShardOp(host_, shards_owned_, request);
   }
 
   if (op == "stats") {
@@ -146,18 +114,6 @@ JsonValue PisServer::Dispatch(const JsonValue& request, const std::string& op,
     reply.Set("text", metrics_registry_->RenderPrometheus());
     return reply;
   }
-
-  if (op == "meta") {
-    std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
-    reply.Set("ok", true);
-    ShardMetaToJson(CollectShardMeta(*snap, shards_owned_), &reply);
-    return reply;
-  }
-
-  if (op == "shard_query") return HandleShardQuery(request);
-  if (op == "shard_verify") return HandleShardVerify(request);
-  if (op == "shard_add") return HandleShardAdd(request);
-  if (op == "shard_remove") return HandleShardRemove(request);
 
   if (op == "query") return HandleQuery(request);
 
@@ -285,144 +241,6 @@ JsonValue PisServer::HandleQuery(const JsonValue& request) {
     }
     if (trace_requested) reply.Set("trace", std::move(trace_json));
   }
-  return reply;
-}
-
-JsonValue PisServer::HandleShardQuery(const JsonValue& request) {
-  const JsonValue* graph_text = request.Find("graph");
-  if (graph_text == nullptr || !graph_text->is_string()) {
-    return ErrorReply("shard_query needs a string \"graph\" field");
-  }
-  Result<Graph> query = ParseGraph(graph_text->AsString());
-  if (!query.ok()) return ErrorReply(query.status());
-  std::vector<int> shards;
-  if (!StrictIntArray(request.Find("shards"), &shards) || shards.empty()) {
-    return ErrorReply("shard_query needs a non-empty integer \"shards\"");
-  }
-  double sigma = host_->options().sigma;
-  if (request.Has("sigma")) {
-    const JsonValue* s = request.Find("sigma");
-    if (!s->is_number() || s->AsNumber() < 0) {
-      return ErrorReply("sigma must be a number >= 0");
-    }
-    sigma = s->AsNumber();
-  }
-  std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
-  Status owned = CheckShardsOwned(shards, shards_owned_,
-                                  snap->index->num_shards());
-  if (!owned.ok()) return ErrorReply(owned);
-  Result<ShardQueryResult> result =
-      RunShardQuery(*snap, shards, query.value(), sigma, host_->options(),
-                    request.GetBoolOr("trace", false));
-  if (!result.ok()) return ErrorReply(result.status());
-  JsonValue reply = JsonValue::Object();
-  reply.Set("ok", true);
-  ShardQueryResultToJson(result.value(), &reply);
-  return reply;
-}
-
-JsonValue PisServer::HandleShardVerify(const JsonValue& request) {
-  const JsonValue* graph_text = request.Find("graph");
-  if (graph_text == nullptr || !graph_text->is_string()) {
-    return ErrorReply("shard_verify needs a string \"graph\" field");
-  }
-  Result<Graph> query = ParseGraph(graph_text->AsString());
-  if (!query.ok()) return ErrorReply(query.status());
-  std::vector<int> ids;
-  if (!StrictIntArray(request.Find("ids"), &ids)) {
-    return ErrorReply("shard_verify needs an integer \"ids\" array");
-  }
-  const JsonValue* sigma = request.Find("sigma");
-  if (sigma == nullptr || !sigma->is_number() || sigma->AsNumber() < 0) {
-    return ErrorReply("shard_verify needs a number \"sigma\" >= 0");
-  }
-  std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
-  if (!shards_owned_.empty()) {
-    for (int gid : ids) {
-      const int s = gid >= 0 && gid < snap->index->db_size()
-                        ? snap->index->shard_of(gid)
-                        : -1;
-      if (!std::binary_search(shards_owned_.begin(), shards_owned_.end(),
-                              s)) {
-        return ErrorReply(Status::InvalidArgument(
-            "graph " + std::to_string(gid) +
-            " is not resident in a shard owned by this replica"));
-      }
-    }
-  }
-  std::vector<TraceSpan> spans;
-  Result<std::vector<int>> answers =
-      RunShardVerify(*snap, ids, query.value(), sigma->AsNumber(),
-                     host_->options(), request.GetBoolOr("trace", false),
-                     &spans);
-  if (!answers.ok()) return ErrorReply(answers.status());
-  JsonValue reply = JsonValue::Object();
-  reply.Set("ok", true);
-  reply.Set("epoch", snap->epoch);
-  JsonValue out = JsonValue::Array();
-  for (int gid : answers.value()) out.Push(gid);
-  reply.Set("answers", std::move(out));
-  if (!spans.empty()) reply.Set("spans", TraceSpan::ListToJson(spans));
-  return reply;
-}
-
-JsonValue PisServer::HandleShardAdd(const JsonValue& request) {
-  int gid = 0;
-  int shard = 0;
-  if (!StrictInt(request.Find("gid"), &gid) || gid < 0) {
-    return ErrorReply("shard_add needs a non-negative integer \"gid\"");
-  }
-  if (!StrictInt(request.Find("shard"), &shard) || shard < 0) {
-    return ErrorReply("shard_add needs a non-negative integer \"shard\"");
-  }
-  if (!shards_owned_.empty() &&
-      !std::binary_search(shards_owned_.begin(), shards_owned_.end(),
-                          shard)) {
-    return ErrorReply(Status::InvalidArgument(
-        "shard " + std::to_string(shard) +
-        " is not owned by this replica"));
-  }
-  const JsonValue* graph_text = request.Find("graph");
-  if (graph_text == nullptr || !graph_text->is_string()) {
-    return ErrorReply("shard_add needs a string \"graph\" field");
-  }
-  Result<Graph> graph = ParseGraph(graph_text->AsString());
-  if (!graph.ok()) return ErrorReply(graph.status());
-  uint64_t epoch = 0;
-  Status added = host_->AddGraphAt(gid, shard, graph.value(), &epoch);
-  if (!added.ok()) return ErrorReply(added);
-  JsonValue reply = JsonValue::Object();
-  reply.Set("ok", true);
-  reply.Set("epoch", epoch);
-  return reply;
-}
-
-JsonValue PisServer::HandleShardRemove(const JsonValue& request) {
-  int gid = 0;
-  if (!StrictInt(request.Find("id"), &gid) || gid < 0) {
-    return ErrorReply("shard_remove needs a non-negative integer \"id\"");
-  }
-  uint64_t epoch = 0;
-  Status removed = host_->RemoveGraph(gid, &epoch);
-  JsonValue reply = JsonValue::Object();
-  if (removed.ok()) {
-    reply.Set("ok", true);
-    reply.Set("epoch", epoch);
-    reply.Set("applied", true);
-    return reply;
-  }
-  // Idempotent replication semantics: a catch-up replay may re-deliver a
-  // remove this replica already applied. Already-dead is success; a gid
-  // this replica has never heard of is a real error (the router replays
-  // per-endpoint ops in order, so the add always lands first).
-  std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
-  const bool already_dead = removed.code() == StatusCode::kNotFound &&
-                            gid < snap->index->db_size() &&
-                            !snap->index->IsLive(gid);
-  if (!already_dead) return ErrorReply(removed);
-  reply.Set("ok", true);
-  reply.Set("epoch", snap->epoch);
-  reply.Set("applied", false);
   return reply;
 }
 

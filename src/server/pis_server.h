@@ -26,19 +26,21 @@
 //
 //   {"op":"meta"}                            -> {"ok":true,"db_slots":..,
 //                                                "routing":[..],"tombstones":[..],..}
-//   {"op":"shard_query","graph":"<record>",  -> {"ok":true,"fragments":[..],
-//     "shards":[0,2],"sigma":S?}                 "dists":[[[gid,d],..],..],..}
-//   {"op":"shard_verify","graph":"<record>", -> {"ok":true,"answers":[ids]}
-//     "ids":[..],"sigma":S}
+//   {"op":"shard_filter","graph":"<record>", -> {"ok":true,"fragments":[..],
+//     "shards":[0,2],"sigma":S}                 "shards":[{"shard":0,"live":N,
+//                                                "survivors":[ids],"histograms":
+//                                                [[[d,count],..],..]},..],..}
+//   {"op":"shard_refine","graph":"<record>", -> {"ok":true,"candidates":[ids],
+//     "shard":s,"partition":[..],"classes":[..],  "answers":[ids],..}
+//     "survivors":[ids],"sigma":S}
 //   {"op":"shard_add","gid":N,"shard":s,     -> {"ok":true,"epoch":E}
 //     "graph":"<record>"}                       (idempotent re-apply included)
 //   {"op":"shard_remove","id":N}             -> {"ok":true,"epoch":E,
 //                                                "applied":bool} (idempotent)
 //
-// With a non-empty PisServerOptions::shards_owned, shard_query/shard_verify
-// reject shards (or candidate gids resident in shards) outside the owned
-// set — the replica serves a shard subset even though it loads the full
-// index structure. shard_add carries an explicit (gid, shard) placement
+// With a non-empty PisServerOptions::shards_owned, shard_filter/shard_refine
+// reject shards outside the owned set — the replica serves a shard subset
+// even though it loads the full index structure. shard_add carries an explicit (gid, shard) placement
 // preassigned by the router and is idempotent, which is what makes the
 // router's catch-up replay after a lost ack safe; shard_remove likewise
 // treats an already-dead gid as success ("applied":false).
@@ -133,10 +135,6 @@ class PisServer {
   JsonValue Dispatch(const JsonValue& request, const std::string& op,
                      bool* shutdown);
   JsonValue HandleQuery(const JsonValue& request);
-  JsonValue HandleShardQuery(const JsonValue& request);
-  JsonValue HandleShardVerify(const JsonValue& request);
-  JsonValue HandleShardAdd(const JsonValue& request);
-  JsonValue HandleShardRemove(const JsonValue& request);
 
   EngineHost* host_;
   /// Sorted copy of options.shards_owned (empty = all shards).

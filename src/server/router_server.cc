@@ -9,22 +9,6 @@
 
 namespace pis {
 
-namespace {
-
-JsonValue ErrorReply(const Status& status) {
-  JsonValue reply = JsonValue::Object();
-  reply.Set("ok", false);
-  reply.Set("code", StatusCodeName(status.code()));
-  reply.Set("error", status.ToString());
-  return reply;
-}
-
-JsonValue ErrorReply(const std::string& message) {
-  return ErrorReply(Status::InvalidArgument(message));
-}
-
-}  // namespace
-
 RouterServer::RouterServer(ClusterEngine* cluster,
                            const RouterServerOptions& options)
     : cluster_(cluster),
@@ -199,7 +183,7 @@ JsonValue RouterServer::HandleQuery(const JsonValue& request) {
   reply.Set("stats", std::move(stats));
   if (tracing) {
     // One root span wraps the router-level pipeline so the span tree reads
-    // as: query -> {shard_query:* round trips, merge, filter, shard_verify:*}.
+    // as: query -> {shard_filter:* round trips, plan, shard_refine:*}.
     TraceSpan root;
     root.name = "query";
     root.start_ms = 0;

@@ -18,9 +18,9 @@
 // `query` additionally accepts "trace":true, which adds a "trace" object to
 // the reply: {"trace_id":..,"op":"query","total_ms":F,"spans":[root]} where
 // the single root span "query" contains the router-level pipeline — the
-// per-shard-group "shard_query:*" round trips (each carrying the replica's
-// own child spans), "merge", the global "filter" stage tree, and the
-// per-shard "shard_verify:*" round trips. The same document is what a
+// per-shard-group "shard_filter:*" round trips (each carrying the replica's
+// own child spans), the router's "plan", and the per-shard
+// "shard_refine:*" round trips. The same document is what a
 // configured slow-query log records when total_ms breaches the threshold.
 #ifndef PIS_SERVER_ROUTER_SERVER_H_
 #define PIS_SERVER_ROUTER_SERVER_H_

@@ -1,11 +1,13 @@
-// One replica of the shard fabric, as seen by the router: the five
-// cluster ops of server/shard_ops.h plus a health probe, behind a uniform
-// interface so the fan-out/merge logic in ClusterEngine is oblivious to
-// where a shard actually lives.
+// One replica of the shard fabric, as seen by the router: the cluster ops
+// of server/shard_ops.h plus a health probe, behind a uniform
+// interface so the fan-out logic in ClusterEngine is oblivious to where a
+// shard actually lives. Every op is one JSON request/reply exchange; the
+// two backends differ only in how the exchange travels:
 //
-//   LocalShardBackend  — an EngineHost in this process (the cluster test
-//                        harness, and single-process deployments that want
-//                        the router semantics without sockets).
+//   LocalShardBackend  — an EngineHost in this process, answered by the
+//                        same ServeShardOp that pis_server runs (the
+//                        cluster tests, and single-process deployments that
+//                        want the router semantics without sockets).
 //   RemoteShardBackend — a pis_server reached over the newline-delimited
 //                        JSON protocol, with per-request deadlines and a
 //                        lazily (re)connected pooled socket.
@@ -13,21 +15,20 @@
 // Error taxonomy matters here: the router's failover and circuit breaker
 // trip only on TRANSPORT errors (IOError, DeadlineExceeded, Unavailable —
 // the replica is unreachable or wedged), while APPLICATION errors
-// (InvalidArgument, NotFound, ...) travel back from a healthy replica's
-// reply frame and are surfaced, not retried. RemoteShardBackend
-// reconstructs the typed application Status from the reply's "code" field,
-// so both backends present the identical error surface.
+// (InvalidArgument, NotFound, ...) travel back in a healthy replica's
+// reply frame and are surfaced, not retried. RoundTrip reconstructs the
+// typed application Status from the reply's "code" field, so both backends
+// present the identical error surface.
 #ifndef PIS_SERVER_SHARD_BACKEND_H_
 #define PIS_SERVER_SHARD_BACKEND_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "server/engine_host.h"
 #include "server/shard_ops.h"
 #include "util/json.h"
@@ -55,23 +56,22 @@ class ShardBackend {
   /// Stable display name for logs and errors ("127.0.0.1:4871", "local#2").
   virtual const std::string& name() const = 0;
 
+  /// Sends one request object: an {"ok":false} reply becomes its typed
+  /// application Status (via the "code" field), a transport failure its
+  /// transport Status. Instrumented per op once EnableMetrics ran.
+  Result<JsonValue> RoundTrip(const JsonValue& request);
+
   /// Liveness probe; returns the replica's current epoch.
-  virtual Result<uint64_t> Health() = 0;
-  virtual Result<ShardMeta> Meta() = 0;
-  /// With `trace`, the result's `spans` carries the replica's stage spans
-  /// (remote clock domain — see ShardQueryResult::spans).
-  virtual Result<ShardQueryResult> ShardQuery(const Graph& query,
-                                              const std::vector<int>& shards,
-                                              double sigma,
-                                              bool trace = false) = 0;
-  /// With `trace` and a non-null `spans_out`, appends the replica's verify
-  /// spans on success (remote clock domain).
-  virtual Result<std::vector<int>> ShardVerify(
-      const Graph& query, const std::vector<int>& ids, double sigma,
-      bool trace = false, std::vector<TraceSpan>* spans_out = nullptr) = 0;
+  Result<uint64_t> Health();
+  Result<ShardMeta> Meta();
+  /// The `shard_filter` and `shard_refine` ops. With `request.trace`, the
+  /// reply's `spans` carries the replica's stage spans (remote clock
+  /// domain).
+  Result<ShardFilterReply> ShardFilter(const ShardFilterRequest& request);
+  Result<ShardRefineReply> ShardRefine(const ShardRefineRequest& request);
   /// Idempotent explicit-placement write; returns the publishing epoch
   /// (0 when the replica had already applied this placement).
-  virtual Result<uint64_t> ShardAdd(int gid, int shard, const Graph& g) = 0;
+  Result<uint64_t> ShardAdd(int gid, int shard, const Graph& g);
 
   struct RemoveOutcome {
     uint64_t epoch = 0;
@@ -79,7 +79,7 @@ class ShardBackend {
     /// re-delivery during catch-up).
     bool applied = false;
   };
-  virtual Result<RemoveOutcome> ShardRemove(int gid) = 0;
+  Result<RemoveOutcome> ShardRemove(int gid);
 
   /// Registers this endpoint's RPC instrumentation — one latency-histogram
   /// child per op under `pis_cluster_rpc_seconds{endpoint,op}` plus a
@@ -90,24 +90,15 @@ class ShardBackend {
   void EnableMetrics(MetricsRegistry* registry);
 
  protected:
-  /// Observes one completed call into the per-op latency histogram; a
-  /// transport-classified failure (IsTransportError) also counts toward the
-  /// endpoint's error counter. No-op until EnableMetrics.
-  void RecordRpc(const char* op, double seconds, bool transport_error);
+  /// One request/reply exchange: the reply object as the replica sent it
+  /// (including {"ok":false} replies), or a transport error.
+  virtual Result<JsonValue> Exchange(const JsonValue& request) = 0;
 
  private:
-  /// Cached per-op children (fixed op vocabulary, resolved once so the
-  /// record path never touches the registry mutex).
-  struct RpcMetrics {
-    Histogram* health = nullptr;
-    Histogram* meta = nullptr;
-    Histogram* shard_query = nullptr;
-    Histogram* shard_verify = nullptr;
-    Histogram* shard_add = nullptr;
-    Histogram* shard_remove = nullptr;
-    Counter* transport_errors = nullptr;
-  };
-  RpcMetrics rpc_metrics_;
+  /// Per-op latency children for the fixed op vocabulary, resolved once so
+  /// the record path never touches the registry mutex.
+  std::unordered_map<std::string, Histogram*> rpc_latency_;
+  Counter* transport_errors_ = nullptr;
 };
 
 /// \brief An in-process EngineHost serving a shard subset.
@@ -118,18 +109,9 @@ class LocalShardBackend : public ShardBackend {
                     std::string name);
 
   const std::string& name() const override { return name_; }
-  Result<uint64_t> Health() override;
-  Result<ShardMeta> Meta() override;
-  Result<ShardQueryResult> ShardQuery(const Graph& query,
-                                      const std::vector<int>& shards,
-                                      double sigma,
-                                      bool trace = false) override;
-  Result<std::vector<int>> ShardVerify(
-      const Graph& query, const std::vector<int>& ids, double sigma,
-      bool trace = false,
-      std::vector<TraceSpan>* spans_out = nullptr) override;
-  Result<uint64_t> ShardAdd(int gid, int shard, const Graph& g) override;
-  Result<RemoveOutcome> ShardRemove(int gid) override;
+
+ protected:
+  Result<JsonValue> Exchange(const JsonValue& request) override;
 
  private:
   EngineHost* host_;
@@ -151,30 +133,12 @@ class RemoteShardBackend : public ShardBackend {
   RemoteShardBackend(std::string host, int port, int timeout_ms);
 
   const std::string& name() const override { return name_; }
-  Result<uint64_t> Health() override;
-  Result<ShardMeta> Meta() override;
-  Result<ShardQueryResult> ShardQuery(const Graph& query,
-                                      const std::vector<int>& shards,
-                                      double sigma,
-                                      bool trace = false) override;
-  Result<std::vector<int>> ShardVerify(
-      const Graph& query, const std::vector<int>& ids, double sigma,
-      bool trace = false,
-      std::vector<TraceSpan>* spans_out = nullptr) override;
-  Result<uint64_t> ShardAdd(int gid, int shard, const Graph& g) override;
-  Result<RemoveOutcome> ShardRemove(int gid) override;
 
-  /// Sends one request object and decodes the reply: an {"ok":false} frame
-  /// becomes its typed application Status (via the "code" field), a
-  /// transport failure drops the pooled socket and returns the transport
-  /// Status. Exposed for pis_router's raw passthrough and the fuzz tests.
-  Result<JsonValue> RoundTrip(const JsonValue& request) PIS_EXCLUDES(mu_);
-
- private:
-  /// RoundTrip minus the instrumentation (the timed socket work).
-  Result<JsonValue> RoundTripInner(const JsonValue& request)
+ protected:
+  Result<JsonValue> Exchange(const JsonValue& request) override
       PIS_EXCLUDES(mu_);
 
+ private:
   std::string host_;
   int port_;
   int timeout_ms_;

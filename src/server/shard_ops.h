@@ -1,41 +1,31 @@
 // Shard-level request handlers of the distributed serving fabric, shared by
-// pis_server (which executes them over a pinned EngineHost snapshot) and
-// the router's backends (LocalShardBackend executes them in-process;
-// RemoteShardBackend decodes their wire form).
+// pis_server and the router's in-process LocalShardBackend, and the wire
+// codecs every ShardBackend uses. The ops:
 //
-// The distributed query protocol merges at the PER-FRAGMENT RANGE-QUERY
-// level, not the candidate level: the PIS filter's selectivity denominator
-// is the GLOBAL live count, the ε-filter keeps fragments globally, and the
-// partition is chosen once over the merged selectivities — running the full
-// filter per shard and unioning candidates would answer a different
-// (wrong) algorithm. So a shard server's job is exactly what
-// PisEngine's per-shard fan-out does in-process:
-//
-//   shard_query : enumerate the query's fragments against the (identical,
-//                 frozen) class catalog, run each fragment's range query
-//                 over the requested owned shards, and return the
-//                 per-fragment {global gid -> min distance} maps. The router
-//                 unions the maps across its shard cover (disjoint gid
-//                 spaces) and runs RunPisFilterCore globally.
-//   shard_verify: verify a set of global candidate ids the router already
-//                 filtered (each resident in a shard this replica owns) and
-//                 return the ids within sigma.
+//   shard_filter: enumerate the query's fragments against the frozen class
+//                 catalog, then ShardFilter (core/shard_filter.h) over each
+//                 requested owned shard.
+//   shard_refine: ShardRefine on one owned shard with the router's
+//                 partition, then verify the remaining candidates.
 //   meta        : the replica's routing/tombstone/epoch state, which is how
 //                 a router bootstraps its global view of the cluster.
+//   shard_add / shard_remove: idempotent replicated writes with an explicit
+//                 placement preassigned by the router.
 //
 // JSON numbers round-trip doubles exactly (util/json.h emits
-// shortest-round-trip forms), so the merged distances — and therefore
-// selectivities, partition choice, and every pass-2 bound — are
-// bit-identical to the single-process engine's.
+// shortest-round-trip forms), so the router's summed histograms — and
+// therefore its selectivities and partition — are bit-identical to the
+// single-process engine's.
 #ifndef PIS_SERVER_SHARD_OPS_H_
 #define PIS_SERVER_SHARD_OPS_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "core/options.h"
 #include "core/query_fragments.h"
+#include "core/shard_filter.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
 #include "server/engine_host.h"
@@ -59,72 +49,89 @@ struct ShardMeta {
   std::vector<int> tombstones;
 };
 
-/// Outcome of one `shard_query` round over a subset of owned shards.
-struct ShardQueryResult {
+/// `shard_filter`: pass 1 over a set of owned shards.
+struct ShardFilterRequest {
+  Graph query;
+  std::vector<int> shards;  // strictly ascending
+  double sigma = 0;
+  bool trace = false;
+};
+
+struct ShardFilterReply {
   uint64_t epoch = 0;
-  /// The query's enumerated fragments (class id + covered query vertices),
-  /// in enumeration order. Deterministic given the frozen catalog, so every
-  /// replica reports the identical list and the per-fragment maps align
-  /// positionally across endpoints.
+  /// The query's enumerated fragments in enumeration order (only class id
+  /// and covered query vertices cross the wire). Deterministic given the
+  /// frozen catalog, so every replica reports the identical list.
   std::vector<QueryFragment> fragments;
-  /// fragments.size() maps: global gid -> min distance over the requested
-  /// shards (Eq. 3 aggregation, already translated to global ids).
-  std::vector<std::unordered_map<int, double>> dists;
-  /// Shard-side stage spans (empty unless the request set "trace": true).
+  /// The requested shards and, parallel to them, each one's pass 1.
+  std::vector<int> shards;
+  std::vector<ShardFilterResult> results;
+  /// Replica-side stage spans (empty unless the request set "trace").
   /// Offsets are relative to the replica's own handler start — the remote
   /// clock domain (obs/trace.h) — so the router grafts them under its
   /// round-trip span instead of interleaving them with local siblings.
   std::vector<TraceSpan> spans;
 };
 
-/// InvalidArgument unless every requested shard is within range and owned
-/// (`owned` sorted; empty = the replica owns every shard).
-Status CheckShardsOwned(const std::vector<int>& requested,
-                        const std::vector<int>& owned, int num_shards);
+/// `shard_refine`: pass 2 and verification on one owned shard.
+struct ShardRefineRequest {
+  Graph query;
+  int shard = 0;
+  /// Partition positions into the query's fragment catalog, and their
+  /// class ids, which the replica checks against its own enumeration.
+  std::vector<int> partition;
+  std::vector<int> classes;
+  /// The shard's ascending shard_filter survivors.
+  std::vector<int> survivors;
+  double sigma = 0;
+  bool trace = false;
+};
 
-/// Executes `shard_query` over a pinned snapshot: fragment enumeration plus
-/// one range query per (fragment, requested shard), merged to global ids.
-/// `options` supplies the engine knobs that must match the cluster config
-/// (max_query_fragments); `sigma`/`trace` are per-request. With `trace`,
-/// the result carries spans for the enumeration and each requested shard's
-/// range-query sweep.
-Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
-                                       const std::vector<int>& shards,
-                                       const Graph& query, double sigma,
-                                       const PisOptions& options,
-                                       bool trace = false);
+struct ShardRefineReply {
+  uint64_t epoch = 0;
+  std::vector<int> candidates;  // ascending, after pass 2
+  std::vector<int> answers;     // ascending, verified within sigma
+  std::vector<TraceSpan> spans;  // as ShardFilterReply::spans
+};
 
-/// Executes `shard_verify`: verifies candidate ids (each live and resident
-/// in one of this replica's shards — InvalidArgument otherwise) and returns
-/// the ids within `sigma`, ascending. With `trace` and a non-null
-/// `spans_out`, appends a span covering the verification (remote clock
-/// domain, like ShardQueryResult::spans).
-Result<std::vector<int>> RunShardVerify(const EngineHost::Snapshot& snap,
-                                        const std::vector<int>& ids,
-                                        const Graph& query, double sigma,
-                                        const PisOptions& options,
-                                        bool trace = false,
-                                        std::vector<TraceSpan>* spans_out =
-                                            nullptr);
+/// Serves one cluster-fabric request against `host` as a replica owning
+/// `owned` (sorted; empty = every shard): `health`, `meta`, `shard_filter`,
+/// `shard_refine`, `shard_add` or `shard_remove`. Returns the whole reply
+/// object — an ErrorReply (server/line_server.h) on failure, e.g. NotFound
+/// from shard_refine when a survivor is not live here (the replica is
+/// behind; the router fails over). pis_server and LocalShardBackend both
+/// answer through it, so in-process and remote replicas behave alike.
+JsonValue ServeShardOp(EngineHost* host, const std::vector<int>& owned,
+                       const JsonValue& request);
 
-/// Executes `meta` over a pinned snapshot.
-ShardMeta CollectShardMeta(const EngineHost::Snapshot& snap,
-                           const std::vector<int>& shards_owned);
+/// InvalidArgument unless `got` (from replica `who`) lists the same
+/// fragments — class ids and vertex sets, in order — as `want`.
+Status CheckSameCatalog(const std::vector<QueryFragment>& want,
+                        const std::vector<QueryFragment>& got,
+                        const std::string& who);
 
-/// Wire codecs (newline-delimited JSON protocol payloads). Encoders fill
-/// the payload fields of a reply object; decoders validate shape and
-/// return InvalidArgument on structural problems. Decoders are strict:
-/// every id or count must be an exact 32-bit integer and every epoch an
-/// exact unsigned 64-bit integer — a fractional, negative, or out-of-range
-/// number is rejected, never cast.
+/// Wire codecs (newline-delimited JSON protocol payloads). Request encoders
+/// build the whole request object; reply encoders fill the payload fields
+/// of a reply object. Decoders are strict and return InvalidArgument on
+/// any problem: every id or count must be an exact 32-bit integer and every
+/// epoch an exact unsigned 64-bit integer (a fractional, negative, or
+/// out-of-range number is rejected, never cast); graph ids and histogram
+/// distances must be strictly ascending; distances finite and >= 0; counts
+/// >= 1; one histogram per fragment.
 void ShardMetaToJson(const ShardMeta& meta, JsonValue* reply);
 Result<ShardMeta> ShardMetaFromJson(const JsonValue& reply);
-void ShardQueryResultToJson(const ShardQueryResult& result, JsonValue* reply);
-Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply);
+JsonValue ShardFilterRequestToJson(const ShardFilterRequest& request);
+Result<ShardFilterRequest> ShardFilterRequestFromJson(
+    const JsonValue& request);
+void ShardFilterReplyToJson(const ShardFilterReply& result, JsonValue* reply);
+Result<ShardFilterReply> ShardFilterReplyFromJson(const JsonValue& reply);
+JsonValue ShardRefineRequestToJson(const ShardRefineRequest& request);
+Result<ShardRefineRequest> ShardRefineRequestFromJson(
+    const JsonValue& request);
+void ShardRefineReplyToJson(const ShardRefineReply& result, JsonValue* reply);
+Result<ShardRefineReply> ShardRefineReplyFromJson(const JsonValue& reply);
 /// The "epoch" member every replica reply carries.
 Result<uint64_t> EpochFromJson(const JsonValue& reply);
-/// The "answers" array of a `shard_verify` reply.
-Result<std::vector<int>> ShardVerifyAnswersFromJson(const JsonValue& reply);
 
 }  // namespace pis
 

@@ -589,7 +589,8 @@ class ClusterHarness {
   /// The differential check: sampled queries must return identical
   /// answers, candidate lists, and shared counters through the fan-out
   /// path and the single-process oracle. range_queries is included —
-  /// both sides count one physical range query per shard per fragment.
+  /// both sides count one physical range query per shard per fragment and
+  /// per partition fragment.
   void CheckQueries() {
     for (int trial = 0; trial < opt_.queries_per_check; ++trial) {
       auto query = sampler_->Sample(5 + rng_.UniformInt(0, 3));

@@ -141,16 +141,47 @@ TEST(ProtocolFuzzTest, ServerRejectsMalformedFramesCleanly) {
   FuzzMalformedFrames(
       server.port(),
       {
-          R"({"op":"shard_query","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1"})",
-          R"({"op":"shard_query","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[]})",
-          R"({"op":"shard_query","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[99]})",
-          R"({"op":"shard_query","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[0.5]})",
-          R"({"op":"shard_verify","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","ids":[0]})",
+          R"({"op":"shard_filter","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","sigma":1})",
+          R"({"op":"shard_filter","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[],"sigma":1})",
+          R"({"op":"shard_filter","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[99],"sigma":1})",
+          R"({"op":"shard_filter","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[0.5],"sigma":1})",
+          R"({"op":"shard_filter","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[1,0],"sigma":1})",
+          R"({"op":"shard_filter","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[0]})",
+          R"({"op":"shard_refine","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shard":0,"partition":[],"classes":[],"survivors":[1,0],"sigma":1})",
+          R"({"op":"shard_refine","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shard":0,"partition":[99],"classes":[0],"survivors":[],"sigma":1})",
+          R"({"op":"shard_refine","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shard":0,"partition":[],"classes":[],"survivors":[999],"sigma":1})",
+          R"({"op":"shard_refine","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shard":7,"partition":[],"classes":[],"survivors":[],"sigma":1})",
+          // The ops the two above replaced are unknown now.
+          R"({"op":"shard_query","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","shards":[0]})",
+          R"({"op":"shard_verify","graph":"t # 0\nv 0 1\nv 1 1\ne 0 1 1","ids":[0],"sigma":1})",
           R"({"op":"shard_add","gid":0,"shard":0})",
           R"({"op":"shard_add","gid":-1,"shard":0,"graph":"t # 0\nv 0 1"})",
           R"({"op":"shard_remove","id":2.5})",
       });
   EXPECT_TRUE(server.running());
+  server.Shutdown();
+  server.Wait();
+}
+
+// A router and its replicas upgrade together: an op the replica does not
+// know comes back as an error naming it, which the router surfaces as is.
+TEST(ProtocolFuzzTest, RetiredClusterOpsAreUnknown) {
+  auto host = MakeHost(2);
+  ASSERT_NE(host, nullptr);
+  PisServer server(host.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+  auto conn = Dial(server.port());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  for (const char* op : {"shard_query", "shard_verify"}) {
+    auto reply = RoundTrip(&conn.value(), std::string(R"({"op":")") + op +
+                                              R"(","shards":[0]})");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_FALSE(reply.value().GetBoolOr("ok", true));
+    EXPECT_NE(reply.value().GetStringOr("error", "").find(
+                  std::string("unknown op \"") + op + "\""),
+              std::string::npos)
+        << reply.value().Serialize();
+  }
   server.Shutdown();
   server.Wait();
 }

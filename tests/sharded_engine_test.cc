@@ -22,15 +22,15 @@ using ::pis::testing::EngineFixture;
 using ::pis::testing::SampleQueries;
 
 // Everything except range_queries (the engine counts per-shard physical
-// queries) and timings must match the one-shard engine. Pass 2 replays
-// cached pass-1 maps, so the physical query count is exactly one per
-// fragment per shard.
+// queries) and timings must match the one-shard engine. Pass 1 queries every
+// fragment and pass 2 every partition fragment, once per shard each.
 void ExpectEquivalent(const SearchResult& unsharded, const SearchResult& sharded,
                       int num_shards) {
   EXPECT_EQ(unsharded.answers, sharded.answers);
   EXPECT_EQ(unsharded.candidates, sharded.candidates);
   EXPECT_EQ(unsharded.stats.range_queries,
-            unsharded.stats.fragments_enumerated);
+            unsharded.stats.fragments_enumerated +
+                unsharded.stats.partition_size);
   QueryStats scaled = unsharded.stats;
   scaled.range_queries *= num_shards;
   pis::testing::ExpectSameCounters(scaled, sharded.stats);
@@ -191,8 +191,8 @@ TEST(ShardedIndexIoTest, SaveLoadRoundTrip) {
 // The per-shard counters of a sharded SearchBatch must aggregate exactly to
 // the one-shard engine's counts on identical inputs — counter
 // drift would silently invalidate every figure the bench harness produces.
-// range_queries is the one documented exception: each fragment costs one
-// physical query per shard.
+// range_queries is the one documented exception: each fragment and each
+// partition fragment costs one physical query per shard.
 TEST(ShardedStatsTest, BatchCountersAggregateExactly) {
   const int kShards = 4;
   EngineFixture fx(30, 21);

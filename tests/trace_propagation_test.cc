@@ -1,10 +1,11 @@
 // End-to-end trace propagation through the cluster fabric: a traced query
 // driven through a real ClusterEngine over loopback PisServers must come
-// back with the two-round span tree — one shard_query round-trip span per
+// back with the two-round span tree — one shard_filter round-trip span per
 // endpoint group carrying the REPLICA's own child spans (decoded from the
-// wire), the merge and global-filter stages, and one shard_verify span per
-// owning shard. The harness runs shard_threads == 1, so sibling spans are
-// sequential and their durations sum to at most the trace total.
+// wire), the router's plan, and one shard_refine span per shard, again
+// with the replica's spans. The harness runs shard_threads == 1, so
+// sibling spans are sequential and their durations sum to at most the
+// trace total.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -48,55 +49,52 @@ TEST(TracePropagationTest, RouterSpanTreeCarriesPerShardChildSpans) {
   std::vector<TraceSpan> spans = ctx.TakeSpans();
   ASSERT_FALSE(spans.empty());
 
-  int shard_queries = 0;
-  int shard_verifies = 0;
-  int merges = 0;
-  int filters = 0;
+  int shard_filters = 0;
+  int shard_refines = 0;
+  int plans = 0;
   for (const TraceSpan& span : spans) {
-    if (HasPrefix(span.name, "shard_query:")) {
-      ++shard_queries;
+    if (HasPrefix(span.name, "shard_filter:")) {
+      ++shard_filters;
       EXPECT_GT(span.dur_ms, 0) << span.name;
       // The replica's own spans came back over the wire and were grafted
       // as children of the round trip: fragment enumeration plus one
-      // range-query span per requested shard.
+      // filter span per requested shard.
       ASSERT_FALSE(span.children.empty()) << span.name;
       int enumerates = 0;
-      int range_spans = 0;
+      int filter_spans = 0;
       for (const TraceSpan& child : span.children) {
         EXPECT_GT(child.dur_ms, 0) << child.name;
         if (child.name == "enumerate") ++enumerates;
-        if (HasPrefix(child.name, "range_queries:shard")) ++range_spans;
+        if (HasPrefix(child.name, "filter:shard")) ++filter_spans;
       }
       EXPECT_EQ(enumerates, 1) << span.name;
-      EXPECT_GE(range_spans, 1) << span.name;
+      EXPECT_GE(filter_spans, 1) << span.name;
       // Remote child time fits inside the round trip (network included).
       EXPECT_LE(SumDurations(span.children), span.dur_ms * 1.0001)
           << span.name;
-    } else if (HasPrefix(span.name, "shard_verify:")) {
-      ++shard_verifies;
+    } else if (HasPrefix(span.name, "shard_refine:")) {
+      ++shard_refines;
       EXPECT_GT(span.dur_ms, 0) << span.name;
+      // Every refine prunes and verifies on the replica.
+      int refines = 0;
+      int verifies = 0;
+      for (const TraceSpan& child : span.children) {
+        if (child.name == "refine") ++refines;
+        if (HasPrefix(child.name, "verify:")) ++verifies;
+      }
+      EXPECT_EQ(refines, 1) << span.name;
+      EXPECT_EQ(verifies, 1) << span.name;
       EXPECT_LE(SumDurations(span.children), span.dur_ms * 1.0001)
           << span.name;
-    } else if (span.name == "merge") {
-      ++merges;
-    } else if (span.name == "filter") {
-      ++filters;
-      // The global filter span carries the shared-core stage children.
-      ASSERT_FALSE(span.children.empty());
-      int pass1 = 0;
-      for (const TraceSpan& child : span.children) {
-        if (child.name == "pass1") ++pass1;
-      }
-      EXPECT_EQ(pass1, 1);
+    } else if (span.name == "plan") {
+      ++plans;
     }
   }
-  // Round 1 fans over every endpoint group of the healthy cover.
-  EXPECT_EQ(shard_queries, 2);
-  // Round 2 groups candidates per owning shard; the self-match query
-  // guarantees at least one shard had candidates to verify.
-  EXPECT_GE(shard_verifies, 1);
-  EXPECT_EQ(merges, 1);
-  EXPECT_EQ(filters, 1);
+  // Round 1 fans over every endpoint group of the healthy cover; round 2
+  // refines every shard.
+  EXPECT_EQ(shard_filters, 2);
+  EXPECT_EQ(shard_refines, 3);
+  EXPECT_EQ(plans, 1);
   // shard_threads == 1: everything ran sequentially inside the context, so
   // the recorded spans cannot out-sum the wall clock.
   EXPECT_LE(SumDurations(spans), total_ms * 1.0001);

@@ -16,13 +16,13 @@
 // Startup bootstraps the global routing state from the highest-epoch
 // reachable replica, then serves the client protocol of pis_server
 // (health/stats/query/add/remove/shutdown) on the bound port: queries fan
-// shard_query across a healthy cover and run the global PIS filter over
-// the merged per-fragment maps, writes replicate to every replica of the
-// owning shard with per-endpoint ordered catch-up for replicas that miss
-// them. "pis_router listening on port <P>" goes to stdout once serving.
+// shard_filter across a healthy cover, plan the partition from the summed
+// per-shard distance histograms, and send shard_refine to every shard;
+// writes replicate to every replica of the owning shard with per-endpoint
+// ordered catch-up for replicas that miss them. "pis_router listening on port <P>" goes to stdout once serving.
 //
-// --sigma must match the cluster's serving config (it parameterizes the
-// global filter); --timeout_ms bounds every replica round trip so a wedged
+// --sigma is the default threshold of routed queries (every shard_filter
+// and shard_refine request carries it to the replicas); --timeout_ms bounds every replica round trip so a wedged
 // replica degrades to failover, not a hang.
 //
 // Observability (docs/observability.md): {"op":"metrics"} renders the
