@@ -1,5 +1,5 @@
 // Ablation: verification strategy. PIS verifies candidates with a
-// cost-bounded branch-and-bound superposition search (DESIGN.md §3); the
+// cost-bounded branch-and-bound superposition search (cost_search.h); the
 // naive alternative enumerates every embedding with VF2 and scores each.
 // This bench quantifies the speedup and the search-tree size difference.
 #include <cstdio>

@@ -37,7 +37,8 @@ struct WorkloadConfig {
   void Register(FlagSet* flags);
 };
 
-/// Generates the AIDS-like database (see DESIGN.md §4).
+/// Generates the AIDS-like database (MoleculeGenerator, the stand-in for
+/// the paper's dataset).
 GraphDatabase MakeDatabase(const WorkloadConfig& config);
 
 /// Mines skeleton features (gSpan on skeletons + discriminative selection).

@@ -5,7 +5,9 @@
 // DFS codes are equal. The level-synchronous search here also yields every
 // vertex/edge ordering that realizes the minimum code — one per
 // automorphism — which the fragment index uses to insert all
-// automorphism-induced label sequences (DESIGN.md §3).
+// automorphism-induced label sequences (paper §4: with every sequence of a
+// database fragment indexed, the one canonical sequence of a query fragment
+// finds the minimum superimposed distance).
 #ifndef PIS_CANONICAL_MIN_DFS_H_
 #define PIS_CANONICAL_MIN_DFS_H_
 

@@ -13,19 +13,24 @@ Result<std::vector<QueryFragment>> EnumerateIndexedQueryFragments(
   enum_opts.max_edges = index.options().max_fragment_edges;
   std::vector<QueryFragment> fragments;
   Status failure = Status::OK();
+  // One memo for the whole query: its subsets share a few dozen local edge
+  // patterns. The first embedding is the one Prepare would pick, since
+  // MinDfsCode's first_embedding_only only truncates its realization list.
+  SkeletonMemo memo(index);
   EnumerateConnectedEdgeSubgraphs(query, enum_opts,
                                   [&](const std::vector<EdgeId>& subset) {
-    std::vector<VertexId> vertex_map;
-    Graph sub = query.EdgeSubgraph(subset, &vertex_map);
-    Result<PreparedFragment> prepared = index.Prepare(sub);
-    if (!prepared.ok()) {
-      if (prepared.status().code() == StatusCode::kNotFound) return true;
-      failure = prepared.status();
+    Result<const SkeletonClass*> cls = memo.Classify(query, subset);
+    if (!cls.ok()) {
+      failure = cls.status();
       return false;
     }
+    if (cls.value()->class_id < 0) return true;
     QueryFragment qf;
-    qf.prepared = prepared.MoveValue();
-    qf.vertices = std::move(vertex_map);
+    qf.prepared.class_id = cls.value()->class_id;
+    qf.prepared.num_edges = static_cast<int>(subset.size());
+    memo.Vectors(query, subset, cls.value()->embeddings.front(),
+                 &qf.prepared.labels, &qf.prepared.weights);
+    qf.vertices = memo.local_to_host();
     std::sort(qf.vertices.begin(), qf.vertices.end());
     fragments.push_back(std::move(qf));
     return true;

@@ -1,7 +1,8 @@
 // Synthetic dataset generators.
 //
 // MoleculeGenerator emulates the NCI AIDS antiviral screen compounds used in
-// the paper's evaluation (see DESIGN.md §4): carbon-dominated atoms,
+// the paper's evaluation, which this repository does not ship: it
+// matches their published statistics instead — carbon-dominated atoms,
 // ring-and-chain topology, bond-type edge labels, sizes averaging ~25
 // vertices / ~27 edges with a heavy tail. RandomGraphGenerator produces
 // arbitrary connected labeled graphs for tests and property sweeps.

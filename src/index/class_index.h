@@ -41,7 +41,7 @@ using ClassMatchCallback = std::function<void(int graph_id, double distance)>;
 /// Insertion: the fragment-index builder canonicalizes each database
 /// fragment's skeleton and inserts every automorphism-induced label
 /// sequence / weight vector, so a single canonical query sequence retrieves
-/// the exact minimum fragment distance (DESIGN.md §3).
+/// the exact minimum fragment distance (paper §4).
 class EquivalenceClassIndex {
  public:
   /// `num_vertices`/`num_edges` describe the class skeleton; sequences have

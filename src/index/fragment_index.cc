@@ -32,7 +32,7 @@ uint64_t StructureSignature(const Graph& g) {
   return h;
 }
 
-void FragmentIndex::BuildVectors(const Graph& fragment,
+void FragmentIndex::BuildVectors(const Graph& g,
                                  const std::vector<VertexId>& vorder,
                                  const std::vector<EdgeId>& eorder,
                                  std::vector<Label>* labels,
@@ -43,18 +43,81 @@ void FragmentIndex::BuildVectors(const Graph& fragment,
   // Mirror EquivalenceClassIndex::NumVertexPositions(): vertex labels are
   // omitted when the vertex score matrix can never contribute cost.
   if (!options_.spec.vertex_scores.IsZero()) {
-    for (VertexId v : vorder) labels->push_back(fragment.VertexLabel(v));
+    for (VertexId v : vorder) labels->push_back(g.VertexLabel(v));
   }
-  for (EdgeId e : eorder) labels->push_back(fragment.GetEdge(e).label);
+  for (EdgeId e : eorder) labels->push_back(g.GetEdge(e).label);
   if (options_.spec.type == DistanceType::kLinear) {
     if (options_.spec.use_vertex_weights) {
-      for (VertexId v : vorder) weights->push_back(fragment.VertexWeight(v));
+      for (VertexId v : vorder) weights->push_back(g.VertexWeight(v));
     }
     if (options_.spec.use_edge_weights) {
-      for (EdgeId e : eorder) weights->push_back(fragment.GetEdge(e).weight);
+      for (EdgeId e : eorder) weights->push_back(g.GetEdge(e).weight);
     }
     if (weights->empty()) weights->push_back(0.0);  // degenerate 1-dim point
   }
+}
+
+size_t SkeletonMemo::KeyHash::operator()(
+    const std::vector<VertexId>& key) const {
+  uint64_t h = key.size();
+  for (VertexId v : key) h = HashCombine(h, static_cast<uint64_t>(v));
+  return static_cast<size_t>(h);
+}
+
+Result<const SkeletonClass*> SkeletonMemo::Classify(
+    const Graph& host, const std::vector<EdgeId>& subset) {
+  // Number the subset's vertices exactly as Graph::EdgeSubgraph does.
+  if (host_to_local_.size() < static_cast<size_t>(host.NumVertices())) {
+    host_to_local_.resize(host.NumVertices(), kInvalidVertex);
+  }
+  key_.clear();
+  local_to_host_.clear();
+  for (EdgeId e : subset) {
+    const Edge& edge = host.GetEdge(e);
+    for (VertexId old : {edge.u, edge.v}) {
+      if (host_to_local_[old] == kInvalidVertex) {
+        host_to_local_[old] = static_cast<VertexId>(local_to_host_.size());
+        local_to_host_.push_back(old);
+      }
+      key_.push_back(host_to_local_[old]);
+    }
+  }
+  for (VertexId old : local_to_host_) host_to_local_[old] = kInvalidVertex;
+
+  auto it = classes_.find(key_);
+  if (it != classes_.end()) return &it->second;
+
+  // New pattern: classify it exactly as a one-off fragment would be.
+  SkeletonClass cls;
+  Graph fragment = host.EdgeSubgraph(subset);
+  if (index_.signatures_.count(StructureSignature(fragment)) == 0) {
+    cls.skipped_by_signature = true;
+  } else {
+    CanonicalOptions all_embeddings;
+    all_embeddings.use_labels = false;
+    all_embeddings.first_embedding_only = false;
+    PIS_ASSIGN_OR_RETURN(CanonicalForm form,
+                         MinDfsCode(fragment, all_embeddings));
+    auto found = index_.class_by_key_.find(form.Key());
+    if (found != index_.class_by_key_.end()) {
+      cls.class_id = found->second;
+      cls.embeddings = std::move(form.embeddings);
+    }
+  }
+  return &classes_.emplace(key_, std::move(cls)).first->second;
+}
+
+void SkeletonMemo::Vectors(const Graph& host, const std::vector<EdgeId>& subset,
+                           const CanonicalEmbedding& embedding,
+                           std::vector<Label>* labels,
+                           std::vector<double>* weights) {
+  vertex_order_.clear();
+  for (VertexId v : embedding.vertex_order) {
+    vertex_order_.push_back(local_to_host_[v]);
+  }
+  edge_order_.clear();
+  for (EdgeId e : embedding.edge_order) edge_order_.push_back(subset[e]);
+  index_.BuildVectors(host, vertex_order_, edge_order_, labels, weights);
 }
 
 Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
@@ -94,25 +157,41 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
 
   // Scan the database: every connected fragment whose skeleton is a
   // registered class is inserted under all its automorphism-induced
-  // sequences. Extraction (canonicalization — the expensive part) is
-  // parallel; insertion stays sequential in graph-id order so per-class
-  // dedup assumptions hold.
+  // sequences. Each scan canonicalizes a local edge pattern once and reuses
+  // the result for every subset that shares it (SkeletonMemo; exact because
+  // the skeleton's canonical form depends only on that pattern). Parallel
+  // builds scan contiguous graph-id ranges, each with its own memo;
+  // insertion stays sequential in graph-id order so per-class dedup
+  // assumptions hold.
   if (options.num_threads > 1) {
-    std::vector<std::vector<PendingInsert>> pending(db.size());
-    std::vector<ExtractStats> stats(db.size());
-    std::vector<Status> failures(db.size());
-    ParallelFor(db.size(), options.num_threads, [&](size_t gid) {
-      failures[gid] =
-          index.ExtractGraphFragments(db.at(static_cast<int>(gid)),
-                                      &pending[gid], &stats[gid]);
+    const size_t num_graphs = db.size();
+    const size_t num_ranges =
+        std::min(static_cast<size_t>(options.num_threads), num_graphs);
+    std::vector<std::vector<PendingInsert>> pending(num_graphs);
+    std::vector<ExtractStats> stats(num_graphs);
+    std::vector<Status> failures(num_graphs);
+    ParallelFor(num_ranges, options.num_threads, [&](size_t range) {
+      SkeletonMemo memo(index);
+      const size_t end = num_graphs * (range + 1) / num_ranges;
+      for (size_t gid = num_graphs * range / num_ranges; gid < end; ++gid) {
+        failures[gid] = index.ExtractGraphFragments(
+            db.at(static_cast<int>(gid)), &memo, &pending[gid], &stats[gid]);
+        if (!failures[gid].ok()) return;
+      }
     });
     for (int gid = 0; gid < db.size(); ++gid) {
       PIS_RETURN_NOT_OK(failures[gid]);
       index.ApplyExtraction(gid, pending[gid], stats[gid]);
     }
   } else {
+    SkeletonMemo memo(index);
+    std::vector<PendingInsert> pending;
     for (int gid = 0; gid < db.size(); ++gid) {
-      PIS_RETURN_NOT_OK(index.InsertGraphFragments(gid, db.at(gid)));
+      pending.clear();
+      ExtractStats stats;
+      PIS_RETURN_NOT_OK(
+          index.ExtractGraphFragments(db.at(gid), &memo, &pending, &stats));
+      index.ApplyExtraction(gid, pending, stats);
     }
   }
   for (auto& cls : index.classes_) cls->Finalize();
@@ -120,15 +199,12 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
   return index;
 }
 
-Status FragmentIndex::ExtractGraphFragments(const Graph& g,
+Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
                                             std::vector<PendingInsert>* out,
                                             ExtractStats* stats) const {
   FragmentEnumOptions enum_opts;
   enum_opts.min_edges = options_.min_fragment_edges;
   enum_opts.max_edges = options_.max_fragment_edges;
-  CanonicalOptions all_embeddings;
-  all_embeddings.use_labels = false;
-  all_embeddings.first_embedding_only = false;
 
   Status failure = Status::OK();
   std::vector<Label> labels;
@@ -136,24 +212,22 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g,
   EnumerateConnectedEdgeSubgraphs(g, enum_opts, [&](const std::vector<EdgeId>&
                                                         subset) {
     ++stats->subsets;
-    Graph fragment = g.EdgeSubgraph(subset);
-    if (signatures_.count(StructureSignature(fragment)) == 0) {
+    Result<const SkeletonClass*> cls = memo->Classify(g, subset);
+    if (!cls.ok()) {
+      failure = cls.status();
+      return false;
+    }
+    if (cls.value()->skipped_by_signature) {
       ++stats->skipped_by_signature;
       return true;
     }
-    Result<CanonicalForm> form = MinDfsCode(fragment, all_embeddings);
-    if (!form.ok()) {
-      failure = form.status();
-      return false;
-    }
-    auto it = class_by_key_.find(form.value().Key());
-    if (it == class_by_key_.end()) return true;
+    if (cls.value()->class_id < 0) return true;
     ++stats->occurrences;
     // Distinct sequences only: symmetric labels make many automorphisms
     // collide.
     size_t first = out->size();
-    for (const CanonicalEmbedding& emb : form.value().embeddings) {
-      BuildVectors(fragment, emb.vertex_order, emb.edge_order, &labels, &weights);
+    for (const CanonicalEmbedding& emb : cls.value()->embeddings) {
+      memo->Vectors(g, subset, emb, &labels, &weights);
       bool duplicate = false;
       for (size_t i = first; i < out->size(); ++i) {
         if ((*out)[i].labels == labels && (*out)[i].weights == weights) {
@@ -162,7 +236,7 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g,
         }
       }
       if (duplicate) continue;
-      out->push_back(PendingInsert{it->second, labels, weights});
+      out->push_back(PendingInsert{cls.value()->class_id, labels, weights});
     }
     return true;
   });
@@ -181,19 +255,12 @@ void FragmentIndex::ApplyExtraction(int gid,
   stats_.num_sequences_inserted += pending.size();
 }
 
-Status FragmentIndex::InsertGraphFragments(int gid, const Graph& g) {
-  std::vector<PendingInsert> pending;
-  ExtractStats stats;
-  PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &pending, &stats));
-  ApplyExtraction(gid, pending, stats);
-  return Status::OK();
-}
-
 Result<int> FragmentIndex::AddGraph(const Graph& g) {
   int gid = db_size_;
   std::vector<PendingInsert> pending;
   ExtractStats stats;
-  PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &pending, &stats));
+  SkeletonMemo memo(*this);
+  PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &memo, &pending, &stats));
   ApplyExtraction(gid, pending, stats);
   ++db_size_;
   // Re-finalize only the classes that received postings, so postings stay

@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "canonical/min_dfs.h"
 #include "distance/distance_spec.h"
 #include "graph/graph.h"
 #include "index/class_index.h"
@@ -30,10 +31,10 @@ struct FragmentIndexOptions {
   DistanceSpec spec;
   /// Backend override; defaults by distance type (trie / R-tree).
   std::optional<ClassBackend> backend;
-  /// Threads for the build's fragment-extraction phase (canonicalization
-  /// dominates build time and parallelizes per graph). 1 = sequential;
-  /// use HardwareThreads() for full parallelism. Runtime-only (not
-  /// persisted by Save).
+  /// Threads for the build's fragment-extraction phase: the database is
+  /// split into this many contiguous graph-id ranges, each scanned with its
+  /// own SkeletonMemo. 1 = sequential; use HardwareThreads() for full
+  /// parallelism. Runtime-only (not persisted by Save).
   int num_threads = 1;
 };
 
@@ -54,6 +55,74 @@ struct PreparedFragment {
   std::vector<Label> labels;
   std::vector<double> weights;
   int num_edges = 0;
+};
+
+class FragmentIndex;
+
+/// The structure-only classification of one connected edge subset: what the
+/// index makes of the subset's skeleton, independent of its labels.
+struct SkeletonClass {
+  /// The subset's StructureSignature matches no indexed class.
+  bool skipped_by_signature = false;
+  /// Indexed class of the skeleton, or -1.
+  int class_id = -1;
+  /// Every realization of the skeleton's minimum DFS code (MinDfsCode with
+  /// use_labels = false), over the subset's local ids: vertex v is the v-th
+  /// vertex Graph::EdgeSubgraph would create, edge e is subset[e]. Empty
+  /// unless class_id >= 0.
+  std::vector<CanonicalEmbedding> embeddings;
+};
+
+/// \brief Scan-scoped memo of skeleton classifications.
+///
+/// Keyed by a subset's local edge pattern: the (local u, local v) pair of
+/// each edge in subset order, with local vertex ids assigned as
+/// Graph::EdgeSubgraph assigns them (first appearance, u before v). With
+/// labels off, MinDfsCode and StructureSignature read only the vertex
+/// count, edge list and adjacency order of the EdgeSubgraph, and those are
+/// a pure function of the key, so one canonicalization per distinct pattern
+/// is exact for every subset that shares it. A database scan meets a few
+/// hundred patterns across hundreds of thousands of subsets. The signature
+/// prefilter never rejects an indexed skeleton: Build registers each
+/// class's signature with the class, and Save/Load persist both.
+///
+/// Not thread-safe and bound to one index: make one per sequential scan and
+/// drop it when the scan ends.
+class SkeletonMemo {
+ public:
+  explicit SkeletonMemo(const FragmentIndex& index) : index_(index) {}
+
+  /// Classifies one connected edge subset of `host`. On a new pattern this
+  /// runs EdgeSubgraph, the signature prefilter, MinDfsCode and the class
+  /// lookup; canonicalization errors are returned, never cached. The result
+  /// stays valid for the memo's lifetime.
+  Result<const SkeletonClass*> Classify(const Graph& host,
+                                        const std::vector<EdgeId>& subset);
+
+  /// Host vertex of each local vertex of the subset last classified.
+  const std::vector<VertexId>& local_to_host() const { return local_to_host_; }
+
+  /// The label sequence / weight vector of the subset last classified
+  /// under one of its embeddings, read from `host` through the local->host
+  /// maps — the sequence FragmentIndex::Prepare builds for
+  /// host.EdgeSubgraph(subset) under the same embedding.
+  void Vectors(const Graph& host, const std::vector<EdgeId>& subset,
+               const CanonicalEmbedding& embedding, std::vector<Label>* labels,
+               std::vector<double>* weights);
+
+ private:
+  struct KeyHash {
+    size_t operator()(const std::vector<VertexId>& key) const;
+  };
+
+  const FragmentIndex& index_;
+  std::unordered_map<std::vector<VertexId>, SkeletonClass, KeyHash> classes_;
+  // Scratch reused across calls.
+  std::vector<VertexId> key_;
+  std::vector<VertexId> host_to_local_;
+  std::vector<VertexId> local_to_host_;
+  std::vector<VertexId> vertex_order_;
+  std::vector<EdgeId> edge_order_;
 };
 
 /// \brief The PIS fragment-based index.
@@ -157,11 +226,13 @@ class FragmentIndex {
   int db_size() const { return db_size_; }
 
  private:
+  friend class SkeletonMemo;
+
   FragmentIndex() = default;
 
   // Builds the canonical label sequence / weight vector of one fragment
-  // embedding.
-  void BuildVectors(const Graph& fragment, const std::vector<VertexId>& vorder,
+  // embedding: `vorder` / `eorder` are vertex / edge ids of `g`.
+  void BuildVectors(const Graph& g, const std::vector<VertexId>& vorder,
                     const std::vector<EdgeId>& eorder, std::vector<Label>* labels,
                     std::vector<double>* weights) const;
 
@@ -179,14 +250,11 @@ class FragmentIndex {
   };
 
   // Enumerates the fragments of one graph whose skeleton is a registered
-  // class, emitting deduplicated automorphism sequences. Thread-safe
-  // (reads only immutable index state).
-  Status ExtractGraphFragments(const Graph& g, std::vector<PendingInsert>* out,
+  // class, emitting deduplicated automorphism sequences. Reads only
+  // immutable index state; concurrent calls need distinct memos.
+  Status ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
+                               std::vector<PendingInsert>* out,
                                ExtractStats* stats) const;
-
-  // Extract + apply + account: shared by the sequential build path and
-  // AddGraph.
-  Status InsertGraphFragments(int gid, const Graph& g);
 
   // Applies extracted fragments of graph `gid` and folds its stats in.
   void ApplyExtraction(int gid, const std::vector<PendingInsert>& pending,

@@ -1,7 +1,7 @@
 // Minimal data parallelism: ParallelFor over an index range with an atomic
-// work counter. Used by the index builder (per-graph fragment extraction)
-// and the verifier (per-candidate superposition search) — both
-// embarrassingly parallel.
+// work counter. Used by the index builder (fragment extraction over
+// graph-id ranges) and the verifier (per-candidate superposition search) —
+// both embarrassingly parallel.
 #ifndef PIS_UTIL_PARALLEL_H_
 #define PIS_UTIL_PARALLEL_H_
 

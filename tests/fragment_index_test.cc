@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "core/query_fragments.h"
 #include "distance/superimposed.h"
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
@@ -249,6 +256,289 @@ TEST_P(FragmentIndexOracleTest, RangeDistancesAreExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FragmentIndexOracleTest, ::testing::Range(0, 10));
+
+// --- Build-scan exactness -------------------------------------------------
+
+// Edges stored with u > v, all labels and weights equal: the orientation of
+// every stored edge is reversed relative to EdgeSubgraph's first-appearance
+// numbering, and the 4-cycle's automorphisms collide on every sequence.
+Graph ReversedSymmetricHost() {
+  Graph g;
+  for (int i = 0; i < 5; ++i) g.AddVertex(1, 1.5);
+  EXPECT_TRUE(g.AddEdge(1, 0, 1, 2.0).ok());
+  EXPECT_TRUE(g.AddEdge(2, 1, 1, 2.0).ok());
+  EXPECT_TRUE(g.AddEdge(3, 2, 1, 2.0).ok());
+  EXPECT_TRUE(g.AddEdge(3, 0, 1, 2.0).ok());
+  EXPECT_TRUE(g.AddEdge(4, 3, 1, 2.0).ok());
+  return g;
+}
+
+constexpr int kScanMaxEdges = 5;
+
+// The hand-built host plus seeded random graphs over two-letter alphabets
+// (so symmetric labels are common).
+GraphDatabase ScanDatabase(uint64_t seed) {
+  Rng rng(seed);
+  RandomGraphOptions opts;
+  opts.num_vertices = 8;
+  opts.num_edges = 11;
+  opts.vertex_alphabet = 2;
+  opts.edge_alphabet = 2;
+  opts.max_weight = 4.0;
+  GraphDatabase db;
+  db.Add(ReversedSymmetricHost());
+  for (int i = 0; i < 6; ++i) db.Add(GenerateRandomConnectedGraph(opts, &rng));
+  return db;
+}
+
+// Spider with legs of the given lengths around one center vertex.
+Graph Spider(const std::vector<int>& legs) {
+  Graph g;
+  VertexId center = g.AddVertex(1);
+  for (int length : legs) {
+    VertexId prev = center;
+    for (int i = 0; i < length; ++i) {
+      VertexId next = g.AddVertex(1);
+      EXPECT_TRUE(g.AddEdge(prev, next, 1).ok());
+      prev = next;
+    }
+  }
+  return g;
+}
+
+// Paths, the triangle, the 5-cycle, the 3-star and the spider with legs
+// 3,1,1 — but not the spider with legs 2,2,1, which has the same degree
+// multiset. Scans therefore see indexed, signature-skipped and
+// same-signature-but-unindexed subsets.
+std::vector<Graph> ScanFeatures() {
+  std::vector<Graph> features = BasicFeatures(kScanMaxEdges);
+  features.push_back(Cycle(3).Skeleton());
+  features.push_back(Spider({1, 1, 1}).Skeleton());
+  features.push_back(Spider({3, 1, 1}).Skeleton());
+  return features;
+}
+
+struct ScanVariant {
+  const char* name;
+  uint64_t seed;
+  DistanceSpec spec;
+  ClassBackend backend;
+};
+
+// Edge mutation over tries; linear distance over R-trees with vertex and
+// edge weights; mutation with vertex scores, so vertex labels enter the
+// sequences.
+std::vector<ScanVariant> ScanVariants() {
+  DistanceSpec linear = DistanceSpec::EdgeLinear();
+  linear.use_vertex_weights = true;
+  linear.use_edge_weights = true;
+  return {{"edge_mutation_trie", 11, DistanceSpec::EdgeMutation(),
+           ClassBackend::kTrie},
+          {"vertex_edge_linear_rtree", 12, linear, ClassBackend::kRTree},
+          {"full_mutation_trie", 13, DistanceSpec::FullMutation(),
+           ClassBackend::kTrie}};
+}
+
+FragmentIndexOptions ScanOptions(const ScanVariant& variant) {
+  FragmentIndexOptions options;
+  options.max_fragment_edges = kScanMaxEdges;
+  options.spec = variant.spec;
+  options.backend = variant.backend;
+  return options;
+}
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the bytes of fresh builds: the constants were computed before the
+// build scan memoized its skeleton classifications, so the memo is shown to
+// change no output.
+TEST(FragmentIndexScanTest, SavedBytesArePinned) {
+  const std::map<std::string, uint64_t> expected = {
+      {"edge_mutation_trie", 0x1cc0c6e408ef5272ULL},
+      {"vertex_edge_linear_rtree", 0xba272b99846e3350ULL},
+      {"full_mutation_trie", 0x38c7ded70f9b413cULL},
+  };
+  for (const ScanVariant& variant : ScanVariants()) {
+    SCOPED_TRACE(variant.name);
+    GraphDatabase db = ScanDatabase(variant.seed);
+    for (int threads : {1, 3}) {
+      FragmentIndexOptions options = ScanOptions(variant);
+      options.num_threads = threads;
+      auto index = FragmentIndex::Build(db, ScanFeatures(), options);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      std::ostringstream bytes;
+      ASSERT_TRUE(index.value().Save(bytes).ok());
+      char hex[32];
+      std::snprintf(hex, sizeof(hex), "0x%016llx",
+                    static_cast<unsigned long long>(Fnv1a64(bytes.str())));
+      EXPECT_EQ(Fnv1a64(bytes.str()), expected.at(variant.name))
+          << "threads=" << threads << " digest " << hex;
+    }
+  }
+}
+
+// The sequence layout FragmentIndex documents, recomputed from the fragment
+// graph itself: vertex labels when vertex scores can cost, then edge labels;
+// for linear distance the configured vertex, then edge weights.
+void ReferenceVectors(const DistanceSpec& spec, const Graph& fragment,
+                      const CanonicalEmbedding& emb, std::vector<Label>* labels,
+                      std::vector<double>* weights) {
+  labels->clear();
+  weights->clear();
+  if (!spec.vertex_scores.IsZero()) {
+    for (VertexId v : emb.vertex_order) {
+      labels->push_back(fragment.VertexLabel(v));
+    }
+  }
+  for (EdgeId e : emb.edge_order) labels->push_back(fragment.GetEdge(e).label);
+  if (spec.type != DistanceType::kLinear) return;
+  if (spec.use_vertex_weights) {
+    for (VertexId v : emb.vertex_order) {
+      weights->push_back(fragment.VertexWeight(v));
+    }
+  }
+  if (spec.use_edge_weights) {
+    for (EdgeId e : emb.edge_order) {
+      weights->push_back(fragment.GetEdge(e).weight);
+    }
+  }
+  if (weights->empty()) weights->push_back(0.0);
+}
+
+// Every connected subset of every graph, classified through one memo shared
+// across the database as a build scan does, agrees with the one-off path:
+// Prepare on the materialized fragment and a direct MinDfsCode over all
+// embeddings. The per-subset tallies reproduce the build's counters.
+TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
+  CanonicalOptions all_embeddings;
+  all_embeddings.use_labels = false;
+  all_embeddings.first_embedding_only = false;
+  for (const ScanVariant& variant : ScanVariants()) {
+    SCOPED_TRACE(variant.name);
+    GraphDatabase db = ScanDatabase(variant.seed);
+    auto built = FragmentIndex::Build(db, ScanFeatures(),
+                                      ScanOptions(variant));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const FragmentIndex& index = built.value();
+    SkeletonMemo memo(index);
+    FragmentIndexStats tally;
+    size_t unindexed = 0;
+    size_t embeddings = 0;
+    std::vector<Label> labels;
+    std::vector<double> weights;
+    std::vector<Label> want_labels;
+    std::vector<double> want_weights;
+    for (const Graph& g : db.graphs()) {
+      EnumerateConnectedEdgeSubgraphs(
+          g, {1, kScanMaxEdges}, [&](const std::vector<EdgeId>& subset) {
+        ++tally.num_subsets_enumerated;
+        std::vector<VertexId> vertex_map;
+        Graph fragment = g.EdgeSubgraph(subset, &vertex_map);
+        auto cls = memo.Classify(g, subset);
+        EXPECT_TRUE(cls.ok()) << cls.status().ToString();
+        if (!cls.ok()) return false;
+        EXPECT_EQ(memo.local_to_host(), vertex_map);
+        Result<PreparedFragment> prepared = index.Prepare(fragment);
+        if (cls.value()->class_id < 0) {
+          EXPECT_TRUE(cls.value()->embeddings.empty());
+          EXPECT_EQ(prepared.status().code(), StatusCode::kNotFound);
+          if (cls.value()->skipped_by_signature) {
+            ++tally.num_subsets_skipped_by_signature;
+          } else {
+            ++unindexed;
+          }
+          return true;
+        }
+        EXPECT_FALSE(cls.value()->skipped_by_signature);
+        EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+        if (!prepared.ok()) return false;
+        EXPECT_EQ(cls.value()->class_id, prepared.value().class_id);
+        memo.Vectors(g, subset, cls.value()->embeddings.front(), &labels,
+                     &weights);
+        EXPECT_EQ(labels, prepared.value().labels);
+        EXPECT_EQ(weights, prepared.value().weights);
+
+        auto form = MinDfsCode(fragment, all_embeddings);
+        EXPECT_TRUE(form.ok());
+        if (!form.ok()) return false;
+        const std::vector<CanonicalEmbedding>& got = cls.value()->embeddings;
+        EXPECT_EQ(got.size(), form.value().embeddings.size());
+        if (got.size() != form.value().embeddings.size()) return false;
+        std::set<std::pair<std::vector<Label>, std::vector<double>>> distinct;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].vertex_order,
+                    form.value().embeddings[i].vertex_order);
+          EXPECT_EQ(got[i].edge_order, form.value().embeddings[i].edge_order);
+          memo.Vectors(g, subset, got[i], &labels, &weights);
+          ReferenceVectors(variant.spec, fragment, got[i], &want_labels,
+                           &want_weights);
+          EXPECT_EQ(labels, want_labels);
+          EXPECT_EQ(weights, want_weights);
+          distinct.emplace(labels, weights);
+        }
+        ++tally.num_fragment_occurrences;
+        tally.num_sequences_inserted += distinct.size();
+        embeddings += got.size();
+        return true;
+      });
+    }
+    // Every branch of the classification was exercised, and symmetric
+    // labels collapsed some automorphisms.
+    EXPECT_GT(tally.num_fragment_occurrences, 0u);
+    EXPECT_GT(tally.num_subsets_skipped_by_signature, 0u);
+    EXPECT_GT(unindexed, 0u);
+    EXPECT_LT(tally.num_sequences_inserted, embeddings);
+
+    const FragmentIndexStats& stats = index.stats();
+    EXPECT_EQ(stats.num_subsets_enumerated, tally.num_subsets_enumerated);
+    EXPECT_EQ(stats.num_subsets_skipped_by_signature,
+              tally.num_subsets_skipped_by_signature);
+    EXPECT_EQ(stats.num_fragment_occurrences, tally.num_fragment_occurrences);
+    EXPECT_EQ(stats.num_sequences_inserted, tally.num_sequences_inserted);
+  }
+}
+
+// Query enumeration classifies through the same memo; each fragment equals
+// Prepare on the materialized subset, in enumeration order.
+TEST(FragmentIndexScanTest, QueryFragmentsMatchPrepare) {
+  for (const ScanVariant& variant : ScanVariants()) {
+    SCOPED_TRACE(variant.name);
+    GraphDatabase db = ScanDatabase(variant.seed);
+    auto built = FragmentIndex::Build(db, ScanFeatures(),
+                                      ScanOptions(variant));
+    ASSERT_TRUE(built.ok());
+    const FragmentIndex& index = built.value();
+    for (const Graph& query : db.graphs()) {
+      auto fragments = EnumerateIndexedQueryFragments(index, query);
+      ASSERT_TRUE(fragments.ok()) << fragments.status().ToString();
+      size_t next = 0;
+      EnumerateConnectedEdgeSubgraphs(
+          query, {1, kScanMaxEdges}, [&](const std::vector<EdgeId>& subset) {
+        std::vector<VertexId> vertices;
+        auto prepared = index.Prepare(query.EdgeSubgraph(subset, &vertices));
+        if (!prepared.ok()) return true;
+        std::sort(vertices.begin(), vertices.end());
+        EXPECT_LT(next, fragments.value().size());
+        if (next >= fragments.value().size()) return false;
+        const QueryFragment& got = fragments.value()[next++];
+        EXPECT_EQ(got.prepared.class_id, prepared.value().class_id);
+        EXPECT_EQ(got.prepared.num_edges, prepared.value().num_edges);
+        EXPECT_EQ(got.prepared.labels, prepared.value().labels);
+        EXPECT_EQ(got.prepared.weights, prepared.value().weights);
+        EXPECT_EQ(got.vertices, vertices);
+        return true;
+      });
+      EXPECT_EQ(next, fragments.value().size());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pis

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "core/naive_search.h"
@@ -81,21 +82,43 @@ TEST(ParallelBuildTest, MatchesSequentialBuild) {
   seq_opts.max_fragment_edges = 4;
   auto seq = FragmentIndex::Build(db, features, seq_opts);
   ASSERT_TRUE(seq.ok());
-  FragmentIndexOptions par_opts = seq_opts;
-  par_opts.num_threads = 4;
-  auto par = FragmentIndex::Build(db, features, par_opts);
-  ASSERT_TRUE(par.ok());
+  std::ostringstream seq_bytes;
+  ASSERT_TRUE(seq.value().Save(seq_bytes).ok());
 
-  EXPECT_EQ(seq.value().stats().num_sequences_inserted,
-            par.value().stats().num_sequences_inserted);
-  EXPECT_EQ(seq.value().stats().num_fragment_occurrences,
-            par.value().stats().num_fragment_occurrences);
+  // 30 graphs over 2, 4 and 7 contiguous ranges: every range boundary falls
+  // mid-database, and each range scans with its own memo.
+  std::vector<ShardedFragmentIndex> indexes;
+  for (int threads : {2, 4, 7}) {
+    FragmentIndexOptions par_opts = seq_opts;
+    par_opts.num_threads = threads;
+    auto par = FragmentIndex::Build(db, features, par_opts);
+    ASSERT_TRUE(par.ok());
+    const FragmentIndexStats& a = seq.value().stats();
+    const FragmentIndexStats& b = par.value().stats();
+    EXPECT_EQ(a.num_classes, b.num_classes) << "threads=" << threads;
+    EXPECT_EQ(a.num_fragment_occurrences, b.num_fragment_occurrences)
+        << "threads=" << threads;
+    EXPECT_EQ(a.num_sequences_inserted, b.num_sequences_inserted)
+        << "threads=" << threads;
+    EXPECT_EQ(a.num_subsets_enumerated, b.num_subsets_enumerated)
+        << "threads=" << threads;
+    EXPECT_EQ(a.num_subsets_skipped_by_signature,
+              b.num_subsets_skipped_by_signature)
+        << "threads=" << threads;
+    std::ostringstream par_bytes;
+    ASSERT_TRUE(par.value().Save(par_bytes).ok());
+    EXPECT_TRUE(seq_bytes.str() == par_bytes.str()) << "threads=" << threads;
+    indexes.push_back(ShardedFragmentIndex::FromFragmentIndex(par.MoveValue()));
+  }
+  for (int shards : {1, 3}) {
+    auto sharded = ShardedFragmentIndex::Build(db, features, seq_opts, shards);
+    ASSERT_TRUE(sharded.ok());
+    indexes.push_back(sharded.MoveValue());
+  }
 
   // Identical query behaviour end to end.
   const ShardedFragmentIndex seq_index =
       ShardedFragmentIndex::FromFragmentIndex(seq.MoveValue());
-  const ShardedFragmentIndex par_index =
-      ShardedFragmentIndex::FromFragmentIndex(par.MoveValue());
   QuerySampler sampler(&db, {.seed = 5, .strip_vertex_labels = true});
   for (int trial = 0; trial < 4; ++trial) {
     auto query = sampler.Sample(8);
@@ -103,12 +126,15 @@ TEST(ParallelBuildTest, MatchesSequentialBuild) {
     PisOptions options;
     options.sigma = 2;
     PisEngine seq_engine(&db, &seq_index, options);
-    PisEngine par_engine(&db, &par_index, options);
     auto a = seq_engine.Search(query.value());
-    auto b = par_engine.Search(query.value());
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().answers, b.value().answers);
-    EXPECT_EQ(a.value().candidates, b.value().candidates);
+    ASSERT_TRUE(a.ok());
+    for (const ShardedFragmentIndex& index : indexes) {
+      PisEngine engine(&db, &index, options);
+      auto b = engine.Search(query.value());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a.value().answers, b.value().answers);
+      EXPECT_EQ(a.value().candidates, b.value().candidates);
+    }
   }
 }
 

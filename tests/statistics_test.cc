@@ -54,8 +54,8 @@ TEST(StatisticsTest, EmptyDatabase) {
 }
 
 TEST(StatisticsTest, GeneratorMatchesPaperWorkloadShape) {
-  // The substitution claim of DESIGN.md §4: carbon-dominated labels,
-  // single-bond-dominated edges, mean ~25 vertices / ~27 edges.
+  // The generator stands in for the paper's AIDS dataset: carbon-dominated
+  // labels, single-bond-dominated edges, mean ~25 vertices / ~27 edges.
   MoleculeGenerator gen;
   GraphDatabase db = gen.Generate(800);
   DatabaseStatistics stats = ComputeStatistics(db);
