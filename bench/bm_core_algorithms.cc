@@ -1,4 +1,4 @@
-// Micro-benchmarks for the algorithmic substrates: VF2/Ullmann matching,
+// Micro-benchmarks for the algorithmic substrates: VF2 matching,
 // minimum DFS code canonicalization, cost-bounded verification, and
 // connected-fragment enumeration.
 #include <benchmark/benchmark.h>
@@ -9,7 +9,6 @@
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/fragment_enum.h"
-#include "isomorphism/ullmann.h"
 #include "isomorphism/vf2.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -42,17 +41,6 @@ void BM_Vf2FindFirst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Vf2FindFirst)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_UllmannFindFirst(benchmark::State& state) {
-  Graph query = SharedQuery(static_cast<int>(state.range(0)), 1);
-  const GraphDatabase& db = SharedDb();
-  size_t i = 0;
-  for (auto _ : state) {
-    UllmannMatcher matcher(query, db.at(i++ % db.size()));
-    benchmark::DoNotOptimize(matcher.FindFirst());
-  }
-}
-BENCHMARK(BM_UllmannFindFirst)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_Vf2EnumerateAll(benchmark::State& state) {
   Graph query = SharedQuery(6, 2);

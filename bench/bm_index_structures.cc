@@ -1,5 +1,5 @@
-// Micro-benchmarks for the per-class index backends (trie / R-tree /
-// VP-tree range queries) and full index construction.
+// Micro-benchmarks for the per-class index backends (trie and R-tree range
+// queries) and full index construction.
 #include <benchmark/benchmark.h>
 
 #include "distance/score_matrix.h"
@@ -7,7 +7,6 @@
 #include "index/fragment_index.h"
 #include "index/rtree.h"
 #include "index/trie_index.h"
-#include "index/vptree.h"
 #include "mining/gspan.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -75,41 +74,6 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RTreeRangeQuery)->Arg(1)->Arg(5)->Arg(20);
-
-void BM_VpTreeRangeQuery(benchmark::State& state) {
-  // Hamming metric over length-6 sequences, like a mutation-distance class.
-  Rng rng(4);
-  const int len = 6;
-  std::vector<std::vector<Label>> items;
-  std::vector<int> payloads;
-  for (int i = 0; i < 16000; ++i) {
-    std::vector<Label> seq(len);
-    for (Label& s : seq) s = rng.UniformInt(1, 4);
-    items.push_back(std::move(seq));
-    payloads.push_back(i % 2000);
-  }
-  auto hamming = [&](size_t a, size_t b) {
-    double d = 0;
-    for (int k = 0; k < len; ++k) d += items[a][k] != items[b][k] ? 1 : 0;
-    return d;
-  };
-  VpTree tree(items.size(), payloads, hamming);
-  double sigma = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    std::vector<Label> query(len);
-    for (Label& s : query) s = rng.UniformInt(1, 4);
-    size_t hits = 0;
-    tree.RangeQuery(
-        [&](size_t item) {
-          double d = 0;
-          for (int k = 0; k < len; ++k) d += items[item][k] != query[k] ? 1 : 0;
-          return d;
-        },
-        sigma, [&](int, double) { ++hits; });
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_VpTreeRangeQuery)->Arg(1)->Arg(2);
 
 void BM_IndexBuild(benchmark::State& state) {
   MoleculeGenerator gen;

@@ -1,35 +1,33 @@
 #include "index/class_index.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
 namespace pis {
 
-ClassBackend DefaultBackend(DistanceType type) {
-  return type == DistanceType::kMutation ? ClassBackend::kTrie
-                                         : ClassBackend::kRTree;
-}
+namespace {
+// Backend tag written before each class payload. Tag 2 marks a class of the
+// retired VP-tree backend, which stored a flat item list; it loads by
+// conversion and is never written.
+constexpr uint8_t kTrieTag = 0;
+constexpr uint8_t kRTreeTag = 1;
+constexpr uint8_t kLegacyVpTag = 2;
+}  // namespace
 
 EquivalenceClassIndex::EquivalenceClassIndex(std::string key, int num_vertices,
-                                             int num_edges, ClassBackend backend,
+                                             int num_edges,
                                              const DistanceSpec* spec)
     : key_(std::move(key)),
       num_vertices_(num_vertices),
       num_edges_(num_edges),
-      backend_(backend),
       spec_(spec) {
   PIS_CHECK(spec_ != nullptr);
-  switch (backend_) {
-    case ClassBackend::kTrie:
-      trie_ = std::make_unique<LabelTrie>(NumVertexPositions() + num_edges_);
-      break;
-    case ClassBackend::kRTree:
-      rtree_ = std::make_unique<RTree>(WeightDims());
-      break;
-    case ClassBackend::kVpTree:
-      break;  // buffered until Finalize
+  if (spec_->type == DistanceType::kMutation) {
+    trie_ = std::make_unique<LabelTrie>(NumVertexPositions() + num_edges_);
+  } else {
+    rtree_ = std::make_unique<RTree>(WeightDims());
   }
 }
 
@@ -62,18 +60,10 @@ void EquivalenceClassIndex::Insert(const std::vector<Label>& labels,
   if (containing_graphs_.empty() || containing_graphs_.back() != graph_id) {
     containing_graphs_.push_back(graph_id);
   }
-  switch (backend_) {
-    case ClassBackend::kTrie:
-      trie_->Insert(labels, graph_id);
-      break;
-    case ClassBackend::kRTree:
-      rtree_->Insert(weights, graph_id);
-      break;
-    case ClassBackend::kVpTree:
-      vp_labels_.push_back(labels);
-      vp_weights_.push_back(weights);
-      vp_graph_ids_.push_back(graph_id);
-      break;
+  if (trie_ != nullptr) {
+    trie_->Insert(labels, graph_id);
+  } else {
+    rtree_->Insert(weights, graph_id);
   }
 }
 
@@ -84,44 +74,11 @@ void EquivalenceClassIndex::Finalize() {
   containing_graphs_.erase(
       std::unique(containing_graphs_.begin(), containing_graphs_.end()),
       containing_graphs_.end());
-  switch (backend_) {
-    case ClassBackend::kTrie:
-      trie_->Finalize();
-      break;
-    case ClassBackend::kRTree:
-      break;
-    case ClassBackend::kVpTree: {
-      if (vp_graph_ids_.empty()) break;
-      if (spec_->type == DistanceType::kMutation) {
-        SequenceCostModel model = MakeSequenceModel();
-        auto metric = [this, model](size_t a, size_t b) {
-          double d = 0;
-          for (size_t i = 0; i < vp_labels_[a].size(); ++i) {
-            d += model.Cost(static_cast<int>(i), vp_labels_[a][i], vp_labels_[b][i]);
-          }
-          return d;
-        };
-        vptree_ = std::make_unique<VpTree>(vp_graph_ids_.size(), vp_graph_ids_,
-                                           metric);
-      } else {
-        auto metric = [this](size_t a, size_t b) {
-          double d = 0;
-          for (size_t i = 0; i < vp_weights_[a].size(); ++i) {
-            d += std::abs(vp_weights_[a][i] - vp_weights_[b][i]);
-          }
-          return d;
-        };
-        vptree_ = std::make_unique<VpTree>(vp_graph_ids_.size(), vp_graph_ids_,
-                                           metric);
-      }
-      break;
-    }
-  }
+  if (trie_ != nullptr) trie_->Finalize();
 }
 
 void EquivalenceClassIndex::Refinalize() {
   finalized_ = false;
-  vptree_.reset();  // rebuilt from the retained buffers
   Finalize();
 }
 
@@ -140,61 +97,33 @@ void EquivalenceClassIndex::Compact(const std::vector<int>& remap) {
   containing_graphs_ = std::move(live_containing);
 
   size_t surviving = 0;
-  switch (backend_) {
-    case ClassBackend::kTrie: {
-      // Rebuild from the surviving sequences: leaves whose postings all
-      // died drop out entirely, along with their now-unreachable interior
-      // nodes.
-      auto fresh = std::make_unique<LabelTrie>(trie_->sequence_length());
-      std::vector<int> list;
-      trie_->ForEachSequence(
-          [&](const std::vector<Label>& seq, const std::vector<int>& postings) {
-            list.clear();
-            for (int gid : postings) {
-              int mapped = remapped(gid);
-              if (mapped >= 0) list.push_back(mapped);
-            }
-            for (int gid : list) fresh->Insert(seq, gid);
-            surviving += list.size();
-          });
-      fresh->Finalize();
-      trie_ = std::move(fresh);
-      break;
-    }
-    case ClassBackend::kRTree: {
-      auto fresh = std::make_unique<RTree>(rtree_->dimensions(),
-                                           rtree_->max_entries());
-      rtree_->ForEachPoint([&](const std::vector<double>& point, int payload) {
-        int mapped = remapped(payload);
-        if (mapped < 0) return;
-        fresh->Insert(point, mapped);
-        ++surviving;
-      });
-      rtree_ = std::move(fresh);
-      break;
-    }
-    case ClassBackend::kVpTree: {
-      size_t keep = 0;
-      for (size_t i = 0; i < vp_graph_ids_.size(); ++i) {
-        int mapped = remapped(vp_graph_ids_[i]);
-        if (mapped < 0) continue;
-        if (keep != i) {  // self-move-assign would empty the buffers
-          vp_labels_[keep] = std::move(vp_labels_[i]);
-          vp_weights_[keep] = std::move(vp_weights_[i]);
-        }
-        vp_graph_ids_[keep] = mapped;
-        ++keep;
-      }
-      vp_labels_.resize(keep);
-      vp_weights_.resize(keep);
-      vp_graph_ids_.resize(keep);
-      vp_labels_.shrink_to_fit();
-      vp_weights_.shrink_to_fit();
-      vp_graph_ids_.shrink_to_fit();
-      surviving = keep;
-      Refinalize();
-      break;
-    }
+  if (trie_ != nullptr) {
+    // Rebuild from the surviving sequences: leaves whose postings all died
+    // drop out entirely, along with their now-unreachable interior nodes.
+    auto fresh = std::make_unique<LabelTrie>(trie_->sequence_length());
+    std::vector<int> list;
+    trie_->ForEachSequence(
+        [&](const std::vector<Label>& seq, const std::vector<int>& postings) {
+          list.clear();
+          for (int gid : postings) {
+            int mapped = remapped(gid);
+            if (mapped >= 0) list.push_back(mapped);
+          }
+          for (int gid : list) fresh->Insert(seq, gid);
+          surviving += list.size();
+        });
+    fresh->Finalize();
+    trie_ = std::move(fresh);
+  } else {
+    auto fresh = std::make_unique<RTree>(rtree_->dimensions(),
+                                         rtree_->max_entries());
+    rtree_->ForEachPoint([&](const std::vector<double>& point, int payload) {
+      int mapped = remapped(payload);
+      if (mapped < 0) return;
+      fresh->Insert(point, mapped);
+      ++surviving;
+    });
+    rtree_ = std::move(fresh);
   }
   num_fragments_ = surviving;
 }
@@ -204,24 +133,13 @@ Status EquivalenceClassIndex::Serialize(BinaryWriter* writer) const {
   writer->Str(key_);
   writer->I32(num_vertices_);
   writer->I32(num_edges_);
-  writer->U8(static_cast<uint8_t>(backend_));
+  writer->U8(trie_ != nullptr ? kTrieTag : kRTreeTag);
   writer->U64(num_fragments_);
   writer->VecInt(containing_graphs_);
-  switch (backend_) {
-    case ClassBackend::kTrie:
-      trie_->Serialize(writer);
-      break;
-    case ClassBackend::kRTree:
-      rtree_->Serialize(writer);
-      break;
-    case ClassBackend::kVpTree:
-      writer->U64(vp_graph_ids_.size());
-      for (size_t i = 0; i < vp_graph_ids_.size(); ++i) {
-        writer->VecI32(vp_labels_[i]);
-        writer->VecF64(vp_weights_[i]);
-        writer->I32(vp_graph_ids_[i]);
-      }
-      break;
+  if (trie_ != nullptr) {
+    trie_->Serialize(writer);
+  } else {
+    rtree_->Serialize(writer);
   }
   if (!writer->ok()) return Status::IOError("class index write failed");
   return Status::OK();
@@ -232,47 +150,71 @@ Result<std::unique_ptr<EquivalenceClassIndex>> EquivalenceClassIndex::Deserializ
   std::string key = reader->Str();
   int32_t nv = reader->I32();
   int32_t ne = reader->I32();
-  uint8_t backend_tag = reader->U8();
+  uint8_t tag = reader->U8();
   PIS_RETURN_NOT_OK(reader->Check("class index header"));
-  if (nv < 1 || ne < 0 || backend_tag > 2) {
+  // Bounded so that sequence and weight lengths (nv + ne) fit an int.
+  if (nv < 1 || ne < 0 || nv > std::numeric_limits<int32_t>::max() - ne) {
     return Status::ParseError("bad class index header");
   }
-  auto backend = static_cast<ClassBackend>(backend_tag);
-  auto cls = std::make_unique<EquivalenceClassIndex>(key, nv, ne, backend, spec);
+  const uint8_t native_tag =
+      spec->type == DistanceType::kMutation ? kTrieTag : kRTreeTag;
+  if (tag != native_tag && tag != kLegacyVpTag) {
+    return Status::ParseError("class backend tag " + std::to_string(tag) +
+                              " does not fit the index's distance type");
+  }
+  auto cls = std::make_unique<EquivalenceClassIndex>(key, nv, ne, spec);
   cls->num_fragments_ = reader->U64();
   cls->containing_graphs_ = reader->VecInt();
   PIS_RETURN_NOT_OK(reader->Check("class index containment list"));
-  switch (backend) {
-    case ClassBackend::kTrie: {
-      PIS_ASSIGN_OR_RETURN(LabelTrie trie, LabelTrie::Deserialize(reader));
-      if (trie.sequence_length() != cls->NumVertexPositions() + ne) {
-        return Status::ParseError("trie length inconsistent with class/spec");
-      }
-      cls->trie_ = std::make_unique<LabelTrie>(std::move(trie));
-      break;
+  if (tag == kLegacyVpTag) {
+    // One (labels, weights, graph id) item per inserted fragment: re-insert
+    // each into the spec's backend, checking it first, since nothing else
+    // bounds the vector lengths the backends index by.
+    const uint64_t stored_fragments = cls->num_fragments_;
+    const std::vector<int> stored_containing =
+        std::move(cls->containing_graphs_);
+    cls->num_fragments_ = 0;
+    cls->containing_graphs_.clear();
+    uint64_t n = reader->ReadCount(20);  // two vectors + id per item
+    PIS_RETURN_NOT_OK(reader->Check("vp item count"));
+    if (n != stored_fragments) {
+      return Status::ParseError("VP class item count disagrees with its "
+                                "fragment count");
     }
-    case ClassBackend::kRTree: {
-      PIS_ASSIGN_OR_RETURN(RTree rtree, RTree::Deserialize(reader));
-      if (rtree.dimensions() != cls->WeightDims()) {
-        return Status::ParseError("rtree dims inconsistent with class/spec");
-      }
-      cls->rtree_ = std::make_unique<RTree>(std::move(rtree));
-      break;
-    }
-    case ClassBackend::kVpTree: {
-      uint64_t n = reader->ReadCount(20);  // two vectors + id per item
-      PIS_RETURN_NOT_OK(reader->Check("vp item count"));
-      for (uint64_t i = 0; i < n; ++i) {
-        cls->vp_labels_.push_back(reader->VecI32());
-        cls->vp_weights_.push_back(reader->VecF64());
-        cls->vp_graph_ids_.push_back(reader->I32());
-      }
+    const size_t label_length = cls->NumVertexPositions() + ne;
+    for (uint64_t i = 0; i < n; ++i) {
+      std::vector<Label> labels = reader->VecI32();
+      std::vector<double> weights = reader->VecF64();
+      int graph_id = reader->I32();
       PIS_RETURN_NOT_OK(reader->Check("vp items"));
-      break;
+      if (labels.size() != label_length ||
+          (cls->rtree_ != nullptr &&
+           weights.size() != static_cast<size_t>(cls->WeightDims()))) {
+        return Status::ParseError("VP item length inconsistent with class/spec");
+      }
+      cls->Insert(labels, weights, graph_id);
     }
+    cls->Finalize();
+    if (cls->containing_graphs_ != stored_containing) {
+      return Status::ParseError("VP class containment list disagrees with "
+                                "its items");
+    }
+    return cls;
   }
-  // Finalize rebuilds the VP-tree (deterministic) and marks the class
-  // queryable; trie/rtree payloads were stored finalized.
+  if (cls->trie_ != nullptr) {
+    PIS_ASSIGN_OR_RETURN(LabelTrie trie, LabelTrie::Deserialize(reader));
+    if (trie.sequence_length() != cls->NumVertexPositions() + ne) {
+      return Status::ParseError("trie length inconsistent with class/spec");
+    }
+    cls->trie_ = std::make_unique<LabelTrie>(std::move(trie));
+  } else {
+    PIS_ASSIGN_OR_RETURN(RTree rtree, RTree::Deserialize(reader));
+    if (rtree.dimensions() != cls->WeightDims()) {
+      return Status::ParseError("rtree dims inconsistent with class/spec");
+    }
+    cls->rtree_ = std::make_unique<RTree>(std::move(rtree));
+  }
+  // The payloads were stored finalized; this marks the class queryable.
   cls->Finalize();
   return cls;
 }
@@ -284,47 +226,18 @@ Status EquivalenceClassIndex::RangeQuery(const std::vector<Label>& labels,
   if (!finalized_) {
     return Status::Internal("class index queried before Finalize()");
   }
-  switch (backend_) {
-    case ClassBackend::kTrie: {
-      if (static_cast<int>(labels.size()) != NumVertexPositions() + num_edges_) {
-        return Status::InvalidArgument("label sequence length mismatch");
-      }
-      trie_->RangeQuery(labels, MakeSequenceModel(), sigma, cb);
-      return Status::OK();
+  if (trie_ != nullptr) {
+    if (static_cast<int>(labels.size()) != NumVertexPositions() + num_edges_) {
+      return Status::InvalidArgument("label sequence length mismatch");
     }
-    case ClassBackend::kRTree: {
-      if (static_cast<int>(weights.size()) != WeightDims()) {
-        return Status::InvalidArgument("weight vector length mismatch");
-      }
-      rtree_->RangeQueryL1(weights, sigma, cb);
-      return Status::OK();
-    }
-    case ClassBackend::kVpTree: {
-      if (vptree_ == nullptr) return Status::OK();  // empty class
-      if (spec_->type == DistanceType::kMutation) {
-        SequenceCostModel model = MakeSequenceModel();
-        auto to_query = [this, model, &labels](size_t item) {
-          double d = 0;
-          for (size_t i = 0; i < labels.size(); ++i) {
-            d += model.Cost(static_cast<int>(i), labels[i], vp_labels_[item][i]);
-          }
-          return d;
-        };
-        vptree_->RangeQuery(to_query, sigma, cb);
-      } else {
-        auto to_query = [this, &weights](size_t item) {
-          double d = 0;
-          for (size_t i = 0; i < weights.size(); ++i) {
-            d += std::abs(weights[i] - vp_weights_[item][i]);
-          }
-          return d;
-        };
-        vptree_->RangeQuery(to_query, sigma, cb);
-      }
-      return Status::OK();
-    }
+    trie_->RangeQuery(labels, MakeSequenceModel(), sigma, cb);
+    return Status::OK();
   }
-  return Status::Internal("unreachable backend");
+  if (static_cast<int>(weights.size()) != WeightDims()) {
+    return Status::InvalidArgument("weight vector length mismatch");
+  }
+  rtree_->RangeQueryL1(weights, sigma, cb);
+  return Status::OK();
 }
 
 }  // namespace pis

@@ -1,10 +1,12 @@
 // One structural equivalence class [f] (paper Definition 4): all database
-// fragments sharing a skeleton, stored in a backend that answers range
-// queries d(g, g') <= sigma — a trie for the mutation distance, an R-tree
-// for the linear distance, or a VP-tree (Figure 5).
+// fragments sharing a skeleton, stored in the backend the paper pairs with
+// the configured distance (§4, Figure 5) to answer range queries
+// d(g, g') <= sigma — a trie for the mutation distance, an R-tree for the
+// linear distance.
 #ifndef PIS_INDEX_CLASS_INDEX_H_
 #define PIS_INDEX_CLASS_INDEX_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,24 +15,9 @@
 #include "graph/graph.h"
 #include "index/rtree.h"
 #include "index/trie_index.h"
-#include "index/vptree.h"
 #include "util/status.h"
 
 namespace pis {
-
-/// Backend data structure for a class.
-enum class ClassBackend {
-  /// Trie over label sequences (mutation distance).
-  kTrie,
-  /// R-tree over weight vectors (linear distance).
-  kRTree,
-  /// VP-tree over label sequences or weight vectors (either distance,
-  /// requires the configured distance to be a metric).
-  kVpTree,
-};
-
-/// Picks the paper's default backend for a distance type.
-ClassBackend DefaultBackend(DistanceType type);
 
 /// Receives (graph_id, distance) pairs from a class range query. Callers
 /// aggregate the per-graph minimum (Eq. 3).
@@ -46,8 +33,9 @@ class EquivalenceClassIndex {
  public:
   /// `num_vertices`/`num_edges` describe the class skeleton; sequences have
   /// length num_vertices + num_edges, weight vectors as configured by spec.
+  /// The spec's distance type picks the backend.
   EquivalenceClassIndex(std::string key, int num_vertices, int num_edges,
-                        ClassBackend backend, const DistanceSpec* spec);
+                        const DistanceSpec* spec);
 
   /// Inserts one fragment occurrence. `labels` is the canonical sequence
   /// (vertex labels then edge labels); `weights` likewise for numeric
@@ -59,7 +47,7 @@ class EquivalenceClassIndex {
   void Finalize();
 
   /// Re-finalizes after post-Finalize inserts (incremental AddGraph):
-  /// re-sorts postings and rebuilds lazily-constructed backends.
+  /// re-sorts the containment list and the trie's postings.
   void Refinalize();
 
   /// Rewrites the backend keeping only postings whose graph id survives
@@ -82,7 +70,6 @@ class EquivalenceClassIndex {
   int num_vertices() const { return num_vertices_; }
   int num_edges() const { return num_edges_; }
   size_t num_fragments() const { return num_fragments_; }
-  ClassBackend backend() const { return backend_; }
 
   /// Sorted ids of graphs owning at least one fragment in this class
   /// (structure containment — what topoPrune filters on). Valid after
@@ -91,7 +78,9 @@ class EquivalenceClassIndex {
 
   /// Binary persistence. Serialization requires Finalize(); the
   /// deserialized class is already finalized. `spec` must outlive the
-  /// returned object (the fragment index owns it).
+  /// returned object (the fragment index owns it). A class saved with the
+  /// retired VP-tree backend loads by re-inserting its stored sequences or
+  /// weight vectors into the spec's backend.
   Status Serialize(BinaryWriter* writer) const;
   static Result<std::unique_ptr<EquivalenceClassIndex>> Deserialize(
       BinaryReader* reader, const DistanceSpec* spec);
@@ -106,19 +95,15 @@ class EquivalenceClassIndex {
   std::string key_;
   int num_vertices_;
   int num_edges_;
-  ClassBackend backend_;
   const DistanceSpec* spec_;
   size_t num_fragments_ = 0;
   bool finalized_ = false;
   std::vector<int> containing_graphs_;
 
+  // Exactly one backend is set: the trie for a mutation spec, the R-tree
+  // for a linear one.
   std::unique_ptr<LabelTrie> trie_;
   std::unique_ptr<RTree> rtree_;
-  // VP-tree is built lazily at Finalize() from buffered items.
-  std::vector<std::vector<Label>> vp_labels_;
-  std::vector<std::vector<double>> vp_weights_;
-  std::vector<int> vp_graph_ids_;
-  std::unique_ptr<VpTree> vptree_;
 };
 
 }  // namespace pis

@@ -132,8 +132,6 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
   index.options_ = options;
   index.spec_holder_ = std::make_shared<const DistanceSpec>(options.spec);
   index.db_size_ = db.size();
-  ClassBackend backend =
-      options.backend.value_or(DefaultBackend(options.spec.type));
 
   // Register classes from the feature set.
   CanonicalOptions skeleton_opts;
@@ -150,7 +148,7 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
     int class_id = static_cast<int>(index.classes_.size());
     index.class_by_key_.emplace(key, class_id);
     index.classes_.push_back(std::make_unique<EquivalenceClassIndex>(
-        key, f.NumVertices(), f.NumEdges(), backend, index.spec_holder_.get()));
+        key, f.NumVertices(), f.NumEdges(), index.spec_holder_.get()));
     index.signatures_.insert(StructureSignature(f));
   }
   index.stats_.num_classes = index.classes_.size();
@@ -427,10 +425,8 @@ Status FragmentIndex::Save(std::ostream& out) const {
   writer.I32(options_.min_fragment_edges);
   writer.I32(options_.max_fragment_edges);
   SerializeSpec(options_.spec, &writer);
-  writer.U8(options_.backend.has_value() ? 1 : 0);
-  if (options_.backend.has_value()) {
-    writer.U8(static_cast<uint8_t>(*options_.backend));
-  }
+  // Retired backend-override flag: always 0, so no override byte follows.
+  writer.U8(0);
   writer.I32(db_size_);
   // Build statistics (informational, preserved across load).
   writer.U64(stats_.num_fragment_occurrences);
@@ -491,10 +487,10 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
   index.options_.min_fragment_edges = reader.I32();
   index.options_.max_fragment_edges = reader.I32();
   PIS_ASSIGN_OR_RETURN(index.options_.spec, DeserializeSpec(&reader));
-  if (reader.U8() != 0) {
-    uint8_t backend = reader.U8();
-    if (backend > 2) return Status::ParseError("bad backend tag");
-    index.options_.backend = static_cast<ClassBackend>(backend);
+  // A set override flag is followed by the backend an older build was told
+  // to use; each class carries its own tag, so the override is skipped.
+  if (reader.U8() != 0 && reader.U8() > 2) {
+    return Status::ParseError("bad backend tag");
   }
   index.spec_holder_ = std::make_shared<const DistanceSpec>(index.options_.spec);
   index.db_size_ = reader.I32();

@@ -7,7 +7,6 @@
 #define PIS_INDEX_FRAGMENT_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,10 +26,10 @@ struct FragmentIndexOptions {
   /// "maximum indexed fragment size" (Figure 12 sweeps 4-6).
   int min_fragment_edges = 1;
   int max_fragment_edges = 6;
-  /// Distance the index answers range queries for.
+  /// Distance the index answers range queries for. Its type fixes each
+  /// class's backend (paper §4): a trie for the mutation distance, an
+  /// R-tree for the linear distance.
   DistanceSpec spec;
-  /// Backend override; defaults by distance type (trie / R-tree).
-  std::optional<ClassBackend> backend;
   /// Threads for the build's fragment-extraction phase: the database is
   /// split into this many contiguous graph-id ranges, each scanned with its
   /// own SkeletonMemo. 1 = sequential; use HardwareThreads() for full

@@ -37,7 +37,6 @@
 #include "core/topk.h"               // IWYU pragma: export
 #include "core/topo_prune.h"         // IWYU pragma: export
 #include "core/verifier.h"           // IWYU pragma: export
-#include "distance/combined.h"       // IWYU pragma: export
 #include "distance/distance_spec.h"  // IWYU pragma: export
 #include "distance/linear.h"         // IWYU pragma: export
 #include "distance/mutation.h"       // IWYU pragma: export
@@ -53,7 +52,6 @@
 #include "index/fragment_enum.h"     // IWYU pragma: export
 #include "index/fragment_index.h"    // IWYU pragma: export
 #include "index/sharded_index.h"     // IWYU pragma: export
-#include "isomorphism/ullmann.h"     // IWYU pragma: export
 #include "isomorphism/vf2.h"         // IWYU pragma: export
 // The serving layer (server/engine_host.h, server/pis_server.h,
 // util/socket.h) is deliberately NOT exported here: it drags POSIX socket
@@ -61,7 +59,6 @@
 // include those headers directly.
 #include "mining/feature_selector.h" // IWYU pragma: export
 #include "mining/gspan.h"            // IWYU pragma: export
-#include "mining/path_features.h"    // IWYU pragma: export
 #include "mining/pipeline.h"         // IWYU pragma: export
 #include "util/json.h"               // IWYU pragma: export
 #include "util/parallel.h"           // IWYU pragma: export

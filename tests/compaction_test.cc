@@ -214,23 +214,18 @@ TEST(CompactionTest, RebalanceAfterSkewedRemovalsLevelsShards) {
   h.CheckAgainstRebuild();
 }
 
-// The lifecycle suites above run the default trie backend (mutation
-// distance) only; this pins the in-place rewrite of every class backend —
-// trie re-insert, R-tree re-insert, VP-tree buffer filtering — against a
-// from-scratch rebuild over the survivors, including a persistence round
-// trip of the compacted index. (The VP-tree branch once shipped a
-// self-move-assign bug no trie-only schedule could catch.)
+// The lifecycle suites above run the trie backend (mutation distance)
+// only; this pins the in-place rewrite of both class backends — trie
+// re-insert and R-tree re-insert — against a from-scratch rebuild over the
+// survivors, including a persistence round trip of the compacted index.
 TEST(CompactionTest, EveryBackendCompactsEquivalently) {
   struct Case {
     DistanceSpec spec;
-    ClassBackend backend;
     const char* name;
   };
   const Case cases[] = {
-      {DistanceSpec::EdgeMutation(), ClassBackend::kTrie, "mutation/trie"},
-      {DistanceSpec::EdgeMutation(), ClassBackend::kVpTree, "mutation/vptree"},
-      {DistanceSpec::EdgeLinear(), ClassBackend::kRTree, "linear/rtree"},
-      {DistanceSpec::EdgeLinear(), ClassBackend::kVpTree, "linear/vptree"},
+      {DistanceSpec::EdgeMutation(), "mutation/trie"},
+      {DistanceSpec::EdgeLinear(), "linear/rtree"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -254,7 +249,6 @@ TEST(CompactionTest, EveryBackendCompactsEquivalently) {
     FragmentIndexOptions iopt;
     iopt.max_fragment_edges = 3;
     iopt.spec = c.spec;
-    iopt.backend = c.backend;
     auto index = FragmentIndex::Build(db, features, iopt);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
 

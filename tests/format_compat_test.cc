@@ -13,21 +13,31 @@
 // truncated mid-section) must come back as InvalidArgument — never a crash
 // or DCHECK. A legacy single-file index (what `pis_cli build` wrote before
 // every index became a manifest directory) loads through LoadDir as one
-// shard and filters exactly as the single-index engine did.
+// shard and filters exactly as the single-index engine did. A class saved
+// by the retired VP-tree backend (tag 2, a flat item list) loads by
+// conversion: its items are checked and re-inserted into the backend the
+// spec's distance type picks, and a malformed item is a ParseError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine_test_util.h"
 #include "index/fragment_index.h"
+#include "index/rtree.h"
 #include "index/sharded_index.h"
+#include "index/trie_index.h"
 #include "util/serde.h"
 
 namespace pis {
@@ -267,6 +277,359 @@ TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+}
+
+// ---- Legacy VP-tree classes -----------------------------------------
+
+constexpr uint8_t kTrieTag = 0;  // class backend tags, as class_index.cc
+constexpr uint8_t kRTreeTag = 1;
+constexpr uint8_t kLegacyVpTag = 2;
+
+// A v5 Save() cut into its header, its classes' bytes and its trailer (the
+// tombstone list, the compaction epoch and the live count). Each class is
+// re-serialized on its own to find its extent; the pieces must reassemble
+// the file exactly.
+struct SavedParts {
+  std::string header;
+  std::vector<std::string> classes;
+  std::string tail;
+};
+
+SavedParts SplitSave(const FragmentIndex& index) {
+  std::stringstream full;
+  EXPECT_TRUE(index.Save(full).ok());
+  const std::string bytes = full.str();
+  SavedParts parts;
+  std::string joined;
+  for (int c = 0; c < index.num_classes(); ++c) {
+    std::stringstream one;
+    BinaryWriter writer(one);
+    EXPECT_TRUE(index.class_at(c).Serialize(&writer).ok());
+    parts.classes.push_back(one.str());
+    joined += parts.classes.back();
+  }
+  const size_t tail_size = 8 + 4 * index.tombstones().size() + 8;
+  const size_t header_size = bytes.size() - joined.size() - tail_size;
+  parts.header = bytes.substr(0, header_size);
+  parts.tail = bytes.substr(header_size + joined.size());
+  EXPECT_EQ(bytes.substr(header_size, joined.size()), joined);
+  return parts;
+}
+
+// Offset of a serialized class's backend tag: after the key (length-prefixed
+// string) and the vertex and edge counts.
+size_t TagOffset(const std::string& class_bytes) {
+  uint64_t key_size = 0;
+  std::memcpy(&key_size, class_bytes.data(), 8);
+  return 8 + key_size + 4 + 4;
+}
+
+// One item of a VP-tree class's list: the fragment's label sequence, its
+// weight vector and its graph id, as that backend buffered each Insert.
+struct LegacyItem {
+  std::vector<Label> labels;
+  std::vector<double> weights;
+  int graph_id;
+};
+using ItemEdit = std::function<void(std::vector<LegacyItem>*)>;
+
+// Rewrites one serialized trie or R-tree class as the retired VP-tree
+// backend wrote it: tag 2, the fragment count, the containment list, then
+// the item count and the items. Trie items are its stored sequences, one
+// per posting, with empty weights (a mutation spec built none); R-tree
+// items are its points. The R-tree keeps no label sequences, so its items
+// carry zero labels of the class's sequence length. `edit`, if set, changes
+// the items after the fragment count is taken from them.
+std::string ToLegacyVpClass(const std::string& class_bytes,
+                            const DistanceSpec& spec, const ItemEdit& edit) {
+  std::stringstream in(class_bytes);
+  BinaryReader reader(in);
+  const std::string key = reader.Str();
+  const int32_t nv = reader.I32();
+  const int32_t ne = reader.I32();
+  const uint8_t tag = reader.U8();
+  reader.U64();  // the item list below defines the fragment count
+  const std::vector<int> containing = reader.VecInt();
+  std::vector<LegacyItem> items;
+  if (tag == kTrieTag) {
+    auto trie = LabelTrie::Deserialize(&reader);
+    EXPECT_TRUE(trie.ok());
+    trie.value().ForEachSequence(
+        [&](const std::vector<Label>& seq, const std::vector<int>& postings) {
+          for (int gid : postings) items.push_back({seq, {}, gid});
+        });
+  } else {
+    auto rtree = RTree::Deserialize(&reader);
+    EXPECT_TRUE(rtree.ok());
+    const int length = (spec.vertex_scores.IsZero() ? 0 : nv) + ne;
+    rtree.value().ForEachPoint([&](const std::vector<double>& point, int gid) {
+      items.push_back({std::vector<Label>(length, 0), point, gid});
+    });
+  }
+  EXPECT_TRUE(reader.ok());
+  const uint64_t num_fragments = items.size();
+  if (edit) edit(&items);
+
+  std::stringstream out;
+  BinaryWriter writer(out);
+  writer.Str(key);
+  writer.I32(nv);
+  writer.I32(ne);
+  writer.U8(kLegacyVpTag);
+  writer.U64(num_fragments);
+  writer.VecInt(containing);
+  writer.U64(items.size());
+  for (const LegacyItem& item : items) {
+    writer.VecI32(item.labels);
+    writer.VecF64(item.weights);
+    writer.I32(item.graph_id);
+  }
+  EXPECT_TRUE(writer.ok());
+  return out.str();
+}
+
+// A v5 file as an older build wrote it with the VP-tree backend selected:
+// the header's override flag set and followed by tag 2, and every class in
+// the VP layout. The header ends with the flag, the db size (I32), four
+// build counters (U64 each), the signature list (a U64 count, then one U64
+// per distinct signature of the features Build registered) and the class
+// count (U64). `edit` changes the items of the first non-empty class.
+std::string MakeLegacyVpIndexBytes(const FragmentIndex& index,
+                                   const std::vector<Graph>& features,
+                                   const ItemEdit& edit = nullptr) {
+  std::set<uint64_t> signatures;
+  for (const Graph& f : features) {
+    if (f.NumEdges() >= index.options().min_fragment_edges &&
+        f.NumEdges() <= index.options().max_fragment_edges) {
+      signatures.insert(StructureSignature(f));
+    }
+  }
+  const SavedParts parts = SplitSave(index);
+  std::string bytes = parts.header;
+  const size_t signature_count_at = bytes.size() - 8 - 8 * signatures.size() - 8;
+  uint64_t signature_count = 0;
+  std::memcpy(&signature_count, bytes.data() + signature_count_at, 8);
+  EXPECT_EQ(signature_count, signatures.size());
+  const size_t flag_at = signature_count_at - 32 - 4 - 1;
+  EXPECT_EQ(bytes[flag_at], '\0');
+  bytes[flag_at] = 1;
+  bytes.insert(flag_at + 1, 1, static_cast<char>(kLegacyVpTag));
+
+  bool edited = false;
+  for (const std::string& cls : parts.classes) {
+    ItemEdit once;
+    if (edit && !edited) {
+      once = [&](std::vector<LegacyItem>* items) {
+        if (items->empty()) return;
+        edit(items);
+        edited = true;
+      };
+    }
+    bytes += ToLegacyVpClass(cls, index.options().spec, once);
+  }
+  EXPECT_EQ(edited, edit != nullptr);
+  return bytes + parts.tail;
+}
+
+// Backend tag of every class in a saved index.
+std::vector<uint8_t> ClassTags(const FragmentIndex& index) {
+  std::vector<uint8_t> tags;
+  for (const std::string& cls : SplitSave(index).classes) {
+    tags.push_back(static_cast<uint8_t>(cls[TagOffset(cls)]));
+  }
+  return tags;
+}
+
+class LegacyVpClassTest : public ::testing::TestWithParam<bool> {
+ protected:
+  // 24 molecules indexed under every skeleton frequent in 3 of them, so
+  // classes of 1 to 4 edges carry items, over the edge mutation distance
+  // (trie) or the edge linear distance (R-tree). Graph 4 is removed, so the
+  // items include a tombstoned graph's postings.
+  void SetUp() override {
+    MoleculeGeneratorOptions gopt;
+    gopt.seed = 77;
+    gopt.mean_vertices = 16;
+    gopt.max_vertices = 60;
+    db_ = MoleculeGenerator(gopt).Generate(24);
+    GraphDatabase skeletons;
+    for (const Graph& g : db_.graphs()) skeletons.Add(g.Skeleton());
+    GspanOptions mine;
+    mine.min_support = 3;
+    mine.max_edges = 4;
+    auto patterns = MineFrequentSubgraphs(skeletons, mine);
+    ASSERT_TRUE(patterns.ok());
+    for (const Pattern& p : patterns.value()) features_.push_back(p.graph);
+    FragmentIndexOptions options;
+    options.max_fragment_edges = 4;
+    options.spec = GetParam() ? DistanceSpec::EdgeLinear()
+                              : DistanceSpec::EdgeMutation();
+    auto built = FragmentIndex::Build(db_, features_, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_TRUE(built.value().RemoveGraph(4).ok());
+    sharded_ = ShardedFragmentIndex::FromFragmentIndex(built.MoveValue());
+    native_tag_ = GetParam() ? kRTreeTag : kTrieTag;
+  }
+  const FragmentIndex& index() const { return sharded_.value().shard(0); }
+
+  GraphDatabase db_;
+  std::vector<Graph> features_;
+  Result<ShardedFragmentIndex> sharded_ = Status::Internal("unbuilt");
+  uint8_t native_tag_ = 0;
+};
+
+// The converted index answers with the default-built index's answers and
+// candidates, resaves with the native backend tags, and is byte-stable
+// through a second save -> load -> save.
+TEST_P(LegacyVpClassTest, LoadsAndAnswersLikeTheDefaultBackend) {
+  std::stringstream in(MakeLegacyVpIndexBytes(index(), features_));
+  auto loaded = FragmentIndex::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().db_size(), index().db_size());
+  EXPECT_EQ(loaded.value().num_live(), index().num_live());
+  ASSERT_EQ(loaded.value().num_classes(), index().num_classes());
+  for (int c = 0; c < index().num_classes(); ++c) {
+    EXPECT_EQ(loaded.value().class_at(c).containing_graphs(),
+              index().class_at(c).containing_graphs());
+  }
+  EXPECT_EQ(ClassTags(loaded.value()),
+            std::vector<uint8_t>(index().num_classes(), native_tag_));
+
+  std::stringstream first;
+  ASSERT_TRUE(loaded.value().Save(first).ok());
+  std::stringstream first_in(first.str());
+  auto reloaded = FragmentIndex::Load(first_in);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  std::stringstream second;
+  ASSERT_TRUE(reloaded.value().Save(second).ok());
+  EXPECT_EQ(first.str(), second.str());
+
+  // Every indexed query fragment's range query returns the same per-graph
+  // minimum distances from both backends.
+  const double sigma = GetParam() ? 0.2 : 1.0;
+  auto min_distances = [sigma](const FragmentIndex& idx, const Graph& f) {
+    std::map<int, double> out;
+    EXPECT_TRUE(idx.RangeQuery(f, sigma, [&](int gid, double d) {
+                     auto [it, fresh] = out.emplace(gid, d);
+                     if (!fresh) it->second = std::min(it->second, d);
+                   }).ok());
+    return out;
+  };
+  size_t hits = 0;
+  for (int edges = 1; edges <= 4; ++edges) {
+    for (const Graph& f : SampleQueries(db_, 6, edges, 90 + edges)) {
+      if (!index().HasClass(f)) continue;
+      const std::map<int, double> want = min_distances(index(), f);
+      EXPECT_EQ(min_distances(loaded.value(), f), want);
+      hits += want.size();
+    }
+  }
+  EXPECT_GT(hits, 0u);
+
+  // And the engine filters and verifies identically over both.
+  PisOptions options;
+  options.sigma = sigma;
+  const ShardedFragmentIndex converted =
+      ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue());
+  PisEngine want(&db_, &sharded_.value(), options);
+  PisEngine got(&db_, &converted, options);
+  for (const Graph& q : SampleQueries(db_, 4, 9, 17)) {
+    auto a = want.Search(q);
+    auto b = got.Search(q);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.value().answers, b.value().answers);
+    EXPECT_EQ(a.value().candidates, b.value().candidates);
+    pis::testing::ExpectSameCounters(a.value().stats, b.value().stats);
+  }
+}
+
+// Items whose vectors do not fit the class, or whose count disagrees with
+// the stored fragment count, are rejected before they reach a backend.
+TEST_P(LegacyVpClassTest, MalformedItemsAreParseErrors) {
+  const bool linear = GetParam();
+  struct Case {
+    const char* name;
+    ItemEdit edit;
+    const char* message;
+  };
+  std::vector<Case> cases = {
+      {"truncated labels",
+       [](std::vector<LegacyItem>* items) { items->front().labels.pop_back(); },
+       "item length"},
+      {"dropped item",
+       [](std::vector<LegacyItem>* items) { items->pop_back(); },
+       "item count"},
+  };
+  if (linear) {
+    cases.push_back({"long weights",
+                     [](std::vector<LegacyItem>* items) {
+                       items->front().weights.push_back(1.0);
+                     },
+                     "item length"});
+    cases.push_back({"short weights",
+                     [](std::vector<LegacyItem>* items) {
+                       items->front().weights.pop_back();
+                     },
+                     "item length"});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::stringstream in(MakeLegacyVpIndexBytes(index(), features_, c.edit));
+    auto loaded = FragmentIndex::Load(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, LegacyVpClassTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "EdgeLinear" : "EdgeMutation";
+                         });
+
+// Only the spec's own backend and the legacy list load: a trie class in a
+// linear-distance file, or an R-tree class in a mutation-distance file, is
+// a ParseError.
+TEST(FormatCompatTest, ClassTagForTheOtherDistanceIsParseError) {
+  for (bool linear : {false, true}) {
+    SCOPED_TRACE(linear ? "linear file, trie tag" : "mutation file, rtree tag");
+    EngineFixture fx(8, 71, 4,
+                     linear ? DistanceSpec::EdgeLinear()
+                            : DistanceSpec::EdgeMutation());
+    ASSERT_TRUE(fx.index.ok());
+    SavedParts parts = SplitSave(fx.index.value().shard(0));
+    ASSERT_FALSE(parts.classes.empty());
+    std::string& first = parts.classes.front();
+    first[TagOffset(first)] = static_cast<char>(linear ? kTrieTag : kRTreeTag);
+    std::string bytes = parts.header;
+    for (const std::string& cls : parts.classes) bytes += cls;
+    std::stringstream in(bytes + parts.tail);
+    auto loaded = FragmentIndex::Load(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("backend tag"), std::string::npos);
+  }
+}
+
+// A class whose vertex and edge counts overflow an int when summed into a
+// sequence length is a bad header, never a wrapped length.
+TEST(FormatCompatTest, OversizedClassHeaderIsParseError) {
+  EngineFixture fx(8, 71, 4, DistanceSpec::FullMutation());
+  ASSERT_TRUE(fx.index.ok());
+  SavedParts parts = SplitSave(fx.index.value().shard(0));
+  ASSERT_FALSE(parts.classes.empty());
+  std::string& first = parts.classes.front();
+  const int32_t huge = std::numeric_limits<int32_t>::max();
+  std::memcpy(first.data() + TagOffset(first) - 8, &huge, 4);  // vertices
+  std::string bytes = parts.header;
+  for (const std::string& cls : parts.classes) bytes += cls;
+  std::stringstream in(bytes + parts.tail);
+  auto loaded = FragmentIndex::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("class index header"),
+            std::string::npos);
 }
 
 // ---- Legacy single-file indexes --------------------------------------

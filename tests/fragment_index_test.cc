@@ -173,43 +173,6 @@ TEST(FragmentIndexTest, LinearDistanceViaRTree) {
   EXPECT_NEAR(hits[0], 0.25, 1e-9);
 }
 
-TEST(FragmentIndexTest, VpTreeBackendAgreesWithTrie) {
-  MoleculeGenerator gen;
-  GraphDatabase db = gen.Generate(30);
-  std::vector<Graph> features = BasicFeatures(4);
-  FragmentIndexOptions trie_opts;
-  trie_opts.max_fragment_edges = 4;
-  auto trie_index = FragmentIndex::Build(db, features, trie_opts);
-  ASSERT_TRUE(trie_index.ok());
-  FragmentIndexOptions vp_opts = trie_opts;
-  vp_opts.backend = ClassBackend::kVpTree;
-  auto vp_index = FragmentIndex::Build(db, features, vp_opts);
-  ASSERT_TRUE(vp_index.ok());
-
-  Rng rng(3);
-  QuerySampler sampler(&db, {.seed = 11, .strip_vertex_labels = true});
-  for (int trial = 0; trial < 5; ++trial) {
-    auto q = sampler.Sample(4);
-    ASSERT_TRUE(q.ok());
-    if (!trie_index.value().HasClass(q.value())) continue;
-    for (double sigma : {0.0, 1.0, 2.0}) {
-      std::map<int, double> trie_hits;
-      std::map<int, double> vp_hits;
-      auto collect = [](std::map<int, double>* out) {
-        return [out](int gid, double d) {
-          auto [it, ok] = out->emplace(gid, d);
-          if (!ok) it->second = std::min(it->second, d);
-        };
-      };
-      ASSERT_TRUE(
-          trie_index.value().RangeQuery(q.value(), sigma, collect(&trie_hits)).ok());
-      ASSERT_TRUE(
-          vp_index.value().RangeQuery(q.value(), sigma, collect(&vp_hits)).ok());
-      EXPECT_EQ(trie_hits, vp_hits) << "sigma=" << sigma;
-    }
-  }
-}
-
 // Property: index range-query distances equal the exact fragment
 // superimposed distance (the identity behind Eq. 3), on molecule data.
 class FragmentIndexOracleTest : public ::testing::TestWithParam<int> {};
@@ -322,7 +285,6 @@ struct ScanVariant {
   const char* name;
   uint64_t seed;
   DistanceSpec spec;
-  ClassBackend backend;
 };
 
 // Edge mutation over tries; linear distance over R-trees with vertex and
@@ -332,18 +294,15 @@ std::vector<ScanVariant> ScanVariants() {
   DistanceSpec linear = DistanceSpec::EdgeLinear();
   linear.use_vertex_weights = true;
   linear.use_edge_weights = true;
-  return {{"edge_mutation_trie", 11, DistanceSpec::EdgeMutation(),
-           ClassBackend::kTrie},
-          {"vertex_edge_linear_rtree", 12, linear, ClassBackend::kRTree},
-          {"full_mutation_trie", 13, DistanceSpec::FullMutation(),
-           ClassBackend::kTrie}};
+  return {{"edge_mutation_trie", 11, DistanceSpec::EdgeMutation()},
+          {"vertex_edge_linear_rtree", 12, linear},
+          {"full_mutation_trie", 13, DistanceSpec::FullMutation()}};
 }
 
 FragmentIndexOptions ScanOptions(const ScanVariant& variant) {
   FragmentIndexOptions options;
   options.max_fragment_edges = kScanMaxEdges;
   options.spec = variant.spec;
-  options.backend = variant.backend;
   return options;
 }
 
@@ -356,14 +315,15 @@ uint64_t Fnv1a64(const std::string& bytes) {
   return h;
 }
 
-// Pins the bytes of fresh builds: the constants were computed before the
-// build scan memoized its skeleton classifications, so the memo is shown to
-// change no output.
+// Pins the bytes of fresh builds. The constants were computed by the last
+// build that had a backend-override option, with the option left unset:
+// the same index content, so removing the option is shown to change no
+// output.
 TEST(FragmentIndexScanTest, SavedBytesArePinned) {
   const std::map<std::string, uint64_t> expected = {
-      {"edge_mutation_trie", 0x1cc0c6e408ef5272ULL},
-      {"vertex_edge_linear_rtree", 0xba272b99846e3350ULL},
-      {"full_mutation_trie", 0x38c7ded70f9b413cULL},
+      {"edge_mutation_trie", 0x13f40d4e559d3769ULL},
+      {"vertex_edge_linear_rtree", 0xb64524044b2419eeULL},
+      {"full_mutation_trie", 0x31ebdc68cd3cb295ULL},
   };
   for (const ScanVariant& variant : ScanVariants()) {
     SCOPED_TRACE(variant.name);

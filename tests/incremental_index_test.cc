@@ -6,8 +6,6 @@
 
 #include "core/naive_search.h"
 #include "core/pis.h"
-#include "distance/combined.h"
-#include "distance/superimposed.h"
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/fragment_index.h"
@@ -95,36 +93,6 @@ TEST_P(IncrementalIndexTest, AddGraphEqualsRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalIndexTest, ::testing::Range(0, 6));
-
-TEST(CombinedModelTest, WeightsBothComponents) {
-  Graph q;
-  q.AddVertex(1);
-  q.AddVertex(1);
-  ASSERT_TRUE(q.AddEdge(0, 1, 1, 1.0).ok());
-  Graph g;
-  g.AddVertex(1);
-  g.AddVertex(1);
-  ASSERT_TRUE(g.AddEdge(0, 1, 2, 1.5).ok());  // label mutated + 0.5 longer
-  CombinedCostModel model(EdgeMutationModel(), EdgeLinearModel(),
-                          /*mutation_weight=*/2.0, /*linear_weight=*/4.0);
-  // cost = 2*1 (label) + 4*0.5 (length) = 4.
-  EXPECT_DOUBLE_EQ(MinSuperimposedDistance(q, g, model), 4.0);
-}
-
-TEST(CombinedModelTest, ReducesToComponents) {
-  Graph q;
-  q.AddVertex(1);
-  q.AddVertex(1);
-  ASSERT_TRUE(q.AddEdge(0, 1, 1, 1.0).ok());
-  Graph g;
-  g.AddVertex(1);
-  g.AddVertex(1);
-  ASSERT_TRUE(g.AddEdge(0, 1, 2, 1.5).ok());
-  CombinedCostModel only_mutation(EdgeMutationModel(), EdgeLinearModel(), 1.0, 0.0);
-  EXPECT_DOUBLE_EQ(MinSuperimposedDistance(q, g, only_mutation), 1.0);
-  CombinedCostModel only_linear(EdgeMutationModel(), EdgeLinearModel(), 0.0, 1.0);
-  EXPECT_DOUBLE_EQ(MinSuperimposedDistance(q, g, only_linear), 0.5);
-}
 
 }  // namespace
 }  // namespace pis

@@ -1,4 +1,4 @@
-// Unit + property tests for the per-class backends: trie, R-tree, VP-tree.
+// Unit + property tests for the per-class backends: trie and R-tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include "distance/score_matrix.h"
 #include "index/rtree.h"
 #include "index/trie_index.h"
-#include "index/vptree.h"
 #include "util/random.h"
 
 namespace pis {
@@ -196,63 +195,6 @@ TEST_P(RTreeOracleTest, MatchesLinearScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RTreeOracleTest, ::testing::Range(0, 20));
-
-TEST(VpTreeTest, EmptyAndSingle) {
-  VpTree empty(0, {}, [](size_t, size_t) { return 0.0; });
-  int calls = 0;
-  empty.RangeQuery([](size_t) { return 0.0; }, 10, [&](int, double) { ++calls; });
-  EXPECT_EQ(calls, 0);
-
-  VpTree one(1, {42}, [](size_t, size_t) { return 0.0; });
-  one.RangeQuery([](size_t) { return 0.5; }, 1.0, [&](int payload, double d) {
-    ++calls;
-    EXPECT_EQ(payload, 42);
-    EXPECT_DOUBLE_EQ(d, 0.5);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-// Property: VP-tree range query equals linear scan under L1.
-class VpTreeOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(VpTreeOracleTest, MatchesLinearScan) {
-  Rng rng(200 + GetParam());
-  const int dims = 3;
-  const int n = 250;
-  std::vector<std::vector<double>> points(n, std::vector<double>(dims));
-  std::vector<int> payloads(n);
-  for (int i = 0; i < n; ++i) {
-    for (double& x : points[i]) x = rng.UniformDouble(0, 10);
-    payloads[i] = i;
-  }
-  auto l1 = [&](const std::vector<double>& a, const std::vector<double>& b) {
-    double d = 0;
-    for (int k = 0; k < dims; ++k) d += std::abs(a[k] - b[k]);
-    return d;
-  };
-  VpTree tree(n, payloads,
-              [&](size_t a, size_t b) { return l1(points[a], points[b]); });
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> center(dims);
-    for (double& x : center) x = rng.UniformDouble(0, 10);
-    double radius = rng.UniformDouble(0, 8);
-    std::map<int, double> expected;
-    for (int i = 0; i < n; ++i) {
-      double d = l1(points[i], center);
-      if (d <= radius) expected.emplace(i, d);
-    }
-    std::map<int, double> got;
-    tree.RangeQuery([&](size_t item) { return l1(points[item], center); },
-                    radius, [&](int payload, double d) { got.emplace(payload, d); });
-    EXPECT_EQ(got.size(), expected.size());
-    for (const auto& [payload, d] : expected) {
-      ASSERT_EQ(got.count(payload), 1u);
-      EXPECT_NEAR(got[payload], d, 1e-9);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VpTreeOracleTest, ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace pis

@@ -11,7 +11,6 @@
 #include "index/fragment_enum.h"
 #include "isomorphism/vf2.h"
 #include "mining/feature_selector.h"
-#include "mining/path_features.h"
 #include "util/random.h"
 
 namespace pis {
@@ -244,46 +243,6 @@ TEST(FeatureSelectorTest, MaxFeaturesCap) {
   auto selected = SelectDiscriminativeFeatures(patterns.value(), db.size(), select);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected.value().size(), 3u);
-}
-
-TEST(PathFeaturesTest, PathsOfACycle) {
-  GraphDatabase db;
-  db.Add(Cycle(5));
-  PathFeatureOptions options;
-  options.max_edges = 3;
-  auto features = MinePathFeatures(db, options);
-  ASSERT_TRUE(features.ok());
-  // Uniform labels: one path pattern per length 1..3.
-  ASSERT_EQ(features.value().size(), 3u);
-  for (const Pattern& p : features.value()) {
-    EXPECT_EQ(p.support(), 1);
-    EXPECT_EQ(p.graph.NumEdges(), p.graph.NumVertices() - 1);
-  }
-}
-
-TEST(PathFeaturesTest, LabelsSplitPatterns) {
-  GraphDatabase db;
-  Graph g = Path(2, 1, 1);
-  g.SetEdgeLabel(1, 2);
-  db.Add(g);
-  PathFeatureOptions options;
-  options.max_edges = 2;
-  auto features = MinePathFeatures(db, options);
-  ASSERT_TRUE(features.ok());
-  // Edges: label-1 and label-2 singles; one 2-edge path [1,2].
-  EXPECT_EQ(features.value().size(), 3u);
-}
-
-TEST(PathFeaturesTest, MinSupportFilters) {
-  GraphDatabase db;
-  db.Add(Path(1, 1, 1));
-  db.Add(Path(1, 1, 2));
-  PathFeatureOptions options;
-  options.max_edges = 1;
-  options.min_support = 2;
-  auto features = MinePathFeatures(db, options);
-  ASSERT_TRUE(features.ok());
-  EXPECT_TRUE(features.value().empty());  // each edge label in 1 graph only
 }
 
 }  // namespace
