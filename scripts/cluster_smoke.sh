@@ -160,6 +160,13 @@ grep -q '"name":"refine"' traced.json
 grep -q "ms total" trace.txt
 grep -q "shard_filter" trace.txt
 
+echo "== a malformed line is answered, and counted as op=\"other\""
+if echo 'this is not json' | "$BIN/pis_client" raw --port "$ROUTER_PORT" \
+  > malformed.json; then
+  echo "expected nonzero exit for a malformed request line"; exit 1
+fi
+grep -q '"ok":false' malformed.json
+
 echo "== router metrics exposition reflects the load just driven"
 "$BIN/pis_client" metrics --port "$ROUTER_PORT" | tee router_metrics.txt
 grep -q '^# TYPE pis_router_requests_total counter' router_metrics.txt
@@ -168,6 +175,8 @@ grep -q '^# TYPE pis_cluster_rpc_seconds histogram' router_metrics.txt
 grep -q '^# TYPE pis_cluster_breaker_open gauge' router_metrics.txt
 # The queries and writes above must have been counted.
 grep -E '^pis_router_requests_total\{op="query"\} [1-9]' router_metrics.txt \
+  > /dev/null
+grep -E '^pis_router_requests_total\{op="other"\} [1-9]' router_metrics.txt \
   > /dev/null
 grep -E '^pis_router_requests_total\{op="add"\} [1-9]' router_metrics.txt \
   > /dev/null

@@ -91,6 +91,13 @@ grep -q '"compacted":1' compact.json
 grep -q '"live":61' server_stats.json
 grep -q '"removed":1' server_stats.json
 
+echo "== a malformed line is answered, and counted as op=\"other\""
+if echo 'this is not json' | "$BIN/pis_client" raw --port "$PORT" \
+  > malformed.json; then
+  echo "expected nonzero exit for a malformed request line"; exit 1
+fi
+grep -q '"ok":false' malformed.json
+
 echo "== metrics exposition reflects the load just driven"
 "$BIN/pis_client" metrics --port "$PORT" | tee metrics.txt
 grep -q '^# TYPE pis_server_requests_total counter' metrics.txt
@@ -98,9 +105,12 @@ grep -q '^# TYPE pis_server_request_seconds histogram' metrics.txt
 grep -q '^# TYPE pis_queries_total counter' metrics.txt
 grep -q '^# TYPE pis_query_stage_seconds histogram' metrics.txt
 grep -q '^# TYPE pis_snapshot_epoch gauge' metrics.txt
+grep -q '^# TYPE pis_checkpoints_total counter' metrics.txt
+grep -q '^# TYPE pis_background_compactions_total counter' metrics.txt
 # The queries above must have been counted (strictly positive values).
 grep -E '^pis_queries_total [1-9]' metrics.txt > /dev/null
 grep -E '^pis_server_requests_total\{op="query"\} [1-9]' metrics.txt > /dev/null
+grep -E '^pis_server_requests_total\{op="other"\} [1-9]' metrics.txt > /dev/null
 grep -E '^pis_query_stage_seconds_count\{stage="pass1"\} [1-9]' metrics.txt \
   > /dev/null
 # The stats reply mirrors the registry as JSON.

@@ -97,6 +97,24 @@ JsonValue LabelsToJson(const MetricLabels& labels) {
   return obj;
 }
 
+/// Moves every child of `from` into `to` unless `to` already holds its key;
+/// the losers go to `shadowed` so their addresses stay valid.
+template <typename T>
+void MoveChildren(std::map<std::string, std::unique_ptr<T>>* from,
+                  std::map<std::string, std::unique_ptr<T>>* to,
+                  const std::map<std::string, MetricLabels>& from_labels,
+                  std::map<std::string, MetricLabels>* to_labels,
+                  std::vector<std::shared_ptr<const void>>* shadowed) {
+  for (auto& [key, child] : *from) {
+    if (to == nullptr || to->count(key) > 0) {
+      shadowed->push_back(std::shared_ptr<const T>(std::move(child)));
+      continue;
+    }
+    to->emplace(key, std::move(child));
+    to_labels->emplace(key, from_labels.at(key));
+  }
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -216,6 +234,28 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
     fam->label_sets.emplace(key, labels);
   }
   return it->second.get();
+}
+
+void MetricsRegistry::Adopt(MetricsRegistry* other) {
+  if (other == this) return;
+  std::map<std::string, Family> incoming;
+  {
+    MutexLock lock(&other->mu_);
+    incoming.swap(other->families_);
+  }
+  MutexLock lock(&mu_);
+  for (auto& [name, fam] : incoming) {
+    auto [it, inserted] = families_.try_emplace(name, std::move(fam));
+    if (inserted) continue;
+    Family& mine = it->second;
+    const bool same = mine.kind == fam.kind;
+    MoveChildren(&fam.counters, same ? &mine.counters : nullptr,
+                 fam.label_sets, &mine.label_sets, &shadowed_);
+    MoveChildren(&fam.gauges, same ? &mine.gauges : nullptr, fam.label_sets,
+                 &mine.label_sets, &shadowed_);
+    MoveChildren(&fam.histograms, same ? &mine.histograms : nullptr,
+                 fam.label_sets, &mine.label_sets, &shadowed_);
+  }
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {

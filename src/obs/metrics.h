@@ -19,6 +19,12 @@
 //     family maps but reads values through the same relaxed atomics the
 //     hot path writes; a render racing an increment sees either value,
 //     never a torn one.
+//   - RECORDING IS ALWAYS ON: a component handed no registry records into
+//     one it owns (RegistryRef), so no recording site tests for "metrics
+//     enabled". A component that registers before it knows its final
+//     registry hands its children over with Adopt — the children keep
+//     their addresses, so cached pointers stay valid and nothing counted
+//     before the hand-over is lost.
 //
 // Metric names follow Prometheus conventions: `pis_<noun>_total` counters,
 // `pis_<noun>` gauges, `pis_<noun>_seconds` histograms with `_bucket`/
@@ -136,6 +142,14 @@ class MetricsRegistry {
   /// "values":[{"labels":{..},"value":..|"count"/"sum"/"buckets"},..]},..}.
   JsonValue ToJsonValue() const PIS_EXCLUDES(mu_);
 
+  /// Moves every family and child of `other` into this registry, leaving
+  /// `other` empty. Children move by ownership, so pointers handed out by
+  /// `other` stay valid and keep recording — now into this exposition.
+  /// A child whose (name, labels) this registry already holds (or whose
+  /// family has another type here) stays alive but unrendered: the
+  /// existing child wins, as with a type-mismatched registration.
+  void Adopt(MetricsRegistry* other) PIS_EXCLUDES(mu_);
+
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Family {
@@ -156,6 +170,26 @@ class MetricsRegistry {
 
   mutable Mutex mu_;
   std::map<std::string, Family> families_ PIS_GUARDED_BY(mu_);
+  /// Adopted children that collided with an existing one (see Adopt).
+  std::vector<std::shared_ptr<const void>> shadowed_ PIS_GUARDED_BY(mu_);
+};
+
+/// \brief The registry a component records into: the caller's, or — when
+/// the caller passed none — one the component owns. Either way the
+/// component's instruments exist from construction on.
+class RegistryRef {
+ public:
+  explicit RegistryRef(MetricsRegistry* shared)
+      : owned_(shared == nullptr ? std::make_unique<MetricsRegistry>()
+                                 : nullptr),
+        registry_(shared != nullptr ? shared : owned_.get()) {}
+
+  MetricsRegistry* get() const { return registry_; }
+  MetricsRegistry* operator->() const { return registry_; }
+
+ private:
+  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_;
 };
 
 }  // namespace pis

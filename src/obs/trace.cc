@@ -188,7 +188,14 @@ void ScopedSpan::Stop() {
 }
 
 SlowQueryLog::SlowQueryLog(std::string path, double threshold_ms)
-    : path_(std::move(path)), threshold_ms_(threshold_ms) {}
+    : path_(std::move(path)),
+      threshold_ms_(threshold_ms),
+      lines_written_(metrics_.GetCounter(
+          "pis_slow_query_lines_total",
+          "Slow-query log lines, by outcome.", {{"outcome", "written"}})),
+      lines_dropped_(metrics_.GetCounter(
+          "pis_slow_query_lines_total",
+          "Slow-query log lines, by outcome.", {{"outcome", "dropped"}})) {}
 
 void SlowQueryLog::Log(const JsonValue& trace) {
   const std::string line = trace.Serialize() + '\n';
@@ -196,21 +203,17 @@ void SlowQueryLog::Log(const JsonValue& trace) {
   if (path_.empty()) {
     std::fwrite(line.data(), 1, line.size(), stderr);
     std::fflush(stderr);
-    lines_written_.fetch_add(1, std::memory_order_relaxed);
+    lines_written_->Inc();
     return;
   }
   std::FILE* f = std::fopen(path_.c_str(), "a");
   if (f == nullptr) {
-    lines_dropped_.fetch_add(1, std::memory_order_relaxed);
+    lines_dropped_->Inc();
     return;
   }
   const size_t wrote = std::fwrite(line.data(), 1, line.size(), f);
   std::fclose(f);
-  if (wrote == line.size()) {
-    lines_written_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    lines_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  (wrote == line.size() ? lines_written_ : lines_dropped_)->Inc();
 }
 
 }  // namespace pis

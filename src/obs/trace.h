@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/stats.h"
+#include "obs/metrics.h"
 #include "util/json.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -143,22 +144,21 @@ class SlowQueryLog {
   }
 
   /// Serializes `trace` as one line and appends it. Open failures are
-  /// recorded (lines_dropped) but never fail the request.
+  /// counted (`pis_slow_query_lines_total{outcome="dropped"}`) but never
+  /// fail the request.
   void Log(const JsonValue& trace) PIS_EXCLUDES(mu_);
 
-  uint64_t lines_written() const {
-    return lines_written_.load(std::memory_order_relaxed);
-  }
-  uint64_t lines_dropped() const {
-    return lines_dropped_.load(std::memory_order_relaxed);
-  }
+  /// Hands the line counters, and what they counted so far, to `registry`
+  /// (MetricsRegistry::Adopt). The servers call it with their own registry.
+  void EnableMetrics(MetricsRegistry* registry) { registry->Adopt(&metrics_); }
 
  private:
   std::string path_;
   double threshold_ms_;
   Mutex mu_;
-  std::atomic<uint64_t> lines_written_{0};
-  std::atomic<uint64_t> lines_dropped_{0};
+  MetricsRegistry metrics_;
+  Counter* lines_written_;
+  Counter* lines_dropped_;
 };
 
 }  // namespace pis

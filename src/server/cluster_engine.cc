@@ -87,7 +87,7 @@ ClusterEngine::ClusterEngine(
     std::vector<std::unique_ptr<ShardBackend>> backends,
     std::vector<std::vector<int>> shards_of,
     const ClusterEngineOptions& options)
-    : options_(options) {
+    : options_(options), metrics_registry_(options.metrics) {
   PIS_CHECK(backends.size() == shards_of.size());
   PIS_CHECK(!backends.empty());
   int num_shards = 0;
@@ -111,40 +111,38 @@ ClusterEngine::ClusterEngine(
   for (int s = 0; s < num_shards; ++s) {
     PIS_CHECK(!shard_endpoints_[s].empty());  // manifest must cover all shards
   }
-  if (options_.metrics != nullptr) {
-    MetricsRegistry* reg = options_.metrics;
-    metrics_.failovers = reg->GetCounter(
-        "pis_cluster_failovers_total",
-        "Query-path retries on another replica after a failed attempt.");
-    metrics_.catchup_dropped = reg->GetCounter(
-        "pis_cluster_catchup_dropped_total",
-        "Catch-up ops dropped after an application rejection (permanent "
-        "replica divergence).");
-    for (std::unique_ptr<Endpoint>& ep : endpoints_) {
-      const std::string& name = ep->backend->name();
-      ep->breaker_open_gauge = reg->GetGauge(
-          "pis_cluster_breaker_open",
-          "1 while the endpoint's circuit breaker is open (sticky until a "
-          "success closes it).",
-          {{"endpoint", name}});
-      ep->breaker_opened = reg->GetCounter(
-          "pis_cluster_breaker_transitions_total",
-          "Circuit-breaker state transitions per endpoint.",
-          {{"endpoint", name}, {"to", "open"}});
-      ep->breaker_closed = reg->GetCounter(
-          "pis_cluster_breaker_transitions_total",
-          "Circuit-breaker state transitions per endpoint.",
-          {{"endpoint", name}, {"to", "closed"}});
-      ep->catchup_depth = reg->GetGauge(
-          "pis_cluster_catchup_pending",
-          "Queued catch-up ops awaiting ordered replay on the endpoint.",
-          {{"endpoint", name}});
-      ep->quarantined_gauge = reg->GetGauge(
-          "pis_cluster_replica_quarantined",
-          "1 once the replica rejected a write and was taken out of reads.",
-          {{"endpoint", name}});
-      ep->backend->EnableMetrics(reg);
-    }
+  MetricsRegistry* reg = metrics_registry_.get();
+  metrics_.failovers = reg->GetCounter(
+      "pis_cluster_failovers_total",
+      "Query-path retries on another replica after a failed attempt.");
+  metrics_.catchup_dropped = reg->GetCounter(
+      "pis_cluster_catchup_dropped_total",
+      "Catch-up ops dropped after an application rejection (permanent "
+      "replica divergence).");
+  for (std::unique_ptr<Endpoint>& ep : endpoints_) {
+    const std::string& name = ep->backend->name();
+    ep->breaker_open_gauge = reg->GetGauge(
+        "pis_cluster_breaker_open",
+        "1 while the endpoint's circuit breaker is open (sticky until a "
+        "success closes it).",
+        {{"endpoint", name}});
+    ep->breaker_opened = reg->GetCounter(
+        "pis_cluster_breaker_transitions_total",
+        "Circuit-breaker state transitions per endpoint.",
+        {{"endpoint", name}, {"to", "open"}});
+    ep->breaker_closed = reg->GetCounter(
+        "pis_cluster_breaker_transitions_total",
+        "Circuit-breaker state transitions per endpoint.",
+        {{"endpoint", name}, {"to", "closed"}});
+    ep->catchup_depth = reg->GetGauge(
+        "pis_cluster_catchup_pending",
+        "Queued catch-up ops awaiting ordered replay on the endpoint.",
+        {{"endpoint", name}});
+    ep->quarantined_gauge = reg->GetGauge(
+        "pis_cluster_replica_quarantined",
+        "1 once the replica rejected a write and was taken out of reads.",
+        {{"endpoint", name}});
+    ep->backend->EnableMetrics(reg);
   }
 }
 
@@ -197,7 +195,7 @@ void ClusterEngine::Quarantine(Endpoint& ep, int gid,
   PIS_LOG(Error) << ep.backend->name() << " rejected write (gid " << gid
                  << "), quarantining it: " << rejection.ToString();
   ep.quarantined = true;
-  if (ep.quarantined_gauge != nullptr) ep.quarantined_gauge->Set(1);
+  ep.quarantined_gauge->Set(1);
 }
 
 void ClusterEngine::NoteTransportFailure(Endpoint& ep) {
@@ -208,21 +206,19 @@ void ClusterEngine::NoteTransportFailure(Endpoint& ep) {
                     std::chrono::milliseconds(options_.breaker_open_ms);
     // Exactly the first crossing since the last success is a transition;
     // later failures merely extend the open window.
-    if (ep.consecutive_failures == options_.breaker_threshold &&
-        ep.breaker_opened != nullptr) {
+    if (ep.consecutive_failures == options_.breaker_threshold) {
       ep.breaker_opened->Inc();
     }
-    if (ep.breaker_open_gauge != nullptr) ep.breaker_open_gauge->Set(1);
+    ep.breaker_open_gauge->Set(1);
   }
 }
 
 void ClusterEngine::NoteTransportSuccess(Endpoint& ep) {
   MutexLock lock(&ep.health_mu);
-  if (ep.consecutive_failures >= options_.breaker_threshold &&
-      ep.breaker_closed != nullptr) {
+  if (ep.consecutive_failures >= options_.breaker_threshold) {
     ep.breaker_closed->Inc();
   }
-  if (ep.breaker_open_gauge != nullptr) ep.breaker_open_gauge->Set(0);
+  ep.breaker_open_gauge->Set(0);
   ep.consecutive_failures = 0;
 }
 
@@ -239,20 +235,18 @@ void ClusterEngine::DrainPending(Endpoint& ep) {
     if (!applied.ok()) {
       if (IsTransportError(applied)) {
         NoteTransportFailure(ep);
-        if (ep.catchup_depth != nullptr) {
-          ep.catchup_depth->Set(static_cast<int64_t>(ep.pending.size()));
-        }
+        ep.catchup_depth->Set(static_cast<int64_t>(ep.pending.size()));
         return;  // still down; keep the queue, retry next probe
       }
       // An application error will repeat on every retry — dropping it is
       // the only way the queue ever drains. The replica has permanently
       // diverged (e.g. misconfigured ownership), so it leaves the reads.
       Quarantine(ep, op.gid, applied);
-      if (metrics_.catchup_dropped != nullptr) metrics_.catchup_dropped->Inc();
+      metrics_.catchup_dropped->Inc();
     }
     ep.pending.pop_front();
   }
-  if (ep.catchup_depth != nullptr) ep.catchup_depth->Set(0);
+  ep.catchup_depth->Set(0);
 }
 
 void ClusterEngine::ProbeOnce() {
@@ -432,7 +426,7 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
         NoteTransportFailure(*endpoints_[groups[g].first]);
         exclude.insert(groups[g].first);
         retry = true;
-        if (metrics_.failovers != nullptr) metrics_.failovers->Inc();
+        metrics_.failovers->Inc();
         continue;
       }
       // Application error from a healthy replica (e.g. "query graph is
@@ -533,7 +527,7 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
       // Unreachable, or behind on a survivor (e.g. restarted from an older
       // checkpoint): fail over rather than answer from stale state.
       tried.insert(chosen);
-      if (metrics_.failovers != nullptr) metrics_.failovers->Inc();
+      metrics_.failovers->Inc();
     }
   });
   SearchResult result;
@@ -580,9 +574,7 @@ int ClusterEngine::ReplicateOp(const PendingOp& op, uint64_t* max_epoch) {
       // Behind or unreachable: the op joins the ordered catch-up queue so
       // the replica applies the router's writes in commit order.
       ep.pending.push_back(op);
-      if (ep.catchup_depth != nullptr) {
-        ep.catchup_depth->Set(static_cast<int64_t>(ep.pending.size()));
-      }
+      ep.catchup_depth->Set(static_cast<int64_t>(ep.pending.size()));
       continue;
     }
     Status applied = Status::OK();
@@ -604,9 +596,7 @@ int ClusterEngine::ReplicateOp(const PendingOp& op, uint64_t* max_epoch) {
     } else if (IsTransportError(applied)) {
       NoteTransportFailure(ep);
       ep.pending.push_back(op);
-      if (ep.catchup_depth != nullptr) {
-        ep.catchup_depth->Set(static_cast<int64_t>(ep.pending.size()));
-      }
+      ep.catchup_depth->Set(static_cast<int64_t>(ep.pending.size()));
     } else {
       // Application rejection: retrying is pointless (it would fail the
       // same way forever and wedge the queue). This replica misses the op.

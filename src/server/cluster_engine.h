@@ -100,10 +100,11 @@ struct ClusterEngineOptions {
   /// config (they enumerate). verify_threads affects only replica-side
   /// scheduling; shard_threads fans out both rounds.
   PisOptions options;
-  /// When non-null, the engine registers fabric metrics here (breaker
-  /// state/transitions, catch-up queue depth, failover counts, and each
-  /// backend's per-endpoint RPC latency) at construction and records them
-  /// atomics-only afterwards. Must outlive the engine.
+  /// The engine registers its fabric metrics here (breaker state and
+  /// transitions, catch-up queue depth, failover counts, and each backend's
+  /// per-endpoint RPC latency) at construction and records them
+  /// atomics-only afterwards; null records into a registry the engine
+  /// owns. Must outlive the engine.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -237,9 +238,9 @@ class ClusterEngine {
     std::chrono::steady_clock::time_point open_until
         PIS_GUARDED_BY(health_mu);
 
-    /// Metric children (null without ClusterEngineOptions::metrics). The
-    /// breaker gauge reports the sticky open/closed state — it stays 1
-    /// through the half-open probe window until a success closes it.
+    /// Metric children, registered at construction. The breaker gauge
+    /// reports the sticky open/closed state — it stays 1 through the
+    /// half-open probe window until a success closes it.
     Gauge* breaker_open_gauge = nullptr;
     Counter* breaker_opened = nullptr;
     Counter* breaker_closed = nullptr;
@@ -272,8 +273,9 @@ class ClusterEngine {
   void HealthLoop();
 
   ClusterEngineOptions options_;
+  RegistryRef metrics_registry_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  /// Cluster-wide metric children (null without options_.metrics).
+  /// Cluster-wide metric children, registered at construction.
   struct Metrics {
     Counter* failovers = nullptr;
     Counter* catchup_dropped = nullptr;

@@ -55,9 +55,52 @@ JsonValue EngineHost::HostStats::ToJsonValue() const {
   return obj;
 }
 
+EngineHost::Metrics EngineHost::RegisterMetrics(MetricsRegistry* registry) {
+  const std::string stage_help = "Per-stage query pipeline latency";
+  auto stage = [&](const char* name) {
+    return registry->GetHistogram("pis_query_stage_seconds", stage_help, {},
+                                  {{"stage", name}});
+  };
+  return Metrics{
+      .queries_total = registry->GetCounter("pis_queries_total",
+                                            "Queries served by this host"),
+      .answers_total = registry->GetCounter("pis_query_answers_total",
+                                            "Verified answers returned"),
+      .candidates_total = registry->GetCounter(
+          "pis_query_candidates_total", "Candidates surviving the PIS filter"),
+      .stage_pass1 = stage("pass1"),
+      .stage_selectivity = stage("selectivity"),
+      .stage_partition = stage("partition"),
+      .stage_pass2 = stage("pass2"),
+      .stage_filter = stage("filter"),
+      .stage_verify = stage("verify"),
+      .group_commit_wait = registry->GetHistogram(
+          "pis_group_commit_wait_seconds",
+          "Writer-observed enqueue-to-commit latency"),
+      .group_commit_ops = registry->GetHistogram(
+          "pis_group_commit_batch_ops",
+          "Writer ops coalesced per commit batch",
+          {1, 2, 4, 8, 16, 32, 64, 128}),
+      .group_commit_max_batch = registry->GetGauge(
+          "pis_group_commit_max_batch_ops",
+          "Largest writer-op batch one commit carried"),
+      .snapshot_publish = registry->GetHistogram(
+          "pis_snapshot_publish_seconds",
+          "Snapshot publish latency per commit"),
+      .snapshot_epoch = registry->GetGauge(
+          "pis_snapshot_epoch", "Epoch of the currently published snapshot"),
+      .checkpoints = registry->GetCounter(
+          "pis_checkpoints_total", "Completed checkpoints (WAL truncated)"),
+      .background_compactions = registry->GetCounter(
+          "pis_background_compactions_total",
+          "Background maintenance passes that compacted at least one shard"),
+  };
+}
+
 EngineHost::EngineHost(GraphDatabase db, ShardedFragmentIndex index,
                        const PisOptions& options)
     : options_(options),
+      metrics_(RegisterMetrics(&own_metrics_)),
       master_db_(std::make_shared<const GraphDatabase>(std::move(db))),
       master_(std::move(index)) {
   // No other thread can see this host yet; the lock still scopes the whole
@@ -78,42 +121,12 @@ EngineHost::EngineHost(GraphDatabase db, ShardedFragmentIndex index,
 EngineHost::~EngineHost() { StopAutoCompaction(); }
 
 void EngineHost::EnableMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  metrics_.registry = registry;
-  metrics_.queries_total = registry->GetCounter(
-      "pis_queries_total", "Queries served by this host");
-  metrics_.answers_total = registry->GetCounter(
-      "pis_query_answers_total", "Verified answers returned");
-  metrics_.candidates_total = registry->GetCounter(
-      "pis_query_candidates_total", "Candidates surviving the PIS filter");
-  const std::string stage_help = "Per-stage query pipeline latency";
-  auto stage = [&](const char* name) {
-    return registry->GetHistogram("pis_query_stage_seconds", stage_help, {},
-                                  {{"stage", name}});
-  };
-  metrics_.stage_pass1 = stage("pass1");
-  metrics_.stage_selectivity = stage("selectivity");
-  metrics_.stage_partition = stage("partition");
-  metrics_.stage_pass2 = stage("pass2");
-  metrics_.stage_filter = stage("filter");
-  metrics_.stage_verify = stage("verify");
-  metrics_.group_commit_wait = registry->GetHistogram(
-      "pis_group_commit_wait_seconds",
-      "Writer-observed enqueue-to-commit latency");
-  metrics_.group_commit_ops = registry->GetHistogram(
-      "pis_group_commit_batch_ops", "Writer ops coalesced per commit batch",
-      {1, 2, 4, 8, 16, 32, 64, 128});
-  metrics_.snapshot_publish = registry->GetHistogram(
-      "pis_snapshot_publish_seconds", "Snapshot publish latency per commit");
-  metrics_.snapshot_epoch = registry->GetGauge(
-      "pis_snapshot_epoch", "Epoch of the currently published snapshot");
-  metrics_.snapshot_epoch->Set(static_cast<int64_t>(snapshot()->epoch));
   MutexLock lock(&writer_mu_);
-  if (wal_ != nullptr) wal_->EnableMetrics(registry);
+  registry->Adopt(&own_metrics_);
+  metrics_registry_ = registry;
 }
 
 void EngineHost::AccountQuery(const QueryStats& stats) const {
-  if (metrics_.queries_total == nullptr) return;
   metrics_.queries_total->Inc();
   metrics_.answers_total->Inc(stats.answers);
   metrics_.candidates_total->Inc(stats.candidates_final);
@@ -134,7 +147,7 @@ Status EngineHost::AttachWal(std::unique_ptr<WriteAheadLog> wal) {
     return Status::AlreadyExists("a WAL is already attached");
   }
   wal_ = std::move(wal);
-  if (metrics_.registry != nullptr) wal_->EnableMetrics(metrics_.registry);
+  wal_->EnableMetrics(metrics_registry_);
   wal_view_.store(wal_.get(), std::memory_order_release);
   // Epochs in the log must keep growing across restarts, or a later
   // checkpoint's TruncateThrough would drop records it does not cover.
@@ -234,7 +247,7 @@ Status EngineHost::Checkpoint() {
       PIS_RETURN_NOT_OK(wal_->TruncateThrough(snap->epoch));
     }
   }
-  checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.checkpoints->Inc();
   return Status::OK();
 }
 
@@ -245,6 +258,7 @@ void EngineHost::Publish() {
   auto frozen = std::make_shared<const ShardedFragmentIndex>(master_);
   auto next = std::make_shared<const Snapshot>(master_db_, std::move(frozen),
                                                options_, epoch_);
+  metrics_.snapshot_epoch->Set(static_cast<int64_t>(epoch_));
   MutexLock lock(&snapshot_mu_);
   current_ = std::move(next);
 }
@@ -458,18 +472,13 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
     op->timing.batch_ops = applied.size();
   }
 
-  group_commit_batches_.fetch_add(1, std::memory_order_relaxed);
-  group_commit_ops_.fetch_add(batch.size(), std::memory_order_relaxed);
-  uint64_t prev = group_commit_max_batch_.load(std::memory_order_relaxed);
-  while (prev < batch.size() &&
-         !group_commit_max_batch_.compare_exchange_weak(
-             prev, batch.size(), std::memory_order_relaxed)) {
+  metrics_.group_commit_ops->Observe(static_cast<double>(batch.size()));
+  // Batches commit one at a time under writer_mu_, so read-then-set is exact.
+  if (static_cast<int64_t>(batch.size()) >
+      metrics_.group_commit_max_batch->value()) {
+    metrics_.group_commit_max_batch->Set(static_cast<int64_t>(batch.size()));
   }
-  if (metrics_.group_commit_ops != nullptr) {
-    metrics_.group_commit_ops->Observe(static_cast<double>(applied.size()));
-    metrics_.snapshot_publish->Observe(publish_ms / 1e3);
-    metrics_.snapshot_epoch->Set(static_cast<int64_t>(epoch_));
-  }
+  metrics_.snapshot_publish->Observe(publish_ms / 1e3);
 }
 
 Result<int> EngineHost::AddGraph(const Graph& g, uint64_t* epoch_out,
@@ -517,9 +526,7 @@ void EngineHost::FinishWrite(PendingWrite* op, double queue_wait_ms,
                              WriteTiming* timing_out) const {
   op->timing.queue_wait_ms = queue_wait_ms;
   if (timing_out != nullptr) *timing_out = op->timing;
-  if (metrics_.group_commit_wait != nullptr) {
-    metrics_.group_commit_wait->Observe(queue_wait_ms / 1e3);
-  }
+  metrics_.group_commit_wait->Observe(queue_wait_ms / 1e3);
 }
 
 Status EngineHost::CompactShard(int s, uint64_t* epoch_out) {
@@ -630,7 +637,7 @@ void EngineHost::MaintenanceLoop(std::chrono::milliseconds interval,
       if (compacted.ok() && compacted.value() > 0) {
         ++epoch_;
         Publish();
-        ++background_compactions_;
+        metrics_.background_compactions->Inc();
       }
       next_compact = Clock::now() + interval;
     }
@@ -668,18 +675,18 @@ EngineHost::HostStats EngineHost::Stats() const {
   stats.num_shards = index.num_shards();
   stats.compaction_epoch = index.compaction_epoch();
   stats.compact_dead_ratio = compact_dead_ratio_;
-  stats.background_compactions = background_compactions_.load();
+  stats.background_compactions = metrics_.background_compactions->value();
   if (const WriteAheadLog* wal =
           wal_view_.load(std::memory_order_acquire)) {
     stats.wal_bytes = wal->bytes();
     stats.wal_records = wal->records();
   }
-  stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-  stats.group_commit_batches =
-      group_commit_batches_.load(std::memory_order_relaxed);
-  stats.group_commit_ops = group_commit_ops_.load(std::memory_order_relaxed);
+  stats.checkpoints = metrics_.checkpoints->value();
+  stats.group_commit_batches = metrics_.group_commit_ops->count();
+  stats.group_commit_ops =
+      static_cast<uint64_t>(metrics_.group_commit_ops->sum());
   stats.group_commit_max_batch =
-      group_commit_max_batch_.load(std::memory_order_relaxed);
+      static_cast<uint64_t>(metrics_.group_commit_max_batch->value());
   stats.shards.reserve(index.num_shards());
   for (int s = 0; s < index.num_shards(); ++s) {
     ShardInfo info;

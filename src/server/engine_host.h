@@ -97,6 +97,8 @@ class EngineHost {
     int dead = 0;
     double dead_ratio = 0;
   };
+  /// The host's state at one snapshot: index shape from the snapshot, the
+  /// counters rendered from the host's metric instruments.
   struct HostStats {
     uint64_t epoch = 0;
     int db_slots = 0;
@@ -159,11 +161,13 @@ class EngineHost {
     uint64_t batch_ops = 0;    ///< ops the carrying batch committed
   };
 
-  /// Registers this host's metric families in `registry` and starts
-  /// recording (query counters and stage latencies, group-commit and WAL
-  /// timings). Call once, BEFORE the host serves concurrent traffic —
-  /// the cached family pointers are written unsynchronized. Recording
-  /// itself is atomics-only; an un-enabled host skips it on a null check.
+  /// Hands this host's metric families — query counters and stage
+  /// latencies, group commit, snapshot publish, checkpoints, background
+  /// compactions and the attached WAL's — to `registry`, which renders them
+  /// from then on (MetricsRegistry::Adopt). The host records from
+  /// construction on into a registry it owns, so what happened before this
+  /// call carries over, and the call is safe at any time, including while
+  /// the host serves.
   void EnableMetrics(MetricsRegistry* registry) PIS_EXCLUDES(writer_mu_);
 
   /// Makes writes durable: every subsequent AddGraph/RemoveGraph batch is
@@ -188,7 +192,7 @@ class EngineHost {
   /// writers and readers proceed concurrently; only the final WAL truncate
   /// briefly takes the writer mutex.
   Status Checkpoint() PIS_EXCLUDES(checkpoint_mu_, writer_mu_);
-  uint64_t checkpoints() const { return checkpoints_.load(); }
+  uint64_t checkpoints() const { return metrics_.checkpoints->value(); }
 
   /// The current published snapshot (a pointer copy; never null). The
   /// returned snapshot stays valid and frozen for as long as the caller
@@ -203,11 +207,11 @@ class EngineHost {
   BatchSearchResult SearchBatch(std::span<const Graph> queries,
                                 int num_threads = 0) const;
 
-  /// Folds one query's stats into the host's metric families (no-op until
-  /// EnableMetrics) — what Search() does internally. Callers that pin their
-  /// own snapshot and run its engine directly (the servers do, to report the
-  /// queried epoch) must account explicitly or their queries are invisible
-  /// to metrics. Atomics only — safe on the query path.
+  /// Folds one query's stats into the host's metric families — what
+  /// Search() does internally. Callers that pin their own snapshot and run
+  /// its engine directly (the servers do, to report the queried epoch) must
+  /// account explicitly or their queries are invisible to metrics. Atomics
+  /// only — safe on the query path.
   void AccountQuery(const QueryStats& stats) const;
 
   /// Group-committed writers. Concurrent callers coalesce into one batch:
@@ -263,7 +267,9 @@ class EngineHost {
   bool auto_compaction_running() const
       PIS_EXCLUDES(compactor_lifecycle_mu_);
   /// Background passes that compacted at least one shard.
-  uint64_t background_compactions() const { return background_compactions_; }
+  uint64_t background_compactions() const {
+    return metrics_.background_compactions->value();
+  }
 
   HostStats Stats() const PIS_EXCLUDES(snapshot_mu_);
 
@@ -317,7 +323,34 @@ class EngineHost {
   void MaintenanceLoop(std::chrono::milliseconds interval, double dead_ratio)
       PIS_EXCLUDES(writer_mu_, compactor_mu_, checkpoint_mu_);
 
+  /// The host's metric instruments, registered at construction into
+  /// own_metrics_ (EnableMetrics moves them, not the pointers) and poked
+  /// lock-free afterwards. HostStats reads its counters from here.
+  struct Metrics {
+    Counter* queries_total;
+    Counter* answers_total;
+    Counter* candidates_total;
+    Histogram* stage_pass1;
+    Histogram* stage_selectivity;
+    Histogram* stage_partition;
+    Histogram* stage_pass2;
+    Histogram* stage_filter;
+    Histogram* stage_verify;
+    Histogram* group_commit_wait;
+    /// Observes every published batch's size: its count and sum are the
+    /// group-commit batch and op counters.
+    Histogram* group_commit_ops;
+    Gauge* group_commit_max_batch;
+    Histogram* snapshot_publish;
+    Gauge* snapshot_epoch;
+    Counter* checkpoints;
+    Counter* background_compactions;
+  };
+  static Metrics RegisterMetrics(MetricsRegistry* registry);
+
   PisOptions options_;
+  MetricsRegistry own_metrics_;
+  const Metrics metrics_;
   /// The background policy ratio (options override, else persisted value).
   /// Written once in the constructor, read-only afterwards — that is what
   /// lets Stats()/Save()/Checkpoint() read it without a capability.
@@ -333,6 +366,10 @@ class EngineHost {
   /// Durability sink; Append/TruncateThrough run under writer_mu_ (the WAL
   /// itself is not internally synchronized — see server/wal.h).
   std::unique_ptr<WriteAheadLog> wal_ PIS_GUARDED_BY(writer_mu_);
+  /// Where a WAL attached later registers: own_metrics_ until
+  /// EnableMetrics names another registry.
+  MetricsRegistry* metrics_registry_ PIS_GUARDED_BY(writer_mu_) =
+      &own_metrics_;
   /// Set once by AttachWal so Stats() can read the WAL's atomic counters
   /// without touching writer_mu_ (which a committing batch can hold for a
   /// while). Only bytes()/records() may be called through this pointer.
@@ -369,31 +406,6 @@ class EngineHost {
   Mutex compactor_mu_;
   CondVar compactor_cv_;
   bool compactor_stop_ PIS_GUARDED_BY(compactor_mu_) = false;
-  std::atomic<uint64_t> background_compactions_{0};
-  std::atomic<uint64_t> checkpoints_{0};
-  std::atomic<uint64_t> group_commit_batches_{0};
-  std::atomic<uint64_t> group_commit_ops_{0};
-  std::atomic<uint64_t> group_commit_max_batch_{0};
-
-  /// Metric family pointers, cached once by EnableMetrics (before
-  /// concurrent serving — see its comment) and poked lock-free afterwards.
-  struct Metrics {
-    MetricsRegistry* registry = nullptr;
-    Counter* queries_total = nullptr;
-    Counter* answers_total = nullptr;
-    Counter* candidates_total = nullptr;
-    Histogram* stage_pass1 = nullptr;
-    Histogram* stage_selectivity = nullptr;
-    Histogram* stage_partition = nullptr;
-    Histogram* stage_pass2 = nullptr;
-    Histogram* stage_filter = nullptr;
-    Histogram* stage_verify = nullptr;
-    Histogram* group_commit_wait = nullptr;
-    Histogram* group_commit_ops = nullptr;
-    Histogram* snapshot_publish = nullptr;
-    Gauge* snapshot_epoch = nullptr;
-  };
-  Metrics metrics_;
 };
 
 }  // namespace pis

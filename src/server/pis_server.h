@@ -5,7 +5,8 @@
 // Protocol: one JSON object per line, one reply line per request.
 //
 //   {"op":"health"}                          -> {"ok":true,"status":"serving",...}
-//   {"op":"stats"}                           -> {"ok":true,"stats":{...}}
+//   {"op":"stats"}                           -> {"ok":true,"stats":{...},
+//                                                "metrics":{..registry..}}
 //   {"op":"query","graph":"<record>",        -> {"ok":true,"answers":[ids],
 //     "sigma":2.0?}                              "candidates":N,"epoch":E,...}
 //   {"op":"add","graph":"<record>"}          -> {"ok":true,"id":gid,"epoch":E}
@@ -57,13 +58,8 @@
 #ifndef PIS_SERVER_PIS_SERVER_H_
 #define PIS_SERVER_PIS_SERVER_H_
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "server/engine_host.h"
 #include "server/line_server.h"
 #include "util/json.h"
@@ -72,78 +68,31 @@
 
 namespace pis {
 
-struct PisServerOptions {
-  /// 0 binds a kernel-assigned ephemeral port (read back via port()).
-  int port = 0;
-  bool loopback_only = true;
-  /// Concurrent connections served; excess connections queue in the accept
-  /// backlog.
-  int num_workers = 4;
-  /// Per-request frame cap (a graph record arrives as one line).
-  size_t max_request_bytes = 16u << 20;
+struct PisServerOptions : LineServerOptions {
   /// Shards this replica serves (empty = all). Only constrains the
   /// cluster-fabric ops; the classic single-server ops always see the whole
   /// host.
   std::vector<int> shards_owned;
-  /// When non-null: per-op request counters/latency histograms register
-  /// here, the `metrics` op renders its Prometheus exposition, and the
-  /// `stats` reply gains a "metrics" JSON section. Must outlive the server.
-  /// (Wiring the HOST's engine metrics into the same registry is the
-  /// caller's job — EngineHost::EnableMetrics.)
-  MetricsRegistry* metrics = nullptr;
-  /// When non-null, any query whose wall time breaches the log's threshold
-  /// has its span tree appended as one JSON line. Must outlive the server.
-  SlowQueryLog* slow_query_log = nullptr;
 };
 
-/// \brief Newline-delimited JSON server over an EngineHost.
-class PisServer {
+/// \brief Newline-delimited JSON server over an EngineHost: the shell's
+/// listener, worker pool and protocol plus this server's ops.
+class PisServer : public LineServer {
  public:
   /// `host` must outlive the server.
   PisServer(EngineHost* host, const PisServerOptions& options = {});
-
-  /// Binds the listener and spawns the worker pool. Call once.
-  Status Start() { return shell_.Start(); }
-  /// The bound port (valid after Start).
-  int port() const { return shell_.port(); }
-
-  /// Blocks until the server stopped (a shutdown request or Shutdown()).
-  void Wait() { shell_.Wait(); }
-  /// Stops accepting, severs live connections, and wakes Wait(). Idempotent
-  /// and callable from any thread (including a protocol handler's).
-  void Shutdown() { shell_.Shutdown(); }
-
-  /// True from a successful Start() until the worker pool has exited.
-  bool running() const { return shell_.running(); }
-  uint64_t connections_served() const { return shell_.connections_served(); }
-  uint64_t requests_served() const { return shell_.requests_served(); }
+  ~PisServer() { StopServing(); }
 
  private:
-  /// Per-op request instrumentation, registered once at construction for
-  /// the fixed op vocabulary so the request path never takes the registry
-  /// mutex.
-  struct OpMetrics {
-    Counter* requests = nullptr;
-    Histogram* latency = nullptr;
-  };
-
-  /// Returns the reply; sets `*shutdown` when the request asked the server
-  /// to stop (the reply is still sent first).
-  JsonValue HandleLine(const std::string& line, bool* shutdown);
-  /// Times and counts the request, then dispatches.
-  JsonValue HandleRequest(const JsonValue& request, bool* shutdown);
-  JsonValue Dispatch(const JsonValue& request, const std::string& op,
-                     bool* shutdown);
-  JsonValue HandleQuery(const JsonValue& request);
+  static Protocol MakeProtocol(PisServer* self);
+  JsonValue Query(const JsonValue& request);
+  JsonValue Add(const JsonValue& request);
+  JsonValue Remove(const JsonValue& request);
+  JsonValue Compact(const JsonValue& request);
 
   EngineHost* host_;
   /// Sorted copy of options.shards_owned (empty = all shards).
   std::vector<int> shards_owned_;
-  MetricsRegistry* metrics_registry_;
-  SlowQueryLog* slow_log_;
-  /// op -> cached children; read-only after construction.
-  std::map<std::string, OpMetrics> op_metrics_;
-  LineServer shell_;
 };
 
 }  // namespace pis

@@ -32,19 +32,20 @@ bool IsTransportError(const Status& status) {
 // ---------------------------------------------------------------------------
 // ShardBackend: the typed ops over one request/reply exchange
 
-void ShardBackend::EnableMetrics(MetricsRegistry* registry) {
+ShardBackend::ShardBackend(std::string name)
+    : name_(std::move(name)),
+      transport_errors_(own_metrics_.GetCounter(
+          "pis_cluster_rpc_transport_errors_total",
+          "Transport-classified shard-fabric call failures (the ones that "
+          "trip the breaker).",
+          {{"endpoint", name_}})) {
   for (const char* op : {"health", "meta", "shard_filter", "shard_refine",
                          "shard_add", "shard_remove"}) {
-    rpc_latency_[op] = registry->GetHistogram(
+    rpc_latency_[op] = own_metrics_.GetHistogram(
         "pis_cluster_rpc_seconds",
         "Per-endpoint round-trip latency of shard-fabric calls.",
-        Histogram::DefaultLatencyBounds(), {{"endpoint", name()}, {"op", op}});
+        Histogram::DefaultLatencyBounds(), {{"endpoint", name_}, {"op", op}});
   }
-  transport_errors_ = registry->GetCounter(
-      "pis_cluster_rpc_transport_errors_total",
-      "Transport-classified shard-fabric call failures (the ones that trip "
-      "the breaker).",
-      {{"endpoint", name()}});
 }
 
 Result<JsonValue> ShardBackend::RoundTrip(const JsonValue& request) {
@@ -53,9 +54,7 @@ Result<JsonValue> ShardBackend::RoundTrip(const JsonValue& request) {
   auto latency = rpc_latency_.find(request.GetStringOr("op", ""));
   if (latency != rpc_latency_.end()) latency->second->Observe(timer.Seconds());
   if (!reply.ok()) {
-    if (IsTransportError(reply.status()) && transport_errors_ != nullptr) {
-      transport_errors_->Inc();
-    }
+    if (IsTransportError(reply.status())) transport_errors_->Inc();
     return reply;
   }
   if (reply.value().GetBoolOr("ok", false)) return reply;
@@ -114,8 +113,9 @@ Result<ShardBackend::RemoveOutcome> ShardBackend::ShardRemove(int gid) {
 LocalShardBackend::LocalShardBackend(EngineHost* host,
                                      std::vector<int> shards_owned,
                                      std::string name)
-    : host_(host), shards_owned_(std::move(shards_owned)),
-      name_(std::move(name)) {
+    : ShardBackend(std::move(name)),
+      host_(host),
+      shards_owned_(std::move(shards_owned)) {
   std::sort(shards_owned_.begin(), shards_owned_.end());
   shards_owned_.erase(
       std::unique(shards_owned_.begin(), shards_owned_.end()),
@@ -131,8 +131,10 @@ Result<JsonValue> LocalShardBackend::Exchange(const JsonValue& request) {
 
 RemoteShardBackend::RemoteShardBackend(std::string host, int port,
                                        int timeout_ms)
-    : host_(std::move(host)), port_(port), timeout_ms_(timeout_ms),
-      name_(host_ + ":" + std::to_string(port_)) {}
+    : ShardBackend(host + ":" + std::to_string(port)),
+      host_(std::move(host)),
+      port_(port),
+      timeout_ms_(timeout_ms) {}
 
 Result<JsonValue> RemoteShardBackend::Exchange(const JsonValue& request) {
   MutexLock lock(&mu_);
@@ -158,7 +160,7 @@ Result<JsonValue> RemoteShardBackend::Exchange(const JsonValue& request) {
     // (An {"ok":false} reply keeps the connection pooled: the server keeps
     // it open after an error reply.)
     conn_ = TcpSocket();
-    return Status::IOError("malformed reply from " + name_ + ": " +
+    return Status::IOError("malformed reply from " + name() + ": " +
                            (reply.ok() ? "not an object"
                                        : reply.status().ToString()));
   }

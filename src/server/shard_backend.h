@@ -51,14 +51,16 @@ bool IsTransportError(const Status& status);
 /// backend multiplexes a single pooled connection).
 class ShardBackend {
  public:
+  /// `name` is the stable display name for logs, errors and the endpoint
+  /// metric label ("127.0.0.1:4871", "local#2").
+  explicit ShardBackend(std::string name);
   virtual ~ShardBackend() = default;
 
-  /// Stable display name for logs and errors ("127.0.0.1:4871", "local#2").
-  virtual const std::string& name() const = 0;
+  const std::string& name() const { return name_; }
 
   /// Sends one request object: an {"ok":false} reply becomes its typed
   /// application Status (via the "code" field), a transport failure its
-  /// transport Status. Instrumented per op once EnableMetrics ran.
+  /// transport Status. Timed per op and counted on transport failure.
   Result<JsonValue> RoundTrip(const JsonValue& request);
 
   /// Liveness probe; returns the replica's current epoch.
@@ -81,13 +83,13 @@ class ShardBackend {
   };
   Result<RemoveOutcome> ShardRemove(int gid);
 
-  /// Registers this endpoint's RPC instrumentation — one latency-histogram
+  /// Hands this endpoint's RPC instrumentation — one latency-histogram
   /// child per op under `pis_cluster_rpc_seconds{endpoint,op}` plus a
-  /// transport-error counter — and starts recording. Same setup contract as
-  /// EngineHost::EnableMetrics: call before the backend is shared across
-  /// threads; the cached pointers are then read unsynchronized and poked
-  /// atomics-only.
-  void EnableMetrics(MetricsRegistry* registry);
+  /// transport-error counter — to `registry` (MetricsRegistry::Adopt).
+  /// Until then the backend records into a registry it owns.
+  void EnableMetrics(MetricsRegistry* registry) {
+    registry->Adopt(&own_metrics_);
+  }
 
  protected:
   /// One request/reply exchange: the reply object as the replica sent it
@@ -95,10 +97,12 @@ class ShardBackend {
   virtual Result<JsonValue> Exchange(const JsonValue& request) = 0;
 
  private:
+  std::string name_;
+  MetricsRegistry own_metrics_;
   /// Per-op latency children for the fixed op vocabulary, resolved once so
   /// the record path never touches the registry mutex.
   std::unordered_map<std::string, Histogram*> rpc_latency_;
-  Counter* transport_errors_ = nullptr;
+  Counter* transport_errors_;
 };
 
 /// \brief An in-process EngineHost serving a shard subset.
@@ -108,15 +112,12 @@ class LocalShardBackend : public ShardBackend {
   LocalShardBackend(EngineHost* host, std::vector<int> shards_owned,
                     std::string name);
 
-  const std::string& name() const override { return name_; }
-
  protected:
   Result<JsonValue> Exchange(const JsonValue& request) override;
 
  private:
   EngineHost* host_;
   std::vector<int> shards_owned_;  // sorted; empty = all
-  std::string name_;
 };
 
 /// \brief A pis_server replica reached over TCP.
@@ -132,8 +133,6 @@ class RemoteShardBackend : public ShardBackend {
   /// yields DeadlineExceeded); <= 0 blocks indefinitely.
   RemoteShardBackend(std::string host, int port, int timeout_ms);
 
-  const std::string& name() const override { return name_; }
-
  protected:
   Result<JsonValue> Exchange(const JsonValue& request) override
       PIS_EXCLUDES(mu_);
@@ -142,7 +141,6 @@ class RemoteShardBackend : public ShardBackend {
   std::string host_;
   int port_;
   int timeout_ms_;
-  std::string name_;
 
   Mutex mu_;
   TcpSocket conn_ PIS_GUARDED_BY(mu_);

@@ -14,36 +14,6 @@ namespace pis {
 
 namespace {
 
-/// Strict int decode: the protocol ships graph ids as JSON numbers, and a
-/// truncated 3.9 or an out-of-int32 value must fail loudly, not be cast.
-Result<int> AsStrictInt(const JsonValue& v, const char* what) {
-  if (!v.is_number()) {
-    return Status::InvalidArgument(std::string(what) + " must be a number");
-  }
-  const double raw = v.AsNumber();
-  if (raw != std::floor(raw) || raw < -2147483648.0 || raw > 2147483647.0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " must be an exact 32-bit integer");
-  }
-  return static_cast<int>(raw);
-}
-
-/// The member `key` of `reply`, or a null value when absent (which every
-/// strict decoder rejects as "must be a number").
-const JsonValue& Member(const JsonValue& reply, const char* key) {
-  static const JsonValue kMissing;
-  const JsonValue* v = reply.Find(key);
-  return v != nullptr ? *v : kMissing;
-}
-
-Result<int> ReadNonNegative(const JsonValue& object, const char* key) {
-  PIS_ASSIGN_OR_RETURN(int value, AsStrictInt(Member(object, key), key));
-  if (value < 0) {
-    return Status::InvalidArgument(std::string(key) + " must be >= 0");
-  }
-  return value;
-}
-
 Result<std::vector<int>> ReadIntArray(const JsonValue& reply, const char* key) {
   const JsonValue* array = reply.Find(key);
   if (array == nullptr || !array->is_array()) {
@@ -77,14 +47,6 @@ JsonValue IntArrayToJson(const std::vector<int>& values) {
   JsonValue array = JsonValue::Array();
   for (int v : values) array.Push(v);
   return array;
-}
-
-Result<Graph> ReadGraph(const JsonValue& request) {
-  const JsonValue* text = request.Find("graph");
-  if (text == nullptr || !text->is_string()) {
-    return Status::InvalidArgument("request needs a string \"graph\" field");
-  }
-  return ParseGraph(text->AsString());
 }
 
 Result<double> ReadSigma(const JsonValue& request) {
@@ -326,7 +288,7 @@ Result<JsonValue> ServeShardOpOrError(EngineHost* host,
     PIS_ASSIGN_OR_RETURN(int shard, ReadNonNegative(request, "shard"));
     PIS_RETURN_NOT_OK(CheckShardsOwned(
         {shard}, owned, host->snapshot()->index->num_shards()));
-    PIS_ASSIGN_OR_RETURN(Graph graph, ReadGraph(request));
+    PIS_ASSIGN_OR_RETURN(Graph graph, ReadGraph(request, "request"));
     uint64_t epoch = 0;
     PIS_RETURN_NOT_OK(host->AddGraphAt(gid, shard, graph, &epoch));
     reply.Set("epoch", epoch);
@@ -442,7 +404,7 @@ JsonValue ShardFilterRequestToJson(const ShardFilterRequest& request) {
 Result<ShardFilterRequest> ShardFilterRequestFromJson(
     const JsonValue& json) {
   ShardFilterRequest request;
-  PIS_ASSIGN_OR_RETURN(request.query, ReadGraph(json));
+  PIS_ASSIGN_OR_RETURN(request.query, ReadGraph(json, "request"));
   PIS_ASSIGN_OR_RETURN(request.shards, ReadAscendingIds(json, "shards"));
   if (request.shards.empty()) {
     return Status::InvalidArgument("shard_filter needs a non-empty \"shards\"");
@@ -558,7 +520,7 @@ JsonValue ShardRefineRequestToJson(const ShardRefineRequest& request) {
 Result<ShardRefineRequest> ShardRefineRequestFromJson(
     const JsonValue& json) {
   ShardRefineRequest request;
-  PIS_ASSIGN_OR_RETURN(request.query, ReadGraph(json));
+  PIS_ASSIGN_OR_RETURN(request.query, ReadGraph(json, "request"));
   PIS_ASSIGN_OR_RETURN(request.shard, ReadNonNegative(json, "shard"));
   PIS_ASSIGN_OR_RETURN(request.partition, ReadIntArray(json, "partition"));
   PIS_ASSIGN_OR_RETURN(request.classes, ReadIntArray(json, "classes"));

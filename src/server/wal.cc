@@ -233,6 +233,7 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& dir) {
   }
   wal.bytes_.store(valid_end, std::memory_order_relaxed);
   wal.records_.store(wal.recovered_.size(), std::memory_order_relaxed);
+  wal.metrics_.log_bytes->Set(static_cast<int64_t>(valid_end));
   PIS_RETURN_NOT_OK(wal.OpenForAppend());
   return wal;
 }
@@ -253,6 +254,21 @@ void WriteAheadLog::CloseFd() {
   }
 }
 
+WriteAheadLog::WriteAheadLog()
+    : own_metrics_(std::make_unique<MetricsRegistry>()),
+      metrics_{
+          .append_seconds = own_metrics_->GetHistogram(
+              "pis_wal_append_seconds", "WAL batch append + fsync latency"),
+          .appended_records = own_metrics_->GetCounter(
+              "pis_wal_appended_records_total", "Records appended to the WAL"),
+          .fsyncs = own_metrics_->GetCounter("pis_wal_fsyncs_total",
+                                             "WAL fsync calls"),
+          .truncations = own_metrics_->GetCounter(
+              "pis_wal_truncations_total", "Checkpoint truncations of the WAL"),
+          .log_bytes = own_metrics_->GetGauge(
+              "pis_wal_bytes", "Current WAL file size in bytes"),
+      } {}
+
 WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
     : path_(std::move(other.path_)),
       fd_(other.fd_),
@@ -260,6 +276,7 @@ WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
       max_recovered_epoch_(other.max_recovered_epoch_),
       bytes_(other.bytes_.load(std::memory_order_relaxed)),
       records_(other.records_.load(std::memory_order_relaxed)),
+      own_metrics_(std::move(other.own_metrics_)),
       metrics_(other.metrics_) {
   other.fd_ = -1;
 }
@@ -276,6 +293,7 @@ WriteAheadLog& WriteAheadLog::operator=(WriteAheadLog&& other) noexcept {
                  std::memory_order_relaxed);
     records_.store(other.records_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
+    own_metrics_ = std::move(other.own_metrics_);
     metrics_ = other.metrics_;
   }
   return *this;
@@ -363,21 +381,6 @@ Status WriteAheadLog::Replay(GraphDatabase* db,
   return Status::OK();
 }
 
-void WriteAheadLog::EnableMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  metrics_.append_seconds = registry->GetHistogram(
-      "pis_wal_append_seconds", "WAL batch append + fsync latency");
-  metrics_.appended_records = registry->GetCounter(
-      "pis_wal_appended_records_total", "Records appended to the WAL");
-  metrics_.fsyncs =
-      registry->GetCounter("pis_wal_fsyncs_total", "WAL fsync calls");
-  metrics_.truncations = registry->GetCounter(
-      "pis_wal_truncations_total", "Checkpoint truncations of the WAL");
-  metrics_.log_bytes =
-      registry->GetGauge("pis_wal_bytes", "Current WAL file size in bytes");
-  metrics_.log_bytes->Set(static_cast<int64_t>(bytes()));
-}
-
 Status WriteAheadLog::Append(std::span<const WalRecord> batch) {
   if (fd_ < 0) return Status::Internal("WAL is not open for append");
   if (batch.empty()) return Status::OK();
@@ -420,12 +423,10 @@ Status WriteAheadLog::Append(std::span<const WalRecord> batch) {
   }
   bytes_.store(old_bytes + buf.size(), std::memory_order_relaxed);
   records_.fetch_add(batch.size(), std::memory_order_relaxed);
-  if (metrics_.append_seconds != nullptr) {
-    metrics_.append_seconds->Observe(append_timer.Seconds());
-    metrics_.appended_records->Inc(batch.size());
-    metrics_.fsyncs->Inc();
-    metrics_.log_bytes->Set(static_cast<int64_t>(old_bytes + buf.size()));
-  }
+  metrics_.append_seconds->Observe(append_timer.Seconds());
+  metrics_.appended_records->Inc(batch.size());
+  metrics_.fsyncs->Inc();
+  metrics_.log_bytes->Set(static_cast<int64_t>(old_bytes + buf.size()));
   return Status::OK();
 }
 
@@ -454,10 +455,8 @@ Status WriteAheadLog::TruncateThrough(uint64_t through_epoch) {
   PIS_RETURN_NOT_OK(OpenForAppend());
   bytes_.store(new_size, std::memory_order_relaxed);
   records_.store(keep.size(), std::memory_order_relaxed);
-  if (metrics_.truncations != nullptr) {
-    metrics_.truncations->Inc();
-    metrics_.log_bytes->Set(static_cast<int64_t>(new_size));
-  }
+  metrics_.truncations->Inc();
+  metrics_.log_bytes->Set(static_cast<int64_t>(new_size));
   return Status::OK();
 }
 

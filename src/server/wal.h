@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,12 +118,13 @@ class WriteAheadLog {
   /// ack the batch).
   Status Append(std::span<const WalRecord> batch);
 
-  /// Registers WAL metric families (append latency histogram, appended
-  /// records/fsyncs/truncations counters, log-size gauge) and starts
-  /// recording. Same setup contract as EngineHost::EnableMetrics: call
-  /// under the external lock before concurrent appends; the cached
-  /// pointers are then poked atomics-only.
-  void EnableMetrics(MetricsRegistry* registry);
+  /// Hands the WAL's metric families (append latency histogram, appended
+  /// records/fsyncs/truncations counters, log-size gauge) to `registry`
+  /// (MetricsRegistry::Adopt). Until then the log records into a registry
+  /// it owns. EngineHost::AttachWal calls this with the host's registry.
+  void EnableMetrics(MetricsRegistry* registry) {
+    registry->Adopt(own_metrics_.get());
+  }
 
   /// Drops every record with epoch <= `through_epoch` (they are covered by
   /// a snapshot saved at that epoch) by atomically rewriting the log.
@@ -138,7 +140,7 @@ class WriteAheadLog {
   const std::string& path() const { return path_; }
 
  private:
-  WriteAheadLog() = default;
+  WriteAheadLog();
 
   Status OpenForAppend();
   void CloseFd();
@@ -150,15 +152,16 @@ class WriteAheadLog {
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> records_{0};
 
-  /// Metric family pointers (null until EnableMetrics; not moved with the
-  /// object — EnableMetrics is only valid on the final resting instance).
+  /// Metric instruments, registered at construction into own_metrics_.
+  /// Both move with the object: the instruments live on the heap.
   struct Metrics {
-    Histogram* append_seconds = nullptr;
-    Counter* appended_records = nullptr;
-    Counter* fsyncs = nullptr;
-    Counter* truncations = nullptr;
-    Gauge* log_bytes = nullptr;
+    Histogram* append_seconds;
+    Counter* appended_records;
+    Counter* fsyncs;
+    Counter* truncations;
+    Gauge* log_bytes;
   };
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   Metrics metrics_;
 };
 

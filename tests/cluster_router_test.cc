@@ -14,8 +14,11 @@
 #include <vector>
 
 #include "engine_test_util.h"
+#include "graph/io.h"
 #include "server/cluster_engine.h"
+#include "server/router_server.h"
 #include "util/json.h"
+#include "util/socket.h"
 
 namespace pis {
 namespace {
@@ -258,6 +261,102 @@ TEST(ClusterRouterTest, TotalShardOutageIsUnavailableNotWrong) {
   h.RestartServer(victim);
   if (::testing::Test::HasFatalFailure()) return;
   h.CheckQueries();
+}
+
+/// One request line to `port` and its parsed reply.
+JsonValue RouterRoundTrip(TcpSocket* conn, const std::string& line) {
+  EXPECT_TRUE(conn->SendLine(line).ok());
+  auto reply = conn->RecvLine();
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  if (!reply.ok()) return JsonValue();
+  auto parsed = JsonValue::Parse(reply.value());
+  EXPECT_TRUE(parsed.ok()) << reply.value();
+  return parsed.ok() ? parsed.MoveValue() : JsonValue();
+}
+
+/// pis_router's protocol shell: the `metrics` op renders the router's
+/// per-op families beside the cluster fabric's, a malformed line counts as
+/// op="other", the per-op family sums to requests_served(), and a router
+/// built without a registry still answers `metrics`.
+TEST(ClusterRouterTest, RouterMetricsAndStatsRenderOneRegistry) {
+  MetricsRegistry registry;
+  ClusterHarness::Options opt;
+  opt.num_shards = 2;
+  opt.replicas = 1;
+  opt.num_groups = 2;
+  opt.seed = 6;
+  opt.metrics = &registry;
+  ClusterHarness h(opt);
+  if (::testing::Test::HasFatalFailure()) return;
+  RouterServerOptions ropt;
+  ropt.num_workers = 2;
+  ropt.metrics = &registry;
+  RouterServer router(&h.cluster(), ropt);
+  ASSERT_TRUE(router.Start().ok());
+  auto dialed = TcpSocket::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
+  TcpSocket conn = dialed.MoveValue();
+
+  int sent = 0;
+  auto send = [&](const std::string& line) {
+    ++sent;
+    return RouterRoundTrip(&conn, line);
+  };
+  JsonValue query = JsonValue::Object();
+  query.Set("op", "query");
+  query.Set("graph", FormatGraph(h.oracle().snapshot()->db->at(0), 0));
+  EXPECT_TRUE(send(query.Serialize()).GetBoolOr("ok", false));
+  EXPECT_TRUE(send("{\"op\":\"health\"}").GetBoolOr("ok", false));
+  EXPECT_FALSE(send("not json").GetBoolOr("ok", true));
+  EXPECT_FALSE(send("{\"op\":\"frobnicate\"}").GetBoolOr("ok", true));
+
+  JsonValue metrics = send("{\"op\":\"metrics\"}");
+  ASSERT_TRUE(metrics.GetBoolOr("ok", false)) << metrics.Serialize();
+  const std::string text = metrics.GetStringOr("text", "");
+  for (const char* family : {
+           "# TYPE pis_router_requests_total counter",
+           "# TYPE pis_router_request_seconds histogram",
+           "# TYPE pis_router_connections_total counter",
+           "# TYPE pis_cluster_rpc_seconds histogram",
+           "# TYPE pis_cluster_breaker_open gauge",
+           "# TYPE pis_cluster_catchup_pending gauge",
+           "# TYPE pis_cluster_failovers_total counter",
+       }) {
+    EXPECT_NE(text.find(family), std::string::npos) << family;
+  }
+  EXPECT_NE(text.find("pis_router_requests_total{op=\"other\"} 2\n"),
+            std::string::npos)
+      << text;
+
+  JsonValue stats = send("{\"op\":\"stats\"}");
+  ASSERT_TRUE(stats.GetBoolOr("ok", false));
+  ASSERT_NE(stats.Find("stats"), nullptr);
+  const JsonValue* mirror = stats.Find("metrics");
+  ASSERT_NE(mirror, nullptr);
+  const JsonValue* requests = mirror->Find("pis_router_requests_total");
+  ASSERT_NE(requests, nullptr);
+  double counted = 0;
+  for (const JsonValue& v : requests->Find("values")->items()) {
+    counted += v.GetNumberOr("value", 0);
+  }
+  // The stats request itself counts once its reply is built.
+  EXPECT_EQ(counted, sent - 1);
+  EXPECT_EQ(router.requests_served(), static_cast<uint64_t>(sent));
+
+  RouterServer bare(&h.cluster(), {});
+  ASSERT_TRUE(bare.Start().ok());
+  auto bare_dialed = TcpSocket::Connect("127.0.0.1", bare.port());
+  ASSERT_TRUE(bare_dialed.ok());
+  JsonValue bare_metrics =
+      RouterRoundTrip(&bare_dialed.value(), "{\"op\":\"metrics\"}");
+  ASSERT_TRUE(bare_metrics.GetBoolOr("ok", false)) << bare_metrics.Serialize();
+  EXPECT_NE(bare_metrics.GetStringOr("text", "").find(
+                "pis_router_requests_total{op=\"metrics\"}"),
+            std::string::npos);
+  bare.Shutdown();
+  bare.Wait();
+  router.Shutdown();
+  router.Wait();
 }
 
 TEST(ClusterManifestTest, ParsesAndValidates) {

@@ -10,6 +10,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +216,75 @@ TEST(EngineHostTest, BackgroundCompactionReclaimsWithoutChangingAnswers) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().answers, want[qi]) << "query " << qi;
   }
+}
+
+/// EnableMetrics hands over what the host recorded before the call: pis_server
+/// and perfbench enable metrics after the maintenance thread may already
+/// have compacted or checkpointed, and neither Stats() nor the registry may
+/// lose those events.
+TEST(EngineHostTest, EnableMetricsCarriesOverEarlierEvents) {
+  HostFixture hf(30, 53, /*num_shards=*/3, /*compact_dead_ratio=*/0.2);
+  EngineHost host = hf.MakeHost();
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "enable_metrics_late";
+  std::filesystem::remove_all(root);
+  auto wal = WriteAheadLog::Open((root / "wal").string());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  ASSERT_TRUE(
+      host.AttachWal(std::make_unique<WriteAheadLog>(wal.MoveValue())).ok());
+  EngineHost::CheckpointConfig ckpt;
+  ckpt.index_dir = (root / "index").string();
+  ckpt.db_path = (root / "db.txt").string();
+  ASSERT_TRUE(host.EnableCheckpoints(ckpt).ok());
+
+  for (int gid = 0; gid < 10; ++gid) ASSERT_TRUE(host.RemoveGraph(gid).ok());
+  ASSERT_TRUE(host.StartAutoCompaction(std::chrono::milliseconds(5)).ok());
+  for (int tries = 0; host.background_compactions() == 0 && tries < 500;
+       ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  host.StopAutoCompaction();
+  ASSERT_GT(host.background_compactions(), 0u);
+  ASSERT_TRUE(host.Checkpoint().ok());
+  const EngineHost::HostStats before = host.Stats();
+  EXPECT_EQ(before.checkpoints, 1u);
+  EXPECT_EQ(before.group_commit_ops, 10u);
+
+  MetricsRegistry registry;
+  host.EnableMetrics(&registry);
+  const EngineHost::HostStats after = host.Stats();
+  EXPECT_EQ(after.background_compactions, before.background_compactions);
+  EXPECT_EQ(after.checkpoints, before.checkpoints);
+  EXPECT_EQ(after.group_commit_batches, before.group_commit_batches);
+  EXPECT_EQ(after.group_commit_ops, before.group_commit_ops);
+  EXPECT_EQ(after.group_commit_max_batch, before.group_commit_max_batch);
+
+  // The registry renders the carried-over counters and gauges...
+  EXPECT_EQ(registry.GetCounter("pis_background_compactions_total", "")
+                ->value(),
+            before.background_compactions);
+  EXPECT_EQ(registry.GetCounter("pis_checkpoints_total", "")->value(), 1u);
+  EXPECT_EQ(registry.GetGauge("pis_group_commit_max_batch_ops", "")->value(),
+            static_cast<int64_t>(before.group_commit_max_batch));
+  EXPECT_EQ(registry.GetGauge("pis_snapshot_epoch", "")->value(),
+            static_cast<int64_t>(before.epoch));
+  EXPECT_EQ(registry.GetCounter("pis_wal_appended_records_total", "")->value(),
+            10u);
+  Histogram* batches = registry.GetHistogram("pis_group_commit_batch_ops", "");
+  EXPECT_EQ(batches->count(), before.group_commit_batches);
+  EXPECT_EQ(batches->sum(), static_cast<double>(before.group_commit_ops));
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("# TYPE pis_background_compactions_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("pis_checkpoints_total 1\n"), std::string::npos);
+
+  // ...and keeps recording into the same instruments afterwards.
+  ASSERT_TRUE(host.RemoveGraph(10).ok());
+  EXPECT_EQ(host.Stats().group_commit_ops, before.group_commit_ops + 1);
+  EXPECT_EQ(batches->count(), before.group_commit_batches + 1);
+  EXPECT_EQ(registry.GetCounter("pis_wal_appended_records_total", "")->value(),
+            11u);
+  std::filesystem::remove_all(root);
 }
 
 TEST(EngineHostTest, StatsJsonIsMachineReadable) {

@@ -367,6 +367,9 @@ class ClusterHarness {
     int max_fragment_edges = 4;
     double sigma = 2.0;
     int queries_per_check = 2;
+    /// Where the ClusterEngine registers its fabric metrics (null: it owns
+    /// one).
+    MetricsRegistry* metrics = nullptr;
   };
 
   explicit ClusterHarness(const Options& opt)
@@ -493,6 +496,7 @@ class ClusterHarness {
     copt.breaker_open_ms = 1;
     copt.health_interval_ms = 50;  // unused: the harness drives ProbeOnce
     copt.options = popt_;
+    copt.metrics = opt_.metrics;
     auto cluster = ClusterEngine::Connect(manifest, copt);
     ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
     cluster_ = cluster.MoveValue();

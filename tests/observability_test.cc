@@ -178,6 +178,13 @@ TEST(BuildFilterSpanTest, OmitsSketchWhenProbeNeverRan) {
   }
 }
 
+/// The slow-query log's line counter for `outcome`, read from `registry`.
+uint64_t SlowLogLines(MetricsRegistry* registry, const char* outcome) {
+  return registry
+      ->GetCounter("pis_slow_query_lines_total", "", {{"outcome", outcome}})
+      ->value();
+}
+
 TEST(SlowQueryLogTest, ThresholdGatesLogging) {
   SlowQueryLog log("", /*threshold_ms=*/5.0);
   EXPECT_TRUE(log.enabled());
@@ -193,14 +200,16 @@ TEST(SlowQueryLogTest, AppendsOneJsonLinePerTrace) {
   const std::string path = ::testing::TempDir() + "/slow_query_test.log";
   std::remove(path.c_str());
   SlowQueryLog log(path, 1.0);
+  MetricsRegistry registry;
+  log.EnableMetrics(&registry);
   TraceContext ctx("slow-1");
   ctx.RecordSince("stage", 0);
   JsonValue trace = ctx.ToJsonValue();
   trace.Set("op", "query");
   log.Log(trace);
   log.Log(trace);
-  EXPECT_EQ(log.lines_written(), 2u);
-  EXPECT_EQ(log.lines_dropped(), 0u);
+  EXPECT_EQ(SlowLogLines(&registry, "written"), 2u);
+  EXPECT_EQ(SlowLogLines(&registry, "dropped"), 0u);
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -221,8 +230,11 @@ TEST(SlowQueryLogTest, AppendsOneJsonLinePerTrace) {
 TEST(SlowQueryLogTest, UnwritablePathCountsDrops) {
   SlowQueryLog log("/nonexistent_dir_pis/slow.log", 1.0);
   log.Log(JsonValue::Object());
-  EXPECT_EQ(log.lines_written(), 0u);
-  EXPECT_EQ(log.lines_dropped(), 1u);
+  // Handed over after the drop: what the log counted before carries over.
+  MetricsRegistry registry;
+  log.EnableMetrics(&registry);
+  EXPECT_EQ(SlowLogLines(&registry, "written"), 0u);
+  EXPECT_EQ(SlowLogLines(&registry, "dropped"), 1u);
 }
 
 }  // namespace

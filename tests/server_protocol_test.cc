@@ -87,6 +87,8 @@ class ServerProtocolTest : public ::testing::Test {
   }
 
   std::unique_ptr<EngineFixture> fx_;
+  /// Outlives host_, which records into it once a test enables it.
+  MetricsRegistry registry_;
   std::unique_ptr<EngineHost> host_;
   std::unique_ptr<PisServer> server_;
 };
@@ -200,6 +202,123 @@ TEST_F(ServerProtocolTest, ErrorsKeepTheConnectionUsable) {
   // After nine rejected requests the connection still serves.
   JsonValue health = RoundTrip(&conn, "{\"op\":\"health\"}");
   EXPECT_TRUE(health.GetBoolOr("ok", false));
+}
+
+/// Sum of `family`'s counter values in a registry's JSON mirror.
+double CounterSum(const JsonValue& metrics, const std::string& family) {
+  const JsonValue* fam = metrics.Find(family);
+  EXPECT_NE(fam, nullptr) << family;
+  double total = 0;
+  if (fam == nullptr) return total;
+  for (const JsonValue& v : fam->Find("values")->items()) {
+    total += v.GetNumberOr("value", 0);
+  }
+  return total;
+}
+
+/// The first (label-free) child of `family` in a registry's JSON mirror.
+JsonValue FirstChild(const JsonValue& metrics, const std::string& family) {
+  const JsonValue* fam = metrics.Find(family);
+  EXPECT_NE(fam, nullptr) << family;
+  if (fam == nullptr || fam->Find("values")->size() == 0) return JsonValue();
+  return fam->Find("values")->at(0);
+}
+
+TEST_F(ServerProtocolTest, MetricsOpAnswersWithoutARegistry) {
+  // The fixture's server was built with no registry: it records into one
+  // it owns, and the `metrics` op renders that.
+  TcpSocket conn = Connect();
+  JsonValue reply = RoundTrip(&conn, "{\"op\":\"metrics\"}");
+  ASSERT_TRUE(reply.GetBoolOr("ok", false)) << reply.Serialize();
+  const std::string text = reply.GetStringOr("text", "");
+  EXPECT_NE(text.find("# TYPE pis_server_requests_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE pis_server_connections_total counter"),
+            std::string::npos);
+  EXPECT_NE(reply.GetStringOr("content_type", "").find("text/plain"),
+            std::string::npos);
+}
+
+TEST_F(ServerProtocolTest, StatsAndMetricsRenderOneRegistry) {
+  host_->EnableMetrics(&registry_);
+  PisServerOptions options;
+  options.num_workers = 2;
+  options.metrics = &registry_;
+  PisServer server(host_.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  auto dialed = TcpSocket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
+  TcpSocket conn = dialed.MoveValue();
+
+  int sent = 0;
+  auto send = [&](const std::string& line) {
+    ++sent;
+    return RoundTrip(&conn, line);
+  };
+  EXPECT_TRUE(
+      send(QueryRequest(fx_->db.at(3)).Serialize()).GetBoolOr("ok", false));
+  JsonValue add = JsonValue::Object();
+  add.Set("op", "add");
+  add.Set("graph", FormatGraph(fx_->db.at(5), 0));
+  EXPECT_TRUE(send(add.Serialize()).GetBoolOr("ok", false));
+  EXPECT_TRUE(send("{\"op\":\"remove\",\"id\":20}").GetBoolOr("ok", false));
+  // A malformed line never reaches an op, yet it is a request served.
+  EXPECT_FALSE(send("this is not json").GetBoolOr("ok", true));
+  EXPECT_FALSE(send("[1,2,3]").GetBoolOr("ok", true));
+
+  JsonValue metrics = send("{\"op\":\"metrics\"}");
+  ASSERT_TRUE(metrics.GetBoolOr("ok", false)) << metrics.Serialize();
+  const std::string text = metrics.GetStringOr("text", "");
+  for (const char* family : {
+           "# TYPE pis_queries_total counter",
+           "# TYPE pis_query_stage_seconds histogram",
+           "# TYPE pis_snapshot_epoch gauge",
+           "# TYPE pis_background_compactions_total counter",
+           "# TYPE pis_checkpoints_total counter",
+           "# TYPE pis_group_commit_batch_ops histogram",
+           "# TYPE pis_group_commit_max_batch_ops gauge",
+           "# TYPE pis_server_requests_total counter",
+           "# TYPE pis_server_request_seconds histogram",
+           "# TYPE pis_server_connections_total counter",
+       }) {
+    EXPECT_NE(text.find(family), std::string::npos) << family;
+  }
+  EXPECT_NE(text.find("pis_server_requests_total{op=\"other\"} 2\n"),
+            std::string::npos)
+      << text;
+
+  // The stats counters are a rendering of the same instruments the
+  // registry mirror (in the same reply) reads.
+  JsonValue stats_reply = send("{\"op\":\"stats\"}");
+  ASSERT_TRUE(stats_reply.GetBoolOr("ok", false));
+  const JsonValue& stats = *stats_reply.Find("stats");
+  const JsonValue& mirror = *stats_reply.Find("metrics");
+  const JsonValue batches = FirstChild(mirror, "pis_group_commit_batch_ops");
+  EXPECT_EQ(stats.GetNumberOr("group_commit_batches", -1),
+            batches.GetNumberOr("count", -2));
+  EXPECT_EQ(stats.GetNumberOr("group_commit_ops", -1),
+            batches.GetNumberOr("sum", -2));
+  EXPECT_EQ(stats.GetNumberOr("group_commit_ops", -1), 2);
+  EXPECT_EQ(stats.GetNumberOr("group_commit_batch_size", -1),
+            FirstChild(mirror, "pis_group_commit_max_batch_ops")
+                .GetNumberOr("value", -2));
+  EXPECT_EQ(stats.GetNumberOr("background_compactions", -1),
+            FirstChild(mirror, "pis_background_compactions_total")
+                .GetNumberOr("value", -2));
+  EXPECT_EQ(stats.GetNumberOr("checkpoints", -1),
+            FirstChild(mirror, "pis_checkpoints_total")
+                .GetNumberOr("value", -2));
+  EXPECT_EQ(stats.GetNumberOr("epoch", -1),
+            FirstChild(mirror, "pis_snapshot_epoch").GetNumberOr("value", -2));
+
+  // Every line sent so far was answered and counted under exactly one op
+  // (the stats request counts once its reply is built, so it is in
+  // requests_served but not in the mirror above).
+  EXPECT_EQ(CounterSum(mirror, "pis_server_requests_total"), sent - 1);
+  EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(sent));
+  EXPECT_EQ(server.connections_served(), 1u);
+  server.Shutdown();
+  server.Wait();
 }
 
 TEST_F(ServerProtocolTest, ShutdownStopsTheServerCleanly) {

@@ -257,6 +257,9 @@ int main(int argc, char** argv) {
   options.sigma = sigma;
   options.compact_dead_ratio = compact_dead_ratio;
   EngineHost host(std::move(db.value()), index.MoveValue(), options);
+  // The process-global registry: the host's engine/WAL metrics and the
+  // server's per-op request metrics land in one exposition.
+  host.EnableMetrics(&MetricsRegistry::Global());
   if (wal != nullptr) {
     Status attached = host.AttachWal(std::move(wal));
     if (!attached.ok()) return Fail(attached);
@@ -284,9 +287,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The process-global registry: the host's engine/WAL metrics and the
-  // server's per-op request metrics land in one exposition.
-  host.EnableMetrics(&MetricsRegistry::Global());
   SlowQueryLog slow_log(slow_query_log_path, slow_query_ms);
 
   PisServerOptions server_options;
