@@ -31,7 +31,8 @@ void WorkloadConfig::Register(FlagSet* flags) {
                 "largest indexed fragment size");
   flags->AddInt("max_query_fragments", &max_query_fragments,
                 "cap on enumerated query fragments (0 = all)");
-  flags->AddInt("threads", &threads, "index build threads (0 = all cores)");
+  flags->AddInt("threads", &threads,
+                "mining and index build threads (0 = all cores)");
   flags->AddBool("verbose", &verbose, "log progress");
 }
 
@@ -61,6 +62,7 @@ Result<std::vector<Graph>> MineFeatures(const GraphDatabase& db,
       1, static_cast<int>(std::lround(config.feature_min_support * db.size())));
   mine.min_edges = 1;
   mine.max_edges = config.max_fragment_edges;
+  mine.num_threads = config.threads > 0 ? config.threads : HardwareThreads();
   Timer timer;
   PIS_ASSIGN_OR_RETURN(std::vector<Pattern> patterns,
                        MineFrequentSubgraphs(skeletons, mine));

@@ -30,7 +30,8 @@ struct WorkloadConfig {
   int max_fragment_edges = 6;
   /// Cap on enumerated query fragments (0 = all).
   int max_query_fragments = 0;
-  /// Threads for index construction (0 = all hardware threads).
+  /// Threads for feature mining and index construction (0 = all hardware
+  /// threads).
   int threads = 0;
   bool verbose = false;
 

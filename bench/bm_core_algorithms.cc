@@ -1,6 +1,6 @@
 // Micro-benchmarks for the algorithmic substrates: VF2 matching,
-// minimum DFS code canonicalization, cost-bounded verification, and
-// connected-fragment enumeration.
+// minimum DFS code canonicalization, cost-bounded verification,
+// connected-fragment enumeration, and gSpan feature mining.
 #include <benchmark/benchmark.h>
 
 #include "canonical/min_dfs.h"
@@ -10,7 +10,9 @@
 #include "graph/query_sampler.h"
 #include "index/fragment_enum.h"
 #include "isomorphism/vf2.h"
+#include "mining/gspan.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace pis {
@@ -125,6 +127,30 @@ void BM_Automorphisms(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Automorphisms);
+
+void BM_GspanSkeletons(benchmark::State& state) {
+  // The feature-mining step of an index build (pis_server's defaults: 4
+  // edges, 5% support) over 1000 skeletons; Arg = threads.
+  static const GraphDatabase skeletons = [] {
+    const GraphDatabase db = MoleculeGenerator().Generate(1000);
+    GraphDatabase skeletons;
+    for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
+    return skeletons;
+  }();
+  GspanOptions options;
+  options.min_support = skeletons.size() / 20;
+  options.max_edges = 4;
+  options.num_threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto patterns = MineFrequentSubgraphs(skeletons, options);
+    PIS_CHECK(patterns.ok());
+    benchmark::DoNotOptimize(patterns.value());
+  }
+}
+BENCHMARK(BM_GspanSkeletons)
+    ->Arg(1)
+    ->Arg(HardwareThreads())
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pis

@@ -1,6 +1,7 @@
 #include "mining/feature_selector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "isomorphism/vf2.h"
@@ -22,8 +23,10 @@ void IntersectInto(std::vector<int>* acc, const std::vector<int>& other) {
 Result<std::vector<size_t>> SelectDiscriminativeFeatures(
     const std::vector<Pattern>& patterns, int db_size,
     const FeatureSelectorOptions& options) {
-  if (options.gamma < 1.0) {
-    return Status::InvalidArgument("gamma must be >= 1");
+  // NaN fails every comparison, so `gamma < 1.0` alone would let it through
+  // and silently drop every multi-edge feature.
+  if (!std::isfinite(options.gamma) || options.gamma < 1.0) {
+    return Status::InvalidArgument("gamma must be finite and >= 1");
   }
   // Ascending size; stable to keep miner order within a size class.
   std::vector<size_t> order(patterns.size());

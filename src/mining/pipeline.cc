@@ -1,21 +1,33 @@
 #include "mining/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "mining/feature_selector.h"
 #include "mining/gspan.h"
+#include "util/parallel.h"
 
 namespace pis {
 
 Result<std::vector<Graph>> MineDiscriminativeFeatures(
     const GraphDatabase& db, int max_fragment_edges,
-    double min_support_fraction, double gamma) {
+    double min_support_fraction, double gamma, int num_threads) {
+  // Checked before the cast below, which is undefined for NaN or huge
+  // values.
+  if (!std::isfinite(min_support_fraction) || min_support_fraction < 0 ||
+      min_support_fraction > 1) {
+    return Status::InvalidArgument("min_support must be in [0, 1]");
+  }
+  if (max_fragment_edges < 1) {
+    return Status::InvalidArgument("max_fragment_edges must be >= 1");
+  }
   GraphDatabase skeletons;
   for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support =
       std::max(1, static_cast<int>(min_support_fraction * db.size()));
   mine.max_edges = max_fragment_edges;
+  mine.num_threads = num_threads <= 0 ? HardwareThreads() : num_threads;
   PIS_ASSIGN_OR_RETURN(std::vector<Pattern> patterns,
                        MineFrequentSubgraphs(skeletons, mine));
   FeatureSelectorOptions select;

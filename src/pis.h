@@ -6,12 +6,14 @@
 //   pis::MoleculeGenerator gen;                     // or ReadSdfFile(...)
 //   pis::GraphDatabase db = gen.Generate(10000);
 //
-//   auto patterns = pis::MineFrequentSubgraphs(Skeletons(db), mine_opts);
-//   auto selected = pis::SelectDiscriminativeFeatures(...);
+//   // gSpan over the skeletons + gIndex selection; 0 threads = all cores.
+//   auto features = pis::MineDiscriminativeFeatures(
+//       db, /*max_fragment_edges=*/4, /*min_support_fraction=*/0.05,
+//       /*gamma=*/1.0, /*num_threads=*/0);
 //
 //   pis::FragmentIndexOptions idx_opts;             // edge mutation distance
-//   auto index = pis::ShardedFragmentIndex::Build(db, features, idx_opts,
-//                                                 /*num_shards=*/1);
+//   auto index = pis::ShardedFragmentIndex::Build(
+//       db, features.value(), idx_opts, /*num_shards=*/1);
 //   index.value().SaveDir("index_dir");             // LoadDir reads it back
 //
 //   pis::PisOptions opts;  opts.sigma = 2;

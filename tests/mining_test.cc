@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "canonical/min_dfs.h"
 #include "graph/generator.h"
 #include "index/fragment_enum.h"
 #include "isomorphism/vf2.h"
 #include "mining/feature_selector.h"
+#include "mining/pipeline.h"
 #include "util/random.h"
 
 namespace pis {
@@ -143,23 +146,10 @@ TEST(GspanTest, MaxPatternsCap) {
   EXPECT_EQ(patterns.value().size(), 5u);
 }
 
-// Property: gSpan equals brute-force enumeration (pattern keys and
-// supports) on random labeled databases.
-class GspanOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(GspanOracleTest, MatchesBruteForce) {
-  Rng rng(GetParam() * 13 + 5);
-  GraphDatabase db;
-  for (int i = 0; i < 6; ++i) {
-    RandomGraphOptions options;
-    options.num_vertices = 5 + GetParam() % 3;
-    options.num_edges = options.num_vertices + 2;
-    options.vertex_alphabet = 2;
-    options.edge_alphabet = 2;
-    db.Add(GenerateRandomConnectedGraph(options, &rng));
-  }
-  const int max_edges = 4;
-  const int min_support = 1 + GetParam() % 3;
+// Asserts that gSpan finds exactly the brute-force oracle's patterns with
+// support >= min_support, with the same support sets.
+void ExpectMatchesBruteForce(const GraphDatabase& db, int max_edges,
+                             int min_support) {
   auto oracle = BruteForceFrequent(db, max_edges);
 
   GspanOptions options;
@@ -188,7 +178,148 @@ TEST_P(GspanOracleTest, MatchesBruteForce) {
   EXPECT_EQ(mined.size(), expected_count);
 }
 
+GraphDatabase RandomLabeledDb(int param) {
+  Rng rng(param * 13 + 5);
+  GraphDatabase db;
+  for (int i = 0; i < 6; ++i) {
+    RandomGraphOptions options;
+    options.num_vertices = 5 + param % 3;
+    options.num_edges = options.num_vertices + 2;
+    options.vertex_alphabet = 2;
+    options.edge_alphabet = 2;
+    db.Add(GenerateRandomConnectedGraph(options, &rng));
+  }
+  return db;
+}
+
+// Property: gSpan equals brute-force enumeration (pattern keys and
+// supports) on random labeled databases and on skeleton databases.
+class GspanOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GspanOracleTest, MatchesBruteForce) {
+  ExpectMatchesBruteForce(RandomLabeledDb(GetParam()), /*max_edges=*/4,
+                          /*min_support=*/1 + GetParam() % 3);
+}
+
+// Skeletons have one label, so every child tuple differs only in its dfs
+// indices and most codes are reached through non-minimal orders. max_edges
+// runs 1-5, so every level is the leaf level of some instance.
+TEST_P(GspanOracleTest, SkeletonsMatchBruteForce) {
+  const GraphDatabase labeled = RandomLabeledDb(GetParam());
+  GraphDatabase db;
+  for (const Graph& g : labeled.graphs()) db.Add(g.Skeleton());
+  ExpectMatchesBruteForce(db, /*max_edges=*/1 + GetParam() % 5,
+                          /*min_support=*/1 + GetParam() % 3);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GspanOracleTest, ::testing::Range(0, 15));
+
+void ExpectSamePatterns(const std::vector<Pattern>& expected,
+                        const std::vector<Pattern>& actual) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].code, expected[i].code) << "pattern " << i;
+    EXPECT_EQ(actual[i].support_set, expected[i].support_set)
+        << "pattern " << i;
+  }
+}
+
+// Property: the parallel miner reports the same pattern vector (order,
+// codes, support sets) at every thread count. 240 graphs make 15 root
+// segments and projections large enough to be scanned in parallel.
+class GspanParallelTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(GspanParallelTest, IdenticalAtAnyThreadCount) {
+  const auto [seed, skeletons] = GetParam();
+  MoleculeGeneratorOptions gen;
+  gen.seed = seed;
+  const GraphDatabase labeled = MoleculeGenerator(gen).Generate(240);
+  GraphDatabase db;
+  for (const Graph& g : labeled.graphs()) db.Add(skeletons ? g.Skeleton() : g);
+  GspanOptions all;
+  all.min_support = db.size() / 10;
+  all.max_edges = 4;
+  GspanOptions capped = all;
+  capped.max_patterns = 7;
+  GspanOptions large_only = all;
+  large_only.min_edges = 3;
+  for (const GspanOptions& base : {all, capped, large_only}) {
+    auto sequential = MineFrequentSubgraphs(db, base);
+    ASSERT_TRUE(sequential.ok());
+    ASSERT_FALSE(sequential.value().empty());
+    for (int threads : {2, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " max_patterns=" << base.max_patterns
+                                      << " min_edges=" << base.min_edges);
+      GspanOptions options = base;
+      options.num_threads = threads;
+      auto parallel = MineFrequentSubgraphs(db, options);
+      ASSERT_TRUE(parallel.ok());
+      ExpectSamePatterns(sequential.value(), parallel.value());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Databases, GspanParallelTest,
+                         ::testing::Combine(::testing::Values(uint64_t{1},
+                                                              uint64_t{7}),
+                                            ::testing::Bool()));
+
+TEST(MiningPipelineTest, RejectsOutOfRangeMinSupport) {
+  MoleculeGenerator gen;
+  GraphDatabase db = gen.Generate(10);
+  for (double fraction : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), 1e30, -0.1,
+                          1.5}) {
+    auto features = MineDiscriminativeFeatures(db, 3, fraction, 1.0);
+    EXPECT_EQ(features.status().code(), StatusCode::kInvalidArgument)
+        << fraction;
+  }
+  EXPECT_TRUE(MineDiscriminativeFeatures(db, 3, 0.0, 1.0).ok());
+  EXPECT_TRUE(MineDiscriminativeFeatures(db, 3, 1.0, 1.0).ok());
+}
+
+TEST(MiningPipelineTest, RejectsNonPositiveMaxFragmentEdges) {
+  MoleculeGenerator gen;
+  GraphDatabase db = gen.Generate(10);
+  for (int max_edges : {0, -3}) {
+    auto features = MineDiscriminativeFeatures(db, max_edges, 0.1, 1.0);
+    EXPECT_EQ(features.status().code(), StatusCode::kInvalidArgument)
+        << max_edges;
+  }
+}
+
+TEST(MiningPipelineTest, RejectsNonFiniteGamma) {
+  MoleculeGenerator gen;
+  GraphDatabase db = gen.Generate(10);
+  for (double gamma : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(SelectDiscriminativeFeatures({}, 10, {.gamma = gamma})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(MineDiscriminativeFeatures(db, 3, 0.1, gamma).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// The pipeline's features do not depend on its thread count.
+TEST(MiningPipelineTest, FeaturesIndependentOfThreads) {
+  MoleculeGenerator gen;
+  GraphDatabase db = gen.Generate(60);
+  auto one = MineDiscriminativeFeatures(db, 4, 0.1, 1.5, 1);
+  auto four = MineDiscriminativeFeatures(db, 4, 0.1, 1.5, 4);
+  ASSERT_TRUE(one.ok() && four.ok());
+  ASSERT_EQ(one.value().size(), four.value().size());
+  for (size_t i = 0; i < one.value().size(); ++i) {
+    EXPECT_EQ(one.value()[i].NumEdges(), four.value()[i].NumEdges());
+    auto a = MinDfsCode(one.value()[i]);
+    auto b = MinDfsCode(four.value()[i]);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.value().code, b.value().code) << "feature " << i;
+  }
+}
 
 TEST(FeatureSelectorTest, GammaOneKeepsEverything) {
   MoleculeGenerator gen;

@@ -136,7 +136,8 @@ int CmdBuild(int argc, char** argv) {
   flags.AddDouble("gamma", &gamma, "gIndex discriminative ratio");
   flags.AddString("distance", &distance, "mutation | linear");
   flags.AddInt("shards", &shards, "shard count");
-  flags.AddInt("threads", &threads, "index build threads (0 = all hardware)");
+  flags.AddInt("threads", &threads,
+               "mining and index build threads (0 = all hardware)");
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
   if (!st.ok()) return Fail(st);
@@ -145,7 +146,7 @@ int CmdBuild(int argc, char** argv) {
   if (!db.ok()) return Fail(db.status());
 
   auto features = MineDiscriminativeFeatures(db.value(), max_fragment_edges,
-                                             min_support, gamma);
+                                             min_support, gamma, threads);
   if (!features.ok()) return Fail(features.status());
 
   FragmentIndexOptions options;

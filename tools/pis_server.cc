@@ -76,7 +76,8 @@ Result<ShardedFragmentIndex> BuildIndex(const GraphDatabase& db, int shards,
                                         int threads) {
   PIS_ASSIGN_OR_RETURN(
       std::vector<Graph> features,
-      MineDiscriminativeFeatures(db, max_fragment_edges, min_support, gamma));
+      MineDiscriminativeFeatures(db, max_fragment_edges, min_support, gamma,
+                                 threads));
   FragmentIndexOptions options;
   options.max_fragment_edges = max_fragment_edges;
   options.num_threads = threads <= 0 ? HardwareThreads() : threads;
@@ -170,7 +171,8 @@ int main(int argc, char** argv) {
   flags.AddDouble("gamma", &gamma,
                   "gIndex discriminative ratio when building at startup");
   flags.AddString("distance", &distance, "mutation | linear");
-  flags.AddInt("threads", &threads, "index build threads (0 = all hardware)");
+  flags.AddInt("threads", &threads,
+               "mining and index build threads (0 = all hardware)");
   flags.AddDouble("compact_dead_ratio", &compact_dead_ratio,
                   "background compaction threshold (0 = use the manifest's "
                   "persisted policy, if any)");
