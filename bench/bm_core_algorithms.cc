@@ -1,7 +1,13 @@
 // Micro-benchmarks for the algorithmic substrates: VF2 matching,
 // minimum DFS code canonicalization, cost-bounded verification,
-// connected-fragment enumeration, and gSpan feature mining.
+// connected-fragment enumeration, gSpan feature mining, and the serving
+// host's write path.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <vector>
 
 #include "canonical/min_dfs.h"
 #include "distance/mutation.h"
@@ -11,6 +17,8 @@
 #include "index/fragment_enum.h"
 #include "isomorphism/vf2.h"
 #include "mining/gspan.h"
+#include "mining/pipeline.h"
+#include "server/engine_host.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -151,6 +159,65 @@ BENCHMARK(BM_GspanSkeletons)
     ->Arg(1)
     ->Arg(HardwareThreads())
     ->Unit(benchmark::kMillisecond);
+
+/// A database of `size` molecules with its 3-shard index (the perfbench
+/// serving shape: 4-edge fragments, 5% support), plus graphs to add. Every
+/// size shares one feature set, mined over the first 1000 graphs, so sizes
+/// differ only in how much state a write could copy.
+struct HostInputs {
+  GraphDatabase db;
+  std::vector<Graph> additions;
+  Result<ShardedFragmentIndex> index = Status::Internal("unbuilt");
+};
+
+const HostInputs& SharedHostInputs(int size) {
+  static std::map<int, HostInputs> cache;
+  auto [it, fresh] = cache.try_emplace(size);
+  if (!fresh) return it->second;
+  constexpr int kFeatureGraphs = 1000;
+  constexpr int kAdditions = 256;
+  const GraphDatabase all =
+      MoleculeGenerator().Generate(std::max(size, kFeatureGraphs) + kAdditions);
+  GraphDatabase feature_db;
+  for (int gid = 0; gid < kFeatureGraphs; ++gid) feature_db.Add(all.at(gid));
+  auto features = MineDiscriminativeFeatures(feature_db, 4, 0.05, 1.0);
+  PIS_CHECK(features.ok());
+  HostInputs& inputs = it->second;
+  for (int gid = 0; gid < size; ++gid) inputs.db.Add(all.at(gid));
+  for (int i = 0; i < kAdditions; ++i) {
+    inputs.additions.push_back(all.at(all.size() - kAdditions + i));
+  }
+  FragmentIndexOptions options;
+  options.max_fragment_edges = 4;
+  options.num_threads = HardwareThreads();
+  inputs.index = ShardedFragmentIndex::Build(inputs.db, features.value(),
+                                             options, /*num_shards=*/3);
+  PIS_CHECK(inputs.index.ok());
+  return inputs;
+}
+
+void BM_EngineHostAdd(benchmark::State& state) {
+  // One AddGraph through EngineHost (no WAL) while a reader pins a
+  // published snapshot, so the commit must not mutate anything that
+  // snapshot holds; Arg = graphs in the database.
+  const HostInputs& inputs = SharedHostInputs(static_cast<int>(state.range(0)));
+  EngineHost host(inputs.db, inputs.index.value());
+  const std::shared_ptr<const EngineHost::Snapshot> pinned = host.snapshot();
+  size_t next = 0;
+  for (auto _ : state) {
+    Result<int> gid =
+        host.AddGraph(inputs.additions[next++ % inputs.additions.size()]);
+    PIS_CHECK(gid.ok());
+    benchmark::DoNotOptimize(gid.value());
+  }
+  benchmark::DoNotOptimize(pinned->epoch);
+}
+// A fixed iteration count bounds the growth of the database to 256 graphs.
+BENCHMARK(BM_EngineHostAdd)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Iterations(256)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pis

@@ -107,12 +107,15 @@ grep -q '^# TYPE pis_query_stage_seconds histogram' metrics.txt
 grep -q '^# TYPE pis_snapshot_epoch gauge' metrics.txt
 grep -q '^# TYPE pis_checkpoints_total counter' metrics.txt
 grep -q '^# TYPE pis_background_compactions_total counter' metrics.txt
+grep -q '^# TYPE pis_write_apply_seconds histogram' metrics.txt
 # The queries above must have been counted (strictly positive values).
 grep -E '^pis_queries_total [1-9]' metrics.txt > /dev/null
 grep -E '^pis_server_requests_total\{op="query"\} [1-9]' metrics.txt > /dev/null
 grep -E '^pis_server_requests_total\{op="other"\} [1-9]' metrics.txt > /dev/null
 grep -E '^pis_query_stage_seconds_count\{stage="pass1"\} [1-9]' metrics.txt \
   > /dev/null
+# The add and remove steps each committed a batch.
+grep -E '^pis_write_apply_seconds_count [1-9]' metrics.txt > /dev/null
 # The stats reply mirrors the registry as JSON.
 grep -q '"pis_server_requests_total"' server_stats.json
 

@@ -155,26 +155,26 @@ bool Graph::operator==(const Graph& other) const {
 double GraphDatabase::AverageVertices() const {
   if (graphs_.empty()) return 0;
   double total = 0;
-  for (const Graph& g : graphs_) total += g.NumVertices();
+  for (const Graph& g : graphs()) total += g.NumVertices();
   return total / static_cast<double>(graphs_.size());
 }
 
 double GraphDatabase::AverageEdges() const {
   if (graphs_.empty()) return 0;
   double total = 0;
-  for (const Graph& g : graphs_) total += g.NumEdges();
+  for (const Graph& g : graphs()) total += g.NumEdges();
   return total / static_cast<double>(graphs_.size());
 }
 
 int GraphDatabase::MaxVertices() const {
   int best = 0;
-  for (const Graph& g : graphs_) best = std::max(best, g.NumVertices());
+  for (const Graph& g : graphs()) best = std::max(best, g.NumVertices());
   return best;
 }
 
 int GraphDatabase::MaxEdges() const {
   int best = 0;
-  for (const Graph& g : graphs_) best = std::max(best, g.NumEdges());
+  for (const Graph& g : graphs()) best = std::max(best, g.NumEdges());
   return best;
 }
 

@@ -2,8 +2,12 @@
 #ifndef PIS_GRAPH_GRAPH_H_
 #define PIS_GRAPH_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -112,22 +116,74 @@ struct GraphEntry {
 };
 
 /// An in-memory graph database: contiguous ids 0..n-1.
+///
+/// Stored graphs are immutable and shared: each is held by a
+/// shared_ptr<const Graph>, so copying a database copies one pointer per
+/// graph, and every copy yields the same Graph objects. The serving layer
+/// relies on this: a write publishes an appended copy of the database that
+/// shares every graph it did not add with the snapshots still pinning the
+/// old one.
 class GraphDatabase {
  public:
+  /// Read-only view of the stored graphs in id order. It yields const
+  /// Graph& at addresses that stay valid for as long as any database copy
+  /// holding the graph lives. Valid until the viewed database is mutated or
+  /// destroyed.
+  class View {
+   public:
+    using Storage = std::vector<std::shared_ptr<const Graph>>;
+
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Graph;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Graph*;
+      using reference = const Graph&;
+
+      Iterator() = default;
+      explicit Iterator(Storage::const_iterator it) : it_(it) {}
+      reference operator*() const { return **it_; }
+      Iterator& operator++() {
+        ++it_;
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator before = *this;
+        ++it_;
+        return before;
+      }
+      bool operator==(const Iterator& other) const = default;
+
+     private:
+      Storage::const_iterator it_;
+    };
+
+    explicit View(const Storage& graphs) : graphs_(&graphs) {}
+    Iterator begin() const { return Iterator(graphs_->begin()); }
+    Iterator end() const { return Iterator(graphs_->end()); }
+    size_t size() const { return graphs_->size(); }
+    /// Bounds-checked like std::vector::at.
+    const Graph& at(size_t id) const { return *graphs_->at(id); }
+    const Graph& operator[](size_t id) const { return *(*graphs_)[id]; }
+
+   private:
+    const Storage* graphs_;
+  };
+
   GraphDatabase() = default;
 
   /// Appends a graph; returns its id.
   int Add(Graph g) {
-    graphs_.push_back(std::move(g));
+    graphs_.push_back(std::make_shared<const Graph>(std::move(g)));
     return static_cast<int>(graphs_.size()) - 1;
   }
 
   int size() const { return static_cast<int>(graphs_.size()); }
   bool empty() const { return graphs_.empty(); }
-  const Graph& at(int id) const { return graphs_[id]; }
-  Graph& mutable_at(int id) { return graphs_[id]; }
+  const Graph& at(int id) const { return *graphs_[id]; }
 
-  const std::vector<Graph>& graphs() const { return graphs_; }
+  View graphs() const { return View(graphs_); }
 
   /// Average vertex / edge counts (0 for an empty database).
   double AverageVertices() const;
@@ -136,7 +192,7 @@ class GraphDatabase {
   int MaxEdges() const;
 
  private:
-  std::vector<Graph> graphs_;
+  View::Storage graphs_;
 };
 
 }  // namespace pis

@@ -31,6 +31,20 @@ EquivalenceClassIndex::EquivalenceClassIndex(std::string key, int num_vertices,
   }
 }
 
+EquivalenceClassIndex::EquivalenceClassIndex(
+    const EquivalenceClassIndex& other)
+    : key_(other.key_),
+      num_vertices_(other.num_vertices_),
+      num_edges_(other.num_edges_),
+      spec_(other.spec_),
+      num_fragments_(other.num_fragments_),
+      finalized_(other.finalized_),
+      containing_graphs_(other.containing_graphs_),
+      trie_(other.trie_ != nullptr ? std::make_unique<LabelTrie>(*other.trie_)
+                                   : nullptr),
+      rtree_(other.rtree_ != nullptr ? std::make_unique<RTree>(*other.rtree_)
+                                     : nullptr) {}
+
 int EquivalenceClassIndex::WeightDims() const {
   int dims = 0;
   if (spec_->use_vertex_weights) dims += num_vertices_;

@@ -36,6 +36,11 @@ class EquivalenceClassIndex {
   /// The spec's distance type picks the backend.
   EquivalenceClassIndex(std::string key, int num_vertices, int num_edges,
                         const DistanceSpec* spec);
+  /// Deep copy of the backend and containment list. The spec pointer is
+  /// shared: the copy must live inside an index that keeps the same spec
+  /// alive (FragmentIndex::Clone shares its spec holder).
+  EquivalenceClassIndex(const EquivalenceClassIndex& other);
+  EquivalenceClassIndex& operator=(const EquivalenceClassIndex&) = delete;
 
   /// Inserts one fragment occurrence. `labels` is the canonical sequence
   /// (vertex labels then edge labels); `weights` likewise for numeric

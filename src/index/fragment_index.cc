@@ -4,7 +4,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "canonical/min_dfs.h"
 #include "util/logging.h"
@@ -458,10 +457,18 @@ Status FragmentIndex::Save(std::ostream& out) const {
 }
 
 Result<FragmentIndex> FragmentIndex::Clone() const {
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  PIS_RETURN_NOT_OK(Save(buffer));
-  PIS_ASSIGN_OR_RETURN(FragmentIndex copy, Load(buffer));
-  copy.options_.num_threads = options_.num_threads;
+  FragmentIndex copy;
+  copy.options_ = options_;
+  copy.spec_holder_ = spec_holder_;
+  copy.db_size_ = db_size_;
+  copy.class_by_key_ = class_by_key_;
+  copy.classes_.reserve(classes_.size());
+  for (const auto& cls : classes_) {
+    copy.classes_.push_back(std::make_unique<EquivalenceClassIndex>(*cls));
+  }
+  copy.signatures_ = signatures_;
+  copy.tombstones_ = tombstones_;
+  copy.compaction_epoch_ = compaction_epoch_;
   copy.stats_ = stats_;
   return copy;
 }

@@ -204,11 +204,10 @@ class FragmentIndex {
   /// format v3; informational).
   uint32_t compaction_epoch() const { return compaction_epoch_; }
 
-  /// Deep copy. Per-class backends hold raw pointers into spec_holder_, so
-  /// a memberwise copy would alias the source; the copy goes through the
-  /// (full-fidelity) serialization round trip instead, then carries over the
-  /// runtime-only state Save() skips (thread options, build timings). Used
-  /// by the copy-on-write shard swaps of the serving layer.
+  /// Independent copy: every class backend is copied, and the immutable
+  /// spec is shared (spec_holder_ keeps it alive for both, so each class's
+  /// spec pointer stays valid). Mutating the copy never changes the source.
+  /// Used by the copy-on-write shard detach of ShardedFragmentIndex.
   Result<FragmentIndex> Clone() const;
 
   /// Binary persistence: write the full index (options, spec, classes) so a

@@ -172,7 +172,7 @@ Status ShardedFragmentIndex::MinDistances(
 Result<FragmentIndex*> ShardedFragmentIndex::MutableShard(int s) {
   // use_count == 1 means nobody else can observe the shard: mutate in
   // place. Anything higher means a snapshot handle or an index copy pins
-  // it, so detach a deep copy first (their view stays frozen, ours moves).
+  // it, so detach a copy first (their view stays frozen, ours moves).
   //
   // Concurrency note: under EngineHost the published snapshot always
   // shares every shard of the writer's master copy, so the in-place path

@@ -19,13 +19,13 @@
 //
 // Shards are held behind shared_ptr handles with copy-on-write mutation:
 // copying a ShardedFragmentIndex is cheap (the copies share the per-shard
-// indexes), and any mutator detaches — deep-copies — a shard before
-// touching it whenever the handle is shared. The serving layer
-// (server/engine_host.h) builds its immutable published snapshots on
-// exactly this: a snapshot pins the shard handles it was published with,
-// while the writer keeps mutating its own copy, and an expensive
-// CompactShard rewrites happen on a detached copy that is swapped in —
-// never under a concurrent reader.
+// indexes), and any mutator detaches a shard before touching it whenever
+// the handle is shared. The detach is FragmentIndex::Clone, an in-memory
+// copy of that one shard. The serving layer (server/engine_host.h) builds
+// its immutable published snapshots on exactly this: a snapshot pins the
+// shard handles it was published with, while the writer keeps mutating its
+// own copy, and an expensive CompactShard rewrites happen on a detached
+// copy that is swapped in — never under a concurrent reader.
 #ifndef PIS_INDEX_SHARDED_INDEX_H_
 #define PIS_INDEX_SHARDED_INDEX_H_
 
@@ -203,9 +203,10 @@ class ShardedFragmentIndex {
   Status DeriveGlobalsFromLocals();
 
   /// Copy-on-write guard: returns shard `s` for mutation, first detaching a
-  /// deep copy when the handle is shared (a snapshot or another index copy
-  /// still pins the current one). Every mutator goes through this, so a
-  /// shard an outside holder can observe is never modified in place.
+  /// copy (FragmentIndex::Clone) when the handle is shared (a snapshot or
+  /// another index copy still pins the current one). Every mutator goes
+  /// through this, so a shard an outside holder can observe is never
+  /// modified in place.
   Result<FragmentIndex*> MutableShard(int s);
 
   FragmentIndexOptions options_;

@@ -21,12 +21,16 @@
 //     PR 4 dead-ratio policy — and now periodic checkpointing — run on the
 //     background maintenance thread while queries keep answering.
 //
-// Cost model: publishing shares everything a mutation didn't touch, and
-// AddGraph/RemoveGraph group-commit: concurrent callers enqueue onto a
-// commit queue, one leader drains the whole batch under the writer mutex
-// and pays ONE database copy, ONE WAL fsync, and ONE snapshot publish for
-// the N queued ops — collapsing the former N O(db) copies + N publishes.
-// RemoveGraph tombstones and compaction never move global ids. Readers pay
+// Cost model: publishing shares everything a mutation didn't touch. The
+// database holds its graphs as shared immutable objects, so the appended
+// database an add publishes copies one pointer per graph and shares every
+// Graph with the snapshots still pinning the old one; the index detaches
+// (copies in memory) only the shards a batch mutates. AddGraph/RemoveGraph
+// also group-commit: concurrent callers enqueue onto a commit queue, one
+// leader drains the whole batch under the writer mutex and pays ONE
+// database pointer copy, at most one detach per touched shard, ONE WAL
+// fsync, and ONE snapshot publish for the N queued ops. RemoveGraph
+// tombstones and compaction never move global ids. Readers pay
 // one mutex-guarded shared_ptr copy (std::atomic<std::shared_ptr> would
 // make the pin lock-free, but libstdc++'s implementation trips TSan — the
 // explicit mutex keeps the CI race-checking meaningful and costs
@@ -151,11 +155,14 @@ class EngineHost {
   EngineHost& operator=(const EngineHost&) = delete;
 
   /// Per-op write-path timings, filled by the group-commit leader for the
-  /// batch that carried the op (trace spans "group_commit_wait",
-  /// "wal_append", "snapshot_publish"). wal/publish are batch-level costs
-  /// — every op of a batch reports the same values.
+  /// batch that carried the op. apply/wal/publish are batch-level costs —
+  /// every op of a batch reports the same values — and all three lie
+  /// inside the caller-observed queue_wait_ms.
   struct WriteTiming {
     double queue_wait_ms = 0;  ///< enqueue -> committed (caller-observed)
+    /// Batch apply under the writer mutex, before the WAL append: index
+    /// mutation, shard detach, and database append.
+    double apply_ms = 0;
     double wal_append_ms = 0;  ///< batch WAL append + fsync (0 = no WAL)
     double publish_ms = 0;     ///< batch snapshot publish
     uint64_t batch_ops = 0;    ///< ops the carrying batch committed
@@ -311,8 +318,8 @@ class EngineHost {
   /// `timing_out`, and records the group-commit-wait histogram.
   void FinishWrite(PendingWrite* op, double queue_wait_ms,
                    WriteTiming* timing_out) const;
-  /// Applies a drained batch: every op in order, one db copy, one WAL
-  /// append+fsync, one publish — all under writer_mu_, with commit_mu_
+  /// Applies a drained batch: every op in order, one db pointer copy, one
+  /// WAL append+fsync, one publish — all under writer_mu_, with commit_mu_
   /// released (that concurrency is where batching comes from). Does NOT
   /// touch done flags — the leader marks those under commit_mu_ afterwards.
   void CommitBatch(const std::vector<PendingWrite*>& batch)
@@ -341,6 +348,7 @@ class EngineHost {
     /// group-commit batch and op counters.
     Histogram* group_commit_ops;
     Gauge* group_commit_max_batch;
+    Histogram* write_apply;
     Histogram* snapshot_publish;
     Gauge* snapshot_epoch;
     Counter* checkpoints;
@@ -358,7 +366,8 @@ class EngineHost {
 
   /// Writer state: mutators copy-on-write from here and publish. master_db_
   /// is never mutated in place once shared with a snapshot — a committing
-  /// batch replaces it with one appended copy.
+  /// batch replaces it with one appended copy that shares every existing
+  /// graph.
   mutable Mutex writer_mu_;
   std::shared_ptr<const GraphDatabase> master_db_ PIS_GUARDED_BY(writer_mu_);
   ShardedFragmentIndex master_ PIS_GUARDED_BY(writer_mu_);

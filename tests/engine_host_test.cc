@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,6 +168,110 @@ TEST(EngineHostTest, IndexCopiesShareShardsUntilMutation) {
   }
   EXPECT_TRUE(original.IsLive(victim));
   EXPECT_FALSE(copy.IsLive(victim));
+}
+
+std::vector<std::string> GraphTexts(const GraphDatabase& db) {
+  std::vector<std::string> texts;
+  for (int gid = 0; gid < db.size(); ++gid) {
+    texts.push_back(FormatGraph(db.at(gid), gid));
+  }
+  return texts;
+}
+
+std::vector<std::string> ShardBytes(const ShardedFragmentIndex& index) {
+  std::vector<std::string> bytes;
+  for (int s = 0; s < index.num_shards(); ++s) {
+    std::ostringstream out;
+    EXPECT_TRUE(index.shard(s).Save(out).ok());
+    bytes.push_back(out.str());
+  }
+  return bytes;
+}
+
+// A pinned snapshot is immutable: adds, removes, compactions and a
+// rebalance published after it leave its graphs and shards byte-identical.
+// Writes share what they do not change: the next snapshot holds the very
+// Graph objects (same addresses) of every gid the pinned one had.
+TEST(EngineHostTest, PinnedSnapshotStaysByteIdenticalAcrossWrites) {
+  HostFixture hf(30, 61);
+  EngineHost host = hf.MakeHost();
+  ASSERT_TRUE(host.AddGraph(hf.fx.db.at(1)).ok());
+  ASSERT_TRUE(host.RemoveGraph(4).ok());
+
+  const std::shared_ptr<const EngineHost::Snapshot> pinned = host.snapshot();
+  const GraphDatabase& pinned_db = *pinned->db;
+  const std::vector<std::string> want_graphs = GraphTexts(pinned_db);
+  const std::vector<std::string> want_shards = ShardBytes(*pinned->index);
+  std::vector<const Graph*> addresses;
+  for (const Graph& g : pinned_db.graphs()) addresses.push_back(&g);
+  std::vector<std::vector<int>> want_answers;
+  for (const Graph& q : hf.queries) {
+    auto r = pinned->engine.Search(q);
+    ASSERT_TRUE(r.ok());
+    want_answers.push_back(r.value().answers);
+  }
+
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(host.AddGraph(hf.fx.db.at(5 + i)).ok());
+  }
+  const std::shared_ptr<const EngineHost::Snapshot> next = host.snapshot();
+  ASSERT_EQ(next->db->size(), pinned_db.size() + 4);
+  for (int gid = 0; gid < pinned_db.size(); ++gid) {
+    EXPECT_EQ(&next->db->at(gid), addresses[gid]) << "gid " << gid;
+  }
+
+  // Tombstone three graphs of one shard so Rebalance has work to do.
+  const int victim_shard = pinned->index->shard_of(0);
+  int removed = 0;
+  for (int gid = 0; gid < pinned_db.size() && removed < 3; ++gid) {
+    if (pinned->index->shard_of(gid) != victim_shard ||
+        !pinned->index->IsLive(gid)) {
+      continue;
+    }
+    ASSERT_TRUE(host.RemoveGraph(gid).ok());
+    ++removed;
+  }
+  ASSERT_EQ(removed, 3);
+  ASSERT_TRUE(host.CompactShard(victim_shard).ok());
+  auto migrated = host.Rebalance();
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  EXPECT_GT(migrated.value(), 0);
+  ASSERT_TRUE(host.Compact().ok());
+
+  EXPECT_EQ(GraphTexts(pinned_db), want_graphs);
+  // EXPECT_TRUE: a failing comparison of whole shards would print megabytes.
+  EXPECT_TRUE(ShardBytes(*pinned->index) == want_shards);
+  for (int gid = 0; gid < pinned_db.size(); ++gid) {
+    EXPECT_EQ(&pinned_db.at(gid), addresses[gid]);
+    EXPECT_EQ(&host.snapshot()->db->at(gid), addresses[gid]) << "gid " << gid;
+  }
+  for (size_t qi = 0; qi < hf.queries.size(); ++qi) {
+    auto r = pinned->engine.Search(hf.queries[qi]);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().answers, want_answers[qi]) << "query " << qi;
+  }
+}
+
+// The write-apply stage is timed per batch: reported to the writer inside
+// its queue wait, and observed by pis_write_apply_seconds.
+TEST(EngineHostTest, WriteApplyStageIsTimed) {
+  HostFixture hf(18, 23);
+  EngineHost host = hf.MakeHost();
+  MetricsRegistry registry;
+  host.EnableMetrics(&registry);
+  EngineHost::WriteTiming add_timing;
+  ASSERT_TRUE(host.AddGraph(hf.fx.db.at(2), nullptr, &add_timing).ok());
+  EngineHost::WriteTiming remove_timing;
+  ASSERT_TRUE(host.RemoveGraph(3, nullptr, &remove_timing).ok());
+  for (const EngineHost::WriteTiming& t : {add_timing, remove_timing}) {
+    EXPECT_GT(t.apply_ms, 0);
+    EXPECT_LE(t.apply_ms, t.queue_wait_ms);
+    EXPECT_EQ(t.batch_ops, 1u);
+  }
+  EXPECT_EQ(registry.GetHistogram("pis_write_apply_seconds", "")->count(), 2u);
+  EXPECT_NE(registry.RenderPrometheus().find(
+                "# TYPE pis_write_apply_seconds histogram"),
+            std::string::npos);
 }
 
 TEST(EngineHostTest, BackgroundCompactionReclaimsWithoutChangingAnswers) {

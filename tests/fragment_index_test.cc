@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/query_fragments.h"
 #include "distance/superimposed.h"
@@ -496,6 +497,83 @@ TEST(FragmentIndexScanTest, QueryFragmentsMatchPrepare) {
         return true;
       });
       EXPECT_EQ(next, fragments.value().size());
+    }
+  }
+}
+
+std::string SavedBytes(const FragmentIndex& index) {
+  std::ostringstream bytes;
+  EXPECT_TRUE(index.Save(bytes).ok());
+  return bytes.str();
+}
+
+// Per query graph and indexed query fragment, the per-graph minimum
+// distances within sigma.
+std::vector<std::map<int, double>> RangeAnswers(const FragmentIndex& index,
+                                                const GraphDatabase& queries,
+                                                double sigma) {
+  std::vector<std::map<int, double>> answers;
+  for (const Graph& query : queries.graphs()) {
+    auto fragments = EnumerateIndexedQueryFragments(index, query);
+    EXPECT_TRUE(fragments.ok()) << fragments.status().ToString();
+    if (!fragments.ok()) continue;
+    for (const QueryFragment& fragment : fragments.value()) {
+      std::map<int, double>& hits = answers.emplace_back();
+      auto keep_min = [&hits](int gid, double d) {
+        auto [it, fresh] = hits.emplace(gid, d);
+        if (!fresh) it->second = std::min(it->second, d);
+      };
+      EXPECT_TRUE(index.RangeQuery(fragment.prepared, sigma, keep_min).ok());
+    }
+  }
+  return answers;
+}
+
+// Clone is a faithful, independent copy over both backends, of a source
+// holding tombstones and of one that was compacted: the clone saves the
+// source's bytes and answers its range queries, and adds, removes and a
+// compaction on the clone leave the source's bytes and answers unchanged.
+TEST(FragmentIndexScanTest, CloneIsFaithfulAndIndependent) {
+  constexpr double kSigma = 2.0;
+  for (const ScanVariant& variant : ScanVariants()) {
+    for (bool compacted : {false, true}) {
+      SCOPED_TRACE(std::string(variant.name) +
+                   (compacted ? " compacted" : " tombstoned"));
+      GraphDatabase db = ScanDatabase(variant.seed);
+      auto built = FragmentIndex::Build(db, ScanFeatures(),
+                                        ScanOptions(variant));
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      FragmentIndex& source = built.value();
+      ASSERT_TRUE(source.RemoveGraph(1).ok());
+      ASSERT_TRUE(source.RemoveGraph(4).ok());
+      if (compacted) {
+        source.Compact();
+        ASSERT_EQ(source.compaction_epoch(), 1u);
+        ASSERT_TRUE(source.tombstones().empty());
+      }
+      const std::string source_bytes = SavedBytes(source);
+      const std::vector<std::map<int, double>> source_answers =
+          RangeAnswers(source, db, kSigma);
+      ASSERT_FALSE(source_answers.empty());
+
+      auto clone = source.Clone();
+      ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+      // Byte comparisons use EXPECT_TRUE: a failure would print megabytes.
+      EXPECT_TRUE(SavedBytes(clone.value()) == source_bytes);
+      EXPECT_EQ(RangeAnswers(clone.value(), db, kSigma), source_answers);
+      EXPECT_EQ(clone.value().options().num_threads,
+                source.options().num_threads);
+      EXPECT_EQ(clone.value().stats().build_seconds,
+                source.stats().build_seconds);
+
+      ASSERT_TRUE(clone.value().AddGraph(db.at(2)).ok());
+      ASSERT_TRUE(clone.value().AddGraph(db.at(0)).ok());
+      ASSERT_TRUE(clone.value().RemoveGraph(3).ok());
+      EXPECT_TRUE(SavedBytes(clone.value()) != source_bytes);
+      EXPECT_TRUE(SavedBytes(source) == source_bytes) << "after add/remove";
+      clone.value().Compact();
+      EXPECT_TRUE(SavedBytes(source) == source_bytes) << "after Compact";
+      EXPECT_EQ(RangeAnswers(source, db, kSigma), source_answers);
     }
   }
 }

@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/topk.h"
 #include "pis.h"
@@ -256,8 +257,9 @@ int RunBatchQuery(const PisEngine& engine, const std::string& query_path,
   }
   auto queries = ReadGraphDatabaseFile(query_path);
   if (!queries.ok()) return Fail(queries.status());
-  BatchSearchResult batch =
-      engine.SearchBatch(queries.value().graphs(), threads);
+  const GraphDatabase::View records = queries.value().graphs();
+  const std::vector<Graph> batch_queries(records.begin(), records.end());
+  BatchSearchResult batch = engine.SearchBatch(batch_queries, threads);
   for (size_t qi = 0; qi < batch.results.size(); ++qi) {
     const Result<SearchResult>& r = batch.results[qi];
     if (!r.ok()) {
