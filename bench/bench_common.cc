@@ -172,7 +172,7 @@ Result<FilterExperiment> RunFilterExperiment(
   out.yt_per_series.assign(series.size(), {});
   out.yp.assign(series.size(), {});
   out.filter_seconds.assign(series.size(), 0.0);
-  TopoPruneEngine topo(&db, &default_index.shard(0));
+  TopoPruneEngine topo(&db, &default_index);
 
   std::vector<std::unique_ptr<PisEngine>> engines;
   std::vector<std::unique_ptr<TopoPruneEngine>> series_topo;
@@ -183,7 +183,7 @@ Result<FilterExperiment> RunFilterExperiment(
     series_topo.push_back(
         index == &default_index
             ? nullptr
-            : std::make_unique<TopoPruneEngine>(&db, &index->shard(0)));
+            : std::make_unique<TopoPruneEngine>(&db, index));
   }
 
   size_t verify_candidates = 0;

@@ -36,6 +36,39 @@ cp -r sharded_dir policy_dir
 grep -q '"compact_dead_ratio":0.3' policy.json
 rm -rf policy_dir
 
+echo "== pis, topo and naive print the same answers on any index"
+# ring.txt: the 6-ring that opens graph 0 (its vertices 0-5 and their
+# edges), a query with answers under both distances.
+{
+  echo "t # 0"
+  awk '/^t /{n++} n==1 && /^v / && $2<6' db.txt
+  awk '/^t /{n++} n==1 && /^e / && $2<6 && $3<6' db.txt
+} > ring.txt
+# engines_agree <index>: every engine's answer lines equal --engine pis's,
+# and there is at least one.
+engines_agree() {
+  for engine in pis topo naive; do
+    "$BIN/pis_cli" query --db db.txt --index "$1" --query ring.txt --sigma 1 \
+      --engine "$engine" 2> /dev/null | tail -n +2 > "answers.$engine"
+  done
+  test -s answers.pis
+  cmp answers.pis answers.topo
+  cmp answers.pis answers.naive
+}
+cp -r sharded_dir agree_dir
+engines_agree agree_dir
+# 3, 17 and 42 are answers; removing them and compacting moves local ids.
+"$BIN/pis_cli" remove --index agree_dir --ids 3,17,42 > /dev/null
+"$BIN/pis_cli" compact --index agree_dir > /dev/null
+engines_agree agree_dir
+if grep -qx '17' answers.pis; then
+  echo "a removed graph is still answered"; exit 1
+fi
+"$BIN/pis_cli" build --db db.txt --out linear_dir --max_fragment_edges 4 \
+  --min_support 0.08 --shards 4 --distance linear > /dev/null
+engines_agree linear_dir
+rm -rf agree_dir linear_dir
+
 # start_server <log> <pis_server flags...>: starts pis_server on an
 # ephemeral port in the background and waits for readiness; sets
 # SERVER_PID and PORT.

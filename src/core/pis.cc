@@ -1,54 +1,17 @@
 #include "core/pis.h"
 
 #include <algorithm>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "canonical/min_dfs.h"
 #include "core/filter_impl.h"
 #include "core/shard_filter.h"
 #include "core/verifier.h"
-#include "graph/io.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
 namespace pis {
-
-namespace {
-
-/// Looks the query up in the batch enumeration cache. On a hit, copies the
-/// memoized fragment list into `result` (the copy happens outside the
-/// cache lock — only the shared_ptr is fetched under it) and returns true.
-/// On a miss, leaves the composite cache key in `key` so the caller can
-/// insert its enumeration; an unkeyable query (MinDfsCode rejects it, e.g.
-/// disconnected) leaves `key` empty and the caller skips the insert too.
-bool LookUpEnumCache(internal::QueryEnumCache* cache, const Graph& query,
-                     FilterResult* result, std::string* key) {
-  CanonicalOptions canon_opts;
-  canon_opts.use_labels = true;
-  canon_opts.first_embedding_only = true;
-  Result<CanonicalForm> canon = MinDfsCode(query, canon_opts);
-  if (!canon.ok()) return false;
-  // Composite key: canonical code (the isomorphism class) plus the exact
-  // encoding (distinguishes renumbered twins — see QueryEnumCache docs).
-  // '\n' cannot appear in a code key, so the join is unambiguous.
-  *key = canon.value().Key() + '\n' + FormatGraph(query, 0);
-  std::shared_ptr<const std::vector<QueryFragment>> cached;
-  {
-    MutexLock lock(&cache->mu);
-    auto it = cache->by_key.find(*key);
-    if (it != cache->by_key.end()) cached = it->second;
-  }
-  if (cached == nullptr) return false;
-  result->fragments = *cached;
-  result->stats.enum_cache_hits = 1;
-  return true;
-}
-
-}  // namespace
 
 PisEngine::PisEngine(const GraphDatabase* db, const ShardedFragmentIndex* index,
                      const PisOptions& options)
@@ -59,11 +22,6 @@ PisEngine::PisEngine(const GraphDatabase* db, const ShardedFragmentIndex* index,
 }
 
 Result<FilterResult> PisEngine::Filter(const Graph& query) const {
-  return FilterImpl(query, nullptr);
-}
-
-Result<FilterResult> PisEngine::FilterImpl(
-    const Graph& query, internal::QueryEnumCache* enum_cache) const {
   if (query.Empty()) {
     return Status::InvalidArgument("query graph is empty");
   }
@@ -73,22 +31,10 @@ Result<FilterResult> PisEngine::FilterImpl(
   // Every shard registers the identical class catalog (classes come from
   // the feature set, not the data), so shard 0 serves as the enumeration
   // catalog.
-  std::string cache_key;
-  const bool cached = enum_cache != nullptr &&
-                      LookUpEnumCache(enum_cache, query, &result, &cache_key);
-  if (!cached) {
-    PIS_ASSIGN_OR_RETURN(
-        result.fragments,
-        EnumerateIndexedQueryFragments(index_->shard(0), query,
-                                       options_.max_query_fragments));
-    if (enum_cache != nullptr && !cache_key.empty()) {
-      auto shared = std::make_shared<const std::vector<QueryFragment>>(
-          result.fragments);
-      MutexLock lock(&enum_cache->mu);
-      // First writer wins on a race; both enumerated the same thing.
-      enum_cache->by_key.emplace(std::move(cache_key), std::move(shared));
-    }
-  }
+  PIS_ASSIGN_OR_RETURN(
+      result.fragments,
+      EnumerateIndexedQueryFragments(index_->shard(0), query,
+                                     options_.max_query_fragments));
 
   // Filter -> plan -> refine (core/shard_filter.h). The per-shard steps
   // write fixed slots, so any shard_threads schedule gives one result.
@@ -129,12 +75,7 @@ Result<FilterResult> PisEngine::FilterImpl(
 }
 
 Result<SearchResult> PisEngine::Search(const Graph& query) const {
-  return SearchImpl(query, nullptr);
-}
-
-Result<SearchResult> PisEngine::SearchImpl(
-    const Graph& query, internal::QueryEnumCache* enum_cache) const {
-  PIS_ASSIGN_OR_RETURN(FilterResult filtered, FilterImpl(query, enum_cache));
+  PIS_ASSIGN_OR_RETURN(FilterResult filtered, Filter(query));
   SearchResult result;
   result.candidates = std::move(filtered.candidates);
   result.stats = filtered.stats;
@@ -166,13 +107,9 @@ BatchSearchResult PisEngine::SearchBatch(std::span<const Graph> queries,
     clamped.options_.shard_threads = 1;
     engine = &clamped;
   }
-  // One enumeration memo per batch: duplicate queries reuse the first
-  // duplicate's fragment list instead of re-enumerating (results are
-  // identical; only work and stats.enum_cache_hits change).
-  internal::QueryEnumCache enum_cache;
   return internal::RunSearchBatch(
       queries.size(), num_threads,
-      [&](size_t qi) { return engine->SearchImpl(queries[qi], &enum_cache); });
+      [&](size_t qi) { return engine->Search(queries[qi]); });
 }
 
 }  // namespace pis

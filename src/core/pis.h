@@ -19,10 +19,6 @@
 
 namespace pis {
 
-namespace internal {
-struct QueryEnumCache;  // batch-scoped enumeration memo (core/filter_impl.h)
-}  // namespace internal
-
 /// Output of the filtering phase (Algorithm 2) — everything the benchmark
 /// harness needs without paying for verification.
 struct FilterResult {
@@ -85,15 +81,6 @@ class PisEngine {
   const ShardedFragmentIndex& index() const { return *index_; }
 
  private:
-  /// Filter/Search with an optional batch-scoped enumeration cache:
-  /// duplicate queries in one SearchBatch skip re-enumerating their
-  /// fragments (stats.enum_cache_hits reports reuse). Results are
-  /// identical with or without the cache.
-  Result<FilterResult> FilterImpl(const Graph& query,
-                                  internal::QueryEnumCache* enum_cache) const;
-  Result<SearchResult> SearchImpl(const Graph& query,
-                                  internal::QueryEnumCache* enum_cache) const;
-
   const GraphDatabase* db_;
   const ShardedFragmentIndex* index_;
   PisOptions options_;

@@ -1,6 +1,7 @@
 #include "core/shard_filter.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -154,6 +155,30 @@ Status ShardRefine(const ShardedFragmentIndex& index, int shard,
     lower_bound.resize(kept);
   }
   return Status::OK();
+}
+
+std::vector<int> ShardContainment(const ShardedFragmentIndex& index, int shard,
+                                  std::span<const int> class_ids) {
+  const FragmentIndex& local = index.shard(shard);
+  // Ascending local ids: the shard's live graphs, intersected down by each
+  // class's sorted containment list.
+  std::vector<int> kept;
+  for (int l = 0; l < index.shard_size(shard); ++l) {
+    if (local.IsLive(l)) kept.push_back(l);
+  }
+  std::vector<int> next;
+  for (int class_id : class_ids) {
+    if (kept.empty()) break;
+    const std::vector<int>& containing =
+        local.class_at(class_id).containing_graphs();
+    next.clear();
+    std::set_intersection(kept.begin(), kept.end(), containing.begin(),
+                          containing.end(), std::back_inserter(next));
+    kept.swap(next);
+  }
+  for (int& id : kept) id = index.global_id(shard, id);
+  std::sort(kept.begin(), kept.end());
+  return kept;
 }
 
 }  // namespace pis

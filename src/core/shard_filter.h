@@ -19,6 +19,8 @@
 // PisEngine runs the three over its in-process shards; ClusterEngine runs
 // ShardFilter and ShardRefine on the replicas (the shard_filter and
 // shard_refine ops, server/shard_ops.h) and PlanFilter on the router.
+// TopoPruneEngine (the paper's structure-only baseline) filters through
+// ShardContainment on every shard instead.
 #ifndef PIS_CORE_SHARD_FILTER_H_
 #define PIS_CORE_SHARD_FILTER_H_
 
@@ -68,12 +70,12 @@ Status ShardFilter(const ShardedFragmentIndex& index, int shard,
 /// Plans the filter from every shard's pass-1 output (`shards`, one entry
 /// per shard of the index; their histograms align with
 /// `result->fragments`): fills `result->selectivities`,
-/// `result->partition` and every stats counter except candidates_final,
-/// answers and enum_cache_hits. range_queries counts the range queries of
-/// ShardFilter and ShardRefine on every shard:
-/// (fragments + partition) x shards. Of the timings it fills
-/// selectivity_seconds (histogram merge and selectivities) and
-/// partition_seconds (ε-filter and partition selection).
+/// `result->partition` and every stats counter except candidates_final and
+/// answers. range_queries counts the range queries of ShardFilter and
+/// ShardRefine on every shard: (fragments + partition) x shards. Of the
+/// timings it fills selectivity_seconds (histogram merge and
+/// selectivities) and partition_seconds (ε-filter and partition
+/// selection).
 void PlanFilter(std::span<const ShardFilterResult> shards,
                 const PisOptions& options, FilterResult* result);
 
@@ -86,6 +88,13 @@ Status ShardRefine(const ShardedFragmentIndex& index, int shard,
                    const std::vector<int>& partition,
                    const std::vector<int>& survivors, double sigma,
                    std::vector<int>* candidates);
+
+/// topoPrune's filter over shard `shard`: the ascending global ids of the
+/// shard's live graphs that contain a fragment of every class in
+/// `class_ids` (structure containment, distance-free). One containment-list
+/// intersection per class id; `class_ids` should hold each class once.
+std::vector<int> ShardContainment(const ShardedFragmentIndex& index, int shard,
+                                  std::span<const int> class_ids);
 
 }  // namespace pis
 

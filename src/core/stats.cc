@@ -13,7 +13,6 @@ void QueryStats::Accumulate(const QueryStats& other) {
   candidates_after_intersection += other.candidates_after_intersection;
   candidates_final += other.candidates_final;
   answers += other.answers;
-  enum_cache_hits += other.enum_cache_hits;
   filter_seconds += other.filter_seconds;
   verify_seconds += other.verify_seconds;
   pass1_seconds += other.pass1_seconds;
@@ -25,11 +24,11 @@ void QueryStats::Accumulate(const QueryStats& other) {
 std::string QueryStats::ToString() const {
   return StrFormat(
       "fragments=%zu kept=%zu range_queries=%zu partition=%zu (w=%.3f) "
-      "cand_intersect=%zu cand_final=%zu answers=%zu enum_cache_hits=%zu "
-      "filter=%.3fms verify=%.3fms",
+      "cand_intersect=%zu cand_final=%zu answers=%zu filter=%.3fms "
+      "verify=%.3fms",
       fragments_enumerated, fragments_kept, range_queries, partition_size,
       partition_weight, candidates_after_intersection, candidates_final, answers,
-      enum_cache_hits, filter_seconds * 1e3, verify_seconds * 1e3);
+      filter_seconds * 1e3, verify_seconds * 1e3);
 }
 
 }  // namespace pis

@@ -29,12 +29,6 @@ struct QueryStats {
   size_t candidates_final = 0;
   /// Number of answers after verification.
   size_t answers = 0;
-  /// 1 when the query's fragment enumeration was served from a SearchBatch
-  /// enumeration cache instead of recomputed (0 outside batches). Like the
-  /// timing fields this is schedule-dependent — two duplicate queries
-  /// racing on different workers may both miss — so determinism checks
-  /// must not compare it.
-  size_t enum_cache_hits = 0;
   double filter_seconds = 0;
   double verify_seconds = 0;
   /// Per-stage wall time inside the filter (all schedule-dependent, like

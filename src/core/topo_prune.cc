@@ -1,16 +1,16 @@
 #include "core/topo_prune.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/query_fragments.h"
+#include "core/shard_filter.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace pis {
 
 TopoPruneEngine::TopoPruneEngine(const GraphDatabase* db,
-                                 const FragmentIndex* index)
+                                 const ShardedFragmentIndex* index)
     : db_(db), index_(index) {
   PIS_CHECK(db_ != nullptr && index_ != nullptr);
 }
@@ -21,44 +21,27 @@ Result<std::vector<int>> TopoPruneEngine::Filter(const Graph& query,
     return Status::InvalidArgument("query graph is empty");
   }
   Timer timer;
+  // Every shard registers the identical class catalog, so shard 0 serves as
+  // the enumeration catalog (as in PisEngine).
   PIS_ASSIGN_OR_RETURN(std::vector<QueryFragment> fragments,
-                       EnumerateIndexedQueryFragments(*index_, query));
+                       EnumerateIndexedQueryFragments(index_->shard(0), query));
   // Distinct classes only: containment is a class property.
-  std::unordered_set<int> class_ids;
+  std::vector<int> class_ids;
   for (const QueryFragment& qf : fragments) {
-    class_ids.insert(qf.prepared.class_id);
+    class_ids.push_back(qf.prepared.class_id);
   }
-  std::vector<char> alive(db_->size(), 1);
-  size_t alive_count = db_->size();
-  // Tombstoned graphs stay listed in containing_graphs() until a rebuild;
-  // start them dead so they never reach verification.
-  for (int gid : index_->tombstones()) {
-    if (gid >= 0 && gid < db_->size() && alive[gid]) {
-      alive[gid] = 0;
-      --alive_count;
-    }
-  }
-  for (int class_id : class_ids) {
-    const std::vector<int>& containing =
-        index_->class_at(class_id).containing_graphs();
-    std::vector<char> keep(db_->size(), 0);
-    for (int gid : containing) keep[gid] = 1;
-    for (int gid = 0; gid < db_->size(); ++gid) {
-      if (alive[gid] && !keep[gid]) {
-        alive[gid] = 0;
-        --alive_count;
-      }
-    }
-    if (alive_count == 0) break;
-  }
+  std::sort(class_ids.begin(), class_ids.end());
+  class_ids.erase(std::unique(class_ids.begin(), class_ids.end()),
+                  class_ids.end());
   std::vector<int> candidates;
-  candidates.reserve(alive_count);
-  for (int gid = 0; gid < db_->size(); ++gid) {
-    if (alive[gid]) candidates.push_back(gid);
+  for (int s = 0; s < index_->num_shards(); ++s) {
+    std::vector<int> local = ShardContainment(*index_, s, class_ids);
+    candidates.insert(candidates.end(), local.begin(), local.end());
   }
+  std::sort(candidates.begin(), candidates.end());
   if (stats != nullptr) {
     stats->fragments_enumerated = fragments.size();
-    stats->range_queries = class_ids.size();
+    stats->range_queries = class_ids.size() * index_->num_shards();
     stats->candidates_after_intersection = candidates.size();
     stats->candidates_final = candidates.size();
     stats->filter_seconds = timer.Seconds();

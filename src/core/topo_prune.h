@@ -6,18 +6,22 @@
 
 #include "core/naive_search.h"
 #include "core/options.h"
-#include "index/fragment_index.h"
+#include "index/sharded_index.h"
 
 namespace pis {
 
 /// \brief Structure-only pruning engine.
 class TopoPruneEngine {
  public:
-  /// Both pointers must outlive the engine.
-  TopoPruneEngine(const GraphDatabase* db, const FragmentIndex* index);
+  /// Both pointers must outlive the engine; the index must have been built
+  /// over exactly this database.
+  TopoPruneEngine(const GraphDatabase* db, const ShardedFragmentIndex* index);
 
-  /// Filtering only: graphs containing (a fragment of the class of) every
-  /// indexed query fragment. Distance-free.
+  /// Filtering only: the live graphs containing (a fragment of the class
+  /// of) every indexed query fragment, ascending. Distance-free, and the
+  /// same for any shard count. Runs ShardContainment (core/shard_filter.h)
+  /// on every shard, so `range_queries` counts one containment intersection
+  /// per (distinct class, shard): distinct classes x num_shards.
   Result<std::vector<int>> Filter(const Graph& query, QueryStats* stats) const;
 
   /// Filter + verification at `sigma` under the index's distance spec.
@@ -25,7 +29,7 @@ class TopoPruneEngine {
 
  private:
   const GraphDatabase* db_;
-  const FragmentIndex* index_;
+  const ShardedFragmentIndex* index_;
 };
 
 }  // namespace pis

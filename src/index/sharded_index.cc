@@ -381,14 +381,6 @@ Result<int> ShardedFragmentIndex::Rebalance(const GraphDatabase& db) {
   return migrated;
 }
 
-bool ShardedFragmentIndex::identity_routing() const {
-  if (num_shards() != 1 || shard_size(0) != db_size()) return false;
-  for (int gid = 0; gid < db_size(); ++gid) {
-    if (globals_[0][gid] != gid) return false;
-  }
-  return true;
-}
-
 Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
   std::error_code ec;
   if (std::filesystem::exists(dir, ec) &&

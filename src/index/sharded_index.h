@@ -78,11 +78,6 @@ class ShardedFragmentIndex {
   /// Global graph id of shard `s`'s local id `local` (the inverse of the
   /// routing: shard(s) emits local ids, queries report global ids).
   int global_id(int s, int local) const { return globals_[s][local]; }
-  /// True when every global id is shard 0's local id of the same value: one
-  /// shard that never compacted a removed graph away. Only then may a
-  /// consumer of a bare FragmentIndex (TopoPruneEngine) read shard(0) in
-  /// place of this index.
-  bool identity_routing() const;
 
   /// One fragment's range query over shard `s`, aggregated per graph to the
   /// minimum distance within `sigma` (Algorithm 2 lines 10-16, Eq. 3) and

@@ -123,44 +123,41 @@ TEST(CompactionTest, CompactShardEvictsDeadSlotsAndKeepsGlobalIds) {
   h.CheckAgainstRebuild();
 }
 
-// TopoPruneEngine reads shard(0)'s local ids as global ids, which is only
-// sound while routing is the identity: removals keep it, but compacting a
-// removed graph away re-densifies the local ids and ends it.
-TEST(CompactionTest, CompactionEndsIdentityRoutingForTopoPrune) {
-  LifecycleHarness::Options opt;
-  opt.num_shards = 1;
-  opt.seed = 9;
-  LifecycleHarness h(opt);
-  if (::testing::Test::HasFatalFailure()) return;
-  EXPECT_TRUE(h.sharded().identity_routing());
-  for (int i = 0; i < 4; ++i) h.RemoveOne();
-  if (::testing::Test::HasFatalFailure()) return;
-  ASSERT_TRUE(h.sharded().identity_routing());
-
-  // Tombstoned but uncompacted: topoPrune over shard(0) answers exactly
-  // the live part of a naive scan.
-  TopoPruneEngine topo(&h.slots(), &h.sharded().shard(0));
-  for (const Graph& q : SampleQueries(h.slots(), 3, 4, 61)) {
-    auto got = topo.Search(q, 2.0);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    std::vector<int> want;
-    for (int gid :
-         NaiveSearch(h.slots(), q, h.sharded().options().spec, 2.0).answers) {
-      if (h.sharded().IsLive(gid)) want.push_back(gid);
+// TopoPruneEngine filters every shard through ShardContainment, so after a
+// compaction re-densifies local ids, and on any shard count, it answers
+// exactly the live part of a naive scan.
+TEST(CompactionTest, TopoPruneMatchesLiveNaiveAfterCompaction) {
+  for (int num_shards : {1, 3}) {
+    LifecycleHarness::Options opt;
+    opt.num_shards = num_shards;
+    opt.seed = 9;
+    LifecycleHarness h(opt);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (int i = 0; i < 4; ++i) h.RemoveOne();
+    h.CompactAll();
+    h.AddOne();
+    if (::testing::Test::HasFatalFailure()) return;
+    int resident = 0;
+    for (int s = 0; s < h.sharded().num_shards(); ++s) {
+      resident += h.sharded().shard_size(s);
     }
-    EXPECT_EQ(got.value().answers, want);
+    EXPECT_LT(resident, h.sharded().db_size()) << "nothing was compacted";
+
+    TopoPruneEngine topo(&h.slots(), &h.sharded());
+    for (const Graph& q : SampleQueries(h.slots(), 3, 4, 61)) {
+      auto got = topo.Search(q, 2.0);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      std::vector<int> want;
+      for (int gid :
+           NaiveSearch(h.slots(), q, h.sharded().options().spec, 2.0).answers) {
+        if (h.sharded().IsLive(gid)) want.push_back(gid);
+      }
+      EXPECT_EQ(got.value().answers, want) << num_shards << " shards";
+      for (int gid : got.value().candidates) {
+        EXPECT_TRUE(h.sharded().IsLive(gid)) << gid;
+      }
+    }
   }
-
-  ASSERT_TRUE(h.sharded().Compact().ok());
-  EXPECT_LT(h.sharded().shard_size(0), h.sharded().db_size());
-  EXPECT_FALSE(h.sharded().identity_routing());
-  h.AddOne();
-  if (::testing::Test::HasFatalFailure()) return;
-  EXPECT_FALSE(h.sharded().identity_routing());
-
-  auto three = ShardedFragmentIndex::Build(h.slots(), {}, {}, 3);
-  ASSERT_TRUE(three.ok());
-  EXPECT_FALSE(three.value().identity_routing());
 }
 
 TEST(CompactionTest, AutoCompactionPolicyTriggersOnThreshold) {

@@ -53,7 +53,7 @@ TEST(EdgeCasesTest, EmptyFeatureSetDegradesToNoPruning) {
       NaiveSearch(db, query.value(), index.value().options().spec, 1);
   EXPECT_EQ(result.value().answers, naive.answers);
 
-  TopoPruneEngine topo(&db, &index.value().shard(0));
+  TopoPruneEngine topo(&db, &index.value());
   auto topo_result = topo.Search(query.value(), 1);
   ASSERT_TRUE(topo_result.ok());
   EXPECT_EQ(topo_result.value().answers, naive.answers);
@@ -227,12 +227,13 @@ TEST(UpdateEdgeCasesTest, RemovingEveryGraphYieldsEmptyResults) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result.value().candidates.empty());
     EXPECT_TRUE(result.value().answers.empty());
-  }
 
-  TopoPruneEngine topo(&db, &index.value().shard(0));
-  auto topo_result = topo.Search(query.value(), options.sigma);
-  ASSERT_TRUE(topo_result.ok());
-  EXPECT_TRUE(topo_result.value().answers.empty());
+    TopoPruneEngine topo(&db, idx);
+    auto topo_result = topo.Search(query.value(), options.sigma);
+    ASSERT_TRUE(topo_result.ok()) << topo_result.status().ToString();
+    EXPECT_TRUE(topo_result.value().candidates.empty());
+    EXPECT_TRUE(topo_result.value().answers.empty());
+  }
 
   TopKOptions topk;
   topk.k = 3;

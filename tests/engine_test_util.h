@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/pis.h"
+#include "core/topo_prune.h"
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/sharded_index.h"
@@ -273,9 +274,9 @@ class LifecycleHarness {
   }
 
   /// The differential oracle: rebuilds a one-shard reference index from
-  /// scratch over only the live graphs and requires the incremental engine
-  /// to agree with it query for query. The engine issues one physical range
-  /// query per shard per fragment.
+  /// scratch over only the live graphs and requires the incremental engines
+  /// (PIS and topoPrune) to agree with it query for query. The PIS engine
+  /// issues one physical range query per shard per fragment.
   void CheckAgainstRebuild() {
     std::vector<int> live_ids;
     GraphDatabase ref_db;
@@ -290,6 +291,8 @@ class LifecycleHarness {
     ASSERT_TRUE(ref_index.ok());
     PisEngine ref_engine(&ref_db, &ref_index.value(), popt_);
     PisEngine sharded_engine(&slots_, &sharded_.value(), popt_);
+    TopoPruneEngine ref_topo(&ref_db, &ref_index.value());
+    TopoPruneEngine sharded_topo(&slots_, &sharded_.value());
 
     for (int trial = 0; trial < opt_.queries_per_check; ++trial) {
       auto query = sampler_->Sample(5 + rng_.UniformInt(0, 3));
@@ -307,6 +310,12 @@ class LifecycleHarness {
       QueryStats scaled = want.value().stats;
       scaled.range_queries *= sharded_.value().num_shards();
       ExpectSameCounters(scaled, got_sharded.value().stats);
+
+      auto want_topo = ref_topo.Filter(query.value(), nullptr);
+      auto got_topo = sharded_topo.Filter(query.value(), nullptr);
+      ASSERT_TRUE(want_topo.ok()) << want_topo.status().ToString();
+      ASSERT_TRUE(got_topo.ok()) << got_topo.status().ToString();
+      EXPECT_EQ(ToGlobal(want_topo.value(), live_ids), got_topo.value());
     }
   }
 
@@ -609,9 +618,8 @@ class ClusterHarness {
     }
   }
 
-  /// SearchBatch parity, compared per query — only enum_cache_hits (a
-  /// local batch optimization) may differ, and ExpectSameCounters skips
-  /// it.
+  /// SearchBatch parity: answers, candidates and shared counters, compared
+  /// per query.
   void CheckBatch() {
     std::vector<Graph> queries;
     for (int i = 0; i < opt_.queries_per_check + 1; ++i) {
@@ -619,7 +627,7 @@ class ClusterHarness {
       ASSERT_TRUE(q.ok());
       queries.push_back(q.value());
     }
-      BatchSearchResult want = oracle_->SearchBatch(queries, 2);
+    BatchSearchResult want = oracle_->SearchBatch(queries, 2);
     BatchSearchResult got = cluster_->SearchBatch(queries, 2);
     ASSERT_EQ(want.results.size(), queries.size());
     ASSERT_EQ(got.results.size(), queries.size());

@@ -145,7 +145,9 @@ TEST(QueryFragmentsTest, MaxFragmentsKeepsLargest) {
 
 TEST(TopoPruneTest, CandidatesContainStructureMatches) {
   SmallIndexFixture fx;
-  TopoPruneEngine topo(&fx.db, &fx.index.value());
+  ShardedFragmentIndex index =
+      ShardedFragmentIndex::FromFragmentIndex(fx.index.MoveValue());
+  TopoPruneEngine topo(&fx.db, &index);
   QuerySampler sampler(&fx.db, {.seed = 8});
   auto query = sampler.Sample(8);
   ASSERT_TRUE(query.ok());

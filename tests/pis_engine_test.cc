@@ -68,7 +68,7 @@ TEST(PisEngineTest, CandidatesContainAnswersAndSubsetTopoPrune) {
   PisOptions options;
   options.sigma = 1;
   PisEngine engine(&fx.db, &fx.index.value(), options);
-  TopoPruneEngine topo(&fx.db, &fx.index.value().shard(0));
+  TopoPruneEngine topo(&fx.db, &fx.index.value());
   QuerySampler sampler(&fx.db, {.seed = 9, .strip_vertex_labels = true});
   for (int trial = 0; trial < 8; ++trial) {
     auto query = sampler.Sample(10);
@@ -207,7 +207,7 @@ TEST(PisEngineTest, LinearDistanceEndToEnd) {
 
 TEST(PisEngineTest, TopoPruneMatchesNaiveAnswersToo) {
   Fixture fx(30, 83);
-  TopoPruneEngine topo(&fx.db, &fx.index.value().shard(0));
+  TopoPruneEngine topo(&fx.db, &fx.index.value());
   QuerySampler sampler(&fx.db, {.seed = 19, .strip_vertex_labels = true});
   for (int trial = 0; trial < 5; ++trial) {
     auto query = sampler.Sample(8);

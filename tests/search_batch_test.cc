@@ -58,6 +58,17 @@ TEST(SearchBatchTest, MatchesSequentialAcrossThreadCounts) {
   options.sigma = 2;
   PisEngine engine(&fx.db, &fx.index.value(), options);
   std::vector<Graph> queries = SampleQueries(fx.db, 12, 8, 5);
+  // Duplicates stay exact: repeats of a query, and of a renumbered
+  // (isomorphic) twin of it.
+  const Graph original = queries[0];  // copy: push_back below reallocates
+  std::vector<VertexId> perm(original.NumVertices());
+  for (int v = 0; v < original.NumVertices(); ++v) {
+    perm[v] = (v + 1) % original.NumVertices();
+  }
+  const Graph twin = original.Relabeled(perm);
+  for (const Graph& q : {original, twin, original, queries[1], twin}) {
+    queries.push_back(q);
+  }
   for (int threads : {1, 2, HardwareThreads()}) {
     ExpectBatchMatchesSequential(engine, queries, threads);
   }
@@ -153,76 +164,6 @@ TEST(SearchBatchTest, VerifyThreadsOptionDoesNotChangeResults) {
     ExpectSameCounters(a.results[qi].value().stats,
                        b.results[qi].value().stats);
   }
-}
-
-TEST(SearchBatchTest, DuplicateQueriesHitTheEnumerationCache) {
-  EngineFixture fx(30, 71);
-  PisOptions options;
-  options.sigma = 2;
-  PisEngine engine(&fx.db, &fx.index.value(), options);
-  std::vector<Graph> distinct = SampleQueries(fx.db, 2, 8, 21);
-  // q0 x5, q1 x2: a sequential batch must hit the memo 4 + 1 = 5 times
-  // (each distinct query misses once).
-  std::vector<Graph> queries(5, distinct[0]);
-  queries.push_back(distinct[1]);
-  queries.push_back(distinct[1]);
-
-  BatchSearchResult batch =
-      engine.SearchBatch(std::span<const Graph>(queries), /*num_threads=*/1);
-  EXPECT_EQ(batch.total_stats.enum_cache_hits, 5u);
-  // A hit must be invisible in everything except the hit counter.
-  ExpectBatchMatchesSequential(engine, queries, 1);
-  // Concurrent workers may race duplicate misses, so only the results are
-  // pinned across thread counts (the hit count is schedule-dependent,
-  // like the timing fields).
-  for (int threads : {2, HardwareThreads()}) {
-    ExpectBatchMatchesSequential(engine, queries, threads);
-  }
-}
-
-TEST(SearchBatchTest, IsomorphicButRenumberedDuplicatesStayExact) {
-  // The cache key combines the canonical min-DFS code with the exact
-  // encoding: a renumbered twin must not inherit the original's fragment
-  // list (its own enumeration orders fragments differently), so the batch
-  // still equals the sequential loop exactly — while exact repeats of the
-  // twin itself still hit its own entry.
-  EngineFixture fx(30, 73);
-  PisOptions options;
-  options.sigma = 2;
-  PisEngine engine(&fx.db, &fx.index.value(), options);
-  std::vector<Graph> queries = SampleQueries(fx.db, 1, 8, 29);
-  const Graph original = queries[0];  // copy: push_back below reallocates
-  std::vector<VertexId> perm(original.NumVertices());
-  for (int v = 0; v < original.NumVertices(); ++v) {
-    perm[v] = (v + 1) % original.NumVertices();
-  }
-  const Graph twin = original.Relabeled(perm);
-  queries.push_back(twin);      // isomorphic, different encoding: miss
-  queries.push_back(original);  // exact duplicate of the original: hit
-  queries.push_back(twin);      // exact duplicate of the twin: hit too
-
-  BatchSearchResult batch =
-      engine.SearchBatch(std::span<const Graph>(queries), /*num_threads=*/1);
-  EXPECT_EQ(batch.total_stats.enum_cache_hits, 2u);
-  ExpectBatchMatchesSequential(engine, queries, 1);
-}
-
-TEST(SearchBatchTest, ShardedBatchUsesTheEnumerationCacheToo) {
-  EngineFixture fx(30, 79);
-  auto sharded = ShardedFragmentIndex::Build(
-      fx.db, fx.features, fx.index.value().options(), 3);
-  ASSERT_TRUE(sharded.ok());
-  PisOptions options;
-  options.sigma = 2;
-  PisEngine engine(&fx.db, &sharded.value(), options);
-  std::vector<Graph> distinct = SampleQueries(fx.db, 2, 8, 37);
-  std::vector<Graph> queries(4, distinct[0]);
-  queries.push_back(distinct[1]);
-
-  BatchSearchResult batch =
-      engine.SearchBatch(std::span<const Graph>(queries), /*num_threads=*/1);
-  EXPECT_EQ(batch.total_stats.enum_cache_hits, 3u);
-  ExpectBatchMatchesSequential(engine, queries, 1);
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/topk.h"
@@ -310,25 +311,11 @@ int CmdQuery(int argc, char** argv) {
   }
   auto db = LoadDb(db_path);
   if (!db.ok()) return Fail(db.status());
-  Result<ShardedFragmentIndex> index = Status::Internal("index not loaded");
-  if (engine != "naive") {
-    index = ShardedFragmentIndex::LoadDir(index_path);
-    if (!index.ok()) return Fail(index.status());
-    if (index.value().db_size() != db.value().size()) {
-      return Fail(Status::InvalidArgument(
-          "index was built over a different database size"));
-    }
-    // The topology-pruning baseline runs over one FragmentIndex and reads
-    // its local ids as global ones.
-    if (engine == "topo" && index.value().num_shards() > 1) {
-      return Fail(Status::InvalidArgument(
-          "multi-shard indexes require --engine pis"));
-    }
-    if (engine == "topo" && !index.value().identity_routing()) {
-      return Fail(Status::InvalidArgument(
-          "--engine topo cannot run on an index compacted after removals; "
-          "use --engine pis"));
-    }
+  auto index = ShardedFragmentIndex::LoadDir(index_path);
+  if (!index.ok()) return Fail(index.status());
+  if (index.value().db_size() != db.value().size()) {
+    return Fail(Status::InvalidArgument(
+        "index was built over a different database size"));
   }
   PisOptions options;
   options.sigma = sigma;
@@ -341,13 +328,18 @@ int CmdQuery(int argc, char** argv) {
 
   Result<SearchResult> result = Status::Internal("no engine ran");
   if (engine == "naive") {
-    result = NaiveSearch(db.value(), query.value(), DistanceSpec::EdgeMutation(),
-                         sigma);
+    // The scan answers under the index's distance, over its live graphs.
+    SearchResult naive = NaiveSearch(db.value(), query.value(),
+                                     index.value().options().spec, sigma);
+    std::erase_if(naive.answers,
+                  [&](int gid) { return !index.value().IsLive(gid); });
+    naive.stats.answers = naive.answers.size();
+    result = std::move(naive);
   } else if (engine == "pis") {
     PisEngine pis_engine(&db.value(), &index.value(), options);
     result = pis_engine.Search(query.value());
   } else {
-    TopoPruneEngine topo(&db.value(), &index.value().shard(0));
+    TopoPruneEngine topo(&db.value(), &index.value());
     result = topo.Search(query.value(), sigma);
   }
   if (!result.ok()) return Fail(result.status());
