@@ -53,19 +53,17 @@ GraphDatabase MakeDatabase(const WorkloadConfig& config) {
 
 Result<std::vector<Graph>> MineFeatures(const GraphDatabase& db,
                                         const WorkloadConfig& config) {
-  // Features are bare structures: mine the skeletons (paper §4 step 1).
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
-
+  // Features are bare structures (paper §4 step 1): mine without labels.
   GspanOptions mine;
   mine.min_support = std::max(
       1, static_cast<int>(std::lround(config.feature_min_support * db.size())));
   mine.min_edges = 1;
   mine.max_edges = config.max_fragment_edges;
   mine.num_threads = config.threads > 0 ? config.threads : HardwareThreads();
+  mine.use_labels = false;
   Timer timer;
   PIS_ASSIGN_OR_RETURN(std::vector<Pattern> patterns,
-                       MineFrequentSubgraphs(skeletons, mine));
+                       MineFrequentSubgraphs(db, mine));
 
   FeatureSelectorOptions select;
   select.gamma = config.feature_gamma;

@@ -78,12 +78,11 @@ BENCHMARK(BM_RTreeRangeQuery)->Arg(1)->Arg(5)->Arg(20);
 void BM_IndexBuild(benchmark::State& state) {
   MoleculeGenerator gen;
   GraphDatabase db = gen.Generate(static_cast<int>(state.range(0)));
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = std::max(2, db.size() / 100);
   mine.max_edges = 4;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  mine.use_labels = false;
+  auto patterns = MineFrequentSubgraphs(db, mine);
   PIS_CHECK(patterns.ok());
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);
@@ -101,13 +100,12 @@ BENCHMARK(BM_IndexBuild)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
 void BM_GspanMining(benchmark::State& state) {
   MoleculeGenerator gen;
   GraphDatabase db = gen.Generate(100);
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 5;
   mine.max_edges = static_cast<int>(state.range(0));
+  mine.use_labels = false;
   for (auto _ : state) {
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
+    auto patterns = MineFrequentSubgraphs(db, mine);
     PIS_CHECK(patterns.ok());
     benchmark::DoNotOptimize(patterns.value().size());
   }

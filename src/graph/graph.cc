@@ -152,6 +152,14 @@ bool Graph::operator==(const Graph& other) const {
   return true;
 }
 
+GraphDatabase GraphDatabase::Slice(int begin, int end) const {
+  PIS_CHECK(0 <= begin && begin <= end && end <= size())
+      << "slice [" << begin << ", " << end << ") of " << size() << " graphs";
+  GraphDatabase slice;
+  slice.graphs_.assign(graphs_.begin() + begin, graphs_.begin() + end);
+  return slice;
+}
+
 double GraphDatabase::AverageVertices() const {
   if (graphs_.empty()) return 0;
   double total = 0;

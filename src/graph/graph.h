@@ -185,6 +185,12 @@ class GraphDatabase {
 
   View graphs() const { return View(graphs_); }
 
+  /// The graphs with ids in [begin, end), renumbered from 0. The slice
+  /// shares this database's Graph objects (one pointer copy per graph), so
+  /// slice.at(i) is the very Graph of at(begin + i). Requires
+  /// 0 <= begin <= end <= size().
+  GraphDatabase Slice(int begin, int end) const;
+
   /// Average vertex / edge counts (0 for an empty database).
   double AverageVertices() const;
   double AverageEdges() const;

@@ -120,15 +120,10 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::Build(
     built.emplace_back(Status::Internal("shard not built"));
   }
   ParallelFor(num_shards, options.num_threads, [&](size_t s) {
-    // The shard's sub-database copy lives only for the duration of its
-    // build (concurrent const reads of `db` are safe), so peak memory holds
-    // one in-flight copy per worker, not a second copy of the whole
-    // database.
-    GraphDatabase part;
-    for (int gid = offsets[s]; gid < offsets[s + 1]; ++gid) {
-      part.Add(db.at(gid));
-    }
-    built[s] = FragmentIndex::Build(part, features, shard_options);
+    // The shard's sub-database is a slice that shares `db`'s graphs (one
+    // pointer per graph), so building the shards copies no graph.
+    built[s] = FragmentIndex::Build(db.Slice(offsets[s], offsets[s + 1]),
+                                    features, shard_options);
   });
   sharded.shards_.reserve(num_shards);
   for (int s = 0; s < num_shards; ++s) {

@@ -1,6 +1,7 @@
 #include "mining/gspan.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "canonical/min_dfs.h"
@@ -22,21 +23,32 @@ constexpr int kSegmentGraphs = 16;
 // workers would cost more than the scan.
 constexpr size_t kParallelEmbeddings = 4096;
 
-// One embedding step: graph edge `edge` realizes the code entry, oriented
-// from `from` to `to`; `prev` chains to the parent projection entry (stable:
-// parent segments outlive the child segments built from them).
+// One embedding step, 12 bytes: graph `gid`'s edge `edge_dir / 2` realizes
+// the code entry, oriented from the edge's u to its v when `edge_dir` is
+// even and from v to u when odd; `prev` is the index of the extended entry
+// in the parent segment (-1 at the root).
 struct PDFS {
-  int gid = -1;
-  VertexId from = kInvalidVertex;
-  VertexId to = kInvalidVertex;
-  EdgeId edge = kInvalidEdge;
-  const PDFS* prev = nullptr;
+  int32_t gid;
+  int32_t edge_dir;
+  int32_t prev;
 };
+static_assert(sizeof(PDFS) == 12);
 
-// A code's embeddings, split into segments over disjoint, ascending gid
-// ranges; within a segment embeddings are in gid order. Child segment k is
-// built from parent segment k alone, so segments are scanned independently.
-using Segment = std::vector<PDFS>;
+// The step realizing `edge` of a graph, oriented out of `from`.
+PDFS Step(int gid, EdgeId e, const Edge& edge, VertexId from, int32_t prev) {
+  return PDFS{gid, e * 2 + (from == edge.u ? 0 : 1), prev};
+}
+
+// A code's embeddings are split into segments over disjoint, ascending gid
+// ranges; within a segment embeddings are in gid order. A child segment is
+// built from one parent segment alone, so segments are scanned
+// independently; `parent` records which one, since segments that extend to
+// nothing are dropped and child segment k need not come from parent
+// segment k.
+struct Segment {
+  int parent;  // index in the parent projection (unused at the root)
+  std::vector<PDFS> embeddings;
+};
 using Projection = std::vector<Segment>;
 
 // Strict weak order for grouping extension tuples (any total order works;
@@ -54,8 +66,8 @@ struct Extension {
   // Whether the child code is minimal; non-minimal children collect
   // nothing, since they are never reported or extended.
   bool minimal = false;
-  std::vector<int> gids;  // distinct, ascending
-  Segment embeddings;     // stays empty for children at max_edges
+  std::vector<int> gids;         // distinct, ascending
+  std::vector<PDFS> embeddings;  // stays empty for children at max_edges
 };
 using SegmentScan = std::map<DfsEdge, Extension, DfsEdgeLess>;
 
@@ -105,17 +117,25 @@ void Record(const DfsEdge& tuple, const PDFS& step, bool leaf,
   if (!leaf) ext.embeddings.push_back(step);
 }
 
+// Trims a finished segment scan's embedding lists to their exact size, so
+// projections carry no growth slack while their children are mined.
+void Trim(SegmentScan* scan) {
+  for (auto& [tuple, ext] : *scan) ext.embeddings.shrink_to_fit();
+}
+
 // Joins the segment scans, in segment order, into the minimal children.
+// Scan k extended parent segment k.
 Children Merge(std::vector<SegmentScan>* scans) {
   Children children;
-  for (SegmentScan& scan : *scans) {
-    for (auto& [tuple, ext] : scan) {
+  for (size_t k = 0; k < scans->size(); ++k) {
+    for (auto& [tuple, ext] : (*scans)[k]) {
       if (!ext.minimal) continue;
       Child& child = children[tuple];
       child.support.insert(child.support.end(), ext.gids.begin(),
                            ext.gids.end());
       if (!ext.embeddings.empty()) {
-        child.projection.push_back(std::move(ext.embeddings));
+        child.projection.push_back(
+            Segment{static_cast<int>(k), std::move(ext.embeddings)});
       }
     }
   }
@@ -136,32 +156,63 @@ std::vector<int> BuildRmPath(const DfsCode& code) {
   return rmpath;
 }
 
+// The projections of a code's prefixes: entry i holds the embeddings of
+// the first i + 1 code entries.
+using ProjectionStack = std::vector<const Projection*>;
+
 // Unrolled embedding: code position -> graph edge plus dfs index -> graph
 // vertex. A code has at most max_edges entries, so membership is a linear
-// scan; one History is reused for every embedding of a segment.
-struct History {
-  std::vector<EdgeId> edges;
-  std::vector<VertexId> vertex_of;
-
-  void Unroll(const DfsCode& code, int num_vertices, const PDFS& last) {
-    edges.resize(code.size());
-    vertex_of.assign(num_vertices, kInvalidVertex);
-    size_t i = code.size();
-    for (const PDFS* p = &last; p != nullptr; p = p->prev) {
-      PIS_DCHECK(i > 0);
-      --i;
-      edges[i] = p->edge;
-      vertex_of[code[i].from] = p->from;
-      vertex_of[code[i].to] = p->to;
+// scan. One History serves every embedding of one segment; its prev chain
+// runs through one fixed segment per code position, so those are looked up
+// once.
+class History {
+ public:
+  // For segment `segment` of the deepest projection on `stack` (one
+  // projection per entry of `code`).
+  History(const DfsCode& code, int num_vertices, const ProjectionStack& stack,
+          int segment)
+      : code_(code),
+        steps_(code.size()),
+        edges_(code.size(), kInvalidEdge),
+        vertex_of_(num_vertices, kInvalidVertex) {
+    PIS_DCHECK(stack.size() == code.size());
+    for (size_t i = code.size(); i-- > 0;) {
+      const Segment& s = (*stack[i])[segment];
+      steps_[i] = s.embeddings.data();
+      segment = s.parent;
     }
-    PIS_DCHECK(i == 0);
   }
+
+  // Unrolls entry `index` of the segment, an embedding in graph `g`.
+  void Unroll(const Graph& g, int32_t index) {
+    for (size_t i = code_.size(); i-- > 0;) {
+      const PDFS& p = steps_[i][index];
+      const EdgeId e = p.edge_dir >> 1;
+      const Edge& edge = g.GetEdge(e);
+      const bool u_first = (p.edge_dir & 1) == 0;
+      edges_[i] = e;
+      vertex_of_[code_[i].from] = u_first ? edge.u : edge.v;
+      vertex_of_[code_[i].to] = u_first ? edge.v : edge.u;
+      index = p.prev;
+    }
+    PIS_DCHECK(index == -1);
+  }
+
+  VertexId VertexOf(int dfs_index) const { return vertex_of_[dfs_index]; }
   bool HasEdge(EdgeId e) const {
-    return std::find(edges.begin(), edges.end(), e) != edges.end();
+    return std::find(edges_.begin(), edges_.end(), e) != edges_.end();
   }
   bool HasVertex(VertexId v) const {
-    return std::find(vertex_of.begin(), vertex_of.end(), v) != vertex_of.end();
+    return std::find(vertex_of_.begin(), vertex_of_.end(), v) !=
+           vertex_of_.end();
   }
+
+ private:
+  const DfsCode& code_;
+  // Code position -> the segment entries of that position's projection.
+  std::vector<const PDFS*> steps_;
+  std::vector<EdgeId> edges_;
+  std::vector<VertexId> vertex_of_;
 };
 
 class GspanMiner {
@@ -195,13 +246,14 @@ class GspanMiner {
           for (bool u_first : {true, false}) {
             VertexId a = u_first ? edge.u : edge.v;
             VertexId b = u_first ? edge.v : edge.u;
-            if (g.VertexLabel(a) > g.VertexLabel(b)) continue;
-            DfsEdge t{0, 1, g.VertexLabel(a), edge.label, g.VertexLabel(b)};
-            Record(t, PDFS{gid, a, b, e, nullptr}, leaf, &verdicts,
-                   &scans[k]);
+            if (VertexLabel(g, a) > VertexLabel(g, b)) continue;
+            DfsEdge t{0, 1, VertexLabel(g, a), EdgeLabel(edge),
+                      VertexLabel(g, b)};
+            Record(t, Step(gid, e, edge, a, -1), leaf, &verdicts, &scans[k]);
           }
         }
       }
+      Trim(&scans[k]);
     });
     DfsCode code;
     Expand(&code, Merge(&scans));
@@ -209,6 +261,13 @@ class GspanMiner {
   }
 
  private:
+  Label VertexLabel(const Graph& g, VertexId v) const {
+    return options_.use_labels ? g.VertexLabel(v) : kNoLabel;
+  }
+  Label EdgeLabel(const Edge& edge) const {
+    return options_.use_labels ? edge.label : kNoLabel;
+  }
+
   bool Done() const {
     return options_.max_patterns > 0 && patterns_.size() >= options_.max_patterns;
   }
@@ -240,12 +299,17 @@ class GspanMiner {
       if (Done()) return;
     }
     if (static_cast<int>(code->size()) >= options_.max_edges) return;
-    Expand(code, Scan(*code, node.projection));
+    // The children's entries point into node.projection, which stays on the
+    // stack while they are mined.
+    stack_.push_back(&node.projection);
+    Expand(code, Scan(*code));
+    stack_.pop_back();
   }
 
-  // Extends every embedding of `projection` by one edge, segment by
-  // segment across the worker threads.
-  Children Scan(const DfsCode& code, const Projection& projection) {
+  // Extends every embedding of `code`'s projection (the top of stack_) by
+  // one edge, segment by segment across the worker threads.
+  Children Scan(const DfsCode& code) {
+    const Projection& projection = *stack_.back();
     const std::vector<int> rmpath = BuildRmPath(code);
     const int maxtoc = code[rmpath[0]].to;  // rightmost dfs index
     // Forward extensions grow from the rightmost vertex and from every
@@ -255,47 +319,57 @@ class GspanMiner {
     const bool leaf = static_cast<int>(code.size()) + 1 >= options_.max_edges;
     Verdicts verdicts(code);
     size_t embeddings = 0;
-    for (const Segment& segment : projection) embeddings += segment.size();
+    for (const Segment& segment : projection) {
+      embeddings += segment.embeddings.size();
+    }
     const int threads =
         embeddings < kParallelEmbeddings ? 1 : options_.num_threads;
     std::vector<SegmentScan> scans(projection.size());
     ParallelFor(projection.size(), threads, [&](size_t k) {
-      History history;
-      for (const PDFS& p : projection[k]) {
-        const Graph& g = db_.at(p.gid);
-        history.Unroll(code, maxtoc + 1, p);
-        const VertexId rmv = history.vertex_of[maxtoc];
+      History history(code, maxtoc + 1, stack_, static_cast<int>(k));
+      const std::vector<PDFS>& segment = projection[k].embeddings;
+      for (int32_t j = 0; j < static_cast<int32_t>(segment.size()); ++j) {
+        const int gid = segment[j].gid;
+        const Graph& g = db_.at(gid);
+        history.Unroll(g, j);
+        const VertexId rmv = history.VertexOf(maxtoc);
         // Backward: rightmost vertex -> rightmost-path ancestors (not the
         // rightmost vertex's own parent, rmpath[0]).
         for (size_t ri = rmpath.size(); ri-- > 1;) {
           const int anc_idx = code[rmpath[ri]].from;
-          const VertexId anc = history.vertex_of[anc_idx];
+          const VertexId anc = history.VertexOf(anc_idx);
           const EdgeId be = g.FindEdge(rmv, anc);
           if (be == kInvalidEdge || history.HasEdge(be)) continue;
-          DfsEdge t{maxtoc, anc_idx, g.VertexLabel(rmv), g.GetEdge(be).label,
-                    g.VertexLabel(anc)};
-          Record(t, PDFS{p.gid, rmv, anc, be, &p}, leaf, &verdicts, &scans[k]);
+          const Edge& back = g.GetEdge(be);
+          DfsEdge t{maxtoc, anc_idx, VertexLabel(g, rmv), EdgeLabel(back),
+                    VertexLabel(g, anc)};
+          Record(t, Step(gid, be, back, rmv, j), leaf, &verdicts, &scans[k]);
         }
         // Forward: from a rightmost-path vertex to an unmapped vertex.
         for (int from_idx : forward_from) {
-          const VertexId from_v = history.vertex_of[from_idx];
+          const VertexId from_v = history.VertexOf(from_idx);
           for (EdgeId fe : g.IncidentEdges(from_v)) {
             if (history.HasEdge(fe)) continue;
-            const VertexId w = g.GetEdge(fe).Other(from_v);
+            const Edge& forward = g.GetEdge(fe);
+            const VertexId w = forward.Other(from_v);
             if (history.HasVertex(w)) continue;
-            DfsEdge t{from_idx, maxtoc + 1, g.VertexLabel(from_v),
-                      g.GetEdge(fe).label, g.VertexLabel(w)};
-            Record(t, PDFS{p.gid, from_v, w, fe, &p}, leaf, &verdicts,
+            DfsEdge t{from_idx, maxtoc + 1, VertexLabel(g, from_v),
+                      EdgeLabel(forward), VertexLabel(g, w)};
+            Record(t, Step(gid, fe, forward, from_v, j), leaf, &verdicts,
                    &scans[k]);
           }
         }
       }
+      Trim(&scans[k]);
     });
     return Merge(&scans);
   }
 
   const GraphDatabase& db_;
   GspanOptions options_;
+  // Projections of the code being grown, one per code entry (Grow holds
+  // them); History::Unroll follows an embedding's prev chain through them.
+  ProjectionStack stack_;
   std::vector<Pattern> patterns_;
 };
 

@@ -1,14 +1,18 @@
 // gSpan frequent connected-subgraph mining (Yan & Han, ICDM'02 — reference
 // [15] of the paper). PIS uses it to mine the indexing features;
-// structure-only features are mined by passing graph skeletons.
+// structure-only features are mined with `use_labels = false`, straight
+// from the labeled database.
 //
 // Only what will be extended is materialized: a child code is checked for
 // minimality once, when first seen, and non-minimal children collect no
-// embeddings; children at max_edges keep only their support gids. A
-// projection is a list of segments over disjoint gid ranges, and the
-// segments of one projection are scanned in parallel (child segment k from
-// parent segment k). Patterns are reported on the calling thread in
-// depth-first order, so the output does not depend on num_threads.
+// embeddings; children at max_edges keep only their support gids. An
+// embedding is stored one 12-byte step per code entry: the graph, the
+// oriented graph edge, and the index of the parent projection entry it
+// extends. A projection is a list of exactly sized segments over disjoint
+// gid ranges; each child segment is built from one parent segment and
+// records which, and the segments of one projection are scanned in
+// parallel. Patterns are reported on the calling thread in depth-first
+// order, so the output does not depend on num_threads.
 #ifndef PIS_MINING_GSPAN_H_
 #define PIS_MINING_GSPAN_H_
 
@@ -36,12 +40,20 @@ struct GspanOptions {
   /// HardwareThreads() for full parallelism. The reported patterns (order,
   /// codes, support sets) are identical for every value.
   int num_threads = 1;
+  /// Mine with the database's vertex and edge labels. When false every
+  /// label reads as kNoLabel, so the patterns are bare structures: the same
+  /// result as mining the graphs' Skeleton() copies, without making them.
+  /// PIS mines structures only: the feature pipeline and the benchmarks
+  /// pass false, and the examples mine Skeleton() copies, where both values
+  /// agree. Labeled mining (the default) is kept as the general gSpan that
+  /// the brute-force oracle tests check.
+  bool use_labels = true;
 };
 
 /// Mines all frequent connected subgraphs of `db` up to `options.max_edges`
 /// edges. Patterns use the labels present in `db`; to mine bare structures
-/// (the paper's features), pass skeletons. Single-vertex patterns are not
-/// reported (features are edge sets).
+/// (the paper's features), pass `use_labels = false`. Single-vertex patterns
+/// are not reported (features are edge sets).
 Result<std::vector<Pattern>> MineFrequentSubgraphs(const GraphDatabase& db,
                                                    const GspanOptions& options);
 

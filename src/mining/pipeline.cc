@@ -21,15 +21,16 @@ Result<std::vector<Graph>> MineDiscriminativeFeatures(
   if (max_fragment_edges < 1) {
     return Status::InvalidArgument("max_fragment_edges must be >= 1");
   }
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
-  mine.min_support =
-      std::max(1, static_cast<int>(min_support_fraction * db.size()));
+  // Floor, with a tolerance for the product's rounding error (0.29 * 100
+  // is 28.999999999999996).
+  mine.min_support = std::max(
+      1, static_cast<int>(std::floor(min_support_fraction * db.size() + 1e-9)));
   mine.max_edges = max_fragment_edges;
   mine.num_threads = num_threads <= 0 ? HardwareThreads() : num_threads;
+  mine.use_labels = false;
   PIS_ASSIGN_OR_RETURN(std::vector<Pattern> patterns,
-                       MineFrequentSubgraphs(skeletons, mine));
+                       MineFrequentSubgraphs(db, mine));
   FeatureSelectorOptions select;
   select.gamma = gamma;
   PIS_ASSIGN_OR_RETURN(

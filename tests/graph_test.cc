@@ -126,6 +126,21 @@ TEST(GraphDatabaseTest, Stats) {
   EXPECT_EQ(db.MaxEdges(), 3);
 }
 
+TEST(GraphDatabaseTest, SliceSharesGraphsRenumberedFromZero) {
+  MoleculeGenerator gen;
+  const GraphDatabase db = gen.Generate(5);
+  const GraphDatabase middle = db.Slice(1, 4);
+  ASSERT_EQ(middle.size(), 3);
+  for (int id = 0; id < middle.size(); ++id) {
+    EXPECT_EQ(&middle.at(id), &db.at(id + 1)) << id;
+  }
+  EXPECT_TRUE(db.Slice(2, 2).empty());
+  EXPECT_TRUE(db.Slice(5, 5).empty());
+  const GraphDatabase full = db.Slice(0, db.size());
+  ASSERT_EQ(full.size(), db.size());
+  for (int id = 0; id < db.size(); ++id) EXPECT_EQ(&full.at(id), &db.at(id));
+}
+
 TEST(LabelMapTest, InternAndLookup) {
   LabelMap map;
   Label c = map.GetOrAdd("C");

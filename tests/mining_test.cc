@@ -261,6 +261,32 @@ TEST_P(GspanParallelTest, IdenticalAtAnyThreadCount) {
   }
 }
 
+// Property: mining with use_labels = false reports exactly what mining the
+// Skeleton() copies does (order, codes, support sets), at every thread
+// count, whether the database carries labels or is already bare.
+TEST_P(GspanParallelTest, UnlabeledMiningMatchesSkeletons) {
+  const auto [seed, skeletons] = GetParam();
+  MoleculeGeneratorOptions gen;
+  gen.seed = seed;
+  const GraphDatabase labeled = MoleculeGenerator(gen).Generate(240);
+  GraphDatabase bare;
+  for (const Graph& g : labeled.graphs()) bare.Add(g.Skeleton());
+  GspanOptions options;
+  options.min_support = bare.size() / 10;
+  options.max_edges = 4;
+  auto expected = MineFrequentSubgraphs(bare, options);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected.value().empty());
+  options.use_labels = false;
+  for (int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    options.num_threads = threads;
+    auto actual = MineFrequentSubgraphs(skeletons ? bare : labeled, options);
+    ASSERT_TRUE(actual.ok());
+    ExpectSamePatterns(expected.value(), actual.value());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Databases, GspanParallelTest,
                          ::testing::Combine(::testing::Values(uint64_t{1},
                                                               uint64_t{7}),
@@ -319,6 +345,36 @@ TEST(MiningPipelineTest, FeaturesIndependentOfThreads) {
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a.value().code, b.value().code) << "feature " << i;
   }
+}
+
+// The relative support is floored to a graph count without losing a graph
+// to the product's rounding error: 0.29 * 100 evaluates to 28.999..., yet a
+// pattern in exactly 29 of 100 graphs is frequent at 0.29, and one in 28 is
+// not.
+TEST(MiningPipelineTest, MinSupportFractionCountsExactly) {
+  Graph claw;
+  for (int i = 0; i < 4; ++i) claw.AddVertex(1);
+  for (int leaf = 1; leaf < 4; ++leaf) {
+    ASSERT_TRUE(claw.AddEdge(0, leaf, 1).ok());
+  }
+  GraphDatabase db;
+  for (int i = 0; i < 29; ++i) db.Add(Cycle(3));
+  for (int i = 0; i < 28; ++i) db.Add(claw);
+  while (db.size() < 100) db.Add(Path(1));
+  // The only 3-edge patterns: the triangle (3 vertices), the claw (4).
+  auto has_3_edge_feature = [](const std::vector<Graph>& features,
+                               int vertices) {
+    return std::any_of(features.begin(), features.end(), [&](const Graph& f) {
+      return f.NumEdges() == 3 && f.NumVertices() == vertices;
+    });
+  };
+  auto at_29 = MineDiscriminativeFeatures(db, 3, 0.29, 1.0);
+  ASSERT_TRUE(at_29.ok());
+  EXPECT_TRUE(has_3_edge_feature(at_29.value(), 3));
+  EXPECT_FALSE(has_3_edge_feature(at_29.value(), 4));
+  auto at_28 = MineDiscriminativeFeatures(db, 3, 0.28, 1.0);
+  ASSERT_TRUE(at_28.ok());
+  EXPECT_TRUE(has_3_edge_feature(at_28.value(), 4));
 }
 
 TEST(FeatureSelectorTest, GammaOneKeepsEverything) {
