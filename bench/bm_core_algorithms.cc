@@ -3,6 +3,7 @@
 // connected-fragment enumeration, gSpan feature mining, and the serving
 // host's write path.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <map>
@@ -124,6 +125,26 @@ void BM_FragmentEnumeration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FragmentEnumeration)->Arg(4)->Arg(6);
+
+// Heap bytes per stored graph: the growth of glibc's in-use heap across
+// generating and storing 1,000 molecules (counter bytes_per_graph).
+void BM_GraphDatabaseBytes(benchmark::State& state) {
+  constexpr int kGraphs = 1000;
+  auto in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  double bytes_per_graph = 0;
+  for (auto _ : state) {
+    MoleculeGenerator gen;
+    const double before = in_use();
+    GraphDatabase db = gen.Generate(kGraphs);
+    bytes_per_graph = (in_use() - before) / kGraphs;
+    benchmark::DoNotOptimize(db);
+  }
+  state.counters["bytes_per_graph"] = bytes_per_graph;
+}
+BENCHMARK(BM_GraphDatabaseBytes)->Unit(benchmark::kMillisecond);
 
 void BM_Automorphisms(benchmark::State& state) {
   Graph ring;

@@ -101,7 +101,14 @@ State ApplyCandidate(const State& s, const Candidate& c) {
 std::string CanonicalForm::Key() const {
   int n = 0;
   if (!embeddings.empty()) n = static_cast<int>(embeddings[0].vertex_order.size());
-  return "n" + std::to_string(n) + "|" + code.ToKey();
+  // reserve + append rather than an operator+ chain: GCC 12 at -O3 flags
+  // the chain with a false-positive -Wrestrict.
+  const std::string vertices = std::to_string(n);
+  const std::string code_key = code.ToKey();
+  std::string key;
+  key.reserve(vertices.size() + code_key.size() + 2);
+  key.append("n").append(vertices).append("|").append(code_key);
+  return key;
 }
 
 Result<CanonicalForm> MinDfsCode(const Graph& g, const CanonicalOptions& options) {

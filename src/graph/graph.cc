@@ -10,7 +10,7 @@ namespace pis {
 VertexId Graph::AddVertex(Label label, double weight) {
   vertex_labels_.push_back(label);
   vertex_weights_.push_back(weight);
-  adjacency_.emplace_back();
+  incident_end_.push_back(static_cast<int32_t>(incident_.size()));
   return static_cast<VertexId>(vertex_labels_.size()) - 1;
 }
 
@@ -26,8 +26,14 @@ Result<EdgeId> Graph::AddEdge(VertexId u, VertexId v, Label label, double weight
   }
   EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{u, v, label, weight});
-  adjacency_[u].push_back(id);
-  adjacency_[v].push_back(id);
+  // Append to the end of both endpoints' ranges. The first insertion
+  // shifts the higher endpoint's range right by one.
+  const VertexId lo = std::min(u, v);
+  const VertexId hi = std::max(u, v);
+  incident_.insert(incident_.begin() + incident_end_[lo], id);
+  incident_.insert(incident_.begin() + incident_end_[hi] + 1, id);
+  for (VertexId w = lo; w < hi; ++w) ++incident_end_[w];
+  for (VertexId w = hi; w < NumVertices(); ++w) incident_end_[w] += 2;
   return id;
 }
 
@@ -38,7 +44,7 @@ EdgeId Graph::FindEdge(VertexId u, VertexId v) const {
   // Scan the smaller adjacency list.
   VertexId probe = (Degree(u) <= Degree(v)) ? u : v;
   VertexId other = (probe == u) ? v : u;
-  for (EdgeId e : adjacency_[probe]) {
+  for (EdgeId e : IncidentEdges(probe)) {
     if (edges_[e].Other(probe) == other) return e;
   }
   return kInvalidEdge;
@@ -53,7 +59,7 @@ bool Graph::IsConnected() const {
   while (!stack.empty()) {
     VertexId v = stack.back();
     stack.pop_back();
-    for (EdgeId e : adjacency_[v]) {
+    for (EdgeId e : IncidentEdges(v)) {
       VertexId w = edges_[e].Other(v);
       if (!seen[w]) {
         seen[w] = true;
@@ -150,6 +156,14 @@ bool Graph::operator==(const Graph& other) const {
     if (!same || a.label != b.label || a.weight != b.weight) return false;
   }
   return true;
+}
+
+void Graph::ShrinkToFit() {
+  vertex_labels_.shrink_to_fit();
+  vertex_weights_.shrink_to_fit();
+  edges_.shrink_to_fit();
+  incident_end_.shrink_to_fit();
+  incident_.shrink_to_fit();
 }
 
 GraphDatabase GraphDatabase::Slice(int begin, int end) const {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,8 +41,18 @@ struct Edge {
 ///
 /// Designed for the small, sparse graphs of chemical databases (tens to a
 /// few hundred vertices). Vertices and edges are identified by dense ids in
-/// insertion order; adjacency is an edge-id list per vertex. Parallel edges
-/// and self-loops are rejected by AddEdge (chemical graphs are simple).
+/// insertion order. Parallel edges and self-loops are rejected by AddEdge
+/// (chemical graphs are simple).
+///
+/// Layout: incidence lists are stored in compressed sparse rows. One flat
+/// array `incident_` holds every vertex's incident edge ids back to back, in
+/// vertex order; `incident_end_[v]` is the end offset of v's range (its
+/// start is the previous vertex's end). A graph is therefore five arrays,
+/// whatever its vertex count, and GraphDatabase::Add trims them to their
+/// exact size. AddEdge appends the new id at the end of both endpoints'
+/// ranges, which moves the ranges behind them: O(V + E) per edge, cheaper
+/// than a heap block per vertex at the sizes this library targets. The span
+/// IncidentEdges returns stays valid only until the graph is next changed.
 class Graph {
  public:
   Graph() = default;
@@ -66,11 +77,14 @@ class Graph {
   void SetEdgeLabel(EdgeId e, Label label) { edges_[e].label = label; }
   void SetEdgeWeight(EdgeId e, double w) { edges_[e].weight = w; }
 
-  /// Edge ids incident to `v`, in insertion order.
-  const std::vector<EdgeId>& IncidentEdges(VertexId v) const {
-    return adjacency_[v];
+  /// Edge ids incident to `v`, in insertion order. Valid until the graph
+  /// is next changed.
+  std::span<const EdgeId> IncidentEdges(VertexId v) const {
+    const int32_t begin = IncidentBegin(v);
+    return {incident_.data() + begin,
+            static_cast<size_t>(incident_end_[v] - begin)};
   }
-  int Degree(VertexId v) const { return static_cast<int>(adjacency_[v].size()); }
+  int Degree(VertexId v) const { return incident_end_[v] - IncidentBegin(v); }
 
   /// Edge id between u and v, or kInvalidEdge.
   EdgeId FindEdge(VertexId u, VertexId v) const;
@@ -102,11 +116,22 @@ class Graph {
   /// Structural + label equality under identity mapping (not isomorphism).
   bool operator==(const Graph& other) const;
 
+  /// Releases the growth slack of every array (GraphDatabase::Add calls it
+  /// on each graph it stores).
+  void ShrinkToFit();
+
  private:
+  int32_t IncidentBegin(VertexId v) const {
+    return v == 0 ? 0 : incident_end_[v - 1];
+  }
+
   std::vector<Label> vertex_labels_;
   std::vector<double> vertex_weights_;
   std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> adjacency_;
+  /// incident_end_[v]: end of v's range in incident_ (one per vertex).
+  std::vector<int32_t> incident_end_;
+  /// Every vertex's incident edge ids, grouped by vertex (2 per edge).
+  std::vector<EdgeId> incident_;
 };
 
 /// A graph plus its id in a database.
@@ -173,8 +198,9 @@ class GraphDatabase {
 
   GraphDatabase() = default;
 
-  /// Appends a graph; returns its id.
+  /// Appends a graph, trimmed to its exact size; returns its id.
   int Add(Graph g) {
+    g.ShrinkToFit();
     graphs_.push_back(std::make_shared<const Graph>(std::move(g)));
     return static_cast<int>(graphs_.size()) - 1;
   }

@@ -9,6 +9,10 @@ namespace {
 // ESU (Wernicke, 2006) on the line graph: subsets containing root edge r use
 // only edges > r; the extension set grows by *exclusive* neighbors of the
 // newest edge, which guarantees each subset has exactly one generation path.
+//
+// All extension sets live on one stack, ext_: a node's set is the range
+// [lo, ext_.size()) at its entry, and a child's set is copied above it, so
+// the enumeration allocates nothing once the stack has grown.
 class EdgeEsu {
  public:
   EdgeEsu(const Graph& g, const FragmentEnumOptions& options,
@@ -22,31 +26,37 @@ class EdgeEsu {
     for (EdgeId root = 0; root < g_.NumEdges(); ++root) {
       if (stopped_) break;
       root_ = root;
-      subset_ = {root};
+      subset_.assign(1, root);
       in_subset_[root] = true;
-      std::vector<EdgeId> fresh = EligibleNeighbors(root);
-      for (EdgeId e : fresh) neighbor_of_subset_[e] = true;
-      Extend(fresh);
-      for (EdgeId e : fresh) neighbor_of_subset_[e] = false;
+      ext_.clear();
+      PushEligibleNeighbors(root);
+      MarkNeighbors(0, true);
+      Extend(0);
+      MarkNeighbors(0, false);
       in_subset_[root] = false;
     }
     return emitted_;
   }
 
  private:
-  // Edge-neighbors of `e` that are allowed in subsets rooted at root_
-  // (id > root_) and not already adjacent to the subset.
-  std::vector<EdgeId> EligibleNeighbors(EdgeId e) const {
-    std::vector<EdgeId> out;
+  // Pushes onto ext_ the edge-neighbors of `e` that are allowed in subsets
+  // rooted at root_ (id > root_) and not already adjacent to the subset.
+  void PushEligibleNeighbors(EdgeId e) {
     const Edge& edge = g_.GetEdge(e);
     for (VertexId endpoint : {edge.u, edge.v}) {
       for (EdgeId nb : g_.IncidentEdges(endpoint)) {
         if (nb == e || nb <= root_) continue;
         if (in_subset_[nb] || neighbor_of_subset_[nb]) continue;
-        out.push_back(nb);
+        ext_.push_back(nb);
       }
     }
-    return out;
+  }
+
+  // Sets neighbor_of_subset_ for every edge in ext_[from, ext_.size()).
+  void MarkNeighbors(size_t from, bool value) {
+    for (size_t i = from; i < ext_.size(); ++i) {
+      neighbor_of_subset_[ext_[i]] = value;
+    }
   }
 
   void Emit() {
@@ -56,24 +66,28 @@ class EdgeEsu {
     }
   }
 
-  // `extension`: candidate edges that may still be added at this node.
-  void Extend(std::vector<EdgeId> extension) {
+  // The candidate edges that may still be added at this node are
+  // ext_[lo, ext_.size()); they are consumed from the back. Leaves ext_ as
+  // it found it.
+  void Extend(size_t lo) {
     Emit();
     if (stopped_) return;
     if (static_cast<int>(subset_.size()) >= options_.max_edges) return;
-    while (!extension.empty()) {
-      EdgeId w = extension.back();
-      extension.pop_back();
-      // Children may use the remaining extension plus exclusive neighbors
-      // of w (edges adjacent to w but not to the current subset).
+    const size_t end = ext_.size();
+    for (size_t i = end; i-- > lo;) {
+      EdgeId w = ext_[i];
+      // Children may use the remaining extension ext_[lo, i) plus
+      // exclusive neighbors of w (edges adjacent to w but not to the
+      // current subset).
       subset_.push_back(w);
       in_subset_[w] = true;
-      std::vector<EdgeId> fresh = EligibleNeighbors(w);
-      for (EdgeId e : fresh) neighbor_of_subset_[e] = true;
-      std::vector<EdgeId> child_ext = extension;
-      child_ext.insert(child_ext.end(), fresh.begin(), fresh.end());
-      Extend(std::move(child_ext));
-      for (EdgeId e : fresh) neighbor_of_subset_[e] = false;
+      for (size_t j = lo; j < i; ++j) ext_.push_back(ext_[j]);
+      const size_t fresh = ext_.size();
+      PushEligibleNeighbors(w);
+      MarkNeighbors(fresh, true);
+      Extend(end);
+      MarkNeighbors(fresh, false);
+      ext_.resize(end);
       in_subset_[w] = false;
       subset_.pop_back();
       if (stopped_) return;
@@ -85,6 +99,7 @@ class EdgeEsu {
   const EdgeSubsetCallback& cb_;
   EdgeId root_ = 0;
   std::vector<EdgeId> subset_;
+  std::vector<EdgeId> ext_;
   std::vector<bool> in_subset_;
   std::vector<bool> neighbor_of_subset_;
   size_t emitted_ = 0;

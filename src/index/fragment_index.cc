@@ -164,7 +164,7 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
     const size_t num_graphs = db.size();
     const size_t num_ranges =
         std::min(static_cast<size_t>(options.num_threads), num_graphs);
-    std::vector<std::vector<PendingInsert>> pending(num_graphs);
+    std::vector<PendingFragments> pending(num_graphs);
     std::vector<ExtractStats> stats(num_graphs);
     std::vector<Status> failures(num_graphs);
     ParallelFor(num_ranges, options.num_threads, [&](size_t range) {
@@ -182,7 +182,7 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
     }
   } else {
     SkeletonMemo memo(index);
-    std::vector<PendingInsert> pending;
+    PendingFragments pending;
     for (int gid = 0; gid < db.size(); ++gid) {
       pending.clear();
       ExtractStats stats;
@@ -197,7 +197,7 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
 }
 
 Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
-                                            std::vector<PendingInsert>* out,
+                                            PendingFragments* out,
                                             ExtractStats* stats) const {
   FragmentEnumOptions enum_opts;
   enum_opts.min_edges = options_.min_fragment_edges;
@@ -222,39 +222,49 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
     ++stats->occurrences;
     // Distinct sequences only: symmetric labels make many automorphisms
     // collide.
-    size_t first = out->size();
+    const size_t first = out->entries.size();
     for (const CanonicalEmbedding& emb : cls.value()->embeddings) {
       memo->Vectors(g, subset, emb, &labels, &weights);
       bool duplicate = false;
-      for (size_t i = first; i < out->size(); ++i) {
-        if ((*out)[i].labels == labels && (*out)[i].weights == weights) {
+      for (size_t i = first; i < out->entries.size(); ++i) {
+        if (std::ranges::equal(out->Labels(i), labels) &&
+            std::ranges::equal(out->Weights(i), weights)) {
           duplicate = true;
           break;
         }
       }
       if (duplicate) continue;
-      out->push_back(PendingInsert{cls.value()->class_id, labels, weights});
+      out->labels.insert(out->labels.end(), labels.begin(), labels.end());
+      out->weights.insert(out->weights.end(), weights.begin(), weights.end());
+      out->entries.push_back(
+          {cls.value()->class_id, static_cast<uint32_t>(out->labels.size()),
+           static_cast<uint32_t>(out->weights.size())});
     }
     return true;
   });
   return failure;
 }
 
-void FragmentIndex::ApplyExtraction(int gid,
-                                    const std::vector<PendingInsert>& pending,
+void FragmentIndex::ApplyExtraction(int gid, const PendingFragments& pending,
                                     const ExtractStats& stats) {
-  for (const PendingInsert& p : pending) {
-    classes_[p.class_id]->Insert(p.labels, p.weights, gid);
+  std::vector<Label> labels;
+  std::vector<double> weights;
+  for (size_t i = 0; i < pending.entries.size(); ++i) {
+    const std::span<const Label> seq = pending.Labels(i);
+    const std::span<const double> point = pending.Weights(i);
+    labels.assign(seq.begin(), seq.end());
+    weights.assign(point.begin(), point.end());
+    classes_[pending.entries[i].class_id]->Insert(labels, weights, gid);
   }
   stats_.num_subsets_enumerated += stats.subsets;
   stats_.num_subsets_skipped_by_signature += stats.skipped_by_signature;
   stats_.num_fragment_occurrences += stats.occurrences;
-  stats_.num_sequences_inserted += pending.size();
+  stats_.num_sequences_inserted += pending.entries.size();
 }
 
 Result<int> FragmentIndex::AddGraph(const Graph& g) {
   int gid = db_size_;
-  std::vector<PendingInsert> pending;
+  PendingFragments pending;
   ExtractStats stats;
   SkeletonMemo memo(*this);
   PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &memo, &pending, &stats));
@@ -265,7 +275,7 @@ Result<int> FragmentIndex::AddGraph(const Graph& g) {
   // untouched classes keep their finalized state — the amortized add cost
   // scales with the new graph, not the whole index.
   std::unordered_set<int> touched;
-  for (const PendingInsert& p : pending) touched.insert(p.class_id);
+  for (const auto& entry : pending.entries) touched.insert(entry.class_id);
   for (int class_id : touched) classes_[class_id]->Refinalize();
   return gid;
 }

@@ -6,7 +6,9 @@
 #ifndef PIS_INDEX_FRAGMENT_INDEX_H_
 #define PIS_INDEX_FRAGMENT_INDEX_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -234,12 +236,35 @@ class FragmentIndex {
                     const std::vector<EdgeId>& eorder, std::vector<Label>* labels,
                     std::vector<double>* weights) const;
 
-  // One fragment sequence awaiting insertion (extraction is parallel and
-  // side-effect free; insertion is sequential in graph-id order).
-  struct PendingInsert {
-    int class_id;
+  // The fragment sequences extracted from one graph, awaiting insertion
+  // (extraction is parallel and side-effect free; insertion is sequential
+  // in graph-id order). Sequence i belongs to entries[i].class_id; its
+  // labels are labels[entries[i - 1].labels_end, entries[i].labels_end)
+  // and its weights are delimited the same way. Sequential scans reuse one
+  // buffer across graphs.
+  struct PendingFragments {
+    struct Entry {
+      int class_id;
+      uint32_t labels_end;
+      uint32_t weights_end;
+    };
+    std::vector<Entry> entries;
     std::vector<Label> labels;
     std::vector<double> weights;
+
+    void clear() {
+      entries.clear();
+      labels.clear();
+      weights.clear();
+    }
+    std::span<const Label> Labels(size_t i) const {
+      const uint32_t begin = i == 0 ? 0 : entries[i - 1].labels_end;
+      return {labels.data() + begin, entries[i].labels_end - begin};
+    }
+    std::span<const double> Weights(size_t i) const {
+      const uint32_t begin = i == 0 ? 0 : entries[i - 1].weights_end;
+      return {weights.data() + begin, entries[i].weights_end - begin};
+    }
   };
   struct ExtractStats {
     size_t subsets = 0;
@@ -251,11 +276,11 @@ class FragmentIndex {
   // class, emitting deduplicated automorphism sequences. Reads only
   // immutable index state; concurrent calls need distinct memos.
   Status ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
-                               std::vector<PendingInsert>* out,
+                               PendingFragments* out,
                                ExtractStats* stats) const;
 
   // Applies extracted fragments of graph `gid` and folds its stats in.
-  void ApplyExtraction(int gid, const std::vector<PendingInsert>& pending,
+  void ApplyExtraction(int gid, const PendingFragments& pending,
                        const ExtractStats& stats);
 
   FragmentIndexOptions options_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/generator.h"
 #include "graph/io.h"
 #include "graph/label_map.h"
@@ -108,6 +113,150 @@ TEST(GraphTest, EqualityIgnoresEndpointOrder) {
   EXPECT_TRUE(a == b);
   b.SetEdgeLabel(0, 99);
   EXPECT_FALSE(a == b);
+}
+
+// The incidence lists a Graph must report, kept the simplest way: one list
+// per vertex, appended to in AddEdge order.
+struct ReferenceGraph {
+  std::vector<std::vector<EdgeId>> incident;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+
+  bool Has(VertexId u, VertexId v) const {
+    for (EdgeId e : incident[u]) {
+      if (edges[e].first == v || edges[e].second == v) return true;
+    }
+    return false;
+  }
+};
+
+std::vector<EdgeId> Incident(const Graph& g, VertexId v) {
+  const std::span<const EdgeId> edges = g.IncidentEdges(v);
+  return {edges.begin(), edges.end()};
+}
+
+// Checks incidence order, degrees and FindEdge in both orientations.
+void ExpectMatches(const Graph& g, const ReferenceGraph& ref,
+                   const std::string& where) {
+  ASSERT_EQ(g.NumVertices(), static_cast<int>(ref.incident.size())) << where;
+  ASSERT_EQ(g.NumEdges(), static_cast<int>(ref.edges.size())) << where;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    EXPECT_EQ(Incident(g, v), ref.incident[v]) << where << " vertex " << v;
+    EXPECT_EQ(g.Degree(v), static_cast<int>(ref.incident[v].size()))
+        << where << " vertex " << v;
+  }
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const auto [u, v] = ref.edges[e];
+    EXPECT_EQ(g.FindEdge(u, v), e) << where << " edge " << e;
+    EXPECT_EQ(g.FindEdge(v, u), e) << where << " edge " << e;
+  }
+}
+
+TEST(GraphTest, IncidenceMatchesReferenceUnderRandomInterleaving) {
+  Rng rng(20240607);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::string where = "trial " + std::to_string(trial);
+    Graph g;
+    ReferenceGraph ref;
+    for (int step = 0; step < 120; ++step) {
+      if (g.NumVertices() < 2 || rng.Bernoulli(0.3)) {
+        // Vertices keep arriving after edges: their empty ranges go last.
+        ASSERT_EQ(g.AddVertex(rng.UniformInt(1, 4), rng.UniformDouble()),
+                  static_cast<VertexId>(ref.incident.size()));
+        ref.incident.emplace_back();
+      } else {
+        // Endpoints one past either end are out of range.
+        const VertexId u = rng.UniformInt(-1, g.NumVertices());
+        const VertexId v = rng.UniformInt(-1, g.NumVertices());
+        const bool in_range =
+            u >= 0 && v >= 0 && u < g.NumVertices() && v < g.NumVertices();
+        Result<EdgeId> added = g.AddEdge(u, v, rng.UniformInt(1, 3), 0.5);
+        if (!in_range || u == v) {
+          EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+        } else if (ref.Has(u, v)) {
+          EXPECT_EQ(added.status().code(), StatusCode::kAlreadyExists);
+        } else {
+          ASSERT_TRUE(added.ok()) << added.status().ToString();
+          EXPECT_EQ(added.value(), static_cast<EdgeId>(ref.edges.size()));
+          ref.incident[u].push_back(added.value());
+          ref.incident[v].push_back(added.value());
+          ref.edges.emplace_back(u, v);
+        }
+      }
+      ExpectMatches(g, ref, where + " step " + std::to_string(step));
+      if (testing::Test::HasFailure()) return;
+    }
+    for (VertexId u = 0; u < g.NumVertices(); ++u) {
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        EXPECT_EQ(g.HasEdge(u, v), u != v && ref.Has(u, v)) << where;
+      }
+    }
+
+    Graph copy = g;
+    EXPECT_TRUE(copy == g) << where;
+    ExpectMatches(copy, ref, where + " copy");
+    Graph moved = std::move(copy);
+    ExpectMatches(moved, ref, where + " move");
+    Graph assigned;
+    assigned = std::move(moved);
+    ExpectMatches(assigned, ref, where + " move-assign");
+
+    Graph skeleton = g.Skeleton();
+    ExpectMatches(skeleton, ref, where + " skeleton");
+
+    // Relabeled keeps edge ids and order, so old vertex perm[i]'s list
+    // becomes new vertex i's.
+    std::vector<VertexId> perm(g.NumVertices());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) perm[v] = v;
+    rng.Shuffle(&perm);
+    Graph relabeled = g.Relabeled(perm);
+    ReferenceGraph permuted;
+    std::vector<VertexId> inverse(perm.size());
+    for (size_t i = 0; i < perm.size(); ++i) {
+      permuted.incident.push_back(ref.incident[perm[i]]);
+      inverse[perm[i]] = static_cast<VertexId>(i);
+    }
+    for (const auto& [u, v] : ref.edges) {
+      permuted.edges.emplace_back(inverse[u], inverse[v]);
+    }
+    ExpectMatches(relabeled, permuted, where + " relabeled");
+
+    // EdgeSubgraph over a shuffled half of the edges: vertices renumber in
+    // first-appearance order, edges take the subset's order.
+    std::vector<EdgeId> subset(g.NumEdges());
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) subset[e] = e;
+    rng.Shuffle(&subset);
+    subset.resize(subset.size() / 2);
+    std::vector<VertexId> vertex_map;
+    Graph sub = g.EdgeSubgraph(subset, &vertex_map);
+    ReferenceGraph expected_sub;
+    std::vector<VertexId> old_to_new(g.NumVertices(), kInvalidVertex);
+    std::vector<VertexId> new_to_old;
+    auto map_vertex = [&](VertexId old) {
+      if (old_to_new[old] == kInvalidVertex) {
+        old_to_new[old] = static_cast<VertexId>(new_to_old.size());
+        new_to_old.push_back(old);
+        expected_sub.incident.emplace_back();
+      }
+      return old_to_new[old];
+    };
+    for (EdgeId e : subset) {
+      const VertexId nu = map_vertex(ref.edges[e].first);
+      const VertexId nv = map_vertex(ref.edges[e].second);
+      const auto id = static_cast<EdgeId>(expected_sub.edges.size());
+      expected_sub.incident[nu].push_back(id);
+      expected_sub.incident[nv].push_back(id);
+      expected_sub.edges.emplace_back(nu, nv);
+    }
+    EXPECT_EQ(vertex_map, new_to_old) << where;
+    ExpectMatches(sub, expected_sub, where + " edge subgraph");
+
+    // A stored graph is trimmed to size but otherwise the same graph.
+    GraphDatabase db;
+    const int id = db.Add(g);
+    EXPECT_TRUE(db.at(id) == g) << where;
+    ExpectMatches(db.at(id), ref, where + " stored");
+    if (testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(GraphDatabaseTest, Stats) {

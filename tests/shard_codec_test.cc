@@ -225,8 +225,11 @@ TEST(ShardCodecTest, RefineReplyAnswersMustBeGraphIds) {
       reply("[0,3]", "[3,0]"),  // unsorted answers
   };
   for (const char* n : kBadNumbers) {
-    bad.push_back(reply("[" + std::string(n) + "]", "[]"));
-    bad.push_back(reply("[0]", "[" + std::string(n) + "]"));
+    std::string list;  // "[n]", without a -Wrestrict-prone operator+ chain
+    list.reserve(std::char_traits<char>::length(n) + 2);
+    list.append("[").append(n).append("]");
+    bad.push_back(reply(list, "[]"));
+    bad.push_back(reply("[0]", list));
   }
   ExpectRejected(ShardRefineReplyFromJson, bad);
 }
