@@ -6,11 +6,15 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "canonical/min_dfs.h"
+#include "core/query_fragments.h"
+#include "core/shard_filter.h"
 #include "distance/mutation.h"
 #include "distance/superimposed.h"
 #include "graph/generator.h"
@@ -20,6 +24,7 @@
 #include "mining/gspan.h"
 #include "mining/pipeline.h"
 #include "server/engine_host.h"
+#include "server/shard_ops.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -235,6 +240,149 @@ BENCHMARK(BM_EngineHostAdd)
     ->Arg(4000)
     ->Iterations(256)
     ->Unit(benchmark::kMicrosecond);
+
+/// perfbench's q16 shape: 1000 seed-1 molecules, features mined at 4 edges
+/// and 5% support, a 3-shard index, and one query of perfbench's seed-1
+/// 16-edge set.
+struct Q16Inputs {
+  GraphDatabase db;
+  Result<ShardedFragmentIndex> index = Status::Internal("unbuilt");
+  Graph query;
+  PisOptions options;  // sigma 2, as pis_server serves
+};
+
+Q16Inputs MakeQ16Inputs() {
+  Q16Inputs in;
+  MoleculeGeneratorOptions generate;
+  generate.seed = 1;
+  in.db = MoleculeGenerator(generate).Generate(1000);
+  auto features = MineDiscriminativeFeatures(in.db, 4, 0.05, 1.0);
+  PIS_CHECK(features.ok());
+  FragmentIndexOptions options;
+  options.max_fragment_edges = 4;
+  options.num_threads = HardwareThreads();
+  in.index = ShardedFragmentIndex::Build(in.db, features.value(), options,
+                                         /*num_shards=*/3);
+  PIS_CHECK(in.index.ok());
+  // perfbench's seed-1 q16 set; keep the query whose fragment count is
+  // nearest the set's mean, a typical query rather than the first drawn.
+  QuerySampler sampler(&in.db,
+                       {.seed = 1 * 31 + 7, .strip_vertex_labels = true});
+  auto queries = sampler.SampleSet(16, 120);
+  PIS_CHECK(queries.ok());
+  std::vector<double> counts;
+  for (const Graph& q : queries.value()) {
+    auto fragments =
+        EnumerateIndexedQueryFragments(in.index.value().shard(0), q);
+    PIS_CHECK(fragments.ok());
+    counts.push_back(static_cast<double>(fragments.value().size()));
+  }
+  double mean = 0;
+  for (double c : counts) mean += c / static_cast<double>(counts.size());
+  size_t best = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (std::abs(counts[i] - mean) < std::abs(counts[best] - mean)) best = i;
+  }
+  in.query = queries.value()[best];
+  return in;
+}
+
+const Q16Inputs& SharedQ16Inputs() {
+  static const Q16Inputs inputs = MakeQ16Inputs();
+  return inputs;
+}
+
+double MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+void BM_ShardFilterQ16(benchmark::State& state) {
+  // The in-process filter of one q16 query, stage by stage: enumerate the
+  // query's indexed fragments, pass 1 (ShardFilter) on every shard, then
+  // plan (selectivities, partition) and pass 2 (ShardRefine).
+  const Q16Inputs& in = SharedQ16Inputs();
+  const ShardedFragmentIndex& index = in.index.value();
+  const int num_shards = index.num_shards();
+  double enumerate_us = 0;
+  double pass1_us = 0;
+  double refine_us = 0;
+  size_t fragments = 0;
+  size_t candidates = 0;
+  for (auto _ : state) {
+    auto start = std::chrono::steady_clock::now();
+    FilterResult result;
+    auto enumerated = EnumerateIndexedQueryFragments(index.shard(0), in.query);
+    PIS_CHECK(enumerated.ok());
+    result.fragments = enumerated.MoveValue();
+    enumerate_us += MicrosSince(start);
+
+    start = std::chrono::steady_clock::now();
+    std::vector<ShardFilterResult> shards(num_shards);
+    for (int s = 0; s < num_shards; ++s) {
+      PIS_CHECK(ShardFilter(index, s, result.fragments, in.options.sigma,
+                            &shards[s])
+                    .ok());
+    }
+    pass1_us += MicrosSince(start);
+
+    start = std::chrono::steady_clock::now();
+    PlanFilter(shards, in.options, &result);
+    for (int s = 0; s < num_shards; ++s) {
+      std::vector<int> refined;
+      PIS_CHECK(ShardRefine(index, s, result.fragments, result.partition,
+                            shards[s].survivors, in.options.sigma, &refined)
+                    .ok());
+      candidates += refined.size();
+      benchmark::DoNotOptimize(refined.data());
+    }
+    refine_us += MicrosSince(start);
+    fragments += result.fragments.size();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["enumerate_us"] = enumerate_us / n;
+  state.counters["pass1_us"] = pass1_us / n;
+  state.counters["refine_us"] = refine_us / n;
+  state.counters["fragments"] = static_cast<double>(fragments) / n;
+  state.counters["candidates"] = static_cast<double>(candidates) / n;
+}
+BENCHMARK(BM_ShardFilterQ16)->Unit(benchmark::kMillisecond);
+
+void BM_ShardFilterReplyCodec(benchmark::State& state) {
+  // A replica's shard_filter reply for the q16 query over all three
+  // shards: encode it to one protocol line, then parse and decode it as
+  // the router does.
+  const Q16Inputs& in = SharedQ16Inputs();
+  const ShardedFragmentIndex& index = in.index.value();
+  ShardFilterReply reply;
+  auto enumerated = EnumerateIndexedQueryFragments(index.shard(0), in.query);
+  PIS_CHECK(enumerated.ok());
+  reply.fragments = enumerated.MoveValue();
+  for (int s = 0; s < index.num_shards(); ++s) {
+    reply.shards.push_back(s);
+    reply.results.emplace_back();
+    PIS_CHECK(ShardFilter(index, s, reply.fragments, in.options.sigma,
+                          &reply.results.back())
+                  .ok());
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    JsonValue json = JsonValue::Object();
+    json.Set("ok", true);
+    ShardFilterReplyToJson(reply, &json);
+    const std::string line = json.Serialize();
+    auto parsed = JsonValue::Parse(line);
+    PIS_CHECK(parsed.ok());
+    auto decoded = ShardFilterReplyFromJson(parsed.value());
+    PIS_CHECK(decoded.ok());
+    benchmark::DoNotOptimize(decoded.value().results.data());
+    bytes = line.size();
+  }
+  state.counters["fragments"] = static_cast<double>(reply.fragments.size());
+  state.counters["reply_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ShardFilterReplyCodec)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pis

@@ -29,34 +29,23 @@ bool VerticesIntersect(const std::vector<VertexId>& a,
 }  // namespace
 
 OverlapGraph::OverlapGraph(const std::vector<WeightedFragment>& fragments) {
-  int n = static_cast<int>(fragments.size());
+  const int n = static_cast<int>(fragments.size());
   weights_.resize(n);
-  adjacency_.assign(n, {});
+  words_ = (static_cast<size_t>(n) + 63) / 64;
+  rows_.assign(static_cast<size_t>(n) * words_, 0);
   for (int i = 0; i < n; ++i) {
     weights_[i] = fragments[i].weight;
     PIS_DCHECK(std::is_sorted(fragments[i].vertices.begin(),
                               fragments[i].vertices.end()));
   }
-  // The i-ascending/j-ascending double loop appends to every adjacency list
-  // in increasing order, so each list is born sorted — Adjacent binary
-  // searches it (it sits in the inner loop of EnhancedGreedyMwis's DFS,
-  // where a linear scan made dense overlap graphs superlinear).
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       if (VerticesIntersect(fragments[i].vertices, fragments[j].vertices)) {
-        adjacency_[i].push_back(j);
-        adjacency_[j].push_back(i);
+        rows_[Word(i, j)] |= uint64_t{1} << (j % 64);
+        rows_[Word(j, i)] |= uint64_t{1} << (i % 64);
       }
     }
   }
-  for (int i = 0; i < n; ++i) {
-    PIS_DCHECK(std::is_sorted(adjacency_[i].begin(), adjacency_[i].end()));
-  }
-}
-
-bool OverlapGraph::Adjacent(int a, int b) const {
-  const std::vector<int>& adj = adjacency_[a];
-  return std::binary_search(adj.begin(), adj.end(), b);
 }
 
 bool OverlapGraph::IsIndependent(const std::vector<int>& set) const {
@@ -86,7 +75,7 @@ std::vector<int> GreedyMwis(const OverlapGraph& graph) {
     if (best < 0) break;
     selected.push_back(best);
     alive[best] = false;
-    for (int nb : graph.neighbors(best)) alive[nb] = false;
+    graph.ForEachNeighbor(best, [&alive](int nb) { alive[nb] = false; });
   }
   std::sort(selected.begin(), selected.end());
   return selected;
@@ -131,7 +120,7 @@ std::vector<int> EnhancedGreedyMwis(const OverlapGraph& graph, int k) {
     for (int v : best_set) {
       selected.push_back(v);
       alive[v] = false;
-      for (int nb : graph.neighbors(v)) alive[nb] = false;
+      graph.ForEachNeighbor(v, [&alive](int nb) { alive[nb] = false; });
     }
   }
   std::sort(selected.begin(), selected.end());
@@ -170,12 +159,12 @@ struct ExactSolver {
     // Branch 1: include pivot.
     std::vector<int> newly_excluded = {pivot};
     excluded[pivot] = depth;
-    for (int nb : graph.neighbors(pivot)) {
+    graph.ForEachNeighbor(pivot, [&](int nb) {
       if (excluded[nb] < 0) {
         excluded[nb] = depth;
         newly_excluded.push_back(nb);
       }
-    }
+    });
     current.push_back(pivot);
     Solve(weight + graph.weight(pivot));
     current.pop_back();

@@ -4,6 +4,8 @@
 #ifndef PIS_CORE_PARTITION_H_
 #define PIS_CORE_PARTITION_H_
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/options.h"
@@ -21,23 +23,43 @@ struct WeightedFragment {
   std::vector<VertexId> vertices;
 };
 
-/// \brief The overlapping-relation graph Q̃ (paper Figure 6).
+/// \brief The overlapping-relation graph Q̃ (paper Figure 6), as an
+/// adjacency bit matrix: row v holds one bit per vertex, set for v's
+/// neighbours. A q16 query keeps ~100 fragments that mostly overlap, so a
+/// bit per pair stays a few KB where a list entry per edge would not.
 class OverlapGraph {
  public:
   explicit OverlapGraph(const std::vector<WeightedFragment>& fragments);
 
-  int size() const { return static_cast<int>(adjacency_.size()); }
+  int size() const { return static_cast<int>(weights_.size()); }
   double weight(int v) const { return weights_[v]; }
-  const std::vector<int>& neighbors(int v) const { return adjacency_[v]; }
-  bool Adjacent(int a, int b) const;
+  bool Adjacent(int a, int b) const {
+    return ((rows_[Word(a, b)] >> (b % 64)) & 1) != 0;
+  }
+  /// Calls `fn(u)` for every neighbour u of `v`, in ascending order.
+  template <typename Fn>
+  void ForEachNeighbor(int v, Fn&& fn) const {
+    const uint64_t* row = &rows_[Word(v, 0)];
+    for (size_t w = 0; w < words_; ++w) {
+      for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<int>(w * 64) + std::countr_zero(bits));
+      }
+    }
+  }
 
   /// True iff `set` is an independent set.
   bool IsIndependent(const std::vector<int>& set) const;
   double TotalWeight(const std::vector<int>& set) const;
 
  private:
+  /// Index of the word of row `v` that holds column `u`.
+  size_t Word(int v, int u) const {
+    return static_cast<size_t>(v) * words_ + static_cast<size_t>(u) / 64;
+  }
+
   std::vector<double> weights_;
-  std::vector<std::vector<int>> adjacency_;
+  size_t words_ = 0;  // words per row: ceil(size() / 64)
+  std::vector<uint64_t> rows_;
 };
 
 /// Algorithm 1 (Greedy): O(cn) with optimality ratio 1/c.

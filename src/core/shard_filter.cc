@@ -1,20 +1,62 @@
 #include "core/shard_filter.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
-#include <unordered_map>
+#include <limits>
 #include <utility>
 
 #include "core/partition.h"
 #include "core/selectivity.h"
+#include "util/logging.h"
 #include "util/timer.h"
 
 namespace pis {
 
-DistanceHistogram HistogramOf(std::vector<double> distances) {
-  std::sort(distances.begin(), distances.end());
+namespace {
+
+/// One fragment's range query over a shard, aggregated per graph to the
+/// minimum distance within sigma (Algorithm 2 lines 10-16, Eq. 3) in a
+/// dense array over the shard's local ids. Only the graphs a query hit are
+/// reset before the next one, so a fragment costs its matches, not the
+/// shard size. Tombstoned graphs never appear (FragmentIndex::RangeQuery
+/// drops them).
+class ShardMinDistances {
+ public:
+  explicit ShardMinDistances(int shard_size) : dist_(shard_size, kUnset) {}
+
+  Status Collect(const FragmentIndex& shard, const PreparedFragment& fragment,
+                 double sigma) {
+    for (int local : hits_) dist_[local] = kUnset;
+    hits_.clear();
+    return shard.RangeQuery(fragment, sigma, [this](int local, double d) {
+      double& slot = dist_[local];
+      if (std::isnan(slot)) {
+        hits_.push_back(local);
+        slot = d;
+      } else if (d < slot) {
+        slot = d;
+      }
+    });
+  }
+
+  bool Hit(int local) const { return !std::isnan(dist_[local]); }
+  double distance(int local) const { return dist_[local]; }
+  /// Local ids the last Collect hit, each once, in arrival order.
+  const std::vector<int>& hits() const { return hits_; }
+
+ private:
+  static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> dist_;
+  std::vector<int> hits_;
+};
+
+}  // namespace
+
+DistanceHistogram HistogramOf(std::vector<double>* distances) {
+  std::sort(distances->begin(), distances->end());
   DistanceHistogram histogram;
-  for (double d : distances) {
+  for (double d : *distances) {
     if (!histogram.empty() && histogram.back().first == d) {
       ++histogram.back().second;
     } else {
@@ -54,27 +96,29 @@ Status ShardFilter(const ShardedFragmentIndex& index, int shard,
                    const std::vector<QueryFragment>& fragments, double sigma,
                    ShardFilterResult* out) {
   const FragmentIndex& local = index.shard(shard);
+  const int size = index.shard_size(shard);
   out->live = local.num_live();
-  // CQ starts as every live graph of the shard (line 17 intersects it down).
-  out->survivors.clear();
-  for (int l = 0; l < index.shard_size(shard); ++l) {
-    if (local.IsLive(l)) out->survivors.push_back(index.global_id(shard, l));
+  // CQ over local ids starts as every live graph of the shard (line 17
+  // intersects it down).
+  std::vector<int> kept;
+  for (int l = 0; l < size; ++l) {
+    if (local.IsLive(l)) kept.push_back(l);
   }
-  std::sort(out->survivors.begin(), out->survivors.end());
   out->histograms.clear();
   out->histograms.reserve(fragments.size());
-  std::unordered_map<int, double> dist;
+  ShardMinDistances dist(size);
   std::vector<double> found;
   for (const QueryFragment& fragment : fragments) {
-    dist.clear();
-    PIS_RETURN_NOT_OK(
-        index.MinDistances(shard, fragment.prepared, sigma, &dist));
+    PIS_RETURN_NOT_OK(dist.Collect(local, fragment.prepared, sigma));
     found.clear();
-    for (const auto& [gid, d] : dist) found.push_back(d);
-    out->histograms.push_back(HistogramOf(std::move(found)));
-    std::erase_if(out->survivors,
-                  [&dist](int gid) { return dist.count(gid) == 0; });
+    for (int l : dist.hits()) found.push_back(dist.distance(l));
+    out->histograms.push_back(HistogramOf(&found));
+    std::erase_if(kept, [&dist](int l) { return !dist.Hit(l); });
   }
+  out->survivors.clear();
+  out->survivors.reserve(kept.size());
+  for (int l : kept) out->survivors.push_back(index.global_id(shard, l));
+  std::sort(out->survivors.begin(), out->survivors.end());
   return Status::OK();
 }
 
@@ -134,24 +178,30 @@ Status ShardRefine(const ShardedFragmentIndex& index, int shard,
                    std::vector<int>* candidates) {
   *candidates = survivors;
   std::vector<double> lower_bound(candidates->size(), 0.0);
-  std::unordered_map<int, double> dist;
+  std::vector<int> locals;
+  locals.reserve(survivors.size());
+  for (int gid : survivors) {
+    PIS_DCHECK(index.shard_of(gid) == shard);
+    locals.push_back(index.local_id(gid));
+  }
+  ShardMinDistances dist(index.shard_size(shard));
   for (int fi : partition) {
-    dist.clear();
     PIS_RETURN_NOT_OK(
-        index.MinDistances(shard, fragments[fi].prepared, sigma, &dist));
+        dist.Collect(index.shard(shard), fragments[fi].prepared, sigma));
     size_t kept = 0;
     for (size_t i = 0; i < candidates->size(); ++i) {
-      auto it = dist.find((*candidates)[i]);
       // A survivor every fragment hit is always found; a miss would mean
       // an unbounded distance, so it is pruned either way.
-      if (it == dist.end()) continue;
-      const double bound = lower_bound[i] + it->second;
+      if (!dist.Hit(locals[i])) continue;
+      const double bound = lower_bound[i] + dist.distance(locals[i]);
       if (bound > sigma) continue;
       (*candidates)[kept] = (*candidates)[i];
+      locals[kept] = locals[i];
       lower_bound[kept] = bound;
       ++kept;
     }
     candidates->resize(kept);
+    locals.resize(kept);
     lower_bound.resize(kept);
   }
   return Status::OK();

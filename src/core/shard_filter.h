@@ -40,8 +40,9 @@ namespace pis {
 /// pairs: distances strictly ascending, counts >= 1.
 using DistanceHistogram = std::vector<std::pair<double, int>>;
 
-/// Histogram of `distances` (any order).
-DistanceHistogram HistogramOf(std::vector<double> distances);
+/// Histogram of `distances` (any order). Sorts `distances` in place, so a
+/// caller can reuse one buffer across fragments.
+DistanceHistogram HistogramOf(std::vector<double>* distances);
 /// Adds `from`'s counts into `into`; the result does not depend on the
 /// order in which several histograms are merged.
 void MergeHistogram(const DistanceHistogram& from, DistanceHistogram* into);

@@ -154,16 +154,6 @@ ShardedFragmentIndex ShardedFragmentIndex::FromFragmentIndex(
   return sharded;
 }
 
-Status ShardedFragmentIndex::MinDistances(
-    int s, const PreparedFragment& fragment, double sigma,
-    std::unordered_map<int, double>* min_dist) const {
-  const std::vector<int>& globals = globals_[s];
-  return shards_[s]->RangeQuery(fragment, sigma, [&](int local, double d) {
-    auto [it, inserted] = min_dist->try_emplace(globals[local], d);
-    if (!inserted && d < it->second) it->second = d;
-  });
-}
-
 Result<FragmentIndex*> ShardedFragmentIndex::MutableShard(int s) {
   // use_count == 1 means nobody else can observe the shard: mutate in
   // place. Anything higher means a snapshot handle or an index copy pins

@@ -31,7 +31,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -78,15 +77,9 @@ class ShardedFragmentIndex {
   /// Global graph id of shard `s`'s local id `local` (the inverse of the
   /// routing: shard(s) emits local ids, queries report global ids).
   int global_id(int s, int local) const { return globals_[s][local]; }
-
-  /// One fragment's range query over shard `s`, aggregated per graph to the
-  /// minimum distance within `sigma` (Algorithm 2 lines 10-16, Eq. 3) and
-  /// keyed by GLOBAL graph id — the one place shard-local ids are
-  /// translated. Tombstoned graphs never appear. Entries min-merge into
-  /// `min_dist`, so sweeping several shards into one map yields their
-  /// union (shards own disjoint ids).
-  Status MinDistances(int s, const PreparedFragment& fragment, double sigma,
-                      std::unordered_map<int, double>* min_dist) const;
+  /// Local id of global graph id `gid` inside its owning shard (the routing
+  /// itself); -1 when `gid` was compacted away.
+  int local_id(int gid) const { return local_of_[gid]; }
 
   /// Total graph-id slots ever assigned (monotone; tombstoned and
   /// compacted-away slots included — ids are never reused).

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -9,13 +10,13 @@
 
 namespace pis {
 
-namespace {
+static_assert(sizeof(JsonValue) <= 16, "a JsonValue is a tag plus one slot");
 
 /// Recursive-descent parser over a raw byte range. Depth is bounded so a
 /// hostile "[[[[..." line can't blow the stack of a server worker.
-class Parser {
+class JsonParser {
  public:
-  Parser(const char* p, const char* end) : p_(p), end_(end) {}
+  JsonParser(const char* p, const char* end) : p_(p), end_(end) {}
 
   Result<JsonValue> ParseDocument() {
     PIS_ASSIGN_OR_RETURN(JsonValue v, ParseValue(0));
@@ -92,9 +93,13 @@ class Parser {
     }
   }
 
+  // Members are appended as read, then sorted and deduplicated once: one
+  // sorted insertion per key would make a long line of distinct keys
+  // quadratic.
   Result<JsonValue> ParseObject(int depth) {
     Advance();  // '{'
     JsonValue obj = JsonValue::Object();
+    JsonValue::Members& members = *obj.slot_.members;
     SkipSpace();
     if (Consume('}')) return obj;
     while (true) {
@@ -104,12 +109,33 @@ class Parser {
       SkipSpace();
       if (!Consume(':')) return Err("expected ':' after object key");
       PIS_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      obj.Set(key, std::move(value));
+      members.emplace_back(std::move(key), std::move(value));
       SkipSpace();
       if (Consume(',')) continue;
-      if (Consume('}')) return obj;
+      if (Consume('}')) {
+        SortMembers(&members);
+        return obj;
+      }
       return Err("expected ',' or '}' in object");
     }
+  }
+
+  // Stable sort by key, then keep the last member of each run of equal
+  // keys: a repeated key keeps its last value.
+  static void SortMembers(JsonValue::Members* members) {
+    std::stable_sort(
+        members->begin(), members->end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    size_t out = 0;
+    for (size_t i = 0; i < members->size(); ++i) {
+      if (i + 1 < members->size() &&
+          (*members)[i + 1].first == (*members)[i].first) {
+        continue;
+      }
+      if (out != i) (*members)[out] = std::move((*members)[i]);
+      ++out;
+    }
+    members->resize(out);
   }
 
   Result<JsonValue> ParseArray(int depth) {
@@ -253,6 +279,8 @@ class Parser {
   size_t offset_ = 0;
 };
 
+namespace {
+
 void SerializeTo(const JsonValue& v, std::string* out) {
   switch (v.type()) {
     case JsonValue::Type::kNull:
@@ -312,10 +340,98 @@ void SerializeTo(const JsonValue& v, std::string* out) {
 
 }  // namespace
 
+JsonValue::JsonValue(const JsonValue& other) : type_(other.type_) {
+  switch (type_) {
+    case Type::kString:
+      slot_.string = new std::string(*other.slot_.string);
+      break;
+    case Type::kArray:
+      slot_.items = new std::vector<JsonValue>(*other.slot_.items);
+      break;
+    case Type::kObject:
+      slot_.members = new Members(*other.slot_.members);
+      break;
+    default:
+      slot_ = other.slot_;
+      break;
+  }
+}
+
+JsonValue::JsonValue(JsonValue&& other) noexcept { TakeFrom(&other); }
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+JsonValue& JsonValue::operator=(JsonValue&& other) noexcept {
+  if (this != &other) {
+    // `other` may live inside this value's payload: detach it first.
+    JsonValue taken;
+    taken.TakeFrom(&other);
+    Reset();
+    TakeFrom(&taken);
+  }
+  return *this;
+}
+
+void JsonValue::TakeFrom(JsonValue* other) {
+  type_ = other->type_;
+  slot_ = other->slot_;
+  other->type_ = Type::kNull;
+  other->slot_ = Slot();
+}
+
+void JsonValue::Reset() {
+  switch (type_) {
+    case Type::kString:
+      delete slot_.string;
+      break;
+    case Type::kArray:
+      delete slot_.items;
+      break;
+    case Type::kObject:
+      delete slot_.members;
+      break;
+    default:
+      break;
+  }
+  type_ = Type::kNull;
+  slot_ = Slot();
+}
+
+JsonValue JsonValue::Object() {
+  JsonValue v;
+  v.type_ = Type::kObject;
+  v.slot_.members = new Members();
+  return v;
+}
+
+JsonValue JsonValue::Array() {
+  JsonValue v;
+  v.type_ = Type::kArray;
+  v.slot_.items = new std::vector<JsonValue>();
+  return v;
+}
+
 Result<JsonValue> JsonValue::Parse(const std::string& text) {
-  Parser parser(text.data(), text.data() + text.size());
+  JsonParser parser(text.data(), text.data() + text.size());
   return parser.ParseDocument();
 }
+
+const std::string& JsonValue::AsString() const {
+  static const std::string kEmpty;
+  return is_string() ? *slot_.string : kEmpty;
+}
+
+namespace {
+
+bool KeyLess(const std::pair<std::string, JsonValue>& member,
+             const std::string& key) {
+  return member.first < key;
+}
+
+}  // namespace
 
 bool JsonValue::Has(const std::string& key) const {
   return Find(key) != nullptr;
@@ -323,8 +439,9 @@ bool JsonValue::Has(const std::string& key) const {
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (type_ != Type::kObject) return nullptr;
-  auto it = members_.find(key);
-  return it == members_.end() ? nullptr : &it->second;
+  const Members& members = *slot_.members;
+  auto it = std::lower_bound(members.begin(), members.end(), key, KeyLess);
+  return it == members.end() || it->first != key ? nullptr : &it->second;
 }
 
 double JsonValue::GetNumberOr(const std::string& key, double fallback) const {
@@ -344,18 +461,46 @@ std::string JsonValue::GetStringOr(const std::string& key,
 }
 
 JsonValue& JsonValue::Set(const std::string& key, JsonValue value) {
-  type_ = Type::kObject;
-  members_[key] = std::move(value);
+  if (type_ != Type::kObject) {
+    // Build the object first: `key` may point into this value's string.
+    JsonValue object = Object();
+    object.slot_.members->emplace_back(key, std::move(value));
+    return *this = std::move(object);
+  }
+  Members& members = *slot_.members;
+  auto it = std::lower_bound(members.begin(), members.end(), key, KeyLess);
+  if (it != members.end() && it->first == key) {
+    it->second = std::move(value);
+  } else {
+    members.emplace(it, key, std::move(value));
+  }
   return *this;
 }
 
 void JsonValue::Push(JsonValue value) {
-  type_ = Type::kArray;
-  items_.push_back(std::move(value));
+  if (type_ != Type::kArray) *this = Array();
+  slot_.items->push_back(std::move(value));
 }
 
 size_t JsonValue::size() const {
-  return type_ == Type::kObject ? members_.size() : items_.size();
+  switch (type_) {
+    case Type::kObject:
+      return slot_.members->size();
+    case Type::kArray:
+      return slot_.items->size();
+    default:
+      return 0;
+  }
+}
+
+const std::vector<JsonValue>& JsonValue::items() const {
+  static const std::vector<JsonValue> kNone;
+  return is_array() ? *slot_.items : kNone;
+}
+
+const JsonValue::Members& JsonValue::members() const {
+  static const Members kNone;
+  return is_object() ? *slot_.members : kNone;
 }
 
 std::string JsonValue::Serialize() const {

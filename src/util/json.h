@@ -3,54 +3,67 @@
 // Supports the full JSON value model (null, bool, number, string, object,
 // array) with compact single-line serialization — exactly what the
 // newline-delimited protocol of pis_server needs. Objects keep their keys
-// sorted (std::map), so serialization is deterministic: the same value
-// always renders to the same bytes, which the smoke tests and goldens rely
-// on. Numbers are doubles; integral values within int64 range render
-// without a decimal point so graph ids round-trip as "17", not "17.0".
+// sorted, so serialization is deterministic: the same value always renders
+// to the same bytes, which the smoke tests and goldens rely on. Numbers are
+// doubles; integral values within int64 range render without a decimal
+// point so graph ids round-trip as "17", not "17.0".
+//
+// A value is 16 bytes: a type tag plus one slot that holds a bool or a
+// double inline, or owns the heap payload of a string, array or object. A
+// protocol reply is mostly numbers in arrays, so its DOM costs about 16
+// bytes per number. An object is a vector of (key, value) members sorted by
+// key; keys compare as std::string does, so members render in the order a
+// std::map would give.
 #ifndef PIS_UTIL_JSON_H_
 #define PIS_UTIL_JSON_H_
 
-#include <map>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
 
 namespace pis {
 
+class JsonParser;
+
 /// \brief A parsed/buildable JSON value.
 class JsonValue {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
+  enum class Type : uint8_t { kNull, kBool, kNumber, kString, kObject, kArray };
+  /// An object's members, sorted by key, each key once.
+  using Members = std::vector<std::pair<std::string, JsonValue>>;
 
   JsonValue() = default;  // null
   JsonValue(bool b)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kBool), bool_(b) {}
+      : type_(Type::kBool), slot_{.boolean = b} {}
   JsonValue(double d)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kNumber), number_(d) {}
+      : type_(Type::kNumber), slot_{.number = d} {}
   JsonValue(int i)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kNumber), number_(i) {}
+      : type_(Type::kNumber), slot_{.number = static_cast<double>(i)} {}
   JsonValue(int64_t i)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kNumber), number_(static_cast<double>(i)) {}
+      : type_(Type::kNumber), slot_{.number = static_cast<double>(i)} {}
   JsonValue(uint64_t i)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kNumber), number_(static_cast<double>(i)) {}
+      : type_(Type::kNumber), slot_{.number = static_cast<double>(i)} {}
   JsonValue(const char* s)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kString), string_(s) {}
+      : type_(Type::kString), slot_{.string = new std::string(s)} {}
   JsonValue(std::string s)  // NOLINT(google-explicit-constructor)
-      : type_(Type::kString), string_(std::move(s)) {}
+      : type_(Type::kString),
+        slot_{.string = new std::string(std::move(s))} {}
 
-  static JsonValue Object() {
-    JsonValue v;
-    v.type_ = Type::kObject;
-    return v;
-  }
-  static JsonValue Array() {
-    JsonValue v;
-    v.type_ = Type::kArray;
-    return v;
-  }
+  /// Copies are deep; a moved-from value is null.
+  JsonValue(const JsonValue& other);
+  JsonValue(JsonValue&& other) noexcept;
+  JsonValue& operator=(const JsonValue& other);
+  JsonValue& operator=(JsonValue&& other) noexcept;
+  ~JsonValue() { Reset(); }
 
-  /// Parses one JSON document; trailing non-whitespace is an error.
+  static JsonValue Object();
+  static JsonValue Array();
+
+  /// Parses one JSON document; trailing non-whitespace is an error. A key
+  /// repeated within one object keeps its last value.
   static Result<JsonValue> Parse(const std::string& text);
 
   Type type() const { return type_; }
@@ -61,9 +74,10 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
 
-  bool AsBool() const { return bool_; }
-  double AsNumber() const { return number_; }
-  const std::string& AsString() const { return string_; }
+  /// Typed reads; a value of another type reads as false, 0 or "".
+  bool AsBool() const { return is_bool() && slot_.boolean; }
+  double AsNumber() const { return is_number() ? slot_.number : 0; }
+  const std::string& AsString() const;
 
   /// Object access. `Get*Or` helpers make protocol handlers terse: they
   /// return the fallback when the key is missing or of the wrong type.
@@ -73,25 +87,44 @@ class JsonValue {
   bool GetBoolOr(const std::string& key, bool fallback) const;
   std::string GetStringOr(const std::string& key,
                           const std::string& fallback) const;
+  /// Inserts or replaces `key`. A value that is not an object first
+  /// becomes an empty one.
   JsonValue& Set(const std::string& key, JsonValue value);
 
-  /// Array access.
+  /// Array access. Push on a value that is not an array first makes it an
+  /// empty one.
   void Push(JsonValue value);
+  /// Members of an object, items of an array, else 0.
   size_t size() const;
-  const JsonValue& at(size_t i) const { return items_[i]; }
-  const std::vector<JsonValue>& items() const { return items_; }
-  const std::map<std::string, JsonValue>& members() const { return members_; }
+  const JsonValue& at(size_t i) const { return (*slot_.items)[i]; }
+  /// Empty unless this is an array (resp. an object).
+  const std::vector<JsonValue>& items() const;
+  const Members& members() const;
 
   /// Compact single-line rendering (no trailing newline).
   std::string Serialize() const;
 
  private:
+  friend class JsonParser;
+
+  /// The inline value or the owned payload, selected by type_. Moves copy
+  /// the whole slot, whichever member is in use.
+  union Slot {
+    bool boolean;
+    double number = 0;
+    std::string* string;            // kString
+    std::vector<JsonValue>* items;  // kArray
+    Members* members;               // kObject
+  };
+
+  /// Frees the payload and becomes null.
+  void Reset();
+  /// Takes `other`'s type and slot, leaving it null; the caller has freed
+  /// this value's payload.
+  void TakeFrom(JsonValue* other);
+
   Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0;
-  std::string string_;
-  std::map<std::string, JsonValue> members_;  // kObject
-  std::vector<JsonValue> items_;              // kArray
+  Slot slot_{};
 };
 
 /// Escapes `s` for embedding in a JSON string literal (no quotes added).

@@ -28,6 +28,11 @@ const std::vector<std::vector<double>>& ShardDistances() {
   return shards;
 }
 
+/// HistogramOf over a copy (it sorts its buffer in place).
+DistanceHistogram HistogramOfCopy(std::vector<double> distances) {
+  return HistogramOf(&distances);
+}
+
 constexpr double kSigma = 2.0;
 constexpr double kLambda = 0.5;
 
@@ -42,7 +47,7 @@ TEST(HistogramSelectivityTest, MergeOrderNeverChangesTheWeight) {
   int permutations = 0;
   do {
     DistanceHistogram merged;
-    for (int s : order) MergeHistogram(HistogramOf(shards[s]), &merged);
+    for (int s : order) MergeHistogram(HistogramOfCopy(shards[s]), &merged);
     EXPECT_EQ(HistogramSelectivity(merged, live, kSigma, kLambda), want);
     ++permutations;
   } while (std::next_permutation(order.begin(), order.end()));
@@ -62,7 +67,7 @@ TEST(HistogramSelectivityTest, MatchesTheExpandedListOnRandomDistances) {
         shard.push_back(rng.UniformInt(0, 8) * 0.3);
       }
       all.insert(all.end(), shard.begin(), shard.end());
-      MergeHistogram(HistogramOf(shard), &merged);
+      MergeHistogram(HistogramOfCopy(shard), &merged);
     }
     for (double lambda : {0.5, 1.0, 2.0}) {
       const int live = static_cast<int>(all.size()) + trial;
@@ -84,7 +89,7 @@ TEST(HistogramSelectivityTest, EmptyHistogramAndNoLiveGraphs) {
 }
 
 TEST(HistogramSelectivityTest, HistogramsCountTiesAndMergeCounts) {
-  EXPECT_EQ(HistogramOf({1.0, 0.5, 1.0, 2.0, 1.0}),
+  EXPECT_EQ(HistogramOfCopy({1.0, 0.5, 1.0, 2.0, 1.0}),
             (DistanceHistogram{{0.5, 1}, {1.0, 3}, {2.0, 1}}));
   DistanceHistogram merged = {{0.5, 1}, {1.0, 3}};
   MergeHistogram({{0.25, 2}, {1.0, 1}, {3.0, 1}}, &merged);
@@ -104,7 +109,8 @@ TEST(HistogramSelectivityTest, PlanFilterWeightsAreShardOrderFree) {
     std::vector<double> halves;
     for (double d : shards[s]) halves.push_back(d / 2);
     outputs[s].live = static_cast<int>(shards[s].size()) + 2;
-    outputs[s].histograms = {HistogramOf(shards[s]), HistogramOf(halves)};
+    outputs[s].histograms = {HistogramOfCopy(shards[s]),
+                             HistogramOfCopy(halves)};
     live += outputs[s].live;
     first.insert(first.end(), shards[s].begin(), shards[s].end());
     second.insert(second.end(), halves.begin(), halves.end());

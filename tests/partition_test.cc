@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "core/selectivity.h"
 #include "util/random.h"
@@ -106,7 +109,8 @@ TEST(OverlapGraphTest, DenseOverlapStaysConsistent) {
   // Adjacent must agree with brute-force vertex intersection, both
   // argument orders.
   for (int i = 0; i < g.size(); ++i) {
-    const std::vector<int>& nb = g.neighbors(i);
+    std::vector<int> nb;
+    g.ForEachNeighbor(i, [&nb](int u) { nb.push_back(u); });
     EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
     for (int j = 0; j < g.size(); ++j) {
       if (i == j) continue;
@@ -118,6 +122,7 @@ TEST(OverlapGraphTest, DenseOverlapStaysConsistent) {
       }
       EXPECT_EQ(g.Adjacent(i, j), expected) << i << " vs " << j;
       EXPECT_EQ(g.Adjacent(j, i), expected);
+      EXPECT_EQ(std::binary_search(nb.begin(), nb.end(), j), expected);
     }
   }
   // On clique + isolated vertices the optimum is the heaviest clique
@@ -131,6 +136,196 @@ TEST(OverlapGraphTest, DenseOverlapStaysConsistent) {
   EXPECT_DOUBLE_EQ(g.TotalWeight(exact), expected_weight);
   EXPECT_DOUBLE_EQ(g.TotalWeight(enhanced), expected_weight);
   EXPECT_DOUBLE_EQ(g.TotalWeight(greedy), expected_weight);
+}
+
+// The adjacency-list overlap graph the bit matrix replaced, and its three
+// solvers, kept as the reference the bit rows must reproduce exactly.
+struct ListOverlapGraph {
+  std::vector<double> weights;
+  std::vector<std::vector<int>> adjacency;  // ascending
+
+  explicit ListOverlapGraph(const std::vector<WeightedFragment>& frags) {
+    const int n = static_cast<int>(frags.size());
+    adjacency.assign(n, {});
+    for (int i = 0; i < n; ++i) {
+      weights.push_back(frags[i].weight);
+      for (int j = 0; j < n; ++j) {
+        if (j != i && Overlap(frags[i], frags[j])) adjacency[i].push_back(j);
+      }
+    }
+  }
+
+  static bool Overlap(const WeightedFragment& a, const WeightedFragment& b) {
+    for (VertexId u : a.vertices) {
+      if (std::binary_search(b.vertices.begin(), b.vertices.end(), u)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  int size() const { return static_cast<int>(weights.size()); }
+  bool Adjacent(int a, int b) const {
+    return std::binary_search(adjacency[a].begin(), adjacency[a].end(), b);
+  }
+};
+
+std::vector<int> ReferenceGreedy(const ListOverlapGraph& g) {
+  std::vector<int> selected;
+  std::vector<bool> alive(g.size(), true);
+  while (true) {
+    int best = -1;
+    for (int v = 0; v < g.size(); ++v) {
+      if (alive[v] && (best < 0 || g.weights[v] > g.weights[best])) best = v;
+    }
+    if (best < 0) break;
+    selected.push_back(best);
+    alive[best] = false;
+    for (int nb : g.adjacency[best]) alive[nb] = false;
+  }
+  std::sort(selected.begin(), selected.end());
+  return selected;
+}
+
+std::vector<int> ReferenceEnhancedGreedy(const ListOverlapGraph& g, int k) {
+  std::vector<int> selected;
+  std::vector<bool> alive(g.size(), true);
+  std::vector<int> best_set;
+  std::vector<int> current;
+  double best_weight = 0;
+  std::function<void(int, double)> enumerate = [&](int start, double weight) {
+    if (weight > best_weight) {
+      best_weight = weight;
+      best_set = current;
+    }
+    if (static_cast<int>(current.size()) >= k) return;
+    for (int v = start; v < g.size(); ++v) {
+      if (!alive[v]) continue;
+      bool independent = true;
+      for (int s : current) independent = independent && !g.Adjacent(s, v);
+      if (!independent) continue;
+      current.push_back(v);
+      enumerate(v + 1, weight + g.weights[v]);
+      current.pop_back();
+    }
+  };
+  while (true) {
+    best_set.clear();
+    best_weight = 0;
+    enumerate(0, 0);
+    if (best_set.empty()) break;
+    for (int v : best_set) {
+      selected.push_back(v);
+      alive[v] = false;
+      for (int nb : g.adjacency[v]) alive[nb] = false;
+    }
+  }
+  std::sort(selected.begin(), selected.end());
+  return selected;
+}
+
+std::vector<int> ReferenceExact(const ListOverlapGraph& g) {
+  std::vector<int> best_set;
+  double best_weight = -1;
+  std::vector<int> current;
+  std::vector<int> excluded(g.size(), -1);
+  std::function<void(double)> solve = [&](double weight) {
+    double remaining = 0;
+    int pivot = -1;
+    for (int v = 0; v < g.size(); ++v) {
+      if (excluded[v] >= 0) continue;
+      remaining += g.weights[v];
+      if (pivot < 0 || g.weights[v] > g.weights[pivot]) pivot = v;
+    }
+    if (weight > best_weight) {
+      best_weight = weight;
+      best_set = current;
+    }
+    if (pivot < 0 || weight + remaining <= best_weight) return;
+    const int depth = static_cast<int>(current.size());
+    std::vector<int> newly_excluded = {pivot};
+    excluded[pivot] = depth;
+    for (int nb : g.adjacency[pivot]) {
+      if (excluded[nb] < 0) {
+        excluded[nb] = depth;
+        newly_excluded.push_back(nb);
+      }
+    }
+    current.push_back(pivot);
+    solve(weight + g.weights[pivot]);
+    current.pop_back();
+    for (int v : newly_excluded) excluded[v] = -1;
+    excluded[pivot] = depth;
+    solve(weight);
+    excluded[pivot] = -1;
+  };
+  solve(0);
+  std::sort(best_set.begin(), best_set.end());
+  return best_set;
+}
+
+/// `n` fragments of 1-3 vertices over a universe of `universe` vertices.
+std::vector<WeightedFragment> RandomFragments(Rng* rng, int n, int universe) {
+  std::vector<WeightedFragment> frags;
+  for (int i = 0; i < n; ++i) {
+    std::vector<VertexId> vs;
+    const int k = rng->UniformInt(1, 3);
+    for (int j = 0; j < k; ++j) vs.push_back(rng->UniformInt(0, universe - 1));
+    std::sort(vs.begin(), vs.end());
+    vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
+    frags.push_back(WF(rng->UniformDouble(0.1, 5.0), vs));
+  }
+  return frags;
+}
+
+// Sizes on both sides of a 64-bit word boundary: Adjacent and the row
+// iteration must equal brute-force vertex intersection.
+TEST(OverlapGraphTest, BitRowsMatchBruteForceAcrossWordBoundaries) {
+  Rng rng(64);
+  for (int n : {1, 64, 65, 200}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const std::vector<WeightedFragment> frags =
+        RandomFragments(&rng, n, n + 40);
+    OverlapGraph g(frags);
+    ASSERT_EQ(g.size(), n);
+    int edges = 0;
+    for (int i = 0; i < n; ++i) {
+      EXPECT_DOUBLE_EQ(g.weight(i), frags[i].weight);
+      std::vector<int> want;
+      for (int j = 0; j < n; ++j) {
+        const bool overlap =
+            j != i && ListOverlapGraph::Overlap(frags[i], frags[j]);
+        EXPECT_EQ(g.Adjacent(i, j), overlap) << i << " vs " << j;
+        if (overlap) want.push_back(j);
+      }
+      std::vector<int> got;
+      g.ForEachNeighbor(i, [&got](int u) { got.push_back(u); });
+      EXPECT_EQ(got, want) << "row " << i;
+      edges += static_cast<int>(got.size());
+    }
+    if (n > 1) {
+      EXPECT_GT(edges, 0);
+    }
+  }
+}
+
+// Greedy, EnhancedGreedy(2) and exact selections equal the adjacency-list
+// solvers' on random fragment sets.
+TEST(OverlapGraphTest, SelectionsMatchAdjacencyListReference) {
+  Rng rng(2006);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int n = rng.UniformInt(1, trial < 40 ? 24 : 90);
+    const std::vector<WeightedFragment> frags =
+        RandomFragments(&rng, n, rng.UniformInt(4, 2 * n + 4));
+    OverlapGraph g(frags);
+    ListOverlapGraph reference(frags);
+    EXPECT_EQ(GreedyMwis(g), ReferenceGreedy(reference));
+    EXPECT_EQ(EnhancedGreedyMwis(g, 2), ReferenceEnhancedGreedy(reference, 2));
+    if (n <= 24) {
+      EXPECT_EQ(ExactMwis(g), ReferenceExact(reference));
+    }
+  }
 }
 
 TEST(SingleBestTest, PicksHeaviest) {
