@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
       }
       total_p += static_cast<double>(filtered.value().stats.partition_size);
       total_w += filtered.value().stats.partition_weight;
-      total_c += static_cast<double>(filtered.value().stats.candidates_final);
+      total_c += static_cast<double>(
+          filtered.value().stats.candidates_after_partition);
       total_t += filtered.value().stats.filter_seconds;
     }
     double n = static_cast<double>(queries.value().size());

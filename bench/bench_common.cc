@@ -193,7 +193,8 @@ Result<FilterExperiment> RunFilterExperiment(
     out.yt.push_back(yt_candidates.size());
     for (size_t si = 0; si < series.size(); ++si) {
       PIS_ASSIGN_OR_RETURN(FilterResult filtered, engines[si]->Filter(queries[qi]));
-      out.yp[si].push_back(filtered.candidates.size());
+      // The paper's Yp: the partition bound alone, before the certificate.
+      out.yp[si].push_back(filtered.stats.candidates_after_partition);
       out.filter_seconds[si] += filtered.stats.filter_seconds;
       if (series_topo[si] == nullptr) {
         out.yt_per_series[si].push_back(yt_candidates.size());

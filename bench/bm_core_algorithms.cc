@@ -301,7 +301,8 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 void BM_ShardFilterQ16(benchmark::State& state) {
   // The in-process filter of one q16 query, stage by stage: enumerate the
   // query's indexed fragments, pass 1 (ShardFilter) on every shard, then
-  // plan (selectivities, partition) and pass 2 (ShardRefine).
+  // plan (selectivities, partition) and pass 2 (ShardRefine: partition
+  // bound and certificate).
   const Q16Inputs& in = SharedQ16Inputs();
   const ShardedFragmentIndex& index = in.index.value();
   const int num_shards = index.num_shards();
@@ -331,8 +332,10 @@ void BM_ShardFilterQ16(benchmark::State& state) {
     PlanFilter(shards, in.options, &result);
     for (int s = 0; s < num_shards; ++s) {
       std::vector<int> refined;
-      PIS_CHECK(ShardRefine(index, s, result.fragments, result.partition,
-                            shards[s].survivors, in.options.sigma, &refined)
+      size_t partition_candidates = 0;
+      PIS_CHECK(ShardRefine(index, in.db, s, in.query, result.fragments,
+                            result.partition, shards[s].survivors,
+                            in.options.sigma, &refined, &partition_candidates)
                     .ok());
       candidates += refined.size();
       benchmark::DoNotOptimize(refined.data());

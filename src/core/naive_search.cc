@@ -9,6 +9,7 @@ SearchResult NaiveSearch(const GraphDatabase& db, const Graph& query,
   SearchResult result;
   result.candidates.resize(db.size());
   std::iota(result.candidates.begin(), result.candidates.end(), 0);
+  result.stats.candidates_after_partition = result.candidates.size();
   result.stats.candidates_final = result.candidates.size();
   VerifyResult verified =
       VerifyCandidates(db, query, result.candidates, spec, sigma);

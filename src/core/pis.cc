@@ -54,13 +54,16 @@ Result<FilterResult> PisEngine::Filter(const Graph& query) const {
 
   Timer pass2_timer;
   std::vector<std::vector<int>> refined(num_shards);
+  std::vector<size_t> partition_candidates(num_shards, 0);
   ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
-    failures[s] = ShardRefine(*index_, static_cast<int>(s), result.fragments,
-                              result.partition, shards[s].survivors, sigma,
-                              &refined[s]);
+    failures[s] = ShardRefine(*index_, *db_, static_cast<int>(s), query,
+                              result.fragments, result.partition,
+                              shards[s].survivors, sigma, &refined[s],
+                              &partition_candidates[s]);
   });
   for (int s = 0; s < num_shards; ++s) {
     PIS_RETURN_NOT_OK(failures[s]);
+    result.stats.candidates_after_partition += partition_candidates[s];
     result.candidates.insert(result.candidates.end(), refined[s].begin(),
                              refined[s].end());
   }

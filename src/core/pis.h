@@ -22,7 +22,9 @@ namespace pis {
 /// Output of the filtering phase (Algorithm 2) — everything the benchmark
 /// harness needs without paying for verification.
 struct FilterResult {
-  /// Candidate answer set CQ after partition lower-bound pruning (Yp).
+  /// Candidate answer set CQ after partition lower-bound pruning (Yp) and
+  /// the graph-local certificate; stats.candidates_after_partition counts
+  /// Yp itself.
   std::vector<int> candidates;
   /// Positions (into `fragments`) of the selected partition P.
   std::vector<int> partition;
@@ -59,7 +61,8 @@ class PisEngine {
   PisEngine(const GraphDatabase* db, const ShardedFragmentIndex* index,
             const PisOptions& options = {});
 
-  /// Algorithm 2: returns the pruned candidate set and filtering stats.
+  /// Algorithm 2, then the certificate: returns the pruned candidate set
+  /// and filtering stats.
   Result<FilterResult> Filter(const Graph& query) const;
 
   /// Filter + verification: the exact SSSD answer set.

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/certificate.h"
 #include "core/partition.h"
 #include "core/selectivity.h"
 #include "util/logging.h"
@@ -171,11 +172,13 @@ void PlanFilter(std::span<const ShardFilterResult> shards,
   stats.partition_seconds = partition_timer.Seconds();
 }
 
-Status ShardRefine(const ShardedFragmentIndex& index, int shard,
+Status ShardRefine(const ShardedFragmentIndex& index, const GraphDatabase& db,
+                   int shard, const Graph& query,
                    const std::vector<QueryFragment>& fragments,
                    const std::vector<int>& partition,
                    const std::vector<int>& survivors, double sigma,
-                   std::vector<int>* candidates) {
+                   std::vector<int>* candidates,
+                   size_t* partition_candidates) {
   *candidates = survivors;
   std::vector<double> lower_bound(candidates->size(), 0.0);
   std::vector<int> locals;
@@ -204,6 +207,11 @@ Status ShardRefine(const ShardedFragmentIndex& index, int shard,
     locals.resize(kept);
     lower_bound.resize(kept);
   }
+  *partition_candidates = candidates->size();
+  GraphCertificate certificate(query, index.options().spec);
+  std::erase_if(*candidates, [&](int gid) {
+    return certificate.LowerBound(db.at(gid)) > sigma;
+  });
   return Status::OK();
 }
 

@@ -14,13 +14,15 @@
 //                partition.
 //   ShardRefine  per shard: re-issues the partition's range queries over
 //                the shard and prunes the survivors by their summed lower
-//                bound.
+//                bound, then certifies the rest against their own graphs
+//                (core/certificate.h: label multiset and degree dominance,
+//                two more lower bounds on d(Q, G)).
 //
 // PisEngine runs the three over its in-process shards; ClusterEngine runs
 // ShardFilter and ShardRefine on the replicas (the shard_filter and
 // shard_refine ops, server/shard_ops.h) and PlanFilter on the router.
 // TopoPruneEngine (the paper's structure-only baseline) filters through
-// ShardContainment on every shard instead.
+// ShardContainment on every shard instead, uncertified.
 #ifndef PIS_CORE_SHARD_FILTER_H_
 #define PIS_CORE_SHARD_FILTER_H_
 
@@ -71,24 +73,30 @@ Status ShardFilter(const ShardedFragmentIndex& index, int shard,
 /// Plans the filter from every shard's pass-1 output (`shards`, one entry
 /// per shard of the index; their histograms align with
 /// `result->fragments`): fills `result->selectivities`,
-/// `result->partition` and every stats counter except candidates_final and
-/// answers. range_queries counts the range queries of ShardFilter and
-/// ShardRefine on every shard: (fragments + partition) x shards. Of the
-/// timings it fills selectivity_seconds (histogram merge and
-/// selectivities) and partition_seconds (ε-filter and partition
-/// selection).
+/// `result->partition` and every stats counter except
+/// candidates_after_partition, candidates_final and answers. range_queries
+/// counts the range queries of ShardFilter and ShardRefine on every shard:
+/// (fragments + partition) x shards. Of the timings it fills
+/// selectivity_seconds (histogram merge and selectivities) and
+/// partition_seconds (ε-filter and partition selection).
 void PlanFilter(std::span<const ShardFilterResult> shards,
                 const PisOptions& options, FilterResult* result);
 
 /// Pass 2 over shard `shard`: sums each survivor's distances over the
 /// partition fragments (positions into `fragments`, in partition order) and
-/// keeps, ascending, the survivors whose bound stays within `sigma`.
-/// `survivors` must be this shard's ascending ShardFilter survivors.
-Status ShardRefine(const ShardedFragmentIndex& index, int shard,
+/// keeps, ascending, the survivors whose bound stays within `sigma`; their
+/// count is `*partition_candidates` (the paper's Yp). Then certifies each
+/// of them against its graph in `db` (GraphCertificate over `query` and the
+/// index's spec) and leaves in `candidates` those whose certificate bound
+/// stays within `sigma` too. `survivors` must be this shard's ascending
+/// ShardFilter survivors, and `db` the database the index's ids name.
+Status ShardRefine(const ShardedFragmentIndex& index, const GraphDatabase& db,
+                   int shard, const Graph& query,
                    const std::vector<QueryFragment>& fragments,
                    const std::vector<int>& partition,
                    const std::vector<int>& survivors, double sigma,
-                   std::vector<int>* candidates);
+                   std::vector<int>* candidates,
+                   size_t* partition_candidates);
 
 /// topoPrune's filter over shard `shard`: the ascending global ids of the
 /// shard's live graphs that contain a fragment of every class in

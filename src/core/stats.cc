@@ -11,6 +11,7 @@ void QueryStats::Accumulate(const QueryStats& other) {
   partition_size += other.partition_size;
   partition_weight += other.partition_weight;
   candidates_after_intersection += other.candidates_after_intersection;
+  candidates_after_partition += other.candidates_after_partition;
   candidates_final += other.candidates_final;
   answers += other.answers;
   filter_seconds += other.filter_seconds;
@@ -24,10 +25,11 @@ void QueryStats::Accumulate(const QueryStats& other) {
 std::string QueryStats::ToString() const {
   return StrFormat(
       "fragments=%zu kept=%zu range_queries=%zu partition=%zu (w=%.3f) "
-      "cand_intersect=%zu cand_final=%zu answers=%zu filter=%.3fms "
-      "verify=%.3fms",
+      "cand_intersect=%zu cand_partition=%zu cand_final=%zu answers=%zu "
+      "filter=%.3fms verify=%.3fms",
       fragments_enumerated, fragments_kept, range_queries, partition_size,
-      partition_weight, candidates_after_intersection, candidates_final, answers,
+      partition_weight, candidates_after_intersection,
+      candidates_after_partition, candidates_final, answers,
       filter_seconds * 1e3, verify_seconds * 1e3);
 }
 

@@ -25,7 +25,12 @@ struct QueryStats {
   /// |CQ| after the per-fragment intersections (line 17).
   size_t candidates_after_intersection = 0;
   /// |CQ| after partition lower-bound pruning (lines 21-23) — the
-  /// candidate count the paper plots (Yp).
+  /// candidate count the paper plots (Yp). Engines without a partition
+  /// (topoPrune, the naive scan) report their final count here too.
+  size_t candidates_after_partition = 0;
+  /// The candidates handed to verification. For the PIS engines: the Yp
+  /// candidates whose graph-local certificate (core/certificate.h) also
+  /// stays within σ, so candidates_final <= candidates_after_partition.
   size_t candidates_final = 0;
   /// Number of answers after verification.
   size_t answers = 0;
@@ -40,7 +45,8 @@ struct QueryStats {
   double pass1_seconds = 0;        ///< range queries, intersection, fits
   double selectivity_seconds = 0;  ///< histogram merge + selectivities
   double partition_seconds = 0;    ///< ε-filter + partition selection
-  double pass2_seconds = 0;        ///< partition range queries + pruning
+  double pass2_seconds = 0;        ///< partition range queries, pruning
+                                   ///< and certification
   /// Never written (always 0); kept because perfbench/src/ladder.cc reads it.
   double sketch_seconds = 0;
 

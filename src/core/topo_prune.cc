@@ -43,6 +43,8 @@ Result<std::vector<int>> TopoPruneEngine::Filter(const Graph& query,
     stats->fragments_enumerated = fragments.size();
     stats->range_queries = class_ids.size() * index_->num_shards();
     stats->candidates_after_intersection = candidates.size();
+    // The paper's baseline: no partition and no certificate.
+    stats->candidates_after_partition = candidates.size();
     stats->candidates_final = candidates.size();
     stats->filter_seconds = timer.Seconds();
   }

@@ -1,5 +1,7 @@
 #include "distance/score_matrix.h"
 
+#include <algorithm>
+
 namespace pis {
 
 Status ScoreMatrix::Set(Label a, Label b, double cost) {
@@ -16,6 +18,16 @@ bool ScoreMatrix::IsZero() const {
     if (cost != 0) return false;
   }
   return true;
+}
+
+double ScoreMatrix::MinMismatch() const {
+  double lowest = default_mismatch_;
+  for (const auto& [key, cost] : overrides_) {
+    // An override of a label with itself never applies: Cost(a, a) is 0.
+    if ((key >> 32) == (key & 0xffffffffu)) continue;
+    lowest = std::min(lowest, cost);
+  }
+  return lowest;
 }
 
 double ScoreMatrix::Cost(Label a, Label b) const {

@@ -37,6 +37,11 @@ class ScoreMatrix {
 
   double default_mismatch() const { return default_mismatch_; }
 
+  /// The cheapest cost any two different labels can have: the lower of the
+  /// default mismatch and every override between different labels. A
+  /// lower bound on Cost(a, b) for every a != b.
+  double MinMismatch() const;
+
   /// True when every mutation costs 0 (the matrix can never contribute to a
   /// distance). The index uses this to drop cost-free label positions from
   /// its sequences.

@@ -507,6 +507,13 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
       const double start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
       ShardBackend& backend = *endpoints_[chosen]->backend;
       Result<ShardRefineReply> reply = backend.ShardRefine(request);
+      if (reply.ok() && reply.value().partition_candidates >
+                            static_cast<int>(request.survivors.size())) {
+        refined[i] = Status::InvalidArgument(
+            "shard_refine reply from " + backend.name() +
+            " counts more partition candidates than survivors");
+        return;
+      }
       if (reply.ok()) {
         NoteTransportSuccess(*endpoints_[chosen]);
         if (trace != nullptr) {
@@ -534,6 +541,7 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
   result.stats = filter.stats;
   for (Result<ShardRefineReply>& r : refined) {
     if (!r.ok()) return r.status();
+    result.stats.candidates_after_partition += r.value().partition_candidates;
     result.candidates.insert(result.candidates.end(),
                              r.value().candidates.begin(),
                              r.value().candidates.end());

@@ -68,6 +68,9 @@ EngineHost::Metrics EngineHost::RegisterMetrics(MetricsRegistry* registry) {
                                             "Verified answers returned"),
       .candidates_total = registry->GetCounter(
           "pis_query_candidates_total", "Candidates surviving the PIS filter"),
+      .partition_candidates_total = registry->GetCounter(
+          "pis_query_partition_candidates_total",
+          "Candidates the partition bound kept, before certification (Yp)"),
       .stage_pass1 = stage("pass1"),
       .stage_selectivity = stage("selectivity"),
       .stage_partition = stage("partition"),
@@ -134,6 +137,7 @@ void EngineHost::AccountQuery(const QueryStats& stats) const {
   metrics_.queries_total->Inc();
   metrics_.answers_total->Inc(stats.answers);
   metrics_.candidates_total->Inc(stats.candidates_final);
+  metrics_.partition_candidates_total->Inc(stats.candidates_after_partition);
   metrics_.stage_pass1->Observe(stats.pass1_seconds);
   metrics_.stage_selectivity->Observe(stats.selectivity_seconds);
   metrics_.stage_partition->Observe(stats.partition_seconds);

@@ -337,6 +337,7 @@ class EngineHost {
     Counter* queries_total;
     Counter* answers_total;
     Counter* candidates_total;
+    Counter* partition_candidates_total;
     Histogram* stage_pass1;
     Histogram* stage_selectivity;
     Histogram* stage_partition;

@@ -32,8 +32,8 @@
 //                                                "survivors":[ids],"histograms":
 //                                                [[[d,count],..],..]},..],..}
 //   {"op":"shard_refine","graph":"<record>", -> {"ok":true,"candidates":[ids],
-//     "shard":s,"partition":[..],"classes":[..],  "answers":[ids],..}
-//     "survivors":[ids],"sigma":S}
+//     "shard":s,"partition":[..],"classes":[..],  "answers":[ids],
+//     "survivors":[ids],"sigma":S}                "partition_candidates":N,..}
 //   {"op":"shard_add","gid":N,"shard":s,     -> {"ok":true,"epoch":E}
 //     "graph":"<record>"}                       (idempotent re-apply included)
 //   {"op":"shard_remove","id":N}             -> {"ok":true,"epoch":E,

@@ -219,9 +219,12 @@ Result<ShardRefineReply> RunShardRefine(const EngineHost::Snapshot& snap,
   }
   {
     ScopedSpan span(tp, "refine");
-    PIS_RETURN_NOT_OK(ShardRefine(index, request.shard, fragments,
-                                  request.partition, survivors, request.sigma,
-                                  &reply.candidates));
+    size_t partition_candidates = 0;
+    PIS_RETURN_NOT_OK(ShardRefine(index, *snap.db, request.shard,
+                                  request.query, fragments, request.partition,
+                                  survivors, request.sigma, &reply.candidates,
+                                  &partition_candidates));
+    reply.partition_candidates = static_cast<int>(partition_candidates);
   }
   {
     ScopedSpan span(tp, "verify:" + std::to_string(reply.candidates.size()) +
@@ -534,6 +537,7 @@ Result<ShardRefineRequest> ShardRefineRequestFromJson(
 void ShardRefineReplyToJson(const ShardRefineReply& result, JsonValue* reply) {
   reply->Set("epoch", result.epoch);
   reply->Set("candidates", IntArrayToJson(result.candidates));
+  reply->Set("partition_candidates", result.partition_candidates);
   reply->Set("answers", IntArrayToJson(result.answers));
   SpansToJson(result.spans, reply);
 }
@@ -543,6 +547,13 @@ Result<ShardRefineReply> ShardRefineReplyFromJson(const JsonValue& reply) {
   PIS_ASSIGN_OR_RETURN(result.epoch, EpochFromJson(reply));
   PIS_ASSIGN_OR_RETURN(result.candidates,
                        ReadAscendingIds(reply, "candidates"));
+  PIS_ASSIGN_OR_RETURN(result.partition_candidates,
+                       ReadNonNegative(reply, "partition_candidates"));
+  if (static_cast<size_t>(result.partition_candidates) <
+      result.candidates.size()) {
+    return Status::InvalidArgument(
+        "shard_refine partition_candidates below its candidate count");
+  }
   PIS_ASSIGN_OR_RETURN(result.answers, ReadAscendingIds(reply, "answers"));
   if (!std::includes(result.candidates.begin(), result.candidates.end(),
                      result.answers.begin(), result.answers.end())) {

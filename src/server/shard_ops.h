@@ -6,7 +6,8 @@
 //                 catalog, then ShardFilter (core/shard_filter.h) over each
 //                 requested owned shard.
 //   shard_refine: ShardRefine on one owned shard with the router's
-//                 partition, then verify the remaining candidates.
+//                 partition (partition bound, then the graph-local
+//                 certificate), then verify the remaining candidates.
 //   meta        : the replica's routing/tombstone/epoch state, which is how
 //                 a router bootstraps its global view of the cluster.
 //   shard_add / shard_remove: idempotent replicated writes with an explicit
@@ -90,6 +91,9 @@ struct ShardRefineRequest {
 struct ShardRefineReply {
   uint64_t epoch = 0;
   std::vector<int> candidates;  // ascending, after pass 2
+  /// Survivors the partition bound kept, before certification (the shard's
+  /// share of Yp): candidates.size() <= it <= the request's survivors.
+  int partition_candidates = 0;
   std::vector<int> answers;     // ascending, verified within sigma
   std::vector<TraceSpan> spans;  // as ShardFilterReply::spans
 };
@@ -117,7 +121,9 @@ Status CheckSameCatalog(const std::vector<QueryFragment>& want,
 /// epoch an exact unsigned 64-bit integer (a fractional, negative, or
 /// out-of-range number is rejected, never cast); graph ids and histogram
 /// distances must be strictly ascending; distances finite and >= 0; counts
-/// >= 1; one histogram per fragment.
+/// >= 1; one histogram per fragment; a shard_refine reply's answers within
+/// its candidates and its partition_candidates at least its candidates
+/// (the router checks the upper bound, its request's survivors).
 void ShardMetaToJson(const ShardMeta& meta, JsonValue* reply);
 Result<ShardMeta> ShardMetaFromJson(const JsonValue& reply);
 JsonValue ShardFilterRequestToJson(const ShardFilterRequest& request);

@@ -47,8 +47,11 @@ TEST(EdgeCasesTest, EmptyFeatureSetDegradesToNoPruning) {
   PisEngine engine(&db, &index.value(), options);
   auto result = engine.Search(query.value());
   ASSERT_TRUE(result.ok());
-  // No fragments -> no pruning -> whole database verified; answers exact.
-  EXPECT_EQ(result.value().candidates.size(), static_cast<size_t>(db.size()));
+  // No fragments -> no partition pruning: the whole database reaches the
+  // certificate, which may still exclude graphs; answers exact.
+  EXPECT_EQ(result.value().stats.candidates_after_partition,
+            static_cast<size_t>(db.size()));
+  EXPECT_LE(result.value().candidates.size(), static_cast<size_t>(db.size()));
   SearchResult naive =
       NaiveSearch(db, query.value(), index.value().options().spec, 1);
   EXPECT_EQ(result.value().answers, naive.answers);

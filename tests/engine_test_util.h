@@ -119,6 +119,7 @@ inline void ExpectSameCounters(const QueryStats& a, const QueryStats& b) {
   EXPECT_EQ(a.partition_size, b.partition_size);
   EXPECT_DOUBLE_EQ(a.partition_weight, b.partition_weight);
   EXPECT_EQ(a.candidates_after_intersection, b.candidates_after_intersection);
+  EXPECT_EQ(a.candidates_after_partition, b.candidates_after_partition);
   EXPECT_EQ(a.candidates_final, b.candidates_final);
   EXPECT_EQ(a.answers, b.answers);
 }

@@ -6,6 +6,9 @@
 // (gid, distance) map before filtering. The sharded-vs-one-shard and
 // cluster-vs-oracle suites compare two engines that share one filter, so
 // they would drift together; this table is the independent reference.
+// Pass 2 now also certifies each candidate against its own graph, so the
+// recorded lists are the reference for the partition bound (Yp), and the
+// certified lists beside them must be subsets with unchanged answers.
 //
 // range_queries is the one counter not pinned: the filter issues one
 // range query per (fragment, shard) and the refine step one per
@@ -13,6 +16,7 @@
 // (fragments_enumerated + partition_size) x num_shards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,18 +36,23 @@ constexpr double kSigma = 1.0;
 constexpr int kRemoved[] = {3, 10, 17, 24, 41, 55};
 
 /// One query's pinned output. `phase` 0 = tombstoned, 1 = compacted.
+/// `partition_candidates` and `candidates_after_partition` are the recorded
+/// candidate list and count (the filter then ended at the partition
+/// bound); `certified` is the list pass 2 leaves since it also applies the
+/// graph-local certificate, pinned when the certificate was added.
 struct GoldenRow {
   int phase;
   int query;
-  std::vector<int> candidates;
+  std::vector<int> partition_candidates;
   std::vector<int> answers;
   size_t fragments_enumerated;
   size_t fragments_kept;
   size_t partition_size;
   double partition_weight;
   size_t candidates_after_intersection;
-  size_t candidates_final;
+  size_t candidates_after_partition;
   size_t num_answers;
+  std::vector<int> certified;
 };
 
 /// What one engine returned for one query.
@@ -115,55 +124,75 @@ const std::vector<GoldenRow>& Golden() {
       {0, 0, {1, 2, 4, 6, 7, 9, 12, 13, 14, 15, 16, 18, 19, 20, 22, 25,
        28, 31, 32, 34, 35, 37, 40, 42, 43, 44, 46, 50, 52, 56, 58},
        {7, 13, 14, 28, 40, 42, 44, 46, 50, 52},
-       10, 6, 3, 1.2777777777777777, 54, 31, 10},
+       10, 6, 3, 1.2777777777777777, 54, 31, 10,
+       {1, 6, 7, 12, 13, 14, 16, 18, 19, 20, 22, 25, 28, 34, 35, 37, 40, 42,
+       43, 44, 46, 50, 52, 56, 58}},
       {0, 1, {0, 5, 6, 7, 8, 11, 12, 13, 16, 18, 19, 20, 21, 22, 23, 25,
        26, 27, 28, 29, 30, 32, 33, 36, 37, 38, 39, 40, 42, 45, 47, 48,
        49, 50, 51, 52, 53, 57, 58, 59},
        {7, 11, 20, 33, 48, 57},
-       10, 2, 2, 0.51851851851851849, 54, 40, 6},
+       10, 2, 2, 0.51851851851851849, 54, 40, 6,
+       {0, 7, 11, 13, 18, 19, 20, 22, 25, 28, 29, 33, 36, 38, 39, 40, 42,
+       45, 47, 48, 49, 50, 52, 53, 57, 58}},
       {0, 2, {2, 4, 7, 9, 13, 16, 20, 32, 34, 37, 40, 42, 43, 44, 50, 56, 58},
        {4, 13, 20, 34, 42, 43, 44, 50},
-       11, 10, 3, 1.7592592592592595, 17, 17, 8},
+       11, 10, 3, 1.7592592592592595, 17, 17, 8,
+       {4, 13, 20, 34, 40, 42, 43, 44, 50, 56}},
       {0, 3, {1, 2, 4, 6, 7, 9, 12, 13, 14, 15, 16, 18, 19, 20, 22, 25,
        28, 31, 32, 34, 35, 37, 40, 42, 43, 44, 46, 50, 52, 56, 58},
        {13, 20, 22, 28, 40},
-       10, 5, 3, 1.1111111111111112, 54, 31, 5},
+       10, 5, 3, 1.1111111111111112, 54, 31, 5,
+       {6, 7, 13, 14, 16, 18, 19, 20, 22, 25, 28, 34, 37, 40, 42, 44, 46,
+       50, 52, 58}},
       {0, 4, {6, 7, 11, 18, 19, 20, 21, 22, 23, 26, 34, 36, 38, 40, 45,
        47, 48, 49, 51, 54, 57},
        {48},
-       11, 4, 1, 0.83333333333333337, 21, 21, 1},
+       11, 4, 1, 0.83333333333333337, 21, 21, 1,
+       {6, 7, 18, 19, 20, 21, 22, 26, 38, 40, 45, 48, 49, 51, 57}},
       {0, 5, {0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 18, 19,
        20, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36,
        37, 38, 39, 40, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53,
        54, 56, 57, 58, 59},
        {0, 7, 11, 18, 29, 33, 36, 39, 45, 47, 48, 49, 50, 51, 57},
-       10, 0, 0, 0, 54, 54, 15},
+       10, 0, 0, 0, 54, 54, 15,
+       {0, 5, 7, 11, 13, 18, 19, 20, 21, 26, 29, 33, 36, 38, 39, 40, 42, 44,
+       45, 46, 47, 48, 49, 50, 51, 52, 57, 58, 59}},
       {1, 0, {1, 2, 4, 6, 7, 9, 12, 13, 14, 15, 16, 18, 19, 20, 22, 25,
        28, 31, 32, 34, 35, 37, 40, 42, 43, 44, 46, 50, 52, 56, 58},
        {7, 13, 14, 28, 40, 42, 44, 46, 50, 52},
-       10, 6, 3, 1.2777777777777777, 54, 31, 10},
+       10, 6, 3, 1.2777777777777777, 54, 31, 10,
+       {1, 6, 7, 12, 13, 14, 16, 18, 19, 20, 22, 25, 28, 34, 35, 37, 40, 42,
+       43, 44, 46, 50, 52, 56, 58}},
       {1, 1, {0, 5, 6, 7, 8, 11, 12, 13, 16, 18, 19, 20, 21, 22, 23, 25,
        26, 27, 28, 29, 30, 32, 33, 36, 37, 38, 39, 40, 42, 45, 47, 48,
        49, 50, 51, 52, 53, 57, 58, 59},
        {7, 11, 20, 33, 48, 57},
-       10, 2, 2, 0.51851851851851849, 54, 40, 6},
+       10, 2, 2, 0.51851851851851849, 54, 40, 6,
+       {0, 7, 11, 13, 18, 19, 20, 22, 25, 28, 29, 33, 36, 38, 39, 40, 42,
+       45, 47, 48, 49, 50, 52, 53, 57, 58}},
       {1, 2, {2, 4, 7, 9, 13, 16, 20, 32, 34, 37, 40, 42, 43, 44, 50, 56, 58},
        {4, 13, 20, 34, 42, 43, 44, 50},
-       11, 10, 3, 1.7592592592592595, 17, 17, 8},
+       11, 10, 3, 1.7592592592592595, 17, 17, 8,
+       {4, 13, 20, 34, 40, 42, 43, 44, 50, 56}},
       {1, 3, {1, 2, 4, 6, 7, 9, 12, 13, 14, 15, 16, 18, 19, 20, 22, 25,
        28, 31, 32, 34, 35, 37, 40, 42, 43, 44, 46, 50, 52, 56, 58},
        {13, 20, 22, 28, 40},
-       10, 5, 3, 1.1111111111111112, 54, 31, 5},
+       10, 5, 3, 1.1111111111111112, 54, 31, 5,
+       {6, 7, 13, 14, 16, 18, 19, 20, 22, 25, 28, 34, 37, 40, 42, 44, 46,
+       50, 52, 58}},
       {1, 4, {6, 7, 11, 18, 19, 20, 21, 22, 23, 26, 34, 36, 38, 40, 45,
        47, 48, 49, 51, 54, 57},
        {48},
-       11, 4, 1, 0.83333333333333337, 21, 21, 1},
+       11, 4, 1, 0.83333333333333337, 21, 21, 1,
+       {6, 7, 18, 19, 20, 21, 22, 26, 38, 40, 45, 48, 49, 51, 57}},
       {1, 5, {0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 18, 19,
        20, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36,
        37, 38, 39, 40, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53,
        54, 56, 57, 58, 59},
        {0, 7, 11, 18, 29, 33, 36, 39, 45, 47, 48, 49, 50, 51, 57},
-       10, 0, 0, 0, 54, 54, 15},
+       10, 0, 0, 0, 54, 54, 15,
+       {0, 5, 7, 11, 13, 18, 19, 20, 21, 26, 29, 33, 36, 38, 39, 40, 42, 44,
+       45, 46, 47, 48, 49, 50, 51, 52, 57, 58, 59}},
   };
   return rows;
 }
@@ -181,7 +210,14 @@ void ExpectGolden(const std::vector<Observed>& observed, int num_shards,
     ASSERT_EQ(got.phase, want.phase);
     ASSERT_EQ(got.query, want.query);
     const QueryStats& stats = got.result.stats;
-    EXPECT_EQ(got.result.candidates, want.candidates);
+    // The certificate only removes: the pinned list lies inside the
+    // recorded one, which still counts the partition bound's survivors.
+    EXPECT_TRUE(std::includes(want.partition_candidates.begin(),
+                              want.partition_candidates.end(),
+                              want.certified.begin(), want.certified.end()));
+    EXPECT_EQ(want.candidates_after_partition,
+              want.partition_candidates.size());
+    EXPECT_EQ(got.result.candidates, want.certified);
     EXPECT_EQ(got.result.answers, want.answers);
     EXPECT_EQ(stats.fragments_enumerated, want.fragments_enumerated);
     EXPECT_EQ(stats.fragments_kept, want.fragments_kept);
@@ -189,7 +225,9 @@ void ExpectGolden(const std::vector<Observed>& observed, int num_shards,
     EXPECT_EQ(stats.partition_weight, want.partition_weight);
     EXPECT_EQ(stats.candidates_after_intersection,
               want.candidates_after_intersection);
-    EXPECT_EQ(stats.candidates_final, want.candidates_final);
+    EXPECT_EQ(stats.candidates_after_partition,
+              want.candidates_after_partition);
+    EXPECT_EQ(stats.candidates_final, want.certified.size());
     EXPECT_EQ(stats.answers, want.num_answers);
     EXPECT_EQ(stats.range_queries,
               (stats.fragments_enumerated + stats.partition_size) *

@@ -681,18 +681,25 @@ TEST_F(LegacyIndexFileTest, LoadsAsOneShardWithIdentityRouting) {
 // the single-index engine (one FragmentIndex, no shards) over this fixture:
 // the legacy file must filter exactly as it did through Filter and Search
 // alike. range_queries is one per fragment plus one per partition fragment.
+// That engine's filter ended at the partition bound, so its lists and
+// counts are the Yp reference (candidates_after_partition); the certified
+// lists, pinned when pass 2 gained the graph-local certificate, lie inside
+// them and leave every answer in place.
 TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
   const std::vector<int> all = {0,  1,  2,  3,  4,  6,  7,  8,  9,  10, 11, 12,
                                 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23};
   const std::vector<int> pruned = {0,  1,  3,  4,  6,  8, 12,
                                    14, 15, 17, 19, 20, 22};
+  const std::vector<int> pruned_certified = {0,  1,  3,  6,  8,  14,
+                                             15, 17, 19, 20, 22};
   struct Expected {
-    const std::vector<int>& candidates;
+    const std::vector<int>& partition_candidates;
+    std::vector<int> certified;
     std::vector<int> answers;
     QueryStats stats;  // counters only
   };
   auto stats = [](size_t kept, size_t partition, double weight,
-                  size_t final_count) {
+                  size_t partition_count, size_t final_count) {
     QueryStats s;
     s.fragments_enumerated = 9;
     s.range_queries = 9 + partition;
@@ -700,18 +707,27 @@ TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
     s.partition_size = partition;
     s.partition_weight = weight;
     s.candidates_after_intersection = 23;
+    s.candidates_after_partition = partition_count;
     s.candidates_final = final_count;
     return s;
   };
   const Expected expected[] = {
-      {all, {3, 16}, stats(1, 1, 0.30434782608695654, 23)},
-      {pruned,
-       {0, 1, 8, 15, 17, 19, 20, 22},
-       stats(5, 3, 1.3043478260869565, 13)},
-      {pruned, {0, 8, 19, 20}, stats(5, 3, 1.3043478260869565, 13)},
       {all,
+       {1, 3, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23},
+       {3, 16},
+       stats(1, 1, 0.30434782608695654, 23, 19)},
+      {pruned,
+       pruned_certified,
+       {0, 1, 8, 15, 17, 19, 20, 22},
+       stats(5, 3, 1.3043478260869565, 13, 11)},
+      {pruned,
+       pruned_certified,
+       {0, 8, 19, 20},
+       stats(5, 3, 1.3043478260869565, 13, 11)},
+      {all,
+       {1, 3, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 22, 23},
        {1, 3, 6, 7, 9, 10, 11, 13, 15, 16, 18, 19, 22},
-       stats(0, 0, 0, 23)},
+       stats(0, 0, 0, 23, 16)},
   };
   auto loaded = ShardedFragmentIndex::LoadDir(legacy());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -721,15 +737,22 @@ TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
   const std::vector<Graph> queries = SampleQueries(fx_.db, 4, 9, 17);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     SCOPED_TRACE("query " + std::to_string(qi));
+    const Expected& e = expected[qi];
+    EXPECT_EQ(e.partition_candidates.size(),
+              e.stats.candidates_after_partition);
+    EXPECT_EQ(e.certified.size(), e.stats.candidates_final);
+    EXPECT_TRUE(std::includes(e.partition_candidates.begin(),
+                              e.partition_candidates.end(),
+                              e.certified.begin(), e.certified.end()));
     auto filtered = engine.Filter(queries[qi]);
     auto searched = engine.Search(queries[qi]);
     ASSERT_TRUE(filtered.ok() && searched.ok());
-    QueryStats want = expected[qi].stats;
-    EXPECT_EQ(filtered.value().candidates, expected[qi].candidates);
+    QueryStats want = e.stats;
+    EXPECT_EQ(filtered.value().candidates, e.certified);
     pis::testing::ExpectSameCounters(want, filtered.value().stats);
-    EXPECT_EQ(searched.value().candidates, expected[qi].candidates);
-    EXPECT_EQ(searched.value().answers, expected[qi].answers);
-    want.answers = expected[qi].answers.size();
+    EXPECT_EQ(searched.value().candidates, e.certified);
+    EXPECT_EQ(searched.value().answers, e.answers);
+    want.answers = e.answers.size();
     pis::testing::ExpectSameCounters(want, searched.value().stats);
   }
 }

@@ -316,7 +316,9 @@ TEST(JsonTest, ManyDistinctKeysParseInLinearithmicTime) {
 // index over 40 generated molecules, the 6-ring of graph 0 as the query, σ
 // = 1): shard_filter, shard_refine, query and metrics. Parsing and
 // re-serializing each must give its exact bytes, and so must decoding and
-// re-encoding the shard_filter and shard_refine payloads.
+// re-encoding the shard_filter and shard_refine payloads. The shard_refine
+// line predates its "partition_candidates" member, which was added to it by
+// hand (13, its candidate count) when the reply gained the field.
 TEST(JsonTest, SerializeMatchesRecordedReplyLines) {
   std::ifstream in(std::string(PIS_TEST_DATA_DIR) + "/recorded_replies.jsonl");
   ASSERT_TRUE(in.good());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "server/engine_host.h"
 #include "server/pis_server.h"
 #include "server/router_server.h"
+#include "server/shard_backend.h"
 #include "util/json.h"
 #include "util/random.h"
 #include "util/socket.h"
@@ -214,6 +216,84 @@ TEST(ProtocolFuzzTest, RouterRejectsMalformedFramesCleanly) {
   router.Wait();
   server.Shutdown();
   server.Wait();
+}
+
+/// A replica whose shard_refine replies pass through `tamper` (given the
+/// request and the reply) before the router decodes them.
+class TamperedRefineBackend : public LocalShardBackend {
+ public:
+  using Tamper = std::function<void(const JsonValue&, JsonValue*)>;
+  TamperedRefineBackend(EngineHost* host, Tamper tamper)
+      : LocalShardBackend(host, {}, "tampered"), tamper_(std::move(tamper)) {}
+
+ protected:
+  Result<JsonValue> Exchange(const JsonValue& request) override {
+    PIS_ASSIGN_OR_RETURN(JsonValue reply, LocalShardBackend::Exchange(request));
+    if (request.GetStringOr("op", "") == "shard_refine" &&
+        reply.GetBoolOr("ok", false)) {
+      tamper_(request, &reply);
+    }
+    return reply;
+  }
+
+ private:
+  Tamper tamper_;
+};
+
+// shard_refine's partition_candidates (the shard's Yp count) is decoded
+// strictly: an exact integer between the reply's candidate count and the
+// request's survivor count. An honest replica's counts add up to
+// PisEngine's; a bad one fails the query with InvalidArgument.
+TEST(ProtocolFuzzTest, RouterChecksRefinePartitionCandidates) {
+  auto host = MakeHost(2);
+  ASSERT_NE(host, nullptr);
+  const Graph query = host->snapshot()->db->at(1);
+  auto local = host->snapshot()->engine.Search(query);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_FALSE(local.value().candidates.empty());
+  auto search = [&](TamperedRefineBackend::Tamper tamper) {
+    std::vector<std::unique_ptr<ShardBackend>> backends;
+    backends.push_back(
+        std::make_unique<TamperedRefineBackend>(host.get(), std::move(tamper)));
+    ClusterEngineOptions copt;
+    copt.options = host->options();
+    ClusterEngine cluster(std::move(backends), {{0, 1}}, copt);
+    Status booted = cluster.Bootstrap();
+    EXPECT_TRUE(booted.ok()) << booted.ToString();
+    return cluster.Search(query);
+  };
+
+  auto honest = search([](const JsonValue&, JsonValue*) {});
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_EQ(honest.value().stats.candidates_after_partition,
+            local.value().stats.candidates_after_partition);
+  EXPECT_EQ(honest.value().candidates, local.value().candidates);
+  EXPECT_EQ(honest.value().answers, local.value().answers);
+
+  std::vector<TamperedRefineBackend::Tamper> bad;
+  for (JsonValue value : {JsonValue(2.5), JsonValue(-1), JsonValue("7"),
+                          JsonValue(1e30), JsonValue()}) {
+    bad.push_back([value](const JsonValue&, JsonValue* reply) {
+      reply->Set("partition_candidates", value);
+    });
+  }
+  bad.push_back([](const JsonValue&, JsonValue* reply) {
+    const JsonValue* candidates = reply->Find("candidates");
+    reply->Set("partition_candidates",
+               static_cast<int>(candidates->size()) - 1);
+  });
+  bad.push_back([](const JsonValue& request, JsonValue* reply) {
+    const JsonValue* survivors = request.Find("survivors");
+    reply->Set("partition_candidates",
+               static_cast<int>(survivors->size()) + 1);
+  });
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("tamper " + std::to_string(i));
+    auto result = search(bad[i]);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
 }
 
 TEST(ProtocolFuzzTest, OversizeFrameErrorsThenDropsConnection) {

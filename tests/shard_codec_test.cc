@@ -210,8 +210,8 @@ TEST(ShardCodecTest, CatalogCheckRejectsDivergence) {
 
 TEST(ShardCodecTest, RefineReplyAnswersMustBeGraphIds) {
   auto reply = [](const std::string& candidates, const std::string& answers) {
-    return R"({"epoch":3,"candidates":)" + candidates + R"(,"answers":)" +
-           answers + "}";
+    return R"({"epoch":3,"partition_candidates":9,"candidates":)" +
+           candidates + R"(,"answers":)" + answers + "}";
   };
   auto ok = ShardRefineReplyFromJson(Parse(reply("[0,3,8,9]", "[0,3,8]")));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -231,6 +231,42 @@ TEST(ShardCodecTest, RefineReplyAnswersMustBeGraphIds) {
     bad.push_back(reply(list, "[]"));
     bad.push_back(reply("[0]", list));
   }
+  ExpectRejected(ShardRefineReplyFromJson, bad);
+}
+
+// partition_candidates counts the survivors the partition bound kept
+// before certification: an exact integer, never below the candidates the
+// certificate then left (the router checks it against its survivors).
+TEST(ShardCodecTest, RefineReplyPartitionCandidatesRoundTripAndBounds) {
+  ShardRefineReply sent;
+  sent.epoch = 4;
+  sent.candidates = {2, 5, 7};
+  sent.partition_candidates = 5;
+  sent.answers = {5};
+  JsonValue encoded = JsonValue::Object();
+  encoded.Set("ok", true);
+  ShardRefineReplyToJson(sent, &encoded);
+  auto decoded = ShardRefineReplyFromJson(Parse(encoded.Serialize()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().partition_candidates, 5);
+  EXPECT_EQ(decoded.value().candidates, sent.candidates);
+  EXPECT_EQ(decoded.value().answers, sent.answers);
+
+  auto reply = [](const std::string& partition_candidates) {
+    return R"({"epoch":3,"candidates":[0,3],"answers":[3],)"
+           R"("partition_candidates":)" +
+           partition_candidates + "}";
+  };
+  auto equal = ShardRefineReplyFromJson(Parse(reply("2")));
+  ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+  EXPECT_EQ(equal.value().partition_candidates, 2);
+  std::vector<std::string> bad = {
+      R"({"epoch":3,"candidates":[0,3],"answers":[3]})",  // missing
+      reply("1"),                                         // below candidates
+      reply("0"),
+      reply("null"),
+  };
+  for (const char* n : kBadNumbers) bad.push_back(reply(n));
   ExpectRejected(ShardRefineReplyFromJson, bad);
 }
 

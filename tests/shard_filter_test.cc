@@ -2,20 +2,23 @@
 // range-query matches in a dense per-shard array over local ids and
 // intersect over local ids. This suite checks both against a reference
 // that aggregates the same range queries in a std::map keyed by global id:
-// survivors, histograms and refined candidates must be identical, for trie
-// and R-tree specs, with tombstones, after a compaction, after a rebalance
-// (where a shard's local order is no longer its global order) and for an
-// empty fragment list.
+// survivors, histograms and the partition-bound count must be identical,
+// and the refined candidates must be the reference's that the graph-local
+// certificate keeps, for trie and R-tree specs, with tombstones, after a
+// compaction, after a rebalance (where a shard's local order is no longer
+// its global order) and for an empty fragment list.
 #include "core/shard_filter.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/certificate.h"
 #include "engine_test_util.h"
 
 namespace pis {
@@ -93,6 +96,10 @@ struct SpecCase {
   double sigma;
 };
 
+// Without this, gtest names each case by a byte dump of SpecCase, which
+// starts with the address of `name` and so changes from run to run.
+void PrintTo(const SpecCase& c, std::ostream* os) { *os << c.name; }
+
 class ShardFilterReferenceTest : public ::testing::TestWithParam<SpecCase> {
  protected:
   void SetUp() override {
@@ -145,18 +152,36 @@ class ShardFilterReferenceTest : public ::testing::TestWithParam<SpecCase> {
       for (const std::vector<int>* partition : {&plan.partition, &every}) {
         for (int s = 0; s < index_->num_shards(); ++s) {
           std::vector<int> candidates;
-          ASSERT_TRUE(ShardRefine(*index_, s, plan.fragments, *partition,
-                                  shards[s].survivors, sigma, &candidates)
+          size_t partition_candidates = 0;
+          ASSERT_TRUE(ShardRefine(*index_, fx_->db, s, queries_[qi],
+                                  plan.fragments, *partition,
+                                  shards[s].survivors, sigma, &candidates,
+                                  &partition_candidates)
                           .ok());
-          EXPECT_EQ(candidates,
-                    ReferenceShardRefine(*index_, s, plan.fragments,
-                                         *partition, shards[s].survivors,
-                                         sigma))
+          const std::vector<int> want =
+              ReferenceShardRefine(*index_, s, plan.fragments, *partition,
+                                   shards[s].survivors, sigma);
+          EXPECT_EQ(partition_candidates, want.size()) << "shard " << s;
+          EXPECT_EQ(candidates, Certified(queries_[qi], want, sigma))
               << "shard " << s;
           candidates_ += candidates.size();
         }
       }
     }
+  }
+
+  /// The graphs of `ids` whose certificate bound stays within `sigma`
+  /// (certificate_test.cc checks the certificate against an oracle).
+  std::vector<int> Certified(const Graph& query, const std::vector<int>& ids,
+                             double sigma) const {
+    GraphCertificate certificate(query, GetParam().spec);
+    std::vector<int> kept;
+    for (int gid : ids) {
+      if (certificate.LowerBound(fx_->db.at(gid)) <= sigma) {
+        kept.push_back(gid);
+      }
+    }
+    return kept;
   }
 
   std::unique_ptr<EngineFixture> fx_;
@@ -227,10 +252,14 @@ TEST_P(ShardFilterReferenceTest, EmptyFragmentList) {
     EXPECT_TRUE(got.histograms.empty());
     EXPECT_EQ(got.survivors.size(), static_cast<size_t>(got.live));
     std::vector<int> candidates;
-    ASSERT_TRUE(ShardRefine(*index_, s, {}, {}, got.survivors,
-                            GetParam().sigma, &candidates)
+    size_t partition_candidates = 0;
+    ASSERT_TRUE(ShardRefine(*index_, fx_->db, s, queries_[0], {}, {},
+                            got.survivors, GetParam().sigma, &candidates,
+                            &partition_candidates)
                     .ok());
-    EXPECT_EQ(candidates, got.survivors);
+    EXPECT_EQ(partition_candidates, got.survivors.size());
+    EXPECT_EQ(candidates,
+              Certified(queries_[0], got.survivors, GetParam().sigma));
   }
 }
 

@@ -267,8 +267,10 @@ int RunBatchQuery(const PisEngine& engine, const std::string& query_path,
       std::printf("query %zu: error: %s\n", qi, r.status().ToString().c_str());
       continue;
     }
-    std::printf("query %zu: candidates: %zu, answers: %zu |", qi,
-                r.value().stats.candidates_final, r.value().answers.size());
+    std::printf("query %zu: candidates: %zu (partition: %zu), answers: %zu |",
+                qi, r.value().stats.candidates_final,
+                r.value().stats.candidates_after_partition,
+                r.value().answers.size());
     for (int gid : r.value().answers) std::printf(" %d", gid);
     std::printf("\n");
   }
@@ -343,8 +345,9 @@ int CmdQuery(int argc, char** argv) {
     result = topo.Search(query.value(), sigma);
   }
   if (!result.ok()) return Fail(result.status());
-  std::printf("candidates: %zu, answers: %zu\n",
+  std::printf("candidates: %zu (partition: %zu), answers: %zu\n",
               result.value().stats.candidates_final,
+              result.value().stats.candidates_after_partition,
               result.value().answers.size());
   for (int gid : result.value().answers) std::printf("%d\n", gid);
   std::fprintf(stderr, "%s\n", result.value().stats.ToString().c_str());
