@@ -352,6 +352,52 @@ void BM_ShardFilterQ16(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardFilterQ16)->Unit(benchmark::kMillisecond);
 
+void BM_ShardFilterCertificateQ16(benchmark::State& state) {
+  // Pass 2's graph half alone: the certificate over the Yp set (the
+  // partition bound's survivors on every shard) of the typical q16 query.
+  // Reports microseconds per certified graph and the graphs it removes.
+  const Q16Inputs& in = SharedQ16Inputs();
+  const ShardedFragmentIndex& index = in.index.value();
+  FilterResult plan;
+  auto enumerated = EnumerateIndexedQueryFragments(index.shard(0), in.query);
+  PIS_CHECK(enumerated.ok());
+  plan.fragments = enumerated.MoveValue();
+  std::vector<ShardFilterResult> shards(index.num_shards());
+  std::vector<std::vector<int>> yp(index.num_shards());
+  size_t graphs = 0;
+  for (int s = 0; s < index.num_shards(); ++s) {
+    PIS_CHECK(ShardFilter(index, s, plan.fragments, in.options.sigma,
+                          &shards[s])
+                  .ok());
+  }
+  PlanFilter(shards, in.options, &plan);
+  for (int s = 0; s < index.num_shards(); ++s) {
+    PIS_CHECK(ShardPartitionBound(index, s, plan.fragments, plan.partition,
+                                  shards[s].survivors, in.options.sigma,
+                                  &yp[s])
+                  .ok());
+    graphs += yp[s].size();
+  }
+  size_t kept = 0;
+  for (auto _ : state) {
+    kept = 0;
+    for (const std::vector<int>& survivors : yp) {
+      std::vector<int> candidates = survivors;
+      CertifyCandidates(in.db, in.query, plan.fragments,
+                        index.options().spec, in.options.sigma, &candidates);
+      kept += candidates.size();
+      benchmark::DoNotOptimize(candidates.data());
+    }
+  }
+  state.counters["graphs"] = static_cast<double>(graphs);
+  state.counters["removed"] = static_cast<double>(graphs - kept);
+  state.counters["us_per_graph"] = benchmark::Counter(
+      static_cast<double>(graphs) * state.iterations(),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert,
+      benchmark::Counter::OneK::kIs1000);
+}
+BENCHMARK(BM_ShardFilterCertificateQ16)->Unit(benchmark::kMicrosecond);
+
 void BM_ShardFilterReplyCodec(benchmark::State& state) {
   // A replica's shard_filter reply for the q16 query over all three
   // shards: encode it to one protocol line, then parse and decode it as

@@ -1,6 +1,10 @@
 #include "core/certificate.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "isomorphism/cost_search.h"
 
@@ -32,6 +36,102 @@ GraphCertificate::GraphCertificate(const Graph& query,
   }
   for (int d = max_degree; d > 0; --d) at_least_[d - 1] += at_least_[d];
   degree_count_.resize(at_least_.size());
+
+  num_query_vertices_ = query.NumVertices();
+  q_begin_.push_back(0);
+  for (VertexId u = 0; u < num_query_vertices_; ++u) {
+    for (EdgeId e : query.IncidentEdges(u)) {
+      q_nbrs_.push_back(query.GetEdge(e).Other(u));
+    }
+    q_begin_.push_back(static_cast<int>(q_nbrs_.size()));
+  }
+  // Breadth-first from the highest-degree vertex of each component,
+  // neighbours by descending degree, isolated vertices last: every vertex
+  // but a component's first has a neighbour before it.
+  std::vector<int> by_degree(num_query_vertices_);
+  std::iota(by_degree.begin(), by_degree.end(), 0);
+  std::stable_sort(by_degree.begin(), by_degree.end(), [&](int a, int b) {
+    return query.Degree(a) > query.Degree(b);
+  });
+  rank_.assign(num_query_vertices_, -1);
+  auto visit = [&](int u) {
+    rank_[u] = static_cast<int>(order_.size());
+    order_.push_back(u);
+  };
+  for (int root : by_degree) {
+    if (rank_[root] >= 0 || query.Degree(root) == 0) continue;
+    visit(root);
+    for (size_t head = order_.size() - 1; head < order_.size(); ++head) {
+      const int u = order_[head];
+      std::vector<int> next(q_nbrs_.begin() + q_begin_[u],
+                            q_nbrs_.begin() + q_begin_[u + 1]);
+      std::stable_sort(next.begin(), next.end(), [&](int a, int b) {
+        return query.Degree(a) > query.Degree(b);
+      });
+      for (int w : next) {
+        if (rank_[w] < 0) visit(w);
+      }
+    }
+  }
+  for (int u : by_degree) {
+    if (rank_[u] < 0) visit(u);
+  }
+  position_.resize(num_query_vertices_);
+  for (int u = 0; u < num_query_vertices_; ++u) {
+    const int degree = query.Degree(u);
+    position_[u] = degree >= 3 && degree <= kMaxHall ? rank_[u] : -1;
+  }
+  pair_begin_.push_back(0);
+  for (VertexId u = 0; u < num_query_vertices_; ++u) {
+    for (int i = q_begin_[u]; i < q_begin_[u + 1]; ++i) {
+      for (int j = i + 1; j < q_begin_[u + 1]; ++j) {
+        pair_ends_.push_back(q_nbrs_[i]);
+        pair_ends_.push_back(q_nbrs_[j]);
+      }
+    }
+    pair_begin_.push_back(static_cast<int>(pair_ends_.size() / 2));
+  }
+
+  // Signatures: degree, the neighbours' degrees in descending order and,
+  // when labels can cost, the incident edge label counts over
+  // edge_labels_.labels.
+  const size_t num_labels = edge_cost_ > 0 ? edge_labels_.labels.size() : 0;
+  std::vector<int> counts(num_labels);
+  std::vector<int> degrees;
+  for (VertexId u = 0; u < num_query_vertices_; ++u) {
+    std::fill(counts.begin(), counts.end(), 0);
+    for (size_t i = 0; i < num_labels; ++i) {
+      for (EdgeId e : query.IncidentEdges(u)) {
+        counts[i] += query.GetEdge(e).label == edge_labels_.labels[i] ? 1 : 0;
+      }
+    }
+    degrees.clear();
+    for (int qi = q_begin_[u]; qi < q_begin_[u + 1]; ++qi) {
+      degrees.push_back(query.Degree(q_nbrs_[qi]));
+    }
+    std::sort(degrees.rbegin(), degrees.rend());
+    int s = 0;
+    const int num_signatures = static_cast<int>(signature_degree_.size());
+    while (s < num_signatures &&
+           (signature_degree_[s] != query.Degree(u) ||
+            !std::equal(counts.begin(), counts.end(),
+                        signature_labels_.begin() + s * num_labels) ||
+            !std::equal(degrees.begin(), degrees.end(),
+                        signature_nbr_degrees_.begin() +
+                            signature_nbr_begin_[s]))) {
+      ++s;
+    }
+    if (s == num_signatures) {
+      signature_degree_.push_back(query.Degree(u));
+      signature_labels_.insert(signature_labels_.end(), counts.begin(),
+                               counts.end());
+      signature_nbr_begin_.push_back(
+          static_cast<int>(signature_nbr_degrees_.size()));
+      signature_nbr_degrees_.insert(signature_nbr_degrees_.end(),
+                                    degrees.begin(), degrees.end());
+    }
+    signature_of_.push_back(s);
+  }
 }
 
 GraphCertificate::LabelCounts GraphCertificate::CountLabels(
@@ -68,7 +168,7 @@ int GraphCertificate::Unmatched(const LabelCounts& query, int num_elements,
   return unmatched;
 }
 
-double GraphCertificate::LowerBound(const Graph& graph) {
+double GraphCertificate::LowerBound(const Graph& graph, double sigma) {
   // Degree dominance: count G's vertices by degree, capped at the query's
   // largest, then compare the running "degree >= d" counts from the top.
   std::fill(degree_count_.begin(), degree_count_.end(), 0);
@@ -95,7 +195,402 @@ double GraphCertificate::LowerBound(const Graph& graph) {
                   [&](int v) { return graph.VertexLabel(v); });
     if (unmatched > 0) bound += vertex_cost_ * unmatched;
   }
+  if (bound > sigma) return bound;
+
+  // The mismatch budget per query vertex: ⌊σ / c_e⌋, or the largest query
+  // degree (never binding) when labels cost nothing or σ allows any count.
+  int budget = top;
+  if (edge_cost_ > 0) {
+    const double allowed = std::floor(sigma / edge_cost_);
+    if (allowed < budget) budget = allowed < 0 ? -1 : static_cast<int>(allowed);
+  }
+  const int mismatches = RefineDomains(graph, budget);
+  if (mismatches < 0) return kInfiniteDistance;
+  if (mismatches > 0) {
+    bound = std::max(bound, edge_cost_ * ((mismatches + 1) / 2));
+  }
   return bound;
+}
+
+namespace {
+
+/// Whether the k <= 4 sets `masks` (each a subset of 64 slots) have
+/// distinct representatives: Hall's condition itself, every union of j
+/// sets holding at least j slots (at most 15 unions).
+bool HasDistinctRepresentatives(const uint64_t* masks, int k) {
+  uint64_t unions[16];
+  unions[0] = 0;
+  for (unsigned t = 1; t < (1u << k); ++t) {
+    unions[t] = unions[t & (t - 1)] | masks[std::countr_zero(t)];
+    if (std::popcount(unions[t]) < std::popcount(t)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+int GraphCertificate::RefineDomains(const Graph& graph, int budget) {
+  const int n = graph.NumVertices();
+  words_ = (n + 63) / 64;
+  g_adjacency_.assign(static_cast<size_t>(n) * words_, 0);
+  g_degree_.assign(n, 0);
+  for (EdgeId e = 0; e < graph.NumEdges(); ++e) {
+    const Edge& edge = graph.GetEdge(e);
+    g_adjacency_[static_cast<size_t>(edge.u) * words_ + (edge.v >> 6)] |=
+        uint64_t{1} << (edge.v & 63);
+    g_adjacency_[static_cast<size_t>(edge.v) * words_ + (edge.u >> 6)] |=
+        uint64_t{1} << (edge.u & 63);
+    ++g_degree_[edge.u];
+    ++g_degree_[edge.v];
+  }
+  if (!InitDomains(graph, budget)) return -1;
+  if (!RefineNeighbourhoods()) return -1;
+
+  // Injectivity, pair by pair: a sweep over the (u, v) pairs of every
+  // query vertex with three or four neighbours (two are already settled
+  // above), in order_. After each vertex's sweep its removals propagate at
+  // once, to the pairs they can affect: (u, x) with u a neighbour of the
+  // removed pair's query vertex and x a neighbour of its G vertex. Only u
+  // already swept (or never swept: position -1) need the re-check; the
+  // rest see the smaller domain in their own sweep.
+  queue_.clear();
+  queue_step_.clear();
+  size_t head = 0;
+  for (int step = 0; step < num_query_vertices_; ++step) {
+    const int u = order_[step];
+    if (position_[u] < 0) continue;
+    for (int w = 0; w < words_; ++w) {
+      uint64_t bits = domain(u)[w];
+      while (bits != 0) {
+        const int v = w * 64 + std::countr_zero(bits);
+        bits &= bits - 1;
+        if (!Supported(u, v) && !Remove(u, v, step)) return -1;
+      }
+    }
+    for (; head < queue_.size(); ++head) {
+      const auto [w, v] = queue_[head];
+      const int removed_at = queue_step_[head];
+      const uint64_t* adjacent = &g_adjacency_[static_cast<size_t>(v) * words_];
+      for (int qi = q_begin_[w]; qi < q_begin_[w + 1]; ++qi) {
+        const int x_owner = q_nbrs_[qi];
+        if (position_[x_owner] > removed_at) continue;
+        for (int i = 0; i < words_; ++i) {
+          for (uint64_t bits = adjacent[i] & domain(x_owner)[i]; bits != 0;
+               bits &= bits - 1) {
+            const int x = i * 64 + std::countr_zero(bits);
+            if (!Supported(x_owner, x) && !Remove(x_owner, x, step)) {
+              return -1;
+            }
+          }
+        }
+      }
+    }
+  }
+  if (!MatchAll()) return -1;
+
+  if (edge_cost_ <= 0) return 0;
+  int mismatches = 0;
+  for (int u = 0; u < num_query_vertices_; ++u) {
+    int best = std::numeric_limits<int>::max();
+    for (int w = 0; w < words_ && best > 0; ++w) {
+      uint64_t bits = domain(u)[w];
+      while (bits != 0 && best > 0) {
+        best = std::min(best,
+                        Missing(signature_of_[u], w * 64 + std::countr_zero(bits)));
+        bits &= bits - 1;
+      }
+    }
+    mismatches += best;
+  }
+  return mismatches;
+}
+
+int GraphCertificate::Missing(int signature, int v) const {
+  const size_t num_labels = edge_labels_.labels.size();
+  const int* wanted = signature_labels_.data() + signature * num_labels;
+  const int* have = g_labels_.data() + v * num_labels;
+  int missing = signature_degree_[signature];
+  for (size_t l = 0; l < num_labels; ++l) {
+    missing -= std::min(wanted[l], have[l]);
+  }
+  return missing;
+}
+
+bool GraphCertificate::InitDomains(const Graph& graph, int budget) {
+  const int n = graph.NumVertices();
+  const size_t num_labels = edge_cost_ > 0 ? edge_labels_.labels.size() : 0;
+  if (num_labels > 0) {
+    g_labels_.assign(static_cast<size_t>(n) * num_labels, 0);
+    for (EdgeId e = 0; e < graph.NumEdges(); ++e) {
+      const Edge& edge = graph.GetEdge(e);
+      const auto it = std::find(edge_labels_.labels.begin(),
+                                edge_labels_.labels.end(), edge.label);
+      if (it == edge_labels_.labels.end()) continue;
+      const size_t slot = it - edge_labels_.labels.begin();
+      ++g_labels_[edge.u * num_labels + slot];
+      ++g_labels_[edge.v * num_labels + slot];
+    }
+  }
+  // u's neighbours need distinct neighbours of v of at least their degree.
+  // With both degree lists descending that is a pointwise comparison, so
+  // level(i, t) holds the G vertices with more than i neighbours of degree
+  // >= t, and a signature's domain is the intersection of one level per
+  // neighbour. Each threshold t counts, bit-sliced, the neighbours in
+  // {x : deg(x) >= t}; level(i, t) is bit plane i of that count, saturated
+  // at kLevelPlanes (a vertex beyond that is checked for kLevelPlanes
+  // neighbours only, which can only keep more).
+  const int top = static_cast<int>(at_least_.size()) - 1;
+  const int planes_used = std::min(top, kLevelPlanes);
+  levels_.resize(static_cast<size_t>(kLevelPlanes) * top * words_);
+  auto level = [this, top](int i, int t) {
+    return &levels_[(static_cast<size_t>(i) * top + (t - 1)) * words_];
+  };
+  for (int t = 1; t <= top; ++t) {
+    for (int j = 0; j < words_; ++j) {
+      uint64_t planes[kLevelPlanes] = {};
+      for (VertexId x = 0; x < n; ++x) {
+        if (g_degree_[x] < t) continue;
+        const uint64_t adjacent =
+            g_adjacency_[static_cast<size_t>(x) * words_ + j];
+        for (int i = kLevelPlanes - 1; i > 0; --i) {
+          planes[i] |= planes[i - 1] & adjacent;
+        }
+        planes[0] |= adjacent;
+      }
+      for (int i = 0; i < planes_used; ++i) level(i, t)[j] = planes[i];
+    }
+  }
+
+  const int num_signatures = static_cast<int>(signature_degree_.size());
+  signature_domains_.resize(static_cast<size_t>(num_signatures) * words_);
+  for (int s = 0; s < num_signatures; ++s) {
+    const int degree = signature_degree_[s];
+    const int* wanted = signature_nbr_degrees_.data() + signature_nbr_begin_[s];
+    uint64_t* row = &signature_domains_[static_cast<size_t>(s) * words_];
+    for (int w = 0; w < words_; ++w) {
+      const int bits = std::min(64, n - 64 * w);
+      row[w] = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+      for (int i = 0; i < degree; ++i) {
+        row[w] &= level(std::min(i, kLevelPlanes - 1), wanted[i])[w];
+      }
+    }
+    // The budget binds only where u has more incident edges than it allows.
+    if (edge_cost_ > 0 && degree > budget) {
+      for (int w = 0; w < words_; ++w) {
+        uint64_t bits = row[w];
+        while (bits != 0) {
+          const int b = std::countr_zero(bits);
+          bits &= bits - 1;
+          if (Missing(s, w * 64 + b) > budget) row[w] &= ~(uint64_t{1} << b);
+        }
+      }
+    }
+    if (std::all_of(row, row + words_, [](uint64_t x) { return x == 0; })) {
+      return false;
+    }
+  }
+  domains_.resize(static_cast<size_t>(num_query_vertices_) * words_);
+  for (int u = 0; u < num_query_vertices_; ++u) {
+    std::copy_n(
+        &signature_domains_[static_cast<size_t>(signature_of_[u]) * words_],
+        words_, domain(u));
+  }
+  return true;
+}
+
+bool GraphCertificate::RefineNeighbourhoods() {
+  // reach(w): the G vertices adjacent to some vertex of D(w); reach2(w, w'):
+  // those with two or more neighbours in D(w) ∪ D(w'). v stays in D(u) only
+  // while it lies in reach(w) for every neighbour w of u and in
+  // reach2(w, w') for every two of them: Hall's condition over the
+  // neighbour subsets of size one and two, exact for u of degree <= 2. Each
+  // pass intersects every domain with these sets, recomputing one only
+  // after a domain it reads shrank, until a pass changes nothing.
+  reach_.resize(static_cast<size_t>(num_query_vertices_) * words_);
+  reach2_.resize(static_cast<size_t>(num_query_vertices_) * words_);
+  version_.assign(num_query_vertices_, 0);
+  reach_version_.assign(num_query_vertices_, -1);
+  // The first pass reads only the neighbours earlier in order_, whose
+  // domains it has already cut down: reaches of whole initial domains
+  // (every G vertex, for a query leaf) are never computed.
+  for (bool first = true, changed = true; changed; first = false) {
+    changed = first;
+    for (int u : order_) {
+      if (q_begin_[u + 1] == q_begin_[u]) break;  // isolated: no neighbours
+      uint64_t* d = domain(u);
+      bool shrunk = false;
+      auto keep = [&](const uint64_t* r) {
+        for (int i = 0; i < words_; ++i) {
+          const uint64_t kept = d[i] & r[i];
+          shrunk |= kept != d[i];
+          d[i] = kept;
+        }
+      };
+      for (int qi = q_begin_[u]; qi < q_begin_[u + 1]; ++qi) {
+        const int w = q_nbrs_[qi];
+        if (!first || rank_[w] < rank_[u]) keep(Reach(w));
+      }
+      for (int p = pair_begin_[u]; p < pair_begin_[u + 1]; ++p) {
+        if (!first || std::max(rank_[pair_ends_[2 * p]],
+                               rank_[pair_ends_[2 * p + 1]]) < rank_[u]) {
+          keep(PairReach(p));
+        }
+      }
+      if (!shrunk) continue;
+      changed = true;
+      ++version_[u];
+      if (std::all_of(d, d + words_, [](uint64_t x) { return x == 0; })) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+const uint64_t* GraphCertificate::Reach(int w) {
+  uint64_t* once = &reach_[static_cast<size_t>(w) * words_];
+  if (reach_version_[w] == version_[w]) return once;
+  reach_version_[w] = version_[w];
+  // Bit-sliced counting to two, word by word so the counts stay in
+  // registers: reach(w) holds the vertices adjacent to D(w) at least once,
+  // reach2_ the ones adjacent at least twice.
+  uint64_t* twice = &reach2_[static_cast<size_t>(w) * words_];
+  const uint64_t* d = domain(w);
+  for (int j = 0; j < words_; ++j) {
+    uint64_t seen = 0;
+    uint64_t again = 0;
+    for (int i = 0; i < words_; ++i) {
+      for (uint64_t bits = d[i]; bits != 0; bits &= bits - 1) {
+        const int x = i * 64 + std::countr_zero(bits);
+        const uint64_t adjacent =
+            g_adjacency_[static_cast<size_t>(x) * words_ + j];
+        again |= seen & adjacent;
+        seen |= adjacent;
+      }
+    }
+    once[j] = seen;
+    twice[j] = again;
+  }
+  return once;
+}
+
+const uint64_t* GraphCertificate::PairReach(int p) {
+  const int a = pair_ends_[2 * p];
+  const int b = pair_ends_[2 * p + 1];
+  const uint64_t* once_a = Reach(a);
+  Reach(b);
+  const uint64_t* twice_a = &reach2_[static_cast<size_t>(a) * words_];
+  const uint64_t* twice_b = &reach2_[static_cast<size_t>(b) * words_];
+  const uint64_t* da = domain(a);
+  const uint64_t* db = domain(b);
+  // Neighbouring query vertices mostly have nested domains, and then the
+  // pair's reach2 is the larger one's.
+  bool b_in_a = true;
+  bool a_in_b = true;
+  for (int i = 0; i < words_; ++i) {
+    b_in_a &= (db[i] & ~da[i]) == 0;
+    a_in_b &= (da[i] & ~db[i]) == 0;
+  }
+  if (b_in_a) return twice_a;
+  if (a_in_b) return twice_b;
+  // Otherwise count C = D(b) \ D(a) on its own: a vertex is adjacent
+  // twice to D(a) ∪ D(b) when twice to D(a), twice to C, or once to each.
+  pair_row_.resize(words_);
+  for (int j = 0; j < words_; ++j) {
+    uint64_t seen = 0;
+    uint64_t again = 0;
+    for (int i = 0; i < words_; ++i) {
+      for (uint64_t bits = db[i] & ~da[i]; bits != 0; bits &= bits - 1) {
+        const int x = i * 64 + std::countr_zero(bits);
+        const uint64_t adjacent =
+            g_adjacency_[static_cast<size_t>(x) * words_ + j];
+        again |= seen & adjacent;
+        seen |= adjacent;
+      }
+    }
+    pair_row_[j] = twice_a[j] | again | (once_a[j] & seen);
+  }
+  return pair_row_.data();
+}
+
+bool GraphCertificate::Supported(int u, int v) const {
+  // Beyond four neighbours only the one- and two-neighbour subsets, which
+  // RefineNeighbourhoods checks, are enforced: keeping v is always sound.
+  const int k = q_begin_[u + 1] - q_begin_[u];
+  if (k == 0 || k > kMaxHall) return true;
+  const int* query_nbrs = &q_nbrs_[q_begin_[u]];
+  uint64_t masks[kMaxHall];
+  if (words_ == 1) {
+    // Slots are G's vertex ids.
+    const uint64_t adjacent = g_adjacency_[v];
+    for (int i = 0; i < k; ++i) {
+      masks[i] = adjacent & domains_[query_nbrs[i]];
+      if (masks[i] == 0) return false;
+    }
+  } else {
+    // Slots are ranks among v's neighbours.
+    if (g_degree_[v] > 64) return true;  // unchecked: keeping v is sound
+    const uint64_t* adjacent = &g_adjacency_[static_cast<size_t>(v) * words_];
+    for (int i = 0; i < k; ++i) {
+      const uint64_t* row = domain(query_nbrs[i]);
+      uint64_t mask = 0;
+      int slot = 0;
+      for (int c = 0; c < words_; ++c) {
+        for (uint64_t bits = adjacent[c]; bits != 0; bits &= bits - 1) {
+          mask |= ((row[c] >> std::countr_zero(bits)) & 1) << slot++;
+        }
+      }
+      if (mask == 0) return false;
+      masks[i] = mask;
+    }
+  }
+  return HasDistinctRepresentatives(masks, k);
+}
+
+bool GraphCertificate::Remove(int u, int v, int step) {
+  domain(u)[v >> 6] &= ~(uint64_t{1} << (v & 63));
+  queue_.emplace_back(u, v);
+  queue_step_.push_back(step);
+  const uint64_t* d = domain(u);
+  return std::any_of(d, d + words_, [](uint64_t x) { return x != 0; });
+}
+
+bool GraphCertificate::MatchAll() {
+  owner_.assign(g_degree_.size(), -1);
+  used_.assign(words_, 0);
+  for (int u : order_) {
+    bool placed = false;
+    for (int w = 0; w < words_ && !placed; ++w) {
+      const uint64_t free = domain(u)[w] & ~used_[w];
+      if (free == 0) continue;
+      const int b = std::countr_zero(free);
+      used_[w] |= uint64_t{1} << b;
+      owner_[w * 64 + b] = u;
+      placed = true;
+    }
+    if (placed) continue;
+    visited_.assign(words_, 0);
+    if (!Augment(u)) return false;
+  }
+  return true;
+}
+
+bool GraphCertificate::Augment(int u) {
+  for (int w = 0; w < words_; ++w) {
+    uint64_t candidates = domain(u)[w] & ~visited_[w];
+    while (candidates != 0) {
+      const int b = std::countr_zero(candidates);
+      candidates &= candidates - 1;
+      visited_[w] |= uint64_t{1} << b;
+      const int x = w * 64 + b;
+      if (owner_[x] < 0 || Augment(owner_[x])) {
+        owner_[x] = u;
+        used_[w] |= uint64_t{1} << b;
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace pis

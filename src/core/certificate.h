@@ -6,6 +6,8 @@
 #ifndef PIS_CORE_CERTIFICATE_H_
 #define PIS_CORE_CERTIFICATE_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "distance/distance_spec.h"
@@ -13,30 +15,59 @@
 
 namespace pis {
 
-/// \brief Necessary conditions of an embedding of one query, checked
-/// against one graph at a time.
+/// \brief Necessary conditions of an embedding of one query within σ,
+/// checked against one graph at a time.
 ///
-/// Any superposition maps Q's vertices injectively into G and each query
-/// edge onto a distinct edge of G. Two bounds follow:
+/// Any superposition f maps Q's vertices injectively into G and each query
+/// edge onto a distinct edge of G. Three bounds follow, cheapest first:
 ///
 ///  - Label multiset (mutation specs). At most
 ///    m_E = Σ_l min(cnt_Q(l), cnt_G(l)) query edges can land on an edge of
 ///    their own label, and every other one costs at least the edge
-///    matrix's MinMismatch(); the same holds for vertices. So
+///    matrix's MinMismatch() c_e; the same holds for vertices. So
 ///    d(Q, G) >= c_e · (|E(Q)| − m_E) + c_v · (|V(Q)| − m_V).
 ///    A zero c (the vertex matrix of EdgeMutation, a zero-cost override)
 ///    makes its term 0; for the linear distance both terms are 0.
 ///  - Degree dominance (every spec). deg_G(f(u)) >= deg_Q(u), so for every
 ///    d, G holds at least as many vertices of degree >= d as Q does. A
 ///    graph that fails cannot host the query at all.
+///  - Neighbourhood domains (every spec; σ-budgeted for mutation specs).
+///    Each query vertex u gets a domain D(u) of the G vertices f(u) could
+///    be: degree at least deg_Q(u), u's neighbours matched to distinct
+///    neighbours of at least their degree and, when c_e > 0, at most
+///    ⌊σ / c_e⌋ of u's incident edges unable to keep their label at v
+///    (deg_Q(u) − |L_u ∩ L_v|, L the multiset of incident edge labels;
+///    each such edge is a distinct mutation costing >= c_e). The domains
+///    are then refined to a fixpoint (Ullmann's refinement, the "pseudo
+///    subgraph isomorphism" test of GraphQL): v stays in D(u) only while
+///    u's neighbours can be matched injectively to distinct neighbours of
+///    v, each inside its own domain (Hall's condition). After that all of
+///    Q must match injectively into G. An empty domain or a failed
+///    matching proves d(Q, G) > σ. For mutation specs the surviving
+///    domains give a local label bound too: every mismatched edge is
+///    counted at both endpoints, so d(Q, G) >= c_e · ⌈½ Σ_u min_{v in
+///    D(u)} (deg_Q(u) − |L_u ∩ L_v|)⌉.
+///
+/// The domains are bitsets over G's vertices (any size; one 64-bit word per
+/// 64 vertices). Hall's condition for the one- and two-neighbour subsets
+/// runs bit-parallel over whole domains (RefineNeighbourhoods); query
+/// vertices of degree three and four are then checked pair by pair on all
+/// their neighbour subsets, and a removal re-checks only the pairs it can
+/// affect. A query vertex of degree five or more keeps the one- and
+/// two-neighbour subsets only (weaker, still sound).
+///
+/// CertifyCandidates (core/shard_filter.h) skips the certificate when one
+/// query fragment covers the whole query: pass 1 then already bounds
+/// d(Q, G) within σ for every survivor, so no lower bound can exclude one.
 class GraphCertificate {
  public:
   GraphCertificate(const Graph& query, const DistanceSpec& spec);
 
-  /// The larger of the two bounds on d(query, graph): kInfiniteDistance
-  /// when `graph`'s degrees cannot host the query, else the label-multiset
-  /// bound. Reuses scratch arrays, so one certificate serves one thread.
-  double LowerBound(const Graph& graph);
+  /// A lower bound on d(query, graph) whenever that distance is within
+  /// `sigma`; a value above `sigma` (kInfiniteDistance for the degree and
+  /// domain conditions) proves the distance exceeds `sigma`. Reuses scratch
+  /// arrays, so one certificate serves one thread.
+  double LowerBound(const Graph& graph, double sigma);
 
  private:
   /// A query's label multiset: distinct labels, their counts and the
@@ -55,15 +86,106 @@ class GraphCertificate {
   template <typename LabelOf>
   int Unmatched(const LabelCounts& query, int num_elements, LabelOf label_of);
 
+  /// The domain conditions over `graph` with at most `budget` label
+  /// mismatches per query vertex (-1 when σ allows none at all): the local
+  /// label bound's mismatch count Σ_u min_{v in D(u)}, or -1 when a domain
+  /// empties or Q cannot match into G.
+  int RefineDomains(const Graph& graph, int budget);
+  /// Initial domains of every query-vertex signature; false when one is
+  /// empty.
+  bool InitDomains(const Graph& graph, int budget);
+  /// Incident edges of a query vertex of `signature` that cannot keep their
+  /// label at G vertex v: deg_Q(u) − |L_u ∩ L_v|.
+  int Missing(int signature, int v) const;
+  /// Hall's condition for every one and every two neighbours of every
+  /// query vertex, bit-parallel, to a fixpoint; false when a domain
+  /// empties.
+  bool RefineNeighbourhoods();
+  /// reach(w): the G vertices adjacent to some vertex of D(w); its
+  /// reach2_ row holds those adjacent to two. Recomputed only if D(w)
+  /// shrank since.
+  const uint64_t* Reach(int w);
+  /// reach2 of pair p: the G vertices adjacent at least twice to the
+  /// union of its two domains.
+  const uint64_t* PairReach(int p);
+  /// Whether u's neighbours match injectively into v's, each within its
+  /// own domain; true unchecked for more than kMaxHall neighbours.
+  bool Supported(int u, int v) const;
+  static constexpr int kMaxHall = 4;
+  /// Removes v from u's domain and queues the pair; false when the domain
+  /// empties.
+  bool Remove(int u, int v, int step);
+  /// Whether every query vertex matches to a distinct G vertex of its
+  /// domain.
+  bool MatchAll();
+  bool Augment(int u);
+
+  uint64_t* domain(int u) { return &domains_[static_cast<size_t>(u) * words_]; }
+  const uint64_t* domain(int u) const {
+    return &domains_[static_cast<size_t>(u) * words_];
+  }
+
   double edge_cost_;
   double vertex_cost_;
   LabelCounts edge_labels_;
   LabelCounts vertex_labels_;
   /// at_least_[d]: query vertices of degree >= d, d = 0..max query degree.
   std::vector<int> at_least_;
+
+  // The query's structure, for the domain conditions.
+  int num_query_vertices_ = 0;
+  /// Query neighbours in CSR form: u's are q_nbrs_[q_begin_[u]..q_begin_[u+1]).
+  std::vector<int> q_begin_;
+  std::vector<int> q_nbrs_;
+  /// Query vertices breadth-first from the highest-degree vertex of each
+  /// component (the most constrained first), isolated ones last.
+  std::vector<int> order_;
+  /// rank_[u]: u's place in order_; position_[u] the same for the query
+  /// vertices of degree 3 to kMaxHall (the ones swept), else -1.
+  std::vector<int> rank_;
+  std::vector<int> position_;
+  /// Every two neighbours of every query vertex: u's pairs are
+  /// pair_begin_[u]..pair_begin_[u+1], pair p joins pair_ends_[2p] and
+  /// pair_ends_[2p+1].
+  std::vector<int> pair_begin_;
+  std::vector<int> pair_ends_;
+  /// Query vertices with equal degree, neighbour degrees and incident label
+  /// counts share a signature and so an initial domain: signature_of_[u]
+  /// indexes signature_degree_, signature_nbr_begin_ (where its descending
+  /// neighbour degrees start in signature_nbr_degrees_) and the rows of
+  /// signature_labels_ (counts over edge_labels_.labels).
+  std::vector<int> signature_of_;
+  std::vector<int> signature_degree_;
+  std::vector<int> signature_nbr_begin_;
+  std::vector<int> signature_nbr_degrees_;
+  std::vector<int> signature_labels_;
+
   // Scratch for LowerBound.
   std::vector<int> degree_count_;
   std::vector<int> seen_;
+  int words_ = 0;                     ///< 64-bit words per domain
+  std::vector<uint64_t> domains_;     ///< one row of words_ per query vertex
+  std::vector<uint64_t> signature_domains_;
+  std::vector<uint64_t> reach_;       ///< one row of words_ per query vertex
+  std::vector<uint64_t> reach2_;      ///< the same, adjacent twice
+  std::vector<uint64_t> pair_row_;
+  /// Bumped when a domain shrinks; a cached reach row remembers the
+  /// version it was computed from.
+  std::vector<int> version_;
+  std::vector<int> reach_version_;
+  std::vector<int> g_degree_;
+  /// InitDomains: neighbour-degree rows, kLevelPlanes x max query degree.
+  static constexpr int kLevelPlanes = 4;
+  std::vector<uint64_t> levels_;
+  std::vector<uint64_t> g_adjacency_;  ///< one row of words_ per G vertex
+  std::vector<int> g_labels_;         ///< per G vertex, counts over query labels
+  /// Removed (query vertex, G vertex) pairs whose neighbours need a
+  /// re-check, with the sweep step at which each was removed.
+  std::vector<std::pair<int, int>> queue_;
+  std::vector<int> queue_step_;
+  std::vector<int> owner_;            ///< MatchAll: G vertex -> query vertex
+  std::vector<uint64_t> used_;
+  std::vector<uint64_t> visited_;
 };
 
 }  // namespace pis

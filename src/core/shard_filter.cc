@@ -172,13 +172,11 @@ void PlanFilter(std::span<const ShardFilterResult> shards,
   stats.partition_seconds = partition_timer.Seconds();
 }
 
-Status ShardRefine(const ShardedFragmentIndex& index, const GraphDatabase& db,
-                   int shard, const Graph& query,
-                   const std::vector<QueryFragment>& fragments,
-                   const std::vector<int>& partition,
-                   const std::vector<int>& survivors, double sigma,
-                   std::vector<int>* candidates,
-                   size_t* partition_candidates) {
+Status ShardPartitionBound(const ShardedFragmentIndex& index, int shard,
+                           const std::vector<QueryFragment>& fragments,
+                           const std::vector<int>& partition,
+                           const std::vector<int>& survivors, double sigma,
+                           std::vector<int>* candidates) {
   *candidates = survivors;
   std::vector<double> lower_bound(candidates->size(), 0.0);
   std::vector<int> locals;
@@ -207,11 +205,39 @@ Status ShardRefine(const ShardedFragmentIndex& index, const GraphDatabase& db,
     locals.resize(kept);
     lower_bound.resize(kept);
   }
-  *partition_candidates = candidates->size();
-  GraphCertificate certificate(query, index.options().spec);
+  return Status::OK();
+}
+
+bool CoversQuery(const QueryFragment& fragment, const Graph& query) {
+  return fragment.prepared.num_edges == query.NumEdges() &&
+         static_cast<int>(fragment.vertices.size()) == query.NumVertices();
+}
+
+void CertifyCandidates(const GraphDatabase& db, const Graph& query,
+                       const std::vector<QueryFragment>& fragments,
+                       const DistanceSpec& spec, double sigma,
+                       std::vector<int>* candidates) {
+  for (const QueryFragment& fragment : fragments) {
+    if (CoversQuery(fragment, query)) return;
+  }
+  GraphCertificate certificate(query, spec);
   std::erase_if(*candidates, [&](int gid) {
-    return certificate.LowerBound(db.at(gid)) > sigma;
+    return certificate.LowerBound(db.at(gid), sigma) > sigma;
   });
+}
+
+Status ShardRefine(const ShardedFragmentIndex& index, const GraphDatabase& db,
+                   int shard, const Graph& query,
+                   const std::vector<QueryFragment>& fragments,
+                   const std::vector<int>& partition,
+                   const std::vector<int>& survivors, double sigma,
+                   std::vector<int>* candidates,
+                   size_t* partition_candidates) {
+  PIS_RETURN_NOT_OK(ShardPartitionBound(index, shard, fragments, partition,
+                                        survivors, sigma, candidates));
+  *partition_candidates = candidates->size();
+  CertifyCandidates(db, query, fragments, index.options().spec, sigma,
+                    candidates);
   return Status::OK();
 }
 

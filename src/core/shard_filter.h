@@ -14,9 +14,14 @@
 //                partition.
 //   ShardRefine  per shard: re-issues the partition's range queries over
 //                the shard and prunes the survivors by their summed lower
-//                bound, then certifies the rest against their own graphs
-//                (core/certificate.h: label multiset and degree dominance,
-//                two more lower bounds on d(Q, G)).
+//                bound (ShardPartitionBound), then certifies the rest
+//                against their own graphs (CertifyCandidates,
+//                core/certificate.h): three more lower bounds on d(Q, G),
+//                the label multiset, degree dominance and σ-budgeted
+//                neighbourhood domains refined to a Hall-consistent
+//                fixpoint. A query that one fragment covers whole skips
+//                the certificate: pass 1 already bounded every survivor's
+//                exact distance within σ.
 //
 // PisEngine runs the three over its in-process shards; ClusterEngine runs
 // ShardFilter and ShardRefine on the replicas (the shard_filter and
@@ -82,14 +87,35 @@ Status ShardFilter(const ShardedFragmentIndex& index, int shard,
 void PlanFilter(std::span<const ShardFilterResult> shards,
                 const PisOptions& options, FilterResult* result);
 
-/// Pass 2 over shard `shard`: sums each survivor's distances over the
-/// partition fragments (positions into `fragments`, in partition order) and
-/// keeps, ascending, the survivors whose bound stays within `sigma`; their
-/// count is `*partition_candidates` (the paper's Yp). Then certifies each
-/// of them against its graph in `db` (GraphCertificate over `query` and the
-/// index's spec) and leaves in `candidates` those whose certificate bound
-/// stays within `sigma` too. `survivors` must be this shard's ascending
-/// ShardFilter survivors, and `db` the database the index's ids name.
+/// Pass 2's index half over shard `shard`: sums each survivor's distances
+/// over the partition fragments (positions into `fragments`, in partition
+/// order) and leaves in `candidates`, ascending, the survivors whose bound
+/// stays within `sigma` (the shard's share of the paper's Yp). `survivors`
+/// must be this shard's ascending ShardFilter survivors.
+Status ShardPartitionBound(const ShardedFragmentIndex& index, int shard,
+                           const std::vector<QueryFragment>& fragments,
+                           const std::vector<int>& partition,
+                           const std::vector<int>& survivors, double sigma,
+                           std::vector<int>* candidates);
+
+/// Whether `fragment` covers every edge and every vertex of `query`. Its
+/// range query then returns each graph's exact d(query, G) (the index holds
+/// every automorphic sequence of the skeleton), so a pass-1 survivor is
+/// within σ.
+bool CoversQuery(const QueryFragment& fragment, const Graph& query);
+
+/// Pass 2's graph half: drops from `candidates` (ids into `db`) every graph
+/// whose GraphCertificate bound over `query` and `spec` exceeds `sigma`.
+/// Skipped when some fragment of `fragments` covers the query: pass 1 then
+/// bounded every survivor within σ, so no lower bound can drop one.
+void CertifyCandidates(const GraphDatabase& db, const Graph& query,
+                       const std::vector<QueryFragment>& fragments,
+                       const DistanceSpec& spec, double sigma,
+                       std::vector<int>* candidates);
+
+/// Pass 2 over shard `shard`: ShardPartitionBound, whose candidate count is
+/// `*partition_candidates` (Yp), then CertifyCandidates against `db`, the
+/// database the index's ids name, with the index's spec.
 Status ShardRefine(const ShardedFragmentIndex& index, const GraphDatabase& db,
                    int shard, const Graph& query,
                    const std::vector<QueryFragment>& fragments,

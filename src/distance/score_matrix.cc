@@ -5,8 +5,9 @@
 namespace pis {
 
 Status ScoreMatrix::Set(Label a, Label b, double cost) {
-  if (cost < 0) {
-    return Status::InvalidArgument("mutation costs must be non-negative");
+  if (!ValidCost(cost)) {
+    return Status::InvalidArgument(
+        "mutation costs must be non-negative numbers");
   }
   overrides_[PairKey(a, b)] = cost;
   return Status::OK();
@@ -50,11 +51,14 @@ Result<ScoreMatrix> ScoreMatrix::Deserialize(BinaryReader* reader) {
   ScoreMatrix m(reader->F64());
   uint64_t n = reader->U64();
   PIS_RETURN_NOT_OK(reader->Check("score matrix header"));
+  if (!ValidCost(m.default_mismatch_)) {
+    return Status::ParseError("invalid score matrix default mismatch");
+  }
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t key = reader->U64();
     double cost = reader->F64();
     PIS_RETURN_NOT_OK(reader->Check("score matrix entry"));
-    if (cost < 0) return Status::ParseError("negative score matrix entry");
+    if (!ValidCost(cost)) return Status::ParseError("invalid score matrix entry");
     m.overrides_[key] = cost;
   }
   return m;

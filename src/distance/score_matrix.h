@@ -24,12 +24,15 @@ class ScoreMatrix {
   /// (the evaluation ignores vertex labels).
   static ScoreMatrix Zero() { return ScoreMatrix(0.0); }
 
+  /// `default_mismatch` must be a valid cost (see Set).
   explicit ScoreMatrix(double default_mismatch = 1.0)
       : default_mismatch_(default_mismatch) {}
 
   /// Overrides the cost of mutating `a` into `b` (stored symmetrically).
-  /// Negative costs are rejected: the partition lower bound (Eq. 2)
-  /// requires non-negative terms.
+  /// Negative and NaN costs are rejected: the partition lower bound (Eq. 2)
+  /// requires non-negative terms, and a NaN distance fails every d <= σ
+  /// test. +∞ is legal: a forbidden mutation, which no embedding within a
+  /// finite σ can use.
   Status Set(Label a, Label b, double cost);
 
   /// Mutation cost between two labels; 0 when equal.
@@ -47,11 +50,15 @@ class ScoreMatrix {
   /// its sequences.
   bool IsZero() const;
 
-  /// Binary persistence (index save/load).
+  /// Binary persistence (index save/load). Deserialize rejects a default
+  /// mismatch or an override that Set would reject.
   void Serialize(BinaryWriter* writer) const;
   static Result<ScoreMatrix> Deserialize(BinaryReader* reader);
 
  private:
+  /// Non-negative and not NaN; +∞ included.
+  static bool ValidCost(double cost) { return cost >= 0; }
+
   static uint64_t PairKey(Label a, Label b) {
     if (a > b) std::swap(a, b);
     return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |

@@ -514,6 +514,17 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
             " counts more partition candidates than survivors");
         return;
       }
+      // Refining only removes survivors; the decoder already holds the
+      // answers inside the candidates, and both lists are ascending.
+      if (reply.ok() && !std::includes(request.survivors.begin(),
+                                       request.survivors.end(),
+                                       reply.value().candidates.begin(),
+                                       reply.value().candidates.end())) {
+        refined[i] = Status::InvalidArgument(
+            "shard_refine reply from " + backend.name() +
+            " names candidates that were not sent as survivors");
+        return;
+      }
       if (reply.ok()) {
         NoteTransportSuccess(*endpoints_[chosen]);
         if (trace != nullptr) {

@@ -1,14 +1,18 @@
 // GraphCertificate (core/certificate.h) against an independent oracle: the
 // brute-force superimposed distance, which enumerates every embedding with
-// VF2 and scores each one. A certificate bound must never exceed the true
-// distance (else pass 2 would drop an answer), and on hand-built pairs it
-// must give exactly the value its formula promises.
+// VF2 and scores each one. Whenever the true distance is within σ, the
+// certificate's bound must not exceed it (else pass 2 would drop an
+// answer); on hand-built pairs it must give exactly the value its formula
+// promises, and each of its conditions must be seen removing pairs.
 #include "core/certificate.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,9 +20,15 @@
 #include "distance/superimposed.h"
 #include "graph/generator.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace pis {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// A σ no bound reaches: only the σ-free conditions can exclude.
+constexpr double kWide = 1e9;
 
 /// A graph from vertex labels and (u, v, label) edges.
 Graph Build(const std::vector<Label>& vertex_labels,
@@ -54,6 +64,45 @@ TEST(ScoreMatrixTest, MinMismatchIsTheCheapestOffDiagonalCost) {
   EXPECT_EQ(m.MinMismatch(), 0.0);
 }
 
+TEST(ScoreMatrixTest, RejectsNaNCosts) {
+  ScoreMatrix m(1.0);
+  EXPECT_EQ(m.Set(1, 2, kNaN).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(m.Set(1, 2, -0.5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(m.Cost(1, 2), 1.0);  // the rejected costs left no override
+  EXPECT_EQ(m.MinMismatch(), 1.0);
+}
+
+TEST(ScoreMatrixTest, InfiniteCostIsAForbiddenMutation) {
+  ScoreMatrix m(1.0);
+  ASSERT_TRUE(m.Set(1, 2, kInf).ok());
+  EXPECT_EQ(m.Cost(2, 1), kInf);
+  EXPECT_EQ(m.MinMismatch(), 1.0);
+  ScoreMatrix forbidden(kInf);
+  EXPECT_EQ(forbidden.MinMismatch(), kInf);
+  EXPECT_FALSE(forbidden.IsZero());
+}
+
+TEST(ScoreMatrixTest, DeserializeValidatesEveryCost) {
+  auto decode = [](double default_mismatch, double override_cost) {
+    std::stringstream bytes;
+    BinaryWriter writer(bytes);
+    writer.F64(default_mismatch);
+    writer.U64(1);
+    writer.U64((uint64_t{1} << 32) | 2);
+    writer.F64(override_cost);
+    BinaryReader reader(bytes);
+    return ScoreMatrix::Deserialize(&reader);
+  };
+  ASSERT_TRUE(decode(1.0, 0.5).ok());
+  EXPECT_EQ(decode(1.0, 0.5).value().Cost(1, 2), 0.5);
+  ASSERT_TRUE(decode(kInf, kInf).ok());
+  EXPECT_EQ(decode(kInf, 0.5).value().MinMismatch(), 0.5);
+  for (double bad : {kNaN, -1.0}) {
+    EXPECT_EQ(decode(bad, 0.5).status().code(), StatusCode::kParseError);
+    EXPECT_EQ(decode(1.0, bad).status().code(), StatusCode::kParseError);
+  }
+}
+
 TEST(GraphCertificateTest, LabelBoundValuesOnHandBuiltPairs) {
   // Edge labels: the path has {1, 1, 2}, the square {1, 2, 2, 2}, so two
   // path edges can keep their label and one must mutate. Vertex labels:
@@ -62,8 +111,8 @@ TEST(GraphCertificateTest, LabelBoundValuesOnHandBuiltPairs) {
   const Graph target = Square();
   {
     GraphCertificate certificate(query, DistanceSpec::EdgeMutation());
-    EXPECT_EQ(certificate.LowerBound(target), 1.0);
-    EXPECT_EQ(certificate.LowerBound(query), 0.0);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 1.0);
+    EXPECT_EQ(certificate.LowerBound(query, kWide), 0.0);
     // The bound is exact here: one path of the square reads 1, 2, 2.
     EXPECT_EQ(MinSuperimposedDistanceBruteForce(
                   query, target, *DistanceSpec::EdgeMutation().MakeCostModel()),
@@ -71,33 +120,33 @@ TEST(GraphCertificateTest, LabelBoundValuesOnHandBuiltPairs) {
   }
   {
     GraphCertificate certificate(query, DistanceSpec::FullMutation());
-    EXPECT_EQ(certificate.LowerBound(target), 1.0 + 2.0);
-    EXPECT_EQ(certificate.LowerBound(query), 0.0);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 1.0 + 2.0);
+    EXPECT_EQ(certificate.LowerBound(query, kWide), 0.0);
   }
   {
     DistanceSpec spec = DistanceSpec::FullMutation();
     ASSERT_TRUE(spec.edge_scores.Set(1, 2, 0.5).ok());
     ASSERT_TRUE(spec.vertex_scores.Set(3, 2, 0.25).ok());
     GraphCertificate certificate(query, spec);
-    EXPECT_EQ(certificate.LowerBound(target), 0.5 * 1 + 0.25 * 2);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 0.5 * 1 + 0.25 * 2);
   }
   {
     DistanceSpec spec = DistanceSpec::FullMutation();
     ASSERT_TRUE(spec.edge_scores.Set(1, 7, 0.0).ok());
     GraphCertificate certificate(query, spec);
-    EXPECT_EQ(certificate.LowerBound(target), 2.0);  // vertex term only
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 2.0);  // vertex term only
   }
   {
     GraphCertificate certificate(query, DistanceSpec::EdgeLinear());
-    EXPECT_EQ(certificate.LowerBound(target), 0.0);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 0.0);
   }
   {
     // Every label differs: all three edges must mutate.
     const Graph other = Build({5, 5, 5, 5}, {{0, 1, 9}, {1, 2, 9}, {2, 3, 9}});
     GraphCertificate certificate(query, DistanceSpec::EdgeMutation());
-    EXPECT_EQ(certificate.LowerBound(other), 3.0);
+    EXPECT_EQ(certificate.LowerBound(other, kWide), 3.0);
     GraphCertificate full(query, DistanceSpec::FullMutation());
-    EXPECT_EQ(full.LowerBound(other), 3.0 + 4.0);
+    EXPECT_EQ(full.LowerBound(other, kWide), 3.0 + 4.0);
   }
 }
 
@@ -120,18 +169,125 @@ TEST(GraphCertificateTest, DegreeDominanceRejectsGraphsThatCannotHost) {
   for (const DistanceSpec& spec :
        {DistanceSpec::EdgeMutation(), DistanceSpec::EdgeLinear()}) {
     GraphCertificate certificate(diamond, spec);
-    EXPECT_EQ(certificate.LowerBound(star), kInfiniteDistance);
-    EXPECT_EQ(certificate.LowerBound(triangle), kInfiniteDistance);
-    // Degree counts pass, so only the label bound (0 here) is left, though
-    // the diamond does not embed in it.
-    EXPECT_EQ(certificate.LowerBound(bridged), 0.0);
-    EXPECT_EQ(certificate.LowerBound(diamond), 0.0);
+    EXPECT_EQ(certificate.LowerBound(star, kWide), kInfiniteDistance);
+    EXPECT_EQ(certificate.LowerBound(triangle, kWide), kInfiniteDistance);
+    // Degree counts pass, but the diamond's two degree-2 vertices each
+    // need two neighbours of degree 3, and the bridged triangles have no
+    // such vertex: the neighbourhood domains reject it.
+    EXPECT_EQ(certificate.LowerBound(bridged, kWide), kInfiniteDistance);
+    EXPECT_EQ(certificate.LowerBound(diamond, kWide), 0.0);
   }
   // A path needs two vertices of degree >= 2: the star has one, the
   // square four.
   GraphCertificate path(Path(), DistanceSpec::EdgeLinear());
-  EXPECT_EQ(path.LowerBound(star), kInfiniteDistance);
-  EXPECT_EQ(path.LowerBound(Square()), 0.0);
+  EXPECT_EQ(path.LowerBound(star, kWide), kInfiniteDistance);
+  EXPECT_EQ(path.LowerBound(Square(), kWide), 0.0);
+}
+
+TEST(GraphCertificateTest, SigmaBudgetAndLocalLabelBound) {
+  // Query: the path u0-u1-u2 with both edges labelled 1. Target: the path
+  // v0-v1-v2-v3 labelled 1, 2, 1. The label multisets agree ({1, 1} within
+  // {1, 1, 2}), but the middle vertex u1 finds two label-1 edges at no
+  // target vertex: any image keeps at most one of its edges, so d = 1.
+  const Graph query = Build({1, 1, 1}, {{0, 1, 1}, {1, 2, 1}});
+  const Graph target =
+      Build({1, 1, 1, 1}, {{0, 1, 1}, {1, 2, 2}, {2, 3, 1}});
+  const DistanceSpec spec = DistanceSpec::EdgeMutation();
+  ASSERT_EQ(MinSuperimposedDistanceBruteForce(query, target,
+                                              *spec.MakeCostModel()),
+            1.0);
+  GraphCertificate certificate(query, spec);
+  // σ = 0.5 allows ⌊0.5⌋ = 0 mismatches per vertex: u1's domain empties.
+  EXPECT_EQ(certificate.LowerBound(target, 0.5), kInfiniteDistance);
+  EXPECT_EQ(certificate.LowerBound(target, 0.0), kInfiniteDistance);
+  // σ = 1 allows one: the local label bound is then ⌈½ · 1⌉ = 1, exact.
+  EXPECT_EQ(certificate.LowerBound(target, 1.0), 1.0);
+  EXPECT_EQ(certificate.LowerBound(target, kWide), 1.0);
+
+  // A single edge labelled 1 against one labelled 2: both endpoints count
+  // the one mismatched edge, and the ½ counts it once.
+  const Graph edge1 = Build({1, 1}, {{0, 1, 1}});
+  const Graph edge2 = Build({1, 1}, {{0, 1, 2}});
+  GraphCertificate single(edge1, spec);
+  EXPECT_EQ(single.LowerBound(edge2, 1.0), 1.0);
+  EXPECT_EQ(single.LowerBound(edge2, kWide), 1.0);
+
+  // A star whose three edges are labelled 1 against a claw labelled 2, 2,
+  // 1 beside a path labelled 1, 1, with a cheaper override: the label
+  // multisets agree, c_e = 0.5, and the star's centre can keep only one of
+  // its three labels at the claw's centre. So σ < 1 (at most one mismatch
+  // per vertex) empties its domain, while at σ = 1 the local bound is
+  // ⌈½ · 2⌉ · 0.5 = 0.5 against a true distance of 1.
+  DistanceSpec cheap = DistanceSpec::EdgeMutation();
+  ASSERT_TRUE(cheap.edge_scores.Set(1, 2, 0.5).ok());
+  const Graph star = Build({1, 1, 1, 1}, {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}});
+  const Graph claw = Build({1, 1, 1, 1, 1, 1, 1}, {{0, 1, 2},
+                                                    {0, 2, 2},
+                                                    {0, 3, 1},
+                                                    {4, 5, 1},
+                                                    {5, 6, 1}});
+  ASSERT_EQ(MinSuperimposedDistanceBruteForce(star, claw,
+                                              *cheap.MakeCostModel()),
+            1.0);
+  GraphCertificate budgeted(star, cheap);
+  EXPECT_EQ(budgeted.LowerBound(claw, 0.25), kInfiniteDistance);
+  EXPECT_EQ(budgeted.LowerBound(claw, 0.5), kInfiniteDistance);
+  EXPECT_EQ(budgeted.LowerBound(claw, 0.75), kInfiniteDistance);
+  EXPECT_EQ(budgeted.LowerBound(claw, 1.0), 0.5);
+
+  // An infinite c_e (every mutation forbidden) allows none; a negative σ
+  // admits no graph at all, not even the query itself.
+  DistanceSpec forbidden = DistanceSpec::EdgeMutation();
+  forbidden.edge_scores = ScoreMatrix(kInf);
+  GraphCertificate strict(query, forbidden);
+  EXPECT_EQ(strict.LowerBound(target, 5.0), kInfiniteDistance);
+  EXPECT_EQ(strict.LowerBound(query, 5.0), 0.0);
+  EXPECT_EQ(strict.LowerBound(query, kInf), 0.0);
+  EXPECT_GT(certificate.LowerBound(query, -1.0), -1.0);
+}
+
+TEST(GraphCertificateTest, MultiWordDomainsAndHighDegreeQueryVertices) {
+  // A 70-cycle plus a hub joined to five cycle vertices 14 apart: 71
+  // vertices, so every domain spans two words, and the hub is the only
+  // vertex of degree 5.
+  std::vector<Label> labels(71, 1);
+  std::vector<std::vector<int>> edges;
+  for (int v = 0; v < 70; ++v) edges.push_back({v, (v + 1) % 70, 1});
+  for (int v = 0; v < 70; v += 14) edges.push_back({70, v, 1});
+  const Graph target = Build(labels, edges);
+  // A spider: centre of degree 5, each leg two edges long. It embeds.
+  const Graph spider = Build(
+      std::vector<Label>(11, 1),
+      {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}, {0, 5, 1},
+       {1, 6, 1}, {2, 7, 1}, {3, 8, 1}, {4, 9, 1}, {5, 10, 1}});
+  // The same centre with a triangle through it: the hub's neighbours are
+  // pairwise apart on the cycle, so no triangle passes through the hub.
+  const Graph fan = Build(std::vector<Label>(6, 1),
+                          {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1},
+                           {0, 5, 1}, {1, 2, 1}});
+  // Six legs: degree dominance already fails.
+  const Graph six = Build(std::vector<Label>(7, 1),
+                          {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1},
+                           {0, 5, 1}, {0, 6, 1}});
+  for (const DistanceSpec& spec :
+       {DistanceSpec::EdgeMutation(), DistanceSpec::EdgeLinear()}) {
+    const auto model = spec.MakeCostModel();
+    GraphCertificate spider_certificate(spider, spec);
+    EXPECT_EQ(spider_certificate.LowerBound(target, 2.0), 0.0);
+    EXPECT_EQ(MinSuperimposedDistanceBruteForce(spider, target, *model), 0.0);
+    // An isolated query vertex has a signature of its own (no neighbours)
+    // and maps to any vertex the rest leaves free.
+    Graph lonely = spider;
+    lonely.AddVertex(1);
+    GraphCertificate lonely_certificate(lonely, spec);
+    EXPECT_EQ(lonely_certificate.LowerBound(target, 2.0), 0.0);
+    GraphCertificate fan_certificate(fan, spec);
+    EXPECT_EQ(fan_certificate.LowerBound(target, kWide), kInfiniteDistance);
+    EXPECT_EQ(MinSuperimposedDistanceBruteForce(fan, target, *model),
+              kInfiniteDistance);
+    GraphCertificate six_certificate(six, spec);
+    EXPECT_EQ(six_certificate.LowerBound(target, kWide), kInfiniteDistance);
+  }
 }
 
 /// A connected `edges`-edge subgraph of `g` grown from a random edge, with
@@ -184,23 +340,85 @@ std::vector<SpecCase> Specs() {
   return specs;
 }
 
-// Over generated pairs, for every spec: the bound never exceeds the brute-
-// force distance, so no pair within any σ is ever excluded. The pairs are
-// mutated subgraphs of the target (finite distances, where the label bound
-// can bind) and independent random queries (often not contained, where
-// degree dominance can fire). The tallies prove both bounds were exercised
-// and sometimes exact, so a bound tightened by one fails here too.
+/// The label-multiset bound on its own (the certificate's first bound),
+/// recomputed here to tell which condition excluded a pair.
+double MultisetBound(const Graph& query, const Graph& target,
+                     const DistanceSpec& spec) {
+  if (spec.type != DistanceType::kMutation) return 0;
+  auto unmatched = [](std::multiset<Label> want, std::multiset<Label> have) {
+    int missing = 0;
+    for (Label l : want) {
+      auto it = have.find(l);
+      if (it == have.end()) {
+        ++missing;
+      } else {
+        have.erase(it);
+      }
+    }
+    return missing;
+  };
+  std::multiset<Label> qe, te, qv, tv;
+  for (EdgeId e = 0; e < query.NumEdges(); ++e) qe.insert(query.GetEdge(e).label);
+  for (EdgeId e = 0; e < target.NumEdges(); ++e) {
+    te.insert(target.GetEdge(e).label);
+  }
+  for (VertexId v = 0; v < query.NumVertices(); ++v) {
+    qv.insert(query.VertexLabel(v));
+  }
+  for (VertexId v = 0; v < target.NumVertices(); ++v) {
+    tv.insert(target.VertexLabel(v));
+  }
+  double bound = 0;
+  const int edges = unmatched(qe, te);
+  const int vertices = unmatched(qv, tv);
+  if (edges > 0) bound += spec.edge_scores.MinMismatch() * edges;
+  if (vertices > 0) bound += spec.vertex_scores.MinMismatch() * vertices;
+  return bound;
+}
+
+/// Whether G holds, for every d, as many vertices of degree >= d as Q.
+bool DegreesDominate(const Graph& query, const Graph& target) {
+  std::vector<int> q, t;
+  for (VertexId v = 0; v < query.NumVertices(); ++v) q.push_back(query.Degree(v));
+  for (VertexId v = 0; v < target.NumVertices(); ++v) {
+    t.push_back(target.Degree(v));
+  }
+  if (t.size() < q.size()) return false;
+  std::sort(q.rbegin(), q.rend());
+  std::sort(t.rbegin(), t.rend());
+  for (size_t i = 0; i < q.size(); ++i) {
+    if (t[i] < q[i]) return false;
+  }
+  return true;
+}
+
+// Over generated pairs, for every spec and every σ: whenever the brute-
+// force distance is within σ the bound never exceeds it, so no answer is
+// ever excluded. The pairs are mutated subgraphs of the target (finite
+// distances, where the label conditions bind) and independent random
+// queries (often not contained, where the structural ones fire), on small
+// targets and on targets of more than 64 vertices. The tallies prove every
+// condition removed pairs on its own and that bounds were sometimes exact,
+// so a condition tightened past soundness fails here too.
 TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
+  const std::vector<double> sigmas = {0, 0.5, 1, 2, 3, 5};
+  int structural_total = 0;
+  int budget_total = 0;
+  int local_total = 0;
   for (const SpecCase& c : Specs()) {
     SCOPED_TRACE(c.name);
     const auto model = c.spec.MakeCostModel();
     int exact_positive = 0;
-    int rejected = 0;
+    int degree_rejected = 0;
+    int structural = 0;  // domains empty at any σ, degrees dominating
+    int budget = 0;      // domains empty at this σ only
+    int local = 0;       // finite bound above σ, multiset bound within it
     int pairs = 0;
-    for (int seed = 0; seed < 60; ++seed) {
+    for (int seed = 0; seed < 220; ++seed) {
       Rng rng(seed * 7919 + 13);
+      const bool large = seed % 11 == 10;
       RandomGraphOptions topt;
-      topt.num_vertices = 8 + seed % 3;
+      topt.num_vertices = large ? 66 + seed % 7 : 8 + seed % 3;
       topt.num_edges = topt.num_vertices + 2 + seed % 4;
       topt.max_weight = 4.0;
       const Graph target = GenerateRandomConnectedGraph(topt, &rng);
@@ -213,27 +431,50 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
           GenerateRandomConnectedGraph(qopt, &rng)};
       for (const Graph& query : queries) {
         SCOPED_TRACE("seed " + std::to_string(seed));
+        ++pairs;
         const double distance =
             MinSuperimposedDistanceBruteForce(query, target, *model);
         GraphCertificate certificate(query, c.spec);
-        const double bound = certificate.LowerBound(target);
-        ++pairs;
-        if (distance == kInfiniteDistance) {
-          rejected += bound == kInfiniteDistance ? 1 : 0;
-          continue;
+        const double wide = certificate.LowerBound(target, kWide);
+        if (wide == kInfiniteDistance) {
+          EXPECT_EQ(distance, kInfiniteDistance);
+          if (DegreesDominate(query, target)) {
+            ++structural;
+          } else {
+            ++degree_rejected;
+          }
         }
-        EXPECT_LE(bound, distance + 1e-9);
-        exact_positive += (bound > 0 && bound == distance) ? 1 : 0;
-        // The query's own graph is at distance 0 and must pass.
-        EXPECT_EQ(certificate.LowerBound(query), 0.0);
+        for (double sigma : sigmas) {
+          SCOPED_TRACE("sigma " + std::to_string(sigma));
+          const double bound = certificate.LowerBound(target, sigma);
+          if (distance <= sigma) {
+            EXPECT_LE(bound, distance + 1e-9);
+            exact_positive += (bound > 0 && bound == distance) ? 1 : 0;
+          } else if (bound > sigma && wide != kInfiniteDistance) {
+            if (bound == kInfiniteDistance) {
+              ++budget;
+            } else if (MultisetBound(query, target, c.spec) <= sigma) {
+              ++local;
+            }
+          }
+          // The query's own graph is at distance 0 and must pass.
+          EXPECT_EQ(certificate.LowerBound(query, sigma), 0.0);
+        }
       }
     }
-    EXPECT_EQ(pairs, 120);
-    EXPECT_GT(rejected, 0);
+    EXPECT_EQ(pairs, 440);
+    EXPECT_GT(degree_rejected, 0);
+    EXPECT_GT(structural, 0);
     if (c.spec.type == DistanceType::kMutation) {
       EXPECT_GT(exact_positive, 0);
     }
+    structural_total += structural;
+    budget_total += budget;
+    local_total += local;
   }
+  EXPECT_GT(structural_total, 0);
+  EXPECT_GT(budget_total, 0);
+  EXPECT_GT(local_total, 0);
 }
 
 }  // namespace

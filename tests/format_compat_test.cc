@@ -683,15 +683,14 @@ TEST_F(LegacyIndexFileTest, LoadsAsOneShardWithIdentityRouting) {
 // alike. range_queries is one per fragment plus one per partition fragment.
 // That engine's filter ended at the partition bound, so its lists and
 // counts are the Yp reference (candidates_after_partition); the certified
-// lists, pinned when pass 2 gained the graph-local certificate, lie inside
-// them and leave every answer in place.
+// lists, pinned when pass 2 gained the graph-local certificate and
+// re-recorded when it gained its neighbourhood domains, lie inside them and
+// leave every answer in place.
 TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
   const std::vector<int> all = {0,  1,  2,  3,  4,  6,  7,  8,  9,  10, 11, 12,
                                 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23};
   const std::vector<int> pruned = {0,  1,  3,  4,  6,  8, 12,
                                    14, 15, 17, 19, 20, 22};
-  const std::vector<int> pruned_certified = {0,  1,  3,  6,  8,  14,
-                                             15, 17, 19, 20, 22};
   struct Expected {
     const std::vector<int>& partition_candidates;
     std::vector<int> certified;
@@ -713,21 +712,21 @@ TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
   };
   const Expected expected[] = {
       {all,
-       {1, 3, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23},
+       {3, 7, 8, 13, 16, 18, 19, 21, 22},
        {3, 16},
-       stats(1, 1, 0.30434782608695654, 23, 19)},
+       stats(1, 1, 0.30434782608695654, 23, 9)},
       {pruned,
-       pruned_certified,
        {0, 1, 8, 15, 17, 19, 20, 22},
-       stats(5, 3, 1.3043478260869565, 13, 11)},
+       {0, 1, 8, 15, 17, 19, 20, 22},
+       stats(5, 3, 1.3043478260869565, 13, 8)},
       {pruned,
-       pruned_certified,
+       {0, 8, 19, 20, 22},
        {0, 8, 19, 20},
-       stats(5, 3, 1.3043478260869565, 13, 11)},
+       stats(5, 3, 1.3043478260869565, 13, 5)},
       {all,
-       {1, 3, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 22, 23},
+       {1, 3, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 19, 22},
        {1, 3, 6, 7, 9, 10, 11, 13, 15, 16, 18, 19, 22},
-       stats(0, 0, 0, 23, 16)},
+       stats(0, 0, 0, 23, 14)},
   };
   auto loaded = ShardedFragmentIndex::LoadDir(legacy());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

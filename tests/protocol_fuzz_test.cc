@@ -244,6 +244,22 @@ class TamperedRefineBackend : public LocalShardBackend {
 // strictly: an exact integer between the reply's candidate count and the
 // request's survivor count. An honest replica's counts add up to
 // PisEngine's; a bad one fails the query with InvalidArgument.
+/// `query` through a router whose one replica serves both of `host`'s
+/// shards and rewrites every successful shard_refine reply with `tamper`.
+Result<SearchResult> SearchThroughTamperedReplica(
+    EngineHost* host, const Graph& query,
+    TamperedRefineBackend::Tamper tamper) {
+  std::vector<std::unique_ptr<ShardBackend>> backends;
+  backends.push_back(
+      std::make_unique<TamperedRefineBackend>(host, std::move(tamper)));
+  ClusterEngineOptions copt;
+  copt.options = host->options();
+  ClusterEngine cluster(std::move(backends), {{0, 1}}, copt);
+  Status booted = cluster.Bootstrap();
+  EXPECT_TRUE(booted.ok()) << booted.ToString();
+  return cluster.Search(query);
+}
+
 TEST(ProtocolFuzzTest, RouterChecksRefinePartitionCandidates) {
   auto host = MakeHost(2);
   ASSERT_NE(host, nullptr);
@@ -252,15 +268,7 @@ TEST(ProtocolFuzzTest, RouterChecksRefinePartitionCandidates) {
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   ASSERT_FALSE(local.value().candidates.empty());
   auto search = [&](TamperedRefineBackend::Tamper tamper) {
-    std::vector<std::unique_ptr<ShardBackend>> backends;
-    backends.push_back(
-        std::make_unique<TamperedRefineBackend>(host.get(), std::move(tamper)));
-    ClusterEngineOptions copt;
-    copt.options = host->options();
-    ClusterEngine cluster(std::move(backends), {{0, 1}}, copt);
-    Status booted = cluster.Bootstrap();
-    EXPECT_TRUE(booted.ok()) << booted.ToString();
-    return cluster.Search(query);
+    return SearchThroughTamperedReplica(host.get(), query, std::move(tamper));
   };
 
   auto honest = search([](const JsonValue&, JsonValue*) {});
@@ -294,6 +302,52 @@ TEST(ProtocolFuzzTest, RouterChecksRefinePartitionCandidates) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << result.status().ToString();
   }
+}
+
+// A replica may only narrow the survivors it was sent: a shard_refine reply
+// whose candidates (and so answers) name a gid outside them fails the query
+// with InvalidArgument instead of reaching the client as an answer.
+TEST(ProtocolFuzzTest, RouterChecksRefineCandidatesWereSent) {
+  auto host = MakeHost(2);
+  ASSERT_NE(host, nullptr);
+  const Graph query = host->snapshot()->db->at(1);
+  auto honest = SearchThroughTamperedReplica(
+      host.get(), query, [](const JsonValue&, JsonValue*) {});
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  ASSERT_FALSE(honest.value().answers.empty());
+
+  // Each tamper keeps the reply well-formed for the decoder: ascending
+  // ids, answers inside candidates, a partition count between the two.
+  auto rewrite = [](std::vector<int> ids) {
+    return [ids](const JsonValue& request, JsonValue* reply) {
+      const JsonValue* survivors = request.Find("survivors");
+      if (survivors->size() == 0) return;
+      JsonValue list = JsonValue::Array();
+      for (int id : ids) {
+        list.Push(JsonValue(id < 0 ? survivors->at(0).AsNumber() : id));
+      }
+      reply->Set("candidates", list);
+      reply->Set("answers", list);
+      reply->Set("partition_candidates",
+                 static_cast<int>(survivors->size()));
+    };
+  };
+  const std::vector<std::vector<int>> lies = {
+      {999},     // a gid no shard holds
+      {-1, 999}  // a real survivor, then an unsent gid
+  };
+  for (size_t i = 0; i < lies.size(); ++i) {
+    SCOPED_TRACE("tamper " + std::to_string(i));
+    auto result = SearchThroughTamperedReplica(host.get(), query,
+                                               rewrite(lies[i]));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+  // Dropping candidates is what refining does: still accepted.
+  auto narrowed = SearchThroughTamperedReplica(host.get(), query,
+                                               rewrite({-1}));
+  ASSERT_TRUE(narrowed.ok()) << narrowed.status().ToString();
 }
 
 TEST(ProtocolFuzzTest, OversizeFrameErrorsThenDropsConnection) {

@@ -6,11 +6,13 @@
 // and the refined candidates must be the reference's that the graph-local
 // certificate keeps, for trie and R-tree specs, with tombstones, after a
 // compaction, after a rebalance (where a shard's local order is no longer
-// its global order) and for an empty fragment list.
+// its global order) and for an empty fragment list; and pass 2 skips the
+// certificate, changing nothing, when one fragment covers the query.
 #include "core/shard_filter.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <ostream>
@@ -19,6 +21,8 @@
 #include <vector>
 
 #include "core/certificate.h"
+#include "core/naive_search.h"
+#include "core/verifier.h"
 #include "engine_test_util.h"
 
 namespace pis {
@@ -177,7 +181,7 @@ class ShardFilterReferenceTest : public ::testing::TestWithParam<SpecCase> {
     GraphCertificate certificate(query, GetParam().spec);
     std::vector<int> kept;
     for (int gid : ids) {
-      if (certificate.LowerBound(fx_->db.at(gid)) <= sigma) {
+      if (certificate.LowerBound(fx_->db.at(gid), sigma) <= sigma) {
         kept.push_back(gid);
       }
     }
@@ -260,6 +264,76 @@ TEST_P(ShardFilterReferenceTest, EmptyFragmentList) {
     EXPECT_EQ(partition_candidates, got.survivors.size());
     EXPECT_EQ(candidates,
               Certified(queries_[0], got.survivors, GetParam().sigma));
+  }
+}
+
+// When one fragment covers the whole query, pass 1 already bounded every
+// survivor's exact distance within σ, so the certificate is skipped: with
+// and without the skip (an empty fragment list never skips) pass 2 leaves
+// the same candidates, and every Yp survivor is an answer. A query with an
+// isolated vertex is never covered, and still answers as NaiveSearch does.
+TEST_P(ShardFilterReferenceTest, CoveringFragmentSkipsTheCertificate) {
+  const double sigma = GetParam().sigma;
+  const DistanceSpec& spec = GetParam().spec;
+  int covered = 0;
+  size_t yp_total = 0;
+  std::vector<Graph> covered_queries;
+  for (int edges = 1; edges <= 4; ++edges) {
+    for (const Graph& query : SampleQueries(fx_->db, 3, edges, 40 + edges)) {
+      auto fragments = EnumerateIndexedQueryFragments(index_->shard(0), query);
+      ASSERT_TRUE(fragments.ok()) << fragments.status().ToString();
+      const bool covers = std::any_of(
+          fragments.value().begin(), fragments.value().end(),
+          [&](const QueryFragment& f) { return CoversQuery(f, query); });
+      if (!covers) continue;  // its skeleton is not an indexed class
+      ++covered;
+      covered_queries.push_back(query);
+      FilterResult plan;
+      plan.fragments = fragments.value();
+      std::vector<ShardFilterResult> shards(index_->num_shards());
+      for (int s = 0; s < index_->num_shards(); ++s) {
+        ASSERT_TRUE(
+            ShardFilter(*index_, s, plan.fragments, sigma, &shards[s]).ok());
+      }
+      PisOptions options;
+      options.sigma = sigma;
+      PlanFilter(shards, options, &plan);
+      for (int s = 0; s < index_->num_shards(); ++s) {
+        std::vector<int> yp;
+        ASSERT_TRUE(ShardPartitionBound(*index_, s, plan.fragments,
+                                        plan.partition, shards[s].survivors,
+                                        sigma, &yp)
+                        .ok());
+        std::vector<int> skipped = yp;
+        CertifyCandidates(fx_->db, query, plan.fragments, spec, sigma,
+                          &skipped);
+        EXPECT_EQ(skipped, yp);
+        std::vector<int> certified = yp;
+        CertifyCandidates(fx_->db, query, {}, spec, sigma, &certified);
+        EXPECT_EQ(certified, skipped);
+        EXPECT_EQ(VerifyCandidates(fx_->db, query, yp, spec, sigma).answers,
+                  yp);
+        yp_total += yp.size();
+      }
+    }
+  }
+  EXPECT_GT(covered, 0);
+  EXPECT_GT(yp_total, 0u);
+
+  PisOptions options;
+  options.sigma = sigma;
+  PisEngine engine(&fx_->db, index_.get(), options);
+  for (Graph query : covered_queries) {
+    query.AddVertex();
+    auto fragments = EnumerateIndexedQueryFragments(index_->shard(0), query);
+    ASSERT_TRUE(fragments.ok()) << fragments.status().ToString();
+    for (const QueryFragment& f : fragments.value()) {
+      EXPECT_FALSE(CoversQuery(f, query));
+    }
+    auto searched = engine.Search(query);
+    ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+    EXPECT_EQ(searched.value().answers,
+              NaiveSearch(fx_->db, query, spec, sigma).answers);
   }
 }
 
