@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -76,11 +77,6 @@ GraphCertificate::GraphCertificate(const Graph& query,
   for (int u : by_degree) {
     if (rank_[u] < 0) visit(u);
   }
-  position_.resize(num_query_vertices_);
-  for (int u = 0; u < num_query_vertices_; ++u) {
-    const int degree = query.Degree(u);
-    position_[u] = degree >= 3 && degree <= kMaxHall ? rank_[u] : -1;
-  }
   pair_begin_.push_back(0);
   for (VertexId u = 0; u < num_query_vertices_; ++u) {
     for (int i = q_begin_[u]; i < q_begin_[u + 1]; ++i) {
@@ -92,45 +88,22 @@ GraphCertificate::GraphCertificate(const Graph& query,
     pair_begin_.push_back(static_cast<int>(pair_ends_.size() / 2));
   }
 
-  // Signatures: degree, the neighbours' degrees in descending order and,
-  // when labels can cost, the incident edge label counts over
-  // edge_labels_.labels.
+  // Per query vertex: its neighbours' degrees, descending, and when labels
+  // can cost its incident edge label counts over edge_labels_.labels.
   const size_t num_labels = edge_cost_ > 0 ? edge_labels_.labels.size() : 0;
-  std::vector<int> counts(num_labels);
-  std::vector<int> degrees;
   for (VertexId u = 0; u < num_query_vertices_; ++u) {
-    std::fill(counts.begin(), counts.end(), 0);
-    for (size_t i = 0; i < num_labels; ++i) {
-      for (EdgeId e : query.IncidentEdges(u)) {
-        counts[i] += query.GetEdge(e).label == edge_labels_.labels[i] ? 1 : 0;
-      }
-    }
-    degrees.clear();
     for (int qi = q_begin_[u]; qi < q_begin_[u + 1]; ++qi) {
-      degrees.push_back(query.Degree(q_nbrs_[qi]));
+      nbr_degrees_.push_back(query.Degree(q_nbrs_[qi]));
     }
-    std::sort(degrees.rbegin(), degrees.rend());
-    int s = 0;
-    const int num_signatures = static_cast<int>(signature_degree_.size());
-    while (s < num_signatures &&
-           (signature_degree_[s] != query.Degree(u) ||
-            !std::equal(counts.begin(), counts.end(),
-                        signature_labels_.begin() + s * num_labels) ||
-            !std::equal(degrees.begin(), degrees.end(),
-                        signature_nbr_degrees_.begin() +
-                            signature_nbr_begin_[s]))) {
-      ++s;
+    std::sort(nbr_degrees_.begin() + q_begin_[u], nbr_degrees_.end(),
+              std::greater<>());
+    for (size_t i = 0; i < num_labels; ++i) {
+      int count = 0;
+      for (EdgeId e : query.IncidentEdges(u)) {
+        count += query.GetEdge(e).label == edge_labels_.labels[i] ? 1 : 0;
+      }
+      label_counts_.push_back(count);
     }
-    if (s == num_signatures) {
-      signature_degree_.push_back(query.Degree(u));
-      signature_labels_.insert(signature_labels_.end(), counts.begin(),
-                               counts.end());
-      signature_nbr_begin_.push_back(
-          static_cast<int>(signature_nbr_degrees_.size()));
-      signature_nbr_degrees_.insert(signature_nbr_degrees_.end(),
-                                    degrees.begin(), degrees.end());
-    }
-    signature_of_.push_back(s);
   }
 }
 
@@ -250,37 +223,30 @@ int GraphCertificate::RefineDomains(const Graph& graph, int budget) {
   // query vertex with three or four neighbours (two are already settled
   // above), in order_. After each vertex's sweep its removals propagate at
   // once, to the pairs they can affect: (u, x) with u a neighbour of the
-  // removed pair's query vertex and x a neighbour of its G vertex. Only u
-  // already swept (or never swept: position -1) need the re-check; the
-  // rest see the smaller domain in their own sweep.
+  // removed pair's query vertex and x a neighbour of its G vertex.
   queue_.clear();
-  queue_step_.clear();
   size_t head = 0;
-  for (int step = 0; step < num_query_vertices_; ++step) {
-    const int u = order_[step];
-    if (position_[u] < 0) continue;
+  for (int u : order_) {
+    const int degree = q_begin_[u + 1] - q_begin_[u];
+    if (degree < 3 || degree > kMaxHall) continue;
     for (int w = 0; w < words_; ++w) {
       uint64_t bits = domain(u)[w];
       while (bits != 0) {
         const int v = w * 64 + std::countr_zero(bits);
         bits &= bits - 1;
-        if (!Supported(u, v) && !Remove(u, v, step)) return -1;
+        if (!Supported(u, v) && !Remove(u, v)) return -1;
       }
     }
     for (; head < queue_.size(); ++head) {
       const auto [w, v] = queue_[head];
-      const int removed_at = queue_step_[head];
       const uint64_t* adjacent = &g_adjacency_[static_cast<size_t>(v) * words_];
       for (int qi = q_begin_[w]; qi < q_begin_[w + 1]; ++qi) {
         const int x_owner = q_nbrs_[qi];
-        if (position_[x_owner] > removed_at) continue;
         for (int i = 0; i < words_; ++i) {
           for (uint64_t bits = adjacent[i] & domain(x_owner)[i]; bits != 0;
                bits &= bits - 1) {
             const int x = i * 64 + std::countr_zero(bits);
-            if (!Supported(x_owner, x) && !Remove(x_owner, x, step)) {
-              return -1;
-            }
+            if (!Supported(x_owner, x) && !Remove(x_owner, x)) return -1;
           }
         }
       }
@@ -295,8 +261,7 @@ int GraphCertificate::RefineDomains(const Graph& graph, int budget) {
     for (int w = 0; w < words_ && best > 0; ++w) {
       uint64_t bits = domain(u)[w];
       while (bits != 0 && best > 0) {
-        best = std::min(best,
-                        Missing(signature_of_[u], w * 64 + std::countr_zero(bits)));
+        best = std::min(best, Missing(u, w * 64 + std::countr_zero(bits)));
         bits &= bits - 1;
       }
     }
@@ -305,11 +270,11 @@ int GraphCertificate::RefineDomains(const Graph& graph, int budget) {
   return mismatches;
 }
 
-int GraphCertificate::Missing(int signature, int v) const {
+int GraphCertificate::Missing(int u, int v) const {
   const size_t num_labels = edge_labels_.labels.size();
-  const int* wanted = signature_labels_.data() + signature * num_labels;
+  const int* wanted = label_counts_.data() + u * num_labels;
   const int* have = g_labels_.data() + v * num_labels;
-  int missing = signature_degree_[signature];
+  int missing = q_begin_[u + 1] - q_begin_[u];
   for (size_t l = 0; l < num_labels; ++l) {
     missing -= std::min(wanted[l], have[l]);
   }
@@ -334,7 +299,7 @@ bool GraphCertificate::InitDomains(const Graph& graph, int budget) {
   // u's neighbours need distinct neighbours of v of at least their degree.
   // With both degree lists descending that is a pointwise comparison, so
   // level(i, t) holds the G vertices with more than i neighbours of degree
-  // >= t, and a signature's domain is the intersection of one level per
+  // >= t, and u's initial domain is the intersection of one level per
   // neighbour. Each threshold t counts, bit-sliced, the neighbours in
   // {x : deg(x) >= t}; level(i, t) is bit plane i of that count, saturated
   // at kLevelPlanes (a vertex beyond that is checked for kLevelPlanes
@@ -361,12 +326,11 @@ bool GraphCertificate::InitDomains(const Graph& graph, int budget) {
     }
   }
 
-  const int num_signatures = static_cast<int>(signature_degree_.size());
-  signature_domains_.resize(static_cast<size_t>(num_signatures) * words_);
-  for (int s = 0; s < num_signatures; ++s) {
-    const int degree = signature_degree_[s];
-    const int* wanted = signature_nbr_degrees_.data() + signature_nbr_begin_[s];
-    uint64_t* row = &signature_domains_[static_cast<size_t>(s) * words_];
+  domains_.resize(static_cast<size_t>(num_query_vertices_) * words_);
+  for (int u = 0; u < num_query_vertices_; ++u) {
+    const int degree = q_begin_[u + 1] - q_begin_[u];
+    const int* wanted = nbr_degrees_.data() + q_begin_[u];
+    uint64_t* row = domain(u);
     for (int w = 0; w < words_; ++w) {
       const int bits = std::min(64, n - 64 * w);
       row[w] = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
@@ -381,19 +345,13 @@ bool GraphCertificate::InitDomains(const Graph& graph, int budget) {
         while (bits != 0) {
           const int b = std::countr_zero(bits);
           bits &= bits - 1;
-          if (Missing(s, w * 64 + b) > budget) row[w] &= ~(uint64_t{1} << b);
+          if (Missing(u, w * 64 + b) > budget) row[w] &= ~(uint64_t{1} << b);
         }
       }
     }
     if (std::all_of(row, row + words_, [](uint64_t x) { return x == 0; })) {
       return false;
     }
-  }
-  domains_.resize(static_cast<size_t>(num_query_vertices_) * words_);
-  for (int u = 0; u < num_query_vertices_; ++u) {
-    std::copy_n(
-        &signature_domains_[static_cast<size_t>(signature_of_[u]) * words_],
-        words_, domain(u));
   }
   return true;
 }
@@ -547,10 +505,9 @@ bool GraphCertificate::Supported(int u, int v) const {
   return HasDistinctRepresentatives(masks, k);
 }
 
-bool GraphCertificate::Remove(int u, int v, int step) {
+bool GraphCertificate::Remove(int u, int v) {
   domain(u)[v >> 6] &= ~(uint64_t{1} << (v & 63));
   queue_.emplace_back(u, v);
-  queue_step_.push_back(step);
   const uint64_t* d = domain(u);
   return std::any_of(d, d + words_, [](uint64_t x) { return x != 0; });
 }

@@ -91,12 +91,11 @@ class GraphCertificate {
   /// label bound's mismatch count Σ_u min_{v in D(u)}, or -1 when a domain
   /// empties or Q cannot match into G.
   int RefineDomains(const Graph& graph, int budget);
-  /// Initial domains of every query-vertex signature; false when one is
-  /// empty.
+  /// Initial domains of every query vertex; false when one is empty.
   bool InitDomains(const Graph& graph, int budget);
-  /// Incident edges of a query vertex of `signature` that cannot keep their
-  /// label at G vertex v: deg_Q(u) − |L_u ∩ L_v|.
-  int Missing(int signature, int v) const;
+  /// Incident edges of query vertex u that cannot keep their label at G
+  /// vertex v: deg_Q(u) − |L_u ∩ L_v|.
+  int Missing(int u, int v) const;
   /// Hall's condition for every one and every two neighbours of every
   /// query vertex, bit-parallel, to a fixpoint; false when a domain
   /// empties.
@@ -114,7 +113,7 @@ class GraphCertificate {
   static constexpr int kMaxHall = 4;
   /// Removes v from u's domain and queues the pair; false when the domain
   /// empties.
-  bool Remove(int u, int v, int step);
+  bool Remove(int u, int v);
   /// Whether every query vertex matches to a distinct G vertex of its
   /// domain.
   bool MatchAll();
@@ -140,32 +139,24 @@ class GraphCertificate {
   /// Query vertices breadth-first from the highest-degree vertex of each
   /// component (the most constrained first), isolated ones last.
   std::vector<int> order_;
-  /// rank_[u]: u's place in order_; position_[u] the same for the query
-  /// vertices of degree 3 to kMaxHall (the ones swept), else -1.
+  /// rank_[u]: u's place in order_.
   std::vector<int> rank_;
-  std::vector<int> position_;
   /// Every two neighbours of every query vertex: u's pairs are
   /// pair_begin_[u]..pair_begin_[u+1], pair p joins pair_ends_[2p] and
   /// pair_ends_[2p+1].
   std::vector<int> pair_begin_;
   std::vector<int> pair_ends_;
-  /// Query vertices with equal degree, neighbour degrees and incident label
-  /// counts share a signature and so an initial domain: signature_of_[u]
-  /// indexes signature_degree_, signature_nbr_begin_ (where its descending
-  /// neighbour degrees start in signature_nbr_degrees_) and the rows of
-  /// signature_labels_ (counts over edge_labels_.labels).
-  std::vector<int> signature_of_;
-  std::vector<int> signature_degree_;
-  std::vector<int> signature_nbr_begin_;
-  std::vector<int> signature_nbr_degrees_;
-  std::vector<int> signature_labels_;
+  /// u's neighbours' degrees, descending, at the offsets of q_nbrs_.
+  std::vector<int> nbr_degrees_;
+  /// u's incident edge label counts over edge_labels_.labels, one row per
+  /// query vertex (empty when labels cost nothing).
+  std::vector<int> label_counts_;
 
   // Scratch for LowerBound.
   std::vector<int> degree_count_;
   std::vector<int> seen_;
   int words_ = 0;                     ///< 64-bit words per domain
   std::vector<uint64_t> domains_;     ///< one row of words_ per query vertex
-  std::vector<uint64_t> signature_domains_;
   std::vector<uint64_t> reach_;       ///< one row of words_ per query vertex
   std::vector<uint64_t> reach2_;      ///< the same, adjacent twice
   std::vector<uint64_t> pair_row_;
@@ -180,9 +171,8 @@ class GraphCertificate {
   std::vector<uint64_t> g_adjacency_;  ///< one row of words_ per G vertex
   std::vector<int> g_labels_;         ///< per G vertex, counts over query labels
   /// Removed (query vertex, G vertex) pairs whose neighbours need a
-  /// re-check, with the sweep step at which each was removed.
+  /// re-check.
   std::vector<std::pair<int, int>> queue_;
-  std::vector<int> queue_step_;
   std::vector<int> owner_;            ///< MatchAll: G vertex -> query vertex
   std::vector<uint64_t> used_;
   std::vector<uint64_t> visited_;

@@ -52,6 +52,12 @@ class ShardMinDistances {
   std::vector<int> hits_;
 };
 
+/// Whether `fragment` covers every edge and every vertex of `query`.
+bool CoversQuery(const QueryFragment& fragment, const Graph& query) {
+  return fragment.prepared.num_edges == query.NumEdges() &&
+         static_cast<int>(fragment.vertices.size()) == query.NumVertices();
+}
+
 }  // namespace
 
 DistanceHistogram HistogramOf(std::vector<double>* distances) {
@@ -206,11 +212,6 @@ Status ShardPartitionBound(const ShardedFragmentIndex& index, int shard,
     lower_bound.resize(kept);
   }
   return Status::OK();
-}
-
-bool CoversQuery(const QueryFragment& fragment, const Graph& query) {
-  return fragment.prepared.num_edges == query.NumEdges() &&
-         static_cast<int>(fragment.vertices.size()) == query.NumVertices();
 }
 
 void CertifyCandidates(const GraphDatabase& db, const Graph& query,

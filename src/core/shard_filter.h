@@ -98,16 +98,13 @@ Status ShardPartitionBound(const ShardedFragmentIndex& index, int shard,
                            const std::vector<int>& survivors, double sigma,
                            std::vector<int>* candidates);
 
-/// Whether `fragment` covers every edge and every vertex of `query`. Its
-/// range query then returns each graph's exact d(query, G) (the index holds
-/// every automorphic sequence of the skeleton), so a pass-1 survivor is
-/// within σ.
-bool CoversQuery(const QueryFragment& fragment, const Graph& query);
-
 /// Pass 2's graph half: drops from `candidates` (ids into `db`) every graph
 /// whose GraphCertificate bound over `query` and `spec` exceeds `sigma`.
-/// Skipped when some fragment of `fragments` covers the query: pass 1 then
-/// bounded every survivor within σ, so no lower bound can drop one.
+/// Skipped when some fragment of `fragments` covers every edge and every
+/// vertex of the query: its range query returns each graph's exact
+/// d(query, G) (the index holds every automorphic sequence of the
+/// skeleton), so pass 1 bounded every survivor within σ and no lower bound
+/// can drop one.
 void CertifyCandidates(const GraphDatabase& db, const Graph& query,
                        const std::vector<QueryFragment>& fragments,
                        const DistanceSpec& spec, double sigma,

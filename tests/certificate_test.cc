@@ -436,6 +436,11 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
             MinSuperimposedDistanceBruteForce(query, target, *model);
         GraphCertificate certificate(query, c.spec);
         const double wide = certificate.LowerBound(target, kWide);
+        // kWide is a σ at or above every finite distance, so the bound at
+        // it is checked against the distance, whatever that is.
+        if (distance != kInfiniteDistance) {
+          EXPECT_LE(wide, distance + 1e-9);
+        }
         if (wide == kInfiniteDistance) {
           EXPECT_EQ(distance, kInfiniteDistance);
           if (DegreesDominate(query, target)) {
