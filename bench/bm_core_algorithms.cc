@@ -15,6 +15,7 @@
 #include "canonical/min_dfs.h"
 #include "core/query_fragments.h"
 #include "core/shard_filter.h"
+#include "core/verifier.h"
 #include "distance/mutation.h"
 #include "distance/superimposed.h"
 #include "graph/generator.h"
@@ -299,18 +300,21 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 }
 
 void BM_ShardFilterQ16(benchmark::State& state) {
-  // The in-process filter of one q16 query, stage by stage: enumerate the
+  // The in-process search of one q16 query, stage by stage: enumerate the
   // query's indexed fragments, pass 1 (ShardFilter) on every shard, then
   // plan (selectivities, partition) and pass 2 (ShardRefine: partition
-  // bound and certificate).
+  // bound and certificate), then VerifyCandidates on what pass 2 left, so
+  // the refine / verify trade shows in one run.
   const Q16Inputs& in = SharedQ16Inputs();
   const ShardedFragmentIndex& index = in.index.value();
   const int num_shards = index.num_shards();
   double enumerate_us = 0;
   double pass1_us = 0;
   double refine_us = 0;
+  double verify_us = 0;
   size_t fragments = 0;
   size_t candidates = 0;
+  size_t answers = 0;
   for (auto _ : state) {
     auto start = std::chrono::steady_clock::now();
     FilterResult result;
@@ -330,25 +334,37 @@ void BM_ShardFilterQ16(benchmark::State& state) {
 
     start = std::chrono::steady_clock::now();
     PlanFilter(shards, in.options, &result);
+    std::vector<int> refined;
     for (int s = 0; s < num_shards; ++s) {
-      std::vector<int> refined;
+      std::vector<int> shard_refined;
       size_t partition_candidates = 0;
       PIS_CHECK(ShardRefine(index, in.db, s, in.query, result.fragments,
                             result.partition, shards[s].survivors,
-                            in.options.sigma, &refined, &partition_candidates)
+                            in.options.sigma, &shard_refined,
+                            &partition_candidates)
                     .ok());
-      candidates += refined.size();
-      benchmark::DoNotOptimize(refined.data());
+      refined.insert(refined.end(), shard_refined.begin(),
+                     shard_refined.end());
     }
     refine_us += MicrosSince(start);
+    candidates += refined.size();
     fragments += result.fragments.size();
+
+    start = std::chrono::steady_clock::now();
+    const VerifyResult verified = VerifyCandidates(
+        in.db, in.query, refined, index.options().spec, in.options.sigma);
+    verify_us += MicrosSince(start);
+    answers += verified.answers.size();
+    benchmark::DoNotOptimize(verified.answers.data());
   }
   const double n = static_cast<double>(state.iterations());
   state.counters["enumerate_us"] = enumerate_us / n;
   state.counters["pass1_us"] = pass1_us / n;
   state.counters["refine_us"] = refine_us / n;
+  state.counters["verify_us"] = verify_us / n;
   state.counters["fragments"] = static_cast<double>(fragments) / n;
   state.counters["candidates"] = static_cast<double>(candidates) / n;
+  state.counters["answers"] = static_cast<double>(answers) / n;
 }
 BENCHMARK(BM_ShardFilterQ16)->Unit(benchmark::kMillisecond);
 

@@ -77,6 +77,40 @@ GraphCertificate::GraphCertificate(const Graph& query,
   for (int u : by_degree) {
     if (rank_[u] < 0) visit(u);
   }
+  // The spanning forest T: each vertex's parent is its earliest-ranked
+  // neighbour, which the breadth-first order ranks before it.
+  parent_.assign(num_query_vertices_, -1);
+  parent_label_.assign(num_query_vertices_, 0);
+  for (VertexId u = 0; u < num_query_vertices_; ++u) {
+    q_labels_.push_back(query.VertexLabel(u));
+    for (EdgeId e : query.IncidentEdges(u)) {
+      const int w = query.GetEdge(e).Other(u);
+      if (rank_[w] < rank_[u] &&
+          (parent_[u] < 0 || rank_[w] < rank_[parent_[u]])) {
+        parent_[u] = w;
+        parent_label_[u] = query.GetEdge(e).label;
+      }
+    }
+  }
+  child_begin_.assign(num_query_vertices_ + 1, 0);
+  for (int u : order_) {
+    if (parent_[u] >= 0) ++child_begin_[parent_[u] + 1];
+  }
+  std::partial_sum(child_begin_.begin(), child_begin_.end(),
+                   child_begin_.begin());
+  children_.resize(child_begin_.back());
+  std::vector<int> filled(child_begin_.begin(), child_begin_.end() - 1);
+  for (int u : order_) {
+    if (parent_[u] >= 0) children_[filled[parent_[u]]++] = u;
+  }
+  for (int u = 0; u < num_query_vertices_; ++u) {
+    max_children_ =
+        std::max(max_children_, child_begin_[u + 1] - child_begin_[u]);
+  }
+  child_best_.resize(max_children_);
+  child_second_.resize(max_children_);
+  child_slot_.resize(max_children_);
+  child_ties_.resize(max_children_);
   pair_begin_.push_back(0);
   for (VertexId u = 0; u < num_query_vertices_; ++u) {
     for (int i = q_begin_[u]; i < q_begin_[u + 1]; ++i) {
@@ -142,6 +176,12 @@ int GraphCertificate::Unmatched(const LabelCounts& query, int num_elements,
 }
 
 double GraphCertificate::LowerBound(const Graph& graph, double sigma) {
+  const double local = LocalBound(graph, sigma);
+  if (local > sigma) return local;
+  return std::max(local, TreeBound(graph, sigma));
+}
+
+double GraphCertificate::LocalBound(const Graph& graph, double sigma) {
   // Degree dominance: count G's vertices by degree, capped at the query's
   // largest, then compare the running "degree >= d" counts from the top.
   std::fill(degree_count_.begin(), degree_count_.end(), 0);
@@ -189,13 +229,22 @@ namespace {
 
 /// Whether the k <= 4 sets `masks` (each a subset of 64 slots) have
 /// distinct representatives: Hall's condition itself, every union of j
-/// sets holding at least j slots (at most 15 unions).
+/// sets holding at least j slots (at most 15 unions). The j <= 4 bits are
+/// counted by clearing the lowest one j times: without a popcount
+/// instruction in the target, std::popcount is a library call.
 bool HasDistinctRepresentatives(const uint64_t* masks, int k) {
   uint64_t unions[16];
+  int sizes[16];
   unions[0] = 0;
+  sizes[0] = 0;
   for (unsigned t = 1; t < (1u << k); ++t) {
     unions[t] = unions[t & (t - 1)] | masks[std::countr_zero(t)];
-    if (std::popcount(unions[t]) < std::popcount(t)) return false;
+    sizes[t] = sizes[t & (t - 1)] + 1;
+    uint64_t rest = unions[t];
+    for (int j = 0; j < sizes[t]; ++j) {
+      if (rest == 0) return false;
+      rest &= rest - 1;
+    }
   }
   return true;
 }
@@ -548,6 +597,193 @@ bool GraphCertificate::Augment(int u) {
     }
   }
   return false;
+}
+
+double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
+  const int n = graph.NumVertices();
+  g_begin_.resize(n + 1);
+  g_begin_[0] = 0;
+  int widest = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    g_begin_[v + 1] = g_begin_[v] + graph.Degree(v);
+    widest = std::max(widest, graph.Degree(v));
+  }
+  const int halves = g_begin_[n];
+  g_far_.resize(halves);
+  g_edge_label_.resize(halves);
+  g_arc_.resize(halves);
+  for (VertexId v = 0; v < n; ++v) {
+    int h = g_begin_[v];
+    for (EdgeId e : graph.IncidentEdges(v)) {
+      const Edge& edge = graph.GetEdge(e);
+      g_far_[h] = edge.Other(v);
+      g_edge_label_[h] = edge.label;
+      g_arc_[h++] = 2 * e + (edge.u == v ? 0 : 1);
+    }
+  }
+  // Grown only, never cleared: an entry counts only under a domain bit,
+  // and every entry under one was written for this graph.
+  auto grow = [](auto& array, size_t size) {
+    if (array.size() < size) array.resize(size);
+  };
+  grow(table_, static_cast<size_t>(num_query_vertices_) * halves);
+  grow(best_two_, static_cast<size_t>(num_query_vertices_) * n);
+  grow(cost_, static_cast<size_t>(max_children_) * widest);
+
+  auto in_domain = [this](int u, int v) {
+    return ((domain(u)[v >> 6] >> (v & 63)) & 1) != 0;
+  };
+  auto own_cost = [&](int u, int v) {
+    return vertex_cost_ > 0 && q_labels_[u] != graph.VertexLabel(v)
+               ? vertex_cost_
+               : 0.0;
+  };
+  // Child j = c of a query vertex on v, on each of v's deg slots (half-edges
+  // from `first`): the edge's label cost plus F(c, x, v), cut at σ. Keeps
+  // the cheapest value, the slots that reach it, and the cheapest value on
+  // a slot other than the first of those; returns the cheapest.
+  auto place_child = [&](int j, int c, int v, int first, int deg) {
+    const uint64_t* dom = domain(c);
+    const Label label = parent_label_[c];
+    const int grandchildren = child_begin_[c + 1] - child_begin_[c];
+    const BestTwo* two = best_two_.data() + static_cast<size_t>(c) * n;
+    const double* row = table_.data() + static_cast<size_t>(c) * halves;
+    double* costs = cost_.data() + static_cast<size_t>(j) * deg;
+    // Selects rather than branches: domain bits and label matches are
+    // data-dependent, so the entry is read, then kept or replaced by
+    // infinity.
+    double best = kInfiniteDistance;
+    double second = kInfiniteDistance;
+    int slot = -1;
+    uint64_t ties = 0;
+    for (int i = 0; i < deg; ++i) {
+      const int h = first + i;
+      const int x = g_far_[h];
+      double cost = g_edge_label_[h] == label ? 0.0 : edge_cost_;
+      if (grandchildren == 0) {
+        cost += own_cost(c, x);
+      } else if (grandchildren == 1) {
+        cost += two[x].image == v ? two[x].second : two[x].best;
+      } else {
+        cost += row[g_arc_[h] ^ 1];
+      }
+      const bool kept = ((dom[x >> 6] >> (x & 63)) & 1) != 0 && cost <= sigma;
+      cost = kept ? cost : kInfiniteDistance;
+      costs[i] = cost;
+      const uint64_t bit = i < 64 ? uint64_t{1} << i : 0;
+      const bool better = cost < best;
+      second = better ? best : std::min(second, cost);
+      slot = better ? i : slot;
+      ties = better ? bit : (cost == best ? ties | bit : ties);
+      best = better ? cost : best;
+    }
+    child_best_[j] = best;
+    child_second_[j] = second;
+    child_slot_[j] = slot;
+    child_ties_[j] = ties;
+    return best;
+  };
+
+  // Children before parents; leaves are read by their parent directly.
+  double total = 0;
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    const int u = *it;
+    const int parent = parent_[u];
+    const int k = child_begin_[u + 1] - child_begin_[u];
+    if (k == 0 && parent >= 0) continue;
+    const int* kids = children_.data() + child_begin_[u];
+    double root_best = kInfiniteDistance;
+    uint64_t* d = domain(u);
+    // A root stops at its first place of cost 0: none does better.
+    for (int w = 0; w < words_ && root_best > 0; ++w) {
+      for (uint64_t bits = d[w]; bits != 0 && root_best > 0;
+           bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const int v = w * 64 + b;
+        const int first = g_begin_[v];
+        const int deg = g_begin_[v + 1] - first;
+        const double own = own_cost(u, v);
+        // The children's cheapest places, each on its own, bound every
+        // F(u, v, ·) from below.
+        double sum = own;
+        for (int j = 0; j < k && sum <= sigma; ++j) {
+          sum += place_child(j, kids[j], v, first, deg);
+        }
+        bool live = sum <= sigma;
+        if (live && parent < 0) {
+          const double value = k < 2 ? sum : own + AssignChildren(k, deg, -1);
+          live = value <= sigma;
+          if (live) root_best = std::min(root_best, value);
+        } else if (live && k == 1) {
+          const double second = own + child_second_[0];
+          best_two_[static_cast<size_t>(u) * n + v] = {
+              sum, g_far_[first + child_slot_[0]],
+              second > sigma ? kInfiniteDistance : second};
+        } else if (live) {
+          // One entry per place of u's parent: a neighbour of v in its
+          // domain, which u's children may not take.
+          live = false;
+          for (int i = 0; i < deg; ++i) {
+            if (!in_domain(parent, g_far_[first + i])) continue;
+            double value = own + AssignChildren(k, deg, i);
+            if (value > sigma) value = kInfiniteDistance;
+            table_[static_cast<size_t>(u) * halves + g_arc_[first + i]] = value;
+            live |= value != kInfiniteDistance;
+          }
+        }
+        if (!live) d[w] &= ~(uint64_t{1} << b);
+      }
+    }
+    if (std::all_of(d, d + words_, [](uint64_t x) { return x == 0; })) {
+      return kInfiniteDistance;
+    }
+    if (parent < 0) {
+      total += root_best;
+      if (total > sigma) return kInfiniteDistance;
+    }
+  }
+  return total;
+}
+
+double GraphCertificate::AssignChildren(int k, int deg, int skip) {
+  double sum = 0;
+  for (int j = 0; j < k; ++j) sum += child_best_[j];
+  // Every child on one of its cheapest slots, distinct and avoiding
+  // `skip`, is optimal: Hall's condition over those slots.
+  if (k <= kMaxHall && deg <= 64) {
+    const uint64_t keep = skip < 0 ? ~uint64_t{0} : ~(uint64_t{1} << skip);
+    uint64_t masks[kMaxHall];
+    for (int j = 0; j < k; ++j) masks[j] = child_ties_[j] & keep;
+    if (HasDistinctRepresentatives(masks, k)) return sum;
+  }
+  if (k > kMaxTreeChildren || deg > kMaxTreeWidth) {
+    // Too wide for the subset DP: each child on its own, avoiding `skip`.
+    sum = 0;
+    for (int j = 0; j < k; ++j) {
+      sum += child_slot_[j] == skip ? child_second_[j] : child_best_[j];
+    }
+    return sum;
+  }
+  // subsets[m]: the cheapest placement of the children in m onto the slots
+  // seen so far; each slot goes to at most one child.
+  const int full = (1 << k) - 1;
+  double subsets[1 << kMaxTreeChildren];
+  std::fill(subsets, subsets + full + 1, kInfiniteDistance);
+  subsets[0] = 0;
+  for (int i = 0; i < deg; ++i) {
+    if (i == skip) continue;
+    for (int m = full - 1; m >= 0; --m) {
+      const double base = subsets[m];
+      if (base == kInfiniteDistance) continue;
+      for (int j = 0; j < k; ++j) {
+        const double c = cost_[static_cast<size_t>(j) * deg + i];
+        if ((m >> j) & 1 || c == kInfiniteDistance) continue;
+        double& next = subsets[m | (1 << j)];
+        next = std::min(next, base + c);
+      }
+    }
+  }
+  return subsets[full];
 }
 
 }  // namespace pis

@@ -19,7 +19,7 @@ namespace pis {
 /// checked against one graph at a time.
 ///
 /// Any superposition f maps Q's vertices injectively into G and each query
-/// edge onto a distinct edge of G. Three bounds follow, cheapest first:
+/// edge onto a distinct edge of G. Four bounds follow, cheapest first:
 ///
 ///  - Label multiset (mutation specs). At most
 ///    m_E = Σ_l min(cnt_Q(l), cnt_G(l)) query edges can land on an edge of
@@ -47,6 +47,24 @@ namespace pis {
 ///    domains give a local label bound too: every mismatched edge is
 ///    counted at both endpoints, so d(Q, G) >= c_e · ⌈½ Σ_u min_{v in
 ///    D(u)} (deg_Q(u) − |L_u ∩ L_v|)⌉.
+///  - Spanning-tree cost (every spec; graphs that pass the three above).
+///    T is the breadth-first forest the domains are refined in: a vertex's
+///    parent is its earliest-visited neighbour. Children first, F(u, v, p) is the cheapest
+///    map of u's subtree with f(u) = v in D(u) and u's parent on p: u's
+///    children go to distinct neighbours of v other than p (Matula's
+///    subtree-isomorphism DP, with costs), child c onto x in D(c) paying
+///    c_e when the edge labels differ, then F(c, x, v); u itself pays c_v
+///    when the vertex labels differ. f restricted to T is such a map, and
+///    the edges T leaves out cost >= 0, so d(Q, G) >= Σ over components of
+///    min_v F(root, v, none). Every value above σ is cut to infinity; a
+///    query vertex left without a finite value proves d(Q, G) > σ. Leaves
+///    are never tabulated (F is their vertex cost), a vertex with one child
+///    keeps its best and second-best child image only, and the subset DP
+///    over children runs for two to kMaxTreeChildren children on G vertices
+///    of at most kMaxTreeWidth neighbours, unless every child already has a
+///    distinct cheapest neighbour (Hall over the cheapest ones); beyond
+///    those limits each child takes its cheapest image on its own (no
+///    injectivity among siblings; still a lower bound).
 ///
 /// The domains are bitsets over G's vertices (any size; one 64-bit word per
 /// 64 vertices). Hall's condition for the one- and two-neighbour subsets
@@ -64,9 +82,9 @@ class GraphCertificate {
   GraphCertificate(const Graph& query, const DistanceSpec& spec);
 
   /// A lower bound on d(query, graph) whenever that distance is within
-  /// `sigma`; a value above `sigma` (kInfiniteDistance for the degree and
-  /// domain conditions) proves the distance exceeds `sigma`. Reuses scratch
-  /// arrays, so one certificate serves one thread.
+  /// `sigma`; a value above `sigma` (kInfiniteDistance for the degree,
+  /// domain and tree conditions) proves the distance exceeds `sigma`.
+  /// Reuses scratch arrays, so one certificate serves one thread.
   double LowerBound(const Graph& graph, double sigma);
 
  private:
@@ -78,6 +96,11 @@ class GraphCertificate {
     int total = 0;
   };
   static LabelCounts CountLabels(std::vector<Label> labels);
+
+  /// The first three bounds; leaves the refined domains behind for
+  /// TreeBound.
+  double LocalBound(const Graph& graph, double sigma);
+  friend class GraphCertificatePeer;  ///< tests: LocalBound on its own
 
   /// query.total − Σ_l min(cnt_Q(l), cnt_G(l)) over G's `num_elements`
   /// vertices or edges, `label_of(i)` giving the label of element i: the
@@ -118,6 +141,17 @@ class GraphCertificate {
   /// domain.
   bool MatchAll();
   bool Augment(int u);
+  /// The spanning-tree bound over the refined domains: a value within
+  /// `sigma`, or kInfiniteDistance. Drops from each domain the G vertices
+  /// that root no subtree within `sigma`.
+  double TreeBound(const Graph& graph, double sigma);
+  /// The cheapest injective map of a query vertex's k children onto the
+  /// deg neighbours (slots) of one G vertex other than slot `skip` (-1:
+  /// none), child j onto slot i costing cost_[j * deg + i]; infinite when
+  /// there is none.
+  double AssignChildren(int k, int deg, int skip);
+  static constexpr int kMaxTreeChildren = 6;
+  static constexpr int kMaxTreeWidth = 64;
 
   uint64_t* domain(int u) { return &domains_[static_cast<size_t>(u) * words_]; }
   const uint64_t* domain(int u) const {
@@ -151,6 +185,15 @@ class GraphCertificate {
   /// u's incident edge label counts over edge_labels_.labels, one row per
   /// query vertex (empty when labels cost nothing).
   std::vector<int> label_counts_;
+  std::vector<Label> q_labels_;  ///< per query vertex, for the c_v term
+  /// The spanning forest T: u's parent (-1 for a root) and the label of
+  /// the edge to it; u's children are children_[child_begin_[u]..
+  /// child_begin_[u+1]).
+  std::vector<int> parent_;
+  std::vector<Label> parent_label_;
+  std::vector<int> child_begin_;
+  std::vector<int> children_;
+  int max_children_ = 0;
 
   // Scratch for LowerBound.
   std::vector<int> degree_count_;
@@ -176,6 +219,33 @@ class GraphCertificate {
   std::vector<int> owner_;            ///< MatchAll: G vertex -> query vertex
   std::vector<uint64_t> used_;
   std::vector<uint64_t> visited_;
+  /// TreeBound: G's incidence as half-edges. v's are g_begin_[v]..
+  /// g_begin_[v+1]; each has its far end, its edge's label and its arc id
+  /// 2e + (v is not e's first end), so the reverse arc is the id ^ 1.
+  std::vector<int> g_begin_;
+  std::vector<int> g_far_;
+  std::vector<Label> g_edge_label_;
+  std::vector<int> g_arc_;
+  /// F(u, v, p) of a query vertex with two or more children, at u's row
+  /// and the arc v -> p. Never cleared: an entry counts only under the
+  /// domain bit of v, and every entry under a set bit is written.
+  std::vector<double> table_;
+  /// F of a query vertex with one child, per (u, v): the best value, the
+  /// child's image there, and the best value with that image excluded.
+  struct BestTwo {
+    double best = 0;
+    int image = -1;
+    double second = 0;
+  };
+  std::vector<BestTwo> best_two_;
+  std::vector<double> cost_;  ///< per (child, slot) of one G vertex
+  /// Per child of one query vertex on one G vertex: its cheapest value,
+  /// the first slot reaching it, the cheapest value on any other slot, and
+  /// (over the first 64 slots) every slot reaching it.
+  std::vector<double> child_best_;
+  std::vector<int> child_slot_;
+  std::vector<double> child_second_;
+  std::vector<uint64_t> child_ties_;
 };
 
 }  // namespace pis

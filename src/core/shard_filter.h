@@ -16,10 +16,12 @@
 //                the shard and prunes the survivors by their summed lower
 //                bound (ShardPartitionBound), then certifies the rest
 //                against their own graphs (CertifyCandidates,
-//                core/certificate.h): three more lower bounds on d(Q, G),
-//                the label multiset, degree dominance and σ-budgeted
+//                core/certificate.h): four more lower bounds on d(Q, G),
+//                the label multiset, degree dominance, σ-budgeted
 //                neighbourhood domains refined to a Hall-consistent
-//                fixpoint. A query that one fragment covers whole skips
+//                fixpoint, and the cheapest map of a spanning tree of the
+//                query over those domains (a tree DP with label costs cut
+//                at σ). A query that one fragment covers whole skips
 //                the certificate: pass 1 already bounded every survivor's
 //                exact distance within σ.
 //

@@ -23,6 +23,17 @@
 #include "util/serde.h"
 
 namespace pis {
+
+/// Reaches the certificate's first three bounds without the spanning-tree
+/// one, to tell which bound excluded a pair.
+class GraphCertificatePeer {
+ public:
+  static double LocalBound(GraphCertificate* certificate, const Graph& graph,
+                           double sigma) {
+    return certificate->LocalBound(graph, sigma);
+  }
+};
+
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -217,7 +228,9 @@ TEST(GraphCertificateTest, SigmaBudgetAndLocalLabelBound) {
   // multisets agree, c_e = 0.5, and the star's centre can keep only one of
   // its three labels at the claw's centre. So σ < 1 (at most one mismatch
   // per vertex) empties its domain, while at σ = 1 the local bound is
-  // ⌈½ · 2⌉ · 0.5 = 0.5 against a true distance of 1.
+  // ⌈½ · 2⌉ · 0.5 = 0.5 against a true distance of 1. The spanning-tree
+  // bound (the star is its own tree) charges both mismatched edges: 1,
+  // exact.
   DistanceSpec cheap = DistanceSpec::EdgeMutation();
   ASSERT_TRUE(cheap.edge_scores.Set(1, 2, 0.5).ok());
   const Graph star = Build({1, 1, 1, 1}, {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}});
@@ -233,7 +246,8 @@ TEST(GraphCertificateTest, SigmaBudgetAndLocalLabelBound) {
   EXPECT_EQ(budgeted.LowerBound(claw, 0.25), kInfiniteDistance);
   EXPECT_EQ(budgeted.LowerBound(claw, 0.5), kInfiniteDistance);
   EXPECT_EQ(budgeted.LowerBound(claw, 0.75), kInfiniteDistance);
-  EXPECT_EQ(budgeted.LowerBound(claw, 1.0), 0.5);
+  EXPECT_EQ(GraphCertificatePeer::LocalBound(&budgeted, claw, 1.0), 0.5);
+  EXPECT_EQ(budgeted.LowerBound(claw, 1.0), 1.0);
 
   // An infinite c_e (every mutation forbidden) allows none; a negative σ
   // admits no graph at all, not even the query itself.
@@ -287,6 +301,102 @@ TEST(GraphCertificateTest, MultiWordDomainsAndHighDegreeQueryVertices) {
               kInfiniteDistance);
     GraphCertificate six_certificate(six, spec);
     EXPECT_EQ(six_certificate.LowerBound(target, kWide), kInfiniteDistance);
+  }
+}
+
+TEST(GraphCertificateTest, SpanningTreeBoundOnHandBuiltPairs) {
+  const DistanceSpec spec = DistanceSpec::EdgeMutation();
+  const auto model = spec.MakeCostModel();
+  {
+    // A path labelled 1, 2, 3. Its middle vertices find their own label
+    // pairs at x (1 and 2) and y (2 and 3), but the edge x-y is labelled 4:
+    // every local condition holds at σ = 0, while along the path one edge
+    // must mutate.
+    const Graph path = Build({1, 1, 1, 1}, {{0, 1, 1}, {1, 2, 2}, {2, 3, 3}});
+    const Graph target = Build({1, 1, 1, 1, 1, 1}, {{0, 1, 1},
+                                                     {1, 2, 2},
+                                                     {1, 3, 4},
+                                                     {3, 4, 3},
+                                                     {3, 5, 2}});
+    ASSERT_EQ(MinSuperimposedDistanceBruteForce(path, target, *model), 1.0);
+    GraphCertificate certificate(path, spec);
+    EXPECT_EQ(GraphCertificatePeer::LocalBound(&certificate, target, 0.0),
+              0.0);
+    EXPECT_EQ(certificate.LowerBound(target, 0.0), kInfiniteDistance);
+    EXPECT_EQ(certificate.LowerBound(target, 1.0), 1.0);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 1.0);
+  }
+  {
+    // A ring labelled 1, 2, 1, 2 around against one labelled 1, 1, 2, 2:
+    // every alignment mismatches two edges. The spanning tree drops the
+    // closing edge 2-3 and keeps a path labelled 2, 1, 2, which fits with
+    // one mismatch, so the bound is 1.
+    const Graph ring =
+        Build({1, 1, 1, 1}, {{0, 1, 1}, {1, 2, 2}, {2, 3, 1}, {3, 0, 2}});
+    const Graph target =
+        Build({1, 1, 1, 1}, {{0, 1, 1}, {1, 2, 1}, {2, 3, 2}, {3, 0, 2}});
+    ASSERT_EQ(MinSuperimposedDistanceBruteForce(ring, target, *model), 2.0);
+    GraphCertificate certificate(ring, spec);
+    EXPECT_EQ(GraphCertificatePeer::LocalBound(&certificate, target, 1.0),
+              0.0);
+    EXPECT_EQ(certificate.LowerBound(target, 1.0), 1.0);
+    EXPECT_EQ(certificate.LowerBound(target, 2.0), 1.0);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 1.0);
+  }
+  {
+    // Two paths labelled 1, 2 and an isolated vertex labelled 9 against a
+    // path labelled 1, 1, one labelled 2, 2 and a spare vertex: each
+    // component pays one edge, and with vertex costs the isolated vertex
+    // pays one more. The local bound counts ⌈½ · 2⌉ = 1 for the edges.
+    const Graph query = Build({1, 1, 1, 1, 1, 1, 9},
+                              {{0, 1, 1}, {1, 2, 2}, {3, 4, 1}, {4, 5, 2}});
+    const Graph target = Build({1, 1, 1, 1, 1, 1, 1},
+                               {{0, 1, 1}, {1, 2, 1}, {3, 4, 2}, {4, 5, 2}});
+    ASSERT_EQ(MinSuperimposedDistanceBruteForce(query, target, *model), 2.0);
+    GraphCertificate certificate(query, spec);
+    EXPECT_EQ(GraphCertificatePeer::LocalBound(&certificate, target, kWide),
+              1.0);
+    EXPECT_EQ(certificate.LowerBound(target, kWide), 2.0);
+    EXPECT_EQ(GraphCertificatePeer::LocalBound(&certificate, target, 1.0),
+              1.0);
+    EXPECT_EQ(certificate.LowerBound(target, 1.0), kInfiniteDistance);
+    const DistanceSpec full = DistanceSpec::FullMutation();
+    ASSERT_EQ(
+        MinSuperimposedDistanceBruteForce(query, target, *full.MakeCostModel()),
+        3.0);
+    GraphCertificate with_vertices(query, full);
+    EXPECT_EQ(with_vertices.LowerBound(target, kWide), 3.0);
+    EXPECT_EQ(with_vertices.LowerBound(target, 2.0), kInfiniteDistance);
+  }
+  {
+    // A root with two children, each needing a label-3 edge further on. A
+    // hub joins every neighbour by label 1; only its first neighbour has
+    // label-3 edges (two), every other one a label-2 pendant. Both children
+    // fit best on that one neighbour, and the subset DP places them apart:
+    // 1, exact. On a hub wider than the subset DP each child takes its own
+    // cheapest place, so the bound falls back to 0 (still below 1).
+    const Graph query = Build({1, 1, 1, 1, 1},
+                              {{0, 1, 1}, {0, 2, 1}, {1, 3, 3}, {2, 4, 3}});
+    auto hub = [](int width) {
+      std::vector<std::vector<int>> edges;
+      for (int i = 1; i <= width; ++i) edges.push_back({0, i, 1});
+      int next = width + 1;
+      edges.push_back({1, next++, 3});
+      edges.push_back({1, next++, 3});
+      for (int i = 2; i <= width; ++i) edges.push_back({i, next++, 2});
+      return Build(std::vector<Label>(next, 1), edges);
+    };
+    GraphCertificate certificate(query, spec);
+    const Graph narrow = hub(10);
+    ASSERT_EQ(MinSuperimposedDistanceBruteForce(query, narrow, *model), 1.0);
+    EXPECT_EQ(GraphCertificatePeer::LocalBound(&certificate, narrow, kWide),
+              0.0);
+    EXPECT_EQ(certificate.LowerBound(narrow, kWide), 1.0);
+    EXPECT_EQ(certificate.LowerBound(narrow, 0.5), kInfiniteDistance);
+    const Graph wide = hub(70);
+    ASSERT_EQ(MinSuperimposedDistanceBruteForce(query, wide, *model), 1.0);
+    EXPECT_EQ(certificate.LowerBound(wide, kWide), 0.0);
+    EXPECT_EQ(certificate.LowerBound(wide, 1.0), 0.0);
   }
 }
 
@@ -405,6 +515,7 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
   int structural_total = 0;
   int budget_total = 0;
   int local_total = 0;
+  int tree_total = 0;
   for (const SpecCase& c : Specs()) {
     SCOPED_TRACE(c.name);
     const auto model = c.spec.MakeCostModel();
@@ -413,6 +524,7 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
     int structural = 0;  // domains empty at any σ, degrees dominating
     int budget = 0;      // domains empty at this σ only
     int local = 0;       // finite bound above σ, multiset bound within it
+    int tree = 0;        // only the spanning-tree bound above σ
     int pairs = 0;
     for (int seed = 0; seed < 220; ++seed) {
       Rng rng(seed * 7919 + 13);
@@ -452,9 +564,14 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
         for (double sigma : sigmas) {
           SCOPED_TRACE("sigma " + std::to_string(sigma));
           const double bound = certificate.LowerBound(target, sigma);
+          const double local_bound =
+              GraphCertificatePeer::LocalBound(&certificate, target, sigma);
+          EXPECT_LE(local_bound, bound);
           if (distance <= sigma) {
             EXPECT_LE(bound, distance + 1e-9);
             exact_positive += (bound > 0 && bound == distance) ? 1 : 0;
+          } else if (bound > sigma && local_bound <= sigma) {
+            ++tree;
           } else if (bound > sigma && wide != kInfiniteDistance) {
             if (bound == kInfiniteDistance) {
               ++budget;
@@ -476,10 +593,12 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
     structural_total += structural;
     budget_total += budget;
     local_total += local;
+    tree_total += tree;
   }
   EXPECT_GT(structural_total, 0);
   EXPECT_GT(budget_total, 0);
   EXPECT_GT(local_total, 0);
+  EXPECT_GT(tree_total, 0);
 }
 
 }  // namespace
