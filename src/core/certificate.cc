@@ -107,10 +107,7 @@ GraphCertificate::GraphCertificate(const Graph& query,
     max_children_ =
         std::max(max_children_, child_begin_[u + 1] - child_begin_[u]);
   }
-  child_best_.resize(max_children_);
-  child_second_.resize(max_children_);
-  child_slot_.resize(max_children_);
-  child_ties_.resize(max_children_);
+  root_best_.assign(num_query_vertices_, 0);
   pair_begin_.push_back(0);
   for (VertexId u = 0; u < num_query_vertices_; ++u) {
     for (int i = q_begin_[u]; i < q_begin_[u + 1]; ++i) {
@@ -178,7 +175,18 @@ int GraphCertificate::Unmatched(const LabelCounts& query, int num_elements,
 double GraphCertificate::LowerBound(const Graph& graph, double sigma) {
   const double local = LocalBound(graph, sigma);
   if (local > sigma) return local;
-  return std::max(local, TreeBound(graph, sigma));
+  HalfEdges(graph);
+  const double tree = TreeBound(sigma);
+  if (tree > sigma) return std::max(local, tree);
+  // The second round, over the domains the outside pass narrowed. Its
+  // refinement and matching remove graphs; a second inside pass would
+  // remove almost none for more than it saves in verification.
+  const int narrowed = OutsidePass(sigma);
+  if (narrowed < 0 || (narrowed > 0 && (!RefineNeighbourhoods(/*first=*/false) ||
+                                         !HallSweep() || !MatchAll()))) {
+    return kInfiniteDistance;
+  }
+  return std::max(local, tree);
 }
 
 double GraphCertificate::LocalBound(const Graph& graph, double sigma) {
@@ -266,42 +274,11 @@ int GraphCertificate::RefineDomains(const Graph& graph, int budget) {
     ++g_degree_[edge.v];
   }
   if (!InitDomains(graph, budget)) return -1;
-  if (!RefineNeighbourhoods()) return -1;
-
-  // Injectivity, pair by pair: a sweep over the (u, v) pairs of every
-  // query vertex with three or four neighbours (two are already settled
-  // above), in order_. After each vertex's sweep its removals propagate at
-  // once, to the pairs they can affect: (u, x) with u a neighbour of the
-  // removed pair's query vertex and x a neighbour of its G vertex.
-  queue_.clear();
-  size_t head = 0;
-  for (int u : order_) {
-    const int degree = q_begin_[u + 1] - q_begin_[u];
-    if (degree < 3 || degree > kMaxHall) continue;
-    for (int w = 0; w < words_; ++w) {
-      uint64_t bits = domain(u)[w];
-      while (bits != 0) {
-        const int v = w * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (!Supported(u, v) && !Remove(u, v)) return -1;
-      }
-    }
-    for (; head < queue_.size(); ++head) {
-      const auto [w, v] = queue_[head];
-      const uint64_t* adjacent = &g_adjacency_[static_cast<size_t>(v) * words_];
-      for (int qi = q_begin_[w]; qi < q_begin_[w + 1]; ++qi) {
-        const int x_owner = q_nbrs_[qi];
-        for (int i = 0; i < words_; ++i) {
-          for (uint64_t bits = adjacent[i] & domain(x_owner)[i]; bits != 0;
-               bits &= bits - 1) {
-            const int x = i * 64 + std::countr_zero(bits);
-            if (!Supported(x_owner, x) && !Remove(x_owner, x)) return -1;
-          }
-        }
-      }
-    }
+  version_.assign(num_query_vertices_, 0);
+  reach_version_.assign(num_query_vertices_, -1);
+  if (!RefineNeighbourhoods(/*first=*/true) || !HallSweep() || !MatchAll()) {
+    return -1;
   }
-  if (!MatchAll()) return -1;
 
   if (edge_cost_ <= 0) return 0;
   int mismatches = 0;
@@ -317,6 +294,44 @@ int GraphCertificate::RefineDomains(const Graph& graph, int budget) {
     mismatches += best;
   }
   return mismatches;
+}
+
+bool GraphCertificate::HallSweep() {
+  // Injectivity, pair by pair: a sweep over the (u, v) pairs of every
+  // query vertex with three or four neighbours (two are already settled
+  // by RefineNeighbourhoods), in order_. After each vertex's sweep its
+  // removals propagate at once, to the pairs they can affect: (u, x) with
+  // u a neighbour of the removed pair's query vertex and x a neighbour of
+  // its G vertex.
+  queue_.clear();
+  size_t head = 0;
+  for (int u : order_) {
+    const int degree = q_begin_[u + 1] - q_begin_[u];
+    if (degree < 3 || degree > kMaxHall) continue;
+    for (int w = 0; w < words_; ++w) {
+      uint64_t bits = domain(u)[w];
+      while (bits != 0) {
+        const int v = w * 64 + std::countr_zero(bits);
+        bits &= bits - 1;
+        if (!Supported(u, v) && !Remove(u, v)) return false;
+      }
+    }
+    for (; head < queue_.size(); ++head) {
+      const auto [w, v] = queue_[head];
+      const uint64_t* adjacent = &g_adjacency_[static_cast<size_t>(v) * words_];
+      for (int qi = q_begin_[w]; qi < q_begin_[w + 1]; ++qi) {
+        const int x_owner = q_nbrs_[qi];
+        for (int i = 0; i < words_; ++i) {
+          for (uint64_t bits = adjacent[i] & domain(x_owner)[i]; bits != 0;
+               bits &= bits - 1) {
+            const int x = i * 64 + std::countr_zero(bits);
+            if (!Supported(x_owner, x) && !Remove(x_owner, x)) return false;
+          }
+        }
+      }
+    }
+  }
+  return true;
 }
 
 int GraphCertificate::Missing(int u, int v) const {
@@ -405,7 +420,7 @@ bool GraphCertificate::InitDomains(const Graph& graph, int budget) {
   return true;
 }
 
-bool GraphCertificate::RefineNeighbourhoods() {
+bool GraphCertificate::RefineNeighbourhoods(bool first) {
   // reach(w): the G vertices adjacent to some vertex of D(w); reach2(w, w'):
   // those with two or more neighbours in D(w) ∪ D(w'). v stays in D(u) only
   // while it lies in reach(w) for every neighbour w of u and in
@@ -415,12 +430,10 @@ bool GraphCertificate::RefineNeighbourhoods() {
   // after a domain it reads shrank, until a pass changes nothing.
   reach_.resize(static_cast<size_t>(num_query_vertices_) * words_);
   reach2_.resize(static_cast<size_t>(num_query_vertices_) * words_);
-  version_.assign(num_query_vertices_, 0);
-  reach_version_.assign(num_query_vertices_, -1);
-  // The first pass reads only the neighbours earlier in order_, whose
+  // A first pass reads only the neighbours earlier in order_, whose
   // domains it has already cut down: reaches of whole initial domains
   // (every G vertex, for a query leaf) are never computed.
-  for (bool first = true, changed = true; changed; first = false) {
+  for (bool changed = true; changed; first = false) {
     changed = first;
     for (int u : order_) {
       if (q_begin_[u + 1] == q_begin_[u]) break;  // isolated: no neighbours
@@ -445,7 +458,7 @@ bool GraphCertificate::RefineNeighbourhoods() {
       }
       if (!shrunk) continue;
       changed = true;
-      ++version_[u];
+      Shrunk(u);
       if (std::all_of(d, d + words_, [](uint64_t x) { return x == 0; })) {
         return false;
       }
@@ -556,6 +569,7 @@ bool GraphCertificate::Supported(int u, int v) const {
 
 bool GraphCertificate::Remove(int u, int v) {
   domain(u)[v >> 6] &= ~(uint64_t{1} << (v & 63));
+  Shrunk(u);
   queue_.emplace_back(u, v);
   const uint64_t* d = domain(u);
   return std::any_of(d, d + words_, [](uint64_t x) { return x != 0; });
@@ -599,8 +613,9 @@ bool GraphCertificate::Augment(int u) {
   return false;
 }
 
-double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
+void GraphCertificate::HalfEdges(const Graph& graph) {
   const int n = graph.NumVertices();
+  g_vertices_ = n;
   g_begin_.resize(n + 1);
   g_begin_[0] = 0;
   int widest = 0;
@@ -609,6 +624,7 @@ double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
     widest = std::max(widest, graph.Degree(v));
   }
   const int halves = g_begin_[n];
+  g_halves_ = halves;
   g_far_.resize(halves);
   g_edge_label_.resize(halves);
   g_arc_.resize(halves);
@@ -621,69 +637,73 @@ double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
       g_arc_[h++] = 2 * e + (edge.u == v ? 0 : 1);
     }
   }
+  if (vertex_cost_ > 0) {
+    g_vertex_label_.resize(n);
+    for (VertexId v = 0; v < n; ++v) g_vertex_label_[v] = graph.VertexLabel(v);
+  }
   // Grown only, never cleared: an entry counts only under a domain bit,
   // and every entry under one was written for this graph.
   auto grow = [](auto& array, size_t size) {
     if (array.size() < size) array.resize(size);
   };
-  grow(table_, static_cast<size_t>(num_query_vertices_) * halves);
-  grow(best_two_, static_cast<size_t>(num_query_vertices_) * n);
-  grow(cost_, static_cast<size_t>(max_children_) * widest);
+  const size_t cells = static_cast<size_t>(num_query_vertices_) * n;
+  const size_t arcs = static_cast<size_t>(num_query_vertices_) * halves;
+  grow(table_, arcs);
+  grow(place_cost_, arcs);
+  grow(best_two_, cells);
+  grow(placement_, cells);
+  grow(out_, cells);
+  supported_.resize(static_cast<size_t>(num_query_vertices_) * words_);
+}
 
+double GraphCertificate::PlaceChild(int c, int v, int first, int deg,
+                                    double sigma) {
+  const uint64_t* dom = domain(c);
+  const Label label = parent_label_[c];
+  const int grandchildren = child_begin_[c + 1] - child_begin_[c];
+  const BestTwo* two = best_two_.data() + static_cast<size_t>(c) * g_vertices_;
+  const double* row = table_.data() + static_cast<size_t>(c) * g_halves_;
+  double* costs =
+      place_cost_.data() + static_cast<size_t>(c) * g_halves_ + first;
+  // Selects rather than branches: domain bits and label matches are
+  // data-dependent, so the entry is read, then kept or replaced by
+  // infinity.
+  double best = kInfiniteDistance;
+  double second = kInfiniteDistance;
+  int slot = -1;
+  uint64_t ties = 0;
+  for (int i = 0; i < deg; ++i) {
+    const int h = first + i;
+    const int x = g_far_[h];
+    double cost = g_edge_label_[h] == label ? 0.0 : edge_cost_;
+    if (grandchildren == 0) {
+      cost += OwnCost(c, x);
+    } else if (grandchildren == 1) {
+      cost += two[x].image == v ? two[x].second : two[x].best;
+    } else {
+      cost += row[g_arc_[h] ^ 1];
+    }
+    const bool kept = ((dom[x >> 6] >> (x & 63)) & 1) != 0 && cost <= sigma;
+    cost = kept ? cost : kInfiniteDistance;
+    costs[i] = cost;
+    const uint64_t bit = i < 64 ? uint64_t{1} << i : 0;
+    const bool better = cost < best;
+    second = better ? best : std::min(second, cost);
+    slot = better ? i : slot;
+    ties = better ? bit : (cost == best ? ties | bit : ties);
+    best = better ? cost : best;
+  }
+  placement_[static_cast<size_t>(c) * g_vertices_ + v] = {best, second, slot,
+                                                          ties};
+  return best;
+}
+
+double GraphCertificate::TreeBound(double sigma) {
+  const int n = g_vertices_;
+  const int halves = g_halves_;
   auto in_domain = [this](int u, int v) {
     return ((domain(u)[v >> 6] >> (v & 63)) & 1) != 0;
   };
-  auto own_cost = [&](int u, int v) {
-    return vertex_cost_ > 0 && q_labels_[u] != graph.VertexLabel(v)
-               ? vertex_cost_
-               : 0.0;
-  };
-  // Child j = c of a query vertex on v, on each of v's deg slots (half-edges
-  // from `first`): the edge's label cost plus F(c, x, v), cut at σ. Keeps
-  // the cheapest value, the slots that reach it, and the cheapest value on
-  // a slot other than the first of those; returns the cheapest.
-  auto place_child = [&](int j, int c, int v, int first, int deg) {
-    const uint64_t* dom = domain(c);
-    const Label label = parent_label_[c];
-    const int grandchildren = child_begin_[c + 1] - child_begin_[c];
-    const BestTwo* two = best_two_.data() + static_cast<size_t>(c) * n;
-    const double* row = table_.data() + static_cast<size_t>(c) * halves;
-    double* costs = cost_.data() + static_cast<size_t>(j) * deg;
-    // Selects rather than branches: domain bits and label matches are
-    // data-dependent, so the entry is read, then kept or replaced by
-    // infinity.
-    double best = kInfiniteDistance;
-    double second = kInfiniteDistance;
-    int slot = -1;
-    uint64_t ties = 0;
-    for (int i = 0; i < deg; ++i) {
-      const int h = first + i;
-      const int x = g_far_[h];
-      double cost = g_edge_label_[h] == label ? 0.0 : edge_cost_;
-      if (grandchildren == 0) {
-        cost += own_cost(c, x);
-      } else if (grandchildren == 1) {
-        cost += two[x].image == v ? two[x].second : two[x].best;
-      } else {
-        cost += row[g_arc_[h] ^ 1];
-      }
-      const bool kept = ((dom[x >> 6] >> (x & 63)) & 1) != 0 && cost <= sigma;
-      cost = kept ? cost : kInfiniteDistance;
-      costs[i] = cost;
-      const uint64_t bit = i < 64 ? uint64_t{1} << i : 0;
-      const bool better = cost < best;
-      second = better ? best : std::min(second, cost);
-      slot = better ? i : slot;
-      ties = better ? bit : (cost == best ? ties | bit : ties);
-      best = better ? cost : best;
-    }
-    child_best_[j] = best;
-    child_second_[j] = second;
-    child_slot_[j] = slot;
-    child_ties_[j] = ties;
-    return best;
-  };
-
   // Children before parents; leaves are read by their parent directly.
   double total = 0;
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
@@ -694,30 +714,33 @@ double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
     const int* kids = children_.data() + child_begin_[u];
     double root_best = kInfiniteDistance;
     uint64_t* d = domain(u);
-    // A root stops at its first place of cost 0: none does better.
-    for (int w = 0; w < words_ && root_best > 0; ++w) {
-      for (uint64_t bits = d[w]; bits != 0 && root_best > 0;
-           bits &= bits - 1) {
+    bool shrunk = false;
+    // Every place of a root is priced too: the outside pass reads them all.
+    for (int w = 0; w < words_; ++w) {
+      for (uint64_t bits = d[w]; bits != 0; bits &= bits - 1) {
         const int b = std::countr_zero(bits);
         const int v = w * 64 + b;
         const int first = g_begin_[v];
         const int deg = g_begin_[v + 1] - first;
-        const double own = own_cost(u, v);
+        const double own = OwnCost(u, v);
         // The children's cheapest places, each on its own, bound every
         // F(u, v, ·) from below.
         double sum = own;
         for (int j = 0; j < k && sum <= sigma; ++j) {
-          sum += place_child(j, kids[j], v, first, deg);
+          sum += PlaceChild(kids[j], v, first, deg, sigma);
         }
         bool live = sum <= sigma;
         if (live && parent < 0) {
-          const double value = k < 2 ? sum : own + AssignChildren(k, deg, -1);
+          const double value =
+              k < 2 ? sum : own + AssignChildren(kids, k, v, first, deg, -1);
           live = value <= sigma;
           if (live) root_best = std::min(root_best, value);
         } else if (live && k == 1) {
-          const double second = own + child_second_[0];
+          const Placement& child =
+              placement_[static_cast<size_t>(kids[0]) * n + v];
+          const double second = own + child.second;
           best_two_[static_cast<size_t>(u) * n + v] = {
-              sum, g_far_[first + child_slot_[0]],
+              sum, g_far_[first + child.slot],
               second > sigma ? kInfiniteDistance : second};
         } else if (live) {
           // One entry per place of u's parent: a neighbour of v in its
@@ -725,19 +748,24 @@ double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
           live = false;
           for (int i = 0; i < deg; ++i) {
             if (!in_domain(parent, g_far_[first + i])) continue;
-            double value = own + AssignChildren(k, deg, i);
+            double value = own + AssignChildren(kids, k, v, first, deg, i);
             if (value > sigma) value = kInfiniteDistance;
             table_[static_cast<size_t>(u) * halves + g_arc_[first + i]] = value;
             live |= value != kInfiniteDistance;
           }
         }
-        if (!live) d[w] &= ~(uint64_t{1} << b);
+        if (!live) {
+          d[w] &= ~(uint64_t{1} << b);
+          shrunk = true;
+        }
       }
     }
+    if (shrunk) Shrunk(u);
     if (std::all_of(d, d + words_, [](uint64_t x) { return x == 0; })) {
       return kInfiniteDistance;
     }
     if (parent < 0) {
+      root_best_[u] = root_best;
       total += root_best;
       if (total > sigma) return kInfiniteDistance;
     }
@@ -745,27 +773,149 @@ double GraphCertificate::TreeBound(const Graph& graph, double sigma) {
   return total;
 }
 
-double GraphCertificate::AssignChildren(int k, int deg, int skip) {
-  double sum = 0;
-  for (int j = 0; j < k; ++j) sum += child_best_[j];
+int GraphCertificate::OutsidePass(double sigma) {
+  const int n = g_vertices_;
+  const int halves = g_halves_;
+  bool narrowed = false;
+  // Parents before children; a leaf's domain is narrowed by its parent.
+  for (int u : order_) {
+    const int parent = parent_[u];
+    const int k = child_begin_[u + 1] - child_begin_[u];
+    if (k == 0 && parent >= 0) continue;
+    const int* kids = children_.data() + child_begin_[u];
+    double outside = 0;  // a root's: the other components' minima
+    if (parent < 0) {
+      for (int r : order_) {
+        if (r != u && parent_[r] < 0) outside += root_best_[r];
+      }
+    }
+    const double* out_u = out_.data() + static_cast<size_t>(u) * n;
+    for (int j = 0; j < k; ++j) {
+      uint64_t* kept = supported(kids[j]);
+      std::fill(kept, kept + words_, 0);
+    }
+    uint64_t* d = domain(u);
+    bool shrunk = false;
+    for (int w = 0; w < words_; ++w) {
+      for (uint64_t bits = d[w]; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const int v = w * 64 + b;
+        const int first = g_begin_[v];
+        const int deg = g_begin_[v + 1] - first;
+        const double own = OwnCost(u, v);
+        // The inside pass placed u's children at every v left in D(u).
+        auto placed = [&](int j) -> const Placement& {
+          return placement_[static_cast<size_t>(kids[j]) * n + v];
+        };
+        if (parent < 0 && outside > 0) {
+          // Every root place was kept within σ on its own; with the other
+          // components' cost it must still fit.
+          double value = own;
+          if (k >= 2) {
+            value += AssignChildren(kids, k, v, first, deg, -1);
+          } else if (k == 1) {
+            value += placed(0).best;
+          }
+          if (outside + value > sigma) {
+            d[w] &= ~(uint64_t{1} << b);
+            shrunk = true;
+            continue;
+          }
+        }
+        // A child's places are in D(u) only with a finite out(u, v).
+        const double base = (parent < 0 ? outside : out_u[v]) + own;
+        // Child j on slot i: its siblings each take their cheapest slot
+        // other than i.
+        for (int j = 0; j < k; ++j) {
+          const int c = kids[j];
+          const Label label = parent_label_[c];
+          const double* costs =
+              place_cost_.data() + static_cast<size_t>(c) * halves + first;
+          double* out_c = out_.data() + static_cast<size_t>(c) * n;
+          uint64_t* kept = supported(c);
+          for (int i = 0; i < deg; ++i) {
+            if (costs[i] == kInfiniteDistance) continue;
+            double partial = base;
+            for (int s = 0; s < k; ++s) {
+              if (s != j) {
+                const Placement& sibling = placed(s);
+                partial += sibling.slot == i ? sibling.second : sibling.best;
+              }
+            }
+            if (partial + costs[i] > sigma) continue;
+            const int h = first + i;
+            const int x = g_far_[h];
+            const double edge = g_edge_label_[h] == label ? 0.0 : edge_cost_;
+            const uint64_t bit = uint64_t{1} << (x & 63);
+            double& out = out_c[x];
+            out = (kept[x >> 6] & bit) != 0 ? std::min(out, partial + edge)
+                                             : partial + edge;
+            kept[x >> 6] |= bit;
+          }
+        }
+      }
+    }
+    if (shrunk) {
+      narrowed = true;
+      Shrunk(u);
+      if (std::all_of(d, d + words_, [](uint64_t x) { return x == 0; })) {
+        return -1;
+      }
+    }
+    // Each child keeps the places some v here supports.
+    for (int j = 0; j < k; ++j) {
+      const int c = kids[j];
+      uint64_t* dc = domain(c);
+      const uint64_t* kept = supported(c);
+      bool cut = false;
+      bool empty = true;
+      for (int w = 0; w < words_; ++w) {
+        cut |= (dc[w] & ~kept[w]) != 0;
+        dc[w] &= kept[w];
+        empty &= dc[w] == 0;
+      }
+      if (!cut) continue;
+      narrowed = true;
+      Shrunk(c);
+      if (empty) return -1;
+    }
+  }
+  return narrowed ? 1 : 0;
+}
+
+double GraphCertificate::AssignChildren(const int* kids, int k, int v,
+                                        int first, int deg, int skip) const {
   // Every child on one of its cheapest slots, distinct and avoiding
   // `skip`, is optimal: Hall's condition over those slots.
-  if (k <= kMaxHall && deg <= 64) {
-    const uint64_t keep = skip < 0 ? ~uint64_t{0} : ~(uint64_t{1} << skip);
-    uint64_t masks[kMaxHall];
-    for (int j = 0; j < k; ++j) masks[j] = child_ties_[j] & keep;
-    if (HasDistinctRepresentatives(masks, k)) return sum;
+  const uint64_t keep = skip < 0 ? ~uint64_t{0} : ~(uint64_t{1} << skip);
+  uint64_t masks[kMaxHall];
+  double sum = 0;
+  for (int j = 0; j < k; ++j) {
+    const Placement& child =
+        placement_[static_cast<size_t>(kids[j]) * g_vertices_ + v];
+    sum += child.best;
+    if (j < kMaxHall) masks[j] = child.ties & keep;
+  }
+  if (k <= kMaxHall && deg <= 64 && HasDistinctRepresentatives(masks, k)) {
+    return sum;
   }
   if (k > kMaxTreeChildren || deg > kMaxTreeWidth) {
     // Too wide for the subset DP: each child on its own, avoiding `skip`.
     sum = 0;
     for (int j = 0; j < k; ++j) {
-      sum += child_slot_[j] == skip ? child_second_[j] : child_best_[j];
+      const Placement& child =
+          placement_[static_cast<size_t>(kids[j]) * g_vertices_ + v];
+      sum += child.slot == skip ? child.second : child.best;
     }
     return sum;
   }
   // subsets[m]: the cheapest placement of the children in m onto the slots
   // seen so far; each slot goes to at most one child.
+  const double* costs[kMaxTreeChildren];
+  for (int j = 0; j < k; ++j) {
+    costs[j] =
+        place_cost_.data() + static_cast<size_t>(kids[j]) * g_halves_ + first;
+  }
   const int full = (1 << k) - 1;
   double subsets[1 << kMaxTreeChildren];
   std::fill(subsets, subsets + full + 1, kInfiniteDistance);
@@ -776,7 +926,7 @@ double GraphCertificate::AssignChildren(int k, int deg, int skip) {
       const double base = subsets[m];
       if (base == kInfiniteDistance) continue;
       for (int j = 0; j < k; ++j) {
-        const double c = cost_[static_cast<size_t>(j) * deg + i];
+        const double c = costs[j][i];
         if ((m >> j) & 1 || c == kInfiniteDistance) continue;
         double& next = subsets[m | (1 << j)];
         next = std::min(next, base + c);

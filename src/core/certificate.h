@@ -49,22 +49,38 @@ namespace pis {
 ///    D(u)} (deg_Q(u) − |L_u ∩ L_v|)⌉.
 ///  - Spanning-tree cost (every spec; graphs that pass the three above).
 ///    T is the breadth-first forest the domains are refined in: a vertex's
-///    parent is its earliest-visited neighbour. Children first, F(u, v, p) is the cheapest
-///    map of u's subtree with f(u) = v in D(u) and u's parent on p: u's
-///    children go to distinct neighbours of v other than p (Matula's
-///    subtree-isomorphism DP, with costs), child c onto x in D(c) paying
-///    c_e when the edge labels differ, then F(c, x, v); u itself pays c_v
-///    when the vertex labels differ. f restricted to T is such a map, and
-///    the edges T leaves out cost >= 0, so d(Q, G) >= Σ over components of
-///    min_v F(root, v, none). Every value above σ is cut to infinity; a
-///    query vertex left without a finite value proves d(Q, G) > σ. Leaves
-///    are never tabulated (F is their vertex cost), a vertex with one child
-///    keeps its best and second-best child image only, and the subset DP
-///    over children runs for two to kMaxTreeChildren children on G vertices
-///    of at most kMaxTreeWidth neighbours, unless every child already has a
-///    distinct cheapest neighbour (Hall over the cheapest ones); beyond
-///    those limits each child takes its cheapest image on its own (no
-///    injectivity among siblings; still a lower bound).
+///    parent is its earliest-visited neighbour. The inside pass runs
+///    children first: F(u, v, p) is the cheapest map of u's subtree with
+///    f(u) = v in D(u) and u's parent on p, u's children on distinct
+///    neighbours of v other than p (Matula's subtree-isomorphism DP, with
+///    costs), child c onto x in D(c) paying c_e when the edge labels
+///    differ, then F(c, x, v); u itself pays c_v when the vertex labels
+///    differ. f restricted to T is such a map, and the edges T leaves out
+///    cost >= 0, so d(Q, G) >= Σ over components of min_v F(root, v, none).
+///    Every value above σ is cut to infinity; a query vertex left without
+///    a finite value proves d(Q, G) > σ. Leaves are never tabulated (F is
+///    their vertex cost), a vertex with one child keeps its best and
+///    second-best child image only, and the subset DP over children runs
+///    for two to kMaxTreeChildren children on G vertices of at most
+///    kMaxTreeWidth neighbours, unless every child already has a distinct
+///    cheapest neighbour (Hall over the cheapest ones); beyond those limits
+///    each child takes its cheapest image on its own (no injectivity among
+///    siblings; still a lower bound).
+///
+///    The outside pass then runs parents first. out(u, v) bounds what
+///    everything but u's subtree costs when f(u) = v: for a root, the
+///    other components' minima; for a child c of u on x, the least over
+///    the v in D(u) adjacent to x of out(u, v) + u's vertex cost + each
+///    sibling's cheapest place on v's neighbours other than x + c's edge
+///    cost, counting only the v that keep the whole, F(c, x, v) included,
+///    within σ (any f within σ with f(c) = x and f(u) = v costs at least
+///    that whole). x leaves D(c) when no v keeps it. The bound itself does
+///    not move (the cheapest tree map survives the pass), but when the
+///    pass narrowed a domain, the neighbourhood refinement, Hall's
+///    condition and the joint matching run once more over the narrowed
+///    domains, and that second round is what removes graphs. (A second
+///    inside pass removed almost nothing more and cost more certificate
+///    time than it saved in verification.)
 ///
 /// The domains are bitsets over G's vertices (any size; one 64-bit word per
 /// 64 vertices). Hall's condition for the one- and two-neighbour subsets
@@ -100,7 +116,7 @@ class GraphCertificate {
   /// The first three bounds; leaves the refined domains behind for
   /// TreeBound.
   double LocalBound(const Graph& graph, double sigma);
-  friend class GraphCertificatePeer;  ///< tests: LocalBound on its own
+  friend class GraphCertificatePeer;  ///< tests: one bound or pass alone
 
   /// query.total − Σ_l min(cnt_Q(l), cnt_G(l)) over G's `num_elements`
   /// vertices or edges, `label_of(i)` giving the label of element i: the
@@ -121,8 +137,12 @@ class GraphCertificate {
   int Missing(int u, int v) const;
   /// Hall's condition for every one and every two neighbours of every
   /// query vertex, bit-parallel, to a fixpoint; false when a domain
-  /// empties.
-  bool RefineNeighbourhoods();
+  /// empties. With `first`, the first sweep reads only the neighbours
+  /// earlier in order_.
+  bool RefineNeighbourhoods(bool first);
+  /// Hall's condition over every neighbour subset of each query vertex of
+  /// degree three and four, pair by pair; false when a domain empties.
+  bool HallSweep();
   /// reach(w): the G vertices adjacent to some vertex of D(w); its
   /// reach2_ row holds those adjacent to two. Recomputed only if D(w)
   /// shrank since.
@@ -137,25 +157,49 @@ class GraphCertificate {
   /// Removes v from u's domain and queues the pair; false when the domain
   /// empties.
   bool Remove(int u, int v);
+  /// Records that D(u) shrank: its reach rows are stale.
+  void Shrunk(int u) { ++version_[u]; }
   /// Whether every query vertex matches to a distinct G vertex of its
   /// domain.
   bool MatchAll();
   bool Augment(int u);
-  /// The spanning-tree bound over the refined domains: a value within
-  /// `sigma`, or kInfiniteDistance. Drops from each domain the G vertices
-  /// that root no subtree within `sigma`.
-  double TreeBound(const Graph& graph, double sigma);
-  /// The cheapest injective map of a query vertex's k children onto the
-  /// deg neighbours (slots) of one G vertex other than slot `skip` (-1:
-  /// none), child j onto slot i costing cost_[j * deg + i]; infinite when
+  /// G's incidence as half-edges (and its vertex labels when they can
+  /// cost), for the tree passes; sizes their tables.
+  void HalfEdges(const Graph& graph);
+  /// The spanning-tree bound's inside pass over the refined domains: a
+  /// value within `sigma`, or kInfiniteDistance. Drops from each domain
+  /// the G vertices that root no subtree within `sigma`, and leaves each
+  /// root's minimum in root_best_.
+  double TreeBound(double sigma);
+  /// The outside pass, after a TreeBound within `sigma`: 1 when it
+  /// narrowed a domain, 0 when it did not, -1 when a domain emptied.
+  int OutsidePass(double sigma);
+  /// Query vertex c on each of the deg neighbours (slots, half-edges from
+  /// `first`) of G vertex v, its parent's place: the edge's label cost
+  /// plus F(c, x, v), cut at σ, into c's place_cost_ row; sums it up in
+  /// placement_ at (c, v). Returns the cheapest.
+  double PlaceChild(int c, int v, int first, int deg, double sigma);
+  /// u's own cost on G vertex v: c_v when their labels differ.
+  double OwnCost(int u, int v) const {
+    return vertex_cost_ > 0 && q_labels_[u] != g_vertex_label_[v]
+               ? vertex_cost_
+               : 0.0;
+  }
+  /// The cheapest injective map of the k children `kids` of a query vertex
+  /// on G vertex v onto v's deg slots (half-edges from `first`) other than
+  /// slot `skip` (-1: none), at the costs PlaceChild left; infinite when
   /// there is none.
-  double AssignChildren(int k, int deg, int skip);
+  double AssignChildren(const int* kids, int k, int v, int first, int deg,
+                        int skip) const;
   static constexpr int kMaxTreeChildren = 6;
   static constexpr int kMaxTreeWidth = 64;
 
   uint64_t* domain(int u) { return &domains_[static_cast<size_t>(u) * words_]; }
   const uint64_t* domain(int u) const {
     return &domains_[static_cast<size_t>(u) * words_];
+  }
+  uint64_t* supported(int u) {
+    return &supported_[static_cast<size_t>(u) * words_];
   }
 
   double edge_cost_;
@@ -219,13 +263,23 @@ class GraphCertificate {
   std::vector<int> owner_;            ///< MatchAll: G vertex -> query vertex
   std::vector<uint64_t> used_;
   std::vector<uint64_t> visited_;
-  /// TreeBound: G's incidence as half-edges. v's are g_begin_[v]..
+  /// The tree passes: G's incidence as half-edges. v's are g_begin_[v]..
   /// g_begin_[v+1]; each has its far end, its edge's label and its arc id
   /// 2e + (v is not e's first end), so the reverse arc is the id ^ 1.
+  int g_vertices_ = 0;
+  int g_halves_ = 0;
   std::vector<int> g_begin_;
   std::vector<int> g_far_;
   std::vector<Label> g_edge_label_;
   std::vector<int> g_arc_;
+  std::vector<Label> g_vertex_label_;  ///< filled only when c_v > 0
+  /// Per root: its minimum over its domain from the last TreeBound.
+  std::vector<double> root_best_;
+  /// out(u, v) per (u, v), written by u's parent's step of the outside
+  /// pass under u's supported_ bit of v (one row of words_ per query
+  /// vertex).
+  std::vector<double> out_;
+  std::vector<uint64_t> supported_;
   /// F(u, v, p) of a query vertex with two or more children, at u's row
   /// and the arc v -> p. Never cleared: an entry counts only under the
   /// domain bit of v, and every entry under a set bit is written.
@@ -238,14 +292,20 @@ class GraphCertificate {
     double second = 0;
   };
   std::vector<BestTwo> best_two_;
-  std::vector<double> cost_;  ///< per (child, slot) of one G vertex
-  /// Per child of one query vertex on one G vertex: its cheapest value,
-  /// the first slot reaching it, the cheapest value on any other slot, and
-  /// (over the first 64 slots) every slot reaching it.
-  std::vector<double> child_best_;
-  std::vector<int> child_slot_;
-  std::vector<double> child_second_;
-  std::vector<uint64_t> child_ties_;
+  /// A query vertex c with its parent on G vertex v, per (c, v): c's
+  /// cheapest place among v's neighbours, the first slot reaching it, the
+  /// cheapest value on any other slot, and (over the first 64 slots) every
+  /// slot reaching it. Written for every v the parent's inside step
+  /// reaches; read again by the outside pass.
+  struct Placement {
+    double best = 0;
+    double second = 0;
+    int slot = -1;
+    uint64_t ties = 0;
+  };
+  std::vector<Placement> placement_;
+  /// c's cost on each slot, at c's row and the half-edge from v.
+  std::vector<double> place_cost_;
 };
 
 }  // namespace pis

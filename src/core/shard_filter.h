@@ -21,9 +21,12 @@
 //                neighbourhood domains refined to a Hall-consistent
 //                fixpoint, and the cheapest map of a spanning tree of the
 //                query over those domains (a tree DP with label costs cut
-//                at σ). A query that one fragment covers whole skips
-//                the certificate: pass 1 already bounded every survivor's
-//                exact distance within σ.
+//                at σ, bottom-up, then top-down to drop the domain
+//                vertices no tree map within σ uses, then the refinement
+//                and the joint matching once more over the narrowed
+//                domains). A query that one fragment covers
+//                whole skips the certificate: pass 1 already bounded every
+//                survivor's exact distance within σ.
 //
 // PisEngine runs the three over its in-process shards; ClusterEngine runs
 // ShardFilter and ShardRefine on the replicas (the shard_filter and

@@ -14,28 +14,27 @@ VerifyResult VerifyCandidates(const GraphDatabase& db, const Graph& query,
                               int num_threads) {
   Timer timer;
   VerifyResult result;
-  std::vector<double> distances(candidates.size(), kInfiniteDistance);
+  // One byte per candidate, not vector<bool>: parallel tasks write
+  // neighbouring entries.
+  std::vector<char> within(candidates.size(), 0);
   if (num_threads <= 1) {
     auto model = spec.MakeCostModel();
     for (size_t i = 0; i < candidates.size(); ++i) {
-      distances[i] =
-          MinSuperimposedDistance(query, db.at(candidates[i]), *model, sigma);
+      within[i] =
+          WithinSuperimposedDistance(query, db.at(candidates[i]), *model, sigma);
     }
   } else {
     // One cost model per task invocation: the models are stateless but
     // cheap, and per-call construction avoids shared mutable state.
     ParallelFor(candidates.size(), num_threads, [&](size_t i) {
       auto model = spec.MakeCostModel();
-      distances[i] =
-          MinSuperimposedDistance(query, db.at(candidates[i]), *model, sigma);
+      within[i] =
+          WithinSuperimposedDistance(query, db.at(candidates[i]), *model, sigma);
     });
   }
   // Candidates arrive in ascending id order from the filters; preserve it.
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (distances[i] <= sigma) {
-      result.answers.push_back(candidates[i]);
-      result.distances.push_back(distances[i]);
-    }
+    if (within[i]) result.answers.push_back(candidates[i]);
   }
   result.seconds = timer.Seconds();
   return result;

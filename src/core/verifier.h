@@ -1,5 +1,6 @@
-// Candidate verification (paper framework step 3): compute the real minimum
-// superimposed distance for each candidate and keep those within σ.
+// Candidate verification (paper framework step 3): keep each candidate that
+// has a superposition of the query within σ (the search stops at the first
+// one it finds; TopKSearch, which needs the distances, minimises instead).
 #ifndef PIS_CORE_VERIFIER_H_
 #define PIS_CORE_VERIFIER_H_
 
@@ -13,13 +14,11 @@ namespace pis {
 struct VerifyResult {
   /// Ids of candidate graphs with d(Q, G) <= sigma, ascending.
   std::vector<int> answers;
-  /// Realized minimum distances, parallel to `answers`.
-  std::vector<double> distances;
   double seconds = 0;
 };
 
-/// Verifies `candidates` (database ids) against the query using the
-/// cost-bounded superposition search. With `num_threads > 1` candidates are
+/// Verifies `candidates` (database ids) against the query with
+/// WithinSuperimposedDistance. With `num_threads > 1` candidates are
 /// verified in parallel (each search is independent); results are returned
 /// in ascending id order either way.
 VerifyResult VerifyCandidates(const GraphDatabase& db, const Graph& query,

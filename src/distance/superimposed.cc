@@ -13,7 +13,7 @@ double MinSuperimposedDistance(const Graph& query, const Graph& target,
 
 bool WithinSuperimposedDistance(const Graph& query, const Graph& target,
                                 const SuperimposeCostModel& model, double sigma) {
-  return MinSuperimposedDistance(query, target, model, sigma) <= sigma;
+  return HasEmbeddingWithin(query, target, model, sigma);
 }
 
 double IsomorphicDistance(const Graph& a, const Graph& b,

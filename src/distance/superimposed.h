@@ -16,7 +16,8 @@ double MinSuperimposedDistance(const Graph& query, const Graph& target,
                                const SuperimposeCostModel& model,
                                double bound = kInfiniteDistance);
 
-/// Decision form: d(Q, G) ≤ sigma?
+/// Decision form: d(Q, G) ≤ sigma? Stops at the first superposition within
+/// sigma instead of searching for the minimum.
 bool WithinSuperimposedDistance(const Graph& query, const Graph& target,
                                 const SuperimposeCostModel& model, double sigma);
 

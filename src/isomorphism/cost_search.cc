@@ -10,12 +10,18 @@ namespace {
 
 // Backtracking search sharing VF2's connectivity-first order, extended with
 // cost accounting. `best` shrinks as better embeddings are found, so the
-// search degenerates to plain VF2 when the model is all-zero.
+// search degenerates to plain VF2 when the model is all-zero. With
+// `first_only` it stops at the first embedding within the bound.
 class CostSearcher {
  public:
   CostSearcher(const Graph& query, const Graph& target,
-               const SuperimposeCostModel& model, double bound)
-      : query_(query), target_(target), model_(model), best_(bound) {
+               const SuperimposeCostModel& model, double bound,
+               bool first_only = false)
+      : query_(query),
+        target_(target),
+        model_(model),
+        best_(bound),
+        first_only_(first_only) {
     BuildOrder();
     core_.assign(query_.NumVertices(), kInvalidVertex);
     used_.assign(target_.NumVertices(), false);
@@ -113,6 +119,7 @@ class CostSearcher {
       best_ = cost;
       found_ = true;
       best_mapping_ = core_;
+      stopped_ = first_only_;
       return;
     }
     VertexId qv = order_[depth];
@@ -120,9 +127,10 @@ class CostSearcher {
       VertexId anchor = core_[order_[order_parent_[depth]]];
       for (EdgeId e : target_.IncidentEdges(anchor)) {
         TryExtend(depth, cost, qv, target_.GetEdge(e).Other(anchor));
+        if (stopped_) return;
       }
     } else {
-      for (VertexId tv = 0; tv < target_.NumVertices(); ++tv) {
+      for (VertexId tv = 0; tv < target_.NumVertices() && !stopped_; ++tv) {
         TryExtend(depth, cost, qv, tv);
       }
     }
@@ -132,7 +140,9 @@ class CostSearcher {
   const Graph& target_;
   const SuperimposeCostModel& model_;
   double best_;
+  const bool first_only_;
   bool found_ = false;
+  bool stopped_ = false;
   std::vector<VertexId> order_;
   std::vector<int> order_parent_;
   std::vector<VertexId> core_;
@@ -147,6 +157,12 @@ CostSearchResult MinCostEmbedding(const Graph& query, const Graph& target,
                                   const SuperimposeCostModel& model, double bound) {
   CostSearcher searcher(query, target, model, bound);
   return searcher.Run();
+}
+
+bool HasEmbeddingWithin(const Graph& query, const Graph& target,
+                        const SuperimposeCostModel& model, double bound) {
+  CostSearcher searcher(query, target, model, bound, /*first_only=*/true);
+  return searcher.Run().distance <= bound;
 }
 
 bool ContainsStructure(const Graph& query, const Graph& target) {

@@ -46,6 +46,12 @@ struct CostSearchResult {
 CostSearchResult MinCostEmbedding(const Graph& query, const Graph& target,
                                   const SuperimposeCostModel& model, double bound);
 
+/// Whether some embedding of the query in the target costs at most `bound`:
+/// MinCostEmbedding's search, stopped at the first such embedding rather
+/// than minimised.
+bool HasEmbeddingWithin(const Graph& query, const Graph& target,
+                        const SuperimposeCostModel& model, double bound);
+
 /// True iff the target contains the query structure at all (bound-free
 /// containment; used by the topoPrune baseline's verifier).
 bool ContainsStructure(const Graph& query, const Graph& target);

@@ -3,7 +3,10 @@
 // VF2 and scores each one. Whenever the true distance is within σ, the
 // certificate's bound must not exceed it (else pass 2 would drop an
 // answer); on hand-built pairs it must give exactly the value its formula
-// promises, and each of its conditions must be seen removing pairs.
+// promises, and each of its conditions must be seen removing pairs. The
+// verifier (core/verifier.h), which stops at the first superposition
+// within σ, is checked against the same oracle: NaiveSearch shares it, so
+// no engine differential can.
 #include "core/certificate.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/verifier.h"
 #include "distance/distance_spec.h"
 #include "distance/superimposed.h"
 #include "graph/generator.h"
@@ -25,12 +29,20 @@
 namespace pis {
 
 /// Reaches the certificate's first three bounds without the spanning-tree
-/// one, to tell which bound excluded a pair.
+/// one, and all four without the tree's outside pass and second round, to
+/// tell which bound or pass excluded a pair.
 class GraphCertificatePeer {
  public:
   static double LocalBound(GraphCertificate* certificate, const Graph& graph,
                            double sigma) {
     return certificate->LocalBound(graph, sigma);
+  }
+  static double InsideOnly(GraphCertificate* certificate, const Graph& graph,
+                           double sigma) {
+    const double local = certificate->LocalBound(graph, sigma);
+    if (local > sigma) return local;
+    certificate->HalfEdges(graph);
+    return std::max(local, certificate->TreeBound(sigma));
   }
 };
 
@@ -400,6 +412,49 @@ TEST(GraphCertificateTest, SpanningTreeBoundOnHandBuiltPairs) {
   }
 }
 
+TEST(GraphCertificateTest, OutsidePassOnHandBuiltPair) {
+  // A root with a leaf and two 3-edge branches, labelled 2, 1, 1 and 1, 2, 1
+  // from the root, against a 6-ring whose two halves from vertex 0 carry
+  // those labels, with a pendant at 0 and one at the far vertex 3. Every
+  // map of a branch within σ = 1 runs around one half of the ring from 0
+  // (from 3 the A branch meets two wrong labels), so both branch ends fold
+  // onto 3 and there is no embedding at all. Each branch on its own fits at
+  // cost 0, so the local conditions and the inside pass read 0. The
+  // outside pass leaves both branch ends only vertex 3, which the second
+  // round's refinement and matching cannot give to both.
+  const Graph query = Build({1, 1, 1, 1, 1, 1, 1, 1}, {{0, 1, 2},
+                                                       {1, 2, 1},
+                                                       {2, 3, 1},
+                                                       {0, 4, 1},
+                                                       {4, 5, 2},
+                                                       {5, 6, 1},
+                                                       {0, 7, 1}});
+  const Graph ring = Build({1, 1, 1, 1, 1, 1, 1, 1}, {{0, 1, 2},
+                                                      {1, 2, 1},
+                                                      {2, 3, 1},
+                                                      {3, 4, 1},
+                                                      {4, 5, 2},
+                                                      {5, 0, 1},
+                                                      {6, 0, 1},
+                                                      {7, 3, 1}});
+  const DistanceSpec spec = DistanceSpec::EdgeMutation();
+  ASSERT_EQ(MinSuperimposedDistanceBruteForce(query, ring, *spec.MakeCostModel()),
+            kInfiniteDistance);
+  GraphCertificate certificate(query, spec);
+  EXPECT_EQ(GraphCertificatePeer::LocalBound(&certificate, ring, 1.0), 0.0);
+  EXPECT_EQ(GraphCertificatePeer::InsideOnly(&certificate, ring, 1.0), 0.0);
+  EXPECT_EQ(certificate.LowerBound(ring, 1.0), kInfiniteDistance);
+  // A pendant at vertex 4 gives the second branch an end of its own: the
+  // query then embeds at cost 0, and the bound must let it through.
+  Graph opened = ring;
+  opened.AddVertex(1);
+  ASSERT_TRUE(opened.AddEdge(8, 4, 1).ok());
+  ASSERT_EQ(
+      MinSuperimposedDistanceBruteForce(query, opened, *spec.MakeCostModel()),
+      0.0);
+  EXPECT_EQ(certificate.LowerBound(opened, 1.0), 0.0);
+}
+
 /// A connected `edges`-edge subgraph of `g` grown from a random edge, with
 /// each label redrawn from 1..3 at probability 0.3.
 Graph MutatedSubgraph(const Graph& g, int edges, Rng* rng) {
@@ -508,14 +563,16 @@ bool DegreesDominate(const Graph& query, const Graph& target) {
 // distances, where the label conditions bind) and independent random
 // queries (often not contained, where the structural ones fire), on small
 // targets and on targets of more than 64 vertices. The tallies prove every
-// condition removed pairs on its own and that bounds were sometimes exact,
-// so a condition tightened past soundness fails here too.
+// condition (and the spanning-tree bound's outside pass with its second
+// round) removed pairs on its own and that bounds were sometimes exact, so
+// a condition tightened past soundness fails here too.
 TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
   const std::vector<double> sigmas = {0, 0.5, 1, 2, 3, 5};
   int structural_total = 0;
   int budget_total = 0;
   int local_total = 0;
   int tree_total = 0;
+  int outside_total = 0;
   for (const SpecCase& c : Specs()) {
     SCOPED_TRACE(c.name);
     const auto model = c.spec.MakeCostModel();
@@ -525,6 +582,7 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
     int budget = 0;      // domains empty at this σ only
     int local = 0;       // finite bound above σ, multiset bound within it
     int tree = 0;        // only the spanning-tree bound above σ
+    int outside = 0;     // of those, only after the outside pass
     int pairs = 0;
     for (int seed = 0; seed < 220; ++seed) {
       Rng rng(seed * 7919 + 13);
@@ -566,12 +624,16 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
           const double bound = certificate.LowerBound(target, sigma);
           const double local_bound =
               GraphCertificatePeer::LocalBound(&certificate, target, sigma);
-          EXPECT_LE(local_bound, bound);
+          const double inside =
+              GraphCertificatePeer::InsideOnly(&certificate, target, sigma);
+          EXPECT_LE(local_bound, inside);
+          EXPECT_LE(inside, bound);
           if (distance <= sigma) {
             EXPECT_LE(bound, distance + 1e-9);
             exact_positive += (bound > 0 && bound == distance) ? 1 : 0;
           } else if (bound > sigma && local_bound <= sigma) {
             ++tree;
+            outside += inside <= sigma ? 1 : 0;
           } else if (bound > sigma && wide != kInfiniteDistance) {
             if (bound == kInfiniteDistance) {
               ++budget;
@@ -594,11 +656,70 @@ TEST(GraphCertificateTest, NeverExceedsTheBruteForceDistance) {
     budget_total += budget;
     local_total += local;
     tree_total += tree;
+    outside_total += outside;
   }
   EXPECT_GT(structural_total, 0);
   EXPECT_GT(budget_total, 0);
   EXPECT_GT(local_total, 0);
   EXPECT_GT(tree_total, 0);
+  EXPECT_GT(outside_total, 0);
+}
+
+// VerifyCandidates keeps a candidate exactly when the brute-force distance
+// is within σ, over the certificate suite's generated pairs (each query
+// against its own target and the next seed's), for every spec.
+TEST(VerifierOracleTest, KeepsExactlyTheGraphsWithinSigma) {
+  const std::vector<double> sigmas = {0, 0.5, 1, 2, 3, 5};
+  constexpr int kSeeds = 120;
+  for (const SpecCase& c : Specs()) {
+    SCOPED_TRACE(c.name);
+    const auto model = c.spec.MakeCostModel();
+    GraphDatabase targets;
+    std::vector<Graph> queries;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+      Rng rng(seed * 7919 + 13);
+      RandomGraphOptions topt;
+      topt.num_vertices = 8 + seed % 3;
+      topt.num_edges = topt.num_vertices + 2 + seed % 4;
+      topt.max_weight = 4.0;
+      targets.Add(GenerateRandomConnectedGraph(topt, &rng));
+      queries.push_back(MutatedSubgraph(targets.at(seed), 3 + seed % 4, &rng));
+      RandomGraphOptions qopt;
+      qopt.num_vertices = 4 + seed % 3;
+      qopt.num_edges = qopt.num_vertices - 1 + seed % 3;
+      qopt.max_weight = 4.0;
+      queries.push_back(GenerateRandomConnectedGraph(qopt, &rng));
+    }
+    int kept = 0;
+    int dropped = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      const int own = static_cast<int>(i / 2);
+      const std::vector<int> candidates = {own, (own + 1) % kSeeds};
+      double distance[2];
+      for (int j = 0; j < 2; ++j) {
+        distance[j] = MinSuperimposedDistanceBruteForce(
+            queries[i], targets.at(candidates[j]), *model);
+      }
+      for (double sigma : sigmas) {
+        std::vector<int> want;
+        for (int j = 0; j < 2; ++j) {
+          if (distance[j] <= sigma) want.push_back(candidates[j]);
+        }
+        std::sort(want.begin(), want.end());
+        std::vector<int> sorted = candidates;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(VerifyCandidates(targets, queries[i], sorted, c.spec, sigma)
+                      .answers,
+                  want)
+            << "sigma " << sigma;
+        kept += static_cast<int>(want.size());
+        dropped += 2 - static_cast<int>(want.size());
+      }
+    }
+    EXPECT_GT(kept, 0);
+    EXPECT_GT(dropped, 0);
+  }
 }
 
 }  // namespace
