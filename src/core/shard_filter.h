@@ -58,8 +58,9 @@ DistanceHistogram HistogramOf(std::vector<double>* distances);
 /// Adds `from`'s counts into `into`; the result does not depend on the
 /// order in which several histograms are merged.
 void MergeHistogram(const DistanceHistogram& from, DistanceHistogram* into);
-/// ComputeSelectivity over the ascending expansion of `histogram`:
-/// bit-identical to ComputeSelectivity over the distances it counts.
+/// Selectivity as an ascending fold over `histogram`, adding each
+/// distance's term `count` times: bit-identical to ComputeSelectivity over
+/// the distances it counts, without expanding or sorting them.
 double HistogramSelectivity(const DistanceHistogram& histogram, int live,
                             double sigma, double lambda);
 

@@ -4,16 +4,16 @@
 #include <limits>
 
 #include "util/logging.h"
+#include "util/serde.h"
 
 namespace pis {
 
 namespace {
-// Backend tag written before each class payload. Tag 2 marks a class of the
-// retired VP-tree backend, which stored a flat item list; it loads by
-// conversion and is never written.
+// Backend tag written before each class payload: the spec's distance type
+// picks it, and Deserialize reads only that one. (Tag 2, the retired
+// VP-tree backend, is refused like any other.)
 constexpr uint8_t kTrieTag = 0;
 constexpr uint8_t kRTreeTag = 1;
-constexpr uint8_t kLegacyVpTag = 2;
 }  // namespace
 
 EquivalenceClassIndex::EquivalenceClassIndex(std::string key, int num_vertices,
@@ -172,49 +172,17 @@ Result<std::unique_ptr<EquivalenceClassIndex>> EquivalenceClassIndex::Deserializ
   }
   const uint8_t native_tag =
       spec->type == DistanceType::kMutation ? kTrieTag : kRTreeTag;
-  if (tag != native_tag && tag != kLegacyVpTag) {
-    return Status::ParseError("class backend tag " + std::to_string(tag) +
-                              " does not fit the index's distance type");
+  if (tag != native_tag) {
+    std::string msg = "class backend tag " + std::to_string(tag);
+    msg += " does not fit the index's distance type (commit ";
+    msg += kLastRetiredFormatReader;
+    msg += " is the last that reads tag 2, the retired VP-tree backend)";
+    return Status::ParseError(msg);
   }
   auto cls = std::make_unique<EquivalenceClassIndex>(key, nv, ne, spec);
   cls->num_fragments_ = reader->U64();
   cls->containing_graphs_ = reader->VecInt();
   PIS_RETURN_NOT_OK(reader->Check("class index containment list"));
-  if (tag == kLegacyVpTag) {
-    // One (labels, weights, graph id) item per inserted fragment: re-insert
-    // each into the spec's backend, checking it first, since nothing else
-    // bounds the vector lengths the backends index by.
-    const uint64_t stored_fragments = cls->num_fragments_;
-    const std::vector<int> stored_containing =
-        std::move(cls->containing_graphs_);
-    cls->num_fragments_ = 0;
-    cls->containing_graphs_.clear();
-    uint64_t n = reader->ReadCount(20);  // two vectors + id per item
-    PIS_RETURN_NOT_OK(reader->Check("vp item count"));
-    if (n != stored_fragments) {
-      return Status::ParseError("VP class item count disagrees with its "
-                                "fragment count");
-    }
-    const size_t label_length = cls->NumVertexPositions() + ne;
-    for (uint64_t i = 0; i < n; ++i) {
-      std::vector<Label> labels = reader->VecI32();
-      std::vector<double> weights = reader->VecF64();
-      int graph_id = reader->I32();
-      PIS_RETURN_NOT_OK(reader->Check("vp items"));
-      if (labels.size() != label_length ||
-          (cls->rtree_ != nullptr &&
-           weights.size() != static_cast<size_t>(cls->WeightDims()))) {
-        return Status::ParseError("VP item length inconsistent with class/spec");
-      }
-      cls->Insert(labels, weights, graph_id);
-    }
-    cls->Finalize();
-    if (cls->containing_graphs_ != stored_containing) {
-      return Status::ParseError("VP class containment list disagrees with "
-                                "its items");
-    }
-    return cls;
-  }
   if (cls->trie_ != nullptr) {
     PIS_ASSIGN_OR_RETURN(LabelTrie trie, LabelTrie::Deserialize(reader));
     if (trie.sequence_length() != cls->NumVertexPositions() + ne) {

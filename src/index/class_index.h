@@ -83,9 +83,8 @@ class EquivalenceClassIndex {
 
   /// Binary persistence. Serialization requires Finalize(); the
   /// deserialized class is already finalized. `spec` must outlive the
-  /// returned object (the fragment index owns it). A class saved with the
-  /// retired VP-tree backend loads by re-inserting its stored sequences or
-  /// weight vectors into the spec's backend.
+  /// returned object (the fragment index owns it). A class whose backend
+  /// tag is not the spec's own is a ParseError.
   Status Serialize(BinaryWriter* writer) const;
   static Result<std::unique_ptr<EquivalenceClassIndex>> Deserialize(
       BinaryReader* reader, const DistanceSpec* spec);

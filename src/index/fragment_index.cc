@@ -271,9 +271,8 @@ Result<int> FragmentIndex::AddGraph(const Graph& g) {
   ApplyExtraction(gid, pending, stats);
   ++db_size_;
   // Re-finalize only the classes that received postings, so postings stay
-  // sorted/deduplicated and lazily built backends (VP-tree) refresh;
-  // untouched classes keep their finalized state — the amortized add cost
-  // scales with the new graph, not the whole index.
+  // sorted/deduplicated; untouched classes keep their finalized state — the
+  // amortized add cost scales with the new graph, not the whole index.
   std::unordered_set<int> touched;
   for (const auto& entry : pending.entries) touched.insert(entry.class_id);
   for (int class_id : touched) classes_[class_id]->Refinalize();
@@ -363,16 +362,11 @@ Status FragmentIndex::RangeQuery(const Graph& fragment, double sigma,
 
 namespace {
 constexpr uint32_t kIndexMagic = 0x50495358;  // "PISX"
-// v1: static index. v2 appends the tombstone list (incremental RemoveGraph)
-// as a trailing section; v1 files load as tombstone-free. v3 appends the
-// compaction epoch plus the live count (cross-checked against db_size minus
-// tombstones on load); v2 files load with epoch 0. v4 appended a
-// per-graph superimposed bit-code section, since removed: v5 is exactly the
-// v3 layout, and a v4 file loads by validating and discarding that section.
-// v1-v3 are strict prefixes of v5, so their fixtures stay constructible from
-// a current Save().
+// The only layout this build reads or writes: header, signatures, classes,
+// then the sorted tombstone list, the compaction epoch and the live count
+// (cross-checked against db_size minus tombstones on load). Versions 1-4
+// are refused (kLastRetiredFormatReader is the last commit that reads them).
 constexpr uint32_t kIndexVersion = 5;
-constexpr uint32_t kLegacySketchVersion = 4;
 
 void SerializeSpec(const DistanceSpec& spec, BinaryWriter* writer) {
   writer->U8(static_cast<uint8_t>(spec.type));
@@ -395,36 +389,6 @@ Result<DistanceSpec> DeserializeSpec(BinaryReader* reader) {
   return spec;
 }
 
-// Reads past the v4 sketch section: bits and hashes (I32 each), a word
-// count, then the words, db_size blocks of bits / 64 words. The file
-// promised the section, so a short or malformed one is a structural
-// disagreement (InvalidArgument), like a truncated manifest.
-Status SkipLegacySketchSection(BinaryReader* reader, int db_size) {
-  const int32_t bits = reader->I32();
-  const int32_t hashes = reader->I32();
-  const uint64_t num_words = reader->ReadCount(8);
-  if (!reader->ok()) {
-    return Status::InvalidArgument("index v4 sketch section truncated");
-  }
-  if (bits < 64 || bits % 64 != 0 || bits > (1 << 20) || hashes < 1 ||
-      hashes > 64) {
-    return Status::InvalidArgument(
-        "implausible v4 sketch parameters (" + std::to_string(bits) +
-        " bits, " + std::to_string(hashes) + " hashes)");
-  }
-  const uint64_t expected = static_cast<uint64_t>(db_size) * (bits / 64);
-  if (num_words != expected) {
-    return Status::InvalidArgument(
-        "v4 sketch section holds " + std::to_string(num_words) +
-        " words but " + std::to_string(db_size) + " graphs need " +
-        std::to_string(expected));
-  }
-  for (uint64_t i = 0; i < num_words; ++i) reader->U64();
-  if (!reader->ok()) {
-    return Status::InvalidArgument("index v4 sketch payload truncated");
-  }
-  return Status::OK();
-}
 }  // namespace
 
 Status FragmentIndex::Save(std::ostream& out) const {
@@ -434,7 +398,7 @@ Status FragmentIndex::Save(std::ostream& out) const {
   writer.I32(options_.min_fragment_edges);
   writer.I32(options_.max_fragment_edges);
   SerializeSpec(options_.spec, &writer);
-  // Retired backend-override flag: always 0, so no override byte follows.
+  // Retired backend-override flag: always 0 (Load refuses a set one).
   writer.U8(0);
   writer.I32(db_size_);
   // Build statistics (informational, preserved across load).
@@ -453,10 +417,7 @@ Status FragmentIndex::Save(std::ostream& out) const {
   for (const auto& cls : classes_) {
     PIS_RETURN_NOT_OK(cls->Serialize(&writer));
   }
-  // v2 trailing section: sorted tombstone ids. v3 trailing section:
-  // compaction epoch + live count. Each kept last so an older file is
-  // exactly a newer file without its tail (the compat fixtures rely on
-  // this).
+  // Sorted tombstone ids, then the compaction epoch and the live count.
   std::vector<int> dead(tombstones_.begin(), tombstones_.end());
   std::sort(dead.begin(), dead.end());
   writer.VecInt(dead);
@@ -494,20 +455,20 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
   if (reader.U32() != kIndexMagic) {
     return Status::ParseError("not a PIS index file (bad magic)");
   }
-  uint32_t version = reader.U32();
-  if (version < 1 || version > kIndexVersion) {
-    return Status::ParseError("unsupported index version " +
-                              std::to_string(version) + " (this build reads " +
-                              std::to_string(kIndexVersion) + " and older)");
+  const uint32_t version = reader.U32();
+  if (version != kIndexVersion) {
+    return Status::ParseError(
+        UnsupportedVersionMessage("index", version, kIndexVersion));
   }
   FragmentIndex index;
   index.options_.min_fragment_edges = reader.I32();
   index.options_.max_fragment_edges = reader.I32();
   PIS_ASSIGN_OR_RETURN(index.options_.spec, DeserializeSpec(&reader));
-  // A set override flag is followed by the backend an older build was told
-  // to use; each class carries its own tag, so the override is skipped.
-  if (reader.U8() != 0 && reader.U8() > 2) {
-    return Status::ParseError("bad backend tag");
+  // Only builds before the VP-tree backend's removal set the override flag.
+  if (reader.U8() != 0) {
+    return Status::ParseError(
+        std::string("index sets the retired backend-override flag; commit ") +
+        kLastRetiredFormatReader + " is the last that reads such a file");
   }
   index.spec_holder_ = std::make_shared<const DistanceSpec>(index.options_.spec);
   index.db_size_ = reader.I32();
@@ -533,29 +494,22 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
     index.classes_.push_back(std::move(cls));
   }
   index.stats_.num_classes = index.classes_.size();
-  if (version >= 2) {
-    std::vector<int> dead = reader.VecInt();
-    PIS_RETURN_NOT_OK(reader.Check("index tombstones"));
-    for (int gid : dead) {
-      if (gid < 0 || gid >= index.db_size_ ||
-          !index.tombstones_.insert(gid).second) {
-        return Status::ParseError("bad tombstone id in index file");
-      }
+  std::vector<int> dead = reader.VecInt();
+  PIS_RETURN_NOT_OK(reader.Check("index tombstones"));
+  for (int gid : dead) {
+    if (gid < 0 || gid >= index.db_size_ ||
+        !index.tombstones_.insert(gid).second) {
+      return Status::ParseError("bad tombstone id in index file");
     }
   }
-  if (version >= 3) {
-    index.compaction_epoch_ = reader.U32();
-    int32_t live = reader.I32();
-    PIS_RETURN_NOT_OK(reader.Check("index compaction trailer"));
-    if (live != index.num_live()) {
-      return Status::ParseError(
-          "index live count " + std::to_string(live) +
-          " disagrees with db_size minus tombstones (" +
-          std::to_string(index.num_live()) + ")");
-    }
-  }
-  if (version == kLegacySketchVersion) {
-    PIS_RETURN_NOT_OK(SkipLegacySketchSection(&reader, index.db_size_));
+  index.compaction_epoch_ = reader.U32();
+  const int32_t live = reader.I32();
+  PIS_RETURN_NOT_OK(reader.Check("index compaction trailer"));
+  if (live != index.num_live()) {
+    return Status::ParseError(
+        "index live count " + std::to_string(live) +
+        " disagrees with db_size minus tombstones (" +
+        std::to_string(index.num_live()) + ")");
   }
   return index;
 }

@@ -203,7 +203,7 @@ class FragmentIndex {
   std::vector<int> Compact();
 
   /// Number of Compact() rewrites this index has absorbed (persisted by
-  /// format v3; informational).
+  /// Save; informational).
   uint32_t compaction_epoch() const { return compaction_epoch_; }
 
   /// Independent copy: every class backend is copied, and the immutable
@@ -212,8 +212,10 @@ class FragmentIndex {
   /// Used by the copy-on-write shard detach of ShardedFragmentIndex.
   Result<FragmentIndex> Clone() const;
 
-  /// Binary persistence: write the full index (options, spec, classes) so a
-  /// later process can Load() and serve queries without rebuilding.
+  /// Binary persistence: write the full index (options, spec, classes,
+  /// tombstones, compaction epoch) so a later process can Load() and serve
+  /// queries without rebuilding. Load reads only the version Save writes
+  /// (v5) and refuses any other with a ParseError naming the version.
   Status Save(std::ostream& out) const;
   Status SaveFile(const std::string& path) const;
   static Result<FragmentIndex> Load(std::istream& in);
@@ -291,9 +293,9 @@ class FragmentIndex {
   std::unordered_map<std::string, int> class_by_key_;
   std::vector<std::unique_ptr<EquivalenceClassIndex>> classes_;
   std::unordered_set<uint64_t> signatures_;
-  /// Removed graph ids (format v2 persists these).
+  /// Removed graph ids (persisted by Save).
   std::unordered_set<int> tombstones_;
-  /// Count of Compact() rewrites (format v3 persists this).
+  /// Count of Compact() rewrites (persisted by Save).
   uint32_t compaction_epoch_ = 0;
   FragmentIndexStats stats_;
 };

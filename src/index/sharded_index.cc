@@ -1,13 +1,11 @@
 #include "index/sharded_index.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
-#include "util/fs_util.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/serde.h"
@@ -18,14 +16,12 @@ namespace pis {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x5049534D;  // "PISM"
-// v1: contiguous per-shard id ranges (offsets vector). v2: explicit
-// per-graph routing table, required once incremental AddGraph breaks
-// contiguity. v3: compaction epoch, routing that admits -1 (removed and
-// compacted away), explicit per-graph local ids (Rebalance breaks the
-// "locals ascend with globals" derivation v2 relied on), and per-shard
-// live counts cross-checked against the shard files. v4: trailing
-// auto-compaction dead-ratio policy, so a reloaded server keeps it. v1-v3
-// manifests still load (with the policy off).
+// The only layout this build reads or writes: shard count, compaction
+// epoch, the per-graph routing table (-1 = removed and compacted away), the
+// per-graph local ids (Rebalance breaks any "locals ascend with globals"
+// derivation), the per-shard live counts (cross-checked against the shard
+// files) and the auto-compaction dead-ratio policy. Versions 1-3 are
+// refused (kLastRetiredFormatReader is the last commit that reads them).
 constexpr uint32_t kManifestVersion = 4;
 constexpr char kManifestName[] = "MANIFEST";
 
@@ -368,12 +364,6 @@ Result<int> ShardedFragmentIndex::Rebalance(const GraphDatabase& db) {
 
 Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
   std::error_code ec;
-  if (std::filesystem::exists(dir, ec) &&
-      !std::filesystem::is_directory(dir, ec)) {
-    // A legacy single-file index: write the directory beside it, then swap.
-    return StageAndReplace(
-        dir, [this](const std::string& staged) { return SaveDir(staged); });
-  }
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Status::IOError("cannot create directory " + dir + ": " +
@@ -393,7 +383,6 @@ Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
     std::vector<int> live(num_shards());
     for (int s = 0; s < num_shards(); ++s) live[s] = shards_[s]->num_live();
     writer.VecInt(live);
-    // v4 trailing section: the auto-compaction policy.
     writer.F64(compact_dead_ratio_);
     if (!writer.ok()) return Status::IOError("manifest write failed");
   }
@@ -415,8 +404,12 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::LoadDir(
   std::error_code ec;
   if (std::filesystem::exists(dir, ec) &&
       !std::filesystem::is_directory(dir, ec)) {
-    PIS_ASSIGN_OR_RETURN(FragmentIndex legacy, FragmentIndex::LoadFile(dir));
-    return FromFragmentIndex(std::move(legacy));
+    std::string msg = dir + " is a file, not an index directory: this build ";
+    msg += "reads only directories with manifest version ";
+    msg += std::to_string(kManifestVersion) + ", and commit ";
+    msg += kLastRetiredFormatReader;
+    msg += " is the last that reads a single-file index";
+    return Status::ParseError(msg);
   }
   const std::filesystem::path root(dir);
   std::ifstream in(root / kManifestName, std::ios::binary);
@@ -426,74 +419,44 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::LoadDir(
     return Status::ParseError("not a sharded PIS index (bad manifest magic)");
   }
   const uint32_t version = reader.U32();
-  if (version < 1 || version > kManifestVersion) {
-    return Status::ParseError("unsupported manifest version " +
-                              std::to_string(version) + " (this build reads " +
-                              std::to_string(kManifestVersion) +
-                              " and older)");
+  if (version != kManifestVersion) {
+    return Status::ParseError(
+        UnsupportedVersionMessage("manifest", version, kManifestVersion));
   }
   const uint32_t num_shards = reader.U32();
   ShardedFragmentIndex sharded;
-  std::vector<int> manifest_live;  // v3 only; cross-checked after loading
-  if (version == 1) {
-    // Contiguous ranges: offsets[s] .. offsets[s+1]) belongs to shard s.
-    std::vector<int> offsets = reader.VecInt();
-    PIS_RETURN_NOT_OK(reader.Check("shard manifest"));
-    if (num_shards < 1 || offsets.size() != num_shards + 1 ||
-        offsets.front() != 0 ||
-        !std::is_sorted(offsets.begin(), offsets.end())) {
-      return Status::ParseError("corrupt shard manifest");
-    }
-    sharded.shard_of_.resize(offsets.back());
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      for (int gid = offsets[s]; gid < offsets[s + 1]; ++gid) {
-        sharded.shard_of_[gid] = static_cast<int>(s);
-      }
-    }
-  } else {
-    // v2 routing admits resident shards only; v3 also admits -1 (removed
-    // and compacted away) plus the trailing local-id and live-count
-    // sections.
-    const int min_shard = version >= 3 ? -1 : 0;
-    if (version >= 3) {
-      sharded.compaction_epoch_ = static_cast<int>(reader.U32());
-    }
-    sharded.shard_of_ = reader.VecInt();
-    PIS_RETURN_NOT_OK(reader.Check("shard manifest"));
-    if (num_shards < 1) return Status::ParseError("corrupt shard manifest");
-    for (size_t gid = 0; gid < sharded.shard_of_.size(); ++gid) {
-      if (sharded.shard_of_[gid] < min_shard ||
-          sharded.shard_of_[gid] >= static_cast<int>(num_shards)) {
-        return Status::InvalidArgument(
-            "manifest routes graph " + std::to_string(gid) +
-            " to nonexistent shard " +
-            std::to_string(sharded.shard_of_[gid]));
-      }
-    }
-    if (version >= 3) {
-      sharded.local_of_ = reader.VecInt();
-      manifest_live = reader.VecInt();
-      double dead_ratio = 0.0;
-      if (version >= 4) dead_ratio = reader.F64();
-      // The routing parsed but the trailing v3/v4 sections are short: the
-      // manifest structurally disagrees with what it declares rather than
-      // being unreadable garbage.
-      if (!reader.ok()) {
-        return Status::InvalidArgument("manifest truncated mid-section");
-      }
-      if (sharded.local_of_.size() != sharded.shard_of_.size() ||
-          manifest_live.size() != num_shards) {
-        return Status::InvalidArgument(
-            "manifest local-id/live-count sections disagree with its "
-            "routing table");
-      }
-      if (!(dead_ratio >= 0.0 && dead_ratio <= 1.0)) {
-        return Status::InvalidArgument(
-            "manifest auto-compaction dead ratio outside [0, 1]");
-      }
-      sharded.compact_dead_ratio_ = dead_ratio;
+  sharded.compaction_epoch_ = static_cast<int>(reader.U32());
+  sharded.shard_of_ = reader.VecInt();
+  PIS_RETURN_NOT_OK(reader.Check("shard manifest"));
+  if (num_shards < 1) return Status::ParseError("corrupt shard manifest");
+  for (size_t gid = 0; gid < sharded.shard_of_.size(); ++gid) {
+    if (sharded.shard_of_[gid] < -1 ||
+        sharded.shard_of_[gid] >= static_cast<int>(num_shards)) {
+      return Status::InvalidArgument(
+          "manifest routes graph " + std::to_string(gid) +
+          " to nonexistent shard " + std::to_string(sharded.shard_of_[gid]));
     }
   }
+  sharded.local_of_ = reader.VecInt();
+  const std::vector<int> manifest_live = reader.VecInt();
+  const double dead_ratio = reader.F64();
+  // The routing parsed but the sections after it are short: the manifest
+  // structurally disagrees with what it declares rather than being
+  // unreadable garbage.
+  if (!reader.ok()) {
+    return Status::InvalidArgument("manifest truncated mid-section");
+  }
+  if (sharded.local_of_.size() != sharded.shard_of_.size() ||
+      manifest_live.size() != num_shards) {
+    return Status::InvalidArgument(
+        "manifest local-id/live-count sections disagree with its routing "
+        "table");
+  }
+  if (!(dead_ratio >= 0.0 && dead_ratio <= 1.0)) {
+    return Status::InvalidArgument(
+        "manifest auto-compaction dead ratio outside [0, 1]");
+  }
+  sharded.compact_dead_ratio_ = dead_ratio;
 
   // The manifest and the files on disk must agree exactly: every declared
   // shard present with the declared number of graphs, and nothing extra.
@@ -530,7 +493,7 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::LoadDir(
           std::to_string(shard.db_size()) + " graphs but the manifest routes " +
           std::to_string(expected_size[s]) + " to it");
     }
-    if (!manifest_live.empty() && shard.num_live() != manifest_live[s]) {
+    if (shard.num_live() != manifest_live[s]) {
       return Status::InvalidArgument(
           "shard " + std::to_string(s) + " holds " +
           std::to_string(shard.num_live()) +
@@ -544,11 +507,7 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::LoadDir(
     }
     sharded.shards_.push_back(std::make_shared<FragmentIndex>(std::move(shard)));
   }
-  if (version >= 3) {
-    PIS_RETURN_NOT_OK(sharded.DeriveGlobalsFromLocals());
-  } else {
-    sharded.DeriveRouting();
-  }
+  PIS_RETURN_NOT_OK(sharded.DeriveGlobalsFromLocals());
   // Global tombstones: the per-shard sets (persisted inside the per-shard
   // index files) plus every compacted-away slot the routing marks -1.
   for (uint32_t s = 0; s < num_shards; ++s) {

@@ -8,9 +8,9 @@
 // Persistence writes a directory holding a binary manifest (shard count +
 // routing table) plus one index file per shard, so shards can later be
 // loaded (or, eventually, served) independently, and a mutated index
-// round-trips exactly. A plain FragmentIndex — built in memory or read from
-// a legacy single-file index — is the one-shard case with identity routing
-// (FromFragmentIndex), so every caller holds this one index type.
+// round-trips exactly. A plain FragmentIndex is the one-shard case with
+// identity routing (FromFragmentIndex), so every caller holds this one
+// index type.
 // Deletion debt is repaid locally: CompactShard rewrites one shard without
 // its tombstoned postings (global ids stay stable; dead ids simply stop
 // being resident anywhere) and Rebalance migrates graphs off overloaded
@@ -135,9 +135,8 @@ class ShardedFragmentIndex {
   /// Auto-compaction policy: a threshold in (0, 1] makes RemoveGraph
   /// compact the owning shard once its dead ratio reaches the threshold
   /// (PisOptions::compact_dead_ratio is the conventional source of the
-  /// value). 0 — the default — disables the policy. Persisted by manifest
-  /// v4, so a reloaded server keeps its policy; v1-v3 directories load with
-  /// the policy off.
+  /// value). 0 — the default — disables the policy. Persisted in the
+  /// manifest, so a reloaded server keeps its policy.
   void set_compact_dead_ratio(double ratio) { compact_dead_ratio_ = ratio; }
   double compact_dead_ratio() const { return compact_dead_ratio_; }
 
@@ -150,7 +149,7 @@ class ShardedFragmentIndex {
   /// Returns the number of graphs migrated (0 when already balanced).
   Result<int> Rebalance(const GraphDatabase& db);
 
-  /// Total CompactShard rewrites absorbed (manifest v3 persists this;
+  /// Total CompactShard rewrites absorbed (persisted in the manifest;
   /// informational, e.g. surfaced by `pis_cli stats`).
   int compaction_epoch() const { return compaction_epoch_; }
 
@@ -165,18 +164,16 @@ class ShardedFragmentIndex {
   /// and local ids, per-shard live counts) plus one file per shard under
   /// `dir`, creating the directory if needed. Tombstones travel inside the
   /// per-shard files, so a mutated index round-trips — including one that
-  /// was compacted or rebalanced. When `dir` names an existing legacy
-  /// single-file index, the directory is written beside it and swapped in
-  /// by renames (StageAndReplace), so a failure never loses the old index.
+  /// was compacted or rebalanced. A `dir` that names a regular file is an
+  /// IOError.
   Status SaveDir(const std::string& dir) const;
-  /// Loads a directory written by SaveDir (current, v2 routing-table, or v1
-  /// contiguous-range manifests). Returns InvalidArgument when a
-  /// structurally readable manifest disagrees with the files on disk
-  /// (missing/surplus shard files, shard sizes, routing, or live counts out
-  /// of step) or is truncated mid-section, ParseError on garbage. A path
-  /// naming a regular file is a legacy single-file index (any
-  /// FragmentIndex format version): it loads as one shard through
-  /// FromFragmentIndex.
+  /// Loads a directory written by SaveDir (manifest v4, index v5 shard
+  /// files). Returns InvalidArgument when a structurally readable manifest
+  /// disagrees with the files on disk (missing/surplus shard files, shard
+  /// sizes, routing, or live counts out of step) or is truncated
+  /// mid-section, ParseError on garbage, on any other manifest or index
+  /// version, and on a path naming a regular file (a single-file index
+  /// from an older build).
   static Result<ShardedFragmentIndex> LoadDir(const std::string& dir);
 
  private:
@@ -184,10 +181,11 @@ class ShardedFragmentIndex {
 
   /// Rebuilds globals_/local_of_ from shard_of_, assuming insertion-ordered
   /// routing (local ids ascend with global ids within a shard). Valid for
-  /// freshly built indexes and v1/v2 manifests; rebalanced indexes violate
-  /// the assumption, which is why manifest v3 persists local_of_ verbatim.
+  /// Build and FromFragmentIndex; rebalanced indexes violate the assumption,
+  /// which is why the manifest persists local_of_ verbatim.
   void DeriveRouting();
-  /// Rebuilds globals_ from shard_of_/local_of_ (any routing shape).
+  /// Rebuilds globals_ from shard_of_/local_of_ (any routing shape; what
+  /// LoadDir uses).
   Status DeriveGlobalsFromLocals();
 
   /// Copy-on-write guard: returns shard `s` for mutation, first detaching a

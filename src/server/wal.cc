@@ -22,7 +22,6 @@ namespace {
 
 constexpr uint32_t kWalMagic = 0x4C415750;  // 'PWAL' little-endian
 constexpr uint32_t kWalVersion = 2;
-constexpr uint32_t kWalVersionNoShard = 1;  // pre-cluster: no shard field
 constexpr size_t kHeaderBytes = 8;
 constexpr size_t kFrameBytes = 12;  // u32 payload size + u64 checksum
 /// Any single record larger than this is corruption, not data: a logged
@@ -69,15 +68,14 @@ std::string EncodePayload(const WalRecord& rec) {
   return os.str();
 }
 
-Result<WalRecord> DecodePayload(const std::string& payload, size_t index,
-                                uint32_t version) {
+Result<WalRecord> DecodePayload(const std::string& payload, size_t index) {
   std::istringstream is(payload, std::ios::binary);
   BinaryReader r(is);
   WalRecord rec;
   const uint8_t op = r.U8();
   rec.epoch = r.U64();
   rec.gid = r.I32();
-  rec.shard = version >= kWalVersion ? r.I32() : -1;
+  rec.shard = r.I32();
   rec.graph_text = r.Str();
   PIS_RETURN_NOT_OK(r.Check("WAL record " + std::to_string(index)));
   if (op != static_cast<uint8_t>(WalRecord::Op::kAdd) &&
@@ -86,14 +84,19 @@ Result<WalRecord> DecodePayload(const std::string& payload, size_t index,
                                    " has unknown op " + std::to_string(op));
   }
   rec.op = static_cast<WalRecord::Op>(op);
+  if (rec.op == WalRecord::Op::kAdd && rec.shard < 0) {
+    return Status::InvalidArgument("WAL record " + std::to_string(index) +
+                                   " adds gid " + std::to_string(rec.gid) +
+                                   " without a shard stamp");
+  }
   return rec;
 }
 
 /// Parses the framed record stream after the header. On success fills
 /// `records` and sets `*valid_end` to the offset just past the last intact
 /// record — less than `data.size()` exactly when a torn tail follows.
-Status ParseRecords(const std::string& data, uint32_t version,
-                    std::vector<WalRecord>* records, size_t* valid_end) {
+Status ParseRecords(const std::string& data, std::vector<WalRecord>* records,
+                    size_t* valid_end) {
   size_t off = kHeaderBytes;
   *valid_end = off;
   while (off < data.size()) {
@@ -113,9 +116,9 @@ Status ParseRecords(const std::string& data, uint32_t version,
           "corrupt WAL: checksum mismatch in record at offset " +
           std::to_string(off));
     }
-    PIS_ASSIGN_OR_RETURN(
-        WalRecord rec, DecodePayload(std::string(payload, payload_size),
-                                     records->size(), version));
+    PIS_ASSIGN_OR_RETURN(WalRecord rec,
+                         DecodePayload(std::string(payload, payload_size),
+                                       records->size()));
     records->push_back(std::move(rec));
     off += kFrameBytes + payload_size;
     *valid_end = off;
@@ -199,13 +202,12 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& dir) {
       return Status::InvalidArgument(wal.path_ + " is not a PIS WAL");
     }
     const uint32_t version = GetU32(data.data() + 4);
-    if (version != kWalVersion && version != kWalVersionNoShard) {
+    if (version != kWalVersion) {
       return Status::InvalidArgument(
-          "unsupported WAL version " + std::to_string(version) + " in " +
+          UnsupportedVersionMessage("WAL", version, kWalVersion) + " in " +
           wal.path_);
     }
-    PIS_RETURN_NOT_OK(ParseRecords(data, version, &wal.recovered_,
-                                   &valid_end));
+    PIS_RETURN_NOT_OK(ParseRecords(data, &wal.recovered_, &valid_end));
     if (valid_end < data.size()) {
       PIS_LOG(Warning) << "WAL " << wal.path_ << ": truncating torn tail ("
                        << (data.size() - valid_end) << " bytes after record "
@@ -216,13 +218,6 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& dir) {
                                wal.path_ + ": " + std::strerror(errno));
       }
       PIS_RETURN_NOT_OK(SyncFile(wal.path_));
-    }
-    if (version != kWalVersion) {
-      // Upgrade the file in place (same atomic rewrite as truncation) so
-      // appends — always current-version — never mix formats in one log.
-      PIS_ASSIGN_OR_RETURN(uint64_t new_size,
-                           ReplaceLog(wal.path_, wal.recovered_));
-      valid_end = new_size;
     }
   }
 
@@ -311,31 +306,16 @@ Status WriteAheadLog::Replay(GraphDatabase* db,
                                      std::to_string(rec.gid));
     }
     if (rec.op == WalRecord::Op::kAdd) {
-      // The db and the index may independently already hold this add (a
-      // crash between the checkpoint's two file swaps); reconcile each.
-      const bool db_needs = rec.gid >= db->size();
-      const bool index_needs = rec.gid >= index->db_size();
-      if (rec.shard < 0) {
-        // Shard-less (v1) adds replay through least-loaded routing, which
-        // only reproduces the original placement when the log is gap-free.
-        if (db_needs && rec.gid != db->size()) {
-          return Status::InvalidArgument(
-              where + " adds gid " + std::to_string(rec.gid) +
-              " but the database holds only " + std::to_string(db->size()) +
-              " graphs — the log does not continue this snapshot");
-        }
-        if (index_needs && rec.gid != index->db_size()) {
-          return Status::InvalidArgument(
-              where + " adds gid " + std::to_string(rec.gid) +
-              " but the index covers only " + std::to_string(index->db_size()) +
-              " graphs — the log does not continue this snapshot");
-        }
-      } else if (rec.shard >= index->num_shards()) {
+      if (rec.shard >= index->num_shards()) {
         return Status::InvalidArgument(
             where + " places gid " + std::to_string(rec.gid) + " in shard " +
             std::to_string(rec.shard) + " but the index has only " +
             std::to_string(index->num_shards()) + " shards");
       }
+      // The db and the index may independently already hold this add (a
+      // crash between the checkpoint's two file swaps); reconcile each.
+      const bool db_needs = rec.gid >= db->size();
+      const bool index_needs = rec.gid >= index->db_size();
       if (!db_needs && !index_needs) continue;
       Result<Graph> g = ParseGraph(rec.graph_text);
       if (!g.ok()) {
@@ -343,23 +323,14 @@ Status WriteAheadLog::Replay(GraphDatabase* db,
                                        g.status().message());
       }
       if (db_needs) {
-        // A shard-stamped log legitimately skips foreign gids: align the
-        // database with empty placeholder graphs for the absent slots
-        // (AddGraphAt tombstones the same ids in the index).
-        while (rec.shard >= 0 && db->size() < rec.gid) db->Add(Graph());
+        // The log legitimately skips foreign gids: align the database with
+        // empty placeholder graphs for the absent slots (AddGraphAt
+        // tombstones the same ids in the index).
+        while (db->size() < rec.gid) db->Add(Graph());
         db->Add(g.value());
       }
       if (index_needs) {
-        if (rec.shard >= 0) {
-          PIS_RETURN_NOT_OK(index->AddGraphAt(rec.gid, rec.shard, g.value()));
-        } else {
-          PIS_ASSIGN_OR_RETURN(int got, index->AddGraph(g.value()));
-          if (got != rec.gid) {
-            return Status::InvalidArgument(
-                where + " expected gid " + std::to_string(rec.gid) +
-                " but the index assigned " + std::to_string(got));
-          }
-        }
+        PIS_RETURN_NOT_OK(index->AddGraphAt(rec.gid, rec.shard, g.value()));
       }
     } else {
       if (rec.gid >= index->db_size()) {
@@ -387,6 +358,13 @@ Status WriteAheadLog::Append(std::span<const WalRecord> batch) {
   Timer append_timer;
   std::string buf;
   for (const WalRecord& rec : batch) {
+    // Open refuses such a record, so logging it would strand every later
+    // acknowledged write behind it.
+    if (rec.op == WalRecord::Op::kAdd && rec.shard < 0) {
+      return Status::InvalidArgument("WAL append of an add of gid " +
+                                     std::to_string(rec.gid) +
+                                     " without a shard stamp");
+    }
     const std::string payload = EncodePayload(rec);
     PutU32(&buf, static_cast<uint32_t>(payload.size()));
     PutU64(&buf, Fnv1a64(payload.data(), payload.size()));
@@ -436,12 +414,9 @@ Status WriteAheadLog::TruncateThrough(uint64_t through_epoch) {
   if (data.size() < kHeaderBytes) {
     return Status::Internal("WAL " + path_ + " lost its header");
   }
-  // Open upgraded any v1 file, but read the header back anyway — the parse
-  // must match whatever is physically on disk.
-  const uint32_t version = GetU32(data.data() + 4);
   std::vector<WalRecord> all;
   size_t valid_end = 0;
-  PIS_RETURN_NOT_OK(ParseRecords(data, version, &all, &valid_end));
+  PIS_RETURN_NOT_OK(ParseRecords(data, &all, &valid_end));
 
   std::vector<WalRecord> keep;
   keep.reserve(all.size());

@@ -9,7 +9,7 @@
 //
 // On-disk format (`wal.log` inside the log directory, little-endian):
 //
-//   header : u32 magic 'PWAL'  u32 version (currently 2)
+//   header : u32 magic 'PWAL'  u32 version 2
 //   record : u32 payload_size  u64 fnv1a64(payload)  payload bytes
 //   payload: u8 op (1=add 2=remove)  u64 epoch  i32 gid  i32 shard
 //            str graph_text
@@ -17,12 +17,12 @@
 // `graph_text` is the graph's native text encoding (graph/io.h, exact
 // double round-trip) for adds and empty for removes; `epoch` is the host
 // epoch the batch published, which is what checkpoint truncation keys on.
-// `shard` (v2) records which shard the add landed in: replay places the
-// graph in exactly that shard (AddGraphAt), which is what lets a replica
-// that owns a shard subset — whose log legitimately skips foreign gids —
-// recover. Version-1 logs (no shard field) still load; they are upgraded
-// to v2 in place at Open, with shard -1 meaning "derive by least-loaded
-// routing" as before. Removes carry shard -1 (the routing table knows).
+// `shard` records which shard the add landed in: replay places the graph
+// in exactly that shard (AddGraphAt), which is what lets a replica that
+// owns a shard subset — whose log legitimately skips foreign gids —
+// recover. An add without one (shard < 0) is corruption. Removes carry
+// shard -1 (the routing table knows). Open reads only version 2: any other
+// version is InvalidArgument, and the log is left as it is on disk.
 //
 // Recovery semantics, chosen so every crash point is survivable:
 //   - A torn tail (the file ends before a record's declared payload
@@ -64,10 +64,9 @@ struct WalRecord {
   uint64_t epoch = 0;
   /// Global graph id the op assigned (add) or tombstoned (remove).
   int32_t gid = -1;
-  /// Shard the add was placed in (>= 0: replay uses AddGraphAt, filling
-  /// any foreign-gid gap below `gid` with absent slots). -1 — removes and
-  /// records recovered from v1 logs — replays through the least-loaded
-  /// AddGraph routing, which requires a gap-free log.
+  /// Shard the add was placed in: replay uses AddGraphAt, filling any
+  /// foreign-gid gap below `gid` with absent slots. Every add carries one
+  /// (Append and Open refuse an add with shard < 0); removes carry -1.
   int32_t shard = -1;
   /// Native text encoding of the added graph; empty for removes.
   std::string graph_text;
@@ -89,8 +88,9 @@ class WriteAheadLog {
  public:
   /// Opens (creating the directory and an empty log as needed) and
   /// validates `dir`/wal.log. A torn tail is physically truncated away; a
-  /// corrupt record or bad header is InvalidArgument. The valid records are
-  /// retained for recovered()/Replay().
+  /// corrupt record, a shard-less add, a bad magic or any version but 2 is
+  /// InvalidArgument. The valid records are retained for
+  /// recovered()/Replay().
   static Result<WriteAheadLog> Open(const std::string& dir);
 
   WriteAheadLog(WriteAheadLog&& other) noexcept;
@@ -106,16 +106,17 @@ class WriteAheadLog {
 
   /// Applies recovered() over a loaded snapshot pair, idempotently (see
   /// file comment): already-applied adds/removes are skipped; a record that
-  /// cannot be reconciled (a gid gap in a shard-less v1 record, a parse
-  /// failure) is InvalidArgument. Shard-stamped adds tolerate gaps — the
-  /// missing ids are materialized as absent slots (empty placeholder graphs
-  /// in `db`), which is how a shard-subset replica recovers. Leaves `db`
-  /// and `index` id-aligned on success.
+  /// cannot be reconciled (a remove of a gid the index never held, an add
+  /// to a shard it does not have, a parse failure) is InvalidArgument. Adds
+  /// tolerate gid gaps — the missing ids are materialized as absent slots
+  /// (empty placeholder graphs in `db`), which is how a shard-subset
+  /// replica recovers. Leaves `db` and `index` id-aligned on success.
   Status Replay(GraphDatabase* db, ShardedFragmentIndex* index) const;
 
   /// Appends `batch` and fsyncs once — the group-commit durability point.
   /// On any error nothing may be considered durable (the caller must not
-  /// ack the batch).
+  /// ack the batch). An add without a shard stamp is InvalidArgument and
+  /// nothing is written.
   Status Append(std::span<const WalRecord> batch);
 
   /// Hands the WAL's metric families (append latency histogram, appended

@@ -161,4 +161,20 @@ Status BinaryReader::Check(const std::string& what) const {
   return Status::ParseError("truncated or corrupt " + what);
 }
 
+std::string UnsupportedVersionMessage(const std::string& format,
+                                      uint32_t found, uint32_t current) {
+  std::string msg = "unsupported " + format + " version ";
+  msg += std::to_string(found);
+  msg += " (this build reads only version ";
+  msg += std::to_string(current);
+  msg += ")";
+  if (found >= 1 && found < current) {
+    msg += "; commit ";
+    msg += kLastRetiredFormatReader;
+    msg += " is the last that reads version ";
+    msg += std::to_string(found);
+  }
+  return msg;
+}
+
 }  // namespace pis

@@ -79,6 +79,17 @@ class BinaryReader {
   int64_t stream_bytes_ = -2;
 };
 
+/// Short hash of the last commit whose loaders read the retired on-disk
+/// layouts: index v1-v4 and VP-tree classes, manifest v1-v3, the
+/// single-file index and WAL v1.
+inline constexpr char kLastRetiredFormatReader[] = "986566c";
+
+/// Refusal message for version `found` of an on-disk `format` ("index",
+/// "manifest", "WAL") when this build reads only `current`. An older
+/// version also names kLastRetiredFormatReader.
+std::string UnsupportedVersionMessage(const std::string& format,
+                                      uint32_t found, uint32_t current);
+
 }  // namespace pis
 
 #endif  // PIS_UTIL_SERDE_H_

@@ -233,14 +233,14 @@ TEST(DurabilityTest, ReplayRejectsALogThatDoesNotContinueTheSnapshot) {
   {
     auto wal = WriteAheadLog::Open(f.wal_dir());
     ASSERT_TRUE(wal.ok());
-    // An add far past the snapshot's size: a gid gap means this log belongs
-    // to a different (newer) snapshot lineage — applying it would fabricate
-    // state, so Replay must refuse rather than guess.
+    // A remove of a gid past the snapshot's size: the snapshot never held
+    // it, so this log belongs to a different (newer) snapshot lineage —
+    // applying it would fabricate state, so Replay must refuse rather than
+    // guess.
     WalRecord rec;
-    rec.op = WalRecord::Op::kAdd;
+    rec.op = WalRecord::Op::kRemove;
     rec.epoch = 1;
     rec.gid = f.fx.db.size() + 5;
-    rec.graph_text = FormatGraph(f.pool.at(0), rec.gid);
     std::vector<WalRecord> batch = {rec};
     ASSERT_TRUE(wal.value().Append(batch).ok());
   }
@@ -336,10 +336,10 @@ TEST(DurabilityTest, GroupCommitCoalescesConcurrentWriters) {
 }
 
 // A replica serving a shard subset sees only the cluster writes routed to
-// its shards, so its log legitimately skips foreign gids. Shard-stamped
-// (v2) records let Replay bridge those gaps — missing ids materialize as
-// absent slots and the logged graph lands in exactly its logged shard —
-// where a shard-less record over the same gap must still be refused.
+// its shards, so its log legitimately skips foreign gids. Every logged add
+// carries its shard, which lets Replay bridge those gaps — missing ids
+// materialize as absent slots and the logged graph lands in exactly its
+// logged shard.
 TEST(DurabilityTest, ShardStampedReplayBridgesForeignGidGaps) {
   DurabilityFixture f("shard_gap");
   ASSERT_FALSE(::testing::Test::HasFatalFailure());

@@ -1,22 +1,16 @@
-// Serde format versioning: the incremental-update PR bumped the fragment
-// index format to v2 (trailing tombstone section) and the shard manifest to
-// v2 (explicit routing table); the compaction PR bumped both to v3 (index:
-// compaction epoch + live count trailer; manifest: epoch, -1-aware routing,
-// explicit local ids, per-shard live counts); the serving PR bumped the
-// manifest to v4 (trailing auto-compaction policy); the index went to v4
-// with a trailing superimposed-sketch section, and back to the v3 layout as
-// v5 when that prefilter was removed (v4 files load by validating and
-// discarding the section). Old fixtures must still load
-// — including v2 files carrying tombstones, which must then compact
-// correctly — files from the future must fail with a clear Status instead
-// of garbage, and a manifest that disagrees with the files on disk (or is
-// truncated mid-section) must come back as InvalidArgument — never a crash
-// or DCHECK. A legacy single-file index (what `pis_cli build` wrote before
-// every index became a manifest directory) loads through LoadDir as one
-// shard and filters exactly as the single-index engine did. A class saved
-// by the retired VP-tree backend (tag 2, a flat item list) loads by
-// conversion: its items are checked and re-inserted into the backend the
-// spec's distance type picks, and a malformed item is a ParseError.
+// Serde format versioning. Each loader reads exactly the version this
+// build writes: fragment index v5 (header, classes, then the tombstone
+// list, the compaction epoch and the live count), shard manifest v4
+// (epoch, -1-aware routing, explicit local ids, per-shard live counts and
+// the auto-compaction policy) and, in wal_test.cc, WAL v2. Every other
+// version is refused with a ParseError that names the version it found,
+// the version this build reads and, for an older one, the last commit
+// that reads it — never garbage or a crash. So are the layouts no build
+// writes any more: a set backend-override flag, a VP-tree class (tag 2)
+// and a single-file index passed to LoadDir. A manifest that disagrees
+// with the files on disk (or is truncated mid-section) is
+// InvalidArgument. A single index file, loaded as one shard through
+// FromFragmentIndex, filters exactly as the single-index engine did.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,20 +18,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine_test_util.h"
 #include "index/fragment_index.h"
-#include "index/rtree.h"
 #include "index/sharded_index.h"
-#include "index/trie_index.h"
 #include "util/serde.h"
 
 namespace pis {
@@ -54,90 +43,40 @@ void PatchU32(std::string* bytes, size_t offset, uint32_t value) {
   std::memcpy(bytes->data() + offset, &value, 4);
 }
 
-// Every older index version is a strict prefix of the current one, with
-// only the version word rewound — Save() keeps the newer sections trailing
-// exactly so these fixtures stay constructible. A v3 file is a v5 file
-// with the version word rewound (v5 is the v3 layout); a v2 file
-// additionally drops the 8-byte epoch+live trailer; a v1 file additionally
-// drops the 8-byte empty tombstone section. If this breaks after a format
-// change, keep the new section trailing or bump the version with its own
-// compat fixture. v4 is the one exception: it is a v5 file plus a trailing
-// sketch section (MakeV4IndexBytes).
-
-std::string MakeV3IndexBytes(const FragmentIndex& index) {
+std::string SaveBytes(const FragmentIndex& index) {
   std::stringstream out;
   EXPECT_TRUE(index.Save(out).ok());
-  std::string bytes = out.str();
-  PatchU32(&bytes, 4, 3);
-  return bytes;
+  return out.str();
 }
 
-// A v4 file: a v5 Save() with the version word rewound to 4 and a
-// well-formed sketch section appended — bits (I32), hashes (I32), word
-// count (U64), then `graphs` blocks of bits / 64 code words. The loader
-// validates and discards the section, so the word values are arbitrary.
-std::string MakeV4IndexBytes(const FragmentIndex& index, int graphs) {
-  constexpr int kSketchBits = 256;
-  std::stringstream out;
-  EXPECT_TRUE(index.Save(out).ok());
-  BinaryWriter writer(out);
-  writer.I32(kSketchBits);
-  writer.I32(4);
-  const uint64_t words = static_cast<uint64_t>(graphs) * (kSketchBits / 64);
-  writer.U64(words);
-  for (uint64_t i = 0; i < words; ++i) {
-    writer.U64(0x9e3779b97f4a7c15ULL * (i + 1));
-  }
-  EXPECT_TRUE(writer.ok());
-  std::string bytes = out.str();
-  PatchU32(&bytes, 4, 4);
-  return bytes;
+// Expects a refusal of `format` version `found` when this build reads only
+// `current`: the message names both, and an older version also names the
+// last commit that reads it.
+void ExpectVersionRefused(const Status& status, StatusCode code,
+                          const std::string& format, uint32_t found,
+                          uint32_t current) {
+  EXPECT_EQ(status.code(), code) << status.ToString();
+  const std::string& msg = status.message();
+  EXPECT_NE(msg.find(format + " version " + std::to_string(found)),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("reads only version " + std::to_string(current)),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(msg.find(kLastRetiredFormatReader) != std::string::npos,
+            found >= 1 && found < current)
+      << msg;
 }
 
-std::string MakeV2IndexBytes(const FragmentIndex& index) {
-  EXPECT_EQ(index.compaction_epoch(), 0u);
-  std::string bytes = MakeV3IndexBytes(index);
-  EXPECT_GE(bytes.size(), 16u);
-  bytes.resize(bytes.size() - 8);
-  PatchU32(&bytes, 4, 2);
-  return bytes;
-}
-
-std::string MakeV1IndexBytes(const FragmentIndex& index) {
-  EXPECT_TRUE(index.tombstones().empty());
-  std::string bytes = MakeV2IndexBytes(index);
-  bytes.resize(bytes.size() - 8);
-  PatchU32(&bytes, 4, 1);
-  return bytes;
-}
-
-TEST(FormatCompatTest, FragmentIndexV1FixtureLoads) {
-  EngineFixture fx(12, 77);
-  ASSERT_TRUE(fx.index.ok());
-  std::stringstream in(MakeV1IndexBytes(fx.index.value().shard(0)));
-  auto loaded = FragmentIndex::Load(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().db_size(), fx.index.value().db_size());
-  EXPECT_EQ(loaded.value().num_classes(), fx.index.value().num_classes());
-  EXPECT_EQ(loaded.value().num_live(), loaded.value().db_size());
-  EXPECT_TRUE(loaded.value().tombstones().empty());
-
-  // The reloaded v1 index answers queries identically to the original.
-  ExpectSameAnswers(fx.db, fx.index.value(),
-                    ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue()),
-                    SampleQueries(fx.db, 3, 6, 19));
-}
-
-// A v2 file that carries tombstones (written before the v3 trailer
-// existed) must load with its dead set intact — and then compact exactly
-// like a natively written index: ids re-densified, postings dropped, and
+// A file with tombstones loads with its dead set intact — and then compacts
+// exactly like the in-memory index: ids re-densified, postings dropped, and
 // answers identical to a from-scratch build over the survivors.
-TEST(FormatCompatTest, FragmentIndexV2WithTombstonesLoadsAndCompacts) {
+TEST(FormatCompatTest, FragmentIndexWithTombstonesLoadsAndCompacts) {
   EngineFixture fx(12, 21);
   ASSERT_TRUE(fx.index.ok());
   const std::vector<int> dead = {1, 4, 9};
   for (int gid : dead) ASSERT_TRUE(fx.index.value().RemoveGraph(gid).ok());
-  std::stringstream in(MakeV2IndexBytes(fx.index.value().shard(0)));
+  std::stringstream in(SaveBytes(fx.index.value().shard(0)));
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().compaction_epoch(), 0u);
@@ -150,12 +89,10 @@ TEST(FormatCompatTest, FragmentIndexV2WithTombstonesLoadsAndCompacts) {
   EXPECT_TRUE(loaded.value().tombstones().empty());
 
   GraphDatabase live_db;
-  std::vector<int> live_ids;
   for (int gid = 0; gid < fx.db.size(); ++gid) {
     if (remap[gid] < 0) continue;
     ASSERT_EQ(remap[gid], live_db.size());
     live_db.Add(fx.db.at(gid));
-    live_ids.push_back(gid);
   }
   auto rebuilt = ShardedFragmentIndex::Build(live_db, fx.features,
                                              fx.index.value().options(), 1);
@@ -165,7 +102,8 @@ TEST(FormatCompatTest, FragmentIndexV2WithTombstonesLoadsAndCompacts) {
                     SampleQueries(fx.db, 3, 6, 23));
 }
 
-// v3 round trip: tombstones AND the compaction trailer survive Save/Load.
+// Tombstones AND the compaction trailer (the sections v3 added; v5 is that
+// layout) survive Save/Load.
 TEST(FormatCompatTest, FragmentIndexV3RoundTripsEpochAndTombstones) {
   EngineFixture fx(10, 31);
   ASSERT_TRUE(fx.index.ok());
@@ -185,12 +123,13 @@ TEST(FormatCompatTest, FragmentIndexV3RoundTripsEpochAndTombstones) {
   EXPECT_EQ(loaded.value().tombstones().count(5), 1u);
 }
 
-// A v3 trailer whose live count disagrees with the tombstone section is
-// corruption, not a silently wrong selectivity denominator.
+// A trailer (the one v3 introduced) whose live count disagrees with the
+// tombstone section is corruption, not a silently wrong selectivity
+// denominator.
 TEST(FormatCompatTest, FragmentIndexV3BadLiveCountRejected) {
   EngineFixture fx(8, 41);
   ASSERT_TRUE(fx.index.ok());
-  std::string bytes = MakeV3IndexBytes(fx.index.value().shard(0));
+  std::string bytes = SaveBytes(fx.index.value().shard(0));
   PatchU32(&bytes, bytes.size() - 4, 3);  // claim 3 live of 8, all live
   std::stringstream in(bytes);
   auto loaded = FragmentIndex::Load(in);
@@ -199,78 +138,22 @@ TEST(FormatCompatTest, FragmentIndexV3BadLiveCountRejected) {
   EXPECT_NE(loaded.status().message().find("live count"), std::string::npos);
 }
 
-// A v4 file loads by skipping its sketch section: the result is the v5
-// index exactly — it resaves byte-identically to the v5 Save() and answers
-// every query with the same answers and candidates.
-TEST(FormatCompatTest, FragmentIndexV4FixtureLoadsAndAnswersLikeV5) {
-  EngineFixture fx(12, 53);
-  ASSERT_TRUE(fx.index.ok());
-  ASSERT_TRUE(fx.index.value().RemoveGraph(7).ok());
-  const FragmentIndex& index = fx.index.value().shard(0);
-  std::stringstream v5;
-  ASSERT_TRUE(index.Save(v5).ok());
-  std::stringstream in(MakeV4IndexBytes(index, index.db_size()));
-  auto loaded = FragmentIndex::Load(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().db_size(), index.db_size());
-  EXPECT_EQ(loaded.value().num_live(), index.num_live());
-  std::stringstream resaved;
-  ASSERT_TRUE(loaded.value().Save(resaved).ok());
-  EXPECT_EQ(resaved.str(), v5.str());
-
-  ExpectSameAnswers(fx.db, fx.index.value(),
-                    ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue()),
-                    SampleQueries(fx.db, 3, 6, 29));
-}
-
 // v5 round trip: Save -> Load -> Save must be byte-identical.
 TEST(FormatCompatTest, FragmentIndexV5SaveLoadSaveIsByteIdentical) {
   EngineFixture fx(10, 59);
   ASSERT_TRUE(fx.index.ok());
   ASSERT_TRUE(fx.index.value().RemoveGraph(3).ok());
-  std::stringstream first;
-  ASSERT_TRUE(fx.index.value().shard(0).Save(first).ok());
-  std::stringstream in(first.str());
+  const std::string first = SaveBytes(fx.index.value().shard(0));
+  std::stringstream in(first);
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::stringstream second;
-  ASSERT_TRUE(loaded.value().Save(second).ok());
-  EXPECT_EQ(first.str(), second.str());
-}
-
-// A file that declares v4 promised a sketch section. One cut off inside
-// that section, or whose word count covers the wrong number of graphs,
-// parsed far enough to know what it promised: InvalidArgument naming the
-// sketch, never a crash or a silent load.
-TEST(FormatCompatTest, TruncatedV4SketchSectionIsInvalidArgument) {
-  EngineFixture fx(8, 67);
-  ASSERT_TRUE(fx.index.ok());
-  const FragmentIndex& index = fx.index.value().shard(0);
-  const std::string v4 = MakeV4IndexBytes(index, index.db_size());
-  std::stringstream v5;
-  ASSERT_TRUE(index.Save(v5).ok());
-  std::vector<std::string> inputs;
-  inputs.push_back(v4.substr(0, v4.size() - 8));  // lose the last code word
-  inputs.push_back(v4.substr(0, v5.str().size() + 6));  // cut in the header
-  inputs.push_back(MakeV4IndexBytes(index, index.db_size() - 1));
-  inputs.push_back(MakeV4IndexBytes(index, index.db_size() + 1));
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    std::stringstream in(inputs[i]);
-    auto loaded = FragmentIndex::Load(in);
-    ASSERT_FALSE(loaded.ok()) << "input " << i;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << "input " << i;
-    EXPECT_NE(loaded.status().message().find("sketch"), std::string::npos)
-        << "input " << i;
-  }
+  EXPECT_EQ(SaveBytes(loaded.value()), first);
 }
 
 TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   EngineFixture fx(6, 3);
   ASSERT_TRUE(fx.index.ok());
-  std::stringstream out;
-  ASSERT_TRUE(fx.index.value().shard(0).Save(out).ok());
-  std::string bytes = out.str();
+  std::string bytes = SaveBytes(fx.index.value().shard(0));
   PatchU32(&bytes, 4, 6);
   std::stringstream in(bytes);
   auto loaded = FragmentIndex::Load(in);
@@ -279,11 +162,60 @@ TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
 
-// ---- Legacy VP-tree classes -----------------------------------------
+// Every version word but 5 — 0, each version older builds wrote, and the
+// next one — is refused before anything after it is read.
+TEST(FormatCompatTest, EveryOtherIndexVersionIsRefused) {
+  EngineFixture fx(6, 3);
+  ASSERT_TRUE(fx.index.ok());
+  const std::string saved = SaveBytes(fx.index.value().shard(0));
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = saved;
+    PatchU32(&bytes, 4, version);
+    std::stringstream in(bytes);
+    auto loaded = FragmentIndex::Load(in);
+    ASSERT_FALSE(loaded.ok());
+    ExpectVersionRefused(loaded.status(), StatusCode::kParseError, "index",
+                         version, 5);
+  }
+}
+
+// An index as a build with the VP-tree backend selected wrote it: the
+// header's override flag set and followed by that backend's tag (2). The
+// flag sits after the magic, the version, the two fragment-size bounds and
+// the serialized distance spec.
+TEST(FormatCompatTest, SetBackendOverrideFlagIsRefused) {
+  EngineFixture fx(8, 71);
+  ASSERT_TRUE(fx.index.ok());
+  const FragmentIndex& index = fx.index.value().shard(0);
+  std::stringstream spec;
+  BinaryWriter writer(spec);
+  writer.U8(0);  // distance type
+  index.options().spec.vertex_scores.Serialize(&writer);
+  index.options().spec.edge_scores.Serialize(&writer);
+  writer.U8(0);  // use_vertex_weights
+  writer.U8(0);  // use_edge_weights
+  ASSERT_TRUE(writer.ok());
+  const size_t flag_at = 16 + spec.str().size();
+  std::string bytes = SaveBytes(index);
+  ASSERT_EQ(bytes[flag_at], '\0');
+  bytes[flag_at] = 1;
+  bytes.insert(flag_at + 1, 1, '\2');
+  std::stringstream in(bytes);
+  auto loaded = FragmentIndex::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("override"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find(kLastRetiredFormatReader),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+// ---- Class backend tags ----------------------------------------------
 
 constexpr uint8_t kTrieTag = 0;  // class backend tags, as class_index.cc
 constexpr uint8_t kRTreeTag = 1;
-constexpr uint8_t kLegacyVpTag = 2;
+constexpr uint8_t kVpTreeTag = 2;  // the retired VP-tree backend
 
 // A v5 Save() cut into its header, its classes' bytes and its trailer (the
 // tombstone list, the compaction epoch and the live count). Each class is
@@ -293,12 +225,16 @@ struct SavedParts {
   std::string header;
   std::vector<std::string> classes;
   std::string tail;
+
+  std::string Join() const {
+    std::string bytes = header;
+    for (const std::string& cls : classes) bytes += cls;
+    return bytes + tail;
+  }
 };
 
 SavedParts SplitSave(const FragmentIndex& index) {
-  std::stringstream full;
-  EXPECT_TRUE(index.Save(full).ok());
-  const std::string bytes = full.str();
+  const std::string bytes = SaveBytes(index);
   SavedParts parts;
   std::string joined;
   for (int c = 0; c < index.num_classes(); ++c) {
@@ -324,273 +260,19 @@ size_t TagOffset(const std::string& class_bytes) {
   return 8 + key_size + 4 + 4;
 }
 
-// One item of a VP-tree class's list: the fragment's label sequence, its
-// weight vector and its graph id, as that backend buffered each Insert.
-struct LegacyItem {
-  std::vector<Label> labels;
-  std::vector<double> weights;
-  int graph_id;
-};
-using ItemEdit = std::function<void(std::vector<LegacyItem>*)>;
-
-// Rewrites one serialized trie or R-tree class as the retired VP-tree
-// backend wrote it: tag 2, the fragment count, the containment list, then
-// the item count and the items. Trie items are its stored sequences, one
-// per posting, with empty weights (a mutation spec built none); R-tree
-// items are its points. The R-tree keeps no label sequences, so its items
-// carry zero labels of the class's sequence length. `edit`, if set, changes
-// the items after the fragment count is taken from them.
-std::string ToLegacyVpClass(const std::string& class_bytes,
-                            const DistanceSpec& spec, const ItemEdit& edit) {
-  std::stringstream in(class_bytes);
-  BinaryReader reader(in);
-  const std::string key = reader.Str();
-  const int32_t nv = reader.I32();
-  const int32_t ne = reader.I32();
-  const uint8_t tag = reader.U8();
-  reader.U64();  // the item list below defines the fragment count
-  const std::vector<int> containing = reader.VecInt();
-  std::vector<LegacyItem> items;
-  if (tag == kTrieTag) {
-    auto trie = LabelTrie::Deserialize(&reader);
-    EXPECT_TRUE(trie.ok());
-    trie.value().ForEachSequence(
-        [&](const std::vector<Label>& seq, const std::vector<int>& postings) {
-          for (int gid : postings) items.push_back({seq, {}, gid});
-        });
-  } else {
-    auto rtree = RTree::Deserialize(&reader);
-    EXPECT_TRUE(rtree.ok());
-    const int length = (spec.vertex_scores.IsZero() ? 0 : nv) + ne;
-    rtree.value().ForEachPoint([&](const std::vector<double>& point, int gid) {
-      items.push_back({std::vector<Label>(length, 0), point, gid});
-    });
-  }
-  EXPECT_TRUE(reader.ok());
-  const uint64_t num_fragments = items.size();
-  if (edit) edit(&items);
-
-  std::stringstream out;
-  BinaryWriter writer(out);
-  writer.Str(key);
-  writer.I32(nv);
-  writer.I32(ne);
-  writer.U8(kLegacyVpTag);
-  writer.U64(num_fragments);
-  writer.VecInt(containing);
-  writer.U64(items.size());
-  for (const LegacyItem& item : items) {
-    writer.VecI32(item.labels);
-    writer.VecF64(item.weights);
-    writer.I32(item.graph_id);
-  }
-  EXPECT_TRUE(writer.ok());
-  return out.str();
+// The first class of `index`'s saved bytes retagged as `tag`, loaded.
+Result<FragmentIndex> LoadWithFirstClassTag(const FragmentIndex& index,
+                                            uint8_t tag) {
+  SavedParts parts = SplitSave(index);
+  EXPECT_FALSE(parts.classes.empty());
+  std::string& first = parts.classes.front();
+  first[TagOffset(first)] = static_cast<char>(tag);
+  std::stringstream in(parts.Join());
+  return FragmentIndex::Load(in);
 }
 
-// A v5 file as an older build wrote it with the VP-tree backend selected:
-// the header's override flag set and followed by tag 2, and every class in
-// the VP layout. The header ends with the flag, the db size (I32), four
-// build counters (U64 each), the signature list (a U64 count, then one U64
-// per distinct signature of the features Build registered) and the class
-// count (U64). `edit` changes the items of the first non-empty class.
-std::string MakeLegacyVpIndexBytes(const FragmentIndex& index,
-                                   const std::vector<Graph>& features,
-                                   const ItemEdit& edit = nullptr) {
-  std::set<uint64_t> signatures;
-  for (const Graph& f : features) {
-    if (f.NumEdges() >= index.options().min_fragment_edges &&
-        f.NumEdges() <= index.options().max_fragment_edges) {
-      signatures.insert(StructureSignature(f));
-    }
-  }
-  const SavedParts parts = SplitSave(index);
-  std::string bytes = parts.header;
-  const size_t signature_count_at = bytes.size() - 8 - 8 * signatures.size() - 8;
-  uint64_t signature_count = 0;
-  std::memcpy(&signature_count, bytes.data() + signature_count_at, 8);
-  EXPECT_EQ(signature_count, signatures.size());
-  const size_t flag_at = signature_count_at - 32 - 4 - 1;
-  EXPECT_EQ(bytes[flag_at], '\0');
-  bytes[flag_at] = 1;
-  bytes.insert(flag_at + 1, 1, static_cast<char>(kLegacyVpTag));
-
-  bool edited = false;
-  for (const std::string& cls : parts.classes) {
-    ItemEdit once;
-    if (edit && !edited) {
-      once = [&](std::vector<LegacyItem>* items) {
-        if (items->empty()) return;
-        edit(items);
-        edited = true;
-      };
-    }
-    bytes += ToLegacyVpClass(cls, index.options().spec, once);
-  }
-  EXPECT_EQ(edited, edit != nullptr);
-  return bytes + parts.tail;
-}
-
-// Backend tag of every class in a saved index.
-std::vector<uint8_t> ClassTags(const FragmentIndex& index) {
-  std::vector<uint8_t> tags;
-  for (const std::string& cls : SplitSave(index).classes) {
-    tags.push_back(static_cast<uint8_t>(cls[TagOffset(cls)]));
-  }
-  return tags;
-}
-
-class LegacyVpClassTest : public ::testing::TestWithParam<bool> {
- protected:
-  // 24 molecules indexed under every skeleton frequent in 3 of them, so
-  // classes of 1 to 4 edges carry items, over the edge mutation distance
-  // (trie) or the edge linear distance (R-tree). Graph 4 is removed, so the
-  // items include a tombstoned graph's postings.
-  void SetUp() override {
-    MoleculeGeneratorOptions gopt;
-    gopt.seed = 77;
-    gopt.mean_vertices = 16;
-    gopt.max_vertices = 60;
-    db_ = MoleculeGenerator(gopt).Generate(24);
-    GraphDatabase skeletons;
-    for (const Graph& g : db_.graphs()) skeletons.Add(g.Skeleton());
-    GspanOptions mine;
-    mine.min_support = 3;
-    mine.max_edges = 4;
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
-    ASSERT_TRUE(patterns.ok());
-    for (const Pattern& p : patterns.value()) features_.push_back(p.graph);
-    FragmentIndexOptions options;
-    options.max_fragment_edges = 4;
-    options.spec = GetParam() ? DistanceSpec::EdgeLinear()
-                              : DistanceSpec::EdgeMutation();
-    auto built = FragmentIndex::Build(db_, features_, options);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    ASSERT_TRUE(built.value().RemoveGraph(4).ok());
-    sharded_ = ShardedFragmentIndex::FromFragmentIndex(built.MoveValue());
-    native_tag_ = GetParam() ? kRTreeTag : kTrieTag;
-  }
-  const FragmentIndex& index() const { return sharded_.value().shard(0); }
-
-  GraphDatabase db_;
-  std::vector<Graph> features_;
-  Result<ShardedFragmentIndex> sharded_ = Status::Internal("unbuilt");
-  uint8_t native_tag_ = 0;
-};
-
-// The converted index answers with the default-built index's answers and
-// candidates, resaves with the native backend tags, and is byte-stable
-// through a second save -> load -> save.
-TEST_P(LegacyVpClassTest, LoadsAndAnswersLikeTheDefaultBackend) {
-  std::stringstream in(MakeLegacyVpIndexBytes(index(), features_));
-  auto loaded = FragmentIndex::Load(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().db_size(), index().db_size());
-  EXPECT_EQ(loaded.value().num_live(), index().num_live());
-  ASSERT_EQ(loaded.value().num_classes(), index().num_classes());
-  for (int c = 0; c < index().num_classes(); ++c) {
-    EXPECT_EQ(loaded.value().class_at(c).containing_graphs(),
-              index().class_at(c).containing_graphs());
-  }
-  EXPECT_EQ(ClassTags(loaded.value()),
-            std::vector<uint8_t>(index().num_classes(), native_tag_));
-
-  std::stringstream first;
-  ASSERT_TRUE(loaded.value().Save(first).ok());
-  std::stringstream first_in(first.str());
-  auto reloaded = FragmentIndex::Load(first_in);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  std::stringstream second;
-  ASSERT_TRUE(reloaded.value().Save(second).ok());
-  EXPECT_EQ(first.str(), second.str());
-
-  // Every indexed query fragment's range query returns the same per-graph
-  // minimum distances from both backends.
-  const double sigma = GetParam() ? 0.2 : 1.0;
-  auto min_distances = [sigma](const FragmentIndex& idx, const Graph& f) {
-    std::map<int, double> out;
-    EXPECT_TRUE(idx.RangeQuery(f, sigma, [&](int gid, double d) {
-                     auto [it, fresh] = out.emplace(gid, d);
-                     if (!fresh) it->second = std::min(it->second, d);
-                   }).ok());
-    return out;
-  };
-  size_t hits = 0;
-  for (int edges = 1; edges <= 4; ++edges) {
-    for (const Graph& f : SampleQueries(db_, 6, edges, 90 + edges)) {
-      if (!index().HasClass(f)) continue;
-      const std::map<int, double> want = min_distances(index(), f);
-      EXPECT_EQ(min_distances(loaded.value(), f), want);
-      hits += want.size();
-    }
-  }
-  EXPECT_GT(hits, 0u);
-
-  // And the engine filters and verifies identically over both.
-  PisOptions options;
-  options.sigma = sigma;
-  const ShardedFragmentIndex converted =
-      ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue());
-  PisEngine want(&db_, &sharded_.value(), options);
-  PisEngine got(&db_, &converted, options);
-  for (const Graph& q : SampleQueries(db_, 4, 9, 17)) {
-    auto a = want.Search(q);
-    auto b = got.Search(q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().answers, b.value().answers);
-    EXPECT_EQ(a.value().candidates, b.value().candidates);
-    pis::testing::ExpectSameCounters(a.value().stats, b.value().stats);
-  }
-}
-
-// Items whose vectors do not fit the class, or whose count disagrees with
-// the stored fragment count, are rejected before they reach a backend.
-TEST_P(LegacyVpClassTest, MalformedItemsAreParseErrors) {
-  const bool linear = GetParam();
-  struct Case {
-    const char* name;
-    ItemEdit edit;
-    const char* message;
-  };
-  std::vector<Case> cases = {
-      {"truncated labels",
-       [](std::vector<LegacyItem>* items) { items->front().labels.pop_back(); },
-       "item length"},
-      {"dropped item",
-       [](std::vector<LegacyItem>* items) { items->pop_back(); },
-       "item count"},
-  };
-  if (linear) {
-    cases.push_back({"long weights",
-                     [](std::vector<LegacyItem>* items) {
-                       items->front().weights.push_back(1.0);
-                     },
-                     "item length"});
-    cases.push_back({"short weights",
-                     [](std::vector<LegacyItem>* items) {
-                       items->front().weights.pop_back();
-                     },
-                     "item length"});
-  }
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    std::stringstream in(MakeLegacyVpIndexBytes(index(), features_, c.edit));
-    auto loaded = FragmentIndex::Load(in);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-    EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
-        << loaded.status().ToString();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, LegacyVpClassTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "EdgeLinear" : "EdgeMutation";
-                         });
-
-// Only the spec's own backend and the legacy list load: a trie class in a
-// linear-distance file, or an R-tree class in a mutation-distance file, is
-// a ParseError.
+// Only the spec's own backend loads: a trie class in a linear-distance
+// file, or an R-tree class in a mutation-distance file, is a ParseError.
 TEST(FormatCompatTest, ClassTagForTheOtherDistanceIsParseError) {
   for (bool linear : {false, true}) {
     SCOPED_TRACE(linear ? "linear file, trie tag" : "mutation file, rtree tag");
@@ -598,17 +280,32 @@ TEST(FormatCompatTest, ClassTagForTheOtherDistanceIsParseError) {
                      linear ? DistanceSpec::EdgeLinear()
                             : DistanceSpec::EdgeMutation());
     ASSERT_TRUE(fx.index.ok());
-    SavedParts parts = SplitSave(fx.index.value().shard(0));
-    ASSERT_FALSE(parts.classes.empty());
-    std::string& first = parts.classes.front();
-    first[TagOffset(first)] = static_cast<char>(linear ? kTrieTag : kRTreeTag);
-    std::string bytes = parts.header;
-    for (const std::string& cls : parts.classes) bytes += cls;
-    std::stringstream in(bytes + parts.tail);
-    auto loaded = FragmentIndex::Load(in);
+    auto loaded = LoadWithFirstClassTag(fx.index.value().shard(0),
+                                        linear ? kTrieTag : kRTreeTag);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
     EXPECT_NE(loaded.status().message().find("backend tag"), std::string::npos);
+  }
+}
+
+// A class of the retired VP-tree backend in a v5 file is refused under
+// either distance type, and the message names the last commit that reads
+// one.
+TEST(FormatCompatTest, VpTreeClassIsRefused) {
+  for (bool linear : {false, true}) {
+    SCOPED_TRACE(linear ? "linear file" : "mutation file");
+    EngineFixture fx(8, 71, 4,
+                     linear ? DistanceSpec::EdgeLinear()
+                            : DistanceSpec::EdgeMutation());
+    ASSERT_TRUE(fx.index.ok());
+    auto loaded = LoadWithFirstClassTag(fx.index.value().shard(0), kVpTreeTag);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("backend tag 2"),
+              std::string::npos);
+    EXPECT_NE(loaded.status().message().find(kLastRetiredFormatReader),
+              std::string::npos)
+        << loaded.status().ToString();
   }
 }
 
@@ -622,9 +319,7 @@ TEST(FormatCompatTest, OversizedClassHeaderIsParseError) {
   std::string& first = parts.classes.front();
   const int32_t huge = std::numeric_limits<int32_t>::max();
   std::memcpy(first.data() + TagOffset(first) - 8, &huge, 4);  // vertices
-  std::string bytes = parts.header;
-  for (const std::string& cls : parts.classes) bytes += cls;
-  std::stringstream in(bytes + parts.tail);
+  std::stringstream in(parts.Join());
   auto loaded = FragmentIndex::Load(in);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
@@ -632,7 +327,7 @@ TEST(FormatCompatTest, OversizedClassHeaderIsParseError) {
             std::string::npos);
 }
 
-// ---- Legacy single-file indexes --------------------------------------
+// ---- Single index files ----------------------------------------------
 
 std::string ReadBytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -642,8 +337,10 @@ std::string ReadBytes(const std::filesystem::path& path) {
 }
 
 // EngineFixture(24, 77) with graph 5 removed, saved by
-// FragmentIndex::SaveFile: the single file `pis_cli build` wrote before
-// indexes became manifest directories.
+// FragmentIndex::SaveFile: the bytes of a one-shard directory's shard file,
+// and the single file `pis_cli build` wrote before indexes became manifest
+// directories. It loads through FromFragmentIndex(LoadFile(...)); LoadDir
+// refuses it.
 class LegacyIndexFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -659,13 +356,17 @@ class LegacyIndexFileTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(root_); }
   std::string legacy() const { return (root_ / "index.bin").string(); }
+  Result<ShardedFragmentIndex> LoadAsOneShard() const {
+    PIS_ASSIGN_OR_RETURN(FragmentIndex index, FragmentIndex::LoadFile(legacy()));
+    return ShardedFragmentIndex::FromFragmentIndex(std::move(index));
+  }
 
   EngineFixture fx_{24, 77};
   std::filesystem::path root_;
 };
 
 TEST_F(LegacyIndexFileTest, LoadsAsOneShardWithIdentityRouting) {
-  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  auto loaded = LoadAsOneShard();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().num_shards(), 1);
   EXPECT_EQ(loaded.value().num_live(), 23);
@@ -679,7 +380,7 @@ TEST_F(LegacyIndexFileTest, LoadsAsOneShardWithIdentityRouting) {
 
 // The candidates, answers, and QueryStats counters below were recorded from
 // the single-index engine (one FragmentIndex, no shards) over this fixture:
-// the legacy file must filter exactly as it did through Filter and Search
+// the file must filter exactly as it did through Filter and Search
 // alike. range_queries is one per fragment plus one per partition fragment.
 // That engine's filter ended at the partition bound, so its lists and
 // counts are the Yp reference (candidates_after_partition); the certified
@@ -729,7 +430,7 @@ TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
        {1, 3, 6, 7, 9, 10, 11, 13, 15, 16, 18, 19, 22},
        stats(0, 0, 0, 23, 14)},
   };
-  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  auto loaded = LoadAsOneShard();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   PisOptions options;
   options.sigma = 2.0;
@@ -757,25 +458,38 @@ TEST_F(LegacyIndexFileTest, FiltersExactlyAsTheSingleIndexEngineDid) {
   }
 }
 
-// SaveDir of a loaded legacy index writes a one-shard directory whose shard
-// file is the legacy file byte for byte; SaveDir -> LoadDir -> SaveDir is
-// byte-stable; saving over the legacy file itself swaps a directory in.
+// SaveDir of the wrapped file writes a one-shard directory whose shard
+// file is the single file byte for byte, and SaveDir -> LoadDir -> SaveDir
+// is byte-stable. Saving over the file itself fails and leaves it as it
+// was.
 TEST_F(LegacyIndexFileTest, SaveDirRoundTripIsByteStable) {
-  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  auto loaded = LoadAsOneShard();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::filesystem::path first = root_ / "first";
   const std::filesystem::path second = root_ / "second";
   ASSERT_TRUE(loaded.value().SaveDir(first.string()).ok());
-  EXPECT_EQ(ReadBytes(first / "shard_0000.idx"), ReadBytes(legacy()));
+  const std::string file_bytes = ReadBytes(legacy());
+  EXPECT_EQ(ReadBytes(first / "shard_0000.idx"), file_bytes);
   auto reloaded = ShardedFragmentIndex::LoadDir(first.string());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ASSERT_TRUE(reloaded.value().SaveDir(second.string()).ok());
   for (const char* file : {"MANIFEST", "shard_0000.idx"}) {
     EXPECT_EQ(ReadBytes(first / file), ReadBytes(second / file)) << file;
   }
-  ASSERT_TRUE(loaded.value().SaveDir(legacy()).ok());
-  EXPECT_EQ(ReadBytes(std::filesystem::path(legacy()) / "MANIFEST"),
-            ReadBytes(first / "MANIFEST"));
+  EXPECT_FALSE(loaded.value().SaveDir(legacy()).ok());
+  EXPECT_EQ(ReadBytes(legacy()), file_bytes);
+}
+
+// LoadDir reads directories only: a single-file index is a ParseError that
+// names the manifest version this build reads and the last commit that
+// reads such a file.
+TEST_F(LegacyIndexFileTest, LoadDirRefusesASingleFile) {
+  auto loaded = ShardedFragmentIndex::LoadDir(legacy());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  const std::string& msg = loaded.status().message();
+  EXPECT_NE(msg.find("manifest version 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(kLastRetiredFormatReader), std::string::npos) << msg;
 }
 
 class ManifestCompatTest : public ::testing::Test {
@@ -805,15 +519,35 @@ class ManifestCompatTest : public ::testing::Test {
     return std::filesystem::path(dir_) / "MANIFEST";
   }
 
-  void WriteManifest(uint32_t version, uint32_t num_shards,
-                     const std::vector<int>& payload) {
+  // A v4 manifest over `routing` (no compacted-away graphs): epoch 0,
+  // local ids in insertion order, every routed graph live, policy off.
+  void WriteManifest(uint32_t num_shards, const std::vector<int>& routing) {
+    std::vector<int> local_of;
+    std::vector<int> live(num_shards, 0);
+    for (int s : routing) {
+      const bool routable = s >= 0 && s < static_cast<int>(num_shards);
+      local_of.push_back(routable ? live[s]++ : 0);
+    }
     std::ofstream out(ManifestPath(), std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good());
     BinaryWriter writer(out);
     writer.U32(kManifestMagic);
-    writer.U32(version);
+    writer.U32(4);
     writer.U32(num_shards);
-    writer.VecInt(payload);
+    writer.U32(0);
+    writer.VecInt(routing);
+    writer.VecInt(local_of);
+    writer.VecInt(live);
+    writer.F64(0.0);
+    ASSERT_TRUE(writer.ok());
+  }
+
+  void PatchManifestVersion(uint32_t version) {
+    std::fstream patch(ManifestPath(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+    patch.seekp(4);
+    BinaryWriter writer(patch);
+    writer.U32(version);
     ASSERT_TRUE(writer.ok());
   }
 
@@ -822,27 +556,24 @@ class ManifestCompatTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(ManifestCompatTest, V1ContiguousManifestLoads) {
-  // Rewrite the manifest in the v1 layout (contiguous id ranges). The build
-  // assigned contiguous ranges, so the offsets describe the same routing.
-  std::vector<int> offsets = {0};
-  for (int s = 0; s < sharded_->num_shards(); ++s) {
-    offsets.push_back(offsets.back() + sharded_->shard_size(s));
-  }
-  WriteManifest(1, 3, offsets);
-  auto loaded = ShardedFragmentIndex::LoadDir(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().db_size(), sharded_->db_size());
-  for (int gid = 0; gid < sharded_->db_size(); ++gid) {
-    EXPECT_EQ(loaded.value().shard_of(gid), sharded_->shard_of(gid));
-  }
-}
-
 TEST_F(ManifestCompatTest, FutureManifestVersionRejected) {
-  WriteManifest(42, 3, std::vector<int>(15, 0));
+  PatchManifestVersion(42);
   auto loaded = ShardedFragmentIndex::LoadDir(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+}
+
+// Every version word but 4 — 0, each version older builds wrote, and the
+// next one — is refused before anything after it is read.
+TEST_F(ManifestCompatTest, EveryOtherManifestVersionIsRefused) {
+  for (uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    PatchManifestVersion(version);
+    auto loaded = ShardedFragmentIndex::LoadDir(dir_);
+    ASSERT_FALSE(loaded.ok());
+    ExpectVersionRefused(loaded.status(), StatusCode::kParseError, "manifest",
+                         version, 4);
+  }
 }
 
 TEST_F(ManifestCompatTest, MissingShardFileIsInvalidArgument) {
@@ -861,7 +592,7 @@ TEST_F(ManifestCompatTest, SurplusShardFileIsInvalidArgument) {
 TEST_F(ManifestCompatTest, RoutingToNonexistentShardIsInvalidArgument) {
   std::vector<int> routing(15, 0);
   routing[7] = 9;  // only shards 0..2 exist
-  WriteManifest(2, 3, routing);
+  WriteManifest(3, routing);
   auto loaded = ShardedFragmentIndex::LoadDir(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -869,7 +600,7 @@ TEST_F(ManifestCompatTest, RoutingToNonexistentShardIsInvalidArgument) {
 TEST_F(ManifestCompatTest, RoutingDisagreeingWithShardSizesIsInvalidArgument) {
   // Structurally valid routing that sends every graph to shard 0 while the
   // files on disk hold 5 graphs each.
-  WriteManifest(2, 3, std::vector<int>(15, 0));
+  WriteManifest(3, std::vector<int>(15, 0));
   auto loaded = ShardedFragmentIndex::LoadDir(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -928,28 +659,6 @@ TEST_F(ManifestCompatTest, V4ManifestRoundTripsCompactionPolicy) {
 // exactly a v4 manifest with the version word rewound and the trailing
 // ratio cut off — the strict-prefix property every format bump keeps. It
 // must load with the policy off.
-TEST_F(ManifestCompatTest, V3ManifestLoadsWithPolicyOff) {
-  sharded_->set_compact_dead_ratio(0.35);
-  ASSERT_TRUE(sharded_->SaveDir(dir_).ok());
-  std::error_code ec;
-  const auto full = std::filesystem::file_size(ManifestPath(), ec);
-  ASSERT_FALSE(ec);
-  std::filesystem::resize_file(ManifestPath(), full - sizeof(double), ec);
-  ASSERT_FALSE(ec);
-  {
-    std::fstream patch(ManifestPath(),
-                       std::ios::binary | std::ios::in | std::ios::out);
-    patch.seekp(4);
-    BinaryWriter writer(patch);
-    writer.U32(3u);
-    ASSERT_TRUE(writer.ok());
-  }
-  auto loaded = ShardedFragmentIndex::LoadDir(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().compact_dead_ratio(), 0.0);
-  EXPECT_EQ(loaded.value().db_size(), sharded_->db_size());
-}
-
 // A v4 manifest whose policy ratio was cut off parsed far enough to know
 // what it promised: structural disagreement, not garbage.
 TEST_F(ManifestCompatTest, V4ManifestMissingPolicyIsInvalidArgument) {
@@ -1009,14 +718,13 @@ TEST_F(ManifestCompatTest, TruncatedManifestIsParseError) {
   std::ofstream out(ManifestPath(), std::ios::binary | std::ios::trunc);
   BinaryWriter writer(out);
   writer.U32(kManifestMagic);
-  writer.U32(2u);
+  writer.U32(4u);
   out.close();
   auto loaded = ShardedFragmentIndex::LoadDir(dir_);
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(ManifestCompatTest, BadMagicIsParseError) {
-  WriteManifest(2, 3, std::vector<int>(15, 0));
   std::fstream patch(ManifestPath(),
                      std::ios::binary | std::ios::in | std::ios::out);
   patch.write("JUNK", 4);

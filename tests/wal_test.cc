@@ -1,7 +1,8 @@
 // WriteAheadLog file mechanics: append/reopen round trips, torn tails
-// (crash mid-append) silently truncated, corrupt records rejected as
-// InvalidArgument (never a crash, never a silent skip), and checkpoint
-// truncation keeping exactly the records a snapshot does not cover. Replay
+// (crash mid-append) silently truncated, corrupt records, shard-less adds
+// and any version but 2 rejected as InvalidArgument (never a crash, never
+// a silent skip), and checkpoint truncation keeping exactly the records a
+// snapshot does not cover. Replay
 // semantics over a real index live in durability_test.cc — this suite needs
 // no engine build and stays in the `unit` fast lane.
 #include "server/wal.h"
@@ -11,9 +12,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/serde.h"
 #include "util/status.h"
 
 namespace pis {
@@ -31,11 +35,13 @@ std::string LogPath(const std::string& dir) {
   return (std::filesystem::path(dir) / "wal.log").string();
 }
 
+// An add placed in shard 0: every logged add carries a shard stamp.
 WalRecord Add(uint64_t epoch, int gid, const std::string& text) {
   WalRecord rec;
   rec.op = WalRecord::Op::kAdd;
   rec.epoch = epoch;
   rec.gid = gid;
+  rec.shard = 0;
   rec.graph_text = text;
   return rec;
 }
@@ -71,14 +77,16 @@ uint64_t Fnv1a64(const std::string& data) {
   return h;
 }
 
-/// One framed record in the historical v1 payload layout: op, epoch, gid,
-/// graph text — no shard field.
-std::string V1Frame(uint8_t op, uint64_t epoch, int32_t gid,
-                    const std::string& text) {
+/// One framed record: op, epoch, gid, then (v2 only, when `shard` is set)
+/// the shard stamp, then the graph text. Without a shard this is the
+/// pre-cluster v1 payload layout.
+std::string Frame(uint8_t op, uint64_t epoch, int32_t gid,
+                  std::optional<int32_t> shard, const std::string& text) {
   std::string payload;
   payload.push_back(static_cast<char>(op));
   PutU64(&payload, epoch);
   PutU32(&payload, static_cast<uint32_t>(gid));
+  if (shard) PutU32(&payload, static_cast<uint32_t>(*shard));
   PutU64(&payload, text.size());
   payload += text;
   std::string frame;
@@ -87,15 +95,21 @@ std::string V1Frame(uint8_t op, uint64_t epoch, int32_t gid,
   return frame + payload;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 /// Writes a complete version-1 log file (magic + version 1 + records).
 void WriteV1Log(const std::string& dir) {
   std::filesystem::create_directories(dir);
   std::string file;
   PutU32(&file, 0x4C415750);  // 'PWAL'
   PutU32(&file, 1);
-  file += V1Frame(1, 1, 0, "t # 0\nv 0 6\n");
-  file += V1Frame(1, 2, 1, "t # 1\nv 0 8\n");
-  file += V1Frame(2, 3, 0, "");
+  file += Frame(1, 1, 0, std::nullopt, "t # 0\nv 0 6\n");
+  file += Frame(1, 2, 1, std::nullopt, "t # 1\nv 0 8\n");
+  file += Frame(2, 3, 0, std::nullopt, "");
   std::ofstream out(LogPath(dir), std::ios::binary | std::ios::trunc);
   out.write(file.data(), static_cast<std::streamsize>(file.size()));
   ASSERT_TRUE(out.good());
@@ -262,52 +276,83 @@ TEST(WalTest, TruncateThroughKeepsOnlyUncoveredRecords) {
   EXPECT_EQ(reopened.value().recovered()[1].gid, 2);
 }
 
-// Pre-cluster logs carry no shard field; Open must still read them
-// (shard resolves to -1 = least-loaded routing) and upgrade the file to
-// the current version in place, so one process generation migrates the
-// whole fleet's logs.
-TEST(WalTest, V1LogUpgradesToV2InPlaceAtOpen) {
-  const std::string dir = FreshDir("v1_upgrade");
+// A pre-cluster (version 1) log carries no shard field. Open refuses it
+// with InvalidArgument naming the version and the last commit that reads
+// it, and leaves the file byte-identical on disk.
+TEST(WalTest, V1LogIsRefusedAndLeftByteIdentical) {
+  const std::string dir = FreshDir("v1_refused");
   WriteV1Log(dir);
+  const std::string before = ReadFile(LogPath(dir));
+  auto wal = WriteAheadLog::Open(dir);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
+  const std::string& msg = wal.status().message();
+  EXPECT_NE(msg.find("WAL version 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("reads only version 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(kLastRetiredFormatReader), std::string::npos) << msg;
+  EXPECT_EQ(ReadFile(LogPath(dir)), before);
+}
+
+// Every header version word but 2 — 0, the one older builds wrote, and the
+// next one — is refused over an otherwise valid log, which stays as it was.
+TEST(WalTest, EveryOtherWalVersionIsRefused) {
+  for (uint32_t version : {0u, 1u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string dir = FreshDir("version_" + std::to_string(version));
+    {
+      auto wal = WriteAheadLog::Open(dir);
+      ASSERT_TRUE(wal.ok());
+      std::vector<WalRecord> batch = {Add(1, 0, "t # 0\nv 0 6\n")};
+      ASSERT_TRUE(wal.value().Append(batch).ok());
+    }
+    {
+      std::fstream f(LogPath(dir),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      std::string word;
+      PutU32(&word, version);
+      f.seekp(4);
+      f.write(word.data(), 4);
+      ASSERT_TRUE(f.good());
+    }
+    const std::string before = ReadFile(LogPath(dir));
+    auto wal = WriteAheadLog::Open(dir);
+    ASSERT_FALSE(wal.ok());
+    EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
+    const std::string& msg = wal.status().message();
+    EXPECT_NE(msg.find("WAL version " + std::to_string(version)),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find(kLastRetiredFormatReader) != std::string::npos,
+              version == 1)
+        << msg;
+    EXPECT_EQ(ReadFile(LogPath(dir)), before);
+  }
+}
+
+// An add without a shard stamp cannot be replayed to its shard: Append
+// refuses it before writing a byte, and a log that holds one (written by
+// hand here) fails Open as corruption.
+TEST(WalTest, AddWithoutAShardStampIsInvalidArgument) {
+  const std::string dir = FreshDir("shardless_add");
   {
     auto wal = WriteAheadLog::Open(dir);
-    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-    const std::vector<WalRecord>& got = wal.value().recovered();
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].op, WalRecord::Op::kAdd);
-    EXPECT_EQ(got[0].gid, 0);
-    EXPECT_EQ(got[0].shard, -1);  // v1 records have no placement stamp
-    EXPECT_EQ(got[0].graph_text, "t # 0\nv 0 6\n");
-    EXPECT_EQ(got[1].shard, -1);
-    EXPECT_EQ(got[2].op, WalRecord::Op::kRemove);
-    EXPECT_EQ(got[2].shard, -1);
-    EXPECT_EQ(wal.value().max_recovered_epoch(), 3u);
-
-    // Appends after the upgrade are current-version records in the same
-    // file — formats never mix within one log.
-    WalRecord stamped = Add(4, 2, "t # 2\nv 0 1\n");
-    stamped.shard = 1;
-    std::vector<WalRecord> more = {stamped};
-    ASSERT_TRUE(wal.value().Append(more).ok());
+    ASSERT_TRUE(wal.ok());
+    WalRecord shardless = Add(1, 0, "t # 0\nv 0 6\n");
+    shardless.shard = -1;
+    std::vector<WalRecord> batch = {Remove(1, 3), shardless};
+    Status appended = wal.value().Append(batch);
+    EXPECT_EQ(appended.code(), StatusCode::kInvalidArgument)
+        << appended.ToString();
+    EXPECT_EQ(wal.value().records(), 0u);
+    EXPECT_EQ(std::filesystem::file_size(LogPath(dir)), 8u);
   }
-  // The on-disk version field was rewritten to 2 at Open.
-  {
-    std::ifstream in(LogPath(dir), std::ios::binary);
-    char header[8] = {};
-    in.read(header, sizeof header);
-    ASSERT_TRUE(in.good());
-    uint32_t version = 0;
-    for (int i = 3; i >= 0; --i) {
-      version = (version << 8) | static_cast<unsigned char>(header[4 + i]);
-    }
-    EXPECT_EQ(version, 2u);
-  }
+  AppendRawBytes(dir, Frame(1, 1, 0, -1, "t # 0\nv 0 6\n"));
   auto reopened = WriteAheadLog::Open(dir);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_EQ(reopened.value().recovered().size(), 4u);
-  EXPECT_EQ(reopened.value().recovered()[0].shard, -1);
-  EXPECT_EQ(reopened.value().recovered()[3].shard, 1);
-  EXPECT_EQ(reopened.value().recovered()[3].gid, 2);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reopened.status().message().find("shard stamp"),
+            std::string::npos)
+      << reopened.status().ToString();
 }
 
 // The shard stamp (which shard an add landed in) must survive the disk

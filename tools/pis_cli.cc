@@ -17,9 +17,7 @@
 //                     [--min_dead_ratio R] [--rebalance]
 //
 // build writes an index directory (a manifest plus one file per shard;
-// --shards defaults to 1). Every other subcommand also accepts a legacy
-// single-file index, which loads as one shard; a subcommand that saves the
-// index replaces such a file with a directory.
+// --shards defaults to 1), and every other subcommand reads one.
 //
 // `add` indexes every graph in --graphs incrementally (no rebuild), appends
 // them to the --db file so ids stay aligned, and saves the index in place.

@@ -9,9 +9,8 @@
 //   pis_server --db db.txt --shards 4 [--max_fragment_edges K]
 //              [--min_support F] [--gamma G] [--distance mutation|linear] ...
 //
-// With --index, an index directory (pis_cli build) — or a legacy
-// single-file index, loaded as one shard — is served; the db file must be
-// the id-aligned database. Without
+// With --index, an index directory (pis_cli build) is served; the db file
+// must be the id-aligned database. Without
 // it, the index is mined and built in memory at startup (the pis_cli build
 // pipeline) — convenient for demos and the CI smoke test.
 //
