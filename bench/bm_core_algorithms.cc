@@ -1,13 +1,17 @@
 // Micro-benchmarks for the algorithmic substrates: VF2 matching,
 // minimum DFS code canonicalization, cost-bounded verification,
-// connected-fragment enumeration, gSpan feature mining, and the serving
-// host's write path.
+// connected-fragment enumeration, gSpan feature mining, the serving
+// host's write path, and the index set-up stages (build, save/load, query
+// decomposition).
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
 #include <algorithm>
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <vector>
@@ -247,6 +251,7 @@ BENCHMARK(BM_EngineHostAdd)
 /// set (120 queries).
 struct Q16Inputs {
   GraphDatabase db;
+  std::vector<Graph> features;
   Result<ShardedFragmentIndex> index = Status::Internal("unbuilt");
   std::vector<Graph> queries;
   /// The query whose fragment count is nearest the set's mean, for the
@@ -262,10 +267,11 @@ Q16Inputs MakeQ16Inputs() {
   in.db = MoleculeGenerator(generate).Generate(1000);
   auto features = MineDiscriminativeFeatures(in.db, 4, 0.05, 1.0);
   PIS_CHECK(features.ok());
+  in.features = features.MoveValue();
   FragmentIndexOptions options;
   options.max_fragment_edges = 4;
   options.num_threads = HardwareThreads();
-  in.index = ShardedFragmentIndex::Build(in.db, features.value(), options,
+  in.index = ShardedFragmentIndex::Build(in.db, in.features, options,
                                          /*num_shards=*/3);
   PIS_CHECK(in.index.ok());
   QuerySampler sampler(&in.db,
@@ -470,6 +476,67 @@ void BM_ShardFilterReplyCodec(benchmark::State& state) {
   state.counters["reply_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_ShardFilterReplyCodec)->Unit(benchmark::kMicrosecond);
+
+void BM_ShardedIndexBuild(benchmark::State& state) {
+  // perfbench's index build: the q16 database (1,000 seed-1 molecules) and
+  // features, 3 shards on HardwareThreads() threads.
+  const Q16Inputs& in = SharedQ16Inputs();
+  FragmentIndexOptions options = in.index.value().options();
+  options.num_threads = HardwareThreads();
+  for (auto _ : state) {
+    auto index = ShardedFragmentIndex::Build(in.db, in.features, options,
+                                             /*num_shards=*/3);
+    PIS_CHECK(index.ok());
+    benchmark::DoNotOptimize(index.value().db_size());
+  }
+}
+BENCHMARK(BM_ShardedIndexBuild)->Unit(benchmark::kMillisecond);
+
+void BM_IndexSaveLoadDir(benchmark::State& state) {
+  // SaveDir then LoadDir of the q16 index (3 shards) in a fresh directory;
+  // counters split the time.
+  const Q16Inputs& in = SharedQ16Inputs();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("pis_bm_save_load_" + std::to_string(::getpid()));
+  double save_ms = 0;
+  double load_ms = 0;
+  for (auto _ : state) {
+    std::filesystem::remove_all(dir);
+    auto start = std::chrono::steady_clock::now();
+    PIS_CHECK(in.index.value().SaveDir(dir.string()).ok());
+    save_ms += MicrosSince(start) / 1e3;
+    start = std::chrono::steady_clock::now();
+    auto loaded = ShardedFragmentIndex::LoadDir(dir.string());
+    load_ms += MicrosSince(start) / 1e3;
+    PIS_CHECK(loaded.ok());
+    benchmark::DoNotOptimize(loaded.value().db_size());
+  }
+  std::filesystem::remove_all(dir);
+  const double n = static_cast<double>(state.iterations());
+  state.counters["save_ms"] = save_ms / n;
+  state.counters["load_ms"] = load_ms / n;
+}
+BENCHMARK(BM_IndexSaveLoadDir)->Unit(benchmark::kMillisecond);
+
+void BM_EnumerateQueryFragmentsQ16(benchmark::State& state) {
+  // Algorithm 2's decomposition of one q16 query per iteration, walking the
+  // set, against a warm skeleton cache (building the inputs decomposed
+  // every query once).
+  const Q16Inputs& in = SharedQ16Inputs();
+  const FragmentIndex& shard = in.index.value().shard(0);
+  size_t next = 0;
+  size_t fragments = 0;
+  for (auto _ : state) {
+    auto enumerated =
+        EnumerateIndexedQueryFragments(shard, in.queries[next++ % in.queries.size()]);
+    PIS_CHECK(enumerated.ok());
+    fragments += enumerated.value().size();
+  }
+  state.counters["fragments"] =
+      static_cast<double>(fragments) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_EnumerateQueryFragmentsQ16)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pis

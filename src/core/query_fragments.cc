@@ -13,12 +13,14 @@ Result<std::vector<QueryFragment>> EnumerateIndexedQueryFragments(
   enum_opts.max_edges = index.options().max_fragment_edges;
   std::vector<QueryFragment> fragments;
   Status failure = Status::OK();
-  // One memo for the whole query: its subsets share a few dozen local edge
-  // patterns. The first embedding is the one Prepare would pick, since
-  // MinDfsCode's first_embedding_only only truncates its realization list.
+  // One memo for the whole query, in front of the index's skeleton cache:
+  // its subsets share a few dozen local edge patterns, which earlier
+  // queries and the build have canonicalized already. The first embedding
+  // is the one Prepare would pick, since MinDfsCode's first_embedding_only
+  // only truncates its realization list.
   SkeletonMemo memo(index);
-  EnumerateConnectedEdgeSubgraphs(query, enum_opts,
-                                  [&](const std::vector<EdgeId>& subset) {
+  ForEachConnectedEdgeSubset(query, enum_opts,
+                             [&](const std::vector<EdgeId>& subset) {
     Result<const SkeletonClass*> cls = memo.Classify(query, subset);
     if (!cls.ok()) {
       failure = cls.status();

@@ -65,35 +65,23 @@ SequenceCostModel EquivalenceClassIndex::MakeSequenceModel() const {
   return model;
 }
 
-void EquivalenceClassIndex::Insert(const std::vector<Label>& labels,
-                                   const std::vector<double>& weights,
+void EquivalenceClassIndex::Insert(std::span<const Label> labels,
+                                   std::span<const double> weights,
                                    int graph_id) {
-  // Inserts after Finalize() are allowed for incremental maintenance; the
-  // owner must call Refinalize() before the next query.
   ++num_fragments_;
-  if (containing_graphs_.empty() || containing_graphs_.back() != graph_id) {
-    containing_graphs_.push_back(graph_id);
-  }
+  InsertSortedUnique(&containing_graphs_, graph_id);
   if (trie_ != nullptr) {
     trie_->Insert(labels, graph_id);
   } else {
-    rtree_->Insert(weights, graph_id);
+    rtree_->Insert(std::vector<double>(weights.begin(), weights.end()),
+                   graph_id);
   }
 }
 
 void EquivalenceClassIndex::Finalize() {
-  if (finalized_) return;
   finalized_ = true;
-  std::sort(containing_graphs_.begin(), containing_graphs_.end());
-  containing_graphs_.erase(
-      std::unique(containing_graphs_.begin(), containing_graphs_.end()),
-      containing_graphs_.end());
+  PIS_DCHECK(IsStrictlyAscending(containing_graphs_));
   if (trie_ != nullptr) trie_->Finalize();
-}
-
-void EquivalenceClassIndex::Refinalize() {
-  finalized_ = false;
-  Finalize();
 }
 
 void EquivalenceClassIndex::Compact(const std::vector<int>& remap) {
@@ -183,6 +171,10 @@ Result<std::unique_ptr<EquivalenceClassIndex>> EquivalenceClassIndex::Deserializ
   cls->num_fragments_ = reader->U64();
   cls->containing_graphs_ = reader->VecInt();
   PIS_RETURN_NOT_OK(reader->Check("class index containment list"));
+  if (!IsStrictlyAscending(cls->containing_graphs_)) {
+    return Status::ParseError(
+        "class containment list is not strictly ascending");
+  }
   if (cls->trie_ != nullptr) {
     PIS_ASSIGN_OR_RETURN(LabelTrie trie, LabelTrie::Deserialize(reader));
     if (trie.sequence_length() != cls->NumVertexPositions() + ne) {

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,16 +45,24 @@ class EquivalenceClassIndex {
 
   /// Inserts one fragment occurrence. `labels` is the canonical sequence
   /// (vertex labels then edge labels); `weights` likewise for numeric
-  /// weights (may be empty when the spec is mutation-only).
-  void Insert(const std::vector<Label>& labels, const std::vector<double>& weights,
+  /// weights (may be empty when the spec is mutation-only). The
+  /// containment list and the trie's postings stay sorted as they grow, so
+  /// inserts after Finalize() (incremental AddGraph) need no re-sort.
+  void Insert(std::span<const Label> labels, std::span<const double> weights,
               int graph_id);
 
-  /// Call once after all inserts; builds/finalizes the backend.
-  void Finalize();
+  /// True when the backend keeps one posting per stored sequence and graph
+  /// (the trie): inserting a sequence again for the same graph then only
+  /// counts the occurrence, which CountRepeat does without the walk. The
+  /// R-tree stores every point.
+  bool CollapsesRepeats() const { return trie_ != nullptr; }
+  /// Insert of a sequence this class already holds for the graph most
+  /// recently inserted, on a CollapsesRepeats() class.
+  void CountRepeat() { ++num_fragments_; }
 
-  /// Re-finalizes after post-Finalize inserts (incremental AddGraph):
-  /// re-sorts the containment list and the trie's postings.
-  void Refinalize();
+  /// Call once after the build's inserts: marks the class queryable and
+  /// checks (in debug builds) that its posting lists are sorted.
+  void Finalize();
 
   /// Rewrites the backend keeping only postings whose graph id survives
   /// `remap` (remap[old_id] is the new id, or -1 for a dropped graph; it
@@ -84,7 +93,8 @@ class EquivalenceClassIndex {
   /// Binary persistence. Serialization requires Finalize(); the
   /// deserialized class is already finalized. `spec` must outlive the
   /// returned object (the fragment index owns it). A class whose backend
-  /// tag is not the spec's own is a ParseError.
+  /// tag is not the spec's own, or whose containment list or postings are
+  /// not strictly ascending, is a ParseError.
   Status Serialize(BinaryWriter* writer) const;
   static Result<std::unique_ptr<EquivalenceClassIndex>> Deserialize(
       BinaryReader* reader, const DistanceSpec* spec);

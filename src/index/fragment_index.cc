@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "canonical/min_dfs.h"
+#include "util/fs_util.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/serde.h"
@@ -31,97 +32,182 @@ uint64_t StructureSignature(const Graph& g) {
   return h;
 }
 
-void FragmentIndex::BuildVectors(const Graph& g,
-                                 const std::vector<VertexId>& vorder,
-                                 const std::vector<EdgeId>& eorder,
-                                 std::vector<Label>* labels,
-                                 std::vector<double>* weights) const {
-  labels->clear();
-  weights->clear();
-  labels->reserve(vorder.size() + eorder.size());
-  // Mirror EquivalenceClassIndex::NumVertexPositions(): vertex labels are
-  // omitted when the vertex score matrix can never contribute cost.
-  if (!options_.spec.vertex_scores.IsZero()) {
-    for (VertexId v : vorder) labels->push_back(g.VertexLabel(v));
+template <typename VertexAt, typename EdgeAt>
+void FragmentIndex::AppendVectors(const Graph& g, bool vertex_labels,
+                                  size_t nv, VertexAt vertex, size_t ne,
+                                  EdgeAt edge, std::vector<Label>* labels,
+                                  std::vector<double>* weights) const {
+  const DistanceSpec& spec = options_.spec;
+  if (vertex_labels) {
+    for (size_t i = 0; i < nv; ++i) labels->push_back(g.VertexLabel(vertex(i)));
   }
-  for (EdgeId e : eorder) labels->push_back(g.GetEdge(e).label);
-  if (options_.spec.type == DistanceType::kLinear) {
-    if (options_.spec.use_vertex_weights) {
-      for (VertexId v : vorder) weights->push_back(g.VertexWeight(v));
+  for (size_t k = 0; k < ne; ++k) labels->push_back(g.GetEdge(edge(k)).label);
+  if (spec.type == DistanceType::kLinear) {
+    const size_t before = weights->size();
+    if (spec.use_vertex_weights) {
+      for (size_t i = 0; i < nv; ++i) {
+        weights->push_back(g.VertexWeight(vertex(i)));
+      }
     }
-    if (options_.spec.use_edge_weights) {
-      for (EdgeId e : eorder) weights->push_back(g.GetEdge(e).weight);
+    if (spec.use_edge_weights) {
+      for (size_t k = 0; k < ne; ++k) weights->push_back(g.GetEdge(edge(k)).weight);
     }
-    if (weights->empty()) weights->push_back(0.0);  // degenerate 1-dim point
+    // Degenerate 1-dim point.
+    if (weights->size() == before) weights->push_back(0.0);
   }
 }
 
-size_t SkeletonMemo::KeyHash::operator()(
-    const std::vector<VertexId>& key) const {
-  uint64_t h = key.size();
-  for (VertexId v : key) h = HashCombine(h, static_cast<uint64_t>(v));
-  return static_cast<size_t>(h);
+const SkeletonClass* SkeletonCache::Find(const PatternKey& key) const {
+  MutexLock lock(&mu_);
+  auto it = classes_.find(key);
+  return it == classes_.end() ? nullptr : &it->second;
 }
+
+const SkeletonClass* SkeletonCache::Insert(const PatternKey& key,
+                                           SkeletonClass cls) {
+  MutexLock lock(&mu_);
+  return &classes_.try_emplace(key, std::move(cls)).first->second;
+}
+
+SkeletonMemo::SkeletonMemo(const FragmentIndex& index)
+    : index_(index),
+      cache_(*index.skeletons_),
+      slots_(64),
+      vertex_labels_(index.SequenceHasVertexLabels()) {}
 
 Result<const SkeletonClass*> SkeletonMemo::Classify(
-    const Graph& host, const std::vector<EdgeId>& subset) {
-  // Number the subset's vertices exactly as Graph::EdgeSubgraph does.
+    const Graph& host, std::span<const EdgeId> subset) {
+  // Number the subset's vertices exactly as Graph::EdgeSubgraph does (by
+  // first appearance, u before v), packing the pattern as it goes. The
+  // numbering of a prefix depends only on its endpoints, so the longest
+  // prefix whose endpoints match the previous subset's is kept.
   if (host_to_local_.size() < static_cast<size_t>(host.NumVertices())) {
     host_to_local_.resize(host.NumVertices(), kInvalidVertex);
   }
-  key_.clear();
-  local_to_host_.clear();
-  for (EdgeId e : subset) {
-    const Edge& edge = host.GetEdge(e);
-    for (VertexId old : {edge.u, edge.v}) {
-      if (host_to_local_[old] == kInvalidVertex) {
-        host_to_local_[old] = static_cast<VertexId>(local_to_host_.size());
-        local_to_host_.push_back(old);
-      }
-      key_.push_back(host_to_local_[old]);
-    }
+  size_t keep = 0;
+  while (keep < steps_.size() && keep < subset.size()) {
+    const Edge& edge = host.GetEdge(subset[keep]);
+    if (edge.u != steps_[keep].u || edge.v != steps_[keep].v) break;
+    ++keep;
   }
-  for (VertexId old : local_to_host_) host_to_local_[old] = kInvalidVertex;
-
-  auto it = classes_.find(key_);
-  if (it != classes_.end()) return &it->second;
-
-  // New pattern: classify it exactly as a one-off fragment would be.
-  SkeletonClass cls;
-  Graph fragment = host.EdgeSubgraph(subset);
-  if (index_.signatures_.count(StructureSignature(fragment)) == 0) {
-    cls.skipped_by_signature = true;
-  } else {
-    CanonicalOptions all_embeddings;
-    all_embeddings.use_labels = false;
-    all_embeddings.first_embedding_only = false;
-    PIS_ASSIGN_OR_RETURN(CanonicalForm form,
-                         MinDfsCode(fragment, all_embeddings));
-    auto found = index_.class_by_key_.find(form.Key());
-    if (found != index_.class_by_key_.end()) {
-      cls.class_id = found->second;
-      cls.embeddings = std::move(form.embeddings);
-    }
+  const size_t locals = keep == 0 ? 0 : steps_[keep - 1].locals_end;
+  for (size_t i = locals; i < local_to_host_.size(); ++i) {
+    host_to_local_[local_to_host_[i]] = kInvalidVertex;
   }
-  return &classes_.emplace(key_, std::move(cls)).first->second;
+  local_to_host_.resize(locals);
+  steps_.resize(keep);
+  auto local_id = [this](VertexId old) -> uint64_t {
+    if (host_to_local_[old] == kInvalidVertex) {
+      host_to_local_[old] = static_cast<VertexId>(local_to_host_.size());
+      local_to_host_.push_back(old);
+    }
+    return static_cast<uint64_t>(host_to_local_[old]);
+  };
+  for (size_t i = keep; i < subset.size(); ++i) {
+    const Edge& edge = host.GetEdge(subset[i]);
+    PatternKey key = i == 0 ? PatternKey() : steps_.back().key;
+    const uint64_t u = local_id(edge.u);
+    const uint64_t pair = u | local_id(edge.v) << 4;
+    if (i < 8) {
+      key.lo |= pair << (8 * i);
+    } else if (i < PatternKey::kMaxEdges) {
+      key.hi |= pair << (8 * (i - 8));
+    }
+    steps_.push_back({edge.u, edge.v, local_to_host_.size(), key});
+  }
+  if (subset.empty() || subset.size() > PatternKey::kMaxEdges) {
+    return ClassifyNew(host, subset, &uncached_);
+  }
+  PatternKey key = steps_.back().key;
+  key.hi |= static_cast<uint64_t>(subset.size()) << 56;
+
+  const size_t mask = slots_.size() - 1;
+  size_t slot = key.Hash() & mask;
+  for (; !slots_[slot].key.empty(); slot = (slot + 1) & mask) {
+    if (slots_[slot].key == key) return slots_[slot].cls;
+  }
+  const SkeletonClass* cls = cache_.Find(key);
+  if (cls == nullptr) {
+    // New to every scan: classify outside the cache's lock, then publish
+    // (a concurrent scan may have published the same result first).
+    SkeletonClass fresh;
+    PIS_RETURN_NOT_OK(ClassifyNew(host, subset, &fresh).status());
+    cls = cache_.Insert(key, std::move(fresh));
+  }
+  Remember(key, cls);
+  return cls;
 }
 
-void SkeletonMemo::Vectors(const Graph& host, const std::vector<EdgeId>& subset,
+Result<const SkeletonClass*> SkeletonMemo::ClassifyNew(
+    const Graph& host, std::span<const EdgeId> subset,
+    SkeletonClass* out) const {
+  *out = SkeletonClass();
+  Graph fragment =
+      host.EdgeSubgraph(std::vector<EdgeId>(subset.begin(), subset.end()));
+  if (index_.signatures_.count(StructureSignature(fragment)) == 0) {
+    out->skipped_by_signature = true;
+    return out;
+  }
+  CanonicalOptions all_embeddings;
+  all_embeddings.use_labels = false;
+  all_embeddings.first_embedding_only = false;
+  PIS_ASSIGN_OR_RETURN(CanonicalForm form, MinDfsCode(fragment, all_embeddings));
+  auto found = index_.class_by_key_.find(form.Key());
+  if (found != index_.class_by_key_.end()) {
+    out->class_id = found->second;
+    out->embeddings = std::move(form.embeddings);
+  }
+  return out;
+}
+
+void SkeletonMemo::Remember(const PatternKey& key, const SkeletonClass* cls) {
+  if (2 * (used_ + 1) > slots_.size()) {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    used_ = 0;
+    for (const Slot& s : old) {
+      if (!s.key.empty()) Remember(s.key, s.cls);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t slot = key.Hash() & mask;
+  while (!slots_[slot].key.empty()) slot = (slot + 1) & mask;
+  slots_[slot] = {key, cls};
+  ++used_;
+}
+
+void SkeletonMemo::AppendVectors(const Graph& host,
+                                 std::span<const EdgeId> subset,
+                                 const CanonicalEmbedding& embedding,
+                                 std::vector<Label>* labels,
+                                 std::vector<double>* weights) const {
+  index_.AppendVectors(
+      host, vertex_labels_, embedding.vertex_order.size(),
+      [&](size_t i) { return local_to_host_[embedding.vertex_order[i]]; },
+      embedding.edge_order.size(),
+      [&](size_t k) { return subset[embedding.edge_order[k]]; }, labels,
+      weights);
+}
+
+void SkeletonMemo::Vectors(const Graph& host, std::span<const EdgeId> subset,
                            const CanonicalEmbedding& embedding,
                            std::vector<Label>* labels,
-                           std::vector<double>* weights) {
-  vertex_order_.clear();
-  for (VertexId v : embedding.vertex_order) {
-    vertex_order_.push_back(local_to_host_[v]);
-  }
-  edge_order_.clear();
-  for (EdgeId e : embedding.edge_order) edge_order_.push_back(subset[e]);
-  index_.BuildVectors(host, vertex_order_, edge_order_, labels, weights);
+                           std::vector<double>* weights) const {
+  labels->clear();
+  weights->clear();
+  AppendVectors(host, subset, embedding, labels, weights);
 }
 
 Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
                                            const std::vector<Graph>& features,
                                            const FragmentIndexOptions& options) {
+  return Build(db, features, options, std::make_shared<SkeletonCache>());
+}
+
+Result<FragmentIndex> FragmentIndex::Build(
+    const GraphDatabase& db, const std::vector<Graph>& features,
+    const FragmentIndexOptions& options,
+    std::shared_ptr<SkeletonCache> skeletons) {
   if (options.min_fragment_edges < 1 ||
       options.max_fragment_edges < options.min_fragment_edges) {
     return Status::InvalidArgument("invalid fragment size bounds");
@@ -130,6 +216,7 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
   FragmentIndex index;
   index.options_ = options;
   index.spec_holder_ = std::make_shared<const DistanceSpec>(options.spec);
+  index.skeletons_ = std::move(skeletons);
   index.db_size_ = db.size();
 
   // Register classes from the feature set.
@@ -154,12 +241,12 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
 
   // Scan the database: every connected fragment whose skeleton is a
   // registered class is inserted under all its automorphism-induced
-  // sequences. Each scan canonicalizes a local edge pattern once and reuses
-  // the result for every subset that shares it (SkeletonMemo; exact because
-  // the skeleton's canonical form depends only on that pattern). Parallel
-  // builds scan contiguous graph-id ranges, each with its own memo;
-  // insertion stays sequential in graph-id order so per-class dedup
-  // assumptions hold.
+  // sequences. The index canonicalizes a local edge pattern once and reuses
+  // the result for every subset that shares it (SkeletonCache; exact
+  // because the skeleton's canonical form depends only on that pattern).
+  // Parallel builds scan contiguous graph-id ranges, each through its own
+  // memo; insertion stays sequential in graph-id order, so posting lists
+  // grow by appends.
   if (options.num_threads > 1) {
     const size_t num_graphs = db.size();
     const size_t num_ranges =
@@ -204,41 +291,47 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
   enum_opts.max_edges = options_.max_fragment_edges;
 
   Status failure = Status::OK();
-  std::vector<Label> labels;
-  std::vector<double> weights;
-  EnumerateConnectedEdgeSubgraphs(g, enum_opts, [&](const std::vector<EdgeId>&
-                                                        subset) {
+  ForEachConnectedEdgeSubset(g, enum_opts, [&](const std::vector<EdgeId>&
+                                                   subset) {
     ++stats->subsets;
-    Result<const SkeletonClass*> cls = memo->Classify(g, subset);
-    if (!cls.ok()) {
-      failure = cls.status();
+    Result<const SkeletonClass*> classified = memo->Classify(g, subset);
+    if (!classified.ok()) {
+      failure = classified.status();
       return false;
     }
-    if (cls.value()->skipped_by_signature) {
+    const SkeletonClass& cls = *classified.value();
+    if (cls.skipped_by_signature) {
       ++stats->skipped_by_signature;
       return true;
     }
-    if (cls.value()->class_id < 0) return true;
+    if (cls.class_id < 0) return true;
     ++stats->occurrences;
     // Distinct sequences only: symmetric labels make many automorphisms
-    // collide.
+    // collide. Each sequence is written straight into the pending buffers
+    // and taken back if it repeats one of this subset's earlier ones.
     const size_t first = out->entries.size();
-    for (const CanonicalEmbedding& emb : cls.value()->embeddings) {
-      memo->Vectors(g, subset, emb, &labels, &weights);
+    for (const CanonicalEmbedding& emb : cls.embeddings) {
+      const size_t labels_begin = out->labels.size();
+      const size_t weights_begin = out->weights.size();
+      memo->AppendVectors(g, subset, emb, &out->labels, &out->weights);
+      const std::span<const Label> labels(out->labels.data() + labels_begin,
+                                          out->labels.size() - labels_begin);
+      const std::span<const double> weights(
+          out->weights.data() + weights_begin,
+          out->weights.size() - weights_begin);
       bool duplicate = false;
-      for (size_t i = first; i < out->entries.size(); ++i) {
-        if (std::ranges::equal(out->Labels(i), labels) &&
-            std::ranges::equal(out->Weights(i), weights)) {
-          duplicate = true;
-          break;
-        }
+      for (size_t i = first; i < out->entries.size() && !duplicate; ++i) {
+        duplicate = std::ranges::equal(out->Labels(i), labels) &&
+                    std::ranges::equal(out->Weights(i), weights);
       }
-      if (duplicate) continue;
-      out->labels.insert(out->labels.end(), labels.begin(), labels.end());
-      out->weights.insert(out->weights.end(), weights.begin(), weights.end());
-      out->entries.push_back(
-          {cls.value()->class_id, static_cast<uint32_t>(out->labels.size()),
-           static_cast<uint32_t>(out->weights.size())});
+      if (duplicate) {
+        out->labels.resize(labels_begin);
+        out->weights.resize(weights_begin);
+        continue;
+      }
+      out->entries.push_back({cls.class_id,
+                              static_cast<uint32_t>(out->labels.size()),
+                              static_cast<uint32_t>(out->weights.size())});
     }
     return true;
   });
@@ -247,14 +340,38 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
 
 void FragmentIndex::ApplyExtraction(int gid, const PendingFragments& pending,
                                     const ExtractStats& stats) {
-  std::vector<Label> labels;
-  std::vector<double> weights;
+  // Most of a graph's sequences repeat one it already brought to the same
+  // class. A class that collapses repeats (every class, or none: the spec
+  // picks the backend) only counts those, so a per-graph hash set of
+  // (class, labels) spots them without walking the trie.
+  const bool collapse = !classes_.empty() && classes_[0]->CollapsesRepeats();
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  size_t capacity = 16;
+  while (collapse && capacity < 2 * pending.entries.size()) capacity *= 2;
+  std::vector<uint32_t> seen(collapse ? capacity : 0, kEmpty);
   for (size_t i = 0; i < pending.entries.size(); ++i) {
-    const std::span<const Label> seq = pending.Labels(i);
-    const std::span<const double> point = pending.Weights(i);
-    labels.assign(seq.begin(), seq.end());
-    weights.assign(point.begin(), point.end());
-    classes_[pending.entries[i].class_id]->Insert(labels, weights, gid);
+    const int class_id = pending.entries[i].class_id;
+    const std::span<const Label> labels = pending.Labels(i);
+    if (collapse) {
+      uint64_t h = static_cast<uint64_t>(class_id);
+      for (Label l : labels) h = HashCombine(h, static_cast<uint64_t>(l));
+      size_t slot = static_cast<size_t>(h) & (capacity - 1);
+      bool repeat = false;
+      for (; seen[slot] != kEmpty; slot = (slot + 1) & (capacity - 1)) {
+        const uint32_t other = seen[slot];
+        if (pending.entries[other].class_id == class_id &&
+            std::ranges::equal(pending.Labels(other), labels)) {
+          repeat = true;
+          break;
+        }
+      }
+      if (repeat) {
+        classes_[class_id]->CountRepeat();
+        continue;
+      }
+      seen[slot] = static_cast<uint32_t>(i);
+    }
+    classes_[class_id]->Insert(labels, pending.Weights(i), gid);
   }
   stats_.num_subsets_enumerated += stats.subsets;
   stats_.num_subsets_skipped_by_signature += stats.skipped_by_signature;
@@ -268,14 +385,11 @@ Result<int> FragmentIndex::AddGraph(const Graph& g) {
   ExtractStats stats;
   SkeletonMemo memo(*this);
   PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &memo, &pending, &stats));
+  // The new id is above every posting, so each insert is an append and the
+  // touched classes need no re-sort: the add costs what the new graph
+  // brings, not what the index holds.
   ApplyExtraction(gid, pending, stats);
   ++db_size_;
-  // Re-finalize only the classes that received postings, so postings stay
-  // sorted/deduplicated; untouched classes keep their finalized state — the
-  // amortized add cost scales with the new graph, not the whole index.
-  std::unordered_set<int> touched;
-  for (const auto& entry : pending.entries) touched.insert(entry.class_id);
-  for (int class_id : touched) classes_[class_id]->Refinalize();
   return gid;
 }
 
@@ -330,9 +444,12 @@ Result<PreparedFragment> FragmentIndex::Prepare(const Graph& fragment) const {
   PreparedFragment prepared;
   prepared.class_id = it->second;
   prepared.num_edges = fragment.NumEdges();
-  BuildVectors(fragment, form.embeddings[0].vertex_order,
-               form.embeddings[0].edge_order, &prepared.labels,
-               &prepared.weights);
+  const CanonicalEmbedding& emb = form.embeddings[0];
+  AppendVectors(
+      fragment, SequenceHasVertexLabels(), emb.vertex_order.size(),
+      [&](size_t i) { return emb.vertex_order[i]; }, emb.edge_order.size(),
+      [&](size_t k) { return emb.edge_order[k]; }, &prepared.labels,
+      &prepared.weights);
   return prepared;
 }
 
@@ -391,8 +508,8 @@ Result<DistanceSpec> DeserializeSpec(BinaryReader* reader) {
 
 }  // namespace
 
-Status FragmentIndex::Save(std::ostream& out) const {
-  BinaryWriter writer(out);
+Status FragmentIndex::Serialize(BinaryWriter* out) const {
+  BinaryWriter& writer = *out;
   writer.U32(kIndexMagic);
   writer.U32(kIndexVersion);
   writer.I32(options_.min_fragment_edges);
@@ -423,7 +540,15 @@ Status FragmentIndex::Save(std::ostream& out) const {
   writer.VecInt(dead);
   writer.U32(compaction_epoch_);
   writer.I32(num_live());
-  if (!writer.ok()) return Status::IOError("index write failed");
+  return Status::OK();
+}
+
+Status FragmentIndex::Save(std::ostream& out) const {
+  BinaryWriter writer;
+  PIS_RETURN_NOT_OK(Serialize(&writer));
+  out.write(writer.buffer().data(),
+            static_cast<std::streamsize>(writer.buffer().size()));
+  if (!out) return Status::IOError("index write failed");
   return Status::OK();
 }
 
@@ -438,6 +563,7 @@ Result<FragmentIndex> FragmentIndex::Clone() const {
     copy.classes_.push_back(std::make_unique<EquivalenceClassIndex>(*cls));
   }
   copy.signatures_ = signatures_;
+  copy.skeletons_ = skeletons_;
   copy.tombstones_ = tombstones_;
   copy.compaction_epoch_ = compaction_epoch_;
   copy.stats_ = stats_;
@@ -452,6 +578,11 @@ Status FragmentIndex::SaveFile(const std::string& path) const {
 
 Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
   BinaryReader reader(in);
+  return Parse(&reader);
+}
+
+Result<FragmentIndex> FragmentIndex::Parse(BinaryReader* in) {
+  BinaryReader& reader = *in;
   if (reader.U32() != kIndexMagic) {
     return Status::ParseError("not a PIS index file (bad magic)");
   }
@@ -471,6 +602,7 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
         kLastRetiredFormatReader + " is the last that reads such a file");
   }
   index.spec_holder_ = std::make_shared<const DistanceSpec>(index.options_.spec);
+  index.skeletons_ = std::make_shared<SkeletonCache>();
   index.db_size_ = reader.I32();
   index.stats_.num_fragment_occurrences = reader.U64();
   index.stats_.num_sequences_inserted = reader.U64();
@@ -515,9 +647,10 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
 }
 
 Result<FragmentIndex> FragmentIndex::LoadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  return Load(in);
+  std::string bytes;
+  PIS_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  BinaryReader reader(bytes);
+  return Parse(&reader);
 }
 
 bool FragmentIndex::HasClass(const Graph& fragment) const {

@@ -19,7 +19,9 @@
 #include "graph/graph.h"
 #include "index/class_index.h"
 #include "index/fragment_enum.h"
+#include "util/mutex.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace pis {
 
@@ -34,8 +36,9 @@ struct FragmentIndexOptions {
   DistanceSpec spec;
   /// Threads for the build's fragment-extraction phase: the database is
   /// split into this many contiguous graph-id ranges, each scanned with its
-  /// own SkeletonMemo. 1 = sequential; use HardwareThreads() for full
-  /// parallelism. Runtime-only (not persisted by Save).
+  /// own SkeletonMemo over the index's one SkeletonCache. 1 = sequential;
+  /// use HardwareThreads() for full parallelism. Runtime-only (not
+  /// persisted by Save).
   int num_threads = 1;
 };
 
@@ -74,31 +77,89 @@ struct SkeletonClass {
   std::vector<CanonicalEmbedding> embeddings;
 };
 
-/// \brief Scan-scoped memo of skeleton classifications.
+/// A connected edge subset's local edge pattern, packed: the (local u,
+/// local v) pair of each edge in subset order, with local vertex ids
+/// assigned as Graph::EdgeSubgraph assigns them (first appearance, u
+/// before v). Edge i takes byte i (u in the low nibble, v in the high one)
+/// of the 15 low bytes; the top byte holds the edge count, so no valid key
+/// is all-zero. Subsets of more than kMaxEdges edges have no packed key.
+struct PatternKey {
+  static constexpr int kMaxEdges = 15;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+
+  bool empty() const { return hi == 0; }
+  bool operator==(const PatternKey&) const = default;
+  size_t Hash() const {
+    uint64_t h = (lo ^ (hi * 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
+    return static_cast<size_t>(h ^ (h >> 31));
+  }
+};
+
+/// \brief Skeleton classifications of one index, shared by every scan of it.
 ///
-/// Keyed by a subset's local edge pattern: the (local u, local v) pair of
-/// each edge in subset order, with local vertex ids assigned as
-/// Graph::EdgeSubgraph assigns them (first appearance, u before v). With
-/// labels off, MinDfsCode and StructureSignature read only the vertex
-/// count, edge list and adjacency order of the EdgeSubgraph, and those are
-/// a pure function of the key, so one canonicalization per distinct pattern
-/// is exact for every subset that shares it. A database scan meets a few
-/// hundred patterns across hundreds of thousands of subsets. The signature
-/// prefilter never rejects an indexed skeleton: Build registers each
-/// class's signature with the class, and Save/Load persist both.
+/// With labels off, MinDfsCode and StructureSignature read only the vertex
+/// count, edge list and adjacency order of a subset's EdgeSubgraph, and
+/// those are a pure function of its PatternKey, so one canonicalization per
+/// distinct pattern is exact for every subset that shares it. The class
+/// catalog and signatures never change after Build/Load (AddGraph, Compact
+/// and Clone keep them), so a classification stays valid for the index's
+/// lifetime: the index holds the cache by shared_ptr, Clone shares it, and
+/// the shards one ShardedFragmentIndex::Build makes share one. The cache is
+/// bounded by the distinct local edge patterns of the indexed graphs and
+/// queries, which are few: 160 at <= 4 edges across 287,427 subsets of
+/// 1,000 seed-1 molecules, and 3,272 at <= 6 edges over 200.
 ///
-/// Not thread-safe and bound to one index: make one per sequential scan and
-/// drop it when the scan ends.
+/// Thread-safe. Entries are immutable once published and never removed, so
+/// a returned pointer stays valid while the cache lives. The mutex is a
+/// leaf lock held only for a map lookup or insert, never across MinDfsCode.
+class SkeletonCache {
+ public:
+  /// The published classification of `key`, or nullptr.
+  const SkeletonClass* Find(const PatternKey& key) const PIS_EXCLUDES(mu_);
+  /// Publishes `cls` for `key` unless another thread already did; returns
+  /// the published entry either way.
+  const SkeletonClass* Insert(const PatternKey& key, SkeletonClass cls)
+      PIS_EXCLUDES(mu_);
+
+ private:
+  struct KeyHash {
+    size_t operator()(const PatternKey& key) const { return key.Hash(); }
+  };
+  mutable Mutex mu_;
+  // Node-based, so entries never move.
+  std::unordered_map<PatternKey, SkeletonClass, KeyHash> classes_
+      PIS_GUARDED_BY(mu_);
+};
+
+/// \brief Per-scan, lock-free front of an index's SkeletonCache.
+///
+/// Classify packs the subset's PatternKey and looks it up in a small
+/// private open-addressing table; only a pattern this scan has not met yet
+/// goes to the shared cache, and only a pattern no scan has met yet runs
+/// EdgeSubgraph, the signature prefilter, MinDfsCode and the class lookup.
+/// The local numbering and key of the longest prefix shared with the
+/// previous subset (same endpoints, edge by edge) carry over, so an
+/// enumeration that grows and shrinks subsets at the back, as ESU does,
+/// numbers about one edge per subset.
+/// The signature prefilter never rejects an indexed skeleton: Build
+/// registers each class's signature with the class, and Save/Load persist
+/// both.
+///
+/// Not thread-safe: make one per sequential scan (a build range, an
+/// AddGraph, one query's decomposition); any number of memos may front one
+/// cache concurrently.
 class SkeletonMemo {
  public:
-  explicit SkeletonMemo(const FragmentIndex& index) : index_(index) {}
+  explicit SkeletonMemo(const FragmentIndex& index);
 
-  /// Classifies one connected edge subset of `host`. On a new pattern this
-  /// runs EdgeSubgraph, the signature prefilter, MinDfsCode and the class
-  /// lookup; canonicalization errors are returned, never cached. The result
-  /// stays valid for the memo's lifetime.
+  /// Classifies one connected edge subset of `host`. Canonicalization
+  /// errors are returned, never cached. The result stays valid while the
+  /// index lives, except for subsets of more than PatternKey::kMaxEdges
+  /// edges, which are classified afresh each call into a slot the next
+  /// Classify overwrites.
   Result<const SkeletonClass*> Classify(const Graph& host,
-                                        const std::vector<EdgeId>& subset);
+                                        std::span<const EdgeId> subset);
 
   /// Host vertex of each local vertex of the subset last classified.
   const std::vector<VertexId>& local_to_host() const { return local_to_host_; }
@@ -107,23 +168,45 @@ class SkeletonMemo {
   /// under one of its embeddings, read from `host` through the local->host
   /// maps — the sequence FragmentIndex::Prepare builds for
   /// host.EdgeSubgraph(subset) under the same embedding.
-  void Vectors(const Graph& host, const std::vector<EdgeId>& subset,
+  void Vectors(const Graph& host, std::span<const EdgeId> subset,
                const CanonicalEmbedding& embedding, std::vector<Label>* labels,
-               std::vector<double>* weights);
+               std::vector<double>* weights) const;
+  /// Vectors, appended to `labels` / `weights` instead of replacing them.
+  void AppendVectors(const Graph& host, std::span<const EdgeId> subset,
+                     const CanonicalEmbedding& embedding,
+                     std::vector<Label>* labels,
+                     std::vector<double>* weights) const;
 
  private:
-  struct KeyHash {
-    size_t operator()(const std::vector<VertexId>& key) const;
+  struct Slot {
+    PatternKey key;
+    const SkeletonClass* cls = nullptr;
   };
+  // The numbering state after one edge of the current subset.
+  struct Step {
+    VertexId u;
+    VertexId v;
+    size_t locals_end;  // local_to_host_.size() after this edge
+    PatternKey key;     // edges so far, without the count byte
+  };
+  Result<const SkeletonClass*> ClassifyNew(const Graph& host,
+                                           std::span<const EdgeId> subset,
+                                           SkeletonClass* out) const;
+  void Remember(const PatternKey& key, const SkeletonClass* cls);
 
   const FragmentIndex& index_;
-  std::unordered_map<std::vector<VertexId>, SkeletonClass, KeyHash> classes_;
-  // Scratch reused across calls.
-  std::vector<VertexId> key_;
+  SkeletonCache& cache_;
+  // Open addressing with linear probing; the size is a power of two and at
+  // least twice the entries.
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+  SkeletonClass uncached_;
+  const bool vertex_labels_;
+  // The current subset: host_to_local_ holds the local id of exactly the
+  // vertices in local_to_host_, kInvalidVertex elsewhere.
+  std::vector<Step> steps_;
   std::vector<VertexId> host_to_local_;
   std::vector<VertexId> local_to_host_;
-  std::vector<VertexId> vertex_order_;
-  std::vector<EdgeId> edge_order_;
 };
 
 /// \brief The PIS fragment-based index.
@@ -207,8 +290,9 @@ class FragmentIndex {
   uint32_t compaction_epoch() const { return compaction_epoch_; }
 
   /// Independent copy: every class backend is copied, and the immutable
-  /// spec is shared (spec_holder_ keeps it alive for both, so each class's
-  /// spec pointer stays valid). Mutating the copy never changes the source.
+  /// spec and skeleton cache are shared (spec_holder_ keeps the spec alive
+  /// for both, so each class's spec pointer stays valid). Mutating the copy
+  /// never changes the source.
   /// Used by the copy-on-write shard detach of ShardedFragmentIndex.
   Result<FragmentIndex> Clone() const;
 
@@ -229,14 +313,36 @@ class FragmentIndex {
 
  private:
   friend class SkeletonMemo;
+  friend class ShardedFragmentIndex;
 
   FragmentIndex() = default;
 
-  // Builds the canonical label sequence / weight vector of one fragment
-  // embedding: `vorder` / `eorder` are vertex / edge ids of `g`.
-  void BuildVectors(const Graph& g, const std::vector<VertexId>& vorder,
-                    const std::vector<EdgeId>& eorder, std::vector<Label>* labels,
-                    std::vector<double>* weights) const;
+  // Build over `skeletons`, which may already hold classifications against
+  // the catalog `features` and `options` register: the shards of one
+  // ShardedFragmentIndex::Build share one cache.
+  static Result<FragmentIndex> Build(const GraphDatabase& db,
+                                     const std::vector<Graph>& features,
+                                     const FragmentIndexOptions& options,
+                                     std::shared_ptr<SkeletonCache> skeletons);
+
+  // Appends the canonical label sequence / weight vector of one fragment
+  // embedding of `g` with `nv` vertices and `ne` edges: the embedding's
+  // i-th vertex is vertex(i) and its k-th edge is edge(k), ids of `g`.
+  // `vertex_labels` is SequenceHasVertexLabels(), hoisted by the caller.
+  template <typename VertexAt, typename EdgeAt>
+  void AppendVectors(const Graph& g, bool vertex_labels, size_t nv,
+                     VertexAt vertex, size_t ne, EdgeAt edge,
+                     std::vector<Label>* labels,
+                     std::vector<double>* weights) const;
+  // Mirrors EquivalenceClassIndex::NumVertexPositions(): vertex labels are
+  // omitted when the vertex score matrix can never contribute cost.
+  bool SequenceHasVertexLabels() const {
+    return !options_.spec.vertex_scores.IsZero();
+  }
+
+  // Save / Load / LoadFile over in-memory bytes.
+  Status Serialize(BinaryWriter* writer) const;
+  static Result<FragmentIndex> Parse(BinaryReader* reader);
 
   // The fragment sequences extracted from one graph, awaiting insertion
   // (extraction is parallel and side-effect free; insertion is sequential
@@ -293,6 +399,9 @@ class FragmentIndex {
   std::unordered_map<std::string, int> class_by_key_;
   std::vector<std::unique_ptr<EquivalenceClassIndex>> classes_;
   std::unordered_set<uint64_t> signatures_;
+  /// Classifications of local edge patterns against the catalog above;
+  /// shared with clones.
+  std::shared_ptr<SkeletonCache> skeletons_;
   /// Removed graph ids (persisted by Save).
   std::unordered_set<int> tombstones_;
   /// Count of Compact() rewrites (persisted by Save).

@@ -198,16 +198,15 @@ int32_t RTree::InsertRecursive(int32_t node, const Entry& entry, int target_leve
   return -1;
 }
 
-void RTree::Insert(const std::vector<double>& point, int payload) {
+void RTree::Insert(std::vector<double> point, int payload) {
   PIS_CHECK(static_cast<int>(point.size()) == dims_);
   int32_t pid = static_cast<int32_t>(points_.size());
-  points_.push_back(point);
-  payloads_.push_back(payload);
-  ++num_points_;
-
   Entry entry;
   entry.rect = PointRect(point);
   entry.point = pid;
+  points_.push_back(std::move(point));
+  payloads_.push_back(payload);
+  ++num_points_;
 
   if (root_ < 0) {
     root_ = static_cast<int32_t>(nodes_.size());
@@ -286,7 +285,7 @@ Result<RTree> RTree::Deserialize(BinaryReader* reader) {
     if (static_cast<int>(point.size()) != dims) {
       return Status::ParseError("rtree point dimension mismatch");
     }
-    tree.Insert(point, payload);
+    tree.Insert(std::move(point), payload);
   }
   return tree;
 }

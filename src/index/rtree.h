@@ -27,7 +27,7 @@ class RTree {
   explicit RTree(int dimensions, int max_entries = 16);
 
   /// Inserts a point with a payload; `point` must have `dimensions()` values.
-  void Insert(const std::vector<double>& point, int payload);
+  void Insert(std::vector<double> point, int payload);
 
   /// Finds every point p with L1(p, center) <= radius.
   void RangeQueryL1(const std::vector<double>& center, double radius,

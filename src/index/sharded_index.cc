@@ -1,11 +1,11 @@
 #include "index/sharded_index.h"
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
+#include "util/fs_util.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/serde.h"
@@ -109,6 +109,9 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::Build(
   // sequentially so thread counts don't multiply.
   FragmentIndexOptions shard_options = options;
   if (num_shards > 1) shard_options.num_threads = 1;
+  // Every shard registers the same catalog, so one skeleton cache serves
+  // them all: each local edge pattern is canonicalized once per build.
+  auto skeletons = std::make_shared<SkeletonCache>();
   // No fill-construction: Result<FragmentIndex> is move-only.
   std::vector<Result<FragmentIndex>> built;
   built.reserve(num_shards);
@@ -119,7 +122,7 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::Build(
     // The shard's sub-database is a slice that shares `db`'s graphs (one
     // pointer per graph), so building the shards copies no graph.
     built[s] = FragmentIndex::Build(db.Slice(offsets[s], offsets[s + 1]),
-                                    features, shard_options);
+                                    features, shard_options, skeletons);
   });
   sharded.shards_.reserve(num_shards);
   for (int s = 0; s < num_shards; ++s) {
@@ -155,18 +158,17 @@ Result<FragmentIndex*> ShardedFragmentIndex::MutableShard(int s) {
   // place. Anything higher means a snapshot handle or an index copy pins
   // it, so detach a copy first (their view stays frozen, ours moves).
   //
-  // Concurrency note: under EngineHost the published snapshot always
-  // shares every shard of the writer's master copy, so the in-place path
-  // is only ever taken by single-threaded owners (CLI, tests) — a racing
-  // reader releasing the last pin concurrently with this check cannot
-  // happen there by construction. The acquire fence still pairs with the
-  // release decrement of a hypothetical releasing thread, so even that
-  // interleaving would not reorder its reads past our writes.
+  // Single-owner contract: a handle this index holds is released by other
+  // threads only through copies of the index (snapshots) that were made,
+  // and are dropped, under the owner's own synchronization. Under
+  // EngineHost the published snapshot shares every shard of the writer's
+  // master copy, so the in-place path is only taken by single-threaded
+  // owners (CLI, tests), and no reader can be releasing the last pin while
+  // this runs. use_count() is not a synchronizing read, so it is no
+  // substitute for that contract.
   if (shards_[s].use_count() > 1) {
     PIS_ASSIGN_OR_RETURN(FragmentIndex detached, shards_[s]->Clone());
     shards_[s] = std::make_shared<FragmentIndex>(std::move(detached));
-  } else {
-    std::atomic_thread_fence(std::memory_order_acquire);
   }
   return shards_[s].get();
 }
@@ -373,7 +375,7 @@ Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
   {
     std::ofstream out(root / kManifestName, std::ios::binary);
     if (!out) return Status::IOError("cannot open manifest for writing");
-    BinaryWriter writer(out);
+    BinaryWriter writer;
     writer.U32(kManifestMagic);
     writer.U32(kManifestVersion);
     writer.U32(static_cast<uint32_t>(num_shards()));
@@ -384,7 +386,9 @@ Status ShardedFragmentIndex::SaveDir(const std::string& dir) const {
     for (int s = 0; s < num_shards(); ++s) live[s] = shards_[s]->num_live();
     writer.VecInt(live);
     writer.F64(compact_dead_ratio_);
-    if (!writer.ok()) return Status::IOError("manifest write failed");
+    out.write(writer.buffer().data(),
+              static_cast<std::streamsize>(writer.buffer().size()));
+    if (!out) return Status::IOError("manifest write failed");
   }
   for (int s = 0; s < num_shards(); ++s) {
     PIS_RETURN_NOT_OK(shards_[s]->SaveFile((root / ShardFileName(s)).string()));
@@ -412,9 +416,11 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::LoadDir(
     return Status::ParseError(msg);
   }
   const std::filesystem::path root(dir);
-  std::ifstream in(root / kManifestName, std::ios::binary);
-  if (!in) return Status::IOError("cannot open manifest in " + dir);
-  BinaryReader reader(in);
+  std::string manifest;
+  if (!ReadFileBytes((root / kManifestName).string(), &manifest).ok()) {
+    return Status::IOError("cannot open manifest in " + dir);
+  }
+  BinaryReader reader(manifest);
   if (reader.U32() != kManifestMagic) {
     return Status::ParseError("not a sharded PIS index (bad manifest magic)");
   }

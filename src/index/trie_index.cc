@@ -1,39 +1,44 @@
 #include "index/trie_index.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/logging.h"
 
 namespace pis {
+
+void InsertSortedUnique(std::vector<int>* list, int id) {
+  if (list->empty() || list->back() < id) {
+    list->push_back(id);
+    return;
+  }
+  auto it = std::lower_bound(list->begin(), list->end(), id);
+  if (*it != id) list->insert(it, id);
+}
+
+bool IsStrictlyAscending(const std::vector<int>& list) {
+  return std::adjacent_find(list.begin(), list.end(),
+                            std::greater_equal<int>()) == list.end();
+}
 
 LabelTrie::LabelTrie(int sequence_length) : sequence_length_(sequence_length) {
   PIS_CHECK(sequence_length >= 1);
   nodes_.emplace_back();  // root
 }
 
-int32_t LabelTrie::FindChild(int32_t node, Label symbol) const {
-  const auto& children = nodes_[node].children;
-  auto it = std::lower_bound(
-      children.begin(), children.end(), symbol,
-      [](const std::pair<Label, int32_t>& c, Label s) { return c.first < s; });
-  if (it != children.end() && it->first == symbol) return it->second;
-  return -1;
-}
-
 int32_t LabelTrie::ChildOrCreate(int32_t node, Label symbol) {
-  int32_t child = FindChild(node, symbol);
-  if (child >= 0) return child;
-  child = static_cast<int32_t>(nodes_.size());
   auto& children = nodes_[node].children;
   auto it = std::lower_bound(
       children.begin(), children.end(), symbol,
       [](const std::pair<Label, int32_t>& c, Label s) { return c.first < s; });
+  if (it != children.end() && it->first == symbol) return it->second;
+  const int32_t child = static_cast<int32_t>(nodes_.size());
   children.insert(it, {symbol, child});
-  nodes_.emplace_back();
+  nodes_.emplace_back();  // invalidates `children`, used no more
   return child;
 }
 
-void LabelTrie::Insert(const std::vector<Label>& seq, int graph_id) {
+void LabelTrie::Insert(std::span<const Label> seq, int graph_id) {
   PIS_DCHECK(static_cast<int>(seq.size()) == sequence_length_);
   int32_t node = 0;
   for (Label symbol : seq) {
@@ -44,17 +49,12 @@ void LabelTrie::Insert(const std::vector<Label>& seq, int graph_id) {
     postings_.emplace_back();
     ++num_leaves_;
   }
-  std::vector<int>& list = postings_[nodes_[node].postings];
-  // Graphs are inserted in non-decreasing id order; skip immediate repeats
-  // to keep lists short (Finalize fully deduplicates).
-  if (list.empty() || list.back() != graph_id) list.push_back(graph_id);
+  InsertSortedUnique(&postings_[nodes_[node].postings], graph_id);
 }
 
-void LabelTrie::Finalize() {
-  for (std::vector<int>& list : postings_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
+void LabelTrie::Finalize() const {
+  PIS_DCHECK(std::all_of(postings_.begin(), postings_.end(),
+                         IsStrictlyAscending));
 }
 
 void LabelTrie::ForEachSequence(const SequenceVisitor& visitor) const {
@@ -166,6 +166,9 @@ Result<LabelTrie> LabelTrie::Deserialize(BinaryReader* reader) {
   trie.postings_.reserve(num_postings);
   for (uint64_t i = 0; i < num_postings; ++i) {
     trie.postings_.push_back(reader->VecInt());
+    if (!IsStrictlyAscending(trie.postings_.back())) {
+      return Status::ParseError("trie posting list is not strictly ascending");
+    }
   }
   PIS_RETURN_NOT_OK(reader->Check("trie postings"));
   // Structural sanity: child and posting indices in range.

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "distance/score_matrix.h"
@@ -29,23 +31,35 @@ struct SequenceCostModel {
   }
 };
 
+/// Inserts `id` into the ascending, duplicate-free `list`: an append when
+/// `id` is not below the last element (ids arrive in non-decreasing order
+/// from every builder), a sorted insert otherwise.
+void InsertSortedUnique(std::vector<int>* list, int id);
+
+/// True when every element of `list` is below the next one.
+bool IsStrictlyAscending(const std::vector<int>& list);
+
 /// Receives (graph_id, mutation cost) for a matching stored sequence. One
 /// call per (leaf, graph) pair; callers aggregate the per-graph minimum.
 using SequenceMatchCallback = std::function<void(int graph_id, double cost)>;
 
 /// \brief Fixed-depth trie keyed by label sequences, postings at the leaves.
 ///
-/// Insertions happen in non-decreasing graph-id order (the index builder
-/// scans the database sequentially); Finalize() deduplicates postings.
+/// Posting lists are ascending and duplicate-free by construction, so a
+/// trie is queryable after any insert.
 class LabelTrie {
  public:
   explicit LabelTrie(int sequence_length);
 
   /// Inserts a sequence for a graph. `seq` must have the trie's length.
-  void Insert(const std::vector<Label>& seq, int graph_id);
+  void Insert(std::span<const Label> seq, int graph_id);
+  void Insert(std::initializer_list<Label> seq, int graph_id) {
+    Insert(std::span<const Label>(seq.begin(), seq.size()), graph_id);
+  }
 
-  /// Sorts and deduplicates all posting lists. Call once after all inserts.
-  void Finalize();
+  /// Checks (in debug builds) that every posting list is ascending and
+  /// duplicate-free; Insert keeps them so.
+  void Finalize() const;
 
   /// Finds every stored sequence whose mutation cost against `seq` is
   /// <= sigma and invokes the callback per (leaf, graph) posting.
@@ -65,7 +79,8 @@ class LabelTrie {
                          const std::vector<int>& postings)>;
   void ForEachSequence(const SequenceVisitor& visitor) const;
 
-  /// Binary persistence: the structural node array and posting lists.
+  /// Binary persistence: the structural node array and posting lists. A
+  /// posting list that is not strictly ascending is a ParseError.
   void Serialize(BinaryWriter* writer) const;
   static Result<LabelTrie> Deserialize(BinaryReader* reader);
 
@@ -77,7 +92,6 @@ class LabelTrie {
   };
 
   int32_t ChildOrCreate(int32_t node, Label symbol);
-  int32_t FindChild(int32_t node, Label symbol) const;
 
   int sequence_length_;
   std::vector<Node> nodes_;

@@ -58,19 +58,17 @@ uint64_t GetU64(const char* p) {
 }
 
 std::string EncodePayload(const WalRecord& rec) {
-  std::ostringstream os(std::ios::binary);
-  BinaryWriter w(os);
+  BinaryWriter w;
   w.U8(static_cast<uint8_t>(rec.op));
   w.U64(rec.epoch);
   w.I32(rec.gid);
   w.I32(rec.shard);
   w.Str(rec.graph_text);
-  return os.str();
+  return w.buffer();
 }
 
 Result<WalRecord> DecodePayload(const std::string& payload, size_t index) {
-  std::istringstream is(payload, std::ios::binary);
-  BinaryReader r(is);
+  BinaryReader r(payload);
   WalRecord rec;
   const uint8_t op = r.U8();
   rec.epoch = r.U64();

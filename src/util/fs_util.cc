@@ -1,6 +1,7 @@
 #include "util/fs_util.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -28,6 +29,31 @@ Status SyncFd(const std::string& path, int open_flags) {
 }
 
 }  // namespace
+
+Status ReadFileBytes(const std::string& path, std::string* bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  struct stat st;
+  bytes->resize(::fstat(fd, &st) == 0 && st.st_size > 0
+                    ? static_cast<size_t>(st.st_size)
+                    : 0);
+  size_t done = 0;
+  while (done < bytes->size()) {
+    const ssize_t n = ::read(fd, bytes->data() + done, bytes->size() - done);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int saved_errno = errno;
+      ::close(fd);
+      return Status::IOError("cannot open " + path + ": " +
+                             std::strerror(saved_errno));
+    }
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes->resize(done);
+  return Status::OK();
+}
 
 uintmax_t DirectoryBytes(const std::string& dir) {
   uintmax_t total = 0;

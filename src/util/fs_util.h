@@ -21,6 +21,10 @@ uintmax_t DirectoryBytes(const std::string& dir);
 /// DirectoryBytes for a directory, the file size otherwise; 0 on error.
 uintmax_t PathBytes(const std::string& path);
 
+/// Reads the whole file at `path` into `*bytes` in one block. IOError
+/// "cannot open <path>" when it cannot be opened, or a read fails.
+Status ReadFileBytes(const std::string& path, std::string* bytes);
+
 /// Replaces `target` (a file, a directory, or nothing) without ever
 /// exposing a half-written one: `write` fills the staging path
 /// `<target>.tmp` (cleared first), then renames swap it in — the old entry

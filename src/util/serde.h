@@ -1,8 +1,11 @@
 // Little-endian binary serialization helpers for index persistence.
 //
-// Writers accumulate into a std::ostream; readers consume a std::istream
-// and latch a failure flag — callers check ok() at section boundaries
-// instead of after every field.
+// Writers either append to an in-memory buffer that the caller writes out
+// in one block, or write through to a std::ostream field by field. Readers
+// parse an in-memory buffer and latch a failure flag — callers check ok()
+// at section boundaries instead of after every field. Containers move as
+// whole blocks, and a count is checked against the bytes left without
+// touching a stream.
 #ifndef PIS_UTIL_SERDE_H_
 #define PIS_UTIL_SERDE_H_
 
@@ -10,6 +13,7 @@
 #include <cstring>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -19,30 +23,52 @@ namespace pis {
 /// \brief Sequential binary writer.
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::ostream& out) : out_(out) {}
+  /// Accumulates into buffer(); the caller writes it out in one block.
+  BinaryWriter() = default;
+  /// Writes every field through to `out` as it is written.
+  explicit BinaryWriter(std::ostream& out) : out_(&out) {}
 
-  void U8(uint8_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I32(int32_t v);
-  void F64(double v);
+  void U8(uint8_t v) { Raw(&v, 1); }
+  void U32(uint32_t v) { Raw(&v, 4); }
+  void U64(uint64_t v) { Raw(&v, 8); }
+  void I32(int32_t v) { Raw(&v, 4); }
+  void F64(double v) { Raw(&v, 8); }
   void Str(const std::string& s);
   void VecI32(const std::vector<int32_t>& v);
   void VecInt(const std::vector<int>& v);
   void VecF64(const std::vector<double>& v);
 
-  /// Stream still healthy?
+  /// The bytes written so far (empty for a write-through writer).
+  const std::string& buffer() const { return buffer_; }
+
+  /// Stream still healthy? Always true for a buffering writer.
   bool ok() const;
 
  private:
-  void Raw(const void* data, size_t n);
-  std::ostream& out_;
+  void Raw(const void* data, size_t n) {
+    if (out_ != nullptr) {
+      WriteThrough(data, n);
+    } else {
+      buffer_.append(static_cast<const char*>(data), n);
+    }
+  }
+  void WriteThrough(const void* data, size_t n);
+
+  std::ostream* out_ = nullptr;
+  std::string buffer_;
 };
 
-/// \brief Sequential binary reader with a latched failure flag.
+/// \brief Sequential binary reader over an in-memory buffer, with a latched
+/// failure flag.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& in) : in_(in) {}
+  /// Parses `bytes`, which must outlive the reader.
+  explicit BinaryReader(std::string_view bytes) : data_(bytes) {}
+  explicit BinaryReader(std::string&&) = delete;  // the view would dangle
+  /// Reads the rest of `in` into an owned buffer, then parses that.
+  explicit BinaryReader(std::istream& in);
+  BinaryReader(const BinaryReader&) = delete;
+  BinaryReader& operator=(const BinaryReader&) = delete;
 
   uint8_t U8();
   uint32_t U32();
@@ -54,29 +80,25 @@ class BinaryReader {
   std::vector<int> VecInt();
   std::vector<double> VecF64();
 
-  /// Reads a container count and validates it against the remaining stream
-  /// size assuming at least `min_elem_bytes` per element (latches failure
-  /// and returns 0 when implausible). Use before any reserve()/loop.
+  /// Reads a container count and validates it against the bytes left,
+  /// assuming at least `min_elem_bytes` per element (latches failure and
+  /// returns 0 when implausible). Use before any reserve()/loop.
   uint64_t ReadCount(uint64_t min_elem_bytes);
 
-  /// False once any read failed or the stream went bad.
-  bool ok() const;
+  /// False once any read failed.
+  bool ok() const { return !failed_; }
   /// Convenience: OK status or ParseError mentioning `what`.
   Status Check(const std::string& what) const;
 
  private:
   bool Raw(void* data, size_t n);
-  /// True when at least `bytes` more can plausibly be read: corrupt length
-  /// prefixes must not trigger huge allocations. Uses the stream size when
-  /// seekable, else a fixed cap.
-  bool HasBytes(uint64_t bytes);
-  /// Fallback length guard for non-seekable streams.
-  static constexpr uint64_t kMaxContainer = 1ull << 28;
+  template <typename T>
+  std::vector<T> Vec();
 
-  std::istream& in_;
+  std::string owned_;  // the stream's bytes, for the istream constructor
+  std::string_view data_;
+  size_t pos_ = 0;
   bool failed_ = false;
-  /// Total stream bytes if seekable, -1 otherwise (computed lazily).
-  int64_t stream_bytes_ = -2;
 };
 
 /// Short hash of the last commit whose loaders read the retired on-disk

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -10,6 +13,7 @@
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/fragment_index.h"
+#include "index/sharded_index.h"
 #include "index/rtree.h"
 #include "index/trie_index.h"
 #include "mining/gspan.h"
@@ -64,6 +68,48 @@ TEST(SerdeTest, CorruptLengthRejected) {
   BinaryReader reader(buf);
   std::string s = reader.Str();
   EXPECT_FALSE(reader.ok());
+}
+
+TEST(SerdeTest, VecIntRoundTripsWholeBlocks) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{100000}}) {
+    SCOPED_TRACE(n);
+    std::vector<int> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = i % 3 == 0 ? -static_cast<int>(i) : static_cast<int>(i * 7);
+    }
+    if (n > 1) values[1] = std::numeric_limits<int>::min();
+    BinaryWriter writer;
+    writer.VecInt(values);
+    writer.U8(0x5a);  // a sentinel after the block
+    ASSERT_EQ(writer.buffer().size(), 8 + 4 * n + 1);
+    BinaryReader reader(writer.buffer());
+    EXPECT_EQ(reader.VecInt(), values);
+    EXPECT_EQ(reader.U8(), 0x5a);
+    EXPECT_TRUE(reader.ok());
+    // A write-through writer emits the same bytes.
+    std::ostringstream through;
+    BinaryWriter stream_writer(through);
+    stream_writer.VecInt(values);
+    stream_writer.U8(0x5a);
+    EXPECT_EQ(through.str(), writer.buffer());
+  }
+}
+
+TEST(SerdeTest, VecIntRefusesACountLargerThanTheBytesLeft) {
+  BinaryWriter writer;
+  writer.U64(3);  // claims three ints ...
+  writer.I32(1);
+  writer.I32(2);  // ... but holds two
+  BinaryReader reader(writer.buffer());
+  EXPECT_TRUE(reader.VecInt().empty());
+  EXPECT_FALSE(reader.ok());
+
+  BinaryWriter huge;
+  huge.U64(uint64_t{1} << 62);  // would overflow a byte count
+  huge.I32(7);
+  BinaryReader huge_reader(huge.buffer());
+  EXPECT_TRUE(huge_reader.VecInt().empty());
+  EXPECT_FALSE(huge_reader.ok());
 }
 
 TEST(ScoreMatrixSerdeTest, RoundTrip) {
@@ -253,6 +299,58 @@ TEST(FragmentIndexSerdeTest, FileRoundTrip) {
   EXPECT_EQ(loaded.value().num_classes(), 1);
   EXPECT_EQ(FragmentIndex::LoadFile("/nonexistent.bin").status().code(),
             StatusCode::kIOError);
+}
+
+// Every proper prefix of a saved shard file, and of the manifest, is
+// refused with a Status by LoadDir: no crash, and no index that is short of
+// what was saved.
+TEST(IndexFileTruncationTest, EveryPrefixOfAShardFileAndTheManifestIsRefused) {
+  MoleculeGeneratorOptions gopt;
+  gopt.seed = 41;
+  gopt.mean_vertices = 10;
+  gopt.max_vertices = 16;
+  GraphDatabase db = MoleculeGenerator(gopt).Generate(6);
+  Graph edge;
+  edge.AddVertex(kNoLabel);
+  edge.AddVertex(kNoLabel);
+  ASSERT_TRUE(edge.AddEdge(0, 1).ok());
+  Graph path = edge;
+  const VertexId v = path.AddVertex(kNoLabel);
+  ASSERT_TRUE(path.AddEdge(1, v).ok());
+  FragmentIndexOptions options;
+  options.max_fragment_edges = 2;
+  auto index = ShardedFragmentIndex::Build(db, {edge, path}, options, 2);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(index.value().RemoveGraph(1).ok());  // a tombstone to truncate
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "pis_truncation";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(index.value().SaveDir(dir.string()).ok());
+  ASSERT_TRUE(ShardedFragmentIndex::LoadDir(dir.string()).ok());
+  for (const char* name : {"MANIFEST", "shard_0000.idx"}) {
+    SCOPED_TRACE(name);
+    const std::filesystem::path file = dir / name;
+    std::string bytes;
+    {
+      std::ifstream in(file, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), 16u);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      {
+        std::ofstream out(file, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(cut));
+      }
+      auto loaded = ShardedFragmentIndex::LoadDir(dir.string());
+      EXPECT_FALSE(loaded.ok()) << "cut=" << cut;
+      if (loaded.ok()) break;
+    }
+    std::ofstream restore(file, std::ios::binary | std::ios::trunc);
+    restore.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_TRUE(ShardedFragmentIndex::LoadDir(dir.string()).ok());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
