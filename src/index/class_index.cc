@@ -143,7 +143,6 @@ Status EquivalenceClassIndex::Serialize(BinaryWriter* writer) const {
   } else {
     rtree_->Serialize(writer);
   }
-  if (!writer->ok()) return Status::IOError("class index write failed");
   return Status::OK();
 }
 

@@ -72,30 +72,17 @@ const SkeletonClass* SkeletonCache::Insert(const PatternKey& key,
 SkeletonMemo::SkeletonMemo(const FragmentIndex& index)
     : index_(index),
       cache_(*index.skeletons_),
-      slots_(64),
       vertex_labels_(index.SequenceHasVertexLabels()) {}
 
 Result<const SkeletonClass*> SkeletonMemo::Classify(
     const Graph& host, std::span<const EdgeId> subset) {
   // Number the subset's vertices exactly as Graph::EdgeSubgraph does (by
-  // first appearance, u before v), packing the pattern as it goes. The
-  // numbering of a prefix depends only on its endpoints, so the longest
-  // prefix whose endpoints match the previous subset's is kept.
+  // first appearance, u before v), packing the pattern as it goes.
   if (host_to_local_.size() < static_cast<size_t>(host.NumVertices())) {
     host_to_local_.resize(host.NumVertices(), kInvalidVertex);
   }
-  size_t keep = 0;
-  while (keep < steps_.size() && keep < subset.size()) {
-    const Edge& edge = host.GetEdge(subset[keep]);
-    if (edge.u != steps_[keep].u || edge.v != steps_[keep].v) break;
-    ++keep;
-  }
-  const size_t locals = keep == 0 ? 0 : steps_[keep - 1].locals_end;
-  for (size_t i = locals; i < local_to_host_.size(); ++i) {
-    host_to_local_[local_to_host_[i]] = kInvalidVertex;
-  }
-  local_to_host_.resize(locals);
-  steps_.resize(keep);
+  for (VertexId v : local_to_host_) host_to_local_[v] = kInvalidVertex;
+  local_to_host_.clear();
   auto local_id = [this](VertexId old) -> uint64_t {
     if (host_to_local_[old] == kInvalidVertex) {
       host_to_local_[old] = static_cast<VertexId>(local_to_host_.size());
@@ -103,9 +90,9 @@ Result<const SkeletonClass*> SkeletonMemo::Classify(
     }
     return static_cast<uint64_t>(host_to_local_[old]);
   };
-  for (size_t i = keep; i < subset.size(); ++i) {
+  PatternKey key;
+  for (size_t i = 0; i < subset.size(); ++i) {
     const Edge& edge = host.GetEdge(subset[i]);
-    PatternKey key = i == 0 ? PatternKey() : steps_.back().key;
     const uint64_t u = local_id(edge.u);
     const uint64_t pair = u | local_id(edge.v) << 4;
     if (i < 8) {
@@ -113,19 +100,14 @@ Result<const SkeletonClass*> SkeletonMemo::Classify(
     } else if (i < PatternKey::kMaxEdges) {
       key.hi |= pair << (8 * (i - 8));
     }
-    steps_.push_back({edge.u, edge.v, local_to_host_.size(), key});
   }
   if (subset.empty() || subset.size() > PatternKey::kMaxEdges) {
     return ClassifyNew(host, subset, &uncached_);
   }
-  PatternKey key = steps_.back().key;
   key.hi |= static_cast<uint64_t>(subset.size()) << 56;
 
-  const size_t mask = slots_.size() - 1;
-  size_t slot = key.Hash() & mask;
-  for (; !slots_[slot].key.empty(); slot = (slot + 1) & mask) {
-    if (slots_[slot].key == key) return slots_[slot].cls;
-  }
+  auto seen = seen_.find(key);
+  if (seen != seen_.end()) return seen->second;
   const SkeletonClass* cls = cache_.Find(key);
   if (cls == nullptr) {
     // New to every scan: classify outside the cache's lock, then publish
@@ -134,7 +116,7 @@ Result<const SkeletonClass*> SkeletonMemo::Classify(
     PIS_RETURN_NOT_OK(ClassifyNew(host, subset, &fresh).status());
     cls = cache_.Insert(key, std::move(fresh));
   }
-  Remember(key, cls);
+  seen_.emplace(key, cls);
   return cls;
 }
 
@@ -158,22 +140,6 @@ Result<const SkeletonClass*> SkeletonMemo::ClassifyNew(
     out->embeddings = std::move(form.embeddings);
   }
   return out;
-}
-
-void SkeletonMemo::Remember(const PatternKey& key, const SkeletonClass* cls) {
-  if (2 * (used_ + 1) > slots_.size()) {
-    std::vector<Slot> old(2 * slots_.size());
-    old.swap(slots_);
-    used_ = 0;
-    for (const Slot& s : old) {
-      if (!s.key.empty()) Remember(s.key, s.cls);
-    }
-  }
-  const size_t mask = slots_.size() - 1;
-  size_t slot = key.Hash() & mask;
-  while (!slots_[slot].key.empty()) slot = (slot + 1) & mask;
-  slots_[slot] = {key, cls};
-  ++used_;
 }
 
 void SkeletonMemo::AppendVectors(const Graph& host,
@@ -201,13 +167,6 @@ void SkeletonMemo::Vectors(const Graph& host, std::span<const EdgeId> subset,
 Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
                                            const std::vector<Graph>& features,
                                            const FragmentIndexOptions& options) {
-  return Build(db, features, options, std::make_shared<SkeletonCache>());
-}
-
-Result<FragmentIndex> FragmentIndex::Build(
-    const GraphDatabase& db, const std::vector<Graph>& features,
-    const FragmentIndexOptions& options,
-    std::shared_ptr<SkeletonCache> skeletons) {
   if (options.min_fragment_edges < 1 ||
       options.max_fragment_edges < options.min_fragment_edges) {
     return Status::InvalidArgument("invalid fragment size bounds");
@@ -216,7 +175,7 @@ Result<FragmentIndex> FragmentIndex::Build(
   FragmentIndex index;
   index.options_ = options;
   index.spec_holder_ = std::make_shared<const DistanceSpec>(options.spec);
-  index.skeletons_ = std::move(skeletons);
+  index.skeletons_ = std::make_shared<SkeletonCache>();
   index.db_size_ = db.size();
 
   // Register classes from the feature set.
@@ -341,18 +300,18 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
 void FragmentIndex::ApplyExtraction(int gid, const PendingFragments& pending,
                                     const ExtractStats& stats) {
   // Most of a graph's sequences repeat one it already brought to the same
-  // class. A class that collapses repeats (every class, or none: the spec
-  // picks the backend) only counts those, so a per-graph hash set of
-  // (class, labels) spots them without walking the trie.
-  const bool collapse = !classes_.empty() && classes_[0]->CollapsesRepeats();
+  // class. A trie class keeps one posting per sequence and graph, so there
+  // a repeat is only counted; a per-graph hash set of (class, labels) spots
+  // it without walking the trie, which takes about a fifth off a build.
   constexpr uint32_t kEmpty = UINT32_MAX;
   size_t capacity = 16;
-  while (collapse && capacity < 2 * pending.entries.size()) capacity *= 2;
-  std::vector<uint32_t> seen(collapse ? capacity : 0, kEmpty);
+  while (capacity < 2 * pending.entries.size()) capacity *= 2;
+  std::vector<uint32_t> seen(capacity, kEmpty);
   for (size_t i = 0; i < pending.entries.size(); ++i) {
     const int class_id = pending.entries[i].class_id;
+    EquivalenceClassIndex& cls = *classes_[class_id];
     const std::span<const Label> labels = pending.Labels(i);
-    if (collapse) {
+    if (cls.CollapsesRepeats()) {
       uint64_t h = static_cast<uint64_t>(class_id);
       for (Label l : labels) h = HashCombine(h, static_cast<uint64_t>(l));
       size_t slot = static_cast<size_t>(h) & (capacity - 1);
@@ -366,12 +325,12 @@ void FragmentIndex::ApplyExtraction(int gid, const PendingFragments& pending,
         }
       }
       if (repeat) {
-        classes_[class_id]->CountRepeat();
+        cls.CountRepeat();
         continue;
       }
       seen[slot] = static_cast<uint32_t>(i);
     }
-    classes_[class_id]->Insert(labels, pending.Weights(i), gid);
+    cls.Insert(labels, pending.Weights(i), gid);
   }
   stats_.num_subsets_enumerated += stats.subsets;
   stats_.num_subsets_skipped_by_signature += stats.skipped_by_signature;

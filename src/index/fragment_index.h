@@ -81,17 +81,20 @@ struct SkeletonClass {
 /// local v) pair of each edge in subset order, with local vertex ids
 /// assigned as Graph::EdgeSubgraph assigns them (first appearance, u
 /// before v). Edge i takes byte i (u in the low nibble, v in the high one)
-/// of the 15 low bytes; the top byte holds the edge count, so no valid key
-/// is all-zero. Subsets of more than kMaxEdges edges have no packed key.
+/// of the 15 low bytes; the top byte holds the edge count. Subsets of more
+/// than kMaxEdges edges have no packed key.
 struct PatternKey {
   static constexpr int kMaxEdges = 15;
   uint64_t lo = 0;
   uint64_t hi = 0;
 
-  bool empty() const { return hi == 0; }
   bool operator==(const PatternKey&) const = default;
-  size_t Hash() const {
-    uint64_t h = (lo ^ (hi * 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
+};
+
+struct PatternKeyHash {
+  size_t operator()(const PatternKey& key) const {
+    uint64_t h =
+        (key.lo ^ (key.hi * 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
     return static_cast<size_t>(h ^ (h >> 31));
   }
 };
@@ -104,11 +107,10 @@ struct PatternKey {
 /// distinct pattern is exact for every subset that shares it. The class
 /// catalog and signatures never change after Build/Load (AddGraph, Compact
 /// and Clone keep them), so a classification stays valid for the index's
-/// lifetime: the index holds the cache by shared_ptr, Clone shares it, and
-/// the shards one ShardedFragmentIndex::Build makes share one. The cache is
-/// bounded by the distinct local edge patterns of the indexed graphs and
-/// queries, which are few: 160 at <= 4 edges across 287,427 subsets of
-/// 1,000 seed-1 molecules, and 3,272 at <= 6 edges over 200.
+/// lifetime: the index holds the cache by shared_ptr and Clone shares it.
+/// The cache is bounded by the distinct local edge patterns of the indexed
+/// graphs and queries, which are few: 160 at <= 4 edges across 287,427
+/// subsets of 1,000 seed-1 molecules, and 3,272 at <= 6 edges over 200.
 ///
 /// Thread-safe. Entries are immutable once published and never removed, so
 /// a returned pointer stays valid while the cache lives. The mutex is a
@@ -123,25 +125,18 @@ class SkeletonCache {
       PIS_EXCLUDES(mu_);
 
  private:
-  struct KeyHash {
-    size_t operator()(const PatternKey& key) const { return key.Hash(); }
-  };
   mutable Mutex mu_;
   // Node-based, so entries never move.
-  std::unordered_map<PatternKey, SkeletonClass, KeyHash> classes_
+  std::unordered_map<PatternKey, SkeletonClass, PatternKeyHash> classes_
       PIS_GUARDED_BY(mu_);
 };
 
 /// \brief Per-scan, lock-free front of an index's SkeletonCache.
 ///
-/// Classify packs the subset's PatternKey and looks it up in a small
-/// private open-addressing table; only a pattern this scan has not met yet
-/// goes to the shared cache, and only a pattern no scan has met yet runs
-/// EdgeSubgraph, the signature prefilter, MinDfsCode and the class lookup.
-/// The local numbering and key of the longest prefix shared with the
-/// previous subset (same endpoints, edge by edge) carry over, so an
-/// enumeration that grows and shrinks subsets at the back, as ESU does,
-/// numbers about one edge per subset.
+/// Classify packs the subset's PatternKey and looks it up in a private
+/// map; only a pattern this scan has not met yet goes to the shared cache,
+/// and only a pattern no scan has met yet runs EdgeSubgraph, the signature
+/// prefilter, MinDfsCode and the class lookup.
 /// The signature prefilter never rejects an indexed skeleton: Build
 /// registers each class's signature with the class, and Save/Load persist
 /// both.
@@ -178,33 +173,17 @@ class SkeletonMemo {
                      std::vector<double>* weights) const;
 
  private:
-  struct Slot {
-    PatternKey key;
-    const SkeletonClass* cls = nullptr;
-  };
-  // The numbering state after one edge of the current subset.
-  struct Step {
-    VertexId u;
-    VertexId v;
-    size_t locals_end;  // local_to_host_.size() after this edge
-    PatternKey key;     // edges so far, without the count byte
-  };
   Result<const SkeletonClass*> ClassifyNew(const Graph& host,
                                            std::span<const EdgeId> subset,
                                            SkeletonClass* out) const;
-  void Remember(const PatternKey& key, const SkeletonClass* cls);
 
   const FragmentIndex& index_;
   SkeletonCache& cache_;
-  // Open addressing with linear probing; the size is a power of two and at
-  // least twice the entries.
-  std::vector<Slot> slots_;
-  size_t used_ = 0;
+  std::unordered_map<PatternKey, const SkeletonClass*, PatternKeyHash> seen_;
   SkeletonClass uncached_;
   const bool vertex_labels_;
-  // The current subset: host_to_local_ holds the local id of exactly the
-  // vertices in local_to_host_, kInvalidVertex elsewhere.
-  std::vector<Step> steps_;
+  // The subset last classified: host_to_local_ holds the local id of
+  // exactly the vertices in local_to_host_, kInvalidVertex elsewhere.
   std::vector<VertexId> host_to_local_;
   std::vector<VertexId> local_to_host_;
 };
@@ -313,17 +292,8 @@ class FragmentIndex {
 
  private:
   friend class SkeletonMemo;
-  friend class ShardedFragmentIndex;
 
   FragmentIndex() = default;
-
-  // Build over `skeletons`, which may already hold classifications against
-  // the catalog `features` and `options` register: the shards of one
-  // ShardedFragmentIndex::Build share one cache.
-  static Result<FragmentIndex> Build(const GraphDatabase& db,
-                                     const std::vector<Graph>& features,
-                                     const FragmentIndexOptions& options,
-                                     std::shared_ptr<SkeletonCache> skeletons);
 
   // Appends the canonical label sequence / weight vector of one fragment
   // embedding of `g` with `nv` vertices and `ne` edges: the embedding's

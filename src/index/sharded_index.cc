@@ -109,9 +109,6 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::Build(
   // sequentially so thread counts don't multiply.
   FragmentIndexOptions shard_options = options;
   if (num_shards > 1) shard_options.num_threads = 1;
-  // Every shard registers the same catalog, so one skeleton cache serves
-  // them all: each local edge pattern is canonicalized once per build.
-  auto skeletons = std::make_shared<SkeletonCache>();
   // No fill-construction: Result<FragmentIndex> is move-only.
   std::vector<Result<FragmentIndex>> built;
   built.reserve(num_shards);
@@ -122,7 +119,7 @@ Result<ShardedFragmentIndex> ShardedFragmentIndex::Build(
     // The shard's sub-database is a slice that shares `db`'s graphs (one
     // pointer per graph), so building the shards copies no graph.
     built[s] = FragmentIndex::Build(db.Slice(offsets[s], offsets[s + 1]),
-                                    features, shard_options, skeletons);
+                                    features, shard_options);
   });
   sharded.shards_.reserve(num_shards);
   for (int s = 0; s < num_shards; ++s) {

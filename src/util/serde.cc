@@ -1,16 +1,11 @@
 #include "util/serde.h"
 
 #include <istream>
-#include <ostream>
 #include <sstream>
 
 namespace pis {
 
 static_assert(sizeof(int) == sizeof(int32_t), "VecInt stores 4-byte ints");
-
-void BinaryWriter::WriteThrough(const void* data, size_t n) {
-  out_->write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-}
 
 void BinaryWriter::Str(const std::string& s) {
   U64(s.size());
@@ -30,10 +25,6 @@ void BinaryWriter::VecInt(const std::vector<int>& v) {
 void BinaryWriter::VecF64(const std::vector<double>& v) {
   U64(v.size());
   Raw(v.data(), v.size() * sizeof(double));
-}
-
-bool BinaryWriter::ok() const {
-  return out_ == nullptr || static_cast<bool>(*out_);
 }
 
 BinaryReader::BinaryReader(std::istream& in) {

@@ -1,8 +1,7 @@
 // Little-endian binary serialization helpers for index persistence.
 //
-// Writers either append to an in-memory buffer that the caller writes out
-// in one block, or write through to a std::ostream field by field. Readers
-// parse an in-memory buffer and latch a failure flag — callers check ok()
+// Writers append to an in-memory buffer that the caller writes out in one
+// block. Readers parse an in-memory buffer and latch a failure flag — callers check ok()
 // at section boundaries instead of after every field. Containers move as
 // whole blocks, and a count is checked against the bytes left without
 // touching a stream.
@@ -25,8 +24,6 @@ class BinaryWriter {
  public:
   /// Accumulates into buffer(); the caller writes it out in one block.
   BinaryWriter() = default;
-  /// Writes every field through to `out` as it is written.
-  explicit BinaryWriter(std::ostream& out) : out_(&out) {}
 
   void U8(uint8_t v) { Raw(&v, 1); }
   void U32(uint32_t v) { Raw(&v, 4); }
@@ -38,23 +35,14 @@ class BinaryWriter {
   void VecInt(const std::vector<int>& v);
   void VecF64(const std::vector<double>& v);
 
-  /// The bytes written so far (empty for a write-through writer).
+  /// The bytes written so far.
   const std::string& buffer() const { return buffer_; }
-
-  /// Stream still healthy? Always true for a buffering writer.
-  bool ok() const;
 
  private:
   void Raw(const void* data, size_t n) {
-    if (out_ != nullptr) {
-      WriteThrough(data, n);
-    } else {
-      buffer_.append(static_cast<const char*>(data), n);
-    }
+    buffer_.append(static_cast<const char*>(data), n);
   }
-  void WriteThrough(const void* data, size_t n);
 
-  std::ostream* out_ = nullptr;
   std::string buffer_;
 };
 

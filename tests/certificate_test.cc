@@ -15,7 +15,6 @@
 #include <cmath>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -107,13 +106,12 @@ TEST(ScoreMatrixTest, InfiniteCostIsAForbiddenMutation) {
 
 TEST(ScoreMatrixTest, DeserializeValidatesEveryCost) {
   auto decode = [](double default_mismatch, double override_cost) {
-    std::stringstream bytes;
-    BinaryWriter writer(bytes);
+    BinaryWriter writer;
     writer.F64(default_mismatch);
     writer.U64(1);
     writer.U64((uint64_t{1} << 32) | 2);
     writer.F64(override_cost);
-    BinaryReader reader(bytes);
+    BinaryReader reader(writer.buffer());
     return ScoreMatrix::Deserialize(&reader);
   };
   ASSERT_TRUE(decode(1.0, 0.5).ok());

@@ -23,8 +23,7 @@ namespace pis {
 namespace {
 
 TEST(SerdeTest, PrimitiveRoundTrip) {
-  std::stringstream buf;
-  BinaryWriter writer(buf);
+  BinaryWriter writer;
   writer.U8(7);
   writer.U32(0xdeadbeef);
   writer.U64(1ull << 40);
@@ -33,9 +32,8 @@ TEST(SerdeTest, PrimitiveRoundTrip) {
   writer.Str("hello");
   writer.VecInt({1, -2, 3});
   writer.VecF64({0.5, -1.5});
-  ASSERT_TRUE(writer.ok());
 
-  BinaryReader reader(buf);
+  BinaryReader reader(writer.buffer());
   EXPECT_EQ(reader.U8(), 7);
   EXPECT_EQ(reader.U32(), 0xdeadbeefu);
   EXPECT_EQ(reader.U64(), 1ull << 40);
@@ -48,10 +46,9 @@ TEST(SerdeTest, PrimitiveRoundTrip) {
 }
 
 TEST(SerdeTest, TruncationLatchesFailure) {
-  std::stringstream buf;
-  BinaryWriter writer(buf);
+  BinaryWriter writer;
   writer.U32(5);
-  BinaryReader reader(buf);
+  BinaryReader reader(writer.buffer());
   reader.U32();
   reader.U64();  // past the end
   EXPECT_FALSE(reader.ok());
@@ -62,10 +59,9 @@ TEST(SerdeTest, TruncationLatchesFailure) {
 }
 
 TEST(SerdeTest, CorruptLengthRejected) {
-  std::stringstream buf;
-  BinaryWriter writer(buf);
+  BinaryWriter writer;
   writer.U64(~0ull);  // absurd container length
-  BinaryReader reader(buf);
+  BinaryReader reader(writer.buffer());
   std::string s = reader.Str();
   EXPECT_FALSE(reader.ok());
 }
@@ -86,12 +82,6 @@ TEST(SerdeTest, VecIntRoundTripsWholeBlocks) {
     EXPECT_EQ(reader.VecInt(), values);
     EXPECT_EQ(reader.U8(), 0x5a);
     EXPECT_TRUE(reader.ok());
-    // A write-through writer emits the same bytes.
-    std::ostringstream through;
-    BinaryWriter stream_writer(through);
-    stream_writer.VecInt(values);
-    stream_writer.U8(0x5a);
-    EXPECT_EQ(through.str(), writer.buffer());
   }
 }
 
@@ -116,10 +106,9 @@ TEST(ScoreMatrixSerdeTest, RoundTrip) {
   ScoreMatrix m(2.0);
   ASSERT_TRUE(m.Set(1, 2, 0.25).ok());
   ASSERT_TRUE(m.Set(3, 4, 1.75).ok());
-  std::stringstream buf;
-  BinaryWriter writer(buf);
+  BinaryWriter writer;
   m.Serialize(&writer);
-  BinaryReader reader(buf);
+  BinaryReader reader(writer.buffer());
   auto back = ScoreMatrix::Deserialize(&reader);
   ASSERT_TRUE(back.ok());
   EXPECT_DOUBLE_EQ(back.value().Cost(1, 2), 0.25);
@@ -139,10 +128,9 @@ TEST(TrieSerdeTest, RoundTripPreservesRangeQueries) {
     }
   }
   trie.Finalize();
-  std::stringstream buf;
-  BinaryWriter writer(buf);
+  BinaryWriter writer;
   trie.Serialize(&writer);
-  BinaryReader reader(buf);
+  BinaryReader reader(writer.buffer());
   auto back = LabelTrie::Deserialize(&reader);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value().NumNodes(), trie.NumNodes());
@@ -175,10 +163,9 @@ TEST(RTreeSerdeTest, RoundTripPreservesContents) {
                  rng.UniformDouble(0, 5)},
                 i);
   }
-  std::stringstream buf;
-  BinaryWriter writer(buf);
+  BinaryWriter writer;
   tree.Serialize(&writer);
-  BinaryReader reader(buf);
+  BinaryReader reader(writer.buffer());
   auto back = RTree::Deserialize(&reader);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value().size(), tree.size());
