@@ -53,14 +53,13 @@ GraphDatabase MakeDatabase(const WorkloadConfig& config) {
 
 Result<std::vector<Graph>> MineFeatures(const GraphDatabase& db,
                                         const WorkloadConfig& config) {
-  // Features are bare structures (paper §4 step 1): mine without labels.
+  // Features are bare structures (paper §4 step 1); gSpan reads no labels.
   GspanOptions mine;
   mine.min_support = std::max(
       1, static_cast<int>(std::lround(config.feature_min_support * db.size())));
   mine.min_edges = 1;
   mine.max_edges = config.max_fragment_edges;
   mine.num_threads = config.threads > 0 ? config.threads : HardwareThreads();
-  mine.use_labels = false;
   Timer timer;
   PIS_ASSIGN_OR_RETURN(std::vector<Pattern> patterns,
                        MineFrequentSubgraphs(db, mine));

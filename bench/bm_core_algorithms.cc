@@ -175,7 +175,6 @@ void BM_GspanSkeletons(benchmark::State& state) {
   options.min_support = db.size() / 20;
   options.max_edges = 4;
   options.num_threads = static_cast<int>(state.range(0));
-  options.use_labels = false;
   for (auto _ : state) {
     auto patterns = MineFrequentSubgraphs(db, options);
     PIS_CHECK(patterns.ok());

@@ -81,7 +81,6 @@ void BM_IndexBuild(benchmark::State& state) {
   GspanOptions mine;
   mine.min_support = std::max(2, db.size() / 100);
   mine.max_edges = 4;
-  mine.use_labels = false;
   auto patterns = MineFrequentSubgraphs(db, mine);
   PIS_CHECK(patterns.ok());
   std::vector<Graph> features;
@@ -103,7 +102,6 @@ void BM_GspanMining(benchmark::State& state) {
   GspanOptions mine;
   mine.min_support = 5;
   mine.max_edges = static_cast<int>(state.range(0));
-  mine.use_labels = false;
   for (auto _ : state) {
     auto patterns = MineFrequentSubgraphs(db, mine);
     PIS_CHECK(patterns.ok());

@@ -66,7 +66,6 @@ int main() {
   // 4. Search both indexes; answers must agree graph for graph.
   PisOptions options;
   options.sigma = 2.0;
-  options.shard_threads = HardwareThreads();
   PisEngine engine(&db, &sharded.value(), options);
   PisEngine reference(&db, &single.value(), options);
   QuerySampler sampler(&db, {.seed = 7, .strip_vertex_labels = true});

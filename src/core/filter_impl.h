@@ -16,8 +16,7 @@ namespace pis::internal {
 /// The SearchBatch driver: fans `run_query` over 0..num_queries-1 with
 /// ParallelFor, isolates per-query exceptions as Internal errors, and
 /// aggregates stats over the successful queries. The caller resolves
-/// `num_threads` (> 0) and applies any verify-thread clamping before
-/// constructing `run_query`.
+/// `num_threads` (> 0).
 BatchSearchResult RunSearchBatch(
     size_t num_queries, int num_threads,
     const std::function<Result<SearchResult>(size_t)>& run_query);

@@ -36,12 +36,6 @@ struct PisOptions {
   /// Cap on enumerated query fragments (0 = unlimited). When hit, the
   /// largest fragments are kept (they are the selective ones).
   size_t max_query_fragments = 0;
-  /// Threads for candidate verification (1 = sequential).
-  int verify_threads = 1;
-  /// Threads fanning one query's range queries across the shards of the
-  /// index (a one-shard index ignores it). Never affects results, only
-  /// scheduling.
-  int shard_threads = 1;
   /// Auto-compaction threshold for sharded serving: when > 0, callers that
   /// own a mutable ShardedFragmentIndex forward this to
   /// set_compact_dead_ratio so a RemoveGraph compacts the owning shard once

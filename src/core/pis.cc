@@ -36,36 +36,29 @@ Result<FilterResult> PisEngine::Filter(const Graph& query) const {
       EnumerateIndexedQueryFragments(index_->shard(0), query,
                                      options_.max_query_fragments));
 
-  // Filter -> plan -> refine (core/shard_filter.h). The per-shard steps
-  // write fixed slots, so any shard_threads schedule gives one result.
+  // Filter -> plan -> refine (core/shard_filter.h), one shard at a time.
   const int num_shards = index_->num_shards();
   const double sigma = options_.sigma;
-  std::vector<Status> failures(num_shards);
   Timer pass1_timer;
   std::vector<ShardFilterResult> shards(num_shards);
-  ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
-    failures[s] = ShardFilter(*index_, static_cast<int>(s), result.fragments,
-                              sigma, &shards[s]);
-  });
-  for (const Status& failure : failures) PIS_RETURN_NOT_OK(failure);
+  for (int s = 0; s < num_shards; ++s) {
+    PIS_RETURN_NOT_OK(
+        ShardFilter(*index_, s, result.fragments, sigma, &shards[s]));
+  }
   const double pass1_seconds = pass1_timer.Seconds();
 
   PlanFilter(shards, options_, &result);
 
   Timer pass2_timer;
-  std::vector<std::vector<int>> refined(num_shards);
-  std::vector<size_t> partition_candidates(num_shards, 0);
-  ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
-    failures[s] = ShardRefine(*index_, *db_, static_cast<int>(s), query,
-                              result.fragments, result.partition,
-                              shards[s].survivors, sigma, &refined[s],
-                              &partition_candidates[s]);
-  });
   for (int s = 0; s < num_shards; ++s) {
-    PIS_RETURN_NOT_OK(failures[s]);
-    result.stats.candidates_after_partition += partition_candidates[s];
-    result.candidates.insert(result.candidates.end(), refined[s].begin(),
-                             refined[s].end());
+    std::vector<int> refined;
+    size_t partition_candidates = 0;
+    PIS_RETURN_NOT_OK(ShardRefine(*index_, *db_, s, query, result.fragments,
+                                  result.partition, shards[s].survivors, sigma,
+                                  &refined, &partition_candidates));
+    result.stats.candidates_after_partition += partition_candidates;
+    result.candidates.insert(result.candidates.end(), refined.begin(),
+                             refined.end());
   }
   std::sort(result.candidates.begin(), result.candidates.end());
   result.stats.candidates_final = result.candidates.size();
@@ -84,7 +77,7 @@ Result<SearchResult> PisEngine::Search(const Graph& query) const {
   result.stats = filtered.stats;
   VerifyResult verified =
       VerifyCandidates(*db_, query, result.candidates, index_->options().spec,
-                       options_.sigma, options_.verify_threads);
+                       options_.sigma);
   result.answers = std::move(verified.answers);
   result.stats.answers = result.answers.size();
   result.stats.verify_seconds = verified.seconds;
@@ -94,25 +87,9 @@ Result<SearchResult> PisEngine::Search(const Graph& query) const {
 BatchSearchResult PisEngine::SearchBatch(std::span<const Graph> queries,
                                          int num_threads) const {
   if (num_threads <= 0) num_threads = HardwareThreads();
-  // With multiple batch workers, per-query shard fan-out and verification
-  // run sequentially: nesting them under the batch fan-out would multiply
-  // the thread counts and oversubscribe the machine. The clamp keys on the
-  // effective worker count (ParallelFor caps workers at the batch size), so
-  // a narrow batch keeps its inner parallelism. Thread counts never affect
-  // results, only scheduling.
-  const size_t workers =
-      std::min(static_cast<size_t>(num_threads), queries.size());
-  const PisEngine* engine = this;
-  PisEngine clamped(db_, index_, options_);
-  if (workers > 1 &&
-      (options_.verify_threads > 1 || options_.shard_threads > 1)) {
-    clamped.options_.verify_threads = 1;
-    clamped.options_.shard_threads = 1;
-    engine = &clamped;
-  }
   return internal::RunSearchBatch(
       queries.size(), num_threads,
-      [&](size_t qi) { return engine->Search(queries[qi]); });
+      [&](size_t qi) { return Search(queries[qi]); });
 }
 
 }  // namespace pis

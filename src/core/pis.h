@@ -52,12 +52,12 @@ class PisEngine {
  public:
   /// `db` and `index` must outlive the engine; the index must have been
   /// built over exactly this database. A query runs core/shard_filter.h's
-  /// filter on every shard (`options.shard_threads` fans the shards out),
-  /// plans once over their summed histograms, then refines every shard. So
-  /// for any shard count and any thread count the answers, candidates, and
-  /// stats are those of a one-shard index over the same database, except
-  /// `range_queries`, which is (fragments_enumerated + partition_size) x
-  /// num_shards: the filter's and the refine step's queries on every shard.
+  /// filter on every shard in turn, plans once over their summed
+  /// histograms, then refines every shard. So for any shard count the
+  /// answers, candidates, and stats are those of a one-shard index over the
+  /// same database, except `range_queries`, which is
+  /// (fragments_enumerated + partition_size) x num_shards: the filter's and
+  /// the refine step's queries on every shard.
   PisEngine(const GraphDatabase* db, const ShardedFragmentIndex* index,
             const PisOptions& options = {});
 
@@ -72,11 +72,7 @@ class PisEngine {
   /// `num_threads` threads (0 = all hardware threads). Per-query results —
   /// including errors — are identical to a sequential `Search` loop; each
   /// query's failure is isolated in its `Result` slot. Thread-safe: the
-  /// engine is read-only during search. When more than one batch worker
-  /// actually runs (`min(num_threads, queries.size()) > 1`),
-  /// `options().verify_threads` and `options().shard_threads` are ignored
-  /// (treated as 1) so the fan-outs don't multiply into oversubscription;
-  /// this never changes results, only scheduling.
+  /// engine is read-only during search, and each query runs on one thread.
   BatchSearchResult SearchBatch(std::span<const Graph> queries,
                                 int num_threads = 0) const;
 

@@ -17,14 +17,12 @@ struct VerifyResult {
   double seconds = 0;
 };
 
-/// Verifies `candidates` (database ids) against the query with
-/// WithinSuperimposedDistance. With `num_threads > 1` candidates are
-/// verified in parallel (each search is independent); results are returned
-/// in ascending id order either way.
+/// Verifies `candidates` (database ids, ascending) against the query with
+/// WithinSuperimposedDistance, one after another; the answers keep their
+/// order.
 VerifyResult VerifyCandidates(const GraphDatabase& db, const Graph& query,
                               const std::vector<int>& candidates,
-                              const DistanceSpec& spec, double sigma,
-                              int num_threads = 1);
+                              const DistanceSpec& spec, double sigma);
 
 }  // namespace pis
 

@@ -227,8 +227,8 @@ class GspanMiner {
     if (options_.max_edges < 1) {
       return Status::InvalidArgument("max_edges must be >= 1");
     }
-    // Root level: single edges (la, le, lb) with la <= lb (other
-    // orientations cannot start a minimal code), one scan per segment of
+    // Root level: every single edge in both orientations (with every label
+    // kNoLabel, both can start a minimal code), one scan per segment of
     // kSegmentGraphs graphs.
     const DfsCode empty;
     Verdicts verdicts(empty);
@@ -244,12 +244,9 @@ class GspanMiner {
         for (EdgeId e = 0; e < g.NumEdges(); ++e) {
           const Edge& edge = g.GetEdge(e);
           for (bool u_first : {true, false}) {
-            VertexId a = u_first ? edge.u : edge.v;
-            VertexId b = u_first ? edge.v : edge.u;
-            if (VertexLabel(g, a) > VertexLabel(g, b)) continue;
-            DfsEdge t{0, 1, VertexLabel(g, a), EdgeLabel(edge),
-                      VertexLabel(g, b)};
-            Record(t, Step(gid, e, edge, a, -1), leaf, &verdicts, &scans[k]);
+            DfsEdge t{0, 1, kNoLabel, kNoLabel, kNoLabel};
+            Record(t, Step(gid, e, edge, u_first ? edge.u : edge.v, -1), leaf,
+                   &verdicts, &scans[k]);
           }
         }
       }
@@ -261,13 +258,6 @@ class GspanMiner {
   }
 
  private:
-  Label VertexLabel(const Graph& g, VertexId v) const {
-    return options_.use_labels ? g.VertexLabel(v) : kNoLabel;
-  }
-  Label EdgeLabel(const Edge& edge) const {
-    return options_.use_labels ? edge.label : kNoLabel;
-  }
-
   bool Done() const {
     return options_.max_patterns > 0 && patterns_.size() >= options_.max_patterns;
   }
@@ -341,8 +331,7 @@ class GspanMiner {
           const EdgeId be = g.FindEdge(rmv, anc);
           if (be == kInvalidEdge || history.HasEdge(be)) continue;
           const Edge& back = g.GetEdge(be);
-          DfsEdge t{maxtoc, anc_idx, VertexLabel(g, rmv), EdgeLabel(back),
-                    VertexLabel(g, anc)};
+          DfsEdge t{maxtoc, anc_idx, kNoLabel, kNoLabel, kNoLabel};
           Record(t, Step(gid, be, back, rmv, j), leaf, &verdicts, &scans[k]);
         }
         // Forward: from a rightmost-path vertex to an unmapped vertex.
@@ -353,8 +342,7 @@ class GspanMiner {
             const Edge& forward = g.GetEdge(fe);
             const VertexId w = forward.Other(from_v);
             if (history.HasVertex(w)) continue;
-            DfsEdge t{from_idx, maxtoc + 1, VertexLabel(g, from_v),
-                      EdgeLabel(forward), VertexLabel(g, w)};
+            DfsEdge t{from_idx, maxtoc + 1, kNoLabel, kNoLabel, kNoLabel};
             Record(t, Step(gid, fe, forward, from_v, j), leaf, &verdicts,
                    &scans[k]);
           }

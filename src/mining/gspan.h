@@ -1,7 +1,8 @@
 // gSpan frequent connected-subgraph mining (Yan & Han, ICDM'02 — reference
-// [15] of the paper). PIS uses it to mine the indexing features;
-// structure-only features are mined with `use_labels = false`, straight
-// from the labeled database.
+// [15] of the paper). PIS uses it to mine the indexing features, which are
+// bare structures: the miner reads every vertex and edge label as kNoLabel,
+// so it mines a labeled database as it would the graphs' Skeleton() copies,
+// without making them.
 //
 // Only what will be extended is materialized: a child code is checked for
 // minimality once, when first seen, and non-minimal children collect no
@@ -40,20 +41,12 @@ struct GspanOptions {
   /// HardwareThreads() for full parallelism. The reported patterns (order,
   /// codes, support sets) are identical for every value.
   int num_threads = 1;
-  /// Mine with the database's vertex and edge labels. When false every
-  /// label reads as kNoLabel, so the patterns are bare structures: the same
-  /// result as mining the graphs' Skeleton() copies, without making them.
-  /// PIS mines structures only: the feature pipeline and the benchmarks
-  /// pass false, and the examples mine Skeleton() copies, where both values
-  /// agree. Labeled mining (the default) is kept as the general gSpan that
-  /// the brute-force oracle tests check.
-  bool use_labels = true;
 };
 
-/// Mines all frequent connected subgraphs of `db` up to `options.max_edges`
-/// edges. Patterns use the labels present in `db`; to mine bare structures
-/// (the paper's features), pass `use_labels = false`. Single-vertex patterns
-/// are not reported (features are edge sets).
+/// Mines all frequent connected subgraph structures of `db` up to
+/// `options.max_edges` edges; every label of a pattern is kNoLabel (the
+/// paper's features). Single-vertex patterns are not reported (features are
+/// edge sets).
 Result<std::vector<Pattern>> MineFrequentSubgraphs(const GraphDatabase& db,
                                                    const GspanOptions& options);
 

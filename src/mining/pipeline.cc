@@ -28,7 +28,6 @@ Result<std::vector<Graph>> MineDiscriminativeFeatures(
       1, static_cast<int>(std::floor(min_support_fraction * db.size() + 1e-9)));
   mine.max_edges = max_fragment_edges;
   mine.num_threads = num_threads <= 0 ? HardwareThreads() : num_threads;
-  mine.use_labels = false;
   PIS_ASSIGN_OR_RETURN(std::vector<Pattern> patterns,
                        MineFrequentSubgraphs(db, mine));
   FeatureSelectorOptions select;

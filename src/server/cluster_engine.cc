@@ -380,7 +380,6 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma) {
 Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
                                            TraceContext* trace) {
   Timer filter_timer;
-  const int fan = std::max(1, options_.options.shard_threads);
 
   // ---- Round 1: shard_filter over a healthy cover, with failover ----
   FilterResult filter;
@@ -406,7 +405,7 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
     }
     std::vector<Result<ShardFilterReply>> replies(
         groups.size(), Status::Internal("shard_filter not run"));
-    ParallelFor(groups.size(), fan, [&](size_t g) {
+    for (size_t g = 0; g < groups.size(); ++g) {
       const double start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
       ShardBackend& backend = *endpoints_[groups[g].first]->backend;
       replies[g] = backend.ShardFilter(groups[g].second);
@@ -418,7 +417,7 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
         trace->RecordSince("shard_filter:" + backend.name(), start_ms,
                            std::move(children));
       }
-    });
+    }
     bool retry = false;
     for (size_t g = 0; g < groups.size(); ++g) {
       if (replies[g].ok()) continue;
@@ -481,10 +480,9 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
   for (int fi : filter.partition) {
     classes.push_back(filter.fragments[fi].prepared.class_id);
   }
-  std::vector<Result<ShardRefineReply>> refined(
-      num_shards(), Status::Internal("shard_refine not run"));
-  ParallelFor(num_shards(), fan, [&](size_t i) {
-    const int s = static_cast<int>(i);
+  SearchResult result;
+  result.stats = filter.stats;
+  for (int s = 0; s < num_shards(); ++s) {
     const ShardRefineRequest request{
         query, s, filter.partition, classes, std::move(shards[s].survivors),
         sigma, trace != nullptr};
@@ -499,65 +497,52 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
         break;
       }
       if (chosen < 0) {
-        refined[i] = Status::Unavailable(
-            "no healthy replica can refine shard " + std::to_string(s) +
-            ": " + last.ToString());
-        return;
+        return Status::Unavailable("no healthy replica can refine shard " +
+                                   std::to_string(s) + ": " + last.ToString());
       }
       const double start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
       ShardBackend& backend = *endpoints_[chosen]->backend;
       Result<ShardRefineReply> reply = backend.ShardRefine(request);
-      if (reply.ok() && reply.value().partition_candidates >
-                            static_cast<int>(request.survivors.size())) {
-        refined[i] = Status::InvalidArgument(
-            "shard_refine reply from " + backend.name() +
-            " counts more partition candidates than survivors");
-        return;
-      }
-      // Refining only removes survivors; the decoder already holds the
-      // answers inside the candidates, and both lists are ascending.
-      if (reply.ok() && !std::includes(request.survivors.begin(),
-                                       request.survivors.end(),
-                                       reply.value().candidates.begin(),
-                                       reply.value().candidates.end())) {
-        refined[i] = Status::InvalidArgument(
-            "shard_refine reply from " + backend.name() +
-            " names candidates that were not sent as survivors");
-        return;
-      }
       if (reply.ok()) {
+        ShardRefineReply& r = reply.value();
+        if (r.partition_candidates >
+            static_cast<int>(request.survivors.size())) {
+          return Status::InvalidArgument(
+              "shard_refine reply from " + backend.name() +
+              " counts more partition candidates than survivors");
+        }
+        // Refining only removes survivors; the decoder already holds the
+        // answers inside the candidates, and both lists are ascending.
+        if (!std::includes(request.survivors.begin(), request.survivors.end(),
+                           r.candidates.begin(), r.candidates.end())) {
+          return Status::InvalidArgument(
+              "shard_refine reply from " + backend.name() +
+              " names candidates that were not sent as survivors");
+        }
         NoteTransportSuccess(*endpoints_[chosen]);
         if (trace != nullptr) {
           trace->RecordSince(
               "shard_refine:shard" + std::to_string(s) + "@" + backend.name(),
-              start_ms, std::move(reply.value().spans));
+              start_ms, std::move(r.spans));
         }
-        refined[i] = std::move(reply);
-        return;
+        result.stats.candidates_after_partition += r.partition_candidates;
+        result.candidates.insert(result.candidates.end(), r.candidates.begin(),
+                                 r.candidates.end());
+        result.answers.insert(result.answers.end(), r.answers.begin(),
+                              r.answers.end());
+        break;
       }
       last = reply.status();
       if (IsTransportError(last)) {
         NoteTransportFailure(*endpoints_[chosen]);
       } else if (last.code() != StatusCode::kNotFound) {
-        refined[i] = last;  // real application error: surface it
-        return;
+        return last;  // real application error: surface it
       }
       // Unreachable, or behind on a survivor (e.g. restarted from an older
       // checkpoint): fail over rather than answer from stale state.
       tried.insert(chosen);
       metrics_.failovers->Inc();
     }
-  });
-  SearchResult result;
-  result.stats = filter.stats;
-  for (Result<ShardRefineReply>& r : refined) {
-    if (!r.ok()) return r.status();
-    result.stats.candidates_after_partition += r.value().partition_candidates;
-    result.candidates.insert(result.candidates.end(),
-                             r.value().candidates.begin(),
-                             r.value().candidates.end());
-    result.answers.insert(result.answers.end(), r.value().answers.begin(),
-                          r.value().answers.end());
   }
   std::sort(result.candidates.begin(), result.candidates.end());
   std::sort(result.answers.begin(), result.answers.end());

@@ -97,8 +97,7 @@ struct ClusterEngineOptions {
   int health_interval_ms = 100;
   /// Engine knobs. The router plans with its own sigma/lambda/epsilon/
   /// partition choices; max_query_fragments must match the replicas'
-  /// config (they enumerate). verify_threads affects only replica-side
-  /// scheduling; shard_threads fans out both rounds.
+  /// config (they enumerate).
   PisOptions options;
   /// The engine registers its fabric metrics here (breaker state and
   /// transitions, catch-up queue depth, failover counts, and each backend's
@@ -161,9 +160,9 @@ class ClusterEngine {
   /// Traced variant: with a non-null `trace`, records the two-round span
   /// tree — one `shard_filter:<endpoint>` round-trip span per cover group
   /// (remote stage spans grafted as children), `plan`, and one
-  /// `shard_refine:shardN@<endpoint>` span per shard. With shard_threads ==
-  /// 1 (the default) the fan-outs are sequential, so sibling spans do not
-  /// overlap and their durations sum to at most the trace total. Stats
+  /// `shard_refine:shardN@<endpoint>` span per shard. Each round visits its
+  /// endpoints one after another, so sibling spans do not overlap and their
+  /// durations sum to at most the trace total. Stats
   /// report round 1 plus the selectivities as pass1_seconds, the rest of
   /// the plan as partition_seconds, and round 2 (refine and verify run
   /// together on the replicas) as verify_seconds.
@@ -171,7 +170,7 @@ class ClusterEngine {
                               TraceContext* trace)
       PIS_EXCLUDES(writer_mu_, state_mu_);
   /// Same contract as PisEngine::SearchBatch (0 = all hardware
-  /// threads); per-query rounds run concurrently.
+  /// threads); the batch's queries run concurrently.
   BatchSearchResult SearchBatch(std::span<const Graph> queries,
                                 int num_threads = 0)
       PIS_EXCLUDES(writer_mu_, state_mu_);

@@ -231,7 +231,7 @@ Result<ShardRefineReply> RunShardRefine(const EngineHost::Snapshot& snap,
                             "_candidates");
     reply.answers = VerifyCandidates(*snap.db, request.query,
                                      reply.candidates, index.options().spec,
-                                     request.sigma, options.verify_threads)
+                                     request.sigma)
                         .answers;
   }
   if (tp != nullptr) reply.spans = tp->TakeSpans();

@@ -38,15 +38,15 @@ Graph Cycle(int n, Label vlabel = 1, Label elabel = 1) {
   return g;
 }
 
-// Oracle: frequent patterns by exhaustive fragment enumeration +
-// canonicalization.
+// Oracle: frequent structures by exhaustive fragment enumeration +
+// canonicalization of each fragment's skeleton.
 std::map<std::string, std::set<int>> BruteForceFrequent(const GraphDatabase& db,
                                                         int max_edges) {
   std::map<std::string, std::set<int>> supports;
   for (int gid = 0; gid < db.size(); ++gid) {
     EnumerateConnectedEdgeSubgraphs(db.at(gid), {1, max_edges},
                                     [&](const std::vector<EdgeId>& subset) {
-      Graph sub = db.at(gid).EdgeSubgraph(subset);
+      Graph sub = db.at(gid).EdgeSubgraph(subset).Skeleton();
       CanonicalOptions opts;
       opts.first_embedding_only = true;
       auto form = MinDfsCode(sub, opts);
@@ -69,7 +69,8 @@ TEST(GspanTest, SingleGraphSingleEdge) {
   ASSERT_EQ(patterns.value().size(), 1u);
   EXPECT_EQ(patterns.value()[0].support(), 1);
   EXPECT_EQ(patterns.value()[0].graph.NumEdges(), 1);
-  EXPECT_EQ(patterns.value()[0].graph.GetEdge(0).label, 5);
+  // Patterns are bare structures: the edge's label 5 is not kept.
+  EXPECT_EQ(patterns.value()[0].graph.GetEdge(0).label, kNoLabel);
 }
 
 TEST(GspanTest, SupportCountsGraphsNotEmbeddings) {
@@ -193,7 +194,8 @@ GraphDatabase RandomLabeledDb(int param) {
 }
 
 // Property: gSpan equals brute-force enumeration (pattern keys and
-// supports) on random labeled databases and on skeleton databases.
+// supports) on random labeled databases, whose labels it ignores, and on
+// skeleton databases.
 class GspanOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GspanOracleTest, MatchesBruteForce) {
@@ -261,9 +263,10 @@ TEST_P(GspanParallelTest, IdenticalAtAnyThreadCount) {
   }
 }
 
-// Property: mining with use_labels = false reports exactly what mining the
-// Skeleton() copies does (order, codes, support sets), at every thread
-// count, whether the database carries labels or is already bare.
+// Property: a labeled database mines like its skeletons: the miner reports
+// exactly what mining the Skeleton() copies does (order, codes, support
+// sets), at every thread count, whether the database carries labels or is
+// already bare.
 TEST_P(GspanParallelTest, UnlabeledMiningMatchesSkeletons) {
   const auto [seed, skeletons] = GetParam();
   MoleculeGeneratorOptions gen;
@@ -277,7 +280,6 @@ TEST_P(GspanParallelTest, UnlabeledMiningMatchesSkeletons) {
   auto expected = MineFrequentSubgraphs(bare, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_FALSE(expected.value().empty());
-  options.use_labels = false;
   for (int threads : {1, 2, 3, 8}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     options.num_threads = threads;

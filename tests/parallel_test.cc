@@ -3,13 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <sstream>
 #include <vector>
 
-#include "core/naive_search.h"
 #include "core/pis.h"
-#include "core/verifier.h"
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/fragment_index.h"
@@ -45,20 +42,6 @@ TEST(ParallelForTest, MoreThreadsThanWork) {
 }
 
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1); }
-
-TEST(ParallelVerifyTest, MatchesSequential) {
-  MoleculeGenerator gen;
-  GraphDatabase db = gen.Generate(40);
-  QuerySampler sampler(&db, {.seed = 3, .strip_vertex_labels = true});
-  auto query = sampler.Sample(10);
-  ASSERT_TRUE(query.ok());
-  std::vector<int> candidates(db.size());
-  std::iota(candidates.begin(), candidates.end(), 0);
-  DistanceSpec spec = DistanceSpec::EdgeMutation();
-  VerifyResult seq = VerifyCandidates(db, query.value(), candidates, spec, 2, 1);
-  VerifyResult par = VerifyCandidates(db, query.value(), candidates, spec, 2, 4);
-  EXPECT_EQ(seq.answers, par.answers);
-}
 
 TEST(ParallelBuildTest, MatchesSequentialBuild) {
   MoleculeGeneratorOptions gopt;
@@ -135,36 +118,6 @@ TEST(ParallelBuildTest, MatchesSequentialBuild) {
       EXPECT_EQ(a.value().candidates, b.value().candidates);
     }
   }
-}
-
-TEST(ParallelEngineTest, VerifyThreadsOptionIsSound) {
-  MoleculeGenerator gen;
-  GraphDatabase db = gen.Generate(30);
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
-  GspanOptions mine;
-  mine.min_support = 3;
-  mine.max_edges = 4;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
-  ASSERT_TRUE(patterns.ok());
-  std::vector<Graph> features;
-  for (const Pattern& p : patterns.value()) features.push_back(p.graph);
-  FragmentIndexOptions iopt;
-  iopt.max_fragment_edges = 4;
-  auto index = ShardedFragmentIndex::Build(db, features, iopt, 1);
-  ASSERT_TRUE(index.ok());
-
-  QuerySampler sampler(&db, {.seed = 7, .strip_vertex_labels = true});
-  auto query = sampler.Sample(8);
-  ASSERT_TRUE(query.ok());
-  SearchResult naive = NaiveSearch(db, query.value(), iopt.spec, 2);
-  PisOptions options;
-  options.sigma = 2;
-  options.verify_threads = 4;
-  PisEngine engine(&db, &index.value(), options);
-  auto result = engine.Search(query.value());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().answers, naive.answers);
 }
 
 }  // namespace

@@ -142,29 +142,5 @@ TEST(SearchBatchTest, ZeroThreadsMeansAllHardwareThreads) {
   ExpectBatchMatchesSequential(engine, queries, 0);
 }
 
-TEST(SearchBatchTest, VerifyThreadsOptionDoesNotChangeResults) {
-  // The anti-oversubscription clamp (verify_threads flattened under a wide
-  // batch fan-out) must be invisible in the results.
-  EngineFixture fx(30, 67);
-  PisOptions options;
-  options.sigma = 2;
-  PisEngine plain(&fx.db, &fx.index.value(), options);
-  options.verify_threads = 4;
-  PisEngine nested(&fx.db, &fx.index.value(), options);
-  std::vector<Graph> queries = SampleQueries(fx.db, 8, 8, 13);
-  BatchSearchResult a =
-      plain.SearchBatch(std::span<const Graph>(queries), HardwareThreads());
-  BatchSearchResult b =
-      nested.SearchBatch(std::span<const Graph>(queries), HardwareThreads());
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t qi = 0; qi < a.results.size(); ++qi) {
-    ASSERT_TRUE(a.results[qi].ok());
-    ASSERT_TRUE(b.results[qi].ok());
-    EXPECT_EQ(a.results[qi].value().answers, b.results[qi].value().answers);
-    ExpectSameCounters(a.results[qi].value().stats,
-                       b.results[qi].value().stats);
-  }
-}
-
 }  // namespace
 }  // namespace pis

@@ -61,7 +61,6 @@ TEST_P(ShardedEquivalenceTest, MatchesUnshardedEngine) {
 
   PisOptions options;
   options.sigma = 2.0;
-  options.shard_threads = rng.UniformInt(1, 4);
   PisEngine unsharded(&fx.db, &fx.index.value(), options);
   PisEngine engine(&fx.db, &sharded.value(), options);
 

@@ -3,9 +3,9 @@
 // back with the two-round span tree — one shard_filter round-trip span per
 // endpoint group carrying the REPLICA's own child spans (decoded from the
 // wire), the router's plan, and one shard_refine span per shard, again
-// with the replica's spans. The harness runs shard_threads == 1, so
-// sibling spans are sequential and their durations sum to at most the
-// trace total.
+// with the replica's spans. Each round visits its endpoints one after
+// another, so sibling spans are sequential and their durations sum to at
+// most the trace total.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -95,8 +95,8 @@ TEST(TracePropagationTest, RouterSpanTreeCarriesPerShardChildSpans) {
   EXPECT_EQ(shard_filters, 2);
   EXPECT_EQ(shard_refines, 3);
   EXPECT_EQ(plans, 1);
-  // shard_threads == 1: everything ran sequentially inside the context, so
-  // the recorded spans cannot out-sum the wall clock.
+  // Everything ran sequentially inside the context, so the recorded spans
+  // cannot out-sum the wall clock.
   EXPECT_LE(SumDurations(spans), total_ms * 1.0001);
 }
 

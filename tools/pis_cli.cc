@@ -188,8 +188,8 @@ int CmdStats(int argc, char** argv) {
       idx.options().spec.type == DistanceType::kMutation ? "mutation" : "linear";
   if (json) {
     // Same shape as the server's `stats` reply payload (minus the
-    // host-only epoch/background counters), so operators and
-    // bench_server scrape one format instead of text.
+    // host-only epoch/background counters), so operators and scripts
+    // scrape one format instead of text.
     JsonValue obj = JsonValue::Object();
     obj.Set("type", "sharded");
     obj.Set("db_slots", idx.db_size());
