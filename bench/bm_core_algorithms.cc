@@ -1,6 +1,6 @@
 // Micro-benchmarks for the algorithmic substrates: VF2 matching,
 // minimum DFS code canonicalization, cost-bounded verification,
-// connected-fragment enumeration, gSpan feature mining, the serving
+// connected-fragment enumeration, feature mining, the serving
 // host's write path, and the index set-up stages (build, save/load, query
 // decomposition).
 #include <benchmark/benchmark.h>

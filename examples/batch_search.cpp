@@ -19,12 +19,10 @@ int main() {
               db.AverageVertices());
 
   // 2. Mine skeleton features and build the fragment index.
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 20;
   mine.max_edges = 4;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   if (!patterns.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  patterns.status().ToString().c_str());

@@ -22,12 +22,10 @@ int main() {
   std::printf("initial collection: %d molecules\n", db.size());
 
   // Features + index over the initial snapshot.
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 5;
   mine.max_edges = 5;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   if (!patterns.ok()) {
     std::fprintf(stderr, "%s\n", patterns.status().ToString().c_str());
     return 1;

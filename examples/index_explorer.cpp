@@ -32,13 +32,11 @@ int main(int argc, char** argv) {
   MoleculeGenerator generator;
   GraphDatabase db = generator.Generate(db_size);
 
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support =
       std::max(1, static_cast<int>(min_support * db.size()));
   mine.max_edges = max_fragment_edges;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   if (!patterns.ok()) {
     std::fprintf(stderr, "%s\n", patterns.status().ToString().c_str());
     return 1;

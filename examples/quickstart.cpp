@@ -18,12 +18,10 @@ int main() {
 
   // 2. Mine structure features: frequent skeletons, then keep the
   //    discriminative ones (gSpan + gIndex, as the paper prescribes).
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 10;
   mine.max_edges = 5;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   if (!patterns.ok()) {
     std::fprintf(stderr, "mining failed: %s\n", patterns.status().ToString().c_str());
     return 1;

@@ -19,12 +19,10 @@ int main() {
   std::printf("database: %d graphs\n", db.size());
 
   // 2. Mine skeleton features (shared by every shard).
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 20;
   mine.max_edges = 4;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   if (!patterns.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  patterns.status().ToString().c_str());

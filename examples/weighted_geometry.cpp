@@ -35,12 +35,10 @@ int main(int argc, char** argv) {
   FragmentIndexOptions index_options;
   index_options.spec = DistanceSpec::EdgeLinear();
   index_options.max_fragment_edges = 4;
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = std::max(2, db.size() / 50);
   mine.max_edges = index_options.max_fragment_edges;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   if (!patterns.ok()) {
     std::fprintf(stderr, "%s\n", patterns.status().ToString().c_str());
     return 1;

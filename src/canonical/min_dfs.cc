@@ -212,14 +212,4 @@ Result<CanonicalForm> MinDfsCode(const Graph& g, const CanonicalOptions& options
   return form;
 }
 
-Result<bool> IsMinDfsCode(const DfsCode& code) {
-  if (code.empty()) return Status::InvalidArgument("empty DFS code");
-  PIS_ASSIGN_OR_RETURN(Graph g, code.ToGraph());
-  CanonicalOptions options;
-  options.use_labels = true;
-  options.first_embedding_only = true;
-  PIS_ASSIGN_OR_RETURN(CanonicalForm form, MinDfsCode(g, options));
-  return form.code == code;
-}
-
 }  // namespace pis

@@ -52,10 +52,6 @@ struct CanonicalOptions {
 /// vertex; returns InvalidArgument otherwise.
 Result<CanonicalForm> MinDfsCode(const Graph& g, const CanonicalOptions& options = {});
 
-/// True iff `code` is the minimum DFS code of the graph it describes.
-/// (Used by the gSpan miner to discard duplicate patterns.)
-Result<bool> IsMinDfsCode(const DfsCode& code);
-
 }  // namespace pis
 
 #endif  // PIS_CANONICAL_MIN_DFS_H_

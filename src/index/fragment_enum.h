@@ -156,7 +156,10 @@ class EdgeEsu {
 
 /// EnumerateConnectedEdgeSubgraphs with the visitor inlined: `visit` is
 /// called as bool(const std::vector<EdgeId>&) on each subset, in the same
-/// order. The index build and query decomposition use this form.
+/// order. The index build, query decomposition and feature mining use this
+/// form. The order is depth-first: with min_edges = 1, a subset of two or
+/// more edges comes right after the last subset of one edge fewer emitted
+/// before it, which is its own prefix (the subset without its last edge).
 template <typename Visit>
 size_t ForEachConnectedEdgeSubset(const Graph& g,
                                   const FragmentEnumOptions& options,

@@ -1,10 +1,13 @@
 #include "mining/gspan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <tuple>
 
 #include "canonical/min_dfs.h"
+#include "index/fragment_enum.h"
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
@@ -13,46 +16,12 @@ namespace pis {
 
 namespace {
 
-// Database graphs per root segment. Fixed, so the segment layout does not
-// depend on the thread count; small enough that a 1000-graph database
-// splits into enough segments to keep every core busy under dynamic
-// scheduling.
+// Database graphs per scan segment. Fixed and small, so a 1000-graph
+// database splits into enough segments to keep every worker busy under
+// dynamic scheduling.
 constexpr int kSegmentGraphs = 16;
 
-// Projections smaller than this are scanned on the calling thread: starting
-// workers would cost more than the scan.
-constexpr size_t kParallelEmbeddings = 4096;
-
-// One embedding step, 12 bytes: graph `gid`'s edge `edge_dir / 2` realizes
-// the code entry, oriented from the edge's u to its v when `edge_dir` is
-// even and from v to u when odd; `prev` is the index of the extended entry
-// in the parent segment (-1 at the root).
-struct PDFS {
-  int32_t gid;
-  int32_t edge_dir;
-  int32_t prev;
-};
-static_assert(sizeof(PDFS) == 12);
-
-// The step realizing `edge` of a graph, oriented out of `from`.
-PDFS Step(int gid, EdgeId e, const Edge& edge, VertexId from, int32_t prev) {
-  return PDFS{gid, e * 2 + (from == edge.u ? 0 : 1), prev};
-}
-
-// A code's embeddings are split into segments over disjoint, ascending gid
-// ranges; within a segment embeddings are in gid order. A child segment is
-// built from one parent segment alone, so segments are scanned
-// independently; `parent` records which one, since segments that extend to
-// nothing are dropped and child segment k need not come from parent
-// segment k.
-struct Segment {
-  int parent;  // index in the parent projection (unused at the root)
-  std::vector<PDFS> embeddings;
-};
-using Projection = std::vector<Segment>;
-
-// Strict weak order for grouping extension tuples (any total order works;
-// plain lexicographic keeps map iteration deterministic).
+// gSpan's per-entry tuple order, by which it visits a code's children.
 struct DfsEdgeLess {
   bool operator()(const DfsEdge& a, const DfsEdge& b) const {
     auto ta = std::tie(a.from, a.to, a.from_label, a.edge_label, a.to_label);
@@ -61,312 +30,234 @@ struct DfsEdgeLess {
   }
 };
 
-// One child tuple's share of one segment scan.
-struct Extension {
-  // Whether the child code is minimal; non-minimal children collect
-  // nothing, since they are never reported or extended.
-  bool minimal = false;
-  std::vector<int> gids;         // distinct, ascending
-  std::vector<PDFS> embeddings;  // stays empty for children at max_edges
+// gSpan's depth-first report order: codes compare entry by entry, and a
+// prefix comes before its extensions.
+struct ReportOrder {
+  bool operator()(const DfsCode& a, const DfsCode& b) const {
+    return std::lexicographical_compare(a.edges().begin(), a.edges().end(),
+                                        b.edges().begin(), b.edges().end(),
+                                        DfsEdgeLess());
+  }
 };
-using SegmentScan = std::map<DfsEdge, Extension, DfsEdgeLess>;
 
-// A minimal child code: its support set and (below max_edges) projection.
-struct Child {
-  std::vector<int> support;
-  Projection projection;
+// What a skeleton grows into when one more edge joins it. A skeleton's
+// canonical vertices are the dfs indices of its minimum DFS code. Adding an
+// edge between canonical vertices a < b of skeleton P (b = P's vertex count
+// stands for a new vertex) builds a graph whose vertices are P's canonical
+// ones, plus b if new; `to_canonical` maps those onto the canonical
+// vertices of the result, `skeleton`. Both depend on (P, a, b) alone, so
+// each step is canonicalized once per run.
+struct Transition {
+  int skeleton = -1;
+  std::vector<int> to_canonical;
 };
-using Children = std::map<DfsEdge, Child, DfsEdgeLess>;
 
-// Minimality verdicts for the children of one code, shared by the segment
-// scans so each child tuple is checked with IsMinDfsCode once.
-class Verdicts {
+// The distinct skeletons met by one run, numbered in the order first met,
+// and the transitions between them; shared by every worker.
+//
+// Thread-safe. Entries are immutable once published and never removed, so
+// a returned pointer stays valid while the table lives. The mutex is held
+// only for a lookup or insert, never across MinDfsCode.
+class SkeletonTable {
  public:
-  explicit Verdicts(const DfsCode& code) : code_(code) {}
+  // Parent of the single edge: the empty graph, grown by step
+  // (kEmpty, 0, 1), whose two vertices are both new.
+  static constexpr int kEmpty = -1;
 
-  bool IsMinimal(const DfsEdge& tuple) {
+  // The transition from `parent` by edge (a, b), publishing it first if no
+  // worker has yet. Canonicalizes outside the lock, so two workers may
+  // both compute a new transition; the first to publish wins.
+  const Transition* Step(int parent, int a, int b) PIS_EXCLUDES(mu_) {
+    const auto key = std::make_tuple(parent, a, b);
+    Graph grown;
+    {
+      MutexLock lock(&mu_);
+      auto it = transitions_.find(key);
+      if (it != transitions_.end()) return &it->second;
+      if (parent != kEmpty) grown = graphs_[parent];
+    }
+    while (grown.NumVertices() <= b) grown.AddVertex(kNoLabel);
+    PIS_CHECK(grown.AddEdge(a, b, kNoLabel).ok());
+    CanonicalOptions skeleton;
+    skeleton.use_labels = false;
+    skeleton.first_embedding_only = true;
+    Result<CanonicalForm> form = MinDfsCode(grown, skeleton);
+    PIS_CHECK(form.ok()) << form.status().ToString();
+    Transition step;
+    const std::vector<VertexId>& order =
+        form.value().embeddings[0].vertex_order;
+    step.to_canonical.resize(order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      step.to_canonical[order[i]] = static_cast<int>(i);
+    }
+    Result<Graph> canonical = form.value().code.ToGraph();
+    PIS_CHECK(canonical.ok()) << canonical.status().ToString();
+
     MutexLock lock(&mu_);
-    auto [it, inserted] = verdicts_.try_emplace(tuple, false);
-    if (inserted) {
-      DfsCode child = code_;
-      child.Append(tuple);
-      Result<bool> is_min = IsMinDfsCode(child);
-      PIS_CHECK(is_min.ok()) << is_min.status().ToString();
-      it->second = is_min.value();
-    }
-    return it->second;
+    const int next = static_cast<int>(graphs_.size());
+    auto [code, inserted] =
+        by_code_.try_emplace(std::move(form.value().code), next);
+    if (inserted) graphs_.push_back(canonical.MoveValue());
+    step.skeleton = code->second;
+    return &transitions_.try_emplace(key, std::move(step)).first->second;
+  }
+
+  // Moves out every skeleton with its id, in report order.
+  std::map<DfsCode, int, ReportOrder> Take() PIS_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return std::move(by_code_);
   }
 
  private:
-  const DfsCode& code_;
   Mutex mu_;
-  std::map<DfsEdge, bool, DfsEdgeLess> verdicts_ PIS_GUARDED_BY(mu_);
+  std::map<DfsCode, int, ReportOrder> by_code_ PIS_GUARDED_BY(mu_);
+  // Skeleton id -> its graph, canonical vertices as vertex ids.
+  std::vector<Graph> graphs_ PIS_GUARDED_BY(mu_);
+  // Node-based, so entries never move.
+  std::map<std::tuple<int, int, int>, Transition> transitions_
+      PIS_GUARDED_BY(mu_);
 };
 
-// Files embedding `step` under child `tuple` of a segment scan. A scan
-// visits embeddings in gid order, so gids stay ascending.
-void Record(const DfsEdge& tuple, const PDFS& step, bool leaf,
-            Verdicts* verdicts, SegmentScan* scan) {
-  auto [it, inserted] = scan->try_emplace(tuple);
-  Extension& ext = it->second;
-  if (inserted) ext.minimal = verdicts->IsMinimal(tuple);
-  if (!ext.minimal) return;
-  if (ext.gids.empty() || ext.gids.back() != step.gid) {
-    ext.gids.push_back(step.gid);
-  }
-  if (!leaf) ext.embeddings.push_back(step);
-}
-
-// Trims a finished segment scan's embedding lists to their exact size, so
-// projections carry no growth slack while their children are mined.
-void Trim(SegmentScan* scan) {
-  for (auto& [tuple, ext] : *scan) ext.embeddings.shrink_to_fit();
-}
-
-// Joins the segment scans, in segment order, into the minimal children.
-// Scan k extended parent segment k.
-Children Merge(std::vector<SegmentScan>* scans) {
-  Children children;
-  for (size_t k = 0; k < scans->size(); ++k) {
-    for (auto& [tuple, ext] : (*scans)[k]) {
-      if (!ext.minimal) continue;
-      Child& child = children[tuple];
-      child.support.insert(child.support.end(), ext.gids.begin(),
-                           ext.gids.end());
-      if (!ext.embeddings.empty()) {
-        child.projection.push_back(
-            Segment{static_cast<int>(k), std::move(ext.embeddings)});
-      }
-    }
-  }
-  return children;
-}
-
-// Rightmost path of a code as code positions, deepest edge first.
-std::vector<int> BuildRmPath(const DfsCode& code) {
-  std::vector<int> rmpath;
-  int old_from = -1;
-  for (int i = static_cast<int>(code.size()) - 1; i >= 0; --i) {
-    const DfsEdge& e = code[i];
-    if (e.IsForward() && (rmpath.empty() || e.to == old_from)) {
-      rmpath.push_back(i);
-      old_from = e.from;
-    }
-  }
-  return rmpath;
-}
-
-// The projections of a code's prefixes: entry i holds the embeddings of
-// the first i + 1 code entries.
-using ProjectionStack = std::vector<const Projection*>;
-
-// Unrolled embedding: code position -> graph edge plus dfs index -> graph
-// vertex. A code has at most max_edges entries, so membership is a linear
-// scan. One History serves every embedding of one segment; its prev chain
-// runs through one fixed segment per code position, so those are looked up
-// once.
-class History {
+// One worker's front of the table. ESU emits every connected edge subset
+// of two or more edges right after its prefix (the subset without its last
+// edge), so the scan keeps, per subset size, the skeleton of the subset
+// last emitted and the host vertex at each of its canonical vertices, and
+// classifies a subset from its prefix's entry and its last edge alone.
+class SkeletonScan {
  public:
-  // For segment `segment` of the deepest projection on `stack` (one
-  // projection per entry of `code`).
-  History(const DfsCode& code, int num_vertices, const ProjectionStack& stack,
-          int segment)
-      : code_(code),
-        steps_(code.size()),
-        edges_(code.size(), kInvalidEdge),
-        vertex_of_(num_vertices, kInvalidVertex) {
-    PIS_DCHECK(stack.size() == code.size());
-    for (size_t i = code.size(); i-- > 0;) {
-      const Segment& s = (*stack[i])[segment];
-      steps_[i] = s.embeddings.data();
-      segment = s.parent;
-    }
-  }
+  explicit SkeletonScan(SkeletonTable* table) : table_(*table) {}
 
-  // Unrolls entry `index` of the segment, an embedding in graph `g`.
-  void Unroll(const Graph& g, int32_t index) {
-    for (size_t i = code_.size(); i-- > 0;) {
-      const PDFS& p = steps_[i][index];
-      const EdgeId e = p.edge_dir >> 1;
-      const Edge& edge = g.GetEdge(e);
-      const bool u_first = (p.edge_dir & 1) == 0;
-      edges_[i] = e;
-      vertex_of_[code_[i].from] = u_first ? edge.u : edge.v;
-      vertex_of_[code_[i].to] = u_first ? edge.v : edge.u;
-      index = p.prev;
-    }
-    PIS_DCHECK(index == -1);
-  }
-
-  VertexId VertexOf(int dfs_index) const { return vertex_of_[dfs_index]; }
-  bool HasEdge(EdgeId e) const {
-    return std::find(edges_.begin(), edges_.end(), e) != edges_.end();
-  }
-  bool HasVertex(VertexId v) const {
-    return std::find(vertex_of_.begin(), vertex_of_.end(), v) !=
-           vertex_of_.end();
+  // The ids of the distinct skeletons of `g`'s connected edge subsets of
+  // at most `max_edges` edges, in the order first met.
+  std::vector<int> Scan(const Graph& g, int max_edges) {
+    std::vector<int> ids;
+    levels_.resize(max_edges + 1);
+    ++stamp_;
+    ForEachConnectedEdgeSubset(g, {1, max_edges},
+                               [&](const std::vector<EdgeId>& subset) {
+      const int id = Grow(g, subset);
+      if (static_cast<size_t>(id) >= last_seen_.size()) {
+        last_seen_.resize(id + 1, 0);
+      }
+      if (last_seen_[id] != stamp_) {
+        last_seen_[id] = stamp_;
+        ids.push_back(id);
+      }
+      return true;
+    });
+    return ids;
   }
 
  private:
-  const DfsCode& code_;
-  // Code position -> the segment entries of that position's projection.
-  std::vector<const PDFS*> steps_;
-  std::vector<EdgeId> edges_;
-  std::vector<VertexId> vertex_of_;
-};
+  struct Level {
+    int skeleton = SkeletonTable::kEmpty;
+    // Canonical vertex -> host vertex.
+    std::vector<VertexId> host;
+  };
 
-class GspanMiner {
- public:
-  GspanMiner(const GraphDatabase& db, const GspanOptions& options)
-      : db_(db), options_(options) {}
-
-  Result<std::vector<Pattern>> Run() {
-    if (options_.min_support < 1) {
-      return Status::InvalidArgument("min_support must be >= 1");
+  // Classifies `subset` from its prefix's level; returns its skeleton.
+  int Grow(const Graph& g, const std::vector<EdgeId>& subset) {
+    const Edge& edge = g.GetEdge(subset.back());
+    static const Level kEmptyLevel;
+    const Level& prefix =
+        subset.size() == 1 ? kEmptyLevel : levels_[subset.size() - 1];
+    Level& level = levels_[subset.size()];
+    // Canonical vertex of `v` in the prefix, or n if it is new.
+    const int n = static_cast<int>(prefix.host.size());
+    auto canonical = [&](VertexId v) {
+      return static_cast<int>(
+          std::find(prefix.host.begin(), prefix.host.end(), v) -
+          prefix.host.begin());
+    };
+    int a = canonical(edge.u);
+    int b = canonical(edge.v);
+    if (a == n && b == n) b = n + 1;  // the single edge
+    const Transition& step =
+        Step(prefix.skeleton, n, std::min(a, b), std::max(a, b));
+    level.skeleton = step.skeleton;
+    level.host.resize(step.to_canonical.size());
+    for (int i = 0; i < n; ++i) {
+      level.host[step.to_canonical[i]] = prefix.host[i];
     }
-    if (options_.max_edges < 1) {
-      return Status::InvalidArgument("max_edges must be >= 1");
-    }
-    // Root level: every single edge in both orientations (with every label
-    // kNoLabel, both can start a minimal code), one scan per segment of
-    // kSegmentGraphs graphs.
-    const DfsCode empty;
-    Verdicts verdicts(empty);
-    const bool leaf = options_.max_edges == 1;
-    const int num_graphs = db_.size();
-    std::vector<SegmentScan> scans((num_graphs + kSegmentGraphs - 1) /
-                                   kSegmentGraphs);
-    ParallelFor(scans.size(), options_.num_threads, [&](size_t k) {
-      const int begin = static_cast<int>(k) * kSegmentGraphs;
-      const int end = std::min(num_graphs, begin + kSegmentGraphs);
-      for (int gid = begin; gid < end; ++gid) {
-        const Graph& g = db_.at(gid);
-        for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-          const Edge& edge = g.GetEdge(e);
-          for (bool u_first : {true, false}) {
-            DfsEdge t{0, 1, kNoLabel, kNoLabel, kNoLabel};
-            Record(t, Step(gid, e, edge, u_first ? edge.u : edge.v, -1), leaf,
-                   &verdicts, &scans[k]);
-          }
-        }
-      }
-      Trim(&scans[k]);
-    });
-    DfsCode code;
-    Expand(&code, Merge(&scans));
-    return std::move(patterns_);
+    if (a >= n) level.host[step.to_canonical[a]] = edge.u;
+    if (b >= n) level.host[step.to_canonical[b]] = edge.v;
+    return level.skeleton;
   }
 
- private:
-  bool Done() const {
-    return options_.max_patterns > 0 && patterns_.size() >= options_.max_patterns;
-  }
-
-  // Visits the frequent children of `code` in tuple order.
-  void Expand(DfsCode* code, Children children) {
-    for (auto& [tuple, child] : children) {
-      if (static_cast<int>(child.support.size()) < options_.min_support) {
-        continue;
-      }
-      code->Append(tuple);
-      Grow(code, std::move(child));
-      code->PopBack();
-      if (Done()) return;
+  // The transition from `parent`, a skeleton of n vertices, by edge
+  // (a, b), through this worker's memo.
+  const Transition& Step(int parent, int n, int a, int b) {
+    if (next_.size() <= static_cast<size_t>(parent + 1)) {
+      next_.resize(parent + 2);
     }
+    std::vector<const Transition*>& row = next_[parent + 1];
+    const size_t width = n + 2;
+    if (row.empty()) row.resize(width * width, nullptr);
+    const Transition*& step = row[a * width + b];
+    if (step == nullptr) step = table_.Step(parent, a, b);
+    return *step;
   }
 
-  // Reports the frequent minimal `code`, then mines its children. Patterns
-  // are reported on the calling thread only, in depth-first order.
-  void Grow(DfsCode* code, Child node) {
-    if (static_cast<int>(code->size()) >= options_.min_edges) {
-      Pattern pattern;
-      pattern.code = *code;
-      Result<Graph> g = code->ToGraph();
-      PIS_CHECK(g.ok()) << g.status().ToString();
-      pattern.graph = g.MoveValue();
-      pattern.support_set = std::move(node.support);
-      patterns_.push_back(std::move(pattern));
-      if (Done()) return;
-    }
-    if (static_cast<int>(code->size()) >= options_.max_edges) return;
-    // The children's entries point into node.projection, which stays on the
-    // stack while they are mined.
-    stack_.push_back(&node.projection);
-    Expand(code, Scan(*code));
-    stack_.pop_back();
-  }
-
-  // Extends every embedding of `code`'s projection (the top of stack_) by
-  // one edge, segment by segment across the worker threads.
-  Children Scan(const DfsCode& code) {
-    const Projection& projection = *stack_.back();
-    const std::vector<int> rmpath = BuildRmPath(code);
-    const int maxtoc = code[rmpath[0]].to;  // rightmost dfs index
-    // Forward extensions grow from the rightmost vertex and from every
-    // rightmost-path ancestor.
-    std::vector<int> forward_from = {maxtoc};
-    for (int pos : rmpath) forward_from.push_back(code[pos].from);
-    const bool leaf = static_cast<int>(code.size()) + 1 >= options_.max_edges;
-    Verdicts verdicts(code);
-    size_t embeddings = 0;
-    for (const Segment& segment : projection) {
-      embeddings += segment.embeddings.size();
-    }
-    const int threads =
-        embeddings < kParallelEmbeddings ? 1 : options_.num_threads;
-    std::vector<SegmentScan> scans(projection.size());
-    ParallelFor(projection.size(), threads, [&](size_t k) {
-      History history(code, maxtoc + 1, stack_, static_cast<int>(k));
-      const std::vector<PDFS>& segment = projection[k].embeddings;
-      for (int32_t j = 0; j < static_cast<int32_t>(segment.size()); ++j) {
-        const int gid = segment[j].gid;
-        const Graph& g = db_.at(gid);
-        history.Unroll(g, j);
-        const VertexId rmv = history.VertexOf(maxtoc);
-        // Backward: rightmost vertex -> rightmost-path ancestors (not the
-        // rightmost vertex's own parent, rmpath[0]).
-        for (size_t ri = rmpath.size(); ri-- > 1;) {
-          const int anc_idx = code[rmpath[ri]].from;
-          const VertexId anc = history.VertexOf(anc_idx);
-          const EdgeId be = g.FindEdge(rmv, anc);
-          if (be == kInvalidEdge || history.HasEdge(be)) continue;
-          const Edge& back = g.GetEdge(be);
-          DfsEdge t{maxtoc, anc_idx, kNoLabel, kNoLabel, kNoLabel};
-          Record(t, Step(gid, be, back, rmv, j), leaf, &verdicts, &scans[k]);
-        }
-        // Forward: from a rightmost-path vertex to an unmapped vertex.
-        for (int from_idx : forward_from) {
-          const VertexId from_v = history.VertexOf(from_idx);
-          for (EdgeId fe : g.IncidentEdges(from_v)) {
-            if (history.HasEdge(fe)) continue;
-            const Edge& forward = g.GetEdge(fe);
-            const VertexId w = forward.Other(from_v);
-            if (history.HasVertex(w)) continue;
-            DfsEdge t{from_idx, maxtoc + 1, kNoLabel, kNoLabel, kNoLabel};
-            Record(t, Step(gid, fe, forward, from_v, j), leaf, &verdicts,
-                   &scans[k]);
-          }
-        }
-      }
-      Trim(&scans[k]);
-    });
-    return Merge(&scans);
-  }
-
-  const GraphDatabase& db_;
-  GspanOptions options_;
-  // Projections of the code being grown, one per code entry (Grow holds
-  // them); History::Unroll follows an embedding's prev chain through them.
-  ProjectionStack stack_;
-  std::vector<Pattern> patterns_;
+  SkeletonTable& table_;
+  // Parent skeleton + 1 -> the transitions met, at a * (n + 2) + b.
+  std::vector<std::vector<const Transition*>> next_;
+  std::vector<Level> levels_;
+  // last_seen_[id] == stamp_ iff skeleton id was met in the current graph.
+  std::vector<uint64_t> last_seen_;
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace
 
 Result<std::vector<Pattern>> MineFrequentSubgraphs(const GraphDatabase& db,
                                                    const GspanOptions& options) {
-  GspanMiner miner(db, options);
-  return miner.Run();
+  if (options.min_support < 1) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (options.max_edges < 1) {
+    return Status::InvalidArgument("max_edges must be >= 1");
+  }
+  // Each worker takes the next segment of kSegmentGraphs graphs until none
+  // is left, scanning them through its own memo.
+  const int num_graphs = db.size();
+  const int num_segments = (num_graphs + kSegmentGraphs - 1) / kSegmentGraphs;
+  const int workers = std::max(1, std::min(options.num_threads, num_segments));
+  SkeletonTable table;
+  std::vector<std::vector<int>> skeletons_of(num_graphs);
+  std::atomic<int> next_segment{0};
+  ParallelFor(workers, workers, [&](size_t) {
+    SkeletonScan scan(&table);
+    for (int k; (k = next_segment.fetch_add(1)) < num_segments;) {
+      const int end = std::min(num_graphs, (k + 1) * kSegmentGraphs);
+      for (int gid = k * kSegmentGraphs; gid < end; ++gid) {
+        skeletons_of[gid] = scan.Scan(db.at(gid), options.max_edges);
+      }
+    }
+  });
+  const std::map<DfsCode, int, ReportOrder> skeletons = table.Take();
+  // Support sets, ascending: graphs are visited in gid order.
+  std::vector<std::vector<int>> support(skeletons.size());
+  for (int gid = 0; gid < num_graphs; ++gid) {
+    for (int id : skeletons_of[gid]) support[id].push_back(gid);
+  }
+  std::vector<Pattern> patterns;
+  for (const auto& [code, id] : skeletons) {
+    if (static_cast<int>(support[id].size()) < options.min_support ||
+        static_cast<int>(code.size()) < options.min_edges) {
+      continue;
+    }
+    if (options.max_patterns > 0 && patterns.size() >= options.max_patterns) {
+      break;
+    }
+    Pattern pattern;
+    pattern.code = code;
+    Result<Graph> g = code.ToGraph();
+    PIS_CHECK(g.ok()) << g.status().ToString();
+    pattern.graph = g.MoveValue();
+    pattern.support_set = std::move(support[id]);
+    patterns.push_back(std::move(pattern));
+  }
+  return patterns;
 }
 
 }  // namespace pis

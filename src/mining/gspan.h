@@ -1,19 +1,21 @@
-// gSpan frequent connected-subgraph mining (Yan & Han, ICDM'02 — reference
-// [15] of the paper). PIS uses it to mine the indexing features, which are
-// bare structures: the miner reads every vertex and edge label as kNoLabel,
-// so it mines a labeled database as it would the graphs' Skeleton() copies,
-// without making them.
+// Frequent connected-subgraph mining, standing in for gSpan (Yan & Han,
+// ICDM'02 — reference [15] of the paper). PIS uses it to mine the indexing
+// features, which are bare structures: the miner reads every vertex and
+// edge label as kNoLabel, so it mines a labeled database as it would the
+// graphs' Skeleton() copies, without making them.
 //
-// Only what will be extended is materialized: a child code is checked for
-// minimality once, when first seen, and non-minimal children collect no
-// embeddings; children at max_edges keep only their support gids. An
-// embedding is stored one 12-byte step per code entry: the graph, the
-// oriented graph edge, and the index of the parent projection entry it
-// extends. A projection is a list of exactly sized segments over disjoint
-// gid ranges; each child segment is built from one parent segment and
-// records which, and the segments of one projection are scanned in
-// parallel. Patterns are reported on the calling thread in depth-first
-// order, so the output does not depend on num_threads.
+// Features have at most max_edges edges, so the miner enumerates them
+// directly instead of growing DFS codes over embedding lists: one scan runs
+// ESU (ForEachConnectedEdgeSubset) over every graph and classifies each
+// connected edge subset from the subset one edge smaller it grew from.
+// What a skeleton becomes when an edge joins it at given canonical
+// vertices is canonicalized once per run (MinDfsCode, labels off), so a
+// few dozen to a few hundred canonicalizations cover every subset. Workers
+// take fixed segments of 16 graphs in turn; the skeleton table is shared,
+// the step memo is per worker. The frequent skeletons are reported in
+// gSpan's depth-first order (its children's tuple order, prefix first),
+// with gSpan's codes and support sets, so the output does not depend on
+// num_threads.
 #ifndef PIS_MINING_GSPAN_H_
 #define PIS_MINING_GSPAN_H_
 
@@ -32,12 +34,13 @@ struct GspanOptions {
   /// edges; Figure 12 sweeps this).
   int max_edges = 6;
   /// Minimum pattern size in edges for *reporting* (smaller patterns are
-  /// still explored internally).
+  /// still mined).
   int min_edges = 1;
-  /// Cap on the number of reported patterns, 0 = unlimited. Mining stops
-  /// early when reached (depth-first order, so small patterns first).
+  /// Cap on the number of reported patterns, 0 = unlimited: the first
+  /// max_patterns of the full report, in depth-first order (a pattern's
+  /// prefixes before it).
   size_t max_patterns = 0;
-  /// Threads scanning a projection's segments. 1 = sequential; use
+  /// Threads scanning the database's graph segments. 1 = sequential; use
   /// HardwareThreads() for full parallelism. The reported patterns (order,
   /// codes, support sets) are identical for every value.
   int num_threads = 1;

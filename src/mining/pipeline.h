@@ -1,8 +1,8 @@
 // One-call front door to the feature pipeline every index-building binary
-// shares: structure-only gSpan over the database (labels ignored, no
-// skeleton copy) at a relative minimum support (parallel over gid segments;
-// the features do not depend on the thread count), then gIndex
-// discriminative selection. pis_cli build and pis_server both call this,
+// shares: structure-only frequent-subgraph mining over the database (labels
+// ignored, no skeleton copy) at a relative minimum support (parallel over
+// gid segments; the features do not depend on the thread count), then
+// gIndex discriminative selection. pis_cli build and pis_server both call this,
 // so the two binaries can never drift on how an index gets built from the
 // same flags. (bench_common keeps its own variant: its support rounding
 // differs deliberately to pin the paper workloads.)
@@ -22,7 +22,7 @@ namespace pis {
 /// relative support `min_support_fraction` (in [0, 1]; truncated to an
 /// absolute count, floor 1, without losing a graph to rounding: 0.29 of
 /// 100 graphs is 29) and keeps the gIndex-discriminative subset at ratio
-/// `gamma`. gSpan runs on `num_threads` threads (0 = all hardware);
+/// `gamma`. Mining runs on `num_threads` threads (0 = all hardware);
 /// the result is the same for every thread count. Out-of-range arguments
 /// return InvalidArgument.
 Result<std::vector<Graph>> MineDiscriminativeFeatures(

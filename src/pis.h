@@ -6,7 +6,7 @@
 //   pis::MoleculeGenerator gen;                     // or ReadSdfFile(...)
 //   pis::GraphDatabase db = gen.Generate(10000);
 //
-//   // gSpan over the skeletons + gIndex selection; 0 threads = all cores.
+//   // Frequent skeletons + gIndex selection; 0 threads = all cores.
 //   auto features = pis::MineDiscriminativeFeatures(
 //       db, /*max_fragment_edges=*/4, /*min_support_fraction=*/0.05,
 //       /*gamma=*/1.0, /*num_threads=*/0);

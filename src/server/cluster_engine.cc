@@ -351,10 +351,12 @@ Status ClusterEngine::Bootstrap() {
 // ---------------------------------------------------------------------------
 // Query path
 
-Status ClusterEngine::PickCover(const std::unordered_set<int>& exclude,
+Status ClusterEngine::PickCover(const std::vector<bool>& answered,
+                                const std::unordered_set<int>& exclude,
                                 std::vector<int>* cover) {
   cover->assign(num_shards(), -1);
   for (int s = 0; s < num_shards(); ++s) {
+    if (answered[s]) continue;
     for (int e : shard_endpoints_[s]) {
       if (exclude.count(e) != 0) continue;
       if (!Readable(*endpoints_[e])) continue;
@@ -381,19 +383,24 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
                                            TraceContext* trace) {
   Timer filter_timer;
 
-  // ---- Round 1: shard_filter over a healthy cover, with failover ----
+  // ---- Round 1: shard_filter over a healthy cover, with failover (a
+  // transport failure re-sends only the failed groups' shards; the replies
+  // of the groups that answered are kept) ----
   FilterResult filter;
   std::vector<ShardFilterResult> shards(num_shards());
   int64_t live = 0;
+  std::vector<bool> answered(num_shards(), false);
   std::unordered_set<int> exclude;
+  bool first_reply = true;
   for (;;) {
     std::vector<int> cover;
-    PIS_RETURN_NOT_OK(PickCover(exclude, &cover));
-    // Group the cover's shards per endpoint: one shard_filter round trip
-    // asks an endpoint for every shard it covers.
+    PIS_RETURN_NOT_OK(PickCover(answered, exclude, &cover));
+    // Group the unanswered shards per endpoint: one shard_filter round
+    // trip asks an endpoint for every such shard it covers.
     std::vector<std::pair<int, ShardFilterRequest>> groups;  // endpoint, req
     for (int s = 0; s < num_shards(); ++s) {
       const int e = cover[s];
+      if (e < 0) continue;
       auto it = std::find_if(groups.begin(), groups.end(),
                              [e](const auto& g) { return g.first == e; });
       if (it == groups.end()) {
@@ -403,6 +410,7 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
         it->second.shards.push_back(s);
       }
     }
+    if (groups.empty()) break;
     std::vector<Result<ShardFilterReply>> replies(
         groups.size(), Status::Internal("shard_filter not run"));
     for (size_t g = 0; g < groups.size(); ++g) {
@@ -418,13 +426,11 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
                            std::move(children));
       }
     }
-    bool retry = false;
     for (size_t g = 0; g < groups.size(); ++g) {
       if (replies[g].ok()) continue;
       if (IsTransportError(replies[g].status())) {
         NoteTransportFailure(*endpoints_[groups[g].first]);
         exclude.insert(groups[g].first);
-        retry = true;
         metrics_.failovers->Inc();
         continue;
       }
@@ -432,15 +438,17 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
       // empty") — the single-process engine would fail identically.
       return replies[g].status();
     }
-    if (retry) continue;
 
     // Every reply must enumerate the same catalog and answer for exactly
     // the shards it was asked about.
-    filter.fragments = std::move(replies[0].value().fragments);
     for (size_t g = 0; g < groups.size(); ++g) {
+      if (!replies[g].ok()) continue;
       ShardFilterReply& reply = replies[g].value();
       const std::string& name = endpoints_[groups[g].first]->backend->name();
-      if (g > 0) {
+      if (first_reply) {
+        filter.fragments = std::move(reply.fragments);
+        first_reply = false;
+      } else {
         PIS_RETURN_NOT_OK(
             CheckSameCatalog(filter.fragments, reply.fragments, name));
       }
@@ -450,10 +458,10 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
       }
       for (size_t i = 0; i < reply.shards.size(); ++i) {
         live += reply.results[i].live;
+        answered[reply.shards[i]] = true;
         shards[reply.shards[i]] = std::move(reply.results[i]);
       }
     }
-    break;
   }
   if (live > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument("replicas report more live graphs than "

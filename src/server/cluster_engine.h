@@ -257,9 +257,11 @@ class ClusterEngine {
       PIS_REQUIRES(ep.send_mu);
   void NoteTransportFailure(Endpoint& ep);
   void NoteTransportSuccess(Endpoint& ep);
-  /// Picks one readable endpoint per shard, excluding `exclude`; fills
-  /// cover[s] with an endpoint index. Unavailable when a shard has none.
-  Status PickCover(const std::unordered_set<int>& exclude,
+  /// Picks one readable endpoint for each shard not yet `answered`,
+  /// excluding `exclude`; fills cover[s] with an endpoint index (-1 for an
+  /// answered shard). Unavailable when an unanswered shard has none.
+  Status PickCover(const std::vector<bool>& answered,
+                   const std::unordered_set<int>& exclude,
                    std::vector<int>* cover);
   /// Applies one committed write to every replica of its shard: direct
   /// sends where possible, catch-up queue otherwise. Returns the ack count

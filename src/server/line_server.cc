@@ -158,8 +158,10 @@ void LineServer::FinishQuery(const JsonValue& request,
   JsonValue stats = JsonValue::Object();
   stats.Set("fragments", qs.fragments_enumerated);
   stats.Set("range_queries", qs.range_queries);
-  stats.Set("filter_ms", qs.filter_seconds * 1e3);
-  stats.Set("verify_ms", qs.verify_seconds * 1e3);
+  // Whole microseconds: the shortest form of an unrounded product needs up
+  // to 17 significant digits, a count that changes from run to run.
+  stats.Set("filter_ms", std::round(qs.filter_seconds * 1e6) / 1e3);
+  stats.Set("verify_ms", std::round(qs.verify_seconds * 1e6) / 1e3);
   reply->Set("stats", std::move(stats));
   if (trace == nullptr) return;
   JsonValue trace_json = trace->ToJsonValue();

@@ -199,20 +199,26 @@ TEST(MinDfsTest, EmbeddingsRealizeTheCode) {
   }
 }
 
-TEST(MinDfsTest, IsMinAcceptsCanonicalRejectsOther) {
+TEST(MinDfsTest, CanonicalCodeIsItsGraphsMinimum) {
   Graph g = Cycle(4);
   g.SetVertexLabel(0, 2);
   Result<CanonicalForm> form = MinDfsCode(g);
   ASSERT_TRUE(form.ok());
-  Result<bool> is_min = IsMinDfsCode(form.value().code);
-  ASSERT_TRUE(is_min.ok());
-  EXPECT_TRUE(is_min.value());
+  // The minimum code is a fixed point: its own graph canonicalizes to it.
+  Result<Graph> coded = form.value().code.ToGraph();
+  ASSERT_TRUE(coded.ok());
+  Result<CanonicalForm> again = MinDfsCode(coded.value());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().code, form.value().code);
   // A non-canonical code of the same square: starts at the (larger) label-2
   // vertex, so its first tuple already exceeds the minimum.
   DfsCode other({{0, 1, 2, 1, 1}, {1, 2, 1, 1, 1}, {2, 3, 1, 1, 1}, {3, 0, 1, 1, 2}});
-  Result<bool> other_min = IsMinDfsCode(other);
+  Result<Graph> other_graph = other.ToGraph();
+  ASSERT_TRUE(other_graph.ok());
+  Result<CanonicalForm> other_min = MinDfsCode(other_graph.value());
   ASSERT_TRUE(other_min.ok());
-  EXPECT_FALSE(other_min.value());
+  EXPECT_EQ(other_min.value().code, form.value().code);
+  EXPECT_FALSE(other_min.value().code == other);
 }
 
 // Property: the canonical key is invariant under random vertex

@@ -27,19 +27,29 @@ constexpr int kShards = 2;
 constexpr double kSigma = 1.0;
 
 /// A local replica that can fail shard_add — as a transport outage or as an
-/// application rejection — and counts the reads the router sends it.
+/// application rejection — or shard_filter (as an outage), and counts the
+/// reads the router sends it.
 class FaultyBackend : public LocalShardBackend {
  public:
   using LocalShardBackend::LocalShardBackend;
 
   int reads = 0;
+  int filters = 0;
   int outages_left = 0;
+  int filter_outages_left = 0;
   bool reject_adds = false;
 
  protected:
   Result<JsonValue> Exchange(const JsonValue& request) override {
     const std::string op = request.GetStringOr("op", "");
     if (op == "shard_filter" || op == "shard_refine") ++reads;
+    if (op == "shard_filter") {
+      ++filters;
+      if (filter_outages_left > 0) {
+        --filter_outages_left;
+        return Status::Unavailable("injected outage");
+      }
+    }
     if (op == "shard_add" && outages_left > 0) {
       --outages_left;
       return Status::Unavailable("injected outage");
@@ -177,6 +187,51 @@ TEST_F(ClusterQuarantineTest, RejectedCatchUpQuarantines) {
   ExpectOracleAnswers(added);
   ExpectOracleAnswers(fx_.db.graphs().at(11));
   EXPECT_EQ(faulty_->reads, 0);
+}
+
+// Round 1 fails over per endpoint group: when the replica a group asked
+// drops out, only that group's shards are asked again (of the backup), and
+// the group that answered is not asked twice.
+TEST(ClusterFailoverTest, ResendsOnlyTheFailedGroup) {
+  EngineFixture fx(30, 61, 4, DistanceSpec::EdgeMutation(), 3);
+  FragmentIndexOptions iopt;
+  iopt.max_fragment_edges = 4;
+  auto index = ShardedFragmentIndex::Build(fx.db, fx.features, iopt, kShards);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  PisOptions popt;
+  popt.sigma = kSigma;
+  EngineHost oracle(fx.db, index.value(), popt);
+  // Shard 0: a preferred replica and its backup; shard 1: one replica.
+  std::vector<std::unique_ptr<EngineHost>> hosts;
+  std::vector<FaultyBackend*> replicas;
+  std::vector<std::unique_ptr<ShardBackend>> backends;
+  const std::vector<std::vector<int>> serves = {{0}, {0}, {1}};
+  const char* names[] = {"preferred", "backup", "other"};
+  for (size_t e = 0; e < serves.size(); ++e) {
+    hosts.push_back(std::make_unique<EngineHost>(fx.db, index.value(), popt));
+    auto backend = std::make_unique<FaultyBackend>(hosts.back().get(),
+                                                   serves[e], names[e]);
+    replicas.push_back(backend.get());
+    backends.push_back(std::move(backend));
+  }
+  ClusterEngineOptions copt;
+  copt.options = popt;
+  MetricsRegistry metrics;
+  copt.metrics = &metrics;
+  ClusterEngine cluster(std::move(backends), serves, copt);
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+
+  replicas[0]->filter_outages_left = 1;
+  const Graph& query = fx.db.graphs().at(3);
+  auto want = oracle.Search(query);
+  auto got = cluster.Search(query);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().answers, want.value().answers);
+  EXPECT_EQ(got.value().candidates, want.value().candidates);
+  EXPECT_EQ(replicas[0]->filters, 1);  // the failed attempt
+  EXPECT_EQ(replicas[1]->filters, 1);  // shard 0, re-sent
+  EXPECT_EQ(replicas[2]->filters, 1);  // shard 1, answered at once
 }
 
 }  // namespace

@@ -50,13 +50,11 @@ struct EngineFixture {
     MoleculeGenerator gen(gopt);
     db = gen.Generate(db_size);
 
-    GraphDatabase skeletons;
-    for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
     GspanOptions mine;
     mine.min_support =
         min_support > 0 ? min_support : std::max(2, db_size / 10);
     mine.max_edges = max_fragment_edges;
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
+    auto patterns = MineFrequentSubgraphs(db, mine);
     EXPECT_TRUE(patterns.ok());
     FeatureSelectorOptions select;
     select.gamma = 1.2;
@@ -166,12 +164,10 @@ class LifecycleHarness {
 
     // Features are mined once over the initial snapshot and frozen — the
     // AddGraph/Compact contract (the class catalog is fixed at Build).
-    GraphDatabase skeletons;
-    for (const Graph& g : slots_.graphs()) skeletons.Add(g.Skeleton());
     GspanOptions mine;
     mine.min_support = 2;
     mine.max_edges = opt_.max_fragment_edges;
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
+    auto patterns = MineFrequentSubgraphs(slots_, mine);
     ASSERT_TRUE(patterns.ok());
     for (const Pattern& p : patterns.value()) features_.push_back(p.graph);
     ASSERT_FALSE(features_.empty());
@@ -451,12 +447,10 @@ class ClusterHarness {
 
     // Features are mined once and shared: the frozen class catalog every
     // replica (and the oracle) enumerates against must be identical.
-    GraphDatabase skeletons;
-    for (const Graph& g : initial.graphs()) skeletons.Add(g.Skeleton());
     GspanOptions mine;
     mine.min_support = 2;
     mine.max_edges = opt_.max_fragment_edges;
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
+    auto patterns = MineFrequentSubgraphs(initial, mine);
     ASSERT_TRUE(patterns.ok());
     for (const Pattern& p : patterns.value()) features_.push_back(p.graph);
     ASSERT_FALSE(features_.empty());

@@ -15,12 +15,10 @@ namespace pis {
 namespace {
 
 std::vector<Graph> MineFeatures(const GraphDatabase& db, int max_edges) {
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 2;
   mine.max_edges = max_edges;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   EXPECT_TRUE(patterns.ok());
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);

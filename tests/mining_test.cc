@@ -6,7 +6,9 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "canonical/min_dfs.h"
 #include "graph/generator.h"
@@ -128,9 +130,9 @@ TEST(GspanTest, PatternsAreCanonicalAndUnique) {
   ASSERT_TRUE(patterns.ok());
   std::set<std::string> keys;
   for (const Pattern& p : patterns.value()) {
-    auto is_min = IsMinDfsCode(p.code);
-    ASSERT_TRUE(is_min.ok());
-    EXPECT_TRUE(is_min.value());
+    auto form = MinDfsCode(p.graph);
+    ASSERT_TRUE(form.ok());
+    EXPECT_EQ(p.code, form.value().code);
     EXPECT_TRUE(keys.insert(p.code.ToKey()).second) << "duplicate pattern";
   }
 }
@@ -147,20 +149,24 @@ TEST(GspanTest, MaxPatternsCap) {
   EXPECT_EQ(patterns.value().size(), 5u);
 }
 
-// Asserts that gSpan finds exactly the brute-force oracle's patterns with
-// support >= min_support, with the same support sets.
+// Asserts that the miner finds exactly the brute-force oracle's patterns of
+// min_edges to max_edges edges with support >= min_support, with the same
+// support sets, at 1, 2 and 4 threads; and that max_patterns keeps the
+// first patterns of the full report.
 void ExpectMatchesBruteForce(const GraphDatabase& db, int max_edges,
-                             int min_support) {
+                             int min_support, int min_edges = 1) {
   auto oracle = BruteForceFrequent(db, max_edges);
 
   GspanOptions options;
   options.min_support = min_support;
   options.max_edges = max_edges;
+  options.min_edges = min_edges;
   auto patterns = MineFrequentSubgraphs(db, options);
   ASSERT_TRUE(patterns.ok());
 
   std::map<std::string, std::vector<int>> mined;
   for (const Pattern& p : patterns.value()) {
+    EXPECT_GE(p.num_edges(), min_edges);
     // Recompute the key with vertex count prefix for comparison.
     CanonicalOptions opts;
     opts.first_embedding_only = true;
@@ -171,12 +177,40 @@ void ExpectMatchesBruteForce(const GraphDatabase& db, int max_edges,
   size_t expected_count = 0;
   for (const auto& [key, support] : oracle) {
     if (static_cast<int>(support.size()) < min_support) continue;
+    // One "(from,to,labels)" group per code entry, so per edge.
+    if (std::count(key.begin(), key.end(), '(') < min_edges) continue;
     ++expected_count;
     ASSERT_EQ(mined.count(key), 1u) << "missing pattern " << key;
     std::vector<int> expected_support(support.begin(), support.end());
     EXPECT_EQ(mined[key], expected_support);
   }
   EXPECT_EQ(mined.size(), expected_count);
+
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    GspanOptions parallel = options;
+    parallel.num_threads = threads;
+    auto again = MineFrequentSubgraphs(db, parallel);
+    ASSERT_TRUE(again.ok());
+    ASSERT_EQ(again.value().size(), patterns.value().size());
+    for (size_t i = 0; i < patterns.value().size(); ++i) {
+      EXPECT_EQ(again.value()[i].code, patterns.value()[i].code);
+      EXPECT_EQ(again.value()[i].support_set, patterns.value()[i].support_set);
+    }
+  }
+  for (size_t cap : {size_t{1}, patterns.value().size() / 2}) {
+    if (cap == 0) continue;
+    SCOPED_TRACE(testing::Message() << "max_patterns=" << cap);
+    GspanOptions capped = options;
+    capped.max_patterns = cap;
+    auto first = MineFrequentSubgraphs(db, capped);
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first.value().size(), cap);
+    for (size_t i = 0; i < cap; ++i) {
+      EXPECT_EQ(first.value()[i].code, patterns.value()[i].code);
+      EXPECT_EQ(first.value()[i].support_set, patterns.value()[i].support_set);
+    }
+  }
 }
 
 GraphDatabase RandomLabeledDb(int param) {
@@ -193,7 +227,7 @@ GraphDatabase RandomLabeledDb(int param) {
   return db;
 }
 
-// Property: gSpan equals brute-force enumeration (pattern keys and
+// Property: the miner equals brute-force enumeration (pattern keys and
 // supports) on random labeled databases, whose labels it ignores, and on
 // skeleton databases.
 class GspanOracleTest : public ::testing::TestWithParam<int> {};
@@ -203,15 +237,23 @@ TEST_P(GspanOracleTest, MatchesBruteForce) {
                           /*min_support=*/1 + GetParam() % 3);
 }
 
-// Skeletons have one label, so every child tuple differs only in its dfs
-// indices and most codes are reached through non-minimal orders. max_edges
-// runs 1-5, so every level is the leaf level of some instance.
+// Skeletons have one label, so every pattern differs only in its
+// structure. max_edges runs 1-6, so every size is the largest of some
+// instance.
 TEST_P(GspanOracleTest, SkeletonsMatchBruteForce) {
   const GraphDatabase labeled = RandomLabeledDb(GetParam());
   GraphDatabase db;
   for (const Graph& g : labeled.graphs()) db.Add(g.Skeleton());
-  ExpectMatchesBruteForce(db, /*max_edges=*/1 + GetParam() % 5,
+  ExpectMatchesBruteForce(db, /*max_edges=*/1 + GetParam() % 6,
                           /*min_support=*/1 + GetParam() % 3);
+}
+
+// min_edges > 1 drops the small patterns from the report only.
+TEST_P(GspanOracleTest, LargePatternsMatchBruteForce) {
+  const int max_edges = 3 + GetParam() % 4;
+  ExpectMatchesBruteForce(RandomLabeledDb(GetParam()), max_edges,
+                          /*min_support=*/1 + GetParam() % 3,
+                          /*min_edges=*/std::min(max_edges, 2 + GetParam() % 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GspanOracleTest, ::testing::Range(0, 15));
@@ -227,8 +269,8 @@ void ExpectSamePatterns(const std::vector<Pattern>& expected,
 }
 
 // Property: the parallel miner reports the same pattern vector (order,
-// codes, support sets) at every thread count. 240 graphs make 15 root
-// segments and projections large enough to be scanned in parallel.
+// codes, support sets) at every thread count. 240 graphs make 15
+// segments, enough for every worker to scan several.
 class GspanParallelTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
@@ -377,6 +419,52 @@ TEST(MiningPipelineTest, MinSupportFractionCountsExactly) {
   auto at_28 = MineDiscriminativeFeatures(db, 3, 0.28, 1.0);
   ASSERT_TRUE(at_28.ok());
   EXPECT_TRUE(has_3_edge_feature(at_28.value(), 4));
+}
+
+// Golden: the features pis_server mines by default (4 edges, 5% support,
+// gamma 1) from 1000 seed-1 molecules, with their support counts, as the
+// embedding-growing gSpan miner reported them.
+TEST(MiningGoldenTest, SeedOneMoleculeFeatures) {
+  MoleculeGeneratorOptions gen;
+  gen.seed = 1;
+  const GraphDatabase db = MoleculeGenerator(gen).Generate(1000);
+  const std::vector<std::pair<std::string, int>> expected = {
+      {"(0,1,0,0,0)", 1000},
+      {"(0,1,0,0,0)(1,2,0,0,0)", 1000},
+      {"(0,1,0,0,0)(1,2,0,0,0)(1,3,0,0,0)", 1000},
+      {"(0,1,0,0,0)(1,2,0,0,0)(2,0,0,0,0)", 100},
+      {"(0,1,0,0,0)(1,2,0,0,0)(2,3,0,0,0)", 1000},
+      {"(0,1,0,0,0)(1,2,0,0,0)(1,3,0,0,0)(1,4,0,0,0)", 774},
+      {"(0,1,0,0,0)(1,2,0,0,0)(2,0,0,0,0)(2,3,0,0,0)", 100},
+      {"(0,1,0,0,0)(1,2,0,0,0)(2,3,0,0,0)(2,4,0,0,0)", 1000},
+      {"(0,1,0,0,0)(1,2,0,0,0)(2,3,0,0,0)(3,0,0,0,0)", 130},
+      {"(0,1,0,0,0)(1,2,0,0,0)(2,3,0,0,0)(3,4,0,0,0)", 1000},
+  };
+  auto features = MineDiscriminativeFeatures(db, 4, 0.05, 1.0, 4);
+  ASSERT_TRUE(features.ok());
+  ASSERT_EQ(features.value().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    CanonicalOptions skeleton;
+    skeleton.use_labels = false;
+    auto form = MinDfsCode(features.value()[i], skeleton);
+    ASSERT_TRUE(form.ok());
+    EXPECT_EQ(form.value().code.ToKey(), expected[i].first) << "feature " << i;
+  }
+  // The same run, one step at a time, for the support counts.
+  GspanOptions mine;
+  mine.min_support = 50;
+  mine.max_edges = 4;
+  auto patterns = MineFrequentSubgraphs(db, mine);
+  ASSERT_TRUE(patterns.ok());
+  auto selected = SelectDiscriminativeFeatures(patterns.value(), db.size(),
+                                               {.gamma = 1.0});
+  ASSERT_TRUE(selected.ok());
+  ASSERT_EQ(selected.value().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Pattern& p = patterns.value()[selected.value()[i]];
+    EXPECT_EQ(p.code.ToKey(), expected[i].first) << "feature " << i;
+    EXPECT_EQ(p.support(), expected[i].second) << "feature " << i;
+  }
 }
 
 TEST(FeatureSelectorTest, GammaOneKeepsEverything) {

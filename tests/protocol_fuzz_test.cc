@@ -37,12 +37,10 @@ std::unique_ptr<EngineHost> MakeHost(int num_shards) {
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(8);
 
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 2;
   mine.max_edges = 3;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   EXPECT_TRUE(patterns.ok());
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);

@@ -191,12 +191,10 @@ TEST_P(FragmentIndexSerdeTest, SaveLoadServesIdenticalQueries) {
   gopt.max_vertices = 40;
   MoleculeGenerator gen(gopt);
   GraphDatabase db = gen.Generate(20);
-  GraphDatabase skeletons;
-  for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 3;
   mine.max_edges = 4;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(db, mine);
   ASSERT_TRUE(patterns.ok());
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);

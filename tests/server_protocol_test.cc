@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine_test_util.h"
@@ -331,6 +333,74 @@ TEST_F(ServerProtocolTest, ShutdownStopsTheServerCleanly) {
   server_->Wait();
   EXPECT_GE(server_->requests_served(), 1u);
   server_.reset();
+}
+
+// A LineServer that is never started, to render query replies.
+class ReplyRenderer : public LineServer {
+ public:
+  ReplyRenderer() : LineServer(Protocol{"render", {}, nullptr}, {}) {}
+  using LineServer::FinishQuery;
+};
+
+// `line` with the values of filter_ms and verify_ms replaced by "T". Each
+// value must be digits with at most three decimals.
+std::string BlankTimings(std::string line) {
+  for (const std::string key : {"\"filter_ms\":", "\"verify_ms\":"}) {
+    const size_t begin = line.find(key) + key.size();
+    EXPECT_NE(begin - key.size(), std::string::npos) << line;
+    const size_t end = line.find_first_of(",}", begin);
+    const std::string value = line.substr(begin, end - begin);
+    EXPECT_FALSE(value.empty()) << line;
+    EXPECT_EQ(value.find_first_not_of("0123456789."), std::string::npos)
+        << line;
+    const size_t dot = value.find('.');
+    if (dot != std::string::npos) {
+      EXPECT_LE(value.size() - dot - 1, 3u) << line;
+    }
+    // reserve + append: GCC 12 at -O3 flags string::replace here with a
+    // false-positive -Wrestrict.
+    std::string blanked;
+    blanked.reserve(line.size());
+    blanked.append(line, 0, begin).append("T").append(line, end);
+    line = std::move(blanked);
+  }
+  return line;
+}
+
+// A query reply's timings are whole microseconds, so two replies for one
+// result differ only in the digits of filter_ms and verify_ms, and those
+// take at most three decimals whatever the timings were.
+TEST(QueryReplyTest, TimingsAreTheOnlyRunToRunDigits) {
+  ReplyRenderer renderer;
+  SearchResult result;
+  result.answers = {3, 17, 40};
+  result.stats.candidates_final = 9;
+  result.stats.fragments_enumerated = 350;
+  result.stats.range_queries = 1424;
+  const JsonValue request = JsonValue::Object();
+  std::vector<std::string> lines;
+  for (auto [filter_s, verify_s] :
+       {std::pair{0.008898526, 8.309999999999999e-07},
+        std::pair{0.0123456789, 0.0004441}, std::pair{0.01, 0.0}}) {
+    result.stats.filter_seconds = filter_s;
+    result.stats.verify_seconds = verify_s;
+    JsonValue reply = JsonValue::Object();
+    renderer.FinishQuery(request, result, nullptr, &reply);
+    lines.push_back(reply.Serialize());
+    const JsonValue* stats = reply.Find("stats");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_DOUBLE_EQ(stats->GetNumberOr("filter_ms", -1),
+                     std::round(filter_s * 1e6) / 1e3);
+    EXPECT_DOUBLE_EQ(stats->GetNumberOr("verify_ms", -1),
+                     std::round(verify_s * 1e6) / 1e3);
+  }
+  EXPECT_EQ(lines[0],
+            "{\"answers\":[3,17,40],\"candidates\":9,\"stats\":{"
+            "\"filter_ms\":8.899,\"fragments\":350,\"range_queries\":1424,"
+            "\"verify_ms\":0.001}}");
+  for (const std::string& line : lines) {
+    EXPECT_EQ(BlankTimings(line), BlankTimings(lines[0]));
+  }
 }
 
 }  // namespace

@@ -23,12 +23,10 @@ struct Fixture {
     gopt.max_vertices = 40;
     MoleculeGenerator gen(gopt);
     db = gen.Generate(db_size);
-    GraphDatabase skeletons;
-    for (const Graph& g : db.graphs()) skeletons.Add(g.Skeleton());
     GspanOptions mine;
     mine.min_support = 3;
     mine.max_edges = 4;
-    auto patterns = MineFrequentSubgraphs(skeletons, mine);
+    auto patterns = MineFrequentSubgraphs(db, mine);
     EXPECT_TRUE(patterns.ok());
     std::vector<Graph> features;
     for (const Pattern& p : patterns.value()) features.push_back(p.graph);

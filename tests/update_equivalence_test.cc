@@ -72,12 +72,10 @@ TEST(ShardedUpdateTest, AddsBalanceAcrossShards) {
   GraphDatabase pool = gen.Generate(30);
   GraphDatabase slots;
   for (int i = 0; i < 9; ++i) slots.Add(pool.at(i));
-  GraphDatabase skeletons;
-  for (const Graph& g : slots.graphs()) skeletons.Add(g.Skeleton());
   GspanOptions mine;
   mine.min_support = 2;
   mine.max_edges = 3;
-  auto patterns = MineFrequentSubgraphs(skeletons, mine);
+  auto patterns = MineFrequentSubgraphs(slots, mine);
   ASSERT_TRUE(patterns.ok());
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);
