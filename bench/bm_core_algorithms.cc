@@ -520,7 +520,7 @@ BENCHMARK(BM_IndexSaveLoadDir)->Unit(benchmark::kMillisecond);
 
 void BM_EnumerateQueryFragmentsQ16(benchmark::State& state) {
   // Algorithm 2's decomposition of one q16 query per iteration, walking the
-  // set, against a warm skeleton cache (building the inputs decomposed
+  // set, against a warm skeleton table (building the inputs decomposed
   // every query once).
   const Q16Inputs& in = SharedQ16Inputs();
   const FragmentIndex& shard = in.index.value().shard(0);

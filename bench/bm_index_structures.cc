@@ -75,18 +75,21 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeRangeQuery)->Arg(1)->Arg(5)->Arg(20);
 
+// Args: database size, max fragment edges. The larger cap multiplies the
+// subsets each build classifies and the skeletons it canonicalizes.
 void BM_IndexBuild(benchmark::State& state) {
   MoleculeGenerator gen;
   GraphDatabase db = gen.Generate(static_cast<int>(state.range(0)));
+  const int max_edges = static_cast<int>(state.range(1));
   GspanOptions mine;
   mine.min_support = std::max(2, db.size() / 100);
-  mine.max_edges = 4;
+  mine.max_edges = max_edges;
   auto patterns = MineFrequentSubgraphs(db, mine);
   PIS_CHECK(patterns.ok());
   std::vector<Graph> features;
   for (const Pattern& p : patterns.value()) features.push_back(p.graph);
   FragmentIndexOptions options;
-  options.max_fragment_edges = 4;
+  options.max_fragment_edges = max_edges;
   for (auto _ : state) {
     auto index = FragmentIndex::Build(db, features, options);
     PIS_CHECK(index.ok());
@@ -94,7 +97,9 @@ void BM_IndexBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * db.size());
 }
-BENCHMARK(BM_IndexBuild)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IndexBuild)
+    ->ArgsProduct({{50, 200}, {4, 6}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GspanMining(benchmark::State& state) {
   MoleculeGenerator gen;

@@ -1,7 +1,8 @@
 // Connected edge-subgraph enumeration: every connected subset of edges up
 // to a size cap, each emitted exactly once (ESU adapted to the line graph).
-// Both index construction (fragments of database graphs) and query
-// processing (fragments of the query graph, Algorithm 2 lines 3-4) use it.
+// The skeleton classifier (src/index/skeleton_table.h) runs it for feature
+// mining, index construction (fragments of database graphs) and query
+// processing (fragments of the query graph, Algorithm 2 lines 3-4).
 #ifndef PIS_INDEX_FRAGMENT_ENUM_H_
 #define PIS_INDEX_FRAGMENT_ENUM_H_
 
@@ -156,10 +157,10 @@ class EdgeEsu {
 
 /// EnumerateConnectedEdgeSubgraphs with the visitor inlined: `visit` is
 /// called as bool(const std::vector<EdgeId>&) on each subset, in the same
-/// order. The index build, query decomposition and feature mining use this
-/// form. The order is depth-first: with min_edges = 1, a subset of two or
-/// more edges comes right after the last subset of one edge fewer emitted
-/// before it, which is its own prefix (the subset without its last edge).
+/// order. SkeletonScan uses this form. The order is depth-first: with
+/// min_edges = 1, a subset of two or more edges comes right after the last
+/// subset of one edge fewer emitted before it, which is its own prefix
+/// (the subset without its last edge).
 template <typename Visit>
 size_t ForEachConnectedEdgeSubset(const Graph& g,
                                   const FragmentEnumOptions& options,

@@ -22,16 +22,6 @@ uint64_t HashCombine(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-uint64_t StructureSignature(const Graph& g) {
-  std::vector<int> degrees(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) degrees[v] = g.Degree(v);
-  std::sort(degrees.begin(), degrees.end());
-  uint64_t h = HashCombine(static_cast<uint64_t>(g.NumVertices()),
-                           static_cast<uint64_t>(g.NumEdges()) * 1315423911ULL);
-  for (int d : degrees) h = HashCombine(h, static_cast<uint64_t>(d));
-  return h;
-}
-
 template <typename VertexAt, typename EdgeAt>
 void FragmentIndex::AppendVectors(const Graph& g, bool vertex_labels,
                                   size_t nv, VertexAt vertex, size_t ne,
@@ -57,111 +47,45 @@ void FragmentIndex::AppendVectors(const Graph& g, bool vertex_labels,
   }
 }
 
-const SkeletonClass* SkeletonCache::Find(const PatternKey& key) const {
-  MutexLock lock(&mu_);
-  auto it = classes_.find(key);
-  return it == classes_.end() ? nullptr : &it->second;
-}
-
-const SkeletonClass* SkeletonCache::Insert(const PatternKey& key,
-                                           SkeletonClass cls) {
-  MutexLock lock(&mu_);
-  return &classes_.try_emplace(key, std::move(cls)).first->second;
-}
-
-SkeletonMemo::SkeletonMemo(const FragmentIndex& index)
+IndexScan::IndexScan(const FragmentIndex& index)
     : index_(index),
-      cache_(*index.skeletons_),
+      window_{index.options_.min_fragment_edges,
+              index.options_.max_fragment_edges},
+      scan_(index.skeletons_.get()),
       vertex_labels_(index.SequenceHasVertexLabels()) {}
 
-Result<const SkeletonClass*> SkeletonMemo::Classify(
-    const Graph& host, std::span<const EdgeId> subset) {
-  // Number the subset's vertices exactly as Graph::EdgeSubgraph does (by
-  // first appearance, u before v), packing the pattern as it goes.
-  if (host_to_local_.size() < static_cast<size_t>(host.NumVertices())) {
-    host_to_local_.resize(host.NumVertices(), kInvalidVertex);
+int IndexScan::ClassOf(int skeleton) {
+  if (static_cast<size_t>(skeleton) >= class_of_.size()) {
+    class_of_.resize(skeleton + 1, kUnknown);
   }
-  for (VertexId v : local_to_host_) host_to_local_[v] = kInvalidVertex;
-  local_to_host_.clear();
-  auto local_id = [this](VertexId old) -> uint64_t {
-    if (host_to_local_[old] == kInvalidVertex) {
-      host_to_local_[old] = static_cast<VertexId>(local_to_host_.size());
-      local_to_host_.push_back(old);
-    }
-    return static_cast<uint64_t>(host_to_local_[old]);
-  };
-  PatternKey key;
-  for (size_t i = 0; i < subset.size(); ++i) {
-    const Edge& edge = host.GetEdge(subset[i]);
-    const uint64_t u = local_id(edge.u);
-    const uint64_t pair = u | local_id(edge.v) << 4;
-    if (i < 8) {
-      key.lo |= pair << (8 * i);
-    } else if (i < PatternKey::kMaxEdges) {
-      key.hi |= pair << (8 * (i - 8));
-    }
+  int& cls = class_of_[skeleton];
+  if (cls == kUnknown) {
+    auto found =
+        index_.class_by_key_.find(scan_.table().skeleton(skeleton).key);
+    cls = found == index_.class_by_key_.end() ? -1 : found->second;
   }
-  if (subset.empty() || subset.size() > PatternKey::kMaxEdges) {
-    return ClassifyNew(host, subset, &uncached_);
-  }
-  key.hi |= static_cast<uint64_t>(subset.size()) << 56;
-
-  auto seen = seen_.find(key);
-  if (seen != seen_.end()) return seen->second;
-  const SkeletonClass* cls = cache_.Find(key);
-  if (cls == nullptr) {
-    // New to every scan: classify outside the cache's lock, then publish
-    // (a concurrent scan may have published the same result first).
-    SkeletonClass fresh;
-    PIS_RETURN_NOT_OK(ClassifyNew(host, subset, &fresh).status());
-    cls = cache_.Insert(key, std::move(fresh));
-  }
-  seen_.emplace(key, cls);
   return cls;
 }
 
-Result<const SkeletonClass*> SkeletonMemo::ClassifyNew(
-    const Graph& host, std::span<const EdgeId> subset,
-    SkeletonClass* out) const {
-  *out = SkeletonClass();
-  Graph fragment =
-      host.EdgeSubgraph(std::vector<EdgeId>(subset.begin(), subset.end()));
-  if (index_.signatures_.count(StructureSignature(fragment)) == 0) {
-    out->skipped_by_signature = true;
-    return out;
+const std::vector<CanonicalEmbedding>& IndexScan::Automorphisms(int skeleton) {
+  if (static_cast<size_t>(skeleton) >= automorphisms_.size()) {
+    automorphisms_.resize(skeleton + 1, nullptr);
   }
-  CanonicalOptions all_embeddings;
-  all_embeddings.use_labels = false;
-  all_embeddings.first_embedding_only = false;
-  PIS_ASSIGN_OR_RETURN(CanonicalForm form, MinDfsCode(fragment, all_embeddings));
-  auto found = index_.class_by_key_.find(form.Key());
-  if (found != index_.class_by_key_.end()) {
-    out->class_id = found->second;
-    out->embeddings = std::move(form.embeddings);
-  }
-  return out;
+  const std::vector<CanonicalEmbedding>*& found = automorphisms_[skeleton];
+  if (found == nullptr) found = &scan_.table().Automorphisms(skeleton);
+  return *found;
 }
 
-void SkeletonMemo::AppendVectors(const Graph& host,
-                                 std::span<const EdgeId> subset,
-                                 const CanonicalEmbedding& embedding,
-                                 std::vector<Label>* labels,
-                                 std::vector<double>* weights) const {
+void IndexScan::AppendVectors(const Graph& host, const SkeletonSubset& subset,
+                              const CanonicalEmbedding& automorphism,
+                              std::vector<Label>* labels,
+                              std::vector<double>* weights) const {
   index_.AppendVectors(
-      host, vertex_labels_, embedding.vertex_order.size(),
-      [&](size_t i) { return local_to_host_[embedding.vertex_order[i]]; },
-      embedding.edge_order.size(),
-      [&](size_t k) { return subset[embedding.edge_order[k]]; }, labels,
-      weights);
-}
-
-void SkeletonMemo::Vectors(const Graph& host, std::span<const EdgeId> subset,
-                           const CanonicalEmbedding& embedding,
-                           std::vector<Label>* labels,
-                           std::vector<double>* weights) const {
-  labels->clear();
-  weights->clear();
-  AppendVectors(host, subset, embedding, labels, weights);
+      host, vertex_labels_, subset.vertices.size(),
+      [&](size_t i) { return subset.vertices[automorphism.vertex_order[i]]; },
+      subset.code_edges.size(),
+      [&](size_t k) { return subset.code_edges[automorphism.edge_order[k]]; },
+      labels, weights);
 }
 
 Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
@@ -175,7 +99,7 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
   FragmentIndex index;
   index.options_ = options;
   index.spec_holder_ = std::make_shared<const DistanceSpec>(options.spec);
-  index.skeletons_ = std::make_shared<SkeletonCache>();
+  index.skeletons_ = std::make_shared<SkeletonTable>();
   index.db_size_ = db.size();
 
   // Register classes from the feature set.
@@ -194,46 +118,38 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
     index.class_by_key_.emplace(key, class_id);
     index.classes_.push_back(std::make_unique<EquivalenceClassIndex>(
         key, f.NumVertices(), f.NumEdges(), index.spec_holder_.get()));
-    index.signatures_.insert(StructureSignature(f));
   }
   index.stats_.num_classes = index.classes_.size();
 
   // Scan the database: every connected fragment whose skeleton is a
   // registered class is inserted under all its automorphism-induced
-  // sequences. The index canonicalizes a local edge pattern once and reuses
-  // the result for every subset that shares it (SkeletonCache; exact
-  // because the skeleton's canonical form depends only on that pattern).
-  // Parallel builds scan contiguous graph-id ranges, each through its own
-  // memo; insertion stays sequential in graph-id order, so posting lists
-  // grow by appends.
+  // sequences. Parallel builds scan contiguous graph-id ranges, each through
+  // its own IndexScan over the index's one SkeletonTable; insertion stays
+  // sequential in graph-id order, so posting lists grow by appends.
   if (options.num_threads > 1) {
     const size_t num_graphs = db.size();
     const size_t num_ranges =
         std::min(static_cast<size_t>(options.num_threads), num_graphs);
     std::vector<PendingFragments> pending(num_graphs);
     std::vector<ExtractStats> stats(num_graphs);
-    std::vector<Status> failures(num_graphs);
     ParallelFor(num_ranges, options.num_threads, [&](size_t range) {
-      SkeletonMemo memo(index);
+      IndexScan scan(index);
       const size_t end = num_graphs * (range + 1) / num_ranges;
       for (size_t gid = num_graphs * range / num_ranges; gid < end; ++gid) {
-        failures[gid] = index.ExtractGraphFragments(
-            db.at(static_cast<int>(gid)), &memo, &pending[gid], &stats[gid]);
-        if (!failures[gid].ok()) return;
+        index.ExtractGraphFragments(db.at(static_cast<int>(gid)), &scan,
+                                    &pending[gid], &stats[gid]);
       }
     });
     for (int gid = 0; gid < db.size(); ++gid) {
-      PIS_RETURN_NOT_OK(failures[gid]);
       index.ApplyExtraction(gid, pending[gid], stats[gid]);
     }
   } else {
-    SkeletonMemo memo(index);
+    IndexScan scan(index);
     PendingFragments pending;
     for (int gid = 0; gid < db.size(); ++gid) {
       pending.clear();
       ExtractStats stats;
-      PIS_RETURN_NOT_OK(
-          index.ExtractGraphFragments(db.at(gid), &memo, &pending, &stats));
+      index.ExtractGraphFragments(db.at(gid), &scan, &pending, &stats);
       index.ApplyExtraction(gid, pending, stats);
     }
   }
@@ -242,37 +158,23 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
   return index;
 }
 
-Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
-                                            PendingFragments* out,
-                                            ExtractStats* stats) const {
-  FragmentEnumOptions enum_opts;
-  enum_opts.min_edges = options_.min_fragment_edges;
-  enum_opts.max_edges = options_.max_fragment_edges;
-
-  Status failure = Status::OK();
-  ForEachConnectedEdgeSubset(g, enum_opts, [&](const std::vector<EdgeId>&
-                                                   subset) {
+void FragmentIndex::ExtractGraphFragments(const Graph& g, IndexScan* scan,
+                                          PendingFragments* out,
+                                          ExtractStats* stats) const {
+  scan->Run(g, [&](const SkeletonSubset& subset, int class_id) {
     ++stats->subsets;
-    Result<const SkeletonClass*> classified = memo->Classify(g, subset);
-    if (!classified.ok()) {
-      failure = classified.status();
-      return false;
-    }
-    const SkeletonClass& cls = *classified.value();
-    if (cls.skipped_by_signature) {
-      ++stats->skipped_by_signature;
-      return true;
-    }
-    if (cls.class_id < 0) return true;
+    if (class_id < 0) return true;
     ++stats->occurrences;
     // Distinct sequences only: symmetric labels make many automorphisms
     // collide. Each sequence is written straight into the pending buffers
     // and taken back if it repeats one of this subset's earlier ones.
     const size_t first = out->entries.size();
-    for (const CanonicalEmbedding& emb : cls.embeddings) {
+    for (const CanonicalEmbedding& automorphism :
+         scan->Automorphisms(subset.skeleton)) {
       const size_t labels_begin = out->labels.size();
       const size_t weights_begin = out->weights.size();
-      memo->AppendVectors(g, subset, emb, &out->labels, &out->weights);
+      scan->AppendVectors(g, subset, automorphism, &out->labels,
+                          &out->weights);
       const std::span<const Label> labels(out->labels.data() + labels_begin,
                                           out->labels.size() - labels_begin);
       const std::span<const double> weights(
@@ -288,13 +190,12 @@ Status FragmentIndex::ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
         out->weights.resize(weights_begin);
         continue;
       }
-      out->entries.push_back({cls.class_id,
+      out->entries.push_back({class_id,
                               static_cast<uint32_t>(out->labels.size()),
                               static_cast<uint32_t>(out->weights.size())});
     }
     return true;
   });
-  return failure;
 }
 
 void FragmentIndex::ApplyExtraction(int gid, const PendingFragments& pending,
@@ -333,7 +234,6 @@ void FragmentIndex::ApplyExtraction(int gid, const PendingFragments& pending,
     cls.Insert(labels, pending.Weights(i), gid);
   }
   stats_.num_subsets_enumerated += stats.subsets;
-  stats_.num_subsets_skipped_by_signature += stats.skipped_by_signature;
   stats_.num_fragment_occurrences += stats.occurrences;
   stats_.num_sequences_inserted += pending.entries.size();
 }
@@ -342,8 +242,8 @@ Result<int> FragmentIndex::AddGraph(const Graph& g) {
   int gid = db_size_;
   PendingFragments pending;
   ExtractStats stats;
-  SkeletonMemo memo(*this);
-  PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &memo, &pending, &stats));
+  IndexScan scan(*this);
+  ExtractGraphFragments(g, &scan, &pending, &stats);
   // The new id is above every posting, so each insert is an append and the
   // touched classes need no re-sort: the add costs what the new graph
   // brings, not what the index holds.
@@ -438,11 +338,16 @@ Status FragmentIndex::RangeQuery(const Graph& fragment, double sigma,
 
 namespace {
 constexpr uint32_t kIndexMagic = 0x50495358;  // "PISX"
-// The only layout this build reads or writes: header, signatures, classes,
-// then the sorted tombstone list, the compaction epoch and the live count
-// (cross-checked against db_size minus tombstones on load). Versions 1-4
-// are refused (kLastRetiredFormatReader is the last commit that reads them).
-constexpr uint32_t kIndexVersion = 5;
+// The layout this build writes: header (with three build counters),
+// classes, then the sorted tombstone list, the compaction epoch and the
+// live count (cross-checked against db_size minus tombstones on load).
+// v5 is v6 with a fourth counter and the retired subset-prefilter's
+// signature section after the header; Load reads and discards both. A v5
+// reader would skip every subset of a file with no signatures, hence the
+// new version. Versions 1-4 are refused (kLastRetiredFormatReader is the
+// last commit that reads them).
+constexpr uint32_t kIndexVersion = 6;
+constexpr uint32_t kIndexVersionWithSignatures = 5;
 
 void SerializeSpec(const DistanceSpec& spec, BinaryWriter* writer) {
   writer->U8(static_cast<uint8_t>(spec.type));
@@ -481,14 +386,6 @@ Status FragmentIndex::Serialize(BinaryWriter* out) const {
   writer.U64(stats_.num_fragment_occurrences);
   writer.U64(stats_.num_sequences_inserted);
   writer.U64(stats_.num_subsets_enumerated);
-  writer.U64(stats_.num_subsets_skipped_by_signature);
-  // Signature set for the subset prefilter, sorted so Save is a pure
-  // function of the index state (the unordered_set's iteration order is
-  // not — it depends on insertion history, which a Load resets).
-  std::vector<uint64_t> signatures(signatures_.begin(), signatures_.end());
-  std::sort(signatures.begin(), signatures.end());
-  writer.U64(signatures.size());
-  for (uint64_t sig : signatures) writer.U64(sig);
   writer.U64(classes_.size());
   for (const auto& cls : classes_) {
     PIS_RETURN_NOT_OK(cls->Serialize(&writer));
@@ -521,7 +418,6 @@ Result<FragmentIndex> FragmentIndex::Clone() const {
   for (const auto& cls : classes_) {
     copy.classes_.push_back(std::make_unique<EquivalenceClassIndex>(*cls));
   }
-  copy.signatures_ = signatures_;
   copy.skeletons_ = skeletons_;
   copy.tombstones_ = tombstones_;
   copy.compaction_epoch_ = compaction_epoch_;
@@ -546,9 +442,9 @@ Result<FragmentIndex> FragmentIndex::Parse(BinaryReader* in) {
     return Status::ParseError("not a PIS index file (bad magic)");
   }
   const uint32_t version = reader.U32();
-  if (version != kIndexVersion) {
-    return Status::ParseError(
-        UnsupportedVersionMessage("index", version, kIndexVersion));
+  if (version != kIndexVersion && version != kIndexVersionWithSignatures) {
+    return Status::ParseError(UnsupportedVersionMessage(
+        "index", version, kIndexVersionWithSignatures, kIndexVersion));
   }
   FragmentIndex index;
   index.options_.min_fragment_edges = reader.I32();
@@ -561,19 +457,19 @@ Result<FragmentIndex> FragmentIndex::Parse(BinaryReader* in) {
         kLastRetiredFormatReader + " is the last that reads such a file");
   }
   index.spec_holder_ = std::make_shared<const DistanceSpec>(index.options_.spec);
-  index.skeletons_ = std::make_shared<SkeletonCache>();
+  index.skeletons_ = std::make_shared<SkeletonTable>();
   index.db_size_ = reader.I32();
   index.stats_.num_fragment_occurrences = reader.U64();
   index.stats_.num_sequences_inserted = reader.U64();
   index.stats_.num_subsets_enumerated = reader.U64();
-  index.stats_.num_subsets_skipped_by_signature = reader.U64();
-  uint64_t num_signatures = reader.ReadCount(8);
-  PIS_RETURN_NOT_OK(reader.Check("index header"));
-  for (uint64_t i = 0; i < num_signatures; ++i) {
-    index.signatures_.insert(reader.U64());
+  if (version == kIndexVersionWithSignatures) {
+    reader.U64();  // subsets the signature prefilter skipped
+    const uint64_t num_signatures = reader.ReadCount(8);
+    PIS_RETURN_NOT_OK(reader.Check("index header"));
+    for (uint64_t i = 0; i < num_signatures; ++i) reader.U64();
   }
   uint64_t num_classes = reader.ReadCount(16);
-  PIS_RETURN_NOT_OK(reader.Check("index signatures"));
+  PIS_RETURN_NOT_OK(reader.Check("index header"));
   for (uint64_t i = 0; i < num_classes; ++i) {
     PIS_ASSIGN_OR_RETURN(
         std::unique_ptr<EquivalenceClassIndex> cls,

@@ -1,8 +1,10 @@
 // The fragment-based index of PIS (paper §4, Figures 4-5): a hash table
 // from canonical skeleton codes to per-class indexes. Construction scans
-// the database once, enumerating every fragment whose skeleton is a
-// selected feature and inserting all automorphism-induced label sequences /
-// weight vectors.
+// the database once through the skeleton classifier feature mining shares
+// (src/index/skeleton_table.h): every fragment whose skeleton is a
+// selected feature is inserted under all its automorphism-induced label
+// sequences / weight vectors, so the one sequence a query fragment brings
+// finds the minimum superimposed distance.
 #ifndef PIS_INDEX_FRAGMENT_INDEX_H_
 #define PIS_INDEX_FRAGMENT_INDEX_H_
 
@@ -19,9 +21,8 @@
 #include "graph/graph.h"
 #include "index/class_index.h"
 #include "index/fragment_enum.h"
-#include "util/mutex.h"
+#include "index/skeleton_table.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace pis {
 
@@ -36,7 +37,7 @@ struct FragmentIndexOptions {
   DistanceSpec spec;
   /// Threads for the build's fragment-extraction phase: the database is
   /// split into this many contiguous graph-id ranges, each scanned with its
-  /// own SkeletonMemo over the index's one SkeletonCache. 1 = sequential;
+  /// own IndexScan over the index's one SkeletonTable. 1 = sequential;
   /// use HardwareThreads() for full parallelism. Runtime-only (not
   /// persisted by Save).
   int num_threads = 1;
@@ -48,7 +49,6 @@ struct FragmentIndexStats {
   size_t num_fragment_occurrences = 0;
   size_t num_sequences_inserted = 0;
   size_t num_subsets_enumerated = 0;
-  size_t num_subsets_skipped_by_signature = 0;
   double build_seconds = 0;
 };
 
@@ -63,129 +63,53 @@ struct PreparedFragment {
 
 class FragmentIndex;
 
-/// The structure-only classification of one connected edge subset: what the
-/// index makes of the subset's skeleton, independent of its labels.
-struct SkeletonClass {
-  /// The subset's StructureSignature matches no indexed class.
-  bool skipped_by_signature = false;
-  /// Indexed class of the skeleton, or -1.
-  int class_id = -1;
-  /// Every realization of the skeleton's minimum DFS code (MinDfsCode with
-  /// use_labels = false), over the subset's local ids: vertex v is the v-th
-  /// vertex Graph::EdgeSubgraph would create, edge e is subset[e]. Empty
-  /// unless class_id >= 0.
-  std::vector<CanonicalEmbedding> embeddings;
-};
-
-/// A connected edge subset's local edge pattern, packed: the (local u,
-/// local v) pair of each edge in subset order, with local vertex ids
-/// assigned as Graph::EdgeSubgraph assigns them (first appearance, u
-/// before v). Edge i takes byte i (u in the low nibble, v in the high one)
-/// of the 15 low bytes; the top byte holds the edge count. Subsets of more
-/// than kMaxEdges edges have no packed key.
-struct PatternKey {
-  static constexpr int kMaxEdges = 15;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-
-  bool operator==(const PatternKey&) const = default;
-};
-
-struct PatternKeyHash {
-  size_t operator()(const PatternKey& key) const {
-    uint64_t h =
-        (key.lo ^ (key.hi * 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-};
-
-/// \brief Skeleton classifications of one index, shared by every scan of it.
-///
-/// With labels off, MinDfsCode and StructureSignature read only the vertex
-/// count, edge list and adjacency order of a subset's EdgeSubgraph, and
-/// those are a pure function of its PatternKey, so one canonicalization per
-/// distinct pattern is exact for every subset that shares it. The class
-/// catalog and signatures never change after Build/Load (AddGraph, Compact
-/// and Clone keep them), so a classification stays valid for the index's
-/// lifetime: the index holds the cache by shared_ptr and Clone shares it.
-/// The cache is bounded by the distinct local edge patterns of the indexed
-/// graphs and queries, which are few: 160 at <= 4 edges across 287,427
-/// subsets of 1,000 seed-1 molecules, and 3,272 at <= 6 edges over 200.
-///
-/// Thread-safe. Entries are immutable once published and never removed, so
-/// a returned pointer stays valid while the cache lives. The mutex is a
-/// leaf lock held only for a map lookup or insert, never across MinDfsCode.
-class SkeletonCache {
- public:
-  /// The published classification of `key`, or nullptr.
-  const SkeletonClass* Find(const PatternKey& key) const PIS_EXCLUDES(mu_);
-  /// Publishes `cls` for `key` unless another thread already did; returns
-  /// the published entry either way.
-  const SkeletonClass* Insert(const PatternKey& key, SkeletonClass cls)
-      PIS_EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_;
-  // Node-based, so entries never move.
-  std::unordered_map<PatternKey, SkeletonClass, PatternKeyHash> classes_
-      PIS_GUARDED_BY(mu_);
-};
-
-/// \brief Per-scan, lock-free front of an index's SkeletonCache.
-///
-/// Classify packs the subset's PatternKey and looks it up in a private
-/// map; only a pattern this scan has not met yet goes to the shared cache,
-/// and only a pattern no scan has met yet runs EdgeSubgraph, the signature
-/// prefilter, MinDfsCode and the class lookup.
-/// The signature prefilter never rejects an indexed skeleton: Build
-/// registers each class's signature with the class, and Save/Load persist
-/// both.
+/// \brief One sequential scan of graphs for the fragments an index's
+/// classes hold, classified through the index's SkeletonTable.
 ///
 /// Not thread-safe: make one per sequential scan (a build range, an
-/// AddGraph, one query's decomposition); any number of memos may front one
-/// cache concurrently.
-class SkeletonMemo {
+/// AddGraph, one query's decomposition); any number of scans may share one
+/// index.
+class IndexScan {
  public:
-  explicit SkeletonMemo(const FragmentIndex& index);
+  explicit IndexScan(const FragmentIndex& index);
 
-  /// Classifies one connected edge subset of `host`. Canonicalization
-  /// errors are returned, never cached. The result stays valid while the
-  /// index lives, except for subsets of more than PatternKey::kMaxEdges
-  /// edges, which are classified afresh each call into a slot the next
-  /// Classify overwrites.
-  Result<const SkeletonClass*> Classify(const Graph& host,
-                                        std::span<const EdgeId> subset);
+  /// Calls visit(const SkeletonSubset&, int class_id) on every connected
+  /// edge subset of `g` within the index's fragment size bounds, in ESU
+  /// order; class_id is the indexed class of the subset's skeleton, or -1.
+  /// visit returns false to stop.
+  template <typename Visit>
+  void Run(const Graph& g, Visit&& visit) {
+    scan_.Run(g, window_, [&](const SkeletonSubset& subset) {
+      return visit(subset, ClassOf(subset.skeleton));
+    });
+  }
 
-  /// Host vertex of each local vertex of the subset last classified.
-  const std::vector<VertexId>& local_to_host() const { return local_to_host_; }
+  /// Every automorphism of `skeleton`, an id of the index's table.
+  const std::vector<CanonicalEmbedding>& Automorphisms(int skeleton);
 
-  /// The label sequence / weight vector of the subset last classified
-  /// under one of its embeddings, read from `host` through the local->host
-  /// maps — the sequence FragmentIndex::Prepare builds for
-  /// host.EdgeSubgraph(subset) under the same embedding.
-  void Vectors(const Graph& host, std::span<const EdgeId> subset,
-               const CanonicalEmbedding& embedding, std::vector<Label>* labels,
-               std::vector<double>* weights) const;
-  /// Vectors, appended to `labels` / `weights` instead of replacing them.
-  void AppendVectors(const Graph& host, std::span<const EdgeId> subset,
-                     const CanonicalEmbedding& embedding,
+  /// Appends the label sequence / weight vector of `subset` of `host`
+  /// under one automorphism of its skeleton: the sequence
+  /// FragmentIndex::Prepare builds for host.EdgeSubgraph(subset.edges)
+  /// under the embedding that is the subset's canonical -> host map
+  /// composed with `automorphism`.
+  void AppendVectors(const Graph& host, const SkeletonSubset& subset,
+                     const CanonicalEmbedding& automorphism,
                      std::vector<Label>* labels,
                      std::vector<double>* weights) const;
 
  private:
-  Result<const SkeletonClass*> ClassifyNew(const Graph& host,
-                                           std::span<const EdgeId> subset,
-                                           SkeletonClass* out) const;
+  int ClassOf(int skeleton);
 
   const FragmentIndex& index_;
-  SkeletonCache& cache_;
-  std::unordered_map<PatternKey, const SkeletonClass*, PatternKeyHash> seen_;
-  SkeletonClass uncached_;
+  const FragmentEnumOptions window_;
+  SkeletonScan scan_;
   const bool vertex_labels_;
-  // The subset last classified: host_to_local_ holds the local id of
-  // exactly the vertices in local_to_host_, kInvalidVertex elsewhere.
-  std::vector<VertexId> host_to_local_;
-  std::vector<VertexId> local_to_host_;
+  // Skeleton id -> indexed class, -1 for none, kUnknown until looked up.
+  // The class catalog never changes after Build/Load, so an answer holds
+  // for the scan's lifetime.
+  static constexpr int kUnknown = -2;
+  std::vector<int> class_of_;
+  std::vector<const std::vector<CanonicalEmbedding>*> automorphisms_;
 };
 
 /// \brief The PIS fragment-based index.
@@ -269,7 +193,7 @@ class FragmentIndex {
   uint32_t compaction_epoch() const { return compaction_epoch_; }
 
   /// Independent copy: every class backend is copied, and the immutable
-  /// spec and skeleton cache are shared (spec_holder_ keeps the spec alive
+  /// spec and the skeleton table are shared (spec_holder_ keeps the spec alive
   /// for both, so each class's spec pointer stays valid). Mutating the copy
   /// never changes the source.
   /// Used by the copy-on-write shard detach of ShardedFragmentIndex.
@@ -277,8 +201,9 @@ class FragmentIndex {
 
   /// Binary persistence: write the full index (options, spec, classes,
   /// tombstones, compaction epoch) so a later process can Load() and serve
-  /// queries without rebuilding. Load reads only the version Save writes
-  /// (v5) and refuses any other with a ParseError naming the version.
+  /// queries without rebuilding. Save writes v6; Load reads v6 and v5
+  /// (whose retired signature section and counter it discards) and refuses
+  /// any other version with a ParseError naming it.
   Status Save(std::ostream& out) const;
   Status SaveFile(const std::string& path) const;
   static Result<FragmentIndex> Load(std::istream& in);
@@ -289,9 +214,11 @@ class FragmentIndex {
   const FragmentIndexStats& stats() const { return stats_; }
   const FragmentIndexOptions& options() const { return options_; }
   int db_size() const { return db_size_; }
+  /// The skeleton classifications this index's scans share (with clones).
+  const SkeletonTable& skeletons() const { return *skeletons_; }
 
  private:
-  friend class SkeletonMemo;
+  friend class IndexScan;
 
   FragmentIndex() = default;
 
@@ -346,16 +273,14 @@ class FragmentIndex {
   };
   struct ExtractStats {
     size_t subsets = 0;
-    size_t skipped_by_signature = 0;
     size_t occurrences = 0;
   };
 
   // Enumerates the fragments of one graph whose skeleton is a registered
   // class, emitting deduplicated automorphism sequences. Reads only
-  // immutable index state; concurrent calls need distinct memos.
-  Status ExtractGraphFragments(const Graph& g, SkeletonMemo* memo,
-                               PendingFragments* out,
-                               ExtractStats* stats) const;
+  // immutable index state; concurrent calls need distinct scans.
+  void ExtractGraphFragments(const Graph& g, IndexScan* scan,
+                             PendingFragments* out, ExtractStats* stats) const;
 
   // Applies extracted fragments of graph `gid` and folds its stats in.
   void ApplyExtraction(int gid, const PendingFragments& pending,
@@ -368,20 +293,15 @@ class FragmentIndex {
   int db_size_ = 0;
   std::unordered_map<std::string, int> class_by_key_;
   std::vector<std::unique_ptr<EquivalenceClassIndex>> classes_;
-  std::unordered_set<uint64_t> signatures_;
-  /// Classifications of local edge patterns against the catalog above;
-  /// shared with clones.
-  std::shared_ptr<SkeletonCache> skeletons_;
+  /// The skeletons and one-edge steps the index's scans have met; shared
+  /// with clones.
+  std::shared_ptr<SkeletonTable> skeletons_;
   /// Removed graph ids (persisted by Save).
   std::unordered_set<int> tombstones_;
   /// Count of Compact() rewrites (persisted by Save).
   uint32_t compaction_epoch_ = 0;
   FragmentIndexStats stats_;
 };
-
-/// Cheap structural signature (vertex count, edge count, degree multiset)
-/// used to skip subsets that cannot match any indexed class.
-uint64_t StructureSignature(const Graph& g);
 
 }  // namespace pis
 

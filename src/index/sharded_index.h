@@ -167,8 +167,8 @@ class ShardedFragmentIndex {
   /// was compacted or rebalanced. A `dir` that names a regular file is an
   /// IOError.
   Status SaveDir(const std::string& dir) const;
-  /// Loads a directory written by SaveDir (manifest v4, index v5 shard
-  /// files). Returns InvalidArgument when a structurally readable manifest
+  /// Loads a directory written by SaveDir (manifest v4, index v6 or v5
+  /// shard files). Returns InvalidArgument when a structurally readable manifest
   /// disagrees with the files on disk (missing/surplus shard files, shard
   /// sizes, routing, or live counts out of step) or is truncated
   /// mid-section, ParseError on garbage, on any other manifest or index

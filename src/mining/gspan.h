@@ -6,16 +6,16 @@
 //
 // Features have at most max_edges edges, so the miner enumerates them
 // directly instead of growing DFS codes over embedding lists: one scan runs
-// ESU (ForEachConnectedEdgeSubset) over every graph and classifies each
-// connected edge subset from the subset one edge smaller it grew from.
-// What a skeleton becomes when an edge joins it at given canonical
-// vertices is canonicalized once per run (MinDfsCode, labels off), so a
-// few dozen to a few hundred canonicalizations cover every subset. Workers
-// take fixed segments of 16 graphs in turn; the skeleton table is shared,
-// the step memo is per worker. The frequent skeletons are reported in
-// gSpan's depth-first order (its children's tuple order, prefix first),
-// with gSpan's codes and support sets, so the output does not depend on
-// num_threads.
+// ESU over every graph and classifies each connected edge subset through
+// the skeleton classifier the fragment index shares (SkeletonScan over a
+// SkeletonTable, src/index/skeleton_table.h), which grows a subset's class
+// from the subset one edge smaller and canonicalizes each one-edge step
+// once per run, so a few dozen to a few hundred canonicalizations cover
+// every subset. Workers take fixed segments of 16 graphs in turn, each
+// through its own scan over the one shared table. The frequent skeletons
+// are reported in gSpan's depth-first order (its children's tuple order,
+// prefix first), with gSpan's codes and support sets, so the output does
+// not depend on num_threads.
 #ifndef PIS_MINING_GSPAN_H_
 #define PIS_MINING_GSPAN_H_
 

@@ -113,13 +113,20 @@ Status BinaryReader::Check(const std::string& what) const {
 }
 
 std::string UnsupportedVersionMessage(const std::string& format,
-                                      uint32_t found, uint32_t current) {
+                                      uint32_t found, uint32_t oldest,
+                                      uint32_t current) {
   std::string msg = "unsupported " + format + " version ";
   msg += std::to_string(found);
-  msg += " (this build reads only version ";
+  if (oldest == current) {
+    msg += " (this build reads only version ";
+  } else {
+    msg += " (this build reads versions ";
+    msg += std::to_string(oldest);
+    msg += " to ";
+  }
   msg += std::to_string(current);
   msg += ")";
-  if (found >= 1 && found < current) {
+  if (found >= 1 && found < oldest) {
     msg += "; commit ";
     msg += kLastRetiredFormatReader;
     msg += " is the last that reads version ";

@@ -95,10 +95,16 @@ class BinaryReader {
 inline constexpr char kLastRetiredFormatReader[] = "986566c";
 
 /// Refusal message for version `found` of an on-disk `format` ("index",
-/// "manifest", "WAL") when this build reads only `current`. An older
-/// version also names kLastRetiredFormatReader.
+/// "manifest", "WAL") when this build reads versions `oldest` to `current`.
+/// A version older than `oldest` also names kLastRetiredFormatReader.
 std::string UnsupportedVersionMessage(const std::string& format,
-                                      uint32_t found, uint32_t current);
+                                      uint32_t found, uint32_t oldest,
+                                      uint32_t current);
+/// The same, when this build reads only `current`.
+inline std::string UnsupportedVersionMessage(const std::string& format,
+                                             uint32_t found, uint32_t current) {
+  return UnsupportedVersionMessage(format, found, current, current);
+}
 
 }  // namespace pis
 

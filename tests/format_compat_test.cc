@@ -1,6 +1,7 @@
-// Serde format versioning. Each loader reads exactly the version this
-// build writes: fragment index v5 (header, classes, then the tombstone
-// list, the compaction epoch and the live count), shard manifest v4
+// Serde format versioning. Each loader reads the version this build
+// writes: fragment index v6 (header, classes, then the tombstone list, the
+// compaction epoch and the live count; v5 files, which add a retired
+// counter and signature section, still load), shard manifest v4
 // (epoch, -1-aware routing, explicit local ids, per-shard live counts and
 // the auto-compaction policy) and, in wal_test.cc, WAL v2. Every other
 // version is refused with a ParseError that names the version it found,
@@ -54,22 +55,25 @@ std::string SaveBytes(const FragmentIndex& index) {
   return out.str();
 }
 
-// Expects a refusal of `format` version `found` when this build reads only
-// `current`: the message names both, and an older version also names the
-// last commit that reads it.
+// Expects a refusal of `format` version `found` when this build reads
+// versions `oldest` to `current`: the message names the version found and
+// those read, and a version older than `oldest` also names the last commit
+// that reads it.
 void ExpectVersionRefused(const Status& status, StatusCode code,
                           const std::string& format, uint32_t found,
-                          uint32_t current) {
+                          uint32_t oldest, uint32_t current) {
   EXPECT_EQ(status.code(), code) << status.ToString();
   const std::string& msg = status.message();
   EXPECT_NE(msg.find(format + " version " + std::to_string(found)),
             std::string::npos)
       << msg;
-  EXPECT_NE(msg.find("reads only version " + std::to_string(current)),
-            std::string::npos)
-      << msg;
+  const std::string reads =
+      oldest == current ? "reads only version " + std::to_string(current)
+                        : "reads versions " + std::to_string(oldest) +
+                              " to " + std::to_string(current);
+  EXPECT_NE(msg.find(reads), std::string::npos) << msg;
   EXPECT_EQ(msg.find(kLastRetiredFormatReader) != std::string::npos,
-            found >= 1 && found < current)
+            found >= 1 && found < oldest)
       << msg;
 }
 
@@ -107,8 +111,8 @@ TEST(FormatCompatTest, FragmentIndexWithTombstonesLoadsAndCompacts) {
                     SampleQueries(fx.db, 3, 6, 23));
 }
 
-// Tombstones AND the compaction trailer (the sections v3 added; v5 is that
-// layout) survive Save/Load.
+// Tombstones AND the compaction trailer (the sections v3 added; v6 keeps
+// that layout) survive Save/Load.
 TEST(FormatCompatTest, FragmentIndexV3RoundTripsEpochAndTombstones) {
   EngineFixture fx(10, 31);
   ASSERT_TRUE(fx.index.ok());
@@ -143,8 +147,8 @@ TEST(FormatCompatTest, FragmentIndexV3BadLiveCountRejected) {
   EXPECT_NE(loaded.status().message().find("live count"), std::string::npos);
 }
 
-// v5 round trip: Save -> Load -> Save must be byte-identical.
-TEST(FormatCompatTest, FragmentIndexV5SaveLoadSaveIsByteIdentical) {
+// v6 round trip: Save -> Load -> Save must be byte-identical.
+TEST(FormatCompatTest, FragmentIndexV6SaveLoadSaveIsByteIdentical) {
   EngineFixture fx(10, 59);
   ASSERT_TRUE(fx.index.ok());
   ASSERT_TRUE(fx.index.value().RemoveGraph(3).ok());
@@ -155,11 +159,66 @@ TEST(FormatCompatTest, FragmentIndexV5SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(SaveBytes(loaded.value()), first);
 }
 
+// Offset of the end of a saved index's header counters: after the magic,
+// the version, the two fragment-size bounds, the distance spec, the
+// retired override flag, db_size and the three build counters.
+size_t HeaderCountersEnd(const FragmentIndex& index) {
+  BinaryWriter spec;
+  spec.U8(static_cast<uint8_t>(index.options().spec.type));
+  index.options().spec.vertex_scores.Serialize(&spec);
+  index.options().spec.edge_scores.Serialize(&spec);
+  spec.U8(0);  // use_vertex_weights
+  spec.U8(0);  // use_edge_weights
+  return 16 + spec.buffer().size() + 1 + 4 + 3 * 8;
+}
+
+// A v5 file is the v6 layout with a fourth counter (subsets the retired
+// signature prefilter skipped) and the sorted signature section after the
+// header counters. It loads with both discarded: the same index, so it
+// resaves as the v6 bytes and answers like the v6 file.
+TEST(FormatCompatTest, FragmentIndexV5FileLoadsAndAnswersLikeV6) {
+  for (const DistanceSpec& spec :
+       {DistanceSpec::EdgeMutation(), DistanceSpec::EdgeLinear()}) {
+    EngineFixture fx(12, 61, 4, spec);
+    ASSERT_TRUE(fx.index.ok());
+    ASSERT_TRUE(fx.index.value().RemoveGraph(2).ok());
+    const FragmentIndex& index = fx.index.value().shard(0);
+    const std::string v6 = SaveBytes(index);
+    BinaryWriter retired;
+    retired.U64(1234);  // subsets skipped by signature
+    retired.U64(3);     // signature count
+    for (uint64_t sig : {0x11ULL, 0x2222ULL, 0x333333ULL}) retired.U64(sig);
+    std::string v5 = v6;
+    v5.insert(HeaderCountersEnd(index), retired.buffer());
+    PatchU32(&v5, 4, 5);
+    ASSERT_EQ(v5.size(), v6.size() + 8 + 8 + 3 * 8);
+
+    std::stringstream in(v5);
+    auto loaded = FragmentIndex::Load(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(SaveBytes(loaded.value()) == v6);
+    EXPECT_EQ(loaded.value().tombstones().size(), 1u);
+    auto v6_clone = index.Clone();
+    ASSERT_TRUE(v6_clone.ok());
+    ExpectSameAnswers(fx.db,
+                      ShardedFragmentIndex::FromFragmentIndex(v6_clone.MoveValue()),
+                      ShardedFragmentIndex::FromFragmentIndex(loaded.MoveValue()),
+                      SampleQueries(fx.db, 3, 6, 67));
+
+    // A v5 file cut inside its signature section is corrupt.
+    std::string cut = v5.substr(0, HeaderCountersEnd(index) + 8 + 8 + 8);
+    std::stringstream cut_in(cut);
+    auto truncated = FragmentIndex::Load(cut_in);
+    ASSERT_FALSE(truncated.ok());
+    EXPECT_EQ(truncated.status().code(), StatusCode::kParseError);
+  }
+}
+
 TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   EngineFixture fx(6, 3);
   ASSERT_TRUE(fx.index.ok());
   std::string bytes = SaveBytes(fx.index.value().shard(0));
-  PatchU32(&bytes, 4, 6);
+  PatchU32(&bytes, 4, 7);
   std::stringstream in(bytes);
   auto loaded = FragmentIndex::Load(in);
   ASSERT_FALSE(loaded.ok());
@@ -167,13 +226,14 @@ TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
 
-// Every version word but 5 — 0, each version older builds wrote, and the
-// next one — is refused before anything after it is read.
+// Every version word but 5 and 6 — 0, each version older builds wrote
+// that this one does not read, and the next one — is refused before
+// anything after it is read.
 TEST(FormatCompatTest, EveryOtherIndexVersionIsRefused) {
   EngineFixture fx(6, 3);
   ASSERT_TRUE(fx.index.ok());
   const std::string saved = SaveBytes(fx.index.value().shard(0));
-  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u}) {
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 7u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::string bytes = saved;
     PatchU32(&bytes, 4, version);
@@ -181,7 +241,7 @@ TEST(FormatCompatTest, EveryOtherIndexVersionIsRefused) {
     auto loaded = FragmentIndex::Load(in);
     ASSERT_FALSE(loaded.ok());
     ExpectVersionRefused(loaded.status(), StatusCode::kParseError, "index",
-                         version, 5);
+                         version, 5, 6);
   }
 }
 
@@ -220,7 +280,7 @@ constexpr uint8_t kTrieTag = 0;  // class backend tags, as class_index.cc
 constexpr uint8_t kRTreeTag = 1;
 constexpr uint8_t kVpTreeTag = 2;  // the retired VP-tree backend
 
-// A v5 Save() cut into its header, its classes' bytes and its trailer (the
+// A v6 Save() cut into its header, its classes' bytes and its trailer (the
 // tombstone list, the compaction epoch and the live count). Each class is
 // re-serialized on its own to find its extent; the pieces must reassemble
 // the file exactly.
@@ -290,7 +350,7 @@ TEST(FormatCompatTest, ClassTagForTheOtherDistanceIsParseError) {
   }
 }
 
-// A class of the retired VP-tree backend in a v5 file is refused under
+// A class of the retired VP-tree backend in a v6 file is refused under
 // either distance type, and the message names the last commit that reads
 // one.
 TEST(FormatCompatTest, VpTreeClassIsRefused) {
@@ -576,7 +636,7 @@ TEST_F(ManifestCompatTest, EveryOtherManifestVersionIsRefused) {
     auto loaded = ShardedFragmentIndex::LoadDir(dir_);
     ASSERT_FALSE(loaded.ok());
     ExpectVersionRefused(loaded.status(), StatusCode::kParseError, "manifest",
-                         version, 4);
+                         version, 4, 4);
   }
 }
 

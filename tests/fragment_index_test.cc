@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -272,8 +273,8 @@ Graph Spider(const std::vector<int>& legs) {
 
 // Paths, the triangle, the 5-cycle, the 3-star and the spider with legs
 // 3,1,1 — but not the spider with legs 2,2,1, which has the same degree
-// multiset. Scans therefore see indexed, signature-skipped and
-// same-signature-but-unindexed subsets.
+// multiset. Scans therefore see indexed subsets and unindexed ones,
+// some of them close to an indexed skeleton.
 std::vector<Graph> ScanFeatures() {
   std::vector<Graph> features = BasicFeatures(kScanMaxEdges);
   features.push_back(Cycle(3).Skeleton());
@@ -316,15 +317,16 @@ uint64_t Fnv1a64(const std::string& bytes) {
   return h;
 }
 
-// Pins the bytes of fresh builds. The constants were computed by the last
-// build that had a backend-override option, with the option left unset:
-// the same index content, so removing the option is shown to change no
-// output.
+// Pins the bytes of fresh builds. Recorded with index v6, whose builds
+// insert each fragment's automorphic sequences in the order of its
+// skeleton's automorphisms: the same sequences and postings as the v5
+// builds before it (checked class by class), in a layout without the
+// signature section.
 TEST(FragmentIndexScanTest, SavedBytesArePinned) {
   const std::map<std::string, uint64_t> expected = {
-      {"edge_mutation_trie", 0x13f40d4e559d3769ULL},
-      {"vertex_edge_linear_rtree", 0xb64524044b2419eeULL},
-      {"full_mutation_trie", 0x31ebdc68cd3cb295ULL},
+      {"edge_mutation_trie", 0x6a5bb38eec9d81b5ULL},
+      {"vertex_edge_linear_rtree", 0xbb23f85b4c9d56d5ULL},
+      {"full_mutation_trie", 0x20aaf35b90386d77ULL},
   };
   for (const ScanVariant& variant : ScanVariants()) {
     SCOPED_TRACE(variant.name);
@@ -373,14 +375,47 @@ void ReferenceVectors(const DistanceSpec& spec, const Graph& fragment,
   if (weights->empty()) weights->push_back(0.0);
 }
 
-// Every connected subset of every graph, classified through one memo shared
-// across the database as a build scan does, agrees with the one-off path:
-// Prepare on the materialized fragment and a direct MinDfsCode over all
-// embeddings. The per-subset tallies reproduce the build's counters.
-TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
+// A subset's embedding in host ids: the host vertex at each canonical
+// vertex and the host edge at each code position.
+using HostEmbedding = std::pair<std::vector<VertexId>, std::vector<EdgeId>>;
+
+// The brute-force reference for one connected edge subset of `g`: its
+// materialized fragment and every realization of the fragment's minimum
+// DFS code (labels off), mapped back to host ids.
+struct SubsetReference {
+  Graph fragment;
+  std::vector<VertexId> vertex_map;  // fragment vertex -> host vertex
+  std::vector<CanonicalEmbedding> embeddings;  // over the fragment
+  std::set<HostEmbedding> host_embeddings;
+};
+
+SubsetReference Reference(const Graph& g, const std::vector<EdgeId>& edges) {
+  SubsetReference ref;
+  ref.fragment = g.EdgeSubgraph(edges, &ref.vertex_map);
   CanonicalOptions all_embeddings;
   all_embeddings.use_labels = false;
   all_embeddings.first_embedding_only = false;
+  auto form = MinDfsCode(ref.fragment, all_embeddings);
+  EXPECT_TRUE(form.ok());
+  if (!form.ok()) return ref;
+  ref.embeddings = std::move(form.value().embeddings);
+  for (const CanonicalEmbedding& emb : ref.embeddings) {
+    HostEmbedding host;
+    for (VertexId v : emb.vertex_order) host.first.push_back(ref.vertex_map[v]);
+    for (EdgeId e : emb.edge_order) host.second.push_back(edges[e]);
+    ref.host_embeddings.insert(std::move(host));
+  }
+  return ref;
+}
+
+// Every connected subset of every graph, classified through one IndexScan
+// shared across the database as a build scan does, agrees with the one-off
+// path: its class is Prepare's on the materialized fragment, and its map
+// composed with each automorphism of its skeleton gives, as a set, exactly
+// the embeddings a direct MinDfsCode over all embeddings finds, each with
+// the reference sequence. The per-subset tallies reproduce the build's
+// counters.
+TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
   for (const ScanVariant& variant : ScanVariants()) {
     SCOPED_TRACE(variant.name);
     GraphDatabase db = ScanDatabase(variant.seed);
@@ -388,7 +423,7 @@ TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
                                       ScanOptions(variant));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const FragmentIndex& index = built.value();
-    SkeletonMemo memo(index);
+    IndexScan scan(index);
     FragmentIndexStats tally;
     size_t unindexed = 0;
     size_t embeddings = 0;
@@ -397,106 +432,278 @@ TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
     std::vector<Label> want_labels;
     std::vector<double> want_weights;
     for (const Graph& g : db.graphs()) {
-      EnumerateConnectedEdgeSubgraphs(
-          g, {1, kScanMaxEdges}, [&](const std::vector<EdgeId>& subset) {
+      scan.Run(g, [&](const SkeletonSubset& subset, int class_id) {
         ++tally.num_subsets_enumerated;
-        std::vector<VertexId> vertex_map;
-        Graph fragment = g.EdgeSubgraph(subset, &vertex_map);
-        auto cls = memo.Classify(g, subset);
-        EXPECT_TRUE(cls.ok()) << cls.status().ToString();
-        if (!cls.ok()) return false;
-        EXPECT_EQ(memo.local_to_host(), vertex_map);
-        Result<PreparedFragment> prepared = index.Prepare(fragment);
-        if (cls.value()->class_id < 0) {
-          EXPECT_TRUE(cls.value()->embeddings.empty());
+        const SubsetReference ref = Reference(g, subset.edges);
+        std::vector<VertexId> vertices(subset.vertices.begin(),
+                                       subset.vertices.end());
+        std::vector<VertexId> want_vertices = ref.vertex_map;
+        std::sort(vertices.begin(), vertices.end());
+        std::sort(want_vertices.begin(), want_vertices.end());
+        EXPECT_EQ(vertices, want_vertices);
+        Result<PreparedFragment> prepared = index.Prepare(ref.fragment);
+        if (class_id < 0) {
           EXPECT_EQ(prepared.status().code(), StatusCode::kNotFound);
-          if (cls.value()->skipped_by_signature) {
-            ++tally.num_subsets_skipped_by_signature;
-          } else {
-            ++unindexed;
-          }
+          ++unindexed;
           return true;
         }
-        EXPECT_FALSE(cls.value()->skipped_by_signature);
         EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
         if (!prepared.ok()) return false;
-        EXPECT_EQ(cls.value()->class_id, prepared.value().class_id);
-        memo.Vectors(g, subset, cls.value()->embeddings.front(), &labels,
-                     &weights);
-        EXPECT_EQ(labels, prepared.value().labels);
-        EXPECT_EQ(weights, prepared.value().weights);
+        EXPECT_EQ(class_id, prepared.value().class_id);
 
-        auto form = MinDfsCode(fragment, all_embeddings);
-        EXPECT_TRUE(form.ok());
-        if (!form.ok()) return false;
-        const std::vector<CanonicalEmbedding>& got = cls.value()->embeddings;
-        EXPECT_EQ(got.size(), form.value().embeddings.size());
-        if (got.size() != form.value().embeddings.size()) return false;
+        const std::vector<CanonicalEmbedding>& automorphisms =
+            scan.Automorphisms(subset.skeleton);
+        EXPECT_EQ(automorphisms.size(), ref.embeddings.size());
+        std::set<HostEmbedding> got;
         std::set<std::pair<std::vector<Label>, std::vector<double>>> distinct;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].vertex_order,
-                    form.value().embeddings[i].vertex_order);
-          EXPECT_EQ(got[i].edge_order, form.value().embeddings[i].edge_order);
-          memo.Vectors(g, subset, got[i], &labels, &weights);
-          ReferenceVectors(variant.spec, fragment, got[i], &want_labels,
+        for (const CanonicalEmbedding& automorphism : automorphisms) {
+          HostEmbedding host;
+          for (VertexId v : automorphism.vertex_order) {
+            host.first.push_back(subset.vertices[v]);
+          }
+          for (EdgeId e : automorphism.edge_order) {
+            host.second.push_back(subset.code_edges[e]);
+          }
+          got.insert(host);
+          labels.clear();
+          weights.clear();
+          scan.AppendVectors(g, subset, automorphism, &labels, &weights);
+          // The reference sequence of the same embedding, read off the
+          // materialized fragment.
+          CanonicalEmbedding local;
+          for (VertexId v : host.first) {
+            local.vertex_order.push_back(static_cast<VertexId>(
+                std::find(ref.vertex_map.begin(), ref.vertex_map.end(), v) -
+                ref.vertex_map.begin()));
+          }
+          for (EdgeId e : host.second) {
+            local.edge_order.push_back(static_cast<EdgeId>(
+                std::find(subset.edges.begin(), subset.edges.end(), e) -
+                subset.edges.begin()));
+          }
+          ReferenceVectors(variant.spec, ref.fragment, local, &want_labels,
                            &want_weights);
           EXPECT_EQ(labels, want_labels);
           EXPECT_EQ(weights, want_weights);
           distinct.emplace(labels, weights);
         }
+        EXPECT_EQ(got, ref.host_embeddings);
         ++tally.num_fragment_occurrences;
         tally.num_sequences_inserted += distinct.size();
-        embeddings += got.size();
+        embeddings += automorphisms.size();
         return true;
       });
     }
-    // Every branch of the classification was exercised, and symmetric
+    // Both branches of the classification were exercised, and symmetric
     // labels collapsed some automorphisms.
     EXPECT_GT(tally.num_fragment_occurrences, 0u);
-    EXPECT_GT(tally.num_subsets_skipped_by_signature, 0u);
     EXPECT_GT(unindexed, 0u);
     EXPECT_LT(tally.num_sequences_inserted, embeddings);
 
     const FragmentIndexStats& stats = index.stats();
     EXPECT_EQ(stats.num_subsets_enumerated, tally.num_subsets_enumerated);
-    EXPECT_EQ(stats.num_subsets_skipped_by_signature,
-              tally.num_subsets_skipped_by_signature);
     EXPECT_EQ(stats.num_fragment_occurrences, tally.num_fragment_occurrences);
     EXPECT_EQ(stats.num_sequences_inserted, tally.num_sequences_inserted);
   }
 }
 
-// Query enumeration classifies through the same memo; each fragment equals
-// Prepare on the materialized subset, in enumeration order.
+// The per-graph minimum distances within sigma of one prepared fragment.
+std::map<int, double> MinDistances(const FragmentIndex& index,
+                                   const PreparedFragment& fragment,
+                                   double sigma) {
+  std::map<int, double> hits;
+  EXPECT_TRUE(index
+                  .RangeQuery(fragment, sigma,
+                              [&hits](int gid, double d) {
+                                auto [it, fresh] = hits.emplace(gid, d);
+                                if (!fresh) it->second = std::min(it->second, d);
+                              })
+                  .ok());
+  return hits;
+}
+
+// Query enumeration classifies through the same scan, in enumeration
+// order. Each fragment of `query` takes the class Prepare gives the
+// materialized subset and one of the subset's automorphic sequences (which
+// one is the scan's choice), and so answers every range query as Prepare's
+// sequence does, because the index holds every automorphic sequence of
+// each database fragment.
+void ExpectQueryFragmentsMatchPrepare(const FragmentIndex& index,
+                                      const Graph& query) {
+  const FragmentIndexOptions& options = index.options();
+  auto fragments = EnumerateIndexedQueryFragments(index, query);
+  ASSERT_TRUE(fragments.ok()) << fragments.status().ToString();
+  size_t next = 0;
+  EnumerateConnectedEdgeSubgraphs(
+      query, {options.min_fragment_edges, options.max_fragment_edges},
+      [&](const std::vector<EdgeId>& subset) {
+    const SubsetReference ref = Reference(query, subset);
+    auto prepared = index.Prepare(ref.fragment);
+    if (!prepared.ok()) return true;
+    std::vector<VertexId> vertices = ref.vertex_map;
+    std::sort(vertices.begin(), vertices.end());
+    EXPECT_LT(next, fragments.value().size());
+    if (next >= fragments.value().size()) return false;
+    const QueryFragment& got = fragments.value()[next++];
+    EXPECT_EQ(got.prepared.class_id, prepared.value().class_id);
+    EXPECT_EQ(got.prepared.num_edges, prepared.value().num_edges);
+    EXPECT_EQ(got.vertices, vertices);
+    bool automorphic = false;
+    std::vector<Label> labels;
+    std::vector<double> weights;
+    for (const CanonicalEmbedding& emb : ref.embeddings) {
+      ReferenceVectors(options.spec, ref.fragment, emb, &labels, &weights);
+      automorphic = automorphic || (labels == got.prepared.labels &&
+                                    weights == got.prepared.weights);
+    }
+    EXPECT_TRUE(automorphic);
+    for (double sigma : {0.0, 1.0, 2.0, 3.0}) {
+      EXPECT_EQ(MinDistances(index, got.prepared, sigma),
+                MinDistances(index, prepared.value(), sigma))
+          << "sigma " << sigma;
+    }
+    return true;
+  });
+  EXPECT_EQ(next, fragments.value().size());
+}
+
 TEST(FragmentIndexScanTest, QueryFragmentsMatchPrepare) {
-  for (const ScanVariant& variant : ScanVariants()) {
+  std::vector<ScanVariant> variants = ScanVariants();
+  variants.push_back({"edge_linear_rtree", 14, DistanceSpec::EdgeLinear()});
+  for (const ScanVariant& variant : variants) {
     SCOPED_TRACE(variant.name);
     GraphDatabase db = ScanDatabase(variant.seed);
     auto built = FragmentIndex::Build(db, ScanFeatures(),
                                       ScanOptions(variant));
     ASSERT_TRUE(built.ok());
-    const FragmentIndex& index = built.value();
     for (const Graph& query : db.graphs()) {
-      auto fragments = EnumerateIndexedQueryFragments(index, query);
-      ASSERT_TRUE(fragments.ok()) << fragments.status().ToString();
-      size_t next = 0;
-      EnumerateConnectedEdgeSubgraphs(
-          query, {1, kScanMaxEdges}, [&](const std::vector<EdgeId>& subset) {
-        std::vector<VertexId> vertices;
-        auto prepared = index.Prepare(query.EdgeSubgraph(subset, &vertices));
-        if (!prepared.ok()) return true;
-        std::sort(vertices.begin(), vertices.end());
-        EXPECT_LT(next, fragments.value().size());
-        if (next >= fragments.value().size()) return false;
-        const QueryFragment& got = fragments.value()[next++];
-        EXPECT_EQ(got.prepared.class_id, prepared.value().class_id);
-        EXPECT_EQ(got.prepared.num_edges, prepared.value().num_edges);
-        EXPECT_EQ(got.prepared.labels, prepared.value().labels);
-        EXPECT_EQ(got.prepared.weights, prepared.value().weights);
-        EXPECT_EQ(got.vertices, vertices);
-        return true;
-      });
-      EXPECT_EQ(next, fragments.value().size());
+      ExpectQueryFragmentsMatchPrepare(built.value(), query);
+    }
+  }
+}
+
+// What a build over `db` must hold, recomputed subset by subset from the
+// materialized fragments (Prepare for the class, MinDfsCode over all
+// embeddings for the sequences): each class's containing graphs and
+// sequence count, the build counters, and every (sequence, graph) pair,
+// which a sigma-0 range query must find.
+void ExpectBuildMatchesReference(const FragmentIndex& index,
+                                 const GraphDatabase& db) {
+  const FragmentIndexOptions& options = index.options();
+  FragmentIndexStats want;
+  std::vector<std::set<int>> containing(index.num_classes());
+  std::vector<size_t> sequences(index.num_classes());
+  struct Entry {
+    int class_id;
+    std::vector<Label> labels;
+    std::vector<double> weights;
+    int gid;
+    bool operator<(const Entry& o) const {
+      return std::tie(class_id, labels, weights, gid) <
+             std::tie(o.class_id, o.labels, o.weights, o.gid);
+    }
+  };
+  std::set<Entry> entries;
+  for (int gid = 0; gid < db.size(); ++gid) {
+    const Graph& g = db.at(gid);
+    EnumerateConnectedEdgeSubgraphs(
+        g, {options.min_fragment_edges, options.max_fragment_edges},
+        [&](const std::vector<EdgeId>& subset) {
+      ++want.num_subsets_enumerated;
+      const SubsetReference ref = Reference(g, subset);
+      auto prepared = index.Prepare(ref.fragment);
+      if (!prepared.ok()) return true;
+      const int class_id = prepared.value().class_id;
+      ++want.num_fragment_occurrences;
+      std::set<std::pair<std::vector<Label>, std::vector<double>>> distinct;
+      for (const CanonicalEmbedding& emb : ref.embeddings) {
+        Entry entry{class_id, {}, {}, gid};
+        ReferenceVectors(options.spec, ref.fragment, emb, &entry.labels,
+                         &entry.weights);
+        distinct.emplace(entry.labels, entry.weights);
+        entries.insert(std::move(entry));
+      }
+      want.num_sequences_inserted += distinct.size();
+      sequences[class_id] += distinct.size();
+      containing[class_id].insert(gid);
+      return true;
+    });
+  }
+  const FragmentIndexStats& stats = index.stats();
+  EXPECT_EQ(stats.num_subsets_enumerated, want.num_subsets_enumerated);
+  EXPECT_EQ(stats.num_fragment_occurrences, want.num_fragment_occurrences);
+  EXPECT_EQ(stats.num_sequences_inserted, want.num_sequences_inserted);
+  EXPECT_GT(want.num_fragment_occurrences, 0u);
+  for (int c = 0; c < index.num_classes(); ++c) {
+    SCOPED_TRACE("class " + std::to_string(c));
+    EXPECT_EQ(index.class_at(c).containing_graphs(),
+              std::vector<int>(containing[c].begin(), containing[c].end()));
+    EXPECT_EQ(index.class_at(c).num_fragments(), sequences[c]);
+  }
+  for (const Entry& entry : entries) {
+    PreparedFragment probe;
+    probe.class_id = entry.class_id;
+    probe.labels = entry.labels;
+    probe.weights = entry.weights;
+    const std::map<int, double> hits = MinDistances(index, probe, 0.0);
+    auto hit = hits.find(entry.gid);
+    EXPECT_TRUE(hit != hits.end() && hit->second == 0.0)
+        << "class " << entry.class_id << " graph " << entry.gid;
+  }
+}
+
+// A window above one edge: the scan still grows every subset from its
+// one-edge prefix, but builds and decomposes only the window's subsets.
+TEST(FragmentIndexScanTest, WindowsAboveOneEdgeMatchTheReference) {
+  for (const ScanVariant& variant : ScanVariants()) {
+    for (int min_edges : {2, 3}) {
+      SCOPED_TRACE(std::string(variant.name) + " min_fragment_edges " +
+                   std::to_string(min_edges));
+      GraphDatabase db = ScanDatabase(variant.seed);
+      FragmentIndexOptions options = ScanOptions(variant);
+      options.min_fragment_edges = min_edges;
+      auto built = FragmentIndex::Build(db, ScanFeatures(), options);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      ExpectBuildMatchesReference(built.value(), db);
+      for (const Graph& query : db.graphs()) {
+        ExpectQueryFragmentsMatchPrepare(built.value(), query);
+      }
+    }
+  }
+}
+
+// Fragments of 16 and 17 edges: paths and cycles of 17 edges with
+// varied labels and weights, indexed under the 16- and 17-edge path and
+// the 17-cycle.
+TEST(FragmentIndexScanTest, FragmentsOfSixteenEdgesAndMoreMatchTheReference) {
+  constexpr int kEdges = 17;
+  GraphDatabase db;
+  for (bool cycle : {false, true}) {
+    for (int shift : {0, 1}) {
+      Graph g;
+      const int n = cycle ? kEdges : kEdges + 1;
+      for (int i = 0; i < n; ++i) g.AddVertex(1 + (i + shift) % 2, 0.5 * i);
+      for (int i = 0; i < kEdges; ++i) {
+        ASSERT_TRUE(
+            g.AddEdge(i, (i + 1) % n, 1 + (i * (shift + 1)) % 3, 1.0 + i % 4)
+                .ok());
+      }
+      db.Add(g);
+    }
+  }
+  const std::vector<Graph> features = {PathGraph(16).Skeleton(),
+                                       PathGraph(kEdges).Skeleton(),
+                                       Cycle(kEdges).Skeleton()};
+  for (const ScanVariant& variant : ScanVariants()) {
+    SCOPED_TRACE(variant.name);
+    FragmentIndexOptions options = ScanOptions(variant);
+    options.max_fragment_edges = kEdges;
+    auto built = FragmentIndex::Build(db, features, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_EQ(built.value().num_classes(), 3);
+    ExpectBuildMatchesReference(built.value(), db);
+    for (const Graph& query : db.graphs()) {
+      ExpectQueryFragmentsMatchPrepare(built.value(), query);
     }
   }
 }
