@@ -87,11 +87,9 @@ void BM_MinDfsCodeSkeleton(benchmark::State& state) {
         static_cast<int>(state.range(0)), &rng);
     if (frag.ok()) fragments.push_back(frag.MoveValue());
   }
-  CanonicalOptions options;
-  options.use_labels = false;
   size_t i = 0;
   for (auto _ : state) {
-    auto form = MinDfsCode(fragments[i++ % fragments.size()], options);
+    auto form = MinDfsCode(fragments[i++ % fragments.size()]);
     benchmark::DoNotOptimize(form.ok());
   }
 }

@@ -2,19 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 
 namespace pis {
-
-namespace {
-int CompareLabels(const DfsEdge& a, const DfsEdge& b) {
-  auto ta = std::make_tuple(a.from_label, a.edge_label, a.to_label);
-  auto tb = std::make_tuple(b.from_label, b.edge_label, b.to_label);
-  if (ta < tb) return -1;
-  if (tb < ta) return 1;
-  return 0;
-}
-}  // namespace
 
 int CompareDfsEdges(const DfsEdge& a, const DfsEdge& b) {
   bool fa = a.IsForward();
@@ -23,12 +12,12 @@ int CompareDfsEdges(const DfsEdge& a, const DfsEdge& b) {
     if (a.to != b.to) return a.to < b.to ? -1 : 1;
     // Deeper origin (larger from) comes first.
     if (a.from != b.from) return a.from > b.from ? -1 : 1;
-    return CompareLabels(a, b);
+    return 0;
   }
   if (!fa && !fb) {
     if (a.from != b.from) return a.from < b.from ? -1 : 1;
     if (a.to != b.to) return a.to < b.to ? -1 : 1;
-    return CompareLabels(a, b);
+    return 0;
   }
   if (!fa && fb) {
     // backward vs forward: backward smaller iff its origin precedes the
@@ -61,16 +50,13 @@ int DfsCode::Compare(const DfsCode& other) const {
 
 Result<Graph> DfsCode::ToGraph() const {
   Graph g;
-  int n = NumVertices();
-  std::vector<Label> vlabels(n, kNoLabel);
   for (const DfsEdge& e : edges_) {
     if (e.from < 0 || e.to < 0) return Status::InvalidArgument("negative DFS index");
-    vlabels[e.from] = e.from_label;
-    vlabels[e.to] = e.to_label;
   }
-  for (int i = 0; i < n; ++i) g.AddVertex(vlabels[i]);
+  const int n = NumVertices();
+  for (int i = 0; i < n; ++i) g.AddVertex();
   for (const DfsEdge& e : edges_) {
-    auto added = g.AddEdge(e.from, e.to, e.edge_label);
+    auto added = g.AddEdge(e.from, e.to);
     if (!added.ok()) return added.status();
   }
   if (!g.IsConnected()) {
@@ -80,10 +66,10 @@ Result<Graph> DfsCode::ToGraph() const {
 }
 
 std::string DfsCode::ToKey() const {
+  // Three zero fields per tuple: class keys are stored in index files.
   std::ostringstream os;
   for (const DfsEdge& e : edges_) {
-    os << '(' << e.from << ',' << e.to << ',' << e.from_label << ','
-       << e.edge_label << ',' << e.to_label << ')';
+    os << '(' << e.from << ',' << e.to << ",0,0,0)";
   }
   return os.str();
 }

@@ -1,6 +1,7 @@
-// gSpan-style DFS codes: sequences of edge 5-tuples with the canonical
+// gSpan-style DFS codes: sequences of edge tuples with the canonical
 // lexicographic order from Yan & Han, "gSpan: Graph-Based Substructure
-// Pattern Mining" (ICDM'02) — reference [15] of the paper.
+// Pattern Mining" (ICDM'02) — reference [15] of the paper. Codes describe
+// skeletons (Definition 4), so a tuple is just the edge's DFS indices.
 #ifndef PIS_CANONICAL_DFS_CODE_H_
 #define PIS_CANONICAL_DFS_CODE_H_
 
@@ -17,30 +18,22 @@ namespace pis {
 struct DfsEdge {
   int from = 0;
   int to = 0;
-  Label from_label = kNoLabel;
-  Label edge_label = kNoLabel;
-  Label to_label = kNoLabel;
 
   bool IsForward() const { return from < to; }
 
-  bool operator==(const DfsEdge& other) const {
-    return from == other.from && to == other.to &&
-           from_label == other.from_label && edge_label == other.edge_label &&
-           to_label == other.to_label;
-  }
+  bool operator==(const DfsEdge& other) const = default;
 };
 
 /// Returns -1/0/+1 for a < b / a == b / a > b under the gSpan edge order.
 int CompareDfsEdges(const DfsEdge& a, const DfsEdge& b);
 
-/// \brief A DFS code: an ordered edge list describing a connected graph.
+/// \brief A DFS code: an ordered edge list describing a connected skeleton.
 class DfsCode {
  public:
   DfsCode() = default;
   explicit DfsCode(std::vector<DfsEdge> edges) : edges_(std::move(edges)) {}
 
   void Append(const DfsEdge& e) { edges_.push_back(e); }
-  void PopBack() { edges_.pop_back(); }
   size_t size() const { return edges_.size(); }
   bool empty() const { return edges_.empty(); }
   const DfsEdge& operator[](size_t i) const { return edges_[i]; }
@@ -56,15 +49,13 @@ class DfsCode {
   bool operator==(const DfsCode& other) const { return edges_ == other.edges_; }
   bool operator<(const DfsCode& other) const { return Compare(other) < 0; }
 
-  /// Reconstructs the coded graph: vertex ids equal DFS indices.
+  /// Reconstructs the coded skeleton: vertex ids equal DFS indices, every
+  /// label kNoLabel.
   Result<Graph> ToGraph() const;
 
   /// Compact serialization usable as a hash key, e.g.
-  /// "(0,1,0,2,0)(1,2,0,1,0)".
+  /// "(0,1,0,0,0)(1,2,0,0,0)".
   std::string ToKey() const;
-
-  /// Human-readable rendering (same as ToKey currently).
-  std::string ToString() const { return ToKey(); }
 
  private:
   std::vector<DfsEdge> edges_;

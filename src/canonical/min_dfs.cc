@@ -21,16 +21,7 @@ struct Candidate {
   DfsEdge edge;
   EdgeId graph_edge = kInvalidEdge;
   VertexId new_vertex = kInvalidVertex;  // only for forward edges
-  int from_idx = -1;
 };
-
-Label L(const Graph& g, VertexId v, bool use_labels) {
-  return use_labels ? g.VertexLabel(v) : kNoLabel;
-}
-
-Label EL(const Graph& g, EdgeId e, bool use_labels) {
-  return use_labels ? g.GetEdge(e).label : kNoLabel;
-}
 
 // Rightmost path as dfs indices from rightmost vertex up to the root.
 std::vector<int> RightmostPath(const State& s) {
@@ -43,7 +34,7 @@ std::vector<int> RightmostPath(const State& s) {
   return path;
 }
 
-void CollectCandidates(const Graph& g, bool use_labels, const State& s,
+void CollectCandidates(const Graph& g, const State& s,
                        std::vector<Candidate>* out) {
   std::vector<int> rmpath = RightmostPath(s);  // [rm, ..., root]
   int rm_idx = rmpath.front();
@@ -58,12 +49,7 @@ void CollectCandidates(const Graph& g, bool use_labels, const State& s,
     int w_idx = s.dfs_index[w];
     if (w_idx < 0 || !on_rmpath[w_idx]) continue;
     if (w_idx == s.parent[rm_idx]) continue;  // the tree edge itself
-    Candidate c;
-    c.edge = DfsEdge{rm_idx, w_idx, L(g, rm_vertex, use_labels),
-                     EL(g, e, use_labels), L(g, s.order[w_idx], use_labels)};
-    c.graph_edge = e;
-    c.from_idx = rm_idx;
-    out->push_back(c);
+    out->push_back({DfsEdge{rm_idx, w_idx}, e});
   }
   // Forward edges: from any rightmost-path vertex to an unmapped vertex.
   int next_idx = static_cast<int>(s.order.size());
@@ -73,13 +59,7 @@ void CollectCandidates(const Graph& g, bool use_labels, const State& s,
       if (s.edge_used[e]) continue;
       VertexId w = g.GetEdge(e).Other(v);
       if (s.dfs_index[w] >= 0) continue;
-      Candidate c;
-      c.edge = DfsEdge{idx, next_idx, L(g, v, use_labels), EL(g, e, use_labels),
-                       L(g, w, use_labels)};
-      c.graph_edge = e;
-      c.new_vertex = w;
-      c.from_idx = idx;
-      out->push_back(c);
+      out->push_back({DfsEdge{idx, next_idx}, e, w});
     }
   }
 }
@@ -91,7 +71,7 @@ State ApplyCandidate(const State& s, const Candidate& c) {
   if (c.new_vertex != kInvalidVertex) {
     next.dfs_index[c.new_vertex] = static_cast<int>(next.order.size());
     next.order.push_back(c.new_vertex);
-    next.parent.push_back(c.from_idx);
+    next.parent.push_back(c.edge.from);
   }
   return next;
 }
@@ -127,34 +107,14 @@ Result<CanonicalForm> MinDfsCode(const Graph& g, const CanonicalOptions& options
     return form;
   }
 
-  // Seed states: every directed orientation of every edge that attains the
-  // minimal initial tuple.
+  // Seed states: every edge in both orientations. Without labels each of
+  // them starts the code with the same tuple, (0,1).
+  form.code.Append(DfsEdge{0, 1});
   std::vector<State> states;
-  {
-    DfsEdge best{};
-    bool have_best = false;
-    std::vector<std::pair<EdgeId, bool>> realizations;  // (edge, u_is_root)
-    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-      const Edge& edge = g.GetEdge(e);
-      for (bool u_root : {true, false}) {
-        VertexId a = u_root ? edge.u : edge.v;
-        VertexId b = u_root ? edge.v : edge.u;
-        DfsEdge t{0, 1, L(g, a, options.use_labels), EL(g, e, options.use_labels),
-                  L(g, b, options.use_labels)};
-        int cmp = have_best ? CompareDfsEdges(t, best) : -1;
-        if (cmp < 0) {
-          best = t;
-          have_best = true;
-          realizations.clear();
-          realizations.emplace_back(e, u_root);
-        } else if (cmp == 0) {
-          realizations.emplace_back(e, u_root);
-        }
-      }
-    }
-    form.code.Append(best);
-    for (auto [e, u_root] : realizations) {
-      const Edge& edge = g.GetEdge(e);
+  states.reserve(2 * static_cast<size_t>(g.NumEdges()));
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const Edge& edge = g.GetEdge(e);
+    for (bool u_root : {true, false}) {
       VertexId a = u_root ? edge.u : edge.v;
       VertexId b = u_root ? edge.v : edge.u;
       State s;
@@ -179,7 +139,7 @@ Result<CanonicalForm> MinDfsCode(const Graph& g, const CanonicalOptions& options
     std::vector<Candidate> candidates;
     for (size_t si = 0; si < states.size(); ++si) {
       candidates.clear();
-      CollectCandidates(g, options.use_labels, states[si], &candidates);
+      CollectCandidates(g, states[si], &candidates);
       for (const Candidate& c : candidates) {
         int cmp = have_best ? CompareDfsEdges(c.edge, best) : -1;
         if (cmp < 0) {

@@ -1,9 +1,10 @@
 // Minimum DFS code canonicalization.
 //
-// The minimum DFS code of a connected graph is a canonical form: two graphs
-// are isomorphic (with matching labels when `use_labels`) iff their minimum
-// DFS codes are equal. The level-synchronous search here also yields every
-// vertex/edge ordering that realizes the minimum code — one per
+// The minimum DFS code of a connected graph's skeleton is a canonical form:
+// two graphs have isomorphic skeletons (the same structural equivalence
+// class, Definition 4 of the paper) iff their minimum DFS codes are equal.
+// Labels are never read. The level-synchronous search here also yields
+// every vertex/edge ordering that realizes the minimum code — one per
 // automorphism — which the fragment index uses to insert all
 // automorphism-induced label sequences (paper §4: with every sequence of a
 // database fragment indexed, the one canonical sequence of a query fragment
@@ -30,7 +31,7 @@ struct CanonicalEmbedding {
 struct CanonicalForm {
   DfsCode code;
   /// All realizations of `code`; size equals the automorphism-group order of
-  /// the (labeled or skeleton) graph. Never empty for a valid input.
+  /// the skeleton. Never empty for a valid input.
   std::vector<CanonicalEmbedding> embeddings;
 
   /// Hash key including the vertex count (distinguishes the single-vertex
@@ -39,17 +40,13 @@ struct CanonicalForm {
 };
 
 struct CanonicalOptions {
-  /// Use vertex/edge labels in the code. When false the skeleton is
-  /// canonicalized (labels treated as kNoLabel) — this is the
-  /// structural-equivalence-class key of the paper (Definition 4).
-  bool use_labels = true;
   /// Stop after the first embedding (cheaper when automorphisms are not
   /// needed, e.g. canonicalizing a query fragment or a mining pattern).
   bool first_embedding_only = false;
 };
 
-/// Computes the canonical form. Requires a connected graph with at least one
-/// vertex; returns InvalidArgument otherwise.
+/// Computes the canonical form of `g`'s skeleton. Requires a connected
+/// graph with at least one vertex; returns InvalidArgument otherwise.
 Result<CanonicalForm> MinDfsCode(const Graph& g, const CanonicalOptions& options = {});
 
 }  // namespace pis

@@ -95,8 +95,9 @@ double HistogramSelectivity(const DistanceHistogram& histogram, int live,
                             double sigma, double lambda) {
   if (live <= 0) return 0.0;
   const double cutoff = lambda * sigma;
-  // The same additions, in the same order, as ComputeSelectivity's sum over
-  // the sorted expansion: the histogram is already ascending.
+  // The same additions, in the same order, as the reference
+  // ComputeSelectivity's sum over the sorted expansion
+  // (tests/index_reference.h): the histogram is already ascending.
   double total = 0;
   int found = 0;
   for (const auto& [d, count] : histogram) {

@@ -59,8 +59,10 @@ DistanceHistogram HistogramOf(std::vector<double>* distances);
 /// order in which several histograms are merged.
 void MergeHistogram(const DistanceHistogram& from, DistanceHistogram* into);
 /// Selectivity as an ascending fold over `histogram`, adding each
-/// distance's term `count` times: bit-identical to ComputeSelectivity over
-/// the distances it counts, without expanding or sorting them.
+/// distance's term `count` times: bit-identical to the sorted sum of
+/// Definition 5 over the distances it counts (the reference
+/// ComputeSelectivity in tests/index_reference.h), without expanding or
+/// sorting them.
 double HistogramSelectivity(const DistanceHistogram& histogram, int live,
                             double sigma, double lambda);
 

@@ -4,29 +4,4 @@ namespace pis {
 
 LinearCostModel EdgeLinearModel() { return LinearCostModel(false, true); }
 
-Result<double> LinearDistanceUnderMapping(const Graph& q, const Graph& g,
-                                          const std::vector<VertexId>& mapping,
-                                          const LinearCostModel& model) {
-  if (static_cast<int>(mapping.size()) != q.NumVertices()) {
-    return Status::InvalidArgument("mapping size != query vertex count");
-  }
-  double total = 0;
-  for (VertexId v = 0; v < q.NumVertices(); ++v) {
-    VertexId img = mapping[v];
-    if (img < 0 || img >= g.NumVertices()) {
-      return Status::InvalidArgument("mapping image out of range");
-    }
-    total += model.VertexCost(q, v, g, img);
-  }
-  for (EdgeId e = 0; e < q.NumEdges(); ++e) {
-    const Edge& edge = q.GetEdge(e);
-    EdgeId img = g.FindEdge(mapping[edge.u], mapping[edge.v]);
-    if (img == kInvalidEdge) {
-      return Status::InvalidArgument("mapping is not a structure embedding");
-    }
-    total += model.EdgeCost(q, e, g, img);
-  }
-  return total;
-}
-
 }  // namespace pis

@@ -6,7 +6,6 @@
 
 #include "graph/graph.h"
 #include "isomorphism/cost_search.h"
-#include "util/status.h"
 
 namespace pis {
 
@@ -40,12 +39,6 @@ class LinearCostModel : public SuperimposeCostModel {
 
 /// LD over edge weights only (the R-tree example of the paper, §4 Ex. 3).
 LinearCostModel EdgeLinearModel();
-
-/// LD under a given superposition; InvalidArgument if the mapping is not a
-/// structure embedding.
-Result<double> LinearDistanceUnderMapping(const Graph& q, const Graph& g,
-                                          const std::vector<VertexId>& mapping,
-                                          const LinearCostModel& model);
 
 }  // namespace pis
 

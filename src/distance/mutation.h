@@ -6,7 +6,6 @@
 #include "distance/score_matrix.h"
 #include "graph/graph.h"
 #include "isomorphism/cost_search.h"
-#include "util/status.h"
 
 namespace pis {
 
@@ -43,13 +42,6 @@ MutationCostModel EdgeMutationModel();
 
 /// Full MD with unit scores on both vertices and edges.
 MutationCostModel UnitMutationModel();
-
-/// MD between two graphs under a *given* superposition `mapping`
-/// (query vertex -> target vertex). Returns InvalidArgument if the mapping
-/// is not a valid structure embedding.
-Result<double> MutationDistanceUnderMapping(const Graph& q, const Graph& g,
-                                            const std::vector<VertexId>& mapping,
-                                            const MutationCostModel& model);
 
 }  // namespace pis
 

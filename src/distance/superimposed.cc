@@ -27,7 +27,7 @@ double IsomorphicDistance(const Graph& a, const Graph& b,
 double MinSuperimposedDistanceBruteForce(const Graph& query, const Graph& target,
                                          const SuperimposeCostModel& model) {
   double best = kInfiniteDistance;
-  Vf2Matcher matcher(query, target, MatchOptions{});
+  Vf2Matcher matcher(query, target);
   matcher.EnumerateAll([&](const std::vector<VertexId>& mapping) {
     double cost = 0;
     for (VertexId v = 0; v < query.NumVertices(); ++v) {

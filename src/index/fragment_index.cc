@@ -22,31 +22,6 @@ uint64_t HashCombine(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-template <typename VertexAt, typename EdgeAt>
-void FragmentIndex::AppendVectors(const Graph& g, bool vertex_labels,
-                                  size_t nv, VertexAt vertex, size_t ne,
-                                  EdgeAt edge, std::vector<Label>* labels,
-                                  std::vector<double>* weights) const {
-  const DistanceSpec& spec = options_.spec;
-  if (vertex_labels) {
-    for (size_t i = 0; i < nv; ++i) labels->push_back(g.VertexLabel(vertex(i)));
-  }
-  for (size_t k = 0; k < ne; ++k) labels->push_back(g.GetEdge(edge(k)).label);
-  if (spec.type == DistanceType::kLinear) {
-    const size_t before = weights->size();
-    if (spec.use_vertex_weights) {
-      for (size_t i = 0; i < nv; ++i) {
-        weights->push_back(g.VertexWeight(vertex(i)));
-      }
-    }
-    if (spec.use_edge_weights) {
-      for (size_t k = 0; k < ne; ++k) weights->push_back(g.GetEdge(edge(k)).weight);
-    }
-    // Degenerate 1-dim point.
-    if (weights->size() == before) weights->push_back(0.0);
-  }
-}
-
 IndexScan::IndexScan(const FragmentIndex& index)
     : index_(index),
       window_{index.options_.min_fragment_edges,
@@ -80,12 +55,38 @@ void IndexScan::AppendVectors(const Graph& host, const SkeletonSubset& subset,
                               const CanonicalEmbedding& automorphism,
                               std::vector<Label>* labels,
                               std::vector<double>* weights) const {
-  index_.AppendVectors(
-      host, vertex_labels_, subset.vertices.size(),
-      [&](size_t i) { return subset.vertices[automorphism.vertex_order[i]]; },
-      subset.code_edges.size(),
-      [&](size_t k) { return subset.code_edges[automorphism.edge_order[k]]; },
-      labels, weights);
+  auto vertex = [&](size_t i) {
+    return subset.vertices[automorphism.vertex_order[i]];
+  };
+  auto edge = [&](size_t k) {
+    return subset.code_edges[automorphism.edge_order[k]];
+  };
+  const size_t nv = subset.vertices.size();
+  const size_t ne = subset.code_edges.size();
+  if (vertex_labels_) {
+    for (size_t i = 0; i < nv; ++i) {
+      labels->push_back(host.VertexLabel(vertex(i)));
+    }
+  }
+  for (size_t k = 0; k < ne; ++k) {
+    labels->push_back(host.GetEdge(edge(k)).label);
+  }
+  const DistanceSpec& spec = index_.options_.spec;
+  if (spec.type == DistanceType::kLinear) {
+    const size_t before = weights->size();
+    if (spec.use_vertex_weights) {
+      for (size_t i = 0; i < nv; ++i) {
+        weights->push_back(host.VertexWeight(vertex(i)));
+      }
+    }
+    if (spec.use_edge_weights) {
+      for (size_t k = 0; k < ne; ++k) {
+        weights->push_back(host.GetEdge(edge(k)).weight);
+      }
+    }
+    // Degenerate 1-dim point.
+    if (weights->size() == before) weights->push_back(0.0);
+  }
 }
 
 Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
@@ -103,15 +104,13 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
   index.db_size_ = db.size();
 
   // Register classes from the feature set.
-  CanonicalOptions skeleton_opts;
-  skeleton_opts.use_labels = false;
-  skeleton_opts.first_embedding_only = true;
   for (const Graph& f : features) {
     if (f.NumEdges() < options.min_fragment_edges ||
         f.NumEdges() > options.max_fragment_edges) {
       continue;
     }
-    PIS_ASSIGN_OR_RETURN(CanonicalForm form, MinDfsCode(f, skeleton_opts));
+    PIS_ASSIGN_OR_RETURN(CanonicalForm form,
+                         MinDfsCode(f, {.first_embedding_only = true}));
     std::string key = form.Key();
     if (index.class_by_key_.count(key) > 0) continue;
     int class_id = static_cast<int>(index.classes_.size());
@@ -291,27 +290,6 @@ std::vector<int> FragmentIndex::Compact() {
   return remap;
 }
 
-Result<PreparedFragment> FragmentIndex::Prepare(const Graph& fragment) const {
-  CanonicalOptions opts;
-  opts.use_labels = false;
-  opts.first_embedding_only = true;
-  PIS_ASSIGN_OR_RETURN(CanonicalForm form, MinDfsCode(fragment, opts));
-  auto it = class_by_key_.find(form.Key());
-  if (it == class_by_key_.end()) {
-    return Status::NotFound("fragment skeleton is not an indexed class");
-  }
-  PreparedFragment prepared;
-  prepared.class_id = it->second;
-  prepared.num_edges = fragment.NumEdges();
-  const CanonicalEmbedding& emb = form.embeddings[0];
-  AppendVectors(
-      fragment, SequenceHasVertexLabels(), emb.vertex_order.size(),
-      [&](size_t i) { return emb.vertex_order[i]; }, emb.edge_order.size(),
-      [&](size_t k) { return emb.edge_order[k]; }, &prepared.labels,
-      &prepared.weights);
-  return prepared;
-}
-
 Status FragmentIndex::RangeQuery(const PreparedFragment& fragment, double sigma,
                                  const ClassMatchCallback& cb) const {
   if (fragment.class_id < 0 ||
@@ -328,12 +306,6 @@ Status FragmentIndex::RangeQuery(const PreparedFragment& fragment, double sigma,
       fragment.labels, fragment.weights, sigma, [this, &cb](int gid, double d) {
         if (tombstones_.count(gid) == 0) cb(gid, d);
       });
-}
-
-Status FragmentIndex::RangeQuery(const Graph& fragment, double sigma,
-                                 const ClassMatchCallback& cb) const {
-  PIS_ASSIGN_OR_RETURN(PreparedFragment prepared, Prepare(fragment));
-  return RangeQuery(prepared, sigma, cb);
 }
 
 namespace {
@@ -506,15 +478,6 @@ Result<FragmentIndex> FragmentIndex::LoadFile(const std::string& path) {
   PIS_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
   BinaryReader reader(bytes);
   return Parse(&reader);
-}
-
-bool FragmentIndex::HasClass(const Graph& fragment) const {
-  CanonicalOptions opts;
-  opts.use_labels = false;
-  opts.first_embedding_only = true;
-  Result<CanonicalForm> form = MinDfsCode(fragment, opts);
-  if (!form.ok()) return false;
-  return class_by_key_.count(form.value().Key()) > 0;
 }
 
 }  // namespace pis

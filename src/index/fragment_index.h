@@ -53,7 +53,8 @@ struct FragmentIndexStats {
 };
 
 /// A query fragment prepared for range queries: resolved class plus
-/// canonical label sequence / weight vector.
+/// canonical label sequence / weight vector (see IndexScan::AppendVectors;
+/// core/query_fragments.h prepares a query's fragments).
 struct PreparedFragment {
   int class_id = -1;
   std::vector<Label> labels;
@@ -88,10 +89,10 @@ class IndexScan {
   const std::vector<CanonicalEmbedding>& Automorphisms(int skeleton);
 
   /// Appends the label sequence / weight vector of `subset` of `host`
-  /// under one automorphism of its skeleton: the sequence
-  /// FragmentIndex::Prepare builds for host.EdgeSubgraph(subset.edges)
-  /// under the embedding that is the subset's canonical -> host map
-  /// composed with `automorphism`.
+  /// under one automorphism of its skeleton, read through the subset's
+  /// canonical -> host map composed with `automorphism`: vertex labels when
+  /// the vertex scores can cost, then edge labels; for the linear distance
+  /// the configured vertex, then edge weights (one 0 when neither is).
   void AppendVectors(const Graph& host, const SkeletonSubset& subset,
                      const CanonicalEmbedding& automorphism,
                      std::vector<Label>* labels,
@@ -124,22 +125,11 @@ class FragmentIndex {
                                      const std::vector<Graph>& features,
                                      const FragmentIndexOptions& options);
 
-  /// Resolves a labeled query fragment against the index. NotFound when the
-  /// fragment's skeleton is not an indexed class.
-  Result<PreparedFragment> Prepare(const Graph& fragment) const;
-
   /// Range query d(g, g') <= sigma over a prepared fragment (Algorithm 2
   /// line 9); emits (graph_id, distance) with possible repeats per graph —
   /// callers keep the minimum (Eq. 3).
   Status RangeQuery(const PreparedFragment& fragment, double sigma,
                     const ClassMatchCallback& cb) const;
-
-  /// Convenience: Prepare + RangeQuery.
-  Status RangeQuery(const Graph& fragment, double sigma,
-                    const ClassMatchCallback& cb) const;
-
-  /// True if the fragment's skeleton is indexed.
-  bool HasClass(const Graph& fragment) const;
 
   /// Incremental maintenance: indexes one graph appended to the database
   /// (its id becomes db_size()). The caller must append the same graph to
@@ -222,15 +212,6 @@ class FragmentIndex {
 
   FragmentIndex() = default;
 
-  // Appends the canonical label sequence / weight vector of one fragment
-  // embedding of `g` with `nv` vertices and `ne` edges: the embedding's
-  // i-th vertex is vertex(i) and its k-th edge is edge(k), ids of `g`.
-  // `vertex_labels` is SequenceHasVertexLabels(), hoisted by the caller.
-  template <typename VertexAt, typename EdgeAt>
-  void AppendVectors(const Graph& g, bool vertex_labels, size_t nv,
-                     VertexAt vertex, size_t ne, EdgeAt edge,
-                     std::vector<Label>* labels,
-                     std::vector<double>* weights) const;
   // Mirrors EquivalenceClassIndex::NumVertexPositions(): vertex labels are
   // omitted when the vertex score matrix can never contribute cost.
   bool SequenceHasVertexLabels() const {

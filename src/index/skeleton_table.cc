@@ -19,10 +19,8 @@ const SkeletonTable::Transition* SkeletonTable::Step(int parent, int a,
   }
   while (grown.NumVertices() <= b) grown.AddVertex(kNoLabel);
   PIS_CHECK(grown.AddEdge(a, b, kNoLabel).ok());
-  CanonicalOptions skeleton;
-  skeleton.use_labels = false;
-  skeleton.first_embedding_only = true;
-  Result<CanonicalForm> form = MinDfsCode(grown, skeleton);
+  Result<CanonicalForm> form =
+      MinDfsCode(grown, {.first_embedding_only = true});
   PIS_CHECK(form.ok()) << form.status().ToString();
   Transition step;
   const CanonicalEmbedding& realized = form.value().embeddings[0];
@@ -65,10 +63,7 @@ const std::vector<CanonicalEmbedding>& SkeletonTable::Automorphisms(int id) {
     if (it != automorphisms_.end()) return it->second;
     graph = &skeletons_[id].graph;
   }
-  CanonicalOptions all_embeddings;
-  all_embeddings.use_labels = false;
-  all_embeddings.first_embedding_only = false;
-  Result<CanonicalForm> form = MinDfsCode(*graph, all_embeddings);
+  Result<CanonicalForm> form = MinDfsCode(*graph);
   PIS_CHECK(form.ok()) << form.status().ToString();
   MutexLock lock(&mu_);
   ++canonicalizations_;

@@ -8,8 +8,8 @@
 // classified from its prefix's skeleton and the canonical vertices its last
 // edge joins, Subdue's one-edge extension step. What a skeleton becomes
 // when an edge joins it at given canonical vertices is canonicalized once
-// per table (MinDfsCode, labels off), so a few dozen to a few hundred
-// canonicalizations cover every subset of a database.
+// per table (MinDfsCode), so a few dozen to a few hundred canonicalizations
+// cover every subset of a database.
 #ifndef PIS_INDEX_SKELETON_TABLE_H_
 #define PIS_INDEX_SKELETON_TABLE_H_
 
@@ -31,8 +31,8 @@
 namespace pis {
 
 /// One distinct skeleton. Its canonical vertices are the dfs indices of
-/// its minimum DFS code (labels off) and its canonical edges the code's
-/// positions; `graph` is the code's graph, numbered that way.
+/// its minimum DFS code and its canonical edges the code's positions;
+/// `graph` is the code's graph, numbered that way.
 struct Skeleton {
   DfsCode code;
   /// CanonicalForm::Key() of the code: the fragment index's class key.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "isomorphism/vf2.h"
-
 namespace pis {
 
 namespace {
@@ -163,10 +161,6 @@ bool HasEmbeddingWithin(const Graph& query, const Graph& target,
                         const SuperimposeCostModel& model, double bound) {
   CostSearcher searcher(query, target, model, bound, /*first_only=*/true);
   return searcher.Run().distance <= bound;
-}
-
-bool ContainsStructure(const Graph& query, const Graph& target) {
-  return IsSubgraph(query, target, MatchOptions{});
 }
 
 }  // namespace pis

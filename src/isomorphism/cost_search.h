@@ -52,10 +52,6 @@ CostSearchResult MinCostEmbedding(const Graph& query, const Graph& target,
 bool HasEmbeddingWithin(const Graph& query, const Graph& target,
                         const SuperimposeCostModel& model, double bound);
 
-/// True iff the target contains the query structure at all (bound-free
-/// containment; used by the topoPrune baseline's verifier).
-bool ContainsStructure(const Graph& query, const Graph& target);
-
 }  // namespace pis
 
 #endif  // PIS_ISOMORPHISM_COST_SEARCH_H_

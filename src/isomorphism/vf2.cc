@@ -41,9 +41,8 @@ std::vector<VertexId> BuildOrder(const Graph& pattern) {
 
 }  // namespace
 
-Vf2Matcher::Vf2Matcher(const Graph& pattern, const Graph& target,
-                       const MatchOptions& options)
-    : pattern_(pattern), target_(target), options_(options) {
+Vf2Matcher::Vf2Matcher(const Graph& pattern, const Graph& target)
+    : pattern_(pattern), target_(target) {
   order_ = BuildOrder(pattern_);
   order_parent_.assign(order_.size(), -1);
   std::vector<int> pos(pattern_.NumVertices(), -1);
@@ -63,40 +62,12 @@ Vf2Matcher::Vf2Matcher(const Graph& pattern, const Graph& target,
 
 bool Vf2Matcher::Feasible(VertexId pv, VertexId tv) const {
   if (target_used_[tv]) return false;
-  if (options_.match_vertex_labels &&
-      pattern_.VertexLabel(pv) != target_.VertexLabel(tv)) {
-    return false;
-  }
   if (target_.Degree(tv) < pattern_.Degree(pv)) return false;
-  // Every mapped pattern neighbor must be a target neighbor (with matching
-  // edge label if requested).
+  // Every mapped pattern neighbor must be a target neighbor.
   for (EdgeId e : pattern_.IncidentEdges(pv)) {
-    VertexId nb = pattern_.GetEdge(e).Other(pv);
-    VertexId mapped = core_[nb];
+    VertexId mapped = core_[pattern_.GetEdge(e).Other(pv)];
     if (mapped == kInvalidVertex) continue;
-    EdgeId te = target_.FindEdge(tv, mapped);
-    if (te == kInvalidEdge) return false;
-    if (options_.match_edge_labels &&
-        target_.GetEdge(te).label != pattern_.GetEdge(e).label) {
-      return false;
-    }
-  }
-  if (options_.induced) {
-    // Target edges between mapped vertices must exist in the pattern.
-    for (EdgeId e : target_.IncidentEdges(tv)) {
-      VertexId nb = target_.GetEdge(e).Other(tv);
-      if (!target_used_[nb]) continue;
-      // Find which pattern vertex maps to nb.
-      bool found = false;
-      for (EdgeId pe : pattern_.IncidentEdges(pv)) {
-        VertexId pnb = pattern_.GetEdge(pe).Other(pv);
-        if (core_[pnb] == nb) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
+    if (target_.FindEdge(tv, mapped) == kInvalidEdge) return false;
   }
   return true;
 }
@@ -169,27 +140,21 @@ size_t Vf2Matcher::EnumerateAll(const EmbeddingCallback& cb) {
   return count;
 }
 
-bool IsSubgraph(const Graph& pattern, const Graph& target,
-                const MatchOptions& options) {
-  Vf2Matcher matcher(pattern, target, options);
+bool IsSubgraph(const Graph& pattern, const Graph& target) {
+  Vf2Matcher matcher(pattern, target);
   return matcher.FindFirst();
 }
 
-bool AreIsomorphic(const Graph& a, const Graph& b, const MatchOptions& options) {
+bool AreIsomorphic(const Graph& a, const Graph& b) {
   if (a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges()) {
     return false;
   }
-  MatchOptions iso = options;
-  iso.induced = true;
-  return IsSubgraph(a, b, iso);
+  return IsSubgraph(a, b);
 }
 
-std::vector<std::vector<VertexId>> EnumerateAutomorphisms(
-    const Graph& g, const MatchOptions& options) {
-  MatchOptions iso = options;
-  iso.induced = true;
+std::vector<std::vector<VertexId>> EnumerateAutomorphisms(const Graph& g) {
   std::vector<std::vector<VertexId>> result;
-  Vf2Matcher matcher(g, g, iso);
+  Vf2Matcher matcher(g, g);
   matcher.EnumerateAll([&](const std::vector<VertexId>& m) {
     result.push_back(m);
     return true;

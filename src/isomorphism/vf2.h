@@ -1,15 +1,21 @@
 // VF2-style subgraph isomorphism (Cordella et al.), adapted to undirected
-// labeled graphs with non-induced (monomorphism) semantics by default.
+// graphs with non-induced (monomorphism) semantics. Matching considers the
+// structure only, as the paper's subgraph isomorphism does (§2): labels and
+// weights are never read.
 #ifndef PIS_ISOMORPHISM_VF2_H_
 #define PIS_ISOMORPHISM_VF2_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
-#include "isomorphism/matcher.h"
 
 namespace pis {
+
+/// Receives one embedding: `mapping[qv]` is the target vertex for pattern
+/// vertex `qv`. Return false to stop enumeration.
+using EmbeddingCallback = std::function<bool(const std::vector<VertexId>&)>;
 
 /// \brief Enumerates embeddings of a pattern graph in a target graph.
 ///
@@ -19,8 +25,7 @@ namespace pis {
 /// construct per (pattern, target) pair.
 class Vf2Matcher {
  public:
-  Vf2Matcher(const Graph& pattern, const Graph& target,
-             const MatchOptions& options = {});
+  Vf2Matcher(const Graph& pattern, const Graph& target);
 
   /// True if at least one embedding exists; fills `mapping` (pattern vertex
   /// -> target vertex) if non-null.
@@ -36,26 +41,25 @@ class Vf2Matcher {
 
   const Graph& pattern_;
   const Graph& target_;
-  MatchOptions options_;
   std::vector<VertexId> order_;        // pattern matching order
   std::vector<int> order_parent_;      // index into order_ of a mapped neighbor, or -1
   std::vector<VertexId> core_;         // pattern vertex -> target vertex
   std::vector<bool> target_used_;      // target vertex already mapped
 };
 
-/// True iff `pattern` is subgraph-isomorphic to `target` under `options`
-/// (the paper's `⊆` for structure-only, `⊑` with labels).
-bool IsSubgraph(const Graph& pattern, const Graph& target,
-                const MatchOptions& options = {});
+/// True iff `pattern` is structurally subgraph-isomorphic to `target` (the
+/// paper's `⊆`). Label-preserving containment (`⊑`) is superimposed
+/// distance 0 under unit label costs:
+/// WithinSuperimposedDistance(pattern, target, UnitMutationModel(), 0).
+bool IsSubgraph(const Graph& pattern, const Graph& target);
 
-/// True iff the two graphs are isomorphic under `options` (same vertex and
-/// edge counts plus mutual embedding feasibility via induced matching).
-bool AreIsomorphic(const Graph& a, const Graph& b, const MatchOptions& options = {});
+/// True iff the two graphs' skeletons are isomorphic. With equal vertex and
+/// edge counts, a monomorphism is an isomorphism.
+bool AreIsomorphic(const Graph& a, const Graph& b);
 
-/// Enumerates all automorphisms of `g` (structure-only when
-/// `options.match_*_labels` are false). The identity is always included.
-std::vector<std::vector<VertexId>> EnumerateAutomorphisms(
-    const Graph& g, const MatchOptions& options = {});
+/// Enumerates all automorphisms of `g`'s skeleton. The identity is always
+/// included.
+std::vector<std::vector<VertexId>> EnumerateAutomorphisms(const Graph& g);
 
 }  // namespace pis
 

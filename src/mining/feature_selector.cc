@@ -36,9 +36,6 @@ Result<std::vector<size_t>> SelectDiscriminativeFeatures(
   });
 
   std::vector<size_t> selected;
-  MatchOptions match;
-  match.match_vertex_labels = true;
-  match.match_edge_labels = true;
   for (size_t idx : order) {
     if (options.max_features > 0 && selected.size() >= options.max_features) break;
     const Pattern& p = patterns[idx];
@@ -54,7 +51,7 @@ Result<std::vector<size_t>> SelectDiscriminativeFeatures(
       const Pattern& f = patterns[sidx];
       if (f.num_edges() >= p.num_edges()) continue;
       if (static_cast<int>(conj.size()) < p.support() * options.gamma) break;
-      if (!IsSubgraph(f.graph, p.graph, match)) continue;
+      if (!IsSubgraph(f.graph, p.graph)) continue;
       IntersectInto(&conj, f.support_set);
     }
     if (static_cast<double>(conj.size()) >=

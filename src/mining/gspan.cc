@@ -21,9 +21,7 @@ constexpr int kSegmentGraphs = 16;
 // gSpan's per-entry tuple order, by which it visits a code's children.
 struct DfsEdgeLess {
   bool operator()(const DfsEdge& a, const DfsEdge& b) const {
-    auto ta = std::tie(a.from, a.to, a.from_label, a.edge_label, a.to_label);
-    auto tb = std::tie(b.from, b.to, b.from_label, b.edge_label, b.to_label);
-    return ta < tb;
+    return std::tie(a.from, a.to) < std::tie(b.from, b.to);
   }
 };
 

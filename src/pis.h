@@ -34,7 +34,6 @@
 #include "core/partition.h"          // IWYU pragma: export
 #include "core/pis.h"                // IWYU pragma: export
 #include "core/query_fragments.h"    // IWYU pragma: export
-#include "core/selectivity.h"        // IWYU pragma: export
 #include "core/stats.h"              // IWYU pragma: export
 #include "core/topk.h"               // IWYU pragma: export
 #include "core/topo_prune.h"         // IWYU pragma: export

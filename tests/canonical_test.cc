@@ -33,46 +33,39 @@ Graph Cycle(int n, Label elabel = 1) {
 }
 
 TEST(DfsCodeTest, ForwardBackwardClassification) {
-  EXPECT_TRUE((DfsEdge{0, 1, 0, 0, 0}).IsForward());
-  EXPECT_FALSE((DfsEdge{2, 0, 0, 0, 0}).IsForward());
+  EXPECT_TRUE((DfsEdge{0, 1}).IsForward());
+  EXPECT_FALSE((DfsEdge{2, 0}).IsForward());
 }
 
 TEST(DfsCodeTest, CompareBackwardBeforeForward) {
   // From the same state, backward edges precede forward extensions.
-  DfsEdge backward{2, 0, 1, 1, 1};
-  DfsEdge forward{2, 3, 1, 1, 1};
+  DfsEdge backward{2, 0};
+  DfsEdge forward{2, 3};
   EXPECT_LT(CompareDfsEdges(backward, forward), 0);
   EXPECT_GT(CompareDfsEdges(forward, backward), 0);
 }
 
 TEST(DfsCodeTest, CompareForwardDeeperOriginFirst) {
-  DfsEdge deep{2, 3, 1, 1, 1};
-  DfsEdge shallow{0, 3, 1, 1, 1};
+  DfsEdge deep{2, 3};
+  DfsEdge shallow{0, 3};
   EXPECT_LT(CompareDfsEdges(deep, shallow), 0);
 }
 
-TEST(DfsCodeTest, CompareFallsBackToLabels) {
-  DfsEdge a{0, 1, 1, 1, 1};
-  DfsEdge b{0, 1, 1, 2, 1};
-  EXPECT_LT(CompareDfsEdges(a, b), 0);
-  EXPECT_EQ(CompareDfsEdges(a, a), 0);
-}
-
 TEST(DfsCodeTest, ToGraphRoundTrip) {
-  DfsCode code({{0, 1, 5, 7, 6}, {1, 2, 6, 8, 5}, {2, 0, 5, 9, 5}});
+  DfsCode code({{0, 1}, {1, 2}, {2, 0}});
   Result<Graph> g = code.ToGraph();
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value().NumVertices(), 3);
   EXPECT_EQ(g.value().NumEdges(), 3);
-  EXPECT_EQ(g.value().VertexLabel(0), 5);
-  EXPECT_EQ(g.value().VertexLabel(1), 6);
+  EXPECT_EQ(g.value().VertexLabel(0), kNoLabel);
+  EXPECT_EQ(g.value().GetEdge(2).label, kNoLabel);
   EXPECT_EQ(g.value().FindEdge(2, 0) != kInvalidEdge, true);
 }
 
 TEST(DfsCodeTest, ToGraphRejectsDisconnected) {
   // Indices 2,3 unreachable from 0,1 is impossible in a DFS code, but a
   // malformed code can encode it.
-  DfsCode code({{0, 1, 1, 1, 1}, {2, 3, 1, 1, 1}});
+  DfsCode code({{0, 1}, {2, 3}});
   EXPECT_FALSE(code.ToGraph().ok());
 }
 
@@ -93,22 +86,6 @@ TEST(MinDfsTest, SingleVertex) {
   EXPECT_TRUE(form.value().code.empty());
   ASSERT_EQ(form.value().embeddings.size(), 1u);
   EXPECT_EQ(form.value().Key(), "n1|");
-}
-
-TEST(MinDfsTest, SingleEdgeOrientsByLabel) {
-  Graph g;
-  g.AddVertex(5);
-  g.AddVertex(2);
-  ASSERT_TRUE(g.AddEdge(0, 1, 7).ok());
-  Result<CanonicalForm> form = MinDfsCode(g);
-  ASSERT_TRUE(form.ok());
-  ASSERT_EQ(form.value().code.size(), 1u);
-  const DfsEdge& e = form.value().code[0];
-  EXPECT_EQ(e.from_label, 2);  // smaller label becomes index 0
-  EXPECT_EQ(e.to_label, 5);
-  ASSERT_EQ(form.value().embeddings.size(), 1u);
-  EXPECT_EQ(form.value().embeddings[0].vertex_order,
-            (std::vector<VertexId>{1, 0}));
 }
 
 TEST(MinDfsTest, IsomorphicGraphsShareKey) {
@@ -139,18 +116,15 @@ TEST(MinDfsTest, NonIsomorphicGraphsDiffer) {
   EXPECT_NE(fp.value().Key(), fs.value().Key());
 }
 
-TEST(MinDfsTest, LabelsDistinguishWhenRequested) {
+TEST(MinDfsTest, KeyIsTheSkeletonsKey) {
   Graph a = Path(2, 1);
   Graph b = Path(2, 1);
   b.SetEdgeLabel(1, 2);
-  CanonicalOptions labeled;
-  labeled.use_labels = true;
-  EXPECT_NE(MinDfsCode(a, labeled).value().Key(),
-            MinDfsCode(b, labeled).value().Key());
-  CanonicalOptions skeleton;
-  skeleton.use_labels = false;
-  EXPECT_EQ(MinDfsCode(a, skeleton).value().Key(),
-            MinDfsCode(b, skeleton).value().Key());
+  b.SetVertexLabel(0, 4);
+  EXPECT_EQ(MinDfsCode(a).value().Key(), MinDfsCode(b).value().Key());
+  EXPECT_EQ(MinDfsCode(b).value().Key(),
+            MinDfsCode(b.Skeleton()).value().Key());
+  EXPECT_EQ(MinDfsCode(b).value().Key(), "n3|(0,1,0,0,0)(1,2,0,0,0)");
 }
 
 TEST(MinDfsTest, EmbeddingCountEqualsAutomorphismGroupOrder) {
@@ -159,6 +133,11 @@ TEST(MinDfsTest, EmbeddingCountEqualsAutomorphismGroupOrder) {
     size_t automorphisms;
   };
   std::vector<Case> cases;
+  Graph labeled_edge;                  // labels break no symmetry: 2
+  labeled_edge.AddVertex(5);
+  labeled_edge.AddVertex(2);
+  ASSERT_TRUE(labeled_edge.AddEdge(0, 1, 7).ok());
+  cases.push_back({labeled_edge, 2});
   cases.push_back({Path(3), 2});       // path: 2 (reversal)
   cases.push_back({Cycle(6), 12});     // hexagon: dihedral group D6
   Graph triangle_pendant = Cycle(3);   // triangle + pendant edge: 2
@@ -178,10 +157,12 @@ TEST(MinDfsTest, EmbeddingsRealizeTheCode) {
   g.SetEdgeLabel(2, 9);
   Result<CanonicalForm> form = MinDfsCode(g);
   ASSERT_TRUE(form.ok());
+  // The label breaks no symmetry of the skeleton: D5 has order 10.
+  EXPECT_EQ(form.value().embeddings.size(), 10u);
   for (const CanonicalEmbedding& emb : form.value().embeddings) {
     ASSERT_EQ(emb.vertex_order.size(), 5u);
     ASSERT_EQ(emb.edge_order.size(), 5u);
-    // Rebuild the code edges from the embedding and compare labels.
+    // Rebuild the code edges from the embedding.
     std::vector<int> dfs_index(g.NumVertices(), -1);
     for (size_t i = 0; i < emb.vertex_order.size(); ++i) {
       dfs_index[emb.vertex_order[i]] = static_cast<int>(i);
@@ -194,25 +175,28 @@ TEST(MinDfsTest, EmbeddingsRealizeTheCode) {
       int iv = dfs_index[ge.v];
       EXPECT_TRUE((iu == ce.from && iv == ce.to) ||
                   (iu == ce.to && iv == ce.from));
-      EXPECT_EQ(ge.label, ce.edge_label);
     }
   }
 }
 
 TEST(MinDfsTest, CanonicalCodeIsItsGraphsMinimum) {
-  Graph g = Cycle(4);
-  g.SetVertexLabel(0, 2);
+  // A triangle with a pendant edge.
+  Graph g = Cycle(3);
+  g.AddVertex(2);
+  ASSERT_TRUE(g.AddEdge(0, 3, 1).ok());
   Result<CanonicalForm> form = MinDfsCode(g);
   ASSERT_TRUE(form.ok());
+  EXPECT_EQ(form.value().code, DfsCode({{0, 1}, {1, 2}, {2, 0}, {2, 3}}));
   // The minimum code is a fixed point: its own graph canonicalizes to it.
   Result<Graph> coded = form.value().code.ToGraph();
   ASSERT_TRUE(coded.ok());
   Result<CanonicalForm> again = MinDfsCode(coded.value());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().code, form.value().code);
-  // A non-canonical code of the same square: starts at the (larger) label-2
-  // vertex, so its first tuple already exceeds the minimum.
-  DfsCode other({{0, 1, 2, 1, 1}, {1, 2, 1, 1, 1}, {2, 3, 1, 1, 1}, {3, 0, 1, 1, 2}});
+  // A non-canonical code of the same graph: it starts at the pendant
+  // vertex, so its third tuple grows forward where the minimum closes the
+  // triangle backward.
+  DfsCode other({{0, 1}, {1, 2}, {2, 3}, {3, 1}});
   Result<Graph> other_graph = other.ToGraph();
   ASSERT_TRUE(other_graph.ok());
   Result<CanonicalForm> other_min = MinDfsCode(other_graph.value());
@@ -222,7 +206,7 @@ TEST(MinDfsTest, CanonicalCodeIsItsGraphsMinimum) {
 }
 
 // Property: the canonical key is invariant under random vertex
-// permutations, for random labeled graphs.
+// permutations, for random labeled graphs (whose labels it ignores).
 class CanonicalPermutationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CanonicalPermutationTest, KeyInvariantUnderPermutation) {
@@ -248,8 +232,8 @@ TEST_P(CanonicalPermutationTest, KeyInvariantUnderPermutation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalPermutationTest,
                          ::testing::Range(0, 25));
 
-// Property: two random graphs have equal keys iff they are isomorphic
-// (checked against VF2 with labels).
+// Property: two random graphs have equal keys iff their skeletons are
+// isomorphic (checked against VF2).
 class CanonicalIsoAgreementTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CanonicalIsoAgreementTest, KeyEqualityMatchesIsomorphism) {
@@ -261,11 +245,7 @@ TEST_P(CanonicalIsoAgreementTest, KeyEqualityMatchesIsomorphism) {
   options.edge_alphabet = 1;
   Graph a = GenerateRandomConnectedGraph(options, &rng);
   Graph b = GenerateRandomConnectedGraph(options, &rng);
-  MatchOptions match;
-  match.match_vertex_labels = true;
-  match.match_edge_labels = true;
-  bool iso = a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() &&
-             AreIsomorphic(a, b, match);
+  bool iso = AreIsomorphic(a, b);
   bool keys_equal =
       MinDfsCode(a).value().Key() == MinDfsCode(b).value().Key();
   EXPECT_EQ(iso, keys_equal);

@@ -76,15 +76,6 @@ TEST(MutationDistanceTest, VertexLabelsWhenEnabled) {
   EXPECT_DOUBLE_EQ(IsomorphicDistance(q, g, UnitMutationModel()), 2.0);
 }
 
-TEST(MutationDistanceTest, UnderMappingValidation) {
-  Graph q = Path(1);
-  Graph g = Cycle(3);
-  MutationCostModel model = EdgeMutationModel();
-  EXPECT_TRUE(MutationDistanceUnderMapping(q, g, {0, 1}, model).ok());
-  EXPECT_FALSE(MutationDistanceUnderMapping(q, g, {0}, model).ok());
-  EXPECT_FALSE(MutationDistanceUnderMapping(q, g, {0, 9}, model).ok());
-}
-
 TEST(LinearDistanceTest, SumsAbsoluteWeightDifferences) {
   Graph q = Path(2);
   q.SetEdgeWeight(0, 1.0);

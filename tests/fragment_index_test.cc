@@ -17,10 +17,16 @@
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/fragment_enum.h"
+#include "index_reference.h"
 #include "util/random.h"
 
 namespace pis {
 namespace {
+
+using ::pis::testing::HasClass;
+using ::pis::testing::PrepareFragment;
+using ::pis::testing::RangeQuery;
+using ::pis::testing::ReferenceVectors;
 
 Graph Cycle(int n, Label elabel = 1) {
   Graph g;
@@ -77,10 +83,20 @@ TEST(FragmentIndexTest, PrepareRejectsUnindexedSkeleton) {
   FragmentIndexOptions options;
   auto index = FragmentIndex::Build(db, {PathGraph(1).Skeleton()}, options);
   ASSERT_TRUE(index.ok());
-  EXPECT_TRUE(index.value().HasClass(PathGraph(1)));
-  EXPECT_FALSE(index.value().HasClass(Cycle(3)));
-  EXPECT_EQ(index.value().Prepare(Cycle(3)).status().code(),
+  EXPECT_TRUE(HasClass(index.value(), PathGraph(1)));
+  EXPECT_FALSE(HasClass(index.value(), Cycle(3)));
+  EXPECT_EQ(PrepareFragment(index.value(), Cycle(3)).status().code(),
             StatusCode::kNotFound);
+  // The index's own scan agrees: the triangle's single edges are the one
+  // class, its 2-edge paths and the triangle itself no class.
+  IndexScan scan(index.value());
+  std::map<size_t, std::set<int>> classes_by_size;
+  scan.Run(Cycle(3), [&](const SkeletonSubset& subset, int class_id) {
+    classes_by_size[subset.edges.size()].insert(class_id);
+    return true;
+  });
+  EXPECT_EQ(classes_by_size, (std::map<size_t, std::set<int>>{
+                                 {1, {0}}, {2, {-1}}, {3, {-1}}}));
 }
 
 TEST(FragmentIndexTest, RangeQueryFindsExactFragment) {
@@ -96,25 +112,21 @@ TEST(FragmentIndexTest, RangeQueryFindsExactFragment) {
 
   Graph query_ring = Cycle(6, 1);
   std::map<int, double> hits;
-  ASSERT_TRUE(index.value()
-                  .RangeQuery(query_ring, 0.0,
-                              [&](int gid, double d) {
-                                auto [it, ok] = hits.emplace(gid, d);
-                                if (!ok) it->second = std::min(it->second, d);
-                              })
-                  .ok());
+  ASSERT_TRUE(RangeQuery(index.value(), query_ring, 0.0,
+                         [&](int gid, double d) {
+                           auto [it, ok] = hits.emplace(gid, d);
+                           if (!ok) it->second = std::min(it->second, d);
+                         }).ok());
   // Only graph 1 contains the all-single ring at distance 0.
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits.count(1), 1u);
 
   hits.clear();
-  ASSERT_TRUE(index.value()
-                  .RangeQuery(query_ring, 1.0,
-                              [&](int gid, double d) {
-                                auto [it, ok] = hits.emplace(gid, d);
-                                if (!ok) it->second = std::min(it->second, d);
-                              })
-                  .ok());
+  ASSERT_TRUE(RangeQuery(index.value(), query_ring, 1.0,
+                         [&](int gid, double d) {
+                           auto [it, ok] = hits.emplace(gid, d);
+                           if (!ok) it->second = std::min(it->second, d);
+                         }).ok());
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_DOUBLE_EQ(hits[0], 1.0);
   EXPECT_DOUBLE_EQ(hits[1], 0.0);
@@ -135,12 +147,10 @@ TEST(FragmentIndexTest, AutomorphismInsertionGivesExactMinimum) {
   Graph query = Cycle(6, 1);
   query.SetEdgeLabel(2, 2);
   double best = -1;
-  ASSERT_TRUE(index.value()
-                  .RangeQuery(query, 6.0,
-                              [&](int, double d) {
-                                best = best < 0 ? d : std::min(best, d);
-                              })
-                  .ok());
+  ASSERT_TRUE(RangeQuery(index.value(), query, 6.0,
+                         [&](int, double d) {
+                           best = best < 0 ? d : std::min(best, d);
+                         }).ok());
   EXPECT_DOUBLE_EQ(best, 0.0);
 }
 
@@ -164,13 +174,11 @@ TEST(FragmentIndexTest, LinearDistanceViaRTree) {
   query.SetEdgeWeight(0, 1.25);
   query.SetEdgeWeight(1, 2.0);
   std::map<int, double> hits;
-  ASSERT_TRUE(index.value()
-                  .RangeQuery(query, 0.5,
-                              [&](int gid, double d) {
-                                auto [it, ok] = hits.emplace(gid, d);
-                                if (!ok) it->second = std::min(it->second, d);
-                              })
-                  .ok());
+  ASSERT_TRUE(RangeQuery(index.value(), query, 0.5,
+                         [&](int gid, double d) {
+                           auto [it, ok] = hits.emplace(gid, d);
+                           if (!ok) it->second = std::min(it->second, d);
+                         }).ok());
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_NEAR(hits[0], 0.25, 1e-9);
 }
@@ -199,15 +207,13 @@ TEST_P(FragmentIndexOracleTest, RangeDistancesAreExact) {
   for (int trial = 0; trial < 4; ++trial) {
     auto fragment = sampler.Sample(3);
     ASSERT_TRUE(fragment.ok());
-    if (!index.value().HasClass(fragment.value())) continue;
+    if (!HasClass(index.value(), fragment.value())) continue;
     std::map<int, double> hits;
-    ASSERT_TRUE(index.value()
-                    .RangeQuery(fragment.value(), sigma,
-                                [&](int gid, double d) {
-                                  auto [it, ok] = hits.emplace(gid, d);
-                                  if (!ok) it->second = std::min(it->second, d);
-                                })
-                    .ok());
+    ASSERT_TRUE(RangeQuery(index.value(), fragment.value(), sigma,
+                           [&](int gid, double d) {
+                             auto [it, ok] = hits.emplace(gid, d);
+                             if (!ok) it->second = std::min(it->second, d);
+                           }).ok());
     for (int gid = 0; gid < db.size(); ++gid) {
       double exact = OracleFragmentDistance(fragment.value(), db.at(gid), *model);
       if (exact <= sigma) {
@@ -347,41 +353,13 @@ TEST(FragmentIndexScanTest, SavedBytesArePinned) {
   }
 }
 
-// The sequence layout FragmentIndex documents, recomputed from the fragment
-// graph itself: vertex labels when vertex scores can cost, then edge labels;
-// for linear distance the configured vertex, then edge weights.
-void ReferenceVectors(const DistanceSpec& spec, const Graph& fragment,
-                      const CanonicalEmbedding& emb, std::vector<Label>* labels,
-                      std::vector<double>* weights) {
-  labels->clear();
-  weights->clear();
-  if (!spec.vertex_scores.IsZero()) {
-    for (VertexId v : emb.vertex_order) {
-      labels->push_back(fragment.VertexLabel(v));
-    }
-  }
-  for (EdgeId e : emb.edge_order) labels->push_back(fragment.GetEdge(e).label);
-  if (spec.type != DistanceType::kLinear) return;
-  if (spec.use_vertex_weights) {
-    for (VertexId v : emb.vertex_order) {
-      weights->push_back(fragment.VertexWeight(v));
-    }
-  }
-  if (spec.use_edge_weights) {
-    for (EdgeId e : emb.edge_order) {
-      weights->push_back(fragment.GetEdge(e).weight);
-    }
-  }
-  if (weights->empty()) weights->push_back(0.0);
-}
-
 // A subset's embedding in host ids: the host vertex at each canonical
 // vertex and the host edge at each code position.
 using HostEmbedding = std::pair<std::vector<VertexId>, std::vector<EdgeId>>;
 
 // The brute-force reference for one connected edge subset of `g`: its
 // materialized fragment and every realization of the fragment's minimum
-// DFS code (labels off), mapped back to host ids.
+// DFS code, mapped back to host ids.
 struct SubsetReference {
   Graph fragment;
   std::vector<VertexId> vertex_map;  // fragment vertex -> host vertex
@@ -392,10 +370,7 @@ struct SubsetReference {
 SubsetReference Reference(const Graph& g, const std::vector<EdgeId>& edges) {
   SubsetReference ref;
   ref.fragment = g.EdgeSubgraph(edges, &ref.vertex_map);
-  CanonicalOptions all_embeddings;
-  all_embeddings.use_labels = false;
-  all_embeddings.first_embedding_only = false;
-  auto form = MinDfsCode(ref.fragment, all_embeddings);
+  auto form = MinDfsCode(ref.fragment);
   EXPECT_TRUE(form.ok());
   if (!form.ok()) return ref;
   ref.embeddings = std::move(form.value().embeddings);
@@ -410,11 +385,11 @@ SubsetReference Reference(const Graph& g, const std::vector<EdgeId>& edges) {
 
 // Every connected subset of every graph, classified through one IndexScan
 // shared across the database as a build scan does, agrees with the one-off
-// path: its class is Prepare's on the materialized fragment, and its map
-// composed with each automorphism of its skeleton gives, as a set, exactly
-// the embeddings a direct MinDfsCode over all embeddings finds, each with
-// the reference sequence. The per-subset tallies reproduce the build's
-// counters.
+// path: its class is PrepareFragment's on the materialized fragment, and
+// its map composed with each automorphism of its skeleton gives, as a set,
+// exactly the embeddings a direct MinDfsCode over all embeddings finds,
+// each with the reference sequence. The per-subset tallies reproduce the
+// build's counters.
 TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
   for (const ScanVariant& variant : ScanVariants()) {
     SCOPED_TRACE(variant.name);
@@ -441,7 +416,8 @@ TEST(FragmentIndexScanTest, MemoMatchesPrepareAndMinDfsCodeOnEverySubset) {
         std::sort(vertices.begin(), vertices.end());
         std::sort(want_vertices.begin(), want_vertices.end());
         EXPECT_EQ(vertices, want_vertices);
-        Result<PreparedFragment> prepared = index.Prepare(ref.fragment);
+        Result<PreparedFragment> prepared =
+            PrepareFragment(index, ref.fragment);
         if (class_id < 0) {
           EXPECT_EQ(prepared.status().code(), StatusCode::kNotFound);
           ++unindexed;
@@ -523,11 +499,11 @@ std::map<int, double> MinDistances(const FragmentIndex& index,
 }
 
 // Query enumeration classifies through the same scan, in enumeration
-// order. Each fragment of `query` takes the class Prepare gives the
-// materialized subset and one of the subset's automorphic sequences (which
-// one is the scan's choice), and so answers every range query as Prepare's
-// sequence does, because the index holds every automorphic sequence of
-// each database fragment.
+// order. Each fragment of `query` takes the class PrepareFragment gives
+// the materialized subset and one of the subset's automorphic sequences
+// (which one is the scan's choice), and so answers every range query as
+// PrepareFragment's sequence does, because the index holds every
+// automorphic sequence of each database fragment.
 void ExpectQueryFragmentsMatchPrepare(const FragmentIndex& index,
                                       const Graph& query) {
   const FragmentIndexOptions& options = index.options();
@@ -538,7 +514,7 @@ void ExpectQueryFragmentsMatchPrepare(const FragmentIndex& index,
       query, {options.min_fragment_edges, options.max_fragment_edges},
       [&](const std::vector<EdgeId>& subset) {
     const SubsetReference ref = Reference(query, subset);
-    auto prepared = index.Prepare(ref.fragment);
+    auto prepared = PrepareFragment(index, ref.fragment);
     if (!prepared.ok()) return true;
     std::vector<VertexId> vertices = ref.vertex_map;
     std::sort(vertices.begin(), vertices.end());
@@ -583,7 +559,7 @@ TEST(FragmentIndexScanTest, QueryFragmentsMatchPrepare) {
 }
 
 // What a build over `db` must hold, recomputed subset by subset from the
-// materialized fragments (Prepare for the class, MinDfsCode over all
+// materialized fragments (PrepareFragment for the class, MinDfsCode over all
 // embeddings for the sequences): each class's containing graphs and
 // sequence count, the build counters, and every (sequence, graph) pair,
 // which a sigma-0 range query must find.
@@ -611,7 +587,7 @@ void ExpectBuildMatchesReference(const FragmentIndex& index,
         [&](const std::vector<EdgeId>& subset) {
       ++want.num_subsets_enumerated;
       const SubsetReference ref = Reference(g, subset);
-      auto prepared = index.Prepare(ref.fragment);
+      auto prepared = PrepareFragment(index, ref.fragment);
       if (!prepared.ok()) return true;
       const int class_id = prepared.value().class_id;
       ++want.num_fragment_occurrences;

@@ -1,20 +1,22 @@
 // The filter's plan computes each fragment's selectivity from per-shard
 // (distance, count) histograms instead of the full list of found
-// distances. Its weights must be bit-identical to ComputeSelectivity over
-// that list — whatever order the shards merge in — or partitions would
-// drift with the shard count. Doubles are compared with EXPECT_EQ, never a
-// tolerance.
+// distances. Its weights must be bit-identical to the reference
+// ComputeSelectivity (index_reference.h) over that list — whatever order
+// the shards merge in — or partitions would drift with the shard count.
+// Doubles are compared with EXPECT_EQ, never a tolerance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "core/selectivity.h"
 #include "core/shard_filter.h"
+#include "index_reference.h"
 #include "util/random.h"
 
 namespace pis {
 namespace {
+
+using ::pis::testing::ComputeSelectivity;
 
 /// Distances chosen so that summation order changes the rounded sum, with
 /// ties below, at and above the cutoff λσ = 1.0 (σ = 2, λ = 0.5).

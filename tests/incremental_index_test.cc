@@ -9,6 +9,7 @@
 #include "graph/generator.h"
 #include "graph/query_sampler.h"
 #include "index/fragment_index.h"
+#include "index_reference.h"
 #include "mining/gspan.h"
 
 namespace pis {
@@ -60,7 +61,7 @@ TEST_P(IncrementalIndexTest, AddGraphEqualsRebuild) {
   for (int trial = 0; trial < 6; ++trial) {
     auto fragment = sampler.Sample(3);
     ASSERT_TRUE(fragment.ok());
-    if (!rebuilt.value().HasClass(fragment.value())) continue;
+    if (!testing::HasClass(rebuilt.value(), fragment.value())) continue;
     std::map<int, double> a;
     std::map<int, double> b;
     auto collect = [](std::map<int, double>* out) {
@@ -69,9 +70,12 @@ TEST_P(IncrementalIndexTest, AddGraphEqualsRebuild) {
         if (!ok) it->second = std::min(it->second, d);
       };
     };
+    ASSERT_TRUE(testing::RangeQuery(incremental.value(), fragment.value(), 2,
+                                    collect(&a))
+                    .ok());
     ASSERT_TRUE(
-        incremental.value().RangeQuery(fragment.value(), 2, collect(&a)).ok());
-    ASSERT_TRUE(rebuilt.value().RangeQuery(fragment.value(), 2, collect(&b)).ok());
+        testing::RangeQuery(rebuilt.value(), fragment.value(), 2, collect(&b))
+            .ok());
     EXPECT_EQ(a, b) << "trial " << trial;
   }
 

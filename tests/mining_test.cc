@@ -444,9 +444,7 @@ TEST(MiningGoldenTest, SeedOneMoleculeFeatures) {
   ASSERT_TRUE(features.ok());
   ASSERT_EQ(features.value().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    CanonicalOptions skeleton;
-    skeleton.use_labels = false;
-    auto form = MinDfsCode(features.value()[i], skeleton);
+    auto form = MinDfsCode(features.value()[i]);
     ASSERT_TRUE(form.ok());
     EXPECT_EQ(form.value().code.ToKey(), expected[i].first) << "feature " << i;
   }

@@ -7,11 +7,13 @@
 #include <string>
 #include <vector>
 
-#include "core/selectivity.h"
+#include "index_reference.h"
 #include "util/random.h"
 
 namespace pis {
 namespace {
+
+using ::pis::testing::ComputeSelectivity;
 
 WeightedFragment WF(double weight, std::vector<VertexId> vertices) {
   WeightedFragment f;

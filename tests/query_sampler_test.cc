@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "distance/mutation.h"
+#include "distance/superimposed.h"
 #include "graph/generator.h"
-#include "isomorphism/vf2.h"
 #include "util/random.h"
 
 namespace pis {
@@ -20,11 +21,10 @@ TEST(SampleConnectedSubgraphTest, ExactEdgeCountAndConnected) {
       ASSERT_TRUE(sub.ok()) << sub.status().ToString();
       EXPECT_EQ(sub.value().NumEdges(), m);
       EXPECT_TRUE(sub.value().IsConnected());
-      // The sample is genuinely a subgraph of the host.
-      MatchOptions labeled;
-      labeled.match_vertex_labels = true;
-      labeled.match_edge_labels = true;
-      EXPECT_TRUE(IsSubgraph(sub.value(), host, labeled));
+      // The sample is genuinely a subgraph of the host, labels included
+      // (the paper's ⊑: distance 0 under unit label costs).
+      EXPECT_TRUE(WithinSuperimposedDistance(sub.value(), host,
+                                             UnitMutationModel(), 0));
     }
   }
 }

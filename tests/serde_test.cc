@@ -16,6 +16,7 @@
 #include "index/sharded_index.h"
 #include "index/rtree.h"
 #include "index/trie_index.h"
+#include "index_reference.h"
 #include "mining/gspan.h"
 #include "util/random.h"
 
@@ -229,8 +230,8 @@ TEST_P(FragmentIndexSerdeTest, SaveLoadServesIdenticalQueries) {
   for (int trial = 0; trial < 5; ++trial) {
     auto fragment = sampler.Sample(3);
     ASSERT_TRUE(fragment.ok());
-    if (!index.value().HasClass(fragment.value())) {
-      EXPECT_FALSE(loaded.value().HasClass(fragment.value()));
+    if (!testing::HasClass(index.value(), fragment.value())) {
+      EXPECT_FALSE(testing::HasClass(loaded.value(), fragment.value()));
       continue;
     }
     std::map<int, double> a;
@@ -241,8 +242,12 @@ TEST_P(FragmentIndexSerdeTest, SaveLoadServesIdenticalQueries) {
         if (!ok) it->second = std::min(it->second, d);
       };
     };
-    ASSERT_TRUE(index.value().RangeQuery(fragment.value(), sigma, collect(&a)).ok());
-    ASSERT_TRUE(loaded.value().RangeQuery(fragment.value(), sigma, collect(&b)).ok());
+    ASSERT_TRUE(testing::RangeQuery(index.value(), fragment.value(), sigma,
+                                    collect(&a))
+                    .ok());
+    ASSERT_TRUE(testing::RangeQuery(loaded.value(), fragment.value(), sigma,
+                                    collect(&b))
+                    .ok());
     EXPECT_EQ(a, b);
   }
   // Containment lists survive (topoPrune works on a loaded index).

@@ -194,7 +194,7 @@ TEST(SkeletonTableTest, MinedSupportSetsEqualIndexedContainment) {
         const EquivalenceClassIndex& cls = index.value().class_at(i);
         EXPECT_EQ(cls.num_edges(), pattern.num_edges());
         EXPECT_EQ(cls.containing_graphs(), pattern.support_set)
-            << pattern.code.ToString();
+            << pattern.code.ToKey();
       }
     }
   }
