@@ -29,8 +29,6 @@ void WorkloadConfig::Register(FlagSet* flags) {
                 "smallest indexed fragment size");
   flags->AddInt("max_fragment_edges", &max_fragment_edges,
                 "largest indexed fragment size");
-  flags->AddInt("max_query_fragments", &max_query_fragments,
-                "cap on enumerated query fragments (0 = all)");
   flags->AddInt("threads", &threads,
                 "mining and index build threads (0 = all cores)");
   flags->AddBool("verbose", &verbose, "log progress");
@@ -335,7 +333,6 @@ int ReductionFigureMain(int argc, char** argv, const std::string& bench_name,
     SeriesSpec spec;
     spec.name = StrFormat("PIS s=%g", sigma);
     spec.options.sigma = sigma;
-    spec.options.max_query_fragments = config.max_query_fragments;
     series.push_back(spec);
   }
   auto experiment =

@@ -28,8 +28,6 @@ struct WorkloadConfig {
   /// Fragment size bounds of the index.
   int min_fragment_edges = 1;
   int max_fragment_edges = 6;
-  /// Cap on enumerated query fragments (0 = all).
-  int max_query_fragments = 0;
   /// Threads for feature mining and index construction (0 = all hardware
   /// threads).
   int threads = 0;

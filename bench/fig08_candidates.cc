@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
     SeriesSpec spec;
     spec.name = "PIS s=" + std::to_string(static_cast<int>(sigma));
     spec.options.sigma = sigma;
-    spec.options.max_query_fragments = config.max_query_fragments;
     series.push_back(spec);
   }
   auto experiment =

@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
     spec.name = StrFormat("PIS l=%g", lambda);
     spec.options.sigma = sigma;
     spec.options.lambda = lambda;
-    spec.options.max_query_fragments = config.max_query_fragments;
     series.push_back(spec);
   }
   auto experiment =

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
     SeriesSpec spec;
     spec.name = StrFormat("size=%d", sizes[i]);
     spec.options.sigma = sigma;
-    spec.options.max_query_fragments = config.max_query_fragments;
     spec.index = &indexes[i];
     series.push_back(spec);
   }

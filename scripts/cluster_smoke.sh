@@ -6,8 +6,9 @@
 # mid-stream: the cluster must stay available, accept writes (one-ack
 # commit + catch-up queue), and after the replica restarts — WAL replay
 # plus router catch-up — serve identical answers even when its sibling
-# dies and it becomes the only source for its shard. CI runs this against
-# the freshly built binaries; locally:
+# dies and it becomes the only source for its shard. At the end the router
+# and one replica are stopped with SIGTERM. CI runs this against the
+# freshly built binaries; locally:
 #
 #   scripts/cluster_smoke.sh ./build
 set -euo pipefail
@@ -33,6 +34,20 @@ wait_listening() {  # <log> <pid>
 port_from() { sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$1"; }
 
 answers() { grep -o '"answers":\[[^]]*\]' "$1"; }
+
+# Sends SIGTERM and requires exit status 0 and both graceful-shutdown lines.
+terminate() {  # <pid> <log>
+  kill -TERM "$1"
+  local status=0
+  wait "$1" || status=$?
+  if [ "$status" -ne 0 ]; then
+    cat "$2"
+    echo "pid $1 exited with status $status on SIGTERM"
+    exit 1
+  fi
+  grep -q "shutting down gracefully" "$2"
+  grep -q "shut down cleanly" "$2"
+}
 
 # The cluster and the oracle received the same writes in the same order,
 # so every query must produce byte-identical answer lists and candidate
@@ -247,11 +262,11 @@ check_match probe1.txt
 check_match fresh.txt
 "$BIN/pis_client" health --port "$ROUTER_PORT" | grep -q '"live":62'
 
-echo "== shutdown must be clean everywhere"
-"$BIN/pis_client" shutdown --port "$ROUTER_PORT" | grep -q '"ok":true'
-wait "$ROUTER_PID"
-grep -q "shut down cleanly" router.log
-for idx in 0 2 3 4 5; do
+echo "== shutdown must be clean everywhere (SIGTERM for the router and one replica)"
+terminate "$ROUTER_PID" router.log
+terminate "${PIDS[5]}" node_2_1/server.log
+grep -q "checkpointed index to" node_2_1/server.log
+for idx in 0 2 3 4; do
   "$BIN/pis_client" shutdown --port "${PORTS[$idx]}" | grep -q '"ok":true'
   wait "${PIDS[$idx]}"
 done

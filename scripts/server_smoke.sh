@@ -2,7 +2,8 @@
 # End-to-end smoke of the serving subsystem: build a sample DB + sharded
 # index with pis_cli, start pis_server, drive every protocol op through
 # pis_client, and require a clean shutdown; then serve what a plain
-# `pis_cli build` (no --shards) writes. CI runs this against the freshly
+# `pis_cli build` (no --shards) writes, and stop a durable server with
+# SIGTERM. CI runs this against the freshly
 # built binaries; locally:
 #
 #   scripts/server_smoke.sh ./build
@@ -175,5 +176,22 @@ grep -q '"answers":\[0[],]' default.json
 "$BIN/pis_client" shutdown --port "$PORT" | grep -q '"ok":true'
 wait "$SERVER_PID"
 grep -q "shut down cleanly" default.log
+
+echo "== SIGTERM shuts a durable server down gracefully (with a checkpoint)"
+cp -r default_index term_index
+cp db.txt term_db.txt
+start_server term.log --db term_db.txt --index term_index --wal_dir term_wal
+"$BIN/pis_client" add --port "$PORT" --graphs new.txt | grep -q '"id":61'
+kill -TERM "$SERVER_PID"
+status=0
+wait "$SERVER_PID" || status=$?
+cat term.log
+if [ "$status" -ne 0 ]; then
+  echo "pis_server exited with status $status on SIGTERM"; exit 1
+fi
+grep -q "received Terminated, shutting down gracefully" term.log
+grep -q "checkpointed index to" term.log
+grep -q "shut down cleanly" term.log
+"$BIN/pis_cli" stats --index term_index --json | grep -q '"live":62'
 
 echo "server smoke: OK"

@@ -33,9 +33,6 @@ struct PisOptions {
   PartitionAlgorithm partition_algorithm = PartitionAlgorithm::kGreedy;
   /// k for kEnhancedGreedy.
   int enhanced_k = 2;
-  /// Cap on enumerated query fragments (0 = unlimited). When hit, the
-  /// largest fragments are kept (they are the selective ones).
-  size_t max_query_fragments = 0;
   /// Auto-compaction threshold for sharded serving: when > 0, callers that
   /// own a mutable ShardedFragmentIndex forward this to
   /// set_compact_dead_ratio so a RemoveGraph compacts the owning shard once

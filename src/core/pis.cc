@@ -31,10 +31,8 @@ Result<FilterResult> PisEngine::Filter(const Graph& query) const {
   // Every shard registers the identical class catalog (classes come from
   // the feature set, not the data), so shard 0 serves as the enumeration
   // catalog.
-  PIS_ASSIGN_OR_RETURN(
-      result.fragments,
-      EnumerateIndexedQueryFragments(index_->shard(0), query,
-                                     options_.max_query_fragments));
+  PIS_ASSIGN_OR_RETURN(result.fragments,
+                       EnumerateIndexedQueryFragments(index_->shard(0), query));
 
   // Filter -> plan -> refine (core/shard_filter.h), one shard at a time.
   const int num_shards = index_->num_shards();

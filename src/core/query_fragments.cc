@@ -5,7 +5,7 @@
 namespace pis {
 
 Result<std::vector<QueryFragment>> EnumerateIndexedQueryFragments(
-    const FragmentIndex& index, const Graph& query, size_t max_fragments) {
+    const FragmentIndex& index, const Graph& query) {
   std::vector<QueryFragment> fragments;
   // One scan for the whole query, in front of the index's skeleton table:
   // its subsets take a few dozen one-edge steps, which earlier queries and
@@ -25,14 +25,6 @@ Result<std::vector<QueryFragment>> EnumerateIndexedQueryFragments(
     fragments.push_back(std::move(qf));
     return true;
   });
-  if (max_fragments > 0 && fragments.size() > max_fragments) {
-    // Keep the largest fragments: they carry the pruning power.
-    std::stable_sort(fragments.begin(), fragments.end(),
-                     [](const QueryFragment& a, const QueryFragment& b) {
-                       return a.prepared.num_edges > b.prepared.num_edges;
-                     });
-    fragments.resize(max_fragments);
-  }
   return fragments;
 }
 

@@ -20,11 +20,9 @@ struct QueryFragment {
 };
 
 /// Enumerates every connected edge subset of `query` (within the index's
-/// fragment size bounds) whose skeleton is an indexed class. When
-/// `max_fragments` > 0 and more are found, the largest fragments are kept
-/// (larger fragments are more selective, paper §5).
+/// fragment size bounds) whose skeleton is an indexed class.
 Result<std::vector<QueryFragment>> EnumerateIndexedQueryFragments(
-    const FragmentIndex& index, const Graph& query, size_t max_fragments = 0);
+    const FragmentIndex& index, const Graph& query);
 
 }  // namespace pis
 

@@ -1,5 +1,6 @@
 #include "index/sharded_index.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -150,6 +151,19 @@ ShardedFragmentIndex ShardedFragmentIndex::FromFragmentIndex(
   return sharded;
 }
 
+int LeastLoadedShard(std::span<const int> live_per_shard) {
+  return static_cast<int>(
+      std::min_element(live_per_shard.begin(), live_per_shard.end()) -
+      live_per_shard.begin());
+}
+
+std::vector<int> ShardedFragmentIndex::live_per_shard() const {
+  std::vector<int> live;
+  live.reserve(num_shards());
+  for (const auto& shard : shards_) live.push_back(shard->num_live());
+  return live;
+}
+
 Result<FragmentIndex*> ShardedFragmentIndex::MutableShard(int s) {
   // use_count == 1 means nobody else can observe the shard: mutate in
   // place. Anything higher means a snapshot handle or an index copy pins
@@ -171,19 +185,8 @@ Result<FragmentIndex*> ShardedFragmentIndex::MutableShard(int s) {
 }
 
 Result<int> ShardedFragmentIndex::AddGraph(const Graph& g) {
-  // Least-loaded routing by live graph count; ties go to the lowest shard
-  // id so a replayed update sequence reproduces the same routing.
-  int best = 0;
-  for (int s = 1; s < num_shards(); ++s) {
-    if (shards_[s]->num_live() < shards_[best]->num_live()) best = s;
-  }
-  PIS_ASSIGN_OR_RETURN(FragmentIndex * target, MutableShard(best));
-  PIS_ASSIGN_OR_RETURN(int local, target->AddGraph(g));
-  PIS_DCHECK(local == static_cast<int>(globals_[best].size()));
   const int gid = db_size();
-  shard_of_.push_back(best);
-  local_of_.push_back(local);
-  globals_[best].push_back(gid);
+  PIS_RETURN_NOT_OK(AddGraphAt(gid, LeastLoadedShard(live_per_shard()), g));
   return gid;
 }
 
@@ -293,23 +296,15 @@ Result<int> ShardedFragmentIndex::Rebalance(const GraphDatabase& db) {
         " graphs but the index spans " + std::to_string(db_size()) +
         " id slots");
   }
-  auto extreme_shards = [this](int* fullest, int* emptiest) {
-    *fullest = 0;
-    *emptiest = 0;
-    for (int s = 1; s < num_shards(); ++s) {
-      if (shards_[s]->num_live() > shards_[*fullest]->num_live()) *fullest = s;
-      if (shards_[s]->num_live() < shards_[*emptiest]->num_live()) {
-        *emptiest = s;
-      }
-    }
-  };
   std::vector<char> donor(num_shards(), 0);
   int migrated = 0;
   Status failed = Status::OK();
   while (failed.ok()) {
-    int src, dst;
-    extreme_shards(&src, &dst);
-    if (shards_[src]->num_live() - shards_[dst]->num_live() <= 1) break;
+    const std::vector<int> live = live_per_shard();
+    const int src = static_cast<int>(
+        std::max_element(live.begin(), live.end()) - live.begin());
+    const int dst = LeastLoadedShard(live);
+    if (live[src] - live[dst] <= 1) break;
     // Migrate the donor's most recently indexed live graph: its postings
     // sit at the tail of the shard, and the choice is deterministic.
     int gid = -1;

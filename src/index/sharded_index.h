@@ -30,6 +30,7 @@
 #define PIS_INDEX_SHARDED_INDEX_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -39,6 +40,13 @@
 #include "util/status.h"
 
 namespace pis {
+
+/// The placement rule for a new graph: the shard with the fewest live
+/// graphs, the lowest shard id on ties, so one update sequence always
+/// yields one routing table. `live_per_shard[s]` is shard s's live count
+/// (non-empty). ShardedFragmentIndex::AddGraph and Rebalance,
+/// EngineHost::AddGraph and the cluster router all place by it.
+int LeastLoadedShard(std::span<const int> live_per_shard);
 
 /// \brief A fragment index partitioned into per-shard FragmentIndexes.
 class ShardedFragmentIndex {
@@ -89,6 +97,9 @@ class ShardedFragmentIndex {
   int num_live() const {
     return db_size() - static_cast<int>(tombstones_.size());
   }
+  /// shard(s).num_live() for every shard, in shard order (what
+  /// LeastLoadedShard places by).
+  std::vector<int> live_per_shard() const;
   /// Every global graph id ever removed (monotone — compaction reclaims a
   /// dead graph's postings but its id stays dead forever). The engines seed
   /// their dead-slot sets from this, so it must cover compacted-away ids
@@ -101,11 +112,9 @@ class ShardedFragmentIndex {
   /// trigger signal. 0 for an empty shard.
   double shard_dead_ratio(int s) const { return shards_[s]->dead_ratio(); }
 
-  /// Incremental maintenance: routes the graph to the shard with the fewest
-  /// live graphs (ties break toward the lowest shard id, so a fixed update
-  /// sequence yields a deterministic routing) and indexes it there.
-  /// Returns the new global id, db_size() before the call. The caller must
-  /// append the same graph to its GraphDatabase to keep ids aligned.
+  /// Incremental maintenance: AddGraphAt(db_size(), the LeastLoadedShard,
+  /// g). Returns the new global id, db_size() before the call. The caller
+  /// must append the same graph to its GraphDatabase to keep ids aligned.
   Result<int> AddGraph(const Graph& g);
   /// Explicit-placement add for replicated serving: indexes `g` into shard
   /// `shard` under the preassigned global id `gid`, which must be >=
@@ -143,9 +152,9 @@ class ShardedFragmentIndex {
   /// Rebalancing: while the live-count spread between the fullest and
   /// emptiest shards exceeds one, migrates the most recently indexed live
   /// graph of the fullest shard (lowest shard id on ties, so the plan is
-  /// deterministic) to the emptiest one — re-indexing it there from `db`,
-  /// which must be this index's id-aligned database — then compacts every
-  /// donor shard. Global ids never change; only the routing table does.
+  /// deterministic) to the LeastLoadedShard — re-indexing it there from
+  /// `db`, which must be this index's id-aligned database — then compacts
+  /// every donor shard. Global ids never change; only the routing table does.
   /// Returns the number of graphs migrated (0 when already balanced).
   Result<int> Rebalance(const GraphDatabase& db);
 

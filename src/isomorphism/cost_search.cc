@@ -80,7 +80,11 @@ class CostSearcher {
   }
 
   // Cost of extending the mapping with qv -> tv, or infinity if infeasible.
-  double ExtensionCost(VertexId qv, VertexId tv) const {
+  // Recurse drew tv along target edge `anchor_edge` from the image of query
+  // vertex `anchor` (kInvalidVertex for an unanchored candidate), so that
+  // pair's edge needs no lookup.
+  double ExtensionCost(VertexId qv, VertexId tv, VertexId anchor,
+                       EdgeId anchor_edge) const {
     if (used_[tv] || target_.Degree(tv) < query_.Degree(qv)) {
       return kInfiniteDistance;
     }
@@ -89,15 +93,17 @@ class CostSearcher {
       VertexId nb = query_.GetEdge(qe).Other(qv);
       VertexId mapped = core_[nb];
       if (mapped == kInvalidVertex) continue;
-      EdgeId te = target_.FindEdge(tv, mapped);
+      EdgeId te = nb == anchor ? anchor_edge : target_.FindEdge(tv, mapped);
       if (te == kInvalidEdge) return kInfiniteDistance;
       cost += model_.EdgeCost(query_, qe, target_, te);
     }
     return cost;
   }
 
-  void TryExtend(int depth, double cost, VertexId qv, VertexId tv) {
-    double delta = ExtensionCost(qv, tv);
+  void TryExtend(int depth, double cost, VertexId qv, VertexId tv,
+                 VertexId anchor = kInvalidVertex,
+                 EdgeId anchor_edge = kInvalidEdge) {
+    double delta = ExtensionCost(qv, tv, anchor, anchor_edge);
     if (delta == kInfiniteDistance) return;
     double next_cost = cost + delta;
     // Prune strictly above the bound; equality is admissible so σ-exact
@@ -122,9 +128,11 @@ class CostSearcher {
     }
     VertexId qv = order_[depth];
     if (order_parent_[depth] >= 0) {
-      VertexId anchor = core_[order_[order_parent_[depth]]];
-      for (EdgeId e : target_.IncidentEdges(anchor)) {
-        TryExtend(depth, cost, qv, target_.GetEdge(e).Other(anchor));
+      VertexId anchor = order_[order_parent_[depth]];
+      VertexId anchor_image = core_[anchor];
+      for (EdgeId e : target_.IncidentEdges(anchor_image)) {
+        TryExtend(depth, cost, qv, target_.GetEdge(e).Other(anchor_image),
+                  anchor, e);
         if (stopped_) return;
       }
     } else {

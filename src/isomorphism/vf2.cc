@@ -60,13 +60,15 @@ Vf2Matcher::Vf2Matcher(const Graph& pattern, const Graph& target)
   target_used_.assign(target_.NumVertices(), false);
 }
 
-bool Vf2Matcher::Feasible(VertexId pv, VertexId tv) const {
+bool Vf2Matcher::Feasible(VertexId pv, VertexId tv, VertexId anchor) const {
   if (target_used_[tv]) return false;
   if (target_.Degree(tv) < pattern_.Degree(pv)) return false;
-  // Every mapped pattern neighbor must be a target neighbor.
+  // Every mapped pattern neighbor must be a target neighbor; `anchor`'s
+  // image is one already, since Recurse drew tv from its incident edges.
   for (EdgeId e : pattern_.IncidentEdges(pv)) {
-    VertexId mapped = core_[pattern_.GetEdge(e).Other(pv)];
-    if (mapped == kInvalidVertex) continue;
+    VertexId nb = pattern_.GetEdge(e).Other(pv);
+    VertexId mapped = core_[nb];
+    if (mapped == kInvalidVertex || nb == anchor) continue;
     if (target_.FindEdge(tv, mapped) == kInvalidEdge) return false;
   }
   return true;
@@ -81,10 +83,11 @@ bool Vf2Matcher::Recurse(int depth, const EmbeddingCallback& cb, size_t* count) 
   // Candidates: neighbors of the mapped parent when one exists (connected
   // extension), otherwise every target vertex.
   if (order_parent_[depth] >= 0) {
-    VertexId anchor = core_[order_[order_parent_[depth]]];
-    for (EdgeId e : target_.IncidentEdges(anchor)) {
-      VertexId tv = target_.GetEdge(e).Other(anchor);
-      if (!Feasible(pv, tv)) continue;
+    VertexId anchor = order_[order_parent_[depth]];
+    VertexId anchor_image = core_[anchor];
+    for (EdgeId e : target_.IncidentEdges(anchor_image)) {
+      VertexId tv = target_.GetEdge(e).Other(anchor_image);
+      if (!Feasible(pv, tv, anchor)) continue;
       core_[pv] = tv;
       target_used_[tv] = true;
       bool keep_going = Recurse(depth + 1, cb, count);
@@ -94,7 +97,7 @@ bool Vf2Matcher::Recurse(int depth, const EmbeddingCallback& cb, size_t* count) 
     }
   } else {
     for (VertexId tv = 0; tv < target_.NumVertices(); ++tv) {
-      if (!Feasible(pv, tv)) continue;
+      if (!Feasible(pv, tv, kInvalidVertex)) continue;
       core_[pv] = tv;
       target_used_[tv] = true;
       bool keep_going = Recurse(depth + 1, cb, count);

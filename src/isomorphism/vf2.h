@@ -36,7 +36,9 @@ class Vf2Matcher {
   size_t EnumerateAll(const EmbeddingCallback& cb);
 
  private:
-  bool Feasible(VertexId pv, VertexId tv) const;
+  /// Can pattern vertex `pv` map to `tv`? `anchor` is the mapped pattern
+  /// vertex whose image tv was drawn adjacent to (kInvalidVertex if none).
+  bool Feasible(VertexId pv, VertexId tv, VertexId anchor) const;
   bool Recurse(int depth, const EmbeddingCallback& cb, size_t* count);
 
   const Graph& pattern_;

@@ -1,9 +1,12 @@
 // Per-query pipeline tracing: a TraceContext allocated at the front end
 // (pis_server / pis_router request handler) collects a tree of wall-time
-// spans — pass-1, selectivity, pass-2, verify, plan, WAL append,
-// group-commit wait, snapshot publish — and renders it as a
-// single-line JSON document for the `"trace": true` query reply and the
-// slow-query log.
+// spans — the filter's stages (pass 1 with selectivity, partition, pass 2),
+// verify, and through the router the shard round trips, the replicas'
+// enumerate/filter/refine and the plan — and renders it as a single-line
+// JSON document for the `"trace": true` query reply and the slow-query
+// log. Writes are not traced: the write path's stages are the
+// group-commit-wait, write-apply, WAL-append and snapshot-publish
+// histograms (docs/observability.md).
 //
 // Clock domains: every duration is measured on the local steady clock
 // (util/timer.h MonotonicNowNs). Spans that cross the wire (a shard

@@ -10,6 +10,7 @@
 
 #include "core/filter_impl.h"
 #include "core/shard_filter.h"
+#include "index/sharded_index.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -375,10 +376,6 @@ Result<SearchResult> ClusterEngine::Search(const Graph& query) {
   return Search(query, options_.options.sigma, nullptr);
 }
 
-Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma) {
-  return Search(query, sigma, nullptr);
-}
-
 Result<SearchResult> ClusterEngine::Search(const Graph& query, double sigma,
                                            TraceContext* trace) {
   Timer filter_timer;
@@ -625,13 +622,9 @@ Result<int> ClusterEngine::AddGraph(const Graph& g) {
   op.graph = g;
   {
     MutexLock state(&state_mu_);
-    // Placement mirrors ShardedFragmentIndex::AddGraph: least-loaded live
-    // count, ties to the lowest shard id — so the cluster's routing table
-    // replays to exactly the oracle's.
-    op.shard = 0;
-    for (int s = 1; s < num_shards(); ++s) {
-      if (live_per_shard_[s] < live_per_shard_[op.shard]) op.shard = s;
-    }
+    // ShardedFragmentIndex::AddGraph's placement rule, so the cluster's
+    // routing table replays to exactly the oracle's.
+    op.shard = LeastLoadedShard(live_per_shard_);
     op.gid = db_slots_;
   }
   uint64_t max_epoch = 0;

@@ -23,8 +23,8 @@
 //            answers, which union ascending.
 //
 // Writes are serialized by the router (the sole writer and global-metadata
-// authority): placement mirrors ShardedFragmentIndex::AddGraph (least
-// loaded live count, ties to the lowest shard id) and the new gid is the
+// authority): placement is ShardedFragmentIndex::AddGraph's rule
+// (LeastLoadedShard over the live counts) and the new gid is the
 // next slot, so a cluster that applies the router's write sequence holds
 // the same routing table as the oracle applying AddGraph calls. Each write
 // fans to EVERY replica of the owning shard as an idempotent explicit
@@ -96,8 +96,7 @@ struct ClusterEngineOptions {
   /// catch-up queues of recovered replicas.
   int health_interval_ms = 100;
   /// Engine knobs. The router plans with its own sigma/lambda/epsilon/
-  /// partition choices; max_query_fragments must match the replicas'
-  /// config (they enumerate).
+  /// partition choices.
   PisOptions options;
   /// The engine registers its fabric metrics here (breaker state and
   /// transitions, catch-up queue depth, failover counts, and each backend's
@@ -154,10 +153,8 @@ class ClusterEngine {
 
   Result<SearchResult> Search(const Graph& query)
       PIS_EXCLUDES(writer_mu_, state_mu_);
-  /// Per-query sigma override (the router front end's "sigma" field).
-  Result<SearchResult> Search(const Graph& query, double sigma)
-      PIS_EXCLUDES(writer_mu_, state_mu_);
-  /// Traced variant: with a non-null `trace`, records the two-round span
+  /// Per-query sigma override (the router front end's "sigma" field) and
+  /// tracing: with a non-null `trace`, records the two-round span
   /// tree — one `shard_filter:<endpoint>` round-trip span per cover group
   /// (remote stage spans grafted as children), `plan`, and one
   /// `shard_refine:shardN@<endpoint>` span per shard. Each round visits its

@@ -276,31 +276,27 @@ std::shared_ptr<const EngineHost::Snapshot> EngineHost::snapshot() const {
   return current_;
 }
 
-Result<SearchResult> EngineHost::Search(const Graph& query) const {
+Result<SearchResult> EngineHost::Search(const Graph& query,
+                                        std::optional<double> sigma,
+                                        uint64_t* epoch_out) const {
   std::shared_ptr<const Snapshot> snap = snapshot();
-  Result<SearchResult> result = snap->engine.Search(query);
-  if (result.ok()) AccountQuery(result.value().stats);
-  return result;
-}
-
-Result<FilterResult> EngineHost::Filter(const Graph& query) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  Result<FilterResult> result = snap->engine.Filter(query);
-  if (result.ok()) AccountQuery(result.value().stats);
-  return result;
-}
-
-BatchSearchResult EngineHost::SearchBatch(std::span<const Graph> queries,
-                                          int num_threads) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  BatchSearchResult batch = snap->engine.SearchBatch(queries, num_threads);
-  for (const Result<SearchResult>& r : batch.results) {
-    if (r.ok()) AccountQuery(r.value().stats);
+  const PisEngine* engine = &snap->engine;
+  std::optional<PisEngine> per_query;
+  if (sigma.has_value()) {
+    if (*sigma < 0) return Status::InvalidArgument("sigma must be >= 0");
+    PisOptions options = options_;
+    options.sigma = *sigma;
+    engine = &per_query.emplace(snap->db.get(), snap->index.get(), options);
   }
-  return batch;
+  Result<SearchResult> result = engine->Search(query);
+  if (!result.ok()) return result;
+  AccountQuery(result.value().stats);
+  if (epoch_out != nullptr) *epoch_out = snap->epoch;
+  return result;
 }
 
-void EngineHost::Submit(PendingWrite* op) {
+Status EngineHost::Submit(PendingWrite* op, uint64_t* epoch_out) {
+  Timer wait_timer;
   std::vector<PendingWrite*> batch;
   {
     MutexLock lock(&commit_mu_);
@@ -312,19 +308,25 @@ void EngineHost::Submit(PendingWrite* op) {
     while (!op->done && commit_leader_active_) {
       commit_cv_.Wait(&commit_mu_);
     }
-    if (op->done) return;
-    commit_leader_active_ = true;
-    batch.swap(commit_queue_);
+    if (!op->done) {
+      commit_leader_active_ = true;
+      batch.swap(commit_queue_);
+    }
   }
-  CommitBatch(batch);  // takes writer_mu_; commit_mu_ stays free
-  {
-    MutexLock lock(&commit_mu_);
-    // Results were written before re-taking commit_mu_, so waiters that
-    // observe done==true under the lock see their gid/epoch/status too.
-    for (PendingWrite* b : batch) b->done = true;
-    commit_leader_active_ = false;
+  if (!batch.empty()) {
+    CommitBatch(batch);  // takes writer_mu_; commit_mu_ stays free
+    {
+      MutexLock lock(&commit_mu_);
+      // Results were written before re-taking commit_mu_, so waiters that
+      // observe done==true under the lock see their gid/epoch/status too.
+      for (PendingWrite* b : batch) b->done = true;
+      commit_leader_active_ = false;
+    }
+    commit_cv_.NotifyAll();
   }
-  commit_cv_.NotifyAll();
+  metrics_.group_commit_wait->Observe(wait_timer.Seconds());
+  if (op->status.ok() && epoch_out != nullptr) *epoch_out = op->epoch;
+  return op->status;
 }
 
 void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
@@ -348,56 +350,10 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
             "; rejecting writes until the pair is rebuilt");
         continue;
       }
-      Result<int> gid = master_.AddGraph(*op->graph);
-      if (!gid.ok()) {
-        op->status = gid.status();
-        continue;
-      }
-      if (appended == nullptr) {
-        appended = std::make_shared<GraphDatabase>(*master_db_);
-      }
-      const int db_gid = appended->Add(*op->graph);
-      if (db_gid != gid.value()) {
-        // Divergence here means a broken invariant, but one write must not
-        // kill the serving process: tombstone the index slot and fail the
-        // op with Internal — the alignment pre-check above quarantines
-        // later adds.
-        Status rollback = master_.RemoveGraph(gid.value());
-        if (!rollback.ok()) {
-          PIS_LOG(Error) << "could not roll back divergent add of gid "
-                         << gid.value() << ": " << rollback.ToString();
-        }
-        op->status = Status::Internal(
-            "index assigned gid " + std::to_string(gid.value()) +
-            " but the database assigned " + std::to_string(db_gid) +
-            "; the add was rolled back");
-        continue;
-      }
-      op->gid = gid.value();
-      op->status = Status::OK();
-      if (wal_ != nullptr) {
-        WalRecord rec;
-        rec.op = WalRecord::Op::kAdd;
-        rec.epoch = next_epoch;
-        rec.gid = op->gid;
-        // Stamp the realized placement so a shard-subset replica's replay
-        // can reproduce it without the full gid sequence (wal.h, v2).
-        rec.shard = master_.shard_of(op->gid);
-        rec.graph_text = FormatGraph(*op->graph, op->gid);
-        wal_batch.push_back(std::move(rec));
-      }
-      applied.push_back(op);
-    } else if (op->kind == PendingWrite::Kind::kAddAt) {
-      const int db_size =
-          appended != nullptr ? appended->size() : master_db_->size();
-      if (master_.db_size() != db_size) {
-        op->status = Status::Internal(
-            "index covers " + std::to_string(master_.db_size()) +
-            " graphs but the database holds " + std::to_string(db_size) +
-            "; rejecting writes until the pair is rebuilt");
-        continue;
-      }
-      if (op->gid < db_size) {
+      if (op->gid < 0) {  // AddGraph: the next slot, least-loaded shard
+        op->gid = db_size;
+        op->shard = LeastLoadedShard(master_.live_per_shard());
+      } else if (op->gid < db_size) {
         // Already-applied placement (a catch-up replay after a lost ack):
         // succeed iff the slot really carries this placement — resident in
         // the named shard, or added there and since removed/compacted.
@@ -412,11 +368,8 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
                                ", not " + std::to_string(op->shard));
         continue;  // no state change, no WAL record, no epoch
       }
-      Status placed = master_.AddGraphAt(op->gid, op->shard, *op->graph);
-      if (!placed.ok()) {
-        op->status = placed;
-        continue;
-      }
+      op->status = master_.AddGraphAt(op->gid, op->shard, *op->graph);
+      if (!op->status.ok()) continue;
       if (appended == nullptr) {
         appended = std::make_shared<GraphDatabase>(*master_db_);
       }
@@ -424,13 +377,29 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
       // (the index tombstoned the same slots).
       while (appended->size() < op->gid) appended->Add(Graph());
       const int db_gid = appended->Add(*op->graph);
-      PIS_CHECK(db_gid == op->gid);
-      op->status = Status::OK();
+      if (db_gid != op->gid) {
+        // Divergence here means a broken invariant, but one write must not
+        // kill the serving process: tombstone the index slot and fail the
+        // op with Internal — the alignment pre-check above quarantines
+        // later adds.
+        Status rollback = master_.RemoveGraph(op->gid);
+        if (!rollback.ok()) {
+          PIS_LOG(Error) << "could not roll back divergent add of gid "
+                         << op->gid << ": " << rollback.ToString();
+        }
+        op->status = Status::Internal(
+            "index assigned gid " + std::to_string(op->gid) +
+            " but the database assigned " + std::to_string(db_gid) +
+            "; the add was rolled back");
+        continue;
+      }
       if (wal_ != nullptr) {
         WalRecord rec;
         rec.op = WalRecord::Op::kAdd;
         rec.epoch = next_epoch;
         rec.gid = op->gid;
+        // Stamp the placement so a shard-subset replica's replay can
+        // reproduce it without the full gid sequence (wal.h, v2).
         rec.shard = op->shard;
         rec.graph_text = FormatGraph(*op->graph, op->gid);
         wal_batch.push_back(std::move(rec));
@@ -450,15 +419,11 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
       applied.push_back(op);
     }
   }
-  const double apply_ms = apply_timer.Millis();
-  metrics_.write_apply->Observe(apply_ms / 1e3);
+  metrics_.write_apply->Observe(apply_timer.Seconds());
   if (applied.empty()) return;  // every op failed: no state change, no epoch
 
-  double wal_append_ms = 0;
   if (wal_ != nullptr && !wal_batch.empty()) {
-    Timer wal_timer;
     Status logged = wal_->Append(wal_batch);
-    wal_append_ms = wal_timer.Millis();
     if (!logged.ok()) {
       // The batch already mutated in-memory state and cannot be unapplied;
       // publish it for internal consistency but acknowledge NOTHING — every
@@ -476,14 +441,8 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
   epoch_ = next_epoch;
   Timer publish_timer;
   Publish();
-  const double publish_ms = publish_timer.Millis();
-  for (PendingWrite* op : applied) {
-    op->epoch = epoch_;
-    op->timing.apply_ms = apply_ms;
-    op->timing.wal_append_ms = wal_append_ms;
-    op->timing.publish_ms = publish_ms;
-    op->timing.batch_ops = applied.size();
-  }
+  const double publish_seconds = publish_timer.Seconds();
+  for (PendingWrite* op : applied) op->epoch = epoch_;
 
   metrics_.group_commit_ops->Observe(static_cast<double>(batch.size()));
   // Batches commit one at a time under writer_mu_, so read-then-set is exact.
@@ -491,55 +450,31 @@ void EngineHost::CommitBatch(const std::vector<PendingWrite*>& batch) {
       metrics_.group_commit_max_batch->value()) {
     metrics_.group_commit_max_batch->Set(static_cast<int64_t>(batch.size()));
   }
-  metrics_.snapshot_publish->Observe(publish_ms / 1e3);
+  metrics_.snapshot_publish->Observe(publish_seconds);
 }
 
-Result<int> EngineHost::AddGraph(const Graph& g, uint64_t* epoch_out,
-                                 WriteTiming* timing_out) {
-  PendingWrite op;
-  op.kind = PendingWrite::Kind::kAdd;
-  op.graph = &g;
-  Timer wait_timer;
-  Submit(&op);
-  FinishWrite(&op, wait_timer.Millis(), timing_out);
-  PIS_RETURN_NOT_OK(op.status);
-  if (epoch_out != nullptr) *epoch_out = op.epoch;
+Result<int> EngineHost::AddGraph(const Graph& g, uint64_t* epoch_out) {
+  PendingWrite op{.kind = PendingWrite::Kind::kAdd, .graph = &g};
+  PIS_RETURN_NOT_OK(Submit(&op, epoch_out));
   return op.gid;
 }
 
 Status EngineHost::AddGraphAt(int gid, int shard, const Graph& g,
-                              uint64_t* epoch_out, WriteTiming* timing_out) {
-  PendingWrite op;
-  op.kind = PendingWrite::Kind::kAddAt;
-  op.graph = &g;
-  op.gid = gid;
-  op.shard = shard;
-  Timer wait_timer;
-  Submit(&op);
-  FinishWrite(&op, wait_timer.Millis(), timing_out);
-  PIS_RETURN_NOT_OK(op.status);
-  if (epoch_out != nullptr) *epoch_out = op.epoch;
-  return Status::OK();
+                              uint64_t* epoch_out) {
+  if (gid < 0) {
+    return Status::InvalidArgument("graph id " + std::to_string(gid) +
+                                   " is negative");
+  }
+  PendingWrite op{.kind = PendingWrite::Kind::kAdd,
+                  .graph = &g,
+                  .gid = gid,
+                  .shard = shard};
+  return Submit(&op, epoch_out);
 }
 
-Status EngineHost::RemoveGraph(int gid, uint64_t* epoch_out,
-                               WriteTiming* timing_out) {
-  PendingWrite op;
-  op.kind = PendingWrite::Kind::kRemove;
-  op.gid = gid;
-  Timer wait_timer;
-  Submit(&op);
-  FinishWrite(&op, wait_timer.Millis(), timing_out);
-  PIS_RETURN_NOT_OK(op.status);
-  if (epoch_out != nullptr) *epoch_out = op.epoch;
-  return Status::OK();
-}
-
-void EngineHost::FinishWrite(PendingWrite* op, double queue_wait_ms,
-                             WriteTiming* timing_out) const {
-  op->timing.queue_wait_ms = queue_wait_ms;
-  if (timing_out != nullptr) *timing_out = op->timing;
-  metrics_.group_commit_wait->Observe(queue_wait_ms / 1e3);
+Status EngineHost::RemoveGraph(int gid, uint64_t* epoch_out) {
+  PendingWrite op{.kind = PendingWrite::Kind::kRemove, .gid = gid};
+  return Submit(&op, epoch_out);
 }
 
 Status EngineHost::CompactShard(int s, uint64_t* epoch_out) {
@@ -560,20 +495,8 @@ Result<int> EngineHost::Compact(double min_dead_ratio, uint64_t* epoch_out) {
   return compacted;
 }
 
-Result<int> EngineHost::Rebalance(uint64_t* epoch_out) {
-  MutexLock lock(&writer_mu_);
-  PIS_ASSIGN_OR_RETURN(int migrated, master_.Rebalance(*master_db_));
-  ++epoch_;
-  Publish();
-  if (epoch_out != nullptr) *epoch_out = epoch_;
-  return migrated;
-}
-
-Status EngineHost::StartAutoCompaction(std::chrono::milliseconds interval,
-                                       double dead_ratio_override) {
-  const double ratio =
-      dead_ratio_override > 0 ? dead_ratio_override : compact_dead_ratio_;
-  if (ratio > 1) {
+Status EngineHost::StartAutoCompaction(std::chrono::milliseconds interval) {
+  if (compact_dead_ratio_ > 1) {
     return Status::InvalidArgument("compaction dead ratio must be <= 1");
   }
   bool periodic_checkpoints = false;
@@ -582,11 +505,11 @@ Status EngineHost::StartAutoCompaction(std::chrono::milliseconds interval,
     periodic_checkpoints =
         checkpoints_enabled_ && checkpoint_.interval.count() > 0;
   }
-  if (ratio <= 0 && !periodic_checkpoints) {
+  if (compact_dead_ratio_ <= 0 && !periodic_checkpoints) {
     return Status::InvalidArgument(
         "the maintenance thread needs work: a dead ratio in (0, 1] "
-        "(PisOptions::compact_dead_ratio or the override) and/or a periodic "
-        "checkpoint interval (EnableCheckpoints)");
+        "(PisOptions::compact_dead_ratio or the index's policy) and/or a "
+        "periodic checkpoint interval (EnableCheckpoints)");
   }
   if (interval.count() <= 0) {
     return Status::InvalidArgument("auto-compaction interval must be > 0");
@@ -599,10 +522,7 @@ Status EngineHost::StartAutoCompaction(std::chrono::milliseconds interval,
     MutexLock lock(&compactor_mu_);
     compactor_stop_ = false;
   }
-  const double compact_ratio = ratio > 0 ? ratio : 0;
-  compactor_ = std::thread([this, interval, compact_ratio] {
-    MaintenanceLoop(interval, compact_ratio);
-  });
+  compactor_ = std::thread([this, interval] { MaintenanceLoop(interval); });
   return Status::OK();
 }
 
@@ -623,15 +543,14 @@ bool EngineHost::auto_compaction_running() const {
   return compactor_.joinable();
 }
 
-void EngineHost::MaintenanceLoop(std::chrono::milliseconds interval,
-                                 double dead_ratio) {
+void EngineHost::MaintenanceLoop(std::chrono::milliseconds interval) {
   using Clock = std::chrono::steady_clock;
   std::chrono::milliseconds ckpt_interval{0};
   {
     MutexLock lock(&checkpoint_mu_);
     if (checkpoints_enabled_) ckpt_interval = checkpoint_.interval;
   }
-  const bool compaction = dead_ratio > 0;
+  const bool compaction = compact_dead_ratio_ > 0;
   const bool checkpointing = ckpt_interval.count() > 0;
   // First compaction scan runs immediately (the PR 5 contract); the first
   // checkpoint waits one full interval — there is nothing to persist yet.
@@ -643,7 +562,7 @@ void EngineHost::MaintenanceLoop(std::chrono::milliseconds interval,
       // One pass. Readers never notice: the rewrite happens on detached
       // shard copies and lands with the snapshot publish.
       MutexLock lock(&writer_mu_);
-      Result<int> compacted = master_.Compact(dead_ratio);
+      Result<int> compacted = master_.Compact(compact_dead_ratio_);
       // Compact on a healthy index cannot fail; a zero result just means no
       // shard crossed the threshold — skip the publish so the epoch only
       // moves when the state does.

@@ -1,11 +1,10 @@
 // The concurrent serving core: an EngineHost owns a sharded PIS index (plus
 // its id-aligned database) behind immutable published snapshots, giving
 //
-//   - non-blocking concurrent readers: Search / SearchBatch / Filter pin
-//     the current snapshot (one shared_ptr copy under a mutex held for
-//     just that copy — never across query work), run entirely against
-//     immutable state, and never wait on — or get waited on by — a
-//     mutation in flight;
+//   - non-blocking concurrent readers: Search pins the current snapshot
+//     (one shared_ptr copy under a mutex held for just that copy — never
+//     across query work), runs entirely against immutable state, and never
+//     waits on — or gets waited on by — a mutation in flight;
 //   - linearizable results: mutators run under one writer mutex and publish
 //     a complete new snapshot as their single atomic commit point, so every
 //     query observes exactly the state left by some prefix of the applied
@@ -15,8 +14,8 @@
 //     RemoveGraph batch is appended and fsynced BEFORE any caller gets its
 //     result, so an acknowledged write survives kill -9 — restart replays
 //     the log over the last checkpoint (see server/wal.h);
-//   - zero-downtime maintenance: CompactShard / Compact / Rebalance rewrite
-//     shards on detached copies (the copy-on-write layer of
+//   - zero-downtime maintenance: CompactShard / Compact rewrite shards on
+//     detached copies (the copy-on-write layer of
 //     ShardedFragmentIndex) and land via shard-handle swap, so the
 //     PR 4 dead-ratio policy — and now periodic checkpointing — run on the
 //     background maintenance thread while queries keep answering.
@@ -51,7 +50,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <span>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,8 +72,9 @@ namespace pis {
 class EngineHost {
  public:
   /// One immutable published state. Readers that want a consistent view
-  /// across several calls (or the epoch they answered at) pin one of these
-  /// and use `engine` directly; the shared_ptr keeps db and index alive.
+  /// across several calls (the cluster-fabric shard ops) pin one of these
+  /// and use `engine` or the index directly; the shared_ptr keeps db and
+  /// index alive.
   struct Snapshot {
     std::shared_ptr<const GraphDatabase> db;
     std::shared_ptr<const ShardedFragmentIndex> index;
@@ -154,20 +154,6 @@ class EngineHost {
   EngineHost(const EngineHost&) = delete;
   EngineHost& operator=(const EngineHost&) = delete;
 
-  /// Per-op write-path timings, filled by the group-commit leader for the
-  /// batch that carried the op. apply/wal/publish are batch-level costs —
-  /// every op of a batch reports the same values — and all three lie
-  /// inside the caller-observed queue_wait_ms.
-  struct WriteTiming {
-    double queue_wait_ms = 0;  ///< enqueue -> committed (caller-observed)
-    /// Batch apply under the writer mutex, before the WAL append: index
-    /// mutation, shard detach, and database append.
-    double apply_ms = 0;
-    double wal_append_ms = 0;  ///< batch WAL append + fsync (0 = no WAL)
-    double publish_ms = 0;     ///< batch snapshot publish
-    uint64_t batch_ops = 0;    ///< ops the carrying batch committed
-  };
-
   /// Hands this host's metric families — query counters and stage
   /// latencies, group commit, snapshot publish, checkpoints, background
   /// compactions and the attached WAL's — to `registry`, which renders them
@@ -207,19 +193,14 @@ class EngineHost {
   std::shared_ptr<const Snapshot> snapshot() const
       PIS_EXCLUDES(snapshot_mu_);
 
-  /// Reader API: each call pins one snapshot for its whole duration, so a
-  /// batch sees a single consistent state.
-  Result<SearchResult> Search(const Graph& query) const;
-  Result<FilterResult> Filter(const Graph& query) const;
-  BatchSearchResult SearchBatch(std::span<const Graph> queries,
-                                int num_threads = 0) const;
-
-  /// Folds one query's stats into the host's metric families — what
-  /// Search() does internally. Callers that pin their own snapshot and run
-  /// its engine directly (the servers do, to report the queried epoch) must
-  /// account explicitly or their queries are invisible to metrics. Atomics
-  /// only — safe on the query path.
-  void AccountQuery(const QueryStats& stats) const;
+  /// The reader: pins one snapshot for the whole query and folds the
+  /// query's stats into the host's metric families. `sigma` overrides
+  /// options().sigma for this query (InvalidArgument when negative);
+  /// `epoch_out` (nullable) receives the epoch of the snapshot it answered
+  /// at.
+  Result<SearchResult> Search(const Graph& query,
+                              std::optional<double> sigma = std::nullopt,
+                              uint64_t* epoch_out = nullptr) const;
 
   /// Group-committed writers. Concurrent callers coalesce into one batch:
   /// a leader applies every queued op, appends + fsyncs one WAL batch (when
@@ -228,24 +209,23 @@ class EngineHost {
   /// "durable and visible to every later snapshot". `epoch_out` (nullable)
   /// receives the epoch of the publish that carried THIS mutation — reading
   /// snapshot()->epoch afterwards could observe a later commit.
-  /// `timing_out` (nullable) receives the op's write-path span timings.
-  Result<int> AddGraph(const Graph& g, uint64_t* epoch_out = nullptr,
-                       WriteTiming* timing_out = nullptr)
+  ///
+  /// AddGraph is AddGraphAt at the next slot (db_size() when its batch
+  /// applies it) in the LeastLoadedShard (index/sharded_index.h).
+  Result<int> AddGraph(const Graph& g, uint64_t* epoch_out = nullptr)
       PIS_EXCLUDES(commit_mu_, writer_mu_);
   /// Explicit-placement writer for replicated serving: a cluster router
   /// preassigns the global id and owning shard, and every replica of that
-  /// shard applies the identical placement (bypassing least-loaded
-  /// routing). Gids below `gid` this host never received are materialized
-  /// as absent slots (see ShardedFragmentIndex::AddGraphAt). Idempotent:
-  /// re-submitting an already-applied placement — the footprint of a
-  /// catch-up replay after a lost ack — succeeds without a new epoch.
-  /// Group-commits, WAL-logs, and publishes exactly like AddGraph.
+  /// shard applies the identical placement. Gids below `gid` this host
+  /// never received are materialized as absent slots (see
+  /// ShardedFragmentIndex::AddGraphAt). Idempotent: re-submitting an
+  /// already-applied placement — the footprint of a catch-up replay after a
+  /// lost ack — succeeds without a new epoch or WAL record; a live gid
+  /// below db_size() resident in another shard is AlreadyExists.
   Status AddGraphAt(int gid, int shard, const Graph& g,
-                    uint64_t* epoch_out = nullptr,
-                    WriteTiming* timing_out = nullptr)
+                    uint64_t* epoch_out = nullptr)
       PIS_EXCLUDES(commit_mu_, writer_mu_);
-  Status RemoveGraph(int gid, uint64_t* epoch_out = nullptr,
-                     WriteTiming* timing_out = nullptr)
+  Status RemoveGraph(int gid, uint64_t* epoch_out = nullptr)
       PIS_EXCLUDES(commit_mu_, writer_mu_);
 
   /// Maintenance writers (not WAL-logged: they reorganize storage without
@@ -256,18 +236,15 @@ class EngineHost {
   Result<int> Compact(double min_dead_ratio = 0.0,
                       uint64_t* epoch_out = nullptr)
       PIS_EXCLUDES(writer_mu_);
-  Result<int> Rebalance(uint64_t* epoch_out = nullptr)
-      PIS_EXCLUDES(writer_mu_);
 
   /// Background maintenance thread: every `interval`, compact shards whose
   /// dead ratio is at/above the policy ratio (see constructor), and — when
   /// EnableCheckpoints configured a nonzero cadence — checkpoint on that
-  /// cadence. InvalidArgument when there is nothing to do (policy ratio and
-  /// `dead_ratio_override` both zero AND no periodic checkpointing), or
-  /// when already running. The first compaction scan runs immediately on
-  /// start; the first checkpoint waits one full checkpoint interval.
-  Status StartAutoCompaction(std::chrono::milliseconds interval,
-                             double dead_ratio_override = 0.0)
+  /// cadence. InvalidArgument when there is nothing to do (policy ratio
+  /// zero AND no periodic checkpointing), or when already running. The
+  /// first compaction scan runs immediately on start; the first checkpoint
+  /// waits one full checkpoint interval.
+  Status StartAutoCompaction(std::chrono::milliseconds interval)
       PIS_EXCLUDES(compactor_lifecycle_mu_, compactor_mu_, checkpoint_mu_);
   void StopAutoCompaction()
       PIS_EXCLUDES(compactor_lifecycle_mu_, compactor_mu_);
@@ -298,26 +275,23 @@ class EngineHost {
   /// `done` under that mutex, so the owner's read after observing done ==
   /// true is ordered by the mutex.
   struct PendingWrite {
-    enum class Kind { kAdd, kAddAt, kRemove };
+    enum class Kind { kAdd, kRemove };
     Kind kind;
-    const Graph* graph = nullptr;  // kAdd/kAddAt input
-    int gid = -1;                  // kRemove/kAddAt input; kAdd output
-    int shard = -1;                // kAddAt input
+    const Graph* graph = nullptr;  // kAdd input
+    /// kRemove input. kAdd placement: gid -1 (AddGraph) is filled in with
+    /// the next slot and the least-loaded shard when the batch applies it.
+    int gid = -1;
+    int shard = -1;
     uint64_t epoch = 0;            // output: publish epoch of the batch
-    /// Output: batch-level write-path timings (same ordering contract as
-    /// the result fields above). queue_wait_ms is filled by the owner.
-    WriteTiming timing;
     Status status = Status::OK();  // output
     bool done = false;             // guarded by commit_mu_
   };
 
-  /// Enqueues `op` and blocks until a batch leader (possibly this thread)
-  /// has committed it; on return op->status/gid/epoch are final.
-  void Submit(PendingWrite* op) PIS_EXCLUDES(commit_mu_, writer_mu_);
-  /// Stamps the caller-observed queue wait, copies the op's timing to
-  /// `timing_out`, and records the group-commit-wait histogram.
-  void FinishWrite(PendingWrite* op, double queue_wait_ms,
-                   WriteTiming* timing_out) const;
+  /// Enqueues `op`, blocks until a batch leader (possibly this thread) has
+  /// committed it and records the wait in the group-commit-wait
+  /// histogram; on return op->status/gid/epoch are final.
+  Status Submit(PendingWrite* op, uint64_t* epoch_out)
+      PIS_EXCLUDES(commit_mu_, writer_mu_);
   /// Applies a drained batch: every op in order, one db pointer copy, one
   /// WAL append+fsync, one publish — all under writer_mu_, with commit_mu_
   /// released (that concurrency is where batching comes from). Does NOT
@@ -325,9 +299,12 @@ class EngineHost {
   void CommitBatch(const std::vector<PendingWrite*>& batch)
       PIS_EXCLUDES(writer_mu_, commit_mu_);
 
+  /// Folds one query's stats into the host's metric families. Atomics
+  /// only — safe on the query path.
+  void AccountQuery(const QueryStats& stats) const;
   /// Publishes master state as the next snapshot.
   void Publish() PIS_REQUIRES(writer_mu_) PIS_EXCLUDES(snapshot_mu_);
-  void MaintenanceLoop(std::chrono::milliseconds interval, double dead_ratio)
+  void MaintenanceLoop(std::chrono::milliseconds interval)
       PIS_EXCLUDES(writer_mu_, compactor_mu_, checkpoint_mu_);
 
   /// The host's metric instruments, registered at construction into

@@ -1,9 +1,13 @@
 #include "server/line_server.h"
 
+#include <signal.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -279,6 +283,47 @@ void LineServer::ServeConnection(TcpSocket conn) {
   }
   MutexLock lock(&live_mu_);
   live_fds_.erase(fd);
+}
+
+namespace {
+
+/// SIGUSR1 is how a protocol shutdown releases the sigwait thread.
+sigset_t ShutdownSignals() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  sigaddset(&set, SIGUSR1);
+  return set;
+}
+
+}  // namespace
+
+void BlockShutdownSignals() {
+  const sigset_t set = ShutdownSignals();
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+}
+
+int WaitForShutdown(LineServer* server) {
+  // `signaled` is set BEFORE Shutdown() so this thread can tell "a signal
+  // stopped us" (the waiter is already exiting — don't poke it) from a
+  // protocol shutdown (wake the waiter with SIGUSR1).
+  std::atomic<int> signaled{0};
+  std::thread waiter([server, &signaled] {
+    const sigset_t set = ShutdownSignals();
+    int sig = 0;
+    if (sigwait(&set, &sig) != 0 || sig == SIGUSR1) return;
+    signaled.store(sig);
+    server->Shutdown();
+  });
+  server->Wait();
+  if (signaled.load() == 0) kill(getpid(), SIGUSR1);
+  waiter.join();
+  const int sig = signaled.load();
+  if (sig != 0) {
+    std::printf("received %s, shutting down gracefully\n", strsignal(sig));
+  }
+  return sig;
 }
 
 }  // namespace pis

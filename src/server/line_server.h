@@ -183,6 +183,18 @@ class LineServer {
   std::unordered_set<int> live_fds_ PIS_GUARDED_BY(live_mu_);
 };
 
+/// SIGINT/SIGTERM shutdown for a server binary, through a sigwait thread
+/// instead of an async handler: the graceful path (Shutdown() plus whatever
+/// the binary persists afterwards) is nowhere near async-signal-safe.
+/// BlockShutdownSignals() must run before the process starts any thread,
+/// so that every thread inherits the mask.
+void BlockShutdownSignals();
+/// Blocks until `server` stops — by the protocol's `shutdown` op, or by
+/// SIGINT/SIGTERM, which a sigwait thread turns into server->Shutdown() —
+/// and then prints "received <signal>, shutting down gracefully" for a
+/// signal. Returns the signal, or 0 for a protocol shutdown.
+int WaitForShutdown(LineServer* server);
+
 }  // namespace pis
 
 #endif  // PIS_SERVER_LINE_SERVER_H_

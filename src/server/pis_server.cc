@@ -1,7 +1,7 @@
 #include "server/pis_server.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "server/shard_ops.h"
@@ -90,30 +90,21 @@ JsonValue PisServer::Query(const JsonValue& request) {
   if (!query.ok()) return ErrorReply(query.status());
   const bool tracing = Tracing(request);
   TraceContext ctx(TraceContext::NextId("q"));
-  // Pin one snapshot: the engine (and any per-request sigma variant of
-  // it) runs against exactly one published state.
-  std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
-  const double search_start_ms = ctx.ElapsedMs();
-  Result<SearchResult> result = Status::Internal("not run");
-  if (request.Has("sigma")) {
-    const JsonValue* sigma = request.Find("sigma");
+  std::optional<double> sigma;
+  if (const JsonValue* value = request.Find("sigma")) {
     // A wrong-typed sigma must fail loudly, not silently fall back to
     // the server default (the client asked for a specific threshold).
-    if (!sigma->is_number()) return ErrorReply("sigma must be a number");
-    PisOptions per_request = host_->options();
-    per_request.sigma = sigma->AsNumber();
-    if (per_request.sigma < 0) return ErrorReply("sigma must be >= 0");
-    PisEngine engine(snap->db.get(), snap->index.get(), per_request);
-    result = engine.Search(query.value());
-  } else {
-    result = snap->engine.Search(query.value());
+    if (!value->is_number()) return ErrorReply("sigma must be a number");
+    sigma = value->AsNumber();
   }
+  const double search_start_ms = ctx.ElapsedMs();
+  uint64_t epoch = 0;
+  Result<SearchResult> result = host_->Search(query.value(), sigma, &epoch);
   if (!result.ok()) return ErrorReply(result.status());
   const QueryStats& qs = result.value().stats;
-  host_->AccountQuery(qs);
   JsonValue reply = JsonValue::Object();
   reply.Set("ok", true);
-  reply.Set("epoch", snap->epoch);
+  reply.Set("epoch", epoch);
   if (tracing) {
     // The span layout is reconstructed from the engine's stage timers:
     // the filter subtree starts where the search call started, verify

@@ -125,8 +125,7 @@ Status CheckShardsOwned(const std::vector<int>& requested,
 
 Result<ShardFilterReply> RunShardFilter(const EngineHost::Snapshot& snap,
                                         const std::vector<int>& owned,
-                                        const ShardFilterRequest& request,
-                                        const PisOptions& options) {
+                                        const ShardFilterRequest& request) {
   if (request.query.Empty()) {
     // The same rejection PisEngine issues, so a router fanning this out
     // propagates an error identical to the single-process engine's.
@@ -147,9 +146,8 @@ Result<ShardFilterReply> RunShardFilter(const EngineHost::Snapshot& snap,
     // feature-derived and identical across shards AND replicas).
     ScopedSpan span(tp, "enumerate");
     PIS_ASSIGN_OR_RETURN(reply.fragments,
-                         EnumerateIndexedQueryFragments(
-                             index.shard(0), request.query,
-                             options.max_query_fragments));
+                         EnumerateIndexedQueryFragments(index.shard(0),
+                                                        request.query));
   }
   reply.results.resize(request.shards.size());
   for (size_t i = 0; i < request.shards.size(); ++i) {
@@ -164,8 +162,7 @@ Result<ShardFilterReply> RunShardFilter(const EngineHost::Snapshot& snap,
 
 Result<ShardRefineReply> RunShardRefine(const EngineHost::Snapshot& snap,
                                         const std::vector<int>& owned,
-                                        const ShardRefineRequest& request,
-                                        const PisOptions& options) {
+                                        const ShardRefineRequest& request) {
   if (request.query.Empty()) {
     return Status::InvalidArgument("query graph is empty");
   }
@@ -205,9 +202,8 @@ Result<ShardRefineReply> RunShardRefine(const EngineHost::Snapshot& snap,
     // recovers them from the frozen catalog.
     ScopedSpan span(tp, "enumerate");
     PIS_ASSIGN_OR_RETURN(fragments,
-                         EnumerateIndexedQueryFragments(
-                             index.shard(0), request.query,
-                             options.max_query_fragments));
+                         EnumerateIndexedQueryFragments(index.shard(0),
+                                                        request.query));
   }
   for (size_t k = 0; k < request.partition.size(); ++k) {
     const int fi = request.partition[k];
@@ -276,15 +272,13 @@ Result<JsonValue> ServeShardOpOrError(EngineHost* host,
     PIS_ASSIGN_OR_RETURN(ShardFilterRequest decoded,
                          ShardFilterRequestFromJson(request));
     PIS_ASSIGN_OR_RETURN(ShardFilterReply result,
-                         RunShardFilter(*host->snapshot(), owned, decoded,
-                                        host->options()));
+                         RunShardFilter(*host->snapshot(), owned, decoded));
     ShardFilterReplyToJson(result, &reply);
   } else if (op == "shard_refine") {
     PIS_ASSIGN_OR_RETURN(ShardRefineRequest decoded,
                          ShardRefineRequestFromJson(request));
     PIS_ASSIGN_OR_RETURN(ShardRefineReply result,
-                         RunShardRefine(*host->snapshot(), owned, decoded,
-                                        host->options()));
+                         RunShardRefine(*host->snapshot(), owned, decoded));
     ShardRefineReplyToJson(result, &reply);
   } else if (op == "shard_add") {
     PIS_ASSIGN_OR_RETURN(int gid, ReadNonNegative(request, "gid"));

@@ -64,20 +64,35 @@ TEST(EngineHostTest, ServesIdenticalResultsToDirectEngine) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(want.value().answers, got.value().answers);
     EXPECT_EQ(want.value().candidates, got.value().candidates);
-    auto got_filter = host.Filter(q);
-    ASSERT_TRUE(got_filter.ok());
-    EXPECT_EQ(want.value().candidates, got_filter.value().candidates);
   }
-  BatchSearchResult want_batch =
-      direct.SearchBatch(std::span<const Graph>(hf.queries), 2);
-  BatchSearchResult got_batch =
-      host.SearchBatch(std::span<const Graph>(hf.queries), 2);
-  ASSERT_EQ(want_batch.results.size(), got_batch.results.size());
-  for (size_t qi = 0; qi < want_batch.results.size(); ++qi) {
-    ASSERT_TRUE(got_batch.results[qi].ok());
-    EXPECT_EQ(want_batch.results[qi].value().answers,
-              got_batch.results[qi].value().answers);
+}
+
+// A per-query sigma answers like an engine configured with it, the epoch
+// reported is the snapshot's, and both count in the query metrics.
+TEST(EngineHostTest, SearchTakesAPerQuerySigmaAndReportsItsEpoch) {
+  HostFixture hf(30, 83);
+  EngineHost host = hf.MakeHost();
+  MetricsRegistry registry;
+  host.EnableMetrics(&registry);
+  ASSERT_TRUE(host.RemoveGraph(2).ok());
+  PisOptions tight = hf.options;
+  tight.sigma = 0.0;
+  std::shared_ptr<const EngineHost::Snapshot> snap = host.snapshot();
+  PisEngine direct(snap->db.get(), snap->index.get(), tight);
+  for (const Graph& q : hf.queries) {
+    auto want = direct.Search(q);
+    uint64_t epoch = 0;
+    auto got = host.Search(q, 0.0, &epoch);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(want.value().answers, got.value().answers);
+    EXPECT_EQ(want.value().candidates, got.value().candidates);
+    EXPECT_EQ(epoch, 1u);
   }
+  EXPECT_EQ(host.Search(hf.queries[0], -1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.GetCounter("pis_queries_total", "")->value(),
+            hf.queries.size());
 }
 
 TEST(EngineHostTest, MutationsAreVisibleExactlyWhenPublished) {
@@ -188,8 +203,8 @@ std::vector<std::string> ShardBytes(const ShardedFragmentIndex& index) {
   return bytes;
 }
 
-// A pinned snapshot is immutable: adds, removes, compactions and a
-// rebalance published after it leave its graphs and shards byte-identical.
+// A pinned snapshot is immutable: adds, removes and compactions published
+// after it leave its graphs and shards byte-identical.
 // Writes share what they do not change: the next snapshot holds the very
 // Graph objects (same addresses) of every gid the pinned one had.
 TEST(EngineHostTest, PinnedSnapshotStaysByteIdenticalAcrossWrites) {
@@ -220,7 +235,7 @@ TEST(EngineHostTest, PinnedSnapshotStaysByteIdenticalAcrossWrites) {
     EXPECT_EQ(&next->db->at(gid), addresses[gid]) << "gid " << gid;
   }
 
-  // Tombstone three graphs of one shard so Rebalance has work to do.
+  // Tombstone three graphs of one shard so compaction has work to do.
   const int victim_shard = pinned->index->shard_of(0);
   int removed = 0;
   for (int gid = 0; gid < pinned_db.size() && removed < 3; ++gid) {
@@ -233,9 +248,6 @@ TEST(EngineHostTest, PinnedSnapshotStaysByteIdenticalAcrossWrites) {
   }
   ASSERT_EQ(removed, 3);
   ASSERT_TRUE(host.CompactShard(victim_shard).ok());
-  auto migrated = host.Rebalance();
-  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
-  EXPECT_GT(migrated.value(), 0);
   ASSERT_TRUE(host.Compact().ok());
 
   EXPECT_EQ(GraphTexts(pinned_db), want_graphs);
@@ -252,26 +264,134 @@ TEST(EngineHostTest, PinnedSnapshotStaysByteIdenticalAcrossWrites) {
   }
 }
 
-// The write-apply stage is timed per batch: reported to the writer inside
-// its queue wait, and observed by pis_write_apply_seconds.
+// The write-apply stage is timed per batch by pis_write_apply_seconds,
+// inside the writer-observed wait pis_group_commit_wait_seconds records.
 TEST(EngineHostTest, WriteApplyStageIsTimed) {
   HostFixture hf(18, 23);
   EngineHost host = hf.MakeHost();
   MetricsRegistry registry;
   host.EnableMetrics(&registry);
-  EngineHost::WriteTiming add_timing;
-  ASSERT_TRUE(host.AddGraph(hf.fx.db.at(2), nullptr, &add_timing).ok());
-  EngineHost::WriteTiming remove_timing;
-  ASSERT_TRUE(host.RemoveGraph(3, nullptr, &remove_timing).ok());
-  for (const EngineHost::WriteTiming& t : {add_timing, remove_timing}) {
-    EXPECT_GT(t.apply_ms, 0);
-    EXPECT_LE(t.apply_ms, t.queue_wait_ms);
-    EXPECT_EQ(t.batch_ops, 1u);
-  }
-  EXPECT_EQ(registry.GetHistogram("pis_write_apply_seconds", "")->count(), 2u);
+  ASSERT_TRUE(host.AddGraph(hf.fx.db.at(2)).ok());
+  ASSERT_TRUE(host.RemoveGraph(3).ok());
+  Histogram* apply = registry.GetHistogram("pis_write_apply_seconds", "");
+  Histogram* wait = registry.GetHistogram("pis_group_commit_wait_seconds", "");
+  EXPECT_EQ(apply->count(), 2u);
+  EXPECT_EQ(wait->count(), 2u);
+  EXPECT_GT(apply->sum(), 0);
+  EXPECT_LE(apply->sum(), wait->sum());
+  Histogram* batches = registry.GetHistogram("pis_group_commit_batch_ops", "");
+  EXPECT_EQ(batches->count(), 2u);
+  EXPECT_EQ(batches->sum(), 2.0);
   EXPECT_NE(registry.RenderPrometheus().find(
                 "# TYPE pis_write_apply_seconds histogram"),
             std::string::npos);
+}
+
+/// A host over `hf`'s state with a fresh WAL under `root`, so tests can
+/// see which writes appended a record.
+std::unique_ptr<EngineHost> MakeLoggedHost(HostFixture& hf,
+                                           const std::filesystem::path& root) {
+  std::filesystem::remove_all(root);
+  auto host = std::make_unique<EngineHost>(hf.fx.db, hf.sharded.value(),
+                                           hf.options);
+  auto wal = WriteAheadLog::Open((root / "wal").string());
+  EXPECT_TRUE(wal.ok()) << wal.status().ToString();
+  EXPECT_TRUE(
+      host->AttachWal(std::make_unique<WriteAheadLog>(wal.MoveValue())).ok());
+  return host;
+}
+
+// Re-delivering an applied placement (a replay after a lost ack) succeeds
+// with no new epoch and no WAL record, also once the graph was removed.
+TEST(EngineHostTest, RedeliveredPlacementIsANoOp) {
+  HostFixture hf(18, 29);
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "redelivered_placement";
+  std::unique_ptr<EngineHost> host = MakeLoggedHost(hf, root);
+  const int gid = hf.fx.db.size();
+  uint64_t epoch = 0;
+  ASSERT_TRUE(host->AddGraphAt(gid, 1, hf.fx.db.at(4), &epoch).ok());
+  EXPECT_EQ(epoch, 1u);
+  EXPECT_EQ(host->snapshot()->index->shard_of(gid), 1);
+  const EngineHost::HostStats added = host->Stats();
+  EXPECT_EQ(added.wal_records, 1u);
+
+  EXPECT_TRUE(host->AddGraphAt(gid, 1, hf.fx.db.at(4)).ok());
+  EngineHost::HostStats after = host->Stats();
+  EXPECT_EQ(after.epoch, added.epoch);
+  EXPECT_EQ(after.wal_records, added.wal_records);
+  EXPECT_EQ(after.wal_bytes, added.wal_bytes);
+  EXPECT_EQ(after.live, added.live);
+  EXPECT_EQ(host->snapshot()->db->size(), gid + 1);
+
+  ASSERT_TRUE(host->RemoveGraph(gid).ok());
+  const EngineHost::HostStats removed = host->Stats();
+  EXPECT_TRUE(host->AddGraphAt(gid, 1, hf.fx.db.at(4)).ok());
+  EXPECT_TRUE(host->AddGraphAt(gid, 2, hf.fx.db.at(4)).ok());
+  after = host->Stats();
+  EXPECT_EQ(after.epoch, removed.epoch);
+  EXPECT_EQ(after.wal_records, removed.wal_records);
+  EXPECT_EQ(after.live, removed.live);
+  host.reset();
+  std::filesystem::remove_all(root);
+}
+
+// A live gid re-delivered to another shard is a placement conflict, and
+// changes nothing.
+TEST(EngineHostTest, LiveGidPlacedInAnotherShardIsAlreadyExists) {
+  HostFixture hf(18, 37);
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "conflicting_placement";
+  std::unique_ptr<EngineHost> host = MakeLoggedHost(hf, root);
+  const int resident = 5;
+  const int shard = host->snapshot()->index->shard_of(resident);
+  const int other = (shard + 1) % host->Stats().num_shards;
+  const EngineHost::HostStats before = host->Stats();
+  Status conflict = host->AddGraphAt(resident, other, hf.fx.db.at(resident));
+  EXPECT_EQ(conflict.code(), StatusCode::kAlreadyExists)
+      << conflict.ToString();
+  const int added = hf.fx.db.size();
+  ASSERT_TRUE(host->AddGraphAt(added, shard, hf.fx.db.at(1)).ok());
+  conflict = host->AddGraphAt(added, other, hf.fx.db.at(1));
+  EXPECT_EQ(conflict.code(), StatusCode::kAlreadyExists)
+      << conflict.ToString();
+  const EngineHost::HostStats after = host->Stats();
+  EXPECT_EQ(after.epoch, before.epoch + 1);
+  EXPECT_EQ(after.wal_records, before.wal_records + 1);
+  EXPECT_EQ(host->snapshot()->index->shard_of(resident), shard);
+  EXPECT_EQ(host->snapshot()->index->shard_of(added), shard);
+  host.reset();
+  std::filesystem::remove_all(root);
+}
+
+// A gid above db_size() leaves the skipped slots absent: tombstoned and
+// resident nowhere in the index, empty placeholder graphs in the database.
+TEST(EngineHostTest, PlacementAboveDbSizeTombstonesTheSkippedSlots) {
+  HostFixture hf(18, 41);
+  EngineHost host = hf.MakeHost();
+  const int first_skipped = hf.fx.db.size();
+  const int gid = first_skipped + 3;
+  ASSERT_TRUE(host.AddGraphAt(gid, 2, hf.fx.db.at(6)).ok());
+  std::shared_ptr<const EngineHost::Snapshot> snap = host.snapshot();
+  ASSERT_EQ(snap->db->size(), gid + 1);
+  ASSERT_EQ(snap->index->db_size(), gid + 1);
+  for (int skipped = first_skipped; skipped < gid; ++skipped) {
+    EXPECT_FALSE(snap->index->IsLive(skipped)) << skipped;
+    EXPECT_EQ(snap->index->tombstones().count(skipped), 1u) << skipped;
+    EXPECT_EQ(snap->index->shard_of(skipped), -1) << skipped;
+    EXPECT_EQ(snap->db->at(skipped).NumVertices(), 0) << skipped;
+  }
+  EXPECT_TRUE(snap->index->IsLive(gid));
+  EXPECT_EQ(snap->index->shard_of(gid), 2);
+  EXPECT_EQ(FormatGraph(snap->db->at(gid), gid),
+            FormatGraph(hf.fx.db.at(6), gid));
+  const EngineHost::HostStats stats = host.Stats();
+  EXPECT_EQ(stats.removed, 3);
+  EXPECT_EQ(stats.live, hf.fx.db.size() + 1);
+  // The next implicit add takes the slot after the placement.
+  auto next = host.AddGraph(hf.fx.db.at(7));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value(), gid + 1);
 }
 
 TEST(EngineHostTest, BackgroundCompactionReclaimsWithoutChangingAnswers) {

@@ -622,7 +622,8 @@ class ClusterHarness {
       ASSERT_TRUE(q.ok());
       queries.push_back(q.value());
     }
-    BatchSearchResult want = oracle_->SearchBatch(queries, 2);
+    BatchSearchResult want =
+        oracle_->snapshot()->engine.SearchBatch(queries, 2);
     BatchSearchResult got = cluster_->SearchBatch(queries, 2);
     ASSERT_EQ(want.results.size(), queries.size());
     ASSERT_EQ(got.results.size(), queries.size());

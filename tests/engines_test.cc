@@ -118,31 +118,6 @@ TEST(QueryFragmentsTest, EnumeratesOnlyIndexedFragments) {
   }
 }
 
-TEST(QueryFragmentsTest, MaxFragmentsKeepsLargest) {
-  SmallIndexFixture fx;
-  QuerySampler sampler(&fx.db, {.seed = 4});
-  auto query = sampler.Sample(10);
-  ASSERT_TRUE(query.ok());
-  auto all = EnumerateIndexedQueryFragments(fx.index.value(), query.value());
-  ASSERT_TRUE(all.ok());
-  ASSERT_GT(all.value().size(), 5u);
-  auto capped =
-      EnumerateIndexedQueryFragments(fx.index.value(), query.value(), 5);
-  ASSERT_TRUE(capped.ok());
-  ASSERT_EQ(capped.value().size(), 5u);
-  int min_kept = capped.value().back().prepared.num_edges;
-  for (const QueryFragment& qf : capped.value()) {
-    min_kept = std::min(min_kept, qf.prepared.num_edges);
-  }
-  // Every kept fragment is at least as large as the largest dropped one
-  // would allow: the kept set is a prefix of the size-sorted list.
-  int max_possible = 0;
-  for (const QueryFragment& qf : all.value()) {
-    max_possible = std::max(max_possible, qf.prepared.num_edges);
-  }
-  EXPECT_EQ(capped.value().front().prepared.num_edges, max_possible);
-}
-
 TEST(TopoPruneTest, CandidatesContainStructureMatches) {
   SmallIndexFixture fx;
   ShardedFragmentIndex index =

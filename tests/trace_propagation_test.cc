@@ -109,7 +109,7 @@ TEST(TracePropagationTest, UntracedSearchRecordsNothing) {
   auto q = h.SampleQuery(5);
   ASSERT_TRUE(q.ok());
   auto traced = h.cluster().Search(q.value(), h.sigma(), nullptr);
-  auto plain = h.cluster().Search(q.value(), h.sigma());
+  auto plain = h.cluster().Search(q.value());
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(traced.value().answers, plain.value().answers);
@@ -126,7 +126,7 @@ TEST(TracePropagationTest, TracedAndUntracedAnswersMatch) {
     ASSERT_TRUE(q.ok());
     TraceContext ctx(TraceContext::NextId("eq"));
     auto traced = h.cluster().Search(q.value(), h.sigma(), &ctx);
-    auto plain = h.cluster().Search(q.value(), h.sigma());
+    auto plain = h.cluster().Search(q.value());
     ASSERT_TRUE(traced.ok()) << traced.status().ToString();
     ASSERT_TRUE(plain.ok()) << plain.status().ToString();
     EXPECT_EQ(traced.value().answers, plain.value().answers);

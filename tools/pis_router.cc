@@ -30,14 +30,8 @@
 // failovers) plus per-op request metrics as Prometheus text; a query with
 // "trace":true returns the two-round span tree including each replica's
 // own child spans. --slow_query_ms / --slow_query_log mirror pis_server.
-#include <signal.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <memory>
-#include <thread>
 
 #include "server/cluster_engine.h"
 #include "server/router_server.h"
@@ -94,12 +88,7 @@ int main(int argc, char** argv) {
     return Fail(Status::InvalidArgument("--manifest is required"));
   }
 
-  sigset_t handled;
-  sigemptyset(&handled);
-  sigaddset(&handled, SIGINT);
-  sigaddset(&handled, SIGTERM);
-  sigaddset(&handled, SIGUSR1);
-  pthread_sigmask(SIG_BLOCK, &handled, nullptr);
+  BlockShutdownSignals();
 
   Result<ClusterManifest> manifest = ClusterManifest::LoadFile(manifest_path);
   if (!manifest.ok()) return Fail(manifest.status());
@@ -128,15 +117,6 @@ int main(int argc, char** argv) {
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
 
-  std::atomic<int> signaled{0};
-  std::thread signal_waiter([&handled, &signaled, &server] {
-    int sig = 0;
-    if (sigwait(&handled, &sig) != 0) return;
-    if (sig == SIGUSR1) return;
-    signaled.store(sig);
-    server.Shutdown();
-  });
-
   const ClusterEngine::ClusterStats stats = cluster.value()->Stats();
   std::printf("pis_router listening on port %d\n", server.port());
   std::printf("routing %d shards over %zu replica endpoints (%d live graphs, "
@@ -144,12 +124,7 @@ int main(int argc, char** argv) {
               stats.num_shards, stats.endpoints.size(), stats.live, sigma);
   std::fflush(stdout);
 
-  server.Wait();
-  if (signaled.load() == 0) kill(getpid(), SIGUSR1);
-  signal_waiter.join();
-  if (int sig = signaled.load()) {
-    std::printf("received %s, shutting down gracefully\n", strsignal(sig));
-  }
+  WaitForShutdown(&server);
   cluster.value()->StopHealthThread();
   std::printf("served %llu requests over %llu connections\n",
               static_cast<unsigned long long>(server.requests_served()),

@@ -40,17 +40,11 @@
 // renders the process-global registry as Prometheus text; with
 // --slow_query_ms > 0, any query slower than that dumps its span tree as
 // one JSON line to --slow_query_log (stderr when the path is empty).
-#include <signal.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "pis.h"
 #include "server/pis_server.h"
@@ -210,17 +204,8 @@ int main(int argc, char** argv) {
         "--checkpoint_interval_ms requires --wal_dir"));
   }
 
-  // Route SIGINT/SIGTERM through a dedicated sigwait thread instead of an
-  // async handler: the graceful path (server.Shutdown() + checkpoint) is
-  // nowhere near async-signal-safe. Block the signals before any thread
-  // exists so every thread inherits the mask; SIGUSR1 is how the clean-
-  // shutdown path unblocks the waiter.
-  sigset_t handled;
-  sigemptyset(&handled);
-  sigaddset(&handled, SIGINT);
-  sigaddset(&handled, SIGTERM);
-  sigaddset(&handled, SIGUSR1);
-  pthread_sigmask(SIG_BLOCK, &handled, nullptr);
+  // Before any thread exists (the index build may start some).
+  BlockShutdownSignals();
 
   auto db = ReadGraphDatabaseFile(db_path);
   if (!db.ok()) return Fail(db.status());
@@ -312,18 +297,6 @@ int main(int argc, char** argv) {
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
 
-  // `signaled` is set BEFORE Shutdown() so the main thread can distinguish
-  // "a signal stopped us" (the waiter is already exiting — don't poke it)
-  // from a protocol-driven shutdown (wake the waiter with SIGUSR1).
-  std::atomic<int> signaled{0};
-  std::thread signal_waiter([&handled, &signaled, &server] {
-    int sig = 0;
-    if (sigwait(&handled, &sig) != 0) return;
-    if (sig == SIGUSR1) return;  // clean protocol shutdown already happened
-    signaled.store(sig);
-    server.Shutdown();
-  });
-
   EngineHost::HostStats stats = host.Stats();
   std::printf("pis_server listening on port %d\n", server.port());
   std::printf("serving %d live graphs over %d shards (sigma %.2f, %d workers)%s\n",
@@ -331,15 +304,7 @@ int main(int argc, char** argv) {
               host.wal_attached() ? ", durable writes on" : "");
   std::fflush(stdout);
 
-  server.Wait();
-  if (signaled.load() == 0) {
-    // Shutdown came through the protocol; release the signal waiter.
-    kill(getpid(), SIGUSR1);
-  }
-  signal_waiter.join();
-  if (int sig = signaled.load()) {
-    std::printf("received %s, shutting down gracefully\n", strsignal(sig));
-  }
+  WaitForShutdown(&server);
   host.StopAutoCompaction();
   std::printf("served %llu requests over %llu connections\n",
               static_cast<unsigned long long>(server.requests_served()),
